@@ -205,4 +205,13 @@ EOF
 [ -s target/profile-smoke/windows.csv ] \
     || { echo "missing windowed KPIs" >&2; exit 1; }
 
+echo "== repo benchmark (smoke: seed-42 digests) =="
+# All four workloads at smoke scale, untraced and traced. Every job's
+# result is digested and compared with benchmark/expected.json, so a
+# last-bit drift in trained weights, predictions, chosen configurations or
+# simulated outcomes fails here (`correct: false`, exit 1), not in review.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke \
+    > target/benchmark-smoke.log \
+    || { grep '^# FAILED' target/benchmark-smoke.log >&2; echo "benchmark smoke failed" >&2; exit 1; }
+
 echo "CI green."

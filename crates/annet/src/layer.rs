@@ -1,16 +1,20 @@
 //! Dense (fully-connected) layers.
 
 use desim::SimRng;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::activation::Activation;
 use crate::matrix::Matrix;
 
-/// A dense layer: `y = f(x · Wᵀ + b)`.
+/// A dense layer: `y = f(x · W + b)`.
 ///
-/// Weights have shape `(out, in)`; batches are row-major (one sample per
-/// row), so a batch of `n` inputs is an `n × in` matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Weights are stored once, as the `in × out` matrix the forward product
+/// reads (`weights[i][o]` connects input `i` to neuron `o`), so no forward
+/// pass ever transposes them; gradients and momentum share the layout.
+/// Batches are row-major (one sample per row), so a batch of `n` inputs is
+/// an `n × in` matrix. JSON keeps the historical `out × in` orientation
+/// (see the hand-written serde impls below).
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dense {
     weights: Matrix,
     bias: Vec<f64>,
@@ -20,7 +24,7 @@ pub struct Dense {
 /// Momentum state for one layer (SGD with momentum).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Velocity {
-    /// Velocity of the weights.
+    /// Velocity of the weights (`in × out`, like the weights).
     pub weights: Matrix,
     /// Velocity of the biases.
     pub bias: Vec<f64>,
@@ -29,12 +33,34 @@ pub struct Velocity {
 /// Gradients produced by one backward pass.
 #[derive(Debug, Clone)]
 pub struct DenseGradients {
-    /// `∂L/∂W`, same shape as the weights.
+    /// `∂L/∂W`, same `in × out` shape as the weights.
     pub weights: Matrix,
     /// `∂L/∂b`.
     pub bias: Vec<f64>,
     /// `∂L/∂x` — passed to the previous layer.
     pub input: Matrix,
+}
+
+/// Reusable temporaries of [`Dense::backward_into`].
+#[derive(Debug, Clone)]
+pub struct BackwardScratch {
+    /// Pre-activation gradient `δ` (`n × out`).
+    delta: Matrix,
+    /// `δᵀ` (`out × n`).
+    delta_t: Matrix,
+    /// `W · δᵀ` (`in × n`), the input gradient before its transpose.
+    input_t: Matrix,
+}
+
+impl Default for BackwardScratch {
+    /// An empty scratch; buffers grow on first use.
+    fn default() -> Self {
+        BackwardScratch {
+            delta: Matrix::zeros(1, 1),
+            delta_t: Matrix::zeros(1, 1),
+            input_t: Matrix::zeros(1, 1),
+        }
+    }
 }
 
 impl Dense {
@@ -55,10 +81,12 @@ impl Dense {
             "dimensions must be positive"
         );
         let std = (activation.init_gain() / input_dim as f64).sqrt();
-        let mut weights = Matrix::zeros(output_dim, input_dim);
-        for r in 0..output_dim {
-            for c in 0..input_dim {
-                weights.set(r, c, rng.normal(0.0, std));
+        let mut weights = Matrix::zeros(input_dim, output_dim);
+        // Neuron-major draw order: the seed → weights mapping predates the
+        // `in × out` layout and every pinned digest depends on it.
+        for o in 0..output_dim {
+            for i in 0..input_dim {
+                weights.set(i, o, rng.normal(0.0, std));
             }
         }
         Dense {
@@ -71,13 +99,13 @@ impl Dense {
     /// Input dimension.
     #[must_use]
     pub fn input_dim(&self) -> usize {
-        self.weights.cols()
+        self.weights.rows()
     }
 
     /// Output dimension (number of neurons).
     #[must_use]
     pub fn output_dim(&self) -> usize {
-        self.weights.rows()
+        self.weights.cols()
     }
 
     /// The layer's activation.
@@ -92,32 +120,20 @@ impl Dense {
         self.weights.rows() * self.weights.cols() + self.bias.len()
     }
 
-    /// Forward pass over a batch (`n × in` → `n × out`).
+    /// Forward pass over a batch (`n × in` → `n × out`):
+    /// `out ← f(input · W + b)`, one [`Matrix::matmul_dense_into`] straight
+    /// off the stored weights.
+    ///
+    /// `out` is resized to fit, so reusing it across calls amortises its
+    /// allocation to zero. Training, loss evaluation and inference all run
+    /// this one kernel, so batched rows equal scalar rows bit for bit.
     ///
     /// # Panics
     ///
     /// Panics if the input width differs from the layer's input dimension.
-    #[must_use]
-    pub fn forward(&self, input: &Matrix) -> Matrix {
-        let mut wt = Matrix::zeros(1, 1);
-        let mut out = Matrix::zeros(1, 1);
-        self.forward_into(input, &mut wt, &mut out);
-        out
-    }
-
-    /// Allocation-free forward pass: `out ← f(input · Wᵀ + b)`.
-    ///
-    /// `wt` is a scratch buffer for the transposed weights; both buffers
-    /// are resized to fit, so reusing them across calls amortises their
-    /// allocations to zero. Bit-identical to [`Dense::forward`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input width differs from the layer's input dimension.
-    pub fn forward_into(&self, input: &Matrix, wt: &mut Matrix, out: &mut Matrix) {
+    pub fn forward_into(&self, input: &Matrix, out: &mut Matrix) {
         assert_eq!(input.cols(), self.input_dim(), "input width mismatch");
-        self.weights.transpose_into(wt);
-        input.matmul_into(wt, out);
+        input.matmul_dense_into(&self.weights, out);
         for r in 0..out.rows() {
             let row = out.row_mut(r);
             for (o, b) in row.iter_mut().zip(&self.bias) {
@@ -126,54 +142,19 @@ impl Dense {
         }
     }
 
-    /// [`Dense::forward_into`] through the branch-free dense product
-    /// ([`Matrix::matmul_dense_into`]) — the inference hot path.
+    /// Backward pass into reusable buffers (all resized to fit).
     ///
-    /// Bit-identical to [`Dense::forward_into`] for finite weights and
-    /// inputs (see the kernel's documentation for the argument); the
-    /// activations of a trained network are dense, so the zero-skipping
-    /// blocked kernel only costs here, it never pays.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input width differs from the layer's input dimension.
-    pub fn forward_dense_into(&self, input: &Matrix, wt: &mut Matrix, out: &mut Matrix) {
-        assert_eq!(input.cols(), self.input_dim(), "input width mismatch");
-        self.weights.transpose_into(wt);
-        input.matmul_dense_into(wt, out);
-        for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            for (o, b) in row.iter_mut().zip(&self.bias) {
-                *o = self.activation.apply(*o + b);
-            }
-        }
-    }
-
-    /// Backward pass.
-    ///
-    /// * `input` — the batch fed to [`Dense::forward`];
+    /// * `input` — the batch fed to [`Dense::forward_into`];
     /// * `output` — what forward returned (post-activation);
-    /// * `grad_output` — `∂L/∂output`.
-    #[must_use]
-    pub fn backward(
-        &self,
-        input: &Matrix,
-        output: &Matrix,
-        grad_output: &Matrix,
-    ) -> DenseGradients {
-        let mut delta = Matrix::zeros(1, 1);
-        let mut grads = self.zero_gradients();
-        self.backward_into(input, output, grad_output, &mut delta, &mut grads);
-        grads
-    }
-
-    /// Allocation-free backward pass, writing into reusable buffers.
+    /// * `grad_output` — `∂L/∂output`;
+    /// * `want_input` — false skips the input gradient and leaves
+    ///   `grads.input` stale (the first layer's is never read).
     ///
-    /// `delta` is scratch for the pre-activation gradient; `grads` receives
-    /// the same values [`Dense::backward`] returns (all buffers are resized
-    /// to fit). Bit-identical to [`Dense::backward`]: the weight gradient
-    /// `δᵀ · x` and input gradient `δ · W` accumulate in the same order as
-    /// the materialised-transpose products.
+    /// Bit-identical to the textbook `out × in` formulation (`δᵀ · x`,
+    /// `δ · W`): `xᵀ · δ` and `(W · δᵀ)ᵀ` form the same products
+    /// (`a·b == b·a`) and add them in the same ascending order, and a
+    /// skipped exact-zero term cannot differ from an added `±0.0` (see
+    /// [`Matrix::matmul_dense_into`]; DESIGN.md §8b).
     ///
     /// # Panics
     ///
@@ -184,7 +165,8 @@ impl Dense {
         input: &Matrix,
         output: &Matrix,
         grad_output: &Matrix,
-        delta: &mut Matrix,
+        want_input: bool,
+        scratch: &mut BackwardScratch,
         grads: &mut DenseGradients,
     ) {
         assert_eq!(
@@ -194,6 +176,7 @@ impl Dense {
         );
         assert_eq!(input.rows(), output.rows(), "batch size mismatch");
         // δ = grad_output ⊙ f'(output)
+        let delta = &mut scratch.delta;
         delta.resize_zeroed(grad_output.rows(), grad_output.cols());
         for r in 0..grad_output.rows() {
             let d_row = delta.row_mut(r);
@@ -201,7 +184,7 @@ impl Dense {
                 *dl = g * self.activation.derivative_from_output(o);
             }
         }
-        delta.matmul_at_b_into(input, &mut grads.weights);
+        input.matmul_at_b_into(delta, &mut grads.weights);
         grads.bias.clear();
         grads.bias.resize(self.output_dim(), 0.0);
         for r in 0..delta.rows() {
@@ -209,7 +192,12 @@ impl Dense {
                 *gb += d;
             }
         }
-        delta.matmul_into(&self.weights, &mut grads.input);
+        if want_input {
+            delta.transpose_into(&mut scratch.delta_t);
+            self.weights
+                .matmul_dense_into(&scratch.delta_t, &mut scratch.input_t);
+            scratch.input_t.transpose_into(&mut grads.input);
+        }
     }
 
     /// Applies one SGD step: `W ← W − lr · ∂L/∂W`, `b ← b − lr · ∂L/∂b`.
@@ -256,7 +244,7 @@ impl Dense {
     #[must_use]
     pub fn zero_velocity(&self) -> Velocity {
         Velocity {
-            weights: Matrix::zeros(self.output_dim(), self.input_dim()),
+            weights: Matrix::zeros(self.input_dim(), self.output_dim()),
             bias: vec![0.0; self.output_dim()],
         }
     }
@@ -266,16 +254,46 @@ impl Dense {
     #[must_use]
     pub fn zero_gradients(&self) -> DenseGradients {
         DenseGradients {
-            weights: Matrix::zeros(self.output_dim(), self.input_dim()),
+            weights: Matrix::zeros(self.input_dim(), self.output_dim()),
             bias: vec![0.0; self.output_dim()],
             input: Matrix::zeros(1, self.input_dim()),
         }
     }
+}
 
-    /// Read access to the weights (tests, inspection).
-    #[must_use]
-    pub fn weights(&self) -> &Matrix {
-        &self.weights
+/// JSON keeps `weights` as the `out × in` matrix every model file written
+/// before the `in × out` layout carries, so old files load and every pinned
+/// weights digest stands; the transpose is paid once per (de)serialisation.
+impl Serialize for Dense {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("weights".into(), self.weights.transpose().to_value()),
+            ("bias".into(), self.bias.to_value()),
+            ("activation".into(), self.activation.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for Dense {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let map = v
+            .as_map()
+            .ok_or_else(|| DeError::custom("expected map for Dense"))?;
+        let weights = Matrix::from_value(serde::__field(map, "weights"))?;
+        let bias = Vec::<f64>::from_value(serde::__field(map, "bias"))?;
+        let activation = Activation::from_value(serde::__field(map, "activation"))?;
+        let len = weights.as_slice().len();
+        if len == 0
+            || weights.rows().checked_mul(weights.cols()) != Some(len)
+            || bias.len() != weights.rows()
+        {
+            return Err(DeError::custom("inconsistent shapes for Dense"));
+        }
+        Ok(Dense {
+            weights: weights.transpose(),
+            bias,
+            activation,
+        })
     }
 }
 
@@ -286,6 +304,27 @@ mod tests {
     fn layer(rng_seed: u64) -> Dense {
         let mut rng = SimRng::seed_from_u64(rng_seed);
         Dense::new(3, 2, Activation::Tanh, &mut rng)
+    }
+
+    /// Allocating conveniences over the `_into` passes.
+    impl Dense {
+        /// The weights in the textbook `out × in` orientation.
+        fn weights(&self) -> Matrix {
+            self.weights.transpose()
+        }
+
+        fn forward(&self, input: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(1, 1);
+            self.forward_into(input, &mut out);
+            out
+        }
+
+        fn backward(&self, input: &Matrix, output: &Matrix, grad: &Matrix) -> DenseGradients {
+            let mut grads = self.zero_gradients();
+            let mut scratch = BackwardScratch::default();
+            self.backward_into(input, output, grad, true, &mut scratch, &mut grads);
+            grads
+        }
     }
 
     #[test]
@@ -335,19 +374,19 @@ mod tests {
         let grads = l.backward(&x, &y, &grad_out);
 
         let h = 1e-6;
-        for r in 0..2 {
-            for c in 0..3 {
-                let orig = l.weights.get(r, c);
-                l.weights.set(r, c, orig + h);
+        for i in 0..3 {
+            for o in 0..2 {
+                let orig = l.weights.get(i, o);
+                l.weights.set(i, o, orig + h);
                 let up = loss(&l);
-                l.weights.set(r, c, orig - h);
+                l.weights.set(i, o, orig - h);
                 let down = loss(&l);
-                l.weights.set(r, c, orig);
+                l.weights.set(i, o, orig);
                 let numeric = (up - down) / (2.0 * h);
-                let analytic = grads.weights.get(r, c);
+                let analytic = grads.weights.get(i, o);
                 assert!(
                     (numeric - analytic).abs() < 1e-5,
-                    "dW[{r},{c}]: analytic {analytic} vs numeric {numeric}"
+                    "dW[{i},{o}]: analytic {analytic} vs numeric {numeric}"
                 );
             }
         }
@@ -460,5 +499,144 @@ mod tests {
     fn initialisation_is_seed_deterministic() {
         assert_eq!(layer(9), layer(9));
         assert_ne!(layer(9), layer(10));
+    }
+
+    /// The formulation this layer replaced, kept as the oracle: weights as
+    /// an `out × in` copy, forward `x · Wᵀ`, weight gradient `δᵀ · x`,
+    /// input gradient `δ · W`, every product through the zero-skipping
+    /// [`Matrix::matmul_naive`].
+    struct Reference {
+        weights: Matrix,
+        bias: Vec<f64>,
+        activation: Activation,
+    }
+
+    impl Reference {
+        fn of(l: &Dense) -> Self {
+            Reference {
+                weights: l.weights(),
+                bias: l.bias.clone(),
+                activation: l.activation,
+            }
+        }
+
+        fn forward(&self, input: &Matrix) -> Matrix {
+            let mut out = input.matmul_naive(&self.weights.transpose());
+            for r in 0..out.rows() {
+                for (o, b) in out.row_mut(r).iter_mut().zip(&self.bias) {
+                    *o = self.activation.apply(*o + b);
+                }
+            }
+            out
+        }
+
+        fn backward(&self, input: &Matrix, output: &Matrix, grad: &Matrix) -> DenseGradients {
+            let mut delta = grad.clone();
+            for (d, &o) in delta.as_mut_slice().iter_mut().zip(output.as_slice()) {
+                *d *= self.activation.derivative_from_output(o);
+            }
+            let mut bias = vec![0.0; self.bias.len()];
+            for r in 0..delta.rows() {
+                for (gb, &d) in bias.iter_mut().zip(delta.row(r)) {
+                    *gb += d;
+                }
+            }
+            DenseGradients {
+                weights: delta.transpose().matmul_naive(input),
+                bias,
+                input: delta.matmul_naive(&self.weights),
+            }
+        }
+
+        /// One SGD-with-momentum step (`momentum = 0` is plain SGD).
+        fn step(&mut self, grads: &DenseGradients, lr: f64, momentum: f64, v: &mut Velocity) {
+            v.weights.scale(momentum);
+            v.weights.add_assign(&grads.weights);
+            self.weights.sub_scaled_assign(&v.weights, lr);
+            for ((b, v), g) in self.bias.iter_mut().zip(&mut v.bias).zip(&grads.bias) {
+                *v = momentum * *v + g;
+                *b -= lr * *v;
+            }
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `rows × cols` of seeded values in `±scale`, about one in five an
+    /// exact zero (what a ReLU layer upstream feeds this one).
+    fn sparse_matrix(rows: usize, cols: usize, scale: f64, rng: &mut SimRng) -> Matrix {
+        let data = (0..rows * cols).map(|_| {
+            let v = (rng.next_f64() * 2.0 - 1.0) * scale;
+            if rng.next_f64() < 0.2 {
+                0.0
+            } else {
+                v
+            }
+        });
+        Matrix::from_vec(rows, cols, data.collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 200, ..Default::default() })]
+
+        /// Forward, backward and two optimiser steps on the `in × out`
+        /// layout equal the `out × in` reference bit for bit — over shapes
+        /// down to `n = 1`, `in = 1`, `out = 1`, inputs large enough to
+        /// saturate tanh/sigmoid (exact-zero `δ`) and ReLU layers
+        /// (exact-zero activations and derivatives).
+        #[test]
+        fn matches_out_by_in_reference_bitwise(
+            n in 1usize..10,
+            input_dim in 1usize..20,
+            output_dim in 1usize..20,
+            activation in proptest::prop_oneof![
+                proptest::Just(Activation::Tanh),
+                proptest::Just(Activation::Sigmoid),
+                proptest::Just(Activation::Relu),
+                proptest::Just(Activation::Linear),
+            ],
+            scale in proptest::prop_oneof![proptest::Just(1.0), proptest::Just(400.0)],
+            momentum in proptest::prop_oneof![proptest::Just(0.0), proptest::Just(0.9)],
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut layer = Dense::new(input_dim, output_dim, activation, &mut rng);
+            let mut reference = Reference::of(&layer);
+            let mut v = layer.zero_velocity();
+            let mut v_ref = Velocity {
+                weights: v.weights.transpose(),
+                bias: v.bias.clone(),
+            };
+            let mut scratch = BackwardScratch::default();
+            let mut grads = layer.zero_gradients();
+            for _ in 0..2 {
+                let x = sparse_matrix(n, input_dim, scale, &mut rng);
+                let grad_out = sparse_matrix(n, output_dim, 1.0, &mut rng);
+                let y = layer.forward(&x);
+                proptest::prop_assert_eq!(bits(y.as_slice()), bits(reference.forward(&x).as_slice()));
+
+                layer.backward_into(&x, &y, &grad_out, true, &mut scratch, &mut grads);
+                let want = reference.backward(&x, &y, &grad_out);
+                proptest::prop_assert_eq!(bits(grads.weights.transpose().as_slice()), bits(want.weights.as_slice()));
+                proptest::prop_assert_eq!(bits(&grads.bias), bits(&want.bias));
+                proptest::prop_assert_eq!(bits(grads.input.as_slice()), bits(want.input.as_slice()));
+                // Skipping the input gradient changes nothing else.
+                let mut skipped = layer.zero_gradients();
+                layer.backward_into(&x, &y, &grad_out, false, &mut scratch, &mut skipped);
+                proptest::prop_assert_eq!(bits(skipped.weights.as_slice()), bits(grads.weights.as_slice()));
+                proptest::prop_assert_eq!(bits(&skipped.bias), bits(&grads.bias));
+
+                if momentum > 0.0 {
+                    layer.apply_gradients_with_momentum(&grads, 0.3, momentum, &mut v);
+                } else {
+                    layer.apply_gradients(&grads, 0.3);
+                }
+                reference.step(&want, 0.3, momentum, &mut v_ref);
+                proptest::prop_assert_eq!(bits(layer.weights().as_slice()), bits(reference.weights.as_slice()));
+                proptest::prop_assert_eq!(bits(&layer.bias), bits(&reference.bias));
+            }
+        }
     }
 }

@@ -417,39 +417,6 @@ impl Matrix {
         out
     }
 
-    /// `self · rhsᵀ` without materialising the transpose, into `out`.
-    ///
-    /// Bit-identical to `self.matmul_into(&rhs.transpose(), out)`: the
-    /// transpose is folded into the traversal (each output element reads a
-    /// row of `self` against a row of `rhs`), and the per-element `k`
-    /// accumulation order and the exact-zero skip are unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the column counts disagree.
-    pub fn matmul_transposed_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, rhs.cols,
-            "column counts must agree ({}x{} · ({}x{})ᵀ)",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        out.resize_zeroed(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let out_row = &mut out.data[i * rhs.rows..(i + 1) * rhs.rows];
-            for (o, rhs_row) in out_row.iter_mut().zip(rhs.data.chunks_exact(rhs.cols)) {
-                let mut acc = 0.0;
-                for (&a, &b) in a_row.iter().zip(rhs_row) {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    acc += a * b;
-                }
-                *o = acc;
-            }
-        }
-    }
-
     /// `selfᵀ · rhs` without materialising the transpose, into `out`.
     ///
     /// Bit-identical to `self.transpose().matmul_into(rhs, out)`: the outer
@@ -538,12 +505,21 @@ impl Matrix {
         out
     }
 
-    /// Writes the transpose into `out` (resized to fit).
+    /// Writes the transpose into `out` (resized to fit), in 8×8 tiles so
+    /// the row-wise reads and the column-wise writes both stay within a
+    /// handful of cache lines per tile.
     pub fn transpose_into(&self, out: &mut Matrix) {
+        const TILE: usize = 8;
         out.resize_zeroed(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
+        for rb in (0..self.rows).step_by(TILE) {
+            let r_end = (rb + TILE).min(self.rows);
+            for cb in (0..self.cols).step_by(TILE) {
+                let c_end = (cb + TILE).min(self.cols);
+                for r in rb..r_end {
+                    for c in cb..c_end {
+                        out.data[c * self.rows + r] = self.data[r * self.cols + c];
+                    }
+                }
             }
         }
     }
@@ -721,6 +697,23 @@ mod tests {
         assert_eq!(t.rows(), 3);
         assert_eq!(t.get(2, 1), 6.0);
         assert_eq!(t.transpose(), m);
+    }
+
+    #[test]
+    fn tiled_transpose_covers_vectors_and_ragged_tiles() {
+        for (rows, cols) in [(1, 5), (5, 1), (8, 8), (9, 17), (33, 10), (7, 64)] {
+            let data = (0..rows * cols).map(|i| i as f64).collect();
+            let m = Matrix::from_vec(rows, cols, data);
+            // Into a dirty, differently-shaped buffer.
+            let mut t = Matrix::from_vec(2, 3, vec![-1.0; 6]);
+            m.transpose_into(&mut t);
+            assert_eq!((t.rows(), t.cols()), (cols, rows));
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(t.get(c, r), m.get(r, c), "{rows}x{cols} at ({r}, {c})");
+                }
+            }
+        }
     }
 
     #[test]

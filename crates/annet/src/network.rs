@@ -5,13 +5,15 @@
 //! with learning rate 0.5 and 1000 epochs — is available as
 //! [`NetworkBuilder::paper_topology`].
 
+use std::cell::RefCell;
+
 use desim::SimRng;
 use obs::Profiler;
 use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
 use crate::dataset::Dataset;
-use crate::layer::{Dense, DenseGradients, Velocity};
+use crate::layer::{BackwardScratch, Dense, DenseGradients, Velocity};
 use crate::matrix::Matrix;
 
 /// Gradient shards each mini-batch is cut into by
@@ -147,14 +149,14 @@ struct TrainScratch {
     activations: Vec<Matrix>,
     /// Gathered batch targets.
     targets: Matrix,
-    /// Transposed-weights scratch, resized per layer.
-    wt: Matrix,
-    /// Pre-activation gradient scratch.
-    delta: Matrix,
+    /// Per-layer backward temporaries (`δ`, `δᵀ`, `W · δᵀ`).
+    back: BackwardScratch,
     /// `∂L/∂(layer output)`, rotated down the stack during backprop.
     grad: Matrix,
     /// Per-layer gradient buffers.
     grads: Vec<DenseGradients>,
+    /// Buffers of the per-epoch full-dataset loss evaluation.
+    eval: InferScratch,
 }
 
 impl TrainScratch {
@@ -162,10 +164,10 @@ impl TrainScratch {
         TrainScratch {
             activations: vec![Matrix::zeros(1, 1); net.layers.len() + 1],
             targets: Matrix::zeros(1, 1),
-            wt: Matrix::zeros(1, 1),
-            delta: Matrix::zeros(1, 1),
+            back: BackwardScratch::default(),
             grad: Matrix::zeros(1, 1),
             grads: net.layers.iter().map(Dense::zero_gradients).collect(),
+            eval: InferScratch::new(),
         }
     }
 }
@@ -173,17 +175,23 @@ impl TrainScratch {
 /// Reusable buffers for batched inference.
 ///
 /// [`Network::predict_batch_into`] ping-pongs activations between two
-/// buffers and reuses a third for the transposed weights, so a scratch
+/// buffers (the weights are read in place, never copied), so a scratch
 /// kept across calls makes repeated inference allocation-free once the
 /// buffers have grown to their steady-state sizes.
 #[derive(Debug, Clone)]
 pub struct InferScratch {
-    /// Ping-pong activation buffers; which one holds the final output
-    /// depends on the layer-count parity.
+    /// Ping-pong activation buffers, swapped after every layer so the
+    /// latest output is always in `ping`.
     ping: Matrix,
     pong: Matrix,
-    /// Transposed-weights scratch, resized per layer.
-    wt: Matrix,
+}
+
+thread_local! {
+    /// Input row and buffers of the scalar [`Network::predict`]:
+    /// `Network` derives `Clone`/`PartialEq`/serde, so it cannot carry its
+    /// own scratch.
+    static SCALAR_SCRATCH: RefCell<(Matrix, InferScratch)> =
+        RefCell::new((Matrix::zeros(1, 1), InferScratch::new()));
 }
 
 impl InferScratch {
@@ -193,7 +201,6 @@ impl InferScratch {
         InferScratch {
             ping: Matrix::zeros(1, 1),
             pong: Matrix::zeros(1, 1),
-            wt: Matrix::zeros(1, 1),
         }
     }
 }
@@ -223,16 +230,21 @@ impl Network {
         self.layers.iter().map(Dense::parameter_count).sum()
     }
 
-    /// Predicts the output for one feature row.
+    /// Predicts the output for one feature row: a one-row
+    /// [`Network::predict_batch_into`] through a thread-local scratch, so
+    /// only the returned vector is allocated.
     ///
     /// # Panics
     ///
     /// Panics if `input.len()` differs from the input dimension.
     #[must_use]
     pub fn predict(&self, input: &[f64]) -> Vec<f64> {
-        let x = Matrix::from_rows(&[input]);
-        let mut scratch = InferScratch::new();
-        self.predict_batch_into(&x, &mut scratch).row(0).to_vec()
+        SCALAR_SCRATCH.with(|cell| {
+            let (x, scratch) = &mut *cell.borrow_mut();
+            x.resize_zeroed(1, input.len());
+            x.row_mut(0).copy_from_slice(input);
+            self.predict_batch_into(x, scratch).row(0).to_vec()
+        })
     }
 
     /// Predicts outputs for a batch (`n × in` → `n × out`).
@@ -249,14 +261,15 @@ impl Network {
     /// Allocation-free batched forward pass (`n × in` → `n × out`).
     ///
     /// The whole batch flows through one [`Dense::forward_into`] chain —
-    /// one transpose and one blocked matmul per layer, amortised over all
-    /// `n` rows. Activations ping-pong between the scratch's two buffers,
-    /// so a warm scratch makes the call allocation-free. The returned
-    /// reference points into `scratch` and is valid until its next use.
+    /// one dense matmul per layer straight off the stored `in × out`
+    /// weights, no transpose, no copy. Activations ping-pong between the
+    /// scratch's two buffers, so a warm scratch makes the call
+    /// allocation-free. The returned reference points into `scratch` and
+    /// is valid until its next use.
     ///
     /// Bit-identical to [`Network::predict_batch`] (which is a wrapper
     /// over this method), and row `i` of the result is bit-identical to
-    /// `self.predict(row_i)`: the blocked matmul computes every output row
+    /// `self.predict(row_i)`: the dense matmul computes every output row
     /// independently with a fixed ascending-`k` accumulation order.
     ///
     /// # Panics
@@ -267,39 +280,35 @@ impl Network {
         inputs: &Matrix,
         scratch: &'s mut InferScratch,
     ) -> &'s Matrix {
+        let InferScratch { ping, pong } = scratch;
         let (first, rest) = self.layers.split_first().expect("non-empty");
-        first.forward_dense_into(inputs, &mut scratch.wt, &mut scratch.ping);
-        let mut output_in_ping = true;
+        first.forward_into(inputs, ping);
         for layer in rest {
-            if output_in_ping {
-                layer.forward_dense_into(&scratch.ping, &mut scratch.wt, &mut scratch.pong);
-            } else {
-                layer.forward_dense_into(&scratch.pong, &mut scratch.wt, &mut scratch.ping);
-            }
-            output_in_ping = !output_in_ping;
+            layer.forward_into(ping, pong);
+            std::mem::swap(ping, pong);
         }
-        if output_in_ping {
-            &scratch.ping
-        } else {
-            &scratch.pong
-        }
+        ping
     }
 
     /// Mean-squared-error loss over a dataset.
     #[must_use]
     pub fn mse(&self, data: &Dataset) -> f64 {
-        let mut scratch = InferScratch::new();
-        let pred = self.predict_batch_into(data.x(), &mut scratch);
-        let n = pred.as_slice().len() as f64;
-        pred.as_slice()
+        self.mse_into(data, &mut InferScratch::new())
+    }
+
+    /// [`Network::mse`] through reusable buffers.
+    fn mse_into(&self, data: &Dataset, scratch: &mut InferScratch) -> f64 {
+        let pred = self.predict_batch_into(data.x(), scratch);
+        let total: f64 = pred
+            .as_slice()
             .iter()
             .zip(data.y().as_slice())
             .map(|(p, y)| {
                 let d = p - y;
                 d * d
             })
-            .sum::<f64>()
-            / n
+            .sum();
+        total / pred.as_slice().len() as f64
     }
 
     /// Trains with mini-batch SGD, returning the per-epoch loss trace.
@@ -346,7 +355,7 @@ impl Network {
                 self.train_batch(data, chunk, config, &mut velocities, &mut scratch, prof);
             }
             let _eval_guard = prof.span("annet.eval");
-            epoch_losses.push(self.mse_scratch(data, &mut scratch));
+            epoch_losses.push(self.mse_into(data, &mut scratch.eval));
         }
         TrainReport { epoch_losses }
     }
@@ -418,7 +427,7 @@ impl Network {
                 );
             }
             let _eval_guard = prof.span("annet.eval");
-            epoch_losses.push(self.mse_scratch(data, &mut scratches[0]));
+            epoch_losses.push(self.mse_into(data, &mut scratches[0].eval));
         }
         TrainReport { epoch_losses }
     }
@@ -440,7 +449,7 @@ impl Network {
     fn forward_scratch(&self, scratch: &mut TrainScratch) {
         for (i, layer) in self.layers.iter().enumerate() {
             let (head, tail) = scratch.activations.split_at_mut(i + 1);
-            layer.forward_into(&head[i], &mut scratch.wt, &mut tail[0]);
+            layer.forward_into(&head[i], &mut tail[0]);
         }
     }
 
@@ -486,7 +495,8 @@ impl Network {
                 &scratch.activations[i],
                 &scratch.activations[i + 1],
                 &scratch.grad,
-                &mut scratch.delta,
+                i > 0,
+                &mut scratch.back,
                 &mut scratch.grads[i],
             );
             // The input gradient becomes the next layer's output gradient —
@@ -525,7 +535,8 @@ impl Network {
                 &scratch.activations[i],
                 &scratch.activations[i + 1],
                 &scratch.grad,
-                &mut scratch.delta,
+                i > 0,
+                &mut scratch.back,
                 &mut scratch.grads[i],
             );
             std::mem::swap(&mut scratch.grad, &mut scratch.grads[i].input);
@@ -573,8 +584,8 @@ impl Network {
         // Reduce in ascending shard order — fixed, thread-independent.
         let used = chunk.chunks(shard_len).count();
         for (l, tot) in total.iter_mut().enumerate() {
-            let (out_dim, in_dim) = (self.layers[l].output_dim(), self.layers[l].input_dim());
-            tot.weights.resize_zeroed(out_dim, in_dim);
+            let (in_dim, out_dim) = (self.layers[l].input_dim(), self.layers[l].output_dim());
+            tot.weights.resize_zeroed(in_dim, out_dim);
             tot.bias.clear();
             tot.bias.resize(out_dim, 0.0);
             for scratch in &scratches[..used] {
@@ -596,27 +607,6 @@ impl Network {
                 layer.apply_gradients(&total[i], config.learning_rate);
             }
         }
-    }
-
-    /// [`Network::mse`] computed through the scratch buffers — identical
-    /// value, no allocation.
-    fn mse_scratch(&self, data: &Dataset, scratch: &mut TrainScratch) -> f64 {
-        for (i, layer) in self.layers.iter().enumerate() {
-            let (head, tail) = scratch.activations.split_at_mut(i + 1);
-            let input = if i == 0 { data.x() } else { &head[i] };
-            layer.forward_into(input, &mut scratch.wt, &mut tail[0]);
-        }
-        let pred = scratch.activations.last().expect("non-empty");
-        let total: f64 = pred
-            .as_slice()
-            .iter()
-            .zip(data.y().as_slice())
-            .map(|(p, y)| {
-                let d = p - y;
-                d * d
-            })
-            .sum();
-        total / pred.as_slice().len() as f64
     }
 
     /// Serialises the network (weights and topology) to JSON.

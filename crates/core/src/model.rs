@@ -165,9 +165,9 @@ impl ReliabilityModel {
     }
 }
 
-/// Reusable buffers for [`ReliabilityModel::predict_batch`]: the gathered
-/// per-head input matrix, the network scratch, the fixed feature scaler,
-/// and the index list of each head's rows.
+/// Reusable buffers for [`ReliabilityModel`] inference, scalar and
+/// batched: the gathered per-head input matrix, the network scratch, the
+/// fixed feature scaler, and the index list of each head's rows.
 struct BatchScratch {
     inputs: Matrix,
     infer: InferScratch,
@@ -177,7 +177,7 @@ struct BatchScratch {
 
 thread_local! {
     /// `ReliabilityModel` derives `Clone`/`PartialEq`/serde, so it cannot
-    /// carry its own scratch; a thread-local keeps batched inference
+    /// carry its own scratch; a thread-local keeps inference
     /// allocation-free after warm-up without poisoning those derives.
     static BATCH_SCRATCH: RefCell<BatchScratch> = RefCell::new(BatchScratch {
         inputs: Matrix::zeros(1, 1),
@@ -195,31 +195,39 @@ const HEAD_ORDER: [DeliverySemantics; 3] = [
     DeliverySemantics::All,
 ];
 
+/// One head-output row as a [`Prediction`]: the at-most-once head has no
+/// `P̂_d` neuron (no duplicates by construction).
+fn prediction_from_row(semantics: DeliverySemantics, row: &[f64]) -> Prediction {
+    Prediction {
+        p_loss: row[0],
+        p_dup: if semantics == DeliverySemantics::AtMostOnce {
+            0.0
+        } else {
+            row[1]
+        },
+    }
+}
+
 impl Predictor for ReliabilityModel {
+    /// Scalar inference: a one-row batch through the same thread-local
+    /// scratch and forward chain as [`Predictor::predict_batch`], so a warm
+    /// thread allocates nothing per call.
     fn predict(&self, features: &Features) -> Prediction {
-        let x = features.scaled_head_vector();
-        match features.semantics {
-            DeliverySemantics::AtMostOnce => {
-                let out = self.amo_head.predict(&x);
-                Prediction {
-                    p_loss: out[0],
-                    p_dup: 0.0,
-                }
-            }
-            DeliverySemantics::AtLeastOnce | DeliverySemantics::All => {
-                let out = self.head(features.semantics).predict(&x);
-                Prediction {
-                    p_loss: out[0],
-                    p_dup: out[1],
-                }
-            }
-        }
+        BATCH_SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            scratch.inputs.resize_zeroed(1, Features::HEAD_INPUTS);
+            features.write_scaled_head_vector(&scratch.scaler, scratch.inputs.row_mut(0));
+            let pred = self
+                .head(features.semantics)
+                .predict_batch_into(&scratch.inputs, &mut scratch.infer);
+            prediction_from_row(features.semantics, pred.row(0))
+        })
     }
 
     /// Batched inference: rows are grouped per semantics head, each group
-    /// flows through **one** forward chain (one transpose + one blocked
-    /// matmul per layer for the whole group), and the outputs are
-    /// scattered back to input order. The blocked matmul computes every
+    /// flows through **one** forward chain (one dense matmul per layer for
+    /// the whole group, straight off the stored weights), and the outputs
+    /// are scattered back to input order. The dense matmul computes every
     /// output row independently with a fixed accumulation order, so each
     /// row is bit-identical to the scalar [`Predictor::predict`] path.
     fn predict_batch(&self, features: &[Features]) -> Vec<Prediction> {
@@ -254,15 +262,7 @@ impl Predictor for ReliabilityModel {
                     .head(semantics)
                     .predict_batch_into(&scratch.inputs, &mut scratch.infer);
                 for (r, &i) in scratch.rows.iter().enumerate() {
-                    let row = pred.row(r);
-                    out[i] = Prediction {
-                        p_loss: row[0],
-                        p_dup: if semantics == DeliverySemantics::AtMostOnce {
-                            0.0
-                        } else {
-                            row[1]
-                        },
-                    };
+                    out[i] = prediction_from_row(semantics, pred.row(r));
                 }
             }
         });

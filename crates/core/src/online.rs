@@ -232,14 +232,11 @@ impl PredictionCache {
 
     /// Looks `features` up, counting the hit or miss.
     pub fn get(&self, features: &Features) -> Option<Prediction> {
-        let key = CacheKey::quantize(features);
-        let found = self
-            .inner
-            .lock()
-            .expect("cache lock")
-            .map
-            .get(&key)
-            .copied();
+        self.get_key(&CacheKey::quantize(features))
+    }
+
+    fn get_key(&self, key: &CacheKey) -> Option<Prediction> {
+        let found = self.inner.lock().expect("cache lock").map.get(key).copied();
         match found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -249,7 +246,10 @@ impl PredictionCache {
 
     /// Stores a prediction, evicting the oldest entry at capacity.
     pub fn insert(&self, features: &Features, prediction: Prediction) {
-        let key = CacheKey::quantize(features);
+        self.insert_key(CacheKey::quantize(features), prediction);
+    }
+
+    fn insert_key(&self, key: CacheKey, prediction: Prediction) {
         let mut inner = self.inner.lock().expect("cache lock");
         if inner.map.insert(key, prediction).is_none() {
             inner.order.push_back(key);
@@ -336,41 +336,35 @@ impl Predictor for CachedPredictor<'_> {
 
     fn predict_batch(&self, features: &[Features]) -> Vec<Prediction> {
         let probe_guard = self.prof.span("core.cache-probe");
-        let mut out: Vec<Option<Prediction>> = vec![None; features.len()];
+        // Each key is quantized once. A row is a hit, or the index into
+        // `missed` of the first row of its cell (first occurrence wins).
+        let mut miss_index: FastMap<CacheKey, usize> = FastMap::default();
         let mut missed_keys: Vec<CacheKey> = Vec::new();
-        let mut missed_rows: Vec<usize> = Vec::new();
-        for (i, f) in features.iter().enumerate() {
-            if let Some(hit) = self.cache.get(f) {
-                out[i] = Some(hit);
-            } else {
+        let mut missed: Vec<Features> = Vec::new();
+        let rows: Vec<Result<Prediction, usize>> = features
+            .iter()
+            .map(|f| {
                 let key = CacheKey::quantize(f);
-                if !missed_keys.contains(&key) {
-                    missed_keys.push(key);
-                    missed_rows.push(i);
-                }
-            }
-        }
+                self.cache.get_key(&key).ok_or_else(|| {
+                    *miss_index.entry(key).or_insert_with(|| {
+                        missed_keys.push(key);
+                        missed.push(*f);
+                        missed.len() - 1
+                    })
+                })
+            })
+            .collect();
         drop(probe_guard);
-        if !missed_rows.is_empty() {
+        let mut fresh = Vec::new();
+        if !missed.is_empty() {
             let _miss_guard = self.prof.span("core.predict-miss");
-            let missed: Vec<Features> = missed_rows.iter().map(|&i| features[i]).collect();
-            let fresh = self.inner.predict_batch(&missed);
-            for (&i, p) in missed_rows.iter().zip(&fresh) {
-                self.cache.insert(&features[i], *p);
-            }
-            for (i, slot) in out.iter_mut().enumerate() {
-                if slot.is_none() {
-                    let key = CacheKey::quantize(&features[i]);
-                    let pos = missed_keys
-                        .iter()
-                        .position(|k| *k == key)
-                        .expect("every miss was predicted");
-                    *slot = Some(fresh[pos]);
-                }
+            fresh = self.inner.predict_batch(&missed);
+            for (key, p) in missed_keys.into_iter().zip(&fresh) {
+                self.cache.insert_key(key, *p);
             }
         }
-        out.into_iter()
-            .map(|p| p.expect("every row resolved"))
+        rows.into_iter()
+            .map(|row| row.unwrap_or_else(|i| fresh[i]))
             .collect()
     }
 }
@@ -713,9 +707,13 @@ mod tests {
 
     #[test]
     fn cached_predictor_batch_matches_sequential_scalar() {
-        let inner = FnPredictor(|f: &Features| Prediction {
-            p_loss: (f.loss_rate * 3.0).min(1.0),
-            p_dup: 0.01 * f.batch_size as f64,
+        let evaluated = AtomicU64::new(0);
+        let inner = FnPredictor(|f: &Features| {
+            evaluated.fetch_add(1, Ordering::Relaxed);
+            Prediction {
+                p_loss: (f.loss_rate * 3.0).min(1.0),
+                p_dup: 0.01 * f.batch_size as f64,
+            }
         });
         let rows: Vec<Features> = vec![
             feat(0.05, 1),
@@ -738,7 +736,10 @@ mod tests {
         // path): both report exactly one hit and three misses.
         assert_eq!(scalar_cache.stats().hits, 1);
         assert_eq!(batch_cache.stats().hits, 0);
+        assert_eq!(batch_cache.stats().misses, rows.len() as u64);
         assert_eq!(batch_cache.stats().entries, 3);
+        // The model ran once per cell on each path, never on the duplicate.
+        assert_eq!(evaluated.load(Ordering::Relaxed), 3 + 3);
         // A second identical batch is answered entirely from cache.
         let again = batched.predict_batch(&rows);
         assert_eq!(batch_cache.stats().hits, rows.len() as u64);
