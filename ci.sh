@@ -15,6 +15,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== agenda == bare heap (proptest, release, raised case count) =="
+# The scheduler under all three engines must pop what a plain MinQueue pops.
+# Release, because overflow checks and debug asserts are off there, as they
+# are in every measured run; 20 000 random programs a property instead of
+# the default 64.
+PROPTEST_CASES=20000 cargo test --release -q -p desim --lib agenda
+
 echo "== scenario corpus (parse + validate + builtin pin) =="
 # Every committed scenarios/*.toml must parse, validate, and stay in sync
 # with the built-in corpus the named repro targets resolve to.

@@ -1,4 +1,4 @@
-//! The event scheduler: a virtual clock plus an index-min queue of closures.
+//! The event scheduler: a virtual clock plus an agenda of closures.
 //!
 //! A [`Simulation`] owns a user-supplied *world* (any type `W`) and a queue
 //! of events. Each event is a boxed `FnOnce(&mut W, &mut Context<W>)`; firing
@@ -6,13 +6,14 @@
 //! [`Context`]. Events at equal timestamps fire in insertion order, making
 //! every run deterministic.
 //!
-//! Internally the queue is a 4-ary index-min heap over `(time, sequence)`
-//! keys whose payload is a slot index into a slab of pending actions. The
-//! slab gives O(1) cancellation (a tombstone in the slot, no hash set) and
-//! recycles slots through a free list, so steady-state stepping performs no
-//! allocation beyond the boxed closure itself.
+//! Internally the pending events are the crate's agenda (shared with the
+//! typed and the sharded engine) over `(time, sequence)` keys whose payload
+//! is a slot index into a slab of pending actions. The slab gives O(1)
+//! cancellation (a tombstone in the slot, no hash set) and recycles slots
+//! through a free list, so steady-state stepping performs no allocation
+//! beyond the boxed closure itself.
 
-use crate::minq::MinQueue;
+use crate::agenda::Agenda;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a scheduled event, usable to cancel it before it fires.
@@ -59,20 +60,17 @@ struct Slot<W> {
 /// Allows an event to read the clock, schedule follow-up events, and cancel
 /// pending ones, without owning the world borrow.
 pub struct Context<W> {
-    now: SimTime,
-    next_seq: u64,
-    queue: MinQueue<u32>,
+    agenda: Agenda<u32>,
     slots: Vec<Slot<W>>,
     free: Vec<u32>,
-    fired: u64,
 }
 
 impl<W> core::fmt::Debug for Context<W> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Context")
-            .field("now", &self.now)
-            .field("pending", &self.queue.len())
-            .field("fired", &self.fired)
+            .field("now", &self.now())
+            .field("pending", &self.pending())
+            .field("fired", &self.events_fired())
             .finish()
     }
 }
@@ -80,19 +78,16 @@ impl<W> core::fmt::Debug for Context<W> {
 impl<W> Context<W> {
     fn new() -> Self {
         Context {
-            now: SimTime::ZERO,
-            next_seq: 0,
-            queue: MinQueue::new(),
+            agenda: Agenda::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            fired: 0,
         }
     }
 
     /// The current virtual time.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.agenda.now()
     }
 
     /// Schedules `action` to fire at the absolute instant `at`.
@@ -103,7 +98,6 @@ impl<W> Context<W> {
     where
         F: FnOnce(&mut W, &mut Context<W>) + 'static,
     {
-        let at = at.max(self.now);
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize].action = Some(Box::new(action));
@@ -118,9 +112,7 @@ impl<W> Context<W> {
                 slot
             }
         };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(at, seq, slot);
+        self.agenda.schedule_at(at, slot);
         EventId::new(slot, self.slots[slot as usize].gen)
     }
 
@@ -129,7 +121,7 @@ impl<W> Context<W> {
     where
         F: FnOnce(&mut W, &mut Context<W>) + 'static,
     {
-        self.schedule_at(self.now + delay, action)
+        self.schedule_at(self.now() + delay, action)
     }
 
     /// Cancels a pending event. Has no effect if the event already fired.
@@ -155,13 +147,13 @@ impl<W> Context<W> {
     /// Number of events that have fired so far.
     #[must_use]
     pub fn events_fired(&self) -> u64 {
-        self.fired
+        self.agenda.fired()
     }
 
     /// Number of events still pending (including cancelled-but-unpopped ones).
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.agenda.len()
     }
 }
 
@@ -258,19 +250,21 @@ impl<W> Simulation<W> {
     ///
     /// Returns `false` when the queue is empty (the clock does not move).
     pub fn step(&mut self) -> bool {
-        loop {
-            let Some((at, slot)) = self.ctx.queue.pop() else {
-                return false;
-            };
-            let Some(action) = self.ctx.release(slot) else {
-                continue; // cancelled
-            };
-            debug_assert!(at >= self.ctx.now, "time must be monotone");
-            self.ctx.now = at;
-            self.ctx.fired += 1;
-            action(&mut self.world, &mut self.ctx);
-            return true;
+        self.step_at_or_before(SimTime::MAX)
+    }
+
+    /// Fires the next live event due at or before `limit`, discarding the
+    /// cancelled ones it meets on the way (they neither move the clock nor
+    /// count as fired).
+    fn step_at_or_before(&mut self, limit: SimTime) -> bool {
+        while let Some((at, slot)) = self.ctx.agenda.take_at_or_before(limit) {
+            if let Some(action) = self.ctx.release(slot) {
+                self.ctx.agenda.fire(at);
+                action(&mut self.world, &mut self.ctx);
+                return true;
+            }
         }
+        false
     }
 
     /// Runs until no events remain.
@@ -279,9 +273,9 @@ impl<W> Simulation<W> {
     /// reschedule themselves forever; prefer [`Simulation::run_until`] when
     /// the model has recurring timers.
     pub fn run_until_idle(&mut self) -> u64 {
-        let before = self.ctx.fired;
+        let before = self.events_fired();
         while self.step() {}
-        self.ctx.fired - before
+        self.events_fired() - before
     }
 
     /// Runs until the clock would pass `deadline` or the queue drains.
@@ -289,30 +283,10 @@ impl<W> Simulation<W> {
     /// Events stamped exactly at `deadline` still fire; the clock never
     /// exceeds `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let before = self.ctx.fired;
-        loop {
-            // Peek (skipping cancelled events) to decide whether to proceed.
-            let next_at = loop {
-                match self.ctx.queue.peek() {
-                    None => break None,
-                    Some((_, &slot)) if self.ctx.slots[slot as usize].action.is_none() => {
-                        let (_, slot) = self.ctx.queue.pop().expect("peeked event");
-                        let _ = self.ctx.release(slot);
-                    }
-                    Some((at, _)) => break Some(at),
-                }
-            };
-            match next_at {
-                Some(at) if at <= deadline => {
-                    self.step();
-                }
-                _ => break,
-            }
-        }
-        if self.ctx.now < deadline {
-            self.ctx.now = deadline;
-        }
-        self.ctx.fired - before
+        let before = self.events_fired();
+        while self.step_at_or_before(deadline) {}
+        self.ctx.agenda.advance_to(deadline);
+        self.events_fired() - before
     }
 
     /// Total events fired since construction.

@@ -39,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod agenda;
 pub mod engine;
 pub mod fasthash;
 pub mod minq;

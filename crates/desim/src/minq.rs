@@ -95,6 +95,20 @@ impl<T> MinQueue<T> {
         })
     }
 
+    /// The minimum `(timestamp, sequence)` key, if any.
+    pub(crate) fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.keys.first().map(|k| (k.at, k.seq))
+    }
+
+    /// Removes and returns the minimum entry if its timestamp is at or
+    /// before `limit`: one look at the top where `peek` then `pop` takes two.
+    pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, T)> {
+        if self.keys.first()?.at > limit {
+            return None;
+        }
+        self.pop()
+    }
+
     /// Removes and returns the minimum entry.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
         if self.keys.is_empty() {
@@ -208,6 +222,25 @@ mod tests {
         q.push(SimTime::from_millis(3), 1, "y");
         assert_eq!(q.peek(), Some((SimTime::from_millis(3), &"y")));
         assert_eq!(q.pop(), Some((SimTime::from_millis(3), "y")));
+    }
+
+    #[test]
+    fn pop_at_or_before_stops_at_the_limit() {
+        let mut q = MinQueue::new();
+        q.push(SimTime::from_millis(7), 0, "x");
+        q.push(SimTime::from_millis(3), 1, "y");
+        assert_eq!(q.pop_at_or_before(SimTime::from_millis(2)), None);
+        assert_eq!(
+            q.pop_at_or_before(SimTime::from_millis(3)),
+            Some((SimTime::from_millis(3), "y"))
+        );
+        assert_eq!(q.pop_at_or_before(SimTime::from_millis(6)), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(
+            q.pop_at_or_before(SimTime::MAX),
+            Some((SimTime::from_millis(7), "x"))
+        );
+        assert_eq!(q.pop_at_or_before(SimTime::MAX), None);
     }
 
     #[test]

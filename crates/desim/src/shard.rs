@@ -44,10 +44,11 @@
 //! minimum link delay), in which case the clamp never moves an event and the
 //! sharded run is *exactly* the merge of its sequential counterparts.
 
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Barrier, Mutex, MutexGuard};
 
-use crate::minq::MinQueue;
+use crate::agenda::Agenda;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -67,18 +68,17 @@ pub trait ShardWorld: Send {
 /// Scheduling and randomness facilities handed to [`ShardWorld::handle`].
 ///
 /// Each shard owns exactly one context for the lifetime of the simulation:
-/// its clock, heap, sequence counter, RNG stream, and outgoing mailboxes.
+/// its agenda (clock, sequence counter, pending events), RNG stream, and
+/// outgoing mailboxes.
 pub struct ShardContext<E> {
     shard: u32,
     n_shards: u32,
-    now: SimTime,
-    next_seq: u64,
-    queue: MinQueue<E>,
+    agenda: Agenda<E>,
     rng: SimRng,
     /// Outgoing mailbox per destination shard; drained at each barrier.
     outbox: Vec<Vec<(SimTime, u64, E)>>,
-    fired: u64,
-    sent_remote: u64,
+    /// Events waiting in `outbox`; zero lets the barrier skip this shard.
+    unmerged: usize,
 }
 
 impl<E> ShardContext<E> {
@@ -86,13 +86,10 @@ impl<E> ShardContext<E> {
         ShardContext {
             shard,
             n_shards,
-            now: SimTime::ZERO,
-            next_seq: 0,
-            queue: MinQueue::new(),
+            agenda: Agenda::new(),
             rng,
             outbox: (0..n_shards).map(|_| Vec::new()).collect(),
-            fired: 0,
-            sent_remote: 0,
+            unmerged: 0,
         }
     }
 
@@ -111,7 +108,7 @@ impl<E> ShardContext<E> {
     /// Current virtual time on this shard's clock.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.agenda.now()
     }
 
     /// This shard's private random-number stream.
@@ -122,7 +119,7 @@ impl<E> ShardContext<E> {
     /// Events fired on this shard so far.
     #[must_use]
     pub fn events_fired(&self) -> u64 {
-        self.fired
+        self.agenda.fired()
     }
 
     /// Schedule `event` on this shard at absolute time `at`.
@@ -131,15 +128,12 @@ impl<E> ShardContext<E> {
     /// [`EventContext::schedule_at`](crate::typed::EventContext::schedule_at).
     /// Ties fire in scheduling order.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(at, seq, event);
+        self.agenda.schedule_at(at, event);
     }
 
     /// Schedule `event` on this shard after `delay`.
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.schedule_at(self.now + delay, event);
+        self.agenda.schedule_in(delay, event);
     }
 
     /// Send `event` to shard `dst` with a target time of `at`.
@@ -159,9 +153,8 @@ impl<E> ShardContext<E> {
         if dst == self.shard {
             self.schedule_at(at, event);
         } else {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.sent_remote += 1;
+            let seq = self.agenda.take_seq();
+            self.unmerged += 1;
             self.outbox[dst as usize].push((at, seq, event));
         }
     }
@@ -174,66 +167,95 @@ struct ShardCore<W: ShardWorld> {
 }
 
 impl<W: ShardWorld> ShardCore<W> {
-    /// Fire every local event with `time < end` (also `time == end` when
-    /// `inclusive`, used only for the saturated final window at
-    /// [`SimTime::MAX`]).
-    fn run_window(&mut self, end: SimTime, inclusive: bool) {
-        while let Some((at, _)) = self.ctx.queue.peek() {
-            if at > end || (at == end && !inclusive) {
-                break;
-            }
-            let (at, event) = self.ctx.queue.pop().expect("peeked event vanished");
-            self.ctx.now = at;
-            self.ctx.fired += 1;
+    /// Fire every local event due at or before `last`.
+    fn run_window(&mut self, last: SimTime) {
+        while let Some(event) = self.ctx.agenda.pop_at_or_before(last) {
             self.world.handle(event, &mut self.ctx);
         }
     }
 }
 
+/// A cross-shard event on its way through a barrier, in merge-key order:
+/// `(destination, time, source shard, source seq, event)`.
+type InTransit<E> = (u32, SimTime, u32, u64, E);
+
 /// Earliest pending event time across all shards, or `None` when idle.
-fn min_pending<W: ShardWorld>(shards: &[Mutex<ShardCore<W>>]) -> Option<SimTime> {
-    let mut min: Option<SimTime> = None;
-    for cell in shards {
-        let core = cell.lock().expect("shard lock poisoned");
-        if let Some((at, _)) = core.ctx.queue.peek() {
-            min = Some(min.map_or(at, |m| m.min(at)));
-        }
-    }
-    min
+///
+/// Generic over how a shard is held: a plain borrow on the inline path, a
+/// lock guard on the coordinator of the worker pool.
+fn min_pending<W: ShardWorld>(cores: &[impl Deref<Target = ShardCore<W>>]) -> Option<SimTime> {
+    cores
+        .iter()
+        .filter_map(|core| core.ctx.agenda.next_deadline())
+        .min()
 }
 
-/// The grid window containing `at`: returns `(end, inclusive)` where the
-/// window is `[start, end)` — or `[start, end]` when `end` saturates at
-/// [`SimTime::MAX`], so events at the far end of time still fire.
-fn window_end(at: SimTime, horizon: SimDuration) -> (SimTime, bool) {
+/// The grid window containing `at`: returns `(last, end)` where the window
+/// is `[start, end)` and `last` is its final instant, `end` less one
+/// microsecond (instants are whole microseconds) — or `end` itself when it
+/// saturates at [`SimTime::MAX`], so events at the far end of time still
+/// fire.
+fn window(at: SimTime, horizon: SimDuration) -> (SimTime, SimTime) {
     let h = horizon.as_micros();
     let k = at.as_micros() / h;
-    let end = (k * h).saturating_add(h);
-    (SimTime::from_micros(end), end == u64::MAX)
+    let end = SimTime::from_micros((k * h).saturating_add(h));
+    let last = if end == SimTime::MAX {
+        end
+    } else {
+        end - SimDuration::from_micros(1)
+    };
+    (last, end)
 }
 
 /// Drain every outgoing mailbox and inject the events into their destination
-/// heaps in the fixed merge order `(destination, time, source, seq)`, with
+/// agendas in the fixed merge order `(destination, time, source, seq)`, with
 /// delivery clamped to `next_start`. Returns the number of events merged.
-fn merge_mailboxes<W: ShardWorld>(shards: &[Mutex<ShardCore<W>>], next_start: SimTime) -> u64 {
-    let mut pending: Vec<(u32, SimTime, u32, u64, W::Event)> = Vec::new();
-    for (src, cell) in shards.iter().enumerate() {
-        let mut core = cell.lock().expect("shard lock poisoned");
-        let n = core.ctx.outbox.len();
-        for dst in 0..n {
-            let drained: Vec<(SimTime, u64, W::Event)> = core.ctx.outbox[dst].drain(..).collect();
-            for (at, seq, event) in drained {
-                pending.push((dst as u32, at, src as u32, seq, event));
-            }
+///
+/// A barrier no shard sent across (every barrier of a run whose shards are
+/// independent) touches no mailbox, and `transit` is scratch the caller
+/// keeps, so a steady run allocates nothing here.
+fn merge_mailboxes<W: ShardWorld>(
+    cores: &mut [impl DerefMut<Target = ShardCore<W>>],
+    transit: &mut Vec<InTransit<W::Event>>,
+    next_start: SimTime,
+) -> u64 {
+    for (src, core) in cores.iter_mut().enumerate() {
+        let ctx = &mut core.ctx;
+        if ctx.unmerged == 0 {
+            continue;
+        }
+        ctx.unmerged = 0;
+        for (dst, outbox) in ctx.outbox.iter_mut().enumerate() {
+            transit.extend(
+                outbox
+                    .drain(..)
+                    .map(|(at, seq, event)| (dst as u32, at, src as u32, seq, event)),
+            );
         }
     }
-    let merged = pending.len() as u64;
-    pending.sort_by_key(|e| (e.0, e.1, e.2, e.3));
-    for (dst, at, _src, _seq, event) in pending {
-        let mut core = shards[dst as usize].lock().expect("shard lock poisoned");
-        core.ctx.schedule_at(at.max(next_start), event);
+    let merged = transit.len() as u64;
+    // `(src, seq)` is unique, so no two keys are equal and the unstable sort
+    // (which, unlike the stable one, needs no buffer) has one possible result.
+    transit.sort_unstable_by_key(|e| (e.0, e.1, e.2, e.3));
+    for (dst, at, _src, _seq, event) in transit.drain(..) {
+        cores[dst as usize]
+            .ctx
+            .schedule_at(at.max(next_start), event);
     }
     merged
+}
+
+/// Locks every shard for the coordinator. Only called while the workers are
+/// parked at a barrier, so no lock is ever contended.
+fn lock_all<'a, W: ShardWorld>(
+    shards: &'a [Mutex<ShardCore<W>>],
+    guards: &mut Vec<MutexGuard<'a, ShardCore<W>>>,
+) {
+    guards.extend(
+        shards
+            .iter()
+            .map(|cell| cell.lock().expect("shard lock poisoned")),
+    );
 }
 
 /// A deterministic parallel discrete-event simulation over N shards.
@@ -248,6 +270,8 @@ pub struct ShardedSim<W: ShardWorld> {
     horizon: SimDuration,
     steps: u64,
     cross_shard: u64,
+    /// Scratch of [`merge_mailboxes`], kept so barriers do not allocate.
+    transit: Vec<InTransit<W::Event>>,
 }
 
 impl<W: ShardWorld> ShardedSim<W> {
@@ -279,6 +303,7 @@ impl<W: ShardWorld> ShardedSim<W> {
             horizon,
             steps: 0,
             cross_shard: 0,
+            transit: Vec::new(),
         }
     }
 
@@ -313,7 +338,7 @@ impl<W: ShardWorld> ShardedSim<W> {
     pub fn events_fired(&self) -> u64 {
         self.shards
             .iter()
-            .map(|c| c.lock().expect("shard lock poisoned").ctx.fired)
+            .map(|c| c.lock().expect("shard lock poisoned").ctx.events_fired())
             .sum()
     }
 
@@ -356,17 +381,21 @@ impl<W: ShardWorld> ShardedSim<W> {
     }
 
     /// Sequential driver: same window/merge schedule as the parallel path,
-    /// executed on the calling thread.
+    /// executed on the calling thread. `&mut self` proves no one else holds
+    /// a shard, so no lock is taken.
     fn run_inline(&mut self) {
-        while let Some(min_at) = min_pending(&self.shards) {
-            let (end, inclusive) = window_end(min_at, self.horizon);
-            for cell in &self.shards {
-                cell.lock()
-                    .expect("shard lock poisoned")
-                    .run_window(end, inclusive);
+        let mut cores: Vec<&mut ShardCore<W>> = self
+            .shards
+            .iter_mut()
+            .map(|cell| cell.get_mut().expect("shard lock poisoned"))
+            .collect();
+        while let Some(min_at) = min_pending(&cores) {
+            let (last, end) = window(min_at, self.horizon);
+            for core in &mut cores {
+                core.run_window(last);
             }
             self.steps += 1;
-            self.cross_shard += merge_mailboxes(&self.shards, end);
+            self.cross_shard += merge_mailboxes(&mut cores, &mut self.transit, end);
         }
     }
 
@@ -375,27 +404,26 @@ impl<W: ShardWorld> ShardedSim<W> {
     /// while the workers are parked.
     fn run_parallel(&mut self, threads: usize) {
         let shards = &self.shards;
+        let transit = &mut self.transit;
         let n = shards.len();
         let barrier = Barrier::new(threads + 1);
-        // Window end in microseconds for the step the workers are about to
-        // run; u64::MAX doubles as the "inclusive final window" marker.
-        let end_us = AtomicU64::new(0);
+        // Last instant, in microseconds, of the window the workers are
+        // about to run.
+        let last_us = AtomicU64::new(0);
         let quit = AtomicBool::new(false);
         let mut steps = 0u64;
         let mut cross = 0u64;
         std::thread::scope(|scope| {
             for worker in 0..threads {
                 let barrier = &barrier;
-                let end_us = &end_us;
+                let last_us = &last_us;
                 let quit = &quit;
                 scope.spawn(move || loop {
                     barrier.wait();
                     if quit.load(Ordering::Acquire) {
                         break;
                     }
-                    let e = end_us.load(Ordering::Acquire);
-                    let end = SimTime::from_micros(e);
-                    let inclusive = e == u64::MAX;
+                    let last = SimTime::from_micros(last_us.load(Ordering::Acquire));
                     // Strided shard ownership: shard i belongs to worker
                     // i % threads for this step. Disjoint, so the locks
                     // never contend.
@@ -404,22 +432,27 @@ impl<W: ShardWorld> ShardedSim<W> {
                         shards[i]
                             .lock()
                             .expect("shard lock poisoned")
-                            .run_window(end, inclusive);
+                            .run_window(last);
                         i += threads;
                     }
                     barrier.wait();
                 });
             }
             // Coordinator. Workers are always parked at a barrier while this
-            // code touches the shards.
-            while let Some(min_at) = min_pending(shards) {
-                let (end, _inclusive) = window_end(min_at, self.horizon);
-                end_us.store(end.as_micros(), Ordering::Release);
+            // code holds the shards.
+            let mut cores = Vec::with_capacity(n);
+            lock_all(shards, &mut cores);
+            while let Some(min_at) = min_pending(&cores) {
+                let (last, end) = window(min_at, self.horizon);
+                last_us.store(last.as_micros(), Ordering::Release);
+                cores.clear(); // hand the shards to the workers
                 barrier.wait(); // release workers into the window
                 barrier.wait(); // wait for the window to finish
+                lock_all(shards, &mut cores);
                 steps += 1;
-                cross += merge_mailboxes(shards, end);
+                cross += merge_mailboxes(&mut cores, transit, end);
             }
+            drop(cores);
             quit.store(true, Ordering::Release);
             barrier.wait(); // release workers into the quit check
         });

@@ -6,9 +6,10 @@
 //!
 //! [`EventSim`] removes it: the world declares a plain `enum` of its event
 //! kinds ([`EventWorld::Event`]) and a single [`EventWorld::handle`] method
-//! that dispatches on it. Events are stored *by value* inside the 4-ary
-//! index-min queue, so scheduling is a couple of writes into a `Vec` and
-//! firing is a match — no boxes, no virtual calls, no per-event allocation.
+//! that dispatches on it. Events are stored *by value* in the crate's
+//! agenda (delay-class FIFO lanes in front of the 4-ary index-min queue),
+//! so scheduling is a couple of writes into a ring or a `Vec` and firing is
+//! a match — no boxes, no virtual calls, no per-event allocation.
 //!
 //! There is deliberately **no cancellation**: models that need to retire a
 //! stale timer guard it with an epoch or flag in the world (the timer fires,
@@ -45,7 +46,7 @@
 //! assert_eq!(sim.now(), SimTime::from_millis(40));
 //! ```
 
-use crate::minq::MinQueue;
+use crate::agenda::Agenda;
 use crate::time::{SimDuration, SimTime};
 
 /// A world driven by typed events.
@@ -63,21 +64,19 @@ pub trait EventWorld: Sized {
 
 /// Scheduling handle passed to [`EventWorld::handle`].
 ///
-/// Holds the clock and the pending-event queue; generic over the event type
-/// only, so a world can hand it to helper functions without naming itself.
+/// Holds the clock and the pending events (the crate's one `Agenda`);
+/// generic over the event type only, so a world can hand it to helper
+/// functions without naming itself.
 pub struct EventContext<E> {
-    now: SimTime,
-    next_seq: u64,
-    queue: MinQueue<E>,
-    fired: u64,
+    agenda: Agenda<E>,
 }
 
 impl<E> core::fmt::Debug for EventContext<E> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("EventContext")
-            .field("now", &self.now)
-            .field("pending", &self.queue.len())
-            .field("fired", &self.fired)
+            .field("now", &self.now())
+            .field("pending", &self.pending())
+            .field("fired", &self.events_fired())
             .finish()
     }
 }
@@ -85,17 +84,14 @@ impl<E> core::fmt::Debug for EventContext<E> {
 impl<E> EventContext<E> {
     fn new() -> Self {
         EventContext {
-            now: SimTime::ZERO,
-            next_seq: 0,
-            queue: MinQueue::new(),
-            fired: 0,
+            agenda: Agenda::new(),
         }
     }
 
     /// The current virtual time.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.agenda.now()
     }
 
     /// Schedules `event` to fire at the absolute instant `at`.
@@ -103,27 +99,24 @@ impl<E> EventContext<E> {
     /// Events scheduled in the past fire "now" (at the current clock value),
     /// after all events already queued for the current instant.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(at, seq, event);
+        self.agenda.schedule_at(at, event);
     }
 
     /// Schedules `event` to fire `delay` after the current instant.
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.schedule_at(self.now + delay, event);
+        self.agenda.schedule_in(delay, event);
     }
 
     /// Number of events that have fired so far.
     #[must_use]
     pub fn events_fired(&self) -> u64 {
-        self.fired
+        self.agenda.fired()
     }
 
     /// Number of events still pending.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.agenda.len()
     }
 
     /// The timestamp of the earliest pending event, if any.
@@ -135,7 +128,7 @@ impl<E> EventContext<E> {
     /// it — the engine would have popped it next anyway.
     #[must_use]
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.queue.peek().map(|(at, _)| at)
+        self.agenda.next_deadline()
     }
 }
 
@@ -210,21 +203,18 @@ impl<W: EventWorld> EventSim<W> {
     ///
     /// Returns `false` when the queue is empty (the clock does not move).
     pub fn step(&mut self) -> bool {
-        let Some((at, event)) = self.ctx.queue.pop() else {
+        let Some(event) = self.ctx.agenda.pop() else {
             return false;
         };
-        debug_assert!(at >= self.ctx.now, "time must be monotone");
-        self.ctx.now = at;
-        self.ctx.fired += 1;
         self.world.handle(event, &mut self.ctx);
         true
     }
 
     /// Runs until no events remain. Returns the number of events fired.
     pub fn run_until_idle(&mut self) -> u64 {
-        let before = self.ctx.fired;
+        let before = self.events_fired();
         while self.step() {}
-        self.ctx.fired - before
+        self.events_fired() - before
     }
 
     /// Runs until the clock would pass `deadline` or the queue drains.
@@ -232,14 +222,12 @@ impl<W: EventWorld> EventSim<W> {
     /// Events stamped exactly at `deadline` still fire; the clock never
     /// exceeds `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let before = self.ctx.fired;
-        while matches!(self.ctx.queue.peek(), Some((at, _)) if at <= deadline) {
-            self.step();
+        let before = self.events_fired();
+        while let Some(event) = self.ctx.agenda.pop_at_or_before(deadline) {
+            self.world.handle(event, &mut self.ctx);
         }
-        if self.ctx.now < deadline {
-            self.ctx.now = deadline;
-        }
-        self.ctx.fired - before
+        self.ctx.agenda.advance_to(deadline);
+        self.events_fired() - before
     }
 
     /// Fires up to `max_events` events while the clock has not passed
@@ -254,7 +242,7 @@ impl<W: EventWorld> EventSim<W> {
     /// and cooperative schedulers use to bound time inside one call.
     pub fn run_slice(&mut self, deadline: SimTime, max_events: u64) -> u64 {
         let mut fired = 0;
-        while fired < max_events && self.ctx.now <= deadline {
+        while fired < max_events && self.now() <= deadline {
             if !self.step() {
                 break;
             }

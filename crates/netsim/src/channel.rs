@@ -484,11 +484,7 @@ impl DuplexChannel {
             "advance must move forward in time"
         );
         self.last_advance = now;
-        while let Some((t, _)) = self.heap.peek() {
-            if t > now {
-                break;
-            }
-            let (t, (generation, ev)) = self.heap.pop().expect("peeked");
+        while let Some((t, (generation, ev))) = self.heap.pop_at_or_before(now) {
             if generation != self.generation {
                 continue;
             }
