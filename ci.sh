@@ -22,6 +22,13 @@ echo "== agenda == bare heap (proptest, release, raised case count) =="
 # the default 64.
 PROPTEST_CASES=20000 cargo test --release -q -p desim --lib agenda
 
+echo "== matmul kernels == naive product (proptest, release, raised case count) =="
+# The column strips under backprop's narrow products (every 8/4/2/1 cascade
+# split, odd row counts) and the loops beside them must equal matmul_naive
+# bit for bit, into dirty buffers. Release, because that is the code every
+# measured run and every pinned digest executes.
+PROPTEST_CASES=20000 cargo test --release -q -p annet --lib kernels_equal_the_naive_product
+
 echo "== scenario corpus (parse + validate + builtin pin) =="
 # Every committed scenarios/*.toml must parse, validate, and stay in sync
 # with the built-in corpus the named repro targets resolve to.

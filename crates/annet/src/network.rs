@@ -458,7 +458,7 @@ impl Network {
     fn loss_gradient_scratch(scratch: &mut TrainScratch, batch_n: f64, target_dim: usize) {
         let pred = scratch.activations.last().expect("non-empty");
         let scale = 2.0 / (batch_n * target_dim as f64);
-        scratch.grad.resize_zeroed(pred.rows(), pred.cols());
+        scratch.grad.reshape_for_overwrite(pred.rows(), pred.cols());
         for (g, (&p, &t)) in scratch
             .grad
             .as_mut_slice()

@@ -10,7 +10,7 @@
 //! transpose tile, one ReLU layer). The paper-topology head serialises to
 //! 1.9 MB, so it is pinned by the FNV-1a digest of its JSON instead.
 
-use annet::{Activation, Network, NetworkBuilder};
+use annet::{Activation, Dataset, IncrementalTrainer, Network, NetworkBuilder, TrainConfig};
 use desim::SimRng;
 
 const FIXTURE: &str = include_str!("fixtures/head_10x33x17x2_seed7.json");
@@ -100,4 +100,75 @@ fn inconsistent_layer_shapes_are_an_error_not_a_panic() {
         let bad = FIXTURE.replacen(from, to, 1);
         assert!(Network::from_json(&bad).is_err(), "{to}");
     }
+}
+
+/// Length and FNV-1a digest of the paper-topology head's JSON after the
+/// online policy's refit (20 eight-row [`IncrementalTrainer`] steps cycled
+/// over 48 rows) and after one unshuffled `train` epoch in batches of 32
+/// over 53 rows (so a 21-row batch closes it), written by the last commit
+/// whose backward products ran the load-modify-store kernels (PR 13,
+/// `fa87125`).
+const REFIT_JSON: (usize, u64) = (1_987_695, 0xc609_de6b_72cd_d69d);
+const EPOCH_JSON: (usize, u64) = (1_987_874, 0x1272_6d1b_9c56_b915);
+
+/// `rows` seeded samples, about one feature in six an exact zero (the
+/// scaled layer-0 inputs contain them).
+fn training_rows(rows: usize) -> Dataset {
+    let mut rng = SimRng::seed_from_u64(2020);
+    let mut draw = |n: usize, zeros: bool| -> Vec<Vec<f64>> {
+        (0..rows)
+            .map(|_| {
+                (0..n)
+                    .map(|_| {
+                        let v = rng.next_f64();
+                        if zeros && rng.next_f64() < 0.17 {
+                            0.0
+                        } else {
+                            v
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let x = draw(10, true);
+    let y = draw(2, false);
+    Dataset::from_rows(x, y).unwrap()
+}
+
+fn json_pin(net: &Network) -> (usize, u64) {
+    let json = net.to_json().unwrap();
+    (json.len(), fnv1a(json.as_bytes()))
+}
+
+#[test]
+fn refit_and_training_epoch_match_the_parents_digests() {
+    let mut rng = SimRng::seed_from_u64(SEED);
+    let head = NetworkBuilder::paper_topology(10, 2).build(&mut rng);
+    let config = TrainConfig {
+        epochs: 1,
+        learning_rate: 0.3,
+        batch_size: 8,
+        shuffle: false,
+        momentum: 0.0,
+    };
+
+    let data = training_rows(48);
+    let order: Vec<usize> = (0..data.len()).collect();
+    let chunks: Vec<&[usize]> = order.chunks(config.batch_size).collect();
+    let mut refit = head.clone();
+    let mut trainer = IncrementalTrainer::new(&refit);
+    for step in 0..20 {
+        trainer.step(&mut refit, &data, chunks[step % chunks.len()], &config);
+    }
+    assert_eq!(json_pin(&refit), REFIT_JSON, "refit");
+
+    let mut trained = head;
+    let config = TrainConfig {
+        batch_size: 32,
+        momentum: 0.9,
+        ..config
+    };
+    trained.train(&training_rows(53), &config, &mut rng);
+    assert_eq!(json_pin(&trained), EPOCH_JSON, "training epoch");
 }

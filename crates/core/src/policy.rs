@@ -619,8 +619,7 @@ impl OnlineAdaptivePolicy {
                 y.push(target(p_loss, p_dup));
             }
         }
-        for f in &anchors {
-            let p = model.predict(f);
+        for (f, p) in anchors.iter().zip(model.predict_batch(&anchors)) {
             x.push(f.scaled_head_vector());
             y.push(target(p.p_loss, p.p_dup));
         }

@@ -548,7 +548,7 @@ impl EventWorld for FleetWorld {
                 let elapsed = (now - self.last_flush[t]).as_secs_f64();
                 self.last_flush[t] = now;
                 let emitted = self.rate_of(tenant) * elapsed + self.carry[t];
-                let n = emitted.floor() as u64;
+                let n = emitted as u64;
                 self.carry[t] = emitted - n as f64;
                 let class = self.classes_of[t];
                 for _ in 0..n {
@@ -580,9 +580,9 @@ impl EventWorld for FleetWorld {
             FleetEvent::Churn(idx) => self.apply_churn(idx as usize, now),
             FleetEvent::ConsumeTick => {
                 let _span = self.prof.span("fleet.consume");
-                let drain_per_tick =
-                    (self.cfg.partition_capacity_hz * DRAIN_FACTOR * CONSUME_TICK.as_secs_f64())
-                        .floor() as u64;
+                let drain_per_tick = (self.cfg.partition_capacity_hz
+                    * DRAIN_FACTOR
+                    * CONSUME_TICK.as_secs_f64()) as u64;
                 for p in 0..self.cfg.partitions {
                     if self.group.owner_of(p).is_none() {
                         continue;

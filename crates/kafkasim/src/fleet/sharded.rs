@@ -276,7 +276,9 @@ impl FleetShard {
         let elapsed = (now - t.last_flush).as_secs_f64();
         t.last_flush = now;
         let emitted = t.rate_hz * elapsed + t.carry;
-        let n = emitted.floor() as u64;
+        // `as` truncates toward zero: `floor` for these non-negative counts,
+        // without the libm call baseline x86-64 makes for it.
+        let n = emitted as u64;
         t.carry = emitted - n as f64;
         let class = t.class;
         t.ledger.produced += n;
@@ -378,7 +380,7 @@ impl FleetShard {
 
     fn handle_tick(&mut self, now: SimTime, ctx: &mut ShardContext<ShardEvent>) {
         self.fired.tick += 1;
-        let drain = (self.cap * DRAIN_FACTOR * CONSUME_TICK.as_secs_f64()).floor() as u64;
+        let drain = (self.cap * DRAIN_FACTOR * CONSUME_TICK.as_secs_f64()) as u64;
         for local in 0..self.pstate.len() {
             if !self.owned[local] {
                 continue;
@@ -538,7 +540,7 @@ impl FleetRun {
                 let mut carry = 0.0f64;
                 loop {
                     let emitted = rate * (at - last).as_secs_f64() + carry;
-                    let n = emitted.floor() as u64;
+                    let n = emitted as u64;
                     carry = emitted - n as f64;
                     last = at;
                     let mut survivors = 0u64;

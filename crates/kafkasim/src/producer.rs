@@ -120,6 +120,15 @@ pub struct Accumulator {
     capacity: usize,
     open: Vec<Option<OpenBatch>>,
     ready: VecDeque<PendingBatch>,
+    /// Each ready batch's earliest message deadline, in lockstep with
+    /// `ready`.
+    ready_deadlines: VecDeque<SimTime>,
+    /// `ready_deadlines` is non-decreasing front to back (the steady state:
+    /// batches seal oldest first and retries requeue older ones in front),
+    /// so [`Accumulator::expire_all`] may stop at the first batch with
+    /// nothing expired. Cleared by an out-of-order `seal`/`requeue_front`;
+    /// re-derived by every sweep and set when the queue empties.
+    ready_in_order: bool,
     buffered: usize,
     next_batch_id: u64,
     overflowed: u64,
@@ -155,6 +164,8 @@ impl Accumulator {
             capacity,
             open: vec![None; partitions as usize],
             ready: VecDeque::new(),
+            ready_deadlines: VecDeque::new(),
+            ready_in_order: true,
             buffered: 0,
             next_batch_id: 0,
             overflowed: 0,
@@ -264,12 +275,16 @@ impl Accumulator {
             }
             let id = self.next_batch_id;
             self.next_batch_id += 1;
-            self.ready.push_back(PendingBatch {
+            let batch = PendingBatch {
                 id,
                 partition: partition as u32,
                 messages: open.messages,
                 attempts: 0,
-            });
+            };
+            let deadline = batch.deadline();
+            self.ready_in_order &= self.ready_deadlines.back().is_none_or(|&d| d <= deadline);
+            self.ready_deadlines.push_back(deadline);
+            self.ready.push_back(batch);
         }
     }
 
@@ -304,6 +319,8 @@ impl Accumulator {
         expired: &mut Vec<Message>,
     ) -> Option<PendingBatch> {
         while let Some(mut batch) = self.ready.pop_front() {
+            self.ready_deadlines.pop_front();
+            self.ready_in_order |= self.ready.is_empty();
             let before = expired.len();
             batch.drop_expired_into(now, expired);
             self.buffered -= expired.len() - before;
@@ -326,8 +343,11 @@ impl Accumulator {
 
     /// Requeues a batch at the front (retry path).
     pub fn requeue_front(&mut self, batch: PendingBatch) {
-        self.earliest_deadline = self.earliest_deadline.min(batch.deadline());
+        let deadline = batch.deadline();
+        self.earliest_deadline = self.earliest_deadline.min(deadline);
         self.buffered += batch.messages.len();
+        self.ready_in_order &= self.ready_deadlines.front().is_none_or(|&d| deadline <= d);
+        self.ready_deadlines.push_front(deadline);
         self.ready.push_front(batch);
     }
 
@@ -365,26 +385,55 @@ impl Accumulator {
                 }
             }
         }
-        let buffered = &mut self.buffered;
-        self.ready.retain_mut(|batch| {
-            let before = expired.len();
-            batch.messages.retain(|m| {
-                if m.is_expired(now) {
-                    expired.push(*m);
-                    false
-                } else {
-                    min_left = min_left.min(m.deadline);
-                    true
+        // Ready batches whose earliest deadline is still ahead hold nothing
+        // expired and are left untouched; while the deadlines are in order,
+        // so is everything behind the first such batch, and the sweep ends
+        // there. Survivors keep their relative order; emptied husks are
+        // compacted out of the swept prefix.
+        let (mut kept, mut scanned) = (0, 0);
+        let mut in_order = true;
+        let mut last = SimTime::ZERO;
+        while scanned < self.ready.len() {
+            let mut deadline = self.ready_deadlines[scanned];
+            let batch = &mut self.ready[scanned];
+            if now < deadline {
+                if self.ready_in_order {
+                    break;
                 }
-            });
-            *buffered -= expired.len() - before;
+            } else {
+                let before = expired.len();
+                deadline = SimTime::MAX;
+                batch.messages.retain(|m| {
+                    if m.is_expired(now) {
+                        expired.push(*m);
+                        false
+                    } else {
+                        deadline = deadline.min(m.deadline);
+                        true
+                    }
+                });
+                self.buffered -= expired.len() - before;
+            }
             if batch.messages.is_empty() {
                 emptied.push(std::mem::take(&mut batch.messages));
-                false
             } else {
-                true
+                in_order &= last <= deadline;
+                last = deadline;
+                min_left = min_left.min(deadline);
+                self.ready.swap(kept, scanned);
+                self.ready_deadlines[kept] = deadline;
+                kept += 1;
             }
-        });
+            scanned += 1;
+        }
+        if let Some(&next) = self.ready_deadlines.get(scanned) {
+            // Stopped early: the unswept suffix is in order and starts here.
+            in_order &= last <= next;
+            min_left = min_left.min(next);
+        }
+        self.ready.drain(kept..scanned);
+        self.ready_deadlines.drain(kept..scanned);
+        self.ready_in_order = in_order;
         self.earliest_deadline = min_left;
         for buf in emptied {
             self.pool_buf(buf);
@@ -711,6 +760,73 @@ mod tests {
         assert_eq!(expired.len(), 3);
         assert!(acc.is_empty());
         assert!(acc.pop_ready(SimTime::from_millis(500)).is_none());
+    }
+
+    impl Accumulator {
+        /// Every buffered message in sweep order: open slots by partition,
+        /// then ready batches front to back.
+        fn buffered_in_order(&self) -> Vec<Message> {
+            let open = self.open.iter().flatten().flat_map(|o| &o.messages);
+            let ready = self.ready.iter().flat_map(|b| &b.messages);
+            open.chain(ready).copied().collect()
+        }
+
+        fn assert_ready_bookkeeping(&self) {
+            let deadlines: Vec<SimTime> = self.ready.iter().map(PendingBatch::deadline).collect();
+            assert_eq!(Vec::from(self.ready_deadlines.clone()), deadlines);
+            if self.ready_in_order {
+                assert!(deadlines.windows(2).all(|w| w[0] <= w[1]), "{deadlines:?}");
+            }
+            assert_eq!(self.len(), self.buffered_in_order().len());
+        }
+    }
+
+    proptest::proptest! {
+        /// `expire_all` returns exactly the expired messages of a full scan,
+        /// in scan order, and leaves the rest in place — whether the ready
+        /// queue's deadlines are in order (prefix sweep) or were scrambled
+        /// by mixed timeouts, held-back retries and partial expiries.
+        #[test]
+        fn expire_all_equals_a_full_scan(seed in 0u64..u64::MAX, batch_size in 1usize..5) {
+            let mut rng = desim::SimRng::seed_from_u64(seed);
+            let mut acc = Accumulator::new(batch_size, SimDuration::from_millis(40), 10_000, 3);
+            let mut now_ms = 0u64;
+            let mut held: Vec<PendingBatch> = Vec::new();
+            // Half the programs use one timeout, so only held-back retries
+            // and partial expiries disturb the deadline order.
+            let mixed = seed % 2 == 0;
+            for key in 0..400u64 {
+                now_ms += rng.next_u64() % 8;
+                let now = SimTime::from_millis(now_ms);
+                let timeout = if mixed && rng.next_f64() < 0.2 { 50 + rng.next_u64() % 600 } else { 300 };
+                acc.push(msg(key, now_ms, timeout), (rng.next_u64() % 3) as u32, now).unwrap();
+                match rng.next_u64() % 8 {
+                    0 => acc.flush_due(now),
+                    1 | 2 => held.extend(acc.pop_ready(now)),
+                    3 => {
+                        if let Some(batch) = held.pop() {
+                            acc.requeue_front(batch);
+                        }
+                    }
+                    4 | 5 => {
+                        let before = acc.buffered_in_order();
+                        let sweeps = now >= acc.earliest_deadline;
+                        let expired = acc.expire_all(now);
+                        let (want, left): (Vec<Message>, Vec<Message>) =
+                            before.into_iter().partition(|m| m.is_expired(now));
+                        proptest::prop_assert_eq!(expired, want);
+                        proptest::prop_assert_eq!(acc.buffered_in_order(), left);
+                        // A sweep leaves the watermark exact, as the full scan did.
+                        let floor = acc.buffered_in_order().iter().map(|m| m.deadline).min();
+                        if sweeps {
+                            proptest::prop_assert_eq!(acc.earliest_deadline, floor.unwrap_or(SimTime::MAX));
+                        }
+                    }
+                    _ => {}
+                }
+                acc.assert_ready_bookkeeping();
+            }
+        }
     }
 
     #[test]

@@ -340,7 +340,8 @@ impl TcpSender {
             }
         }
         // New data while the window allows.
-        let window = self.cwnd.floor().max(1.0) as usize;
+        // Whole segments of `cwnd` (`as` truncates toward zero), at least one.
+        let window = (self.cwnd as usize).max(1);
         while self.snd_nxt < self.app_end && self.outstanding.len() < window {
             let len = (self.app_end - self.snd_nxt).min(self.cfg.mss);
             // `snd_nxt` exceeds every outstanding start, so appending keeps
