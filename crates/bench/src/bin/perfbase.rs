@@ -39,13 +39,8 @@ use kafka_predict::{
     Policy, Predictor,
 };
 use kafkasim::config::{DeliverySemantics, ProducerConfig};
-use kafkasim::fleet::{
-    Assignor, ChurnAction, ChurnEvent, FleetConfig, FleetRun, PartitionStrategy, Population,
-    PopulationEntry, StreamClass,
-};
 use kafkasim::runtime::KafkaRun;
 use kafkasim::runtime::WindowStats;
-use kafkasim::source::SizeSpec;
 use testbed::experiment::ExperimentPoint;
 use testbed::scenarios::KpiWeights;
 use testbed::sweep::run_sweep;
@@ -129,151 +124,6 @@ fn synth_dataset(samples: usize, dims: usize, seed: u64) -> Dataset {
     Dataset::from_rows(x, y).expect("aligned synthetic rows")
 }
 
-/// The fleet workload for the sharded-engine rows: a key-hashed tenant
-/// population with mid-run consumer churn, heavy enough that per-shard
-/// event work dominates the macro-step barriers.
-fn sharded_fleet_cfg(smoke: bool) -> FleetConfig {
-    FleetConfig {
-        producers: if smoke { 300 } else { 2_000 },
-        partitions: 32,
-        strategy: PartitionStrategy::KeyHash,
-        population: Population::new(vec![
-            PopulationEntry {
-                class: StreamClass {
-                    name: "web-access-records".into(),
-                    size: SizeSpec::Fixed(200),
-                    rate_hz: if smoke { 10.0 } else { 30.0 },
-                    timeliness: SimDuration::from_secs(2),
-                },
-                weight: 0.5,
-            },
-            PopulationEntry {
-                class: StreamClass {
-                    name: "game-events".into(),
-                    size: SizeSpec::Fixed(80),
-                    rate_hz: if smoke { 20.0 } else { 60.0 },
-                    timeliness: SimDuration::from_millis(300),
-                },
-                weight: 0.5,
-            },
-        ])
-        .expect("sharded bench population is valid"),
-        initial_consumers: 4,
-        assignor: Assignor::Sticky,
-        churn: vec![
-            ChurnEvent {
-                at: SimTime::from_secs(if smoke { 3 } else { 10 }),
-                action: ChurnAction::Join,
-                member: 4,
-            },
-            ChurnEvent {
-                at: SimTime::from_secs(if smoke { 7 } else { 20 }),
-                action: ChurnAction::Leave,
-                member: 1,
-            },
-        ],
-        duration: SimDuration::from_secs(if smoke { 10 } else { 30 }),
-        window: SimDuration::from_secs(5),
-        partition_capacity_hz: 2_000.0,
-        base_loss: 0.01,
-        rebalance_pause: SimDuration::from_secs(2),
-    }
-}
-
-/// One measured thread count of the sharded fleet engine.
-///
-/// The fleet engine models producers at *flow* level: `produced` counts
-/// messages that exist only as per-flow aggregates, not individually
-/// simulated sends. `flow_msgs_per_sec` is therefore NOT comparable to the
-/// per-message `single_run` / `sweep` rates (which push every message
-/// through batching, TCP, and broker appends); `events_per_sec` — actual
-/// simulation-loop events retired per second — is the honest work rate.
-struct ShardedRow {
-    threads: usize,
-    wall_s: f64,
-    flow_msgs_per_sec: f64,
-    events_per_sec: f64,
-}
-
-struct ShardedNumbers {
-    producers: usize,
-    duration_s: f64,
-    reps: usize,
-    host_cores: usize,
-    produced: u64,
-    events_fired: u64,
-    rows: Vec<ShardedRow>,
-    results_digest: u64,
-    speedup_4_over_1: f64,
-}
-
-/// Benchmark the sharded fleet engine at 1/2/4/8 worker threads.
-///
-/// Interleaved A/B rounds (min-of-N per thread count, every count timed in
-/// every repetition) so host drift hits all counts equally. Every run's
-/// `FleetOutcome` is digested and asserted identical — the engine's
-/// bit-identity contract is checked here on every baseline refresh, not
-/// just in the test suite. The 2.5x-at-4-threads floor is asserted only in
-/// full mode on hosts that actually have 4 cores; the recorded
-/// `host_cores` keeps single-core baselines honest.
-fn bench_sharded(smoke: bool) -> ShardedNumbers {
-    let cfg = sharded_fleet_cfg(smoke);
-    let reps = if smoke { 2 } else { 3 };
-    let counts = [1usize, 2, 4, 8];
-    let mut wall = [f64::INFINITY; 4];
-    let mut digest: Option<u64> = None;
-    let mut produced = 0u64;
-    let mut events_fired = 0u64;
-    for _ in 0..reps {
-        for (i, &threads) in counts.iter().enumerate() {
-            let run = FleetRun::new(cfg.clone(), 61);
-            let start = Instant::now();
-            let outcome = run.execute_sharded(threads);
-            wall[i] = wall[i].min(start.elapsed().as_secs_f64());
-            let json = serde_json::to_string(&outcome).expect("outcome serialize");
-            let d = fnv1a(json.as_bytes());
-            if let Some(prev) = digest {
-                assert_eq!(
-                    prev, d,
-                    "sharded fleet outcome at {threads} threads diverged from threads=1"
-                );
-            }
-            digest = Some(d);
-            produced = outcome.totals.produced;
-            events_fired = outcome.events_fired;
-        }
-    }
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let speedup_4_over_1 = wall[0] / wall[2];
-    if !smoke && host_cores >= 4 {
-        assert!(
-            speedup_4_over_1 >= 2.5,
-            "sharded engine at 4 threads is only {speedup_4_over_1:.2}x over 1 thread \
-             on a {host_cores}-core host; the floor is 2.5x"
-        );
-    }
-    ShardedNumbers {
-        producers: cfg.producers,
-        duration_s: cfg.duration.as_secs_f64(),
-        reps,
-        host_cores,
-        produced,
-        events_fired,
-        rows: counts
-            .iter()
-            .zip(wall)
-            .map(|(&threads, wall_s)| ShardedRow {
-                threads,
-                wall_s,
-                flow_msgs_per_sec: produced as f64 / wall_s,
-                events_per_sec: events_fired as f64 / wall_s,
-            })
-            .collect(),
-        results_digest: digest.expect("at least one sharded run"),
-        speedup_4_over_1,
-    }
-}
-
 struct SimNumbers {
     mode: &'static str,
     threads: usize,
@@ -289,7 +139,6 @@ struct SimNumbers {
     obs_untraced_wall_s: f64,
     obs_noop_wall_s: f64,
     obs_overhead_ratio: f64,
-    sharded: ShardedNumbers,
 }
 
 fn bench_sim(smoke: bool, threads: usize) -> SimNumbers {
@@ -348,8 +197,6 @@ fn bench_sim(smoke: bool, threads: usize) -> SimNumbers {
          [0.75, 2.5]: either the measurement is still noise or sink gating regressed"
     );
 
-    let sharded = bench_sharded(smoke);
-
     SimNumbers {
         mode: if smoke { "smoke" } else { "full" },
         threads,
@@ -365,7 +212,6 @@ fn bench_sim(smoke: bool, threads: usize) -> SimNumbers {
         obs_untraced_wall_s,
         obs_noop_wall_s,
         obs_overhead_ratio,
-        sharded,
     }
 }
 
@@ -787,22 +633,6 @@ fn main() {
             "noop_wall_s": sim.obs_noop_wall_s,
             "noop_over_untraced": sim.obs_overhead_ratio,
         }),
-        "sharded": serde_json::json!({
-            "producers": sim.sharded.producers,
-            "duration_s": sim.sharded.duration_s,
-            "reps": sim.sharded.reps,
-            "host_cores": sim.sharded.host_cores,
-            "produced_flow_msgs": sim.sharded.produced,
-            "events_fired": sim.sharded.events_fired,
-            "rows": sim.sharded.rows.iter().map(|r| serde_json::json!({
-                "threads": r.threads,
-                "wall_s": r.wall_s,
-                "flow_msgs_per_sec": r.flow_msgs_per_sec,
-                "events_per_sec": r.events_per_sec,
-            })).collect::<Vec<_>>(),
-            "results_digest": format!("{:016x}", sim.sharded.results_digest),
-            "speedup_4_over_1": sim.sharded.speedup_4_over_1,
-        }),
         "baselines": serde_json::json!({
             // Carried forward from the previous tracked BENCH_sim.json so CI
             // can band-check a fresh build even after this file is refreshed.
@@ -917,22 +747,6 @@ fn main() {
         sim.single_run_msgs_per_sec,
         sim.obs_overhead_ratio
     );
-    {
-        let rows: Vec<String> = sim
-            .sharded
-            .rows
-            .iter()
-            .map(|r| format!("{}t {:.0} ev/s", r.threads, r.events_per_sec))
-            .collect();
-        println!(
-            "shard: fleet {} flow msgs [{}], 4t/1t {:.2}x on {} core(s), digest {:016x}",
-            sim.sharded.produced,
-            rows.join(", "),
-            sim.sharded.speedup_4_over_1,
-            sim.sharded.host_cores,
-            sim.sharded.results_digest
-        );
-    }
     println!(
         "train: {} epochs in {:.2}s ({:.2} epochs/s, weights {:016x})",
         train.epochs, train.wall_s, train.epochs_per_sec, train.weights_digest

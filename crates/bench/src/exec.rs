@@ -10,9 +10,7 @@ use desim::{SimDuration, SimRng, SimTime};
 use kafka_predict::prelude::*;
 use kafkasim::broker::BrokerId;
 use kafkasim::config::ProducerConfig;
-use kafkasim::fleet::{
-    ChurnEvent, FleetConfig, FleetRun, PartitionStrategy, Population, PopulationEntry,
-};
+use kafkasim::fleet::{ChurnEvent, FleetConfig, FleetRun, Population, PopulationEntry};
 use kafkasim::runtime::{BrokerFault, BrokerOutage, KafkaRun, RunSpec};
 use kafkasim::source::SourceSpec;
 use kafkasim::LossReason;
@@ -701,14 +699,8 @@ pub fn trace_runs(spec: &TraceDemoSpec) -> Vec<(String, String, RunSpec, u64)> {
 /// level contributes only the seed, so `--quick` and full runs exercise
 /// the identical fleet.
 ///
-/// Static partitioning strategies run on the sharded engine
-/// ([`FleetRun::execute_sharded_traced`]) with `spec.threads` workers
-/// (falling back to the effort's thread count) — safe for committed
-/// goldens because the sharded outcome is bit-identical to the sequential
-/// engine at any thread count. Round-robin keeps the sequential engine:
-/// its global dealing cursor serialises every flush, so the sharded
-/// round-robin path is a (deterministic) different model and would move
-/// the goldens.
+/// Consumer-group trace events are counted out of a ring sized from the
+/// churn script, so a long script cannot overflow it and under-count.
 ///
 /// # Panics
 ///
@@ -757,14 +749,14 @@ pub fn fleet(spec: &FleetSpec, effort: Effort) -> Vec<FleetStrategyRow> {
                 base_loss: spec.base_loss,
                 rebalance_pause: SimDuration::from_millis(spec.rebalance_pause_ms),
             };
-            let run = FleetRun::new(cfg, effort.seed);
-            let threads = spec.threads.unwrap_or(effort.threads).max(1);
-            let (outcome, events) = if matches!(strategy, PartitionStrategy::RoundRobin) {
-                let (outcome, mut sink) = run.execute_traced(Box::new(RingBufferSink::new(8192)));
-                (outcome, sink.drain())
-            } else {
-                run.execute_sharded_traced(threads)
-            };
+            // One join/leave event a churn step plus one assignment per
+            // member, and no step can leave more members than the initial
+            // group plus one join per step.
+            let steps = spec.churn.len();
+            let ring = (steps + 1) * (spec.consumers as usize + steps + 1);
+            let (outcome, mut sink) =
+                FleetRun::new(cfg, effort.seed).execute_traced(Box::new(RingBufferSink::new(ring)));
+            let events = sink.drain();
             let group_trace_events = events
                 .iter()
                 .filter(|e| {

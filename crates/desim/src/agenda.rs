@@ -1,4 +1,4 @@
-//! The scheduling front-end shared by all three engines: clock, sequence
+//! The scheduling front-end shared by both engines: clock, sequence
 //! counter, fired count, and the pending events behind **delay-class FIFO
 //! lanes** in front of the [`MinQueue`] heap.
 //!
@@ -54,7 +54,7 @@ const NO_FRONT: Key = (SimTime::MAX, u64::MAX);
 /// Back of an empty lane: below every real key, so the first append passes.
 const NO_BACK: Key = (SimTime::ZERO, 0);
 
-/// Clock, counters and pending events of one engine (or one shard).
+/// Clock, counters and pending events of one engine.
 pub(crate) struct Agenda<E> {
     now: SimTime,
     next_seq: u64,
@@ -99,21 +99,13 @@ impl<E> Agenda<E> {
         self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
     }
 
-    /// Hands out the next sequence number. Scheduling draws one per event;
-    /// the sharded engine also stamps cross-shard sends with one, which is
-    /// what orders them at the barrier.
-    pub(crate) fn take_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
     /// Schedules `event` at the absolute instant `at`. An instant in the
     /// past fires "now", after everything already queued for the current
     /// instant.
     pub(crate) fn schedule_at(&mut self, at: SimTime, event: E) {
         let at = at.max(self.now);
-        let seq = self.take_seq();
+        let seq = self.next_seq;
+        self.next_seq += 1;
         let delay = at - self.now;
         let key = (at, seq);
         let mut empty = None;

@@ -7,7 +7,7 @@
 //! every run deterministic.
 //!
 //! Internally the pending events are the crate's agenda (shared with the
-//! typed and the sharded engine) over `(time, sequence)` keys whose payload
+//! typed engine) over `(time, sequence)` keys whose payload
 //! is a slot index into a slab of pending actions. The slab gives O(1)
 //! cancellation (a tombstone in the slot, no hash set) and recycles slots
 //! through a free list, so steady-state stepping performs no allocation

@@ -1,8 +1,8 @@
 //! Deterministic, cheap hashing for simulation hot-path maps.
 //!
 //! Simulation bookkeeping maps are keyed by small integers the sim itself
-//! hands out — request ids, connection indices, sequential message keys,
-//! shard ids. `std`'s default SipHash is DoS-resistant, which none of
+//! hands out — request ids, connection indices, sequential message keys.
+//! `std`'s default SipHash is DoS-resistant, which none of
 //! these need, and costs several times more per operation than the keys
 //! deserve. This module provides the classic multiply-xor construction
 //! (the `FxHash` scheme rustc uses for its own interner tables) behind

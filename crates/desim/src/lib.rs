@@ -45,7 +45,6 @@ pub mod fasthash;
 pub mod minq;
 pub mod queue;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod typed;
@@ -54,6 +53,5 @@ pub use engine::{Context, EventId, Simulation};
 pub use fasthash::{FastMap, FastSet, FxBuildHasher, FxHasher};
 pub use queue::BoundedQueue;
 pub use rng::SimRng;
-pub use shard::{ShardContext, ShardWorld, ShardedSim};
 pub use time::{SimDuration, SimTime};
 pub use typed::{EventContext, EventSim, EventWorld};

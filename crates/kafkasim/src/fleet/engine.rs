@@ -34,16 +34,16 @@ use super::partition::{PartitionStrategy, Partitioner};
 use super::population::Population;
 
 /// Producers flush accumulated messages on this cadence.
-pub(crate) const FLUSH_INTERVAL: SimDuration = SimDuration::from_millis(200);
+const FLUSH_INTERVAL: SimDuration = SimDuration::from_millis(200);
 /// Consumer drain cadence.
-pub(crate) const CONSUME_TICK: SimDuration = SimDuration::from_millis(100);
+const CONSUME_TICK: SimDuration = SimDuration::from_millis(100);
 /// Token-bucket burst window: a partition can absorb this many seconds
 /// of its sustained capacity at once.
-pub(crate) const BURST_SECS: f64 = 0.25;
+const BURST_SECS: f64 = 0.25;
 /// A consumer drains an owned partition at this multiple of the
 /// partition's append capacity (it must outrun producers to ever catch
 /// up after a pause).
-pub(crate) const DRAIN_FACTOR: f64 = 2.0;
+const DRAIN_FACTOR: f64 = 2.0;
 
 /// What a churn event does to the group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -310,25 +310,25 @@ impl FleetOutcome {
 
 /// Per-partition runtime state.
 #[derive(Debug, Clone)]
-pub(crate) struct PartitionState {
+struct PartitionState {
     /// Token bucket: available append tokens.
-    pub(crate) tokens: f64,
-    pub(crate) last_refill: SimTime,
+    tokens: f64,
+    last_refill: SimTime,
     /// First-copy appends.
-    pub(crate) appends: u64,
+    appends: u64,
     /// Records drained by the group.
-    pub(crate) consumed: u64,
+    consumed: u64,
     /// Consumption is paused until this instant (rebalance hand-off).
-    pub(crate) paused_until: SimTime,
+    paused_until: SimTime,
     /// Appends until this instant are re-read by the new owner
     /// (at-least-once duplicate window).
-    pub(crate) reread_until: SimTime,
+    reread_until: SimTime,
 }
 
 impl PartitionState {
     /// Fresh-topic state at time zero: a full burst bucket, nothing
     /// appended, nothing paused.
-    pub(crate) fn fresh(capacity_hz: f64) -> Self {
+    fn fresh(capacity_hz: f64) -> Self {
         PartitionState {
             tokens: capacity_hz * BURST_SECS,
             last_refill: SimTime::ZERO,
@@ -347,8 +347,10 @@ impl PartitionState {
     /// exact no-op), and for token counts in the bucket's range,
     /// `tokens - 1.0` repeated `k` times equals `tokens - k as f64`
     /// exactly (1.0 is an integer multiple of the ulp of any f64 in
-    /// `[1, 2^52]`). The coalescing proptest pins this equivalence.
-    pub(crate) fn accept(&mut self, capacity_hz: f64, now: SimTime, n: u64) -> u64 {
+    /// `[1, 2^52]`), pinned by `coalesced_accept_matches_sequential_singles`.
+    /// `n == 0` is *not* a no-op: the refill still moves `last_refill`, and
+    /// `t + c·e₁ + c·e₂` is not `t + c·(e₁ + e₂)` in floats.
+    fn accept(&mut self, capacity_hz: f64, now: SimTime, n: u64) -> u64 {
         let elapsed = (now - self.last_refill).as_secs_f64();
         self.tokens = (self.tokens + capacity_hz * elapsed).min(capacity_hz * BURST_SECS);
         self.last_refill = now;
@@ -361,17 +363,15 @@ impl PartitionState {
 
 /// Per-class accumulator for the open KPI window.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ClassWindowAcc {
-    pub(crate) produced: u64,
-    pub(crate) delivered: u64,
-    pub(crate) lost: u64,
-    pub(crate) duplicated: u64,
+struct ClassWindowAcc {
+    produced: u64,
+    delivered: u64,
+    lost: u64,
+    duplicated: u64,
 }
 
-/// Fold the per-tenant ledgers into fleet totals and per-class rollups —
-/// shared between the sequential engine and the sharded engine so both
-/// produce byte-identical summaries from equal ledgers.
-pub(crate) fn totals_and_classes(
+/// Fold the per-tenant ledgers into fleet totals and per-class rollups.
+fn totals_and_classes(
     ledgers: &[TenantLedger],
     class_producers: &[u64],
     population: &Population,
@@ -429,6 +429,10 @@ struct FleetWorld {
     /// Per-tenant forked RNG (network-loss Bernoulli draws).
     rngs: Vec<SimRng>,
     router: Box<dyn Partitioner>,
+    /// Tenant → partition under the static partitioners (`KeyHash`,
+    /// `Locality`), whose `route` is a pure function of `(tenant, class)`;
+    /// `None` under round-robin, which routes survivor by survivor.
+    homes: Option<Vec<u32>>,
     group: GroupCoordinator,
     partitions: Vec<PartitionState>,
     ledgers: Vec<TenantLedger>,
@@ -452,9 +456,50 @@ impl FleetWorld {
             .rate_hz
     }
 
-    fn try_append(&mut self, partition: u32, now: SimTime) -> bool {
-        let cap = self.cfg.partition_capacity_hz;
-        self.partitions[partition as usize].accept(cap, now, 1) == 1
+    /// One flush of `n > 0` messages of `tenant`. The loss draws come
+    /// first, one per message from the tenant's own stream: they read no
+    /// partition state, so the survivors can then be appended in one step.
+    fn send(&mut self, tenant: u32, n: u64, now: SimTime) {
+        let t = tenant as usize;
+        let class = self.classes_of[t];
+        let mut survivors = 0u64;
+        for _ in 0..n {
+            survivors += u64::from(!self.rngs[t].bernoulli(self.cfg.base_loss));
+        }
+        let (mut accepted, mut dup) = (0, 0);
+        if let Some(homes) = &self.homes {
+            // Nothing survived: no refill either (see `accept`).
+            if survivors > 0 {
+                (accepted, dup) = self.append(homes[t], survivors, now);
+            }
+        } else {
+            for _ in 0..survivors {
+                let partition = self.router.route(tenant, class, self.cfg.partitions);
+                let one = self.append(partition, 1, now);
+                accepted += one.0;
+                dup += one.1;
+            }
+        }
+        let ledger = &mut self.ledgers[t];
+        ledger.produced += n;
+        ledger.delivered += accepted;
+        ledger.lost_network += n - survivors;
+        ledger.lost_overload += survivors - accepted;
+        ledger.duplicated += dup;
+        let cw = &mut self.class_window[class as usize];
+        cw.produced += n;
+        cw.delivered += accepted;
+        cw.lost += n - accepted;
+        cw.duplicated += dup;
+    }
+
+    /// Appends `count > 0` messages to `partition` in one token-bucket
+    /// step. Returns how many it accepted (the rest are overload) and how
+    /// many of those the partition's re-read window duplicates.
+    fn append(&mut self, partition: u32, count: u64, now: SimTime) -> (u64, u64) {
+        let st = &mut self.partitions[partition as usize];
+        let accepted = st.accept(self.cfg.partition_capacity_hz, now, count);
+        (accepted, accepted * u64::from(now < st.reread_until))
     }
 
     fn apply_churn(&mut self, idx: usize, now: SimTime) {
@@ -550,27 +595,8 @@ impl EventWorld for FleetWorld {
                 let emitted = self.rate_of(tenant) * elapsed + self.carry[t];
                 let n = emitted as u64;
                 self.carry[t] = emitted - n as f64;
-                let class = self.classes_of[t];
-                for _ in 0..n {
-                    self.ledgers[t].produced += 1;
-                    self.class_window[class as usize].produced += 1;
-                    if self.rngs[t].bernoulli(self.cfg.base_loss) {
-                        self.ledgers[t].lost_network += 1;
-                        self.class_window[class as usize].lost += 1;
-                        continue;
-                    }
-                    let partition = self.router.route(tenant, class, self.cfg.partitions);
-                    if self.try_append(partition, now) {
-                        self.ledgers[t].delivered += 1;
-                        self.class_window[class as usize].delivered += 1;
-                        if now < self.partitions[partition as usize].reread_until {
-                            self.ledgers[t].duplicated += 1;
-                            self.class_window[class as usize].duplicated += 1;
-                        }
-                    } else {
-                        self.ledgers[t].lost_overload += 1;
-                        self.class_window[class as usize].lost += 1;
-                    }
+                if n > 0 {
+                    self.send(tenant, n, now);
                 }
                 let next = now + FLUSH_INTERVAL;
                 if next < self.end {
@@ -627,8 +653,8 @@ impl EventWorld for FleetWorld {
 /// );
 /// ```
 pub struct FleetRun {
-    pub(crate) cfg: FleetConfig,
-    pub(crate) seed: u64,
+    cfg: FleetConfig,
+    seed: u64,
 }
 
 impl FleetRun {
@@ -651,6 +677,14 @@ impl FleetRun {
             .0
     }
 
+    /// [`FleetRun::execute`] under the name `benchmark/` still calls; the
+    /// thread count is ignored. Goes when the benchmark re-points.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn execute_sharded(self, _threads: usize) -> FleetOutcome {
+        self.execute()
+    }
+
     /// Runs with trace events delivered to `sink`.
     pub fn execute_traced(self, sink: Box<dyn TraceSink>) -> (FleetOutcome, Box<dyn TraceSink>) {
         self.execute_profiled(sink, Profiler::disabled())
@@ -667,7 +701,12 @@ impl FleetRun {
         let classes_of = cfg.population.apportion(cfg.producers);
         let mut master = SimRng::seed_from_u64(self.seed);
         let rngs: Vec<SimRng> = (0..cfg.producers).map(|_| master.fork()).collect();
-        let router = cfg.strategy.build(cfg.partitions, &cfg.population);
+        let mut router = cfg.strategy.build(cfg.partitions, &cfg.population);
+        let homes = (!matches!(cfg.strategy, PartitionStrategy::RoundRobin)).then(|| {
+            (classes_of.iter().zip(0u32..))
+                .map(|(&class, tenant)| router.route(tenant, class, cfg.partitions))
+                .collect()
+        });
         let initial: Vec<u32> = (0..cfg.initial_consumers).collect();
         let group = GroupCoordinator::new(cfg.assignor, cfg.partitions, &initial);
 
@@ -715,6 +754,7 @@ impl FleetRun {
             classes_of,
             rngs,
             router,
+            homes,
             group,
             partitions,
             ledgers,
@@ -911,6 +951,27 @@ mod tests {
         let lean = FleetRun::new(starved, 7).execute();
         let rich = FleetRun::new(small_cfg(), 7).execute();
         assert!(lean.totals.lost_overload > rich.totals.lost_overload);
+    }
+
+    #[test]
+    fn coalesced_accept_matches_sequential_singles() {
+        // accept(n) must be bit-identical to n accept(1) calls at the same
+        // instant, across refills and partial acceptance.
+        let times = [0u64, 40, 40, 90, 400, 1000, 1001, 5000];
+        let batches = [3u64, 1, 7, 2, 30, 9, 1, 14];
+        let mut a = PartitionState::fresh(25.0);
+        let mut b = PartitionState::fresh(25.0);
+        for (&ms, &n) in times.iter().zip(&batches) {
+            let now = SimTime::from_millis(ms);
+            let accepted = a.accept(25.0, now, n);
+            let mut singles = 0;
+            for _ in 0..n {
+                singles += b.accept(25.0, now, 1);
+            }
+            assert_eq!(accepted, singles);
+            assert_eq!(a.tokens.to_bits(), b.tokens.to_bits());
+            assert_eq!(a.appends, b.appends);
+        }
     }
 
     #[test]

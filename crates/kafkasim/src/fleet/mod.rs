@@ -51,7 +51,6 @@ mod engine;
 mod group;
 mod partition;
 mod population;
-mod sharded;
 
 pub use engine::{
     ChurnAction, ChurnEvent, ClassSummary, FleetConfig, FleetOutcome, FleetRun, FleetTotals,

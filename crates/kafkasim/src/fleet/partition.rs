@@ -94,7 +94,7 @@ impl PartitionStrategy {
 /// SplitMix64 finaliser: a cheap, well-mixed integer hash. Deterministic
 /// across platforms (pure wrapping arithmetic).
 #[must_use]
-pub(crate) fn mix64(mut x: u64) -> u64 {
+fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)

@@ -692,13 +692,12 @@ impl KafkaRun {
     ///
     /// The protocol event loop itself is inherently sequential — one
     /// producer conversing with a handful of brokers over one causal
-    /// timeline (fleet-scale parallelism lives in
-    /// [`crate::fleet::FleetRun::execute_sharded`]). The knob parallelises
-    /// the end-of-run phases whose merges are exact: the consumer
-    /// read-back ([`ConsumedTopic::read_all_threaded`]) and the audit's
-    /// counting pass ([`crate::audit::audit_threaded`]). The
-    /// [`RunOutcome`] is bit-identical at every thread count; the
-    /// workspace determinism test pins it.
+    /// timeline. The knob parallelises the end-of-run phases whose merges
+    /// are exact: the consumer read-back
+    /// ([`ConsumedTopic::read_all_threaded`]) and the audit's counting
+    /// pass ([`crate::audit::audit_threaded`]). The [`RunOutcome`] is
+    /// bit-identical at every thread count; the workspace determinism
+    /// test pins it.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);

@@ -13,8 +13,6 @@
 //!   dynamic-configuration experiment.
 //! * [`delay`] — propagation-delay processes, including the heavy-tailed
 //!   **Pareto** distribution the paper cites for end-to-end delay.
-//! * [`island`] — connected components of the coupling graph between
-//!   simulated nodes; the shard assignment for the parallel sharded engine.
 //! * [`link`] — a fluid model of a finite-rate, drop-tail link.
 //! * [`netem`] — NetEm-style impairment configuration and time-varying
 //!   condition timelines (the Fig. 9 network).
@@ -54,7 +52,6 @@
 
 pub mod channel;
 pub mod delay;
-pub mod island;
 pub mod link;
 pub mod loss;
 pub mod netem;
@@ -63,7 +60,6 @@ pub mod trace;
 
 pub use channel::{ChannelConfig, ChannelEvent, DuplexChannel, Endpoint};
 pub use delay::DelayModel;
-pub use island::IslandMap;
 pub use link::{Link, LinkConfig, LinkOutcome};
 pub use loss::LossModel;
 pub use netem::{ConditionTimeline, NetCondition};

@@ -91,7 +91,6 @@
 pub mod event;
 pub mod metrics;
 pub mod profile;
-pub mod shard;
 pub mod sink;
 pub mod timeline;
 pub mod window;
@@ -99,7 +98,6 @@ pub mod window;
 pub use event::{LossCause, TraceEvent};
 pub use metrics::{HistogramSummary, MetricsRegistry, MetricsSink, MetricsSummary};
 pub use profile::{Profiler, SpanEvent, SpanGuard, SpanProfile, SpanStat};
-pub use shard::{merge_shard_streams, well_nested, ShardedTraceEvent};
 pub use sink::{parse_jsonl, JsonlSink, NoopSink, RingBufferSink, TraceSink};
 pub use timeline::{DupCause, MessageFate, MessageTimeline, TimelineReport};
 pub use window::{TenantSeries, TenantWindowRow, WindowRow, WindowSeries};

@@ -1143,9 +1143,9 @@ pub struct FleetSpec {
     pub base_loss: f64,
     /// Pause/re-read window after a rebalance, milliseconds.
     pub rebalance_pause_ms: u64,
-    /// Worker threads for the sharded fleet engine (absent = use the
-    /// effort's thread count; the outcome is bit-identical at any value).
-    /// Overridable from the command line (`repro --threads`).
+    /// Accepted, no effect: the one fleet engine runs on one thread. Goes
+    /// when the benchmark, which still sets it, re-points.
+    #[doc(hidden)]
     pub threads: Option<usize>,
 }
 

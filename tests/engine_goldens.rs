@@ -1,20 +1,21 @@
-//! Parent-pinned goldens of the three event engines' results, and the
-//! smallest valid fleets.
+//! Parent-pinned goldens of the fleet engine's and the per-message
+//! engine's results, and the smallest and most degenerate valid fleets.
 //!
-//! The scheduler under `EventSim` and `ShardedSim` may be any correct
-//! priority queue over `(time, seq)`: every such queue pops the same
-//! sequence, so every RNG draw and therefore every outcome below is fixed.
-//! The constants were written by the commit *before* the scheduler gained
-//! its delay-class lanes; a scheduler change that moves one of them has
-//! changed the pop order.
+//! The scheduler under `EventSim` may be any correct priority queue over
+//! `(time, seq)`: every such queue pops the same sequence, so every RNG
+//! draw and therefore every outcome below is fixed. Each constant was
+//! written by the commit *before* the change it guards (the scheduler's
+//! delay-class lanes; the fleet engine's one-step append of a flush's
+//! survivors); a change that moves one of them has changed the model.
 
 use desim::{SimDuration, SimTime};
+use kafkasim::broker::BrokerId;
 use kafkasim::config::{DeliverySemantics, ProducerConfig};
 use kafkasim::fleet::{
     ChurnAction, ChurnEvent, FleetConfig, FleetOutcome, FleetRun, PartitionStrategy, Population,
     PopulationEntry, StreamClass,
 };
-use kafkasim::runtime::{KafkaRun, RunSpec};
+use kafkasim::runtime::{BrokerFault, KafkaRun, RunSpec};
 use kafkasim::source::{SizeSpec, SourceSpec};
 use netsim::{ConditionTimeline, NetCondition};
 
@@ -88,7 +89,8 @@ fn fleet_pin(o: &FleetOutcome) -> FleetPin {
     )
 }
 
-/// The sequential fleet engine (`EventSim`), three partitioners, seed 7.
+/// The fleet engine at the committed scenarios' rates (at most one message
+/// a flush), three partitioners, seed 7.
 #[test]
 fn sequential_fleet_outcomes_are_pinned() {
     let want = [
@@ -102,20 +104,71 @@ fn sequential_fleet_outcomes_are_pinned() {
     }
 }
 
-/// The sharded fleet engine (`ShardedSim`), same fleets, at one and at
-/// three threads.
+/// `pinned_fleet` where most flushes append nothing: 1 and 3 Hz against the
+/// 200 ms flush leave most of them empty and a 30 % network loss empties
+/// more, over buckets whose refill steps (11 Hz x 0.2 s) are not exact in
+/// binary. Such a flush must leave its partition's bucket alone: a refill
+/// there splits a later one in two, `t + c·e₁ + c·e₂` is not
+/// `t + c·(e₁ + e₂)` in floats, and the key-hash and locality rows move.
 #[test]
-fn sharded_fleet_outcomes_are_pinned() {
-    let want = [SHARDED_ROUND_ROBIN, SHARDED_KEY_HASH, SHARDED_LOCALITY];
+fn sparse_fleet_outcomes_are_pinned() {
+    let want = [SPARSE_ROUND_ROBIN, SPARSE_KEY_HASH, SPARSE_LOCALITY];
     for (strategy, want) in STRATEGIES.into_iter().zip(want) {
-        for threads in [1, 3] {
-            let outcome = FleetRun::new(pinned_fleet(strategy), 7).execute_sharded(threads);
-            assert_eq!(
-                fleet_pin(&outcome),
-                want,
-                "{strategy:?} at {threads} threads"
-            );
-        }
+        let cfg = FleetConfig {
+            population: Population::new(vec![class("slow", 1.0, 3.0), class("fast", 3.0, 1.0)])
+                .expect("valid mix"),
+            partition_capacity_hz: 11.0,
+            base_loss: 0.3,
+            ..pinned_fleet(strategy)
+        };
+        let outcome = FleetRun::new(cfg, 7).execute();
+        assert_eq!(fleet_pin(&outcome), want, "{strategy:?}");
+    }
+}
+
+/// The one golden where a flush carries several messages (30 and 60 Hz
+/// against the 200 ms flush: 6 to 12), buckets accept part of a flush and
+/// two rebalances open re-read windows, so the only one that reaches the
+/// one-step append of a flush's survivors with `count > 1`.
+fn high_rate_fleet(strategy: PartitionStrategy) -> FleetConfig {
+    FleetConfig {
+        producers: 2_000,
+        partitions: 32,
+        strategy,
+        population: Population::new(vec![
+            class("web-access-records", 30.0, 0.5),
+            class("game-events", 60.0, 0.5),
+        ])
+        .expect("valid mix"),
+        churn: vec![
+            ChurnEvent {
+                at: SimTime::from_secs(10),
+                action: ChurnAction::Join,
+                member: 4,
+            },
+            ChurnEvent {
+                at: SimTime::from_secs(20),
+                action: ChurnAction::Leave,
+                member: 1,
+            },
+        ],
+        partition_capacity_hz: 2_000.0,
+        base_loss: 0.01,
+        ..FleetConfig::default()
+    }
+}
+
+/// FNV-1a of the outcome's JSON at seed 61, written by the parent commit's
+/// per-message flush loop. Key-hash is the digest `perfbase` tracked for
+/// the sharded engine, which equalled this one on static partitioners.
+#[test]
+fn high_rate_fleet_outcomes_are_pinned() {
+    let want = ["c523a50df398bfa1", "34d42504bba91120", "c2f2f44df42960a3"];
+    for (strategy, want) in STRATEGIES.into_iter().zip(want) {
+        let outcome = FleetRun::new(high_rate_fleet(strategy), 61).execute();
+        let json = serde_json::to_string(&outcome).expect("outcome serialises");
+        let digest = format!("{:016x}", fnv1a(json.as_bytes()));
+        assert_eq!(digest, want, "{strategy:?}");
     }
 }
 
@@ -152,46 +205,107 @@ fn kafka_run_outcomes_are_pinned() {
     }
 }
 
-// Written by the parent commit (plain `MinQueue` under every engine). The
-// static partitioners never cross shards, so the sharded engine repeats the
-// sequential one exactly; round-robin does, and fires the extra
-// `AppendBatch` events.
+/// A protocol run with a mid-run broker crash, replicated topic and
+/// at-least-once producer.
+fn crash_run() -> RunSpec {
+    let mut run = RunSpec {
+        source: SourceSpec::fixed_rate(2_000, 200, 400.0),
+        ..RunSpec::default()
+    };
+    run.cluster.replication.factor = 3;
+    run.producer = ProducerConfig::builder()
+        .semantics(DeliverySemantics::AtLeastOnce)
+        .message_timeout(SimDuration::from_millis(2_000))
+        .build()
+        .expect("valid producer config");
+    run.faults.push(BrokerFault::crash(
+        BrokerId(0),
+        SimTime::from_secs(2),
+        SimDuration::from_millis(3_000),
+    ));
+    run.failover_after = Some(SimDuration::from_millis(500));
+    run
+}
+
+/// A protocol run with a flapping broker under acks=all.
+fn flapping_run() -> RunSpec {
+    let mut run = RunSpec {
+        source: SourceSpec::fixed_rate(2_000, 100, 400.0),
+        ..RunSpec::default()
+    };
+    run.cluster.replication.factor = 3;
+    run.producer = ProducerConfig::builder()
+        .semantics(DeliverySemantics::All)
+        .message_timeout(SimDuration::from_millis(2_000))
+        .build()
+        .expect("valid producer config");
+    run.faults.push(BrokerFault {
+        broker: BrokerId(1),
+        at: SimTime::from_secs(1),
+        down_for: SimDuration::from_millis(500),
+        flaps: 3,
+        up_for: SimDuration::from_millis(800),
+    });
+    run
+}
+
+/// `KafkaRun::with_threads` parallelises read-back and audit counting;
+/// the full outcome — delivery report, audit ledger rollups, producer and
+/// broker counters — must be bit-identical at 1/2/4/8 threads, on both
+/// broker-fault scenarios.
+#[test]
+fn broker_fault_runs_are_thread_invariant() {
+    for (name, spec) in [("crash", crash_run()), ("flapping", flapping_run())] {
+        spec.validate().expect("fault scenario is valid");
+        let baseline = KafkaRun::new(spec.clone(), 77).with_threads(1).execute();
+        assert!(
+            baseline.report.lost > 0 || baseline.report.duplicated > 0,
+            "{name}: the fault must actually perturb delivery"
+        );
+        for threads in [2, 4, 8] {
+            let run = KafkaRun::new(spec.clone(), 77)
+                .with_threads(threads)
+                .execute();
+            assert_eq!(
+                run.report, baseline.report,
+                "{name}: delivery report diverged at {threads} threads"
+            );
+            assert_eq!(
+                run, baseline,
+                "{name}: outcome diverged at {threads} threads"
+            );
+        }
+    }
+}
+
+// Written by the parent commit (plain `MinQueue` under every engine).
 const SEQUENTIAL_ROUND_ROBIN: FleetPin = (30_168, 8_850, 8_354, 303, 481979365943894936);
 const SEQUENTIAL_KEY_HASH: FleetPin = (30_168, 8_850, 8_240, 312, 16919420233190634965);
 const SEQUENTIAL_LOCALITY: FleetPin = (30_168, 8_850, 6_823, 281, 2492325219751143578);
-const SHARDED_ROUND_ROBIN: FleetPin = (40_557, 8_850, 8_135, 304, 1073205715706533283);
-const SHARDED_KEY_HASH: FleetPin = (30_168, 8_850, 8_240, 312, 16919420233190634965);
-const SHARDED_LOCALITY: FleetPin = (30_168, 8_850, 6_823, 281, 2492325219751143578);
+// Written by the parent commit's per-message flush loop.
+const SPARSE_ROUND_ROBIN: FleetPin = (30_168, 8_700, 2_584, 87, 11584088681590218171);
+const SPARSE_KEY_HASH: FleetPin = (30_168, 8_700, 2_299, 76, 7120391369548954538);
+const SPARSE_LOCALITY: FleetPin = (30_168, 8_700, 1_741, 59, 17672271558542554298);
 const RUN_AT_LEAST_ONCE: (u64, u64) = (11_484, 17741149464509989960);
 const RUN_AT_MOST_ONCE: (u64, u64) = (7_690, 10932670437184555871);
 
-/// Runs `cfg` on both fleet engines and checks termination (the calls
-/// return) and conservation: every produced message is delivered or lost
-/// with a cause, per tenant and in total, and first copies land in
-/// exactly one partition.
-fn assert_terminates_and_conserves(cfg: &FleetConfig) {
-    let outcomes = [
-        FleetRun::new(cfg.clone(), 3).execute(),
-        FleetRun::new(cfg.clone(), 3).execute_sharded(1),
-        FleetRun::new(cfg.clone(), 3).execute_sharded(2),
-    ];
-    for o in &outcomes {
-        assert_eq!(o.tenants.len(), cfg.producers);
-        for t in &o.tenants {
-            assert_eq!(t.produced, t.delivered + t.lost(), "tenant {}", t.tenant);
-        }
-        assert_eq!(
-            o.totals.produced,
-            o.tenants.iter().map(|t| t.produced).sum::<u64>()
-        );
-        assert_eq!(o.totals.produced, o.totals.delivered + o.totals.lost());
-        assert_eq!(o.partition_appends.iter().sum::<u64>(), o.totals.delivered);
-        assert_eq!(o.windows.total_produced(), o.totals.produced);
+/// Runs `cfg` and checks termination (the call returns) and conservation:
+/// every produced message is delivered or lost with a cause, per tenant
+/// and in total, and first copies land in exactly one partition.
+fn assert_terminates_and_conserves(cfg: &FleetConfig) -> FleetOutcome {
+    let o = FleetRun::new(cfg.clone(), 3).execute();
+    assert_eq!(o.tenants.len(), cfg.producers);
+    for t in &o.tenants {
+        assert_eq!(t.produced, t.delivered + t.lost(), "tenant {}", t.tenant);
     }
     assert_eq!(
-        outcomes[1], outcomes[2],
-        "sharded engine is thread-invariant"
+        o.totals.produced,
+        o.tenants.iter().map(|t| t.produced).sum::<u64>()
     );
+    assert_eq!(o.totals.produced, o.totals.delivered + o.totals.lost());
+    assert_eq!(o.partition_appends.iter().sum::<u64>(), o.totals.delivered);
+    assert_eq!(o.windows.total_produced(), o.totals.produced);
+    o
 }
 
 /// The run ends before the first flush phase (25 ms): no tenant ever
@@ -205,8 +319,7 @@ fn fleet_shorter_than_the_first_flush_phase() {
             window: SimDuration::from_millis(20),
             ..FleetConfig::default()
         };
-        assert_terminates_and_conserves(&cfg);
-        assert_eq!(FleetRun::new(cfg, 3).execute().totals.produced, 0);
+        assert_eq!(assert_terminates_and_conserves(&cfg).totals.produced, 0);
     }
 }
 
@@ -225,8 +338,7 @@ fn fleet_duration_off_the_flush_grid() {
     }
 }
 
-/// One producer: one flush chain, and on the sharded engine every shard
-/// but one holds no tenant at all.
+/// One producer: one flush chain.
 #[test]
 fn fleet_of_one_producer() {
     for strategy in STRATEGIES {
@@ -235,8 +347,7 @@ fn fleet_of_one_producer() {
             producers: 1,
             ..FleetConfig::default()
         };
-        assert_terminates_and_conserves(&cfg);
-        assert!(FleetRun::new(cfg, 3).execute().totals.produced > 0);
+        assert!(assert_terminates_and_conserves(&cfg).totals.produced > 0);
     }
 }
 
@@ -270,8 +381,38 @@ fn fleet_with_churn_at_the_first_instant() {
             ],
             ..FleetConfig::default()
         };
-        assert_terminates_and_conserves(&cfg);
-        let outcome = FleetRun::new(cfg, 3).execute();
-        assert_eq!(outcome.rebalances.len(), 2);
+        assert_eq!(assert_terminates_and_conserves(&cfg).rebalances.len(), 2);
+    }
+}
+
+/// The network loses every message: each flush takes the path that
+/// appends nothing, and no partition is ever touched.
+#[test]
+fn fleet_that_loses_every_message() {
+    for strategy in STRATEGIES {
+        let cfg = FleetConfig {
+            strategy,
+            base_loss: 1.0,
+            ..FleetConfig::default()
+        };
+        let outcome = assert_terminates_and_conserves(&cfg);
+        assert!(outcome.totals.produced > 0);
+        assert_eq!(outcome.totals.lost_network, outcome.totals.produced);
+    }
+}
+
+/// Ten messages a flush against a burst bucket of one token: every append
+/// is accepted in part, the rest of the flush is overload loss.
+#[test]
+fn fleet_with_flushes_larger_than_the_burst_bucket() {
+    for strategy in STRATEGIES {
+        let cfg = FleetConfig {
+            strategy,
+            population: Population::new(vec![class("hot", 50.0, 1.0)]).expect("valid mix"),
+            partition_capacity_hz: 4.0,
+            ..FleetConfig::default()
+        };
+        let totals = assert_terminates_and_conserves(&cfg).totals;
+        assert!(totals.delivered > 0 && totals.lost_overload > totals.delivered);
     }
 }
