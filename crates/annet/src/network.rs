@@ -569,16 +569,15 @@ impl Network {
                 }
             } else {
                 let per_worker = jobs.len().div_ceil(threads.min(jobs.len()));
-                crossbeam::scope(|scope| {
+                std::thread::scope(|scope| {
                     for worker_jobs in jobs.chunks_mut(per_worker) {
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             for (shard, scratch) in worker_jobs.iter_mut() {
                                 net.shard_gradients(data, shard, batch_n, scratch);
                             }
                         });
                     }
-                })
-                .expect("gradient worker panicked");
+                });
             }
         }
         // Reduce in ascending shard order — fixed, thread-independent.

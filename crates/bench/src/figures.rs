@@ -3,8 +3,8 @@
 //! Every definition lives in the declarative scenario corpus
 //! ([`spec::builtin`], mirrored by the committed `scenarios/*.toml`
 //! files); the functions here look the scenario up by name and hand it to
-//! the executor ([`crate::exec`]), so the `repro` binary, the Criterion
-//! benches, and the integration tests all share the same definitions.
+//! the executor ([`crate::exec`]), so the `repro` binary, the repo
+//! benchmark, and the integration tests all share the same definitions.
 //! `n_messages` scales precision: the paper uses 10⁶ per point; the
 //! defaults here use fewer for tractable sweeps (see `EXPERIMENTS.md` for
 //! the precision discussion).

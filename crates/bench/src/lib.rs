@@ -5,8 +5,8 @@
 //! built-in corpus, mirrored by the committed `scenarios/*.toml` files);
 //! the [`exec`] module materialises a spec into figure/table data, and
 //! [`figures`] exposes one named wrapper per paper artefact. The `repro`
-//! binary prints them; the Criterion benches in `benches/` time
-//! scaled-down versions of the same code paths.
+//! binary prints them; the repo's `benchmark/` package times the same
+//! code paths.
 //!
 //! | Paper artefact | Scenario | Function |
 //! |---|---|---|

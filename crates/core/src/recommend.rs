@@ -463,16 +463,15 @@ impl<'a> Recommender<'a> {
                 .map(|(shard_no, (shard, slot))| (shard_no, *shard, slot))
                 .collect();
             let per_worker = jobs.len().div_ceil(threads.min(jobs.len()));
-            crossbeam::scope(|scope| {
+            std::thread::scope(|scope| {
                 for worker_jobs in jobs.chunks_mut(per_worker) {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         for (shard_no, shard, slot) in worker_jobs.iter_mut() {
                             **slot = eval_shard(*shard_no, shard);
                         }
                     });
                 }
-            })
-            .expect("grid worker panicked");
+            });
         }
         // Reduce in ascending shard order — fixed, thread-independent.
         let (best_idx, best_gamma) = bests

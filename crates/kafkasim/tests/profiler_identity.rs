@@ -2,7 +2,8 @@
 //! untraced, traced with a disabled profiler, and traced with an enabled
 //! profiler produces identical delivery reports and identical event
 //! streams. Wall-clock span recording must never leak into simulated
-//! behaviour — the perfbase digests and every figure depend on it.
+//! behaviour — the digests in `tests/contract_digests.rs` and every figure
+//! depend on it.
 
 use desim::SimDuration;
 use kafkasim::config::{DeliverySemantics, ProducerConfig};

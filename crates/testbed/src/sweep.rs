@@ -41,12 +41,12 @@ pub fn run_sweep(
     }
     let workers = threads.min(points.len());
     let chunk_len = points.len().div_ceil(workers);
-    let chunks: Vec<Vec<ExperimentResult>> = crossbeam::scope(|scope| {
+    let chunks: Vec<Vec<ExperimentResult>> = std::thread::scope(|scope| {
         let handles: Vec<_> = points
             .chunks(chunk_len)
             .enumerate()
             .map(|(w, slice)| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut arena = RunArena::new();
                     let offset = w * chunk_len;
                     slice
@@ -64,8 +64,7 @@ pub fn run_sweep(
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
             .collect()
-    })
-    .expect("worker panicked");
+    });
     let mut results = Vec::with_capacity(points.len());
     for chunk in chunks {
         results.extend(chunk);

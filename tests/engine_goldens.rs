@@ -159,8 +159,9 @@ fn high_rate_fleet(strategy: PartitionStrategy) -> FleetConfig {
 }
 
 /// FNV-1a of the outcome's JSON at seed 61, written by the parent commit's
-/// per-message flush loop. Key-hash is the digest `perfbase` tracked for
-/// the sharded engine, which equalled this one on static partitioners.
+/// per-message flush loop. Key-hash is the ROADMAP's "sharded" contract
+/// digest: the deleted sharded engine equalled this one on static
+/// partitioners. The other seven live in `tests/contract_digests.rs`.
 #[test]
 fn high_rate_fleet_outcomes_are_pinned() {
     let want = ["c523a50df398bfa1", "34d42504bba91120", "c2f2f44df42960a3"];
