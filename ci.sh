@@ -41,15 +41,15 @@ echo "== one fleet engine (the execute_sharded shim has no caller) =="
 [ "$(grep -rn 'execute_sharded' crates tests examples | wc -l)" -eq 1 ] \
     || { echo "execute_sharded regrew a caller" >&2; exit 1; }
 
-echo "== scenario corpus (parse + validate + builtin pin) =="
-# Every committed scenarios/*.toml must parse, validate, and stay in sync
-# with the built-in corpus the named repro targets resolve to.
-cargo build --release -q -p bench --bin repro
-target/release/repro validate-scenarios scenarios
+echo "== one trainer (the TrainOptions::with_threads shim has no caller) =="
+# Same arrangement: benchmark/ passes its thread count through the name.
+[ "$(grep -rn 'with_threads' crates tests examples | wc -l)" -eq 1 ] \
+    || { echo "with_threads regrew a caller" >&2; exit 1; }
 
 echo "== span profiler (smoke) =="
 # The profiled smoke run must keep emitting a loadable Chrome trace:
 # valid JSON, balanced and well-nested B/E events, monotone timestamps.
+cargo build --release -q -p bench --bin repro
 target/release/repro profile --quick --out target/profile-smoke
 python3 - target/profile-smoke/trace.json <<'EOF' \
     || { echo "Chrome trace validation failed" >&2; exit 1; }

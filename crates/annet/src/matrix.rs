@@ -148,11 +148,10 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Rows of `rhs` touched per cache block of the blocked matmul.
+    /// Output rows per cache block of [`Matrix::matmul_at_b_into`].
     ///
-    /// 16 rows of a 200-wide `f64` matrix is ~25 KiB — it fits L1 alongside
-    /// the output rows, so each block of `rhs` is loaded from outer cache
-    /// once per product instead of once per output row.
+    /// 16 rows of a 200-wide `f64` matrix is ~25 KiB — it fits L1, so each
+    /// stripe of `out` stays resident across the whole shared dimension.
     const MATMUL_K_BLOCK: usize = 16;
 
     /// Widest right-hand side [`Matrix::matmul_dense_into`] hands to the
@@ -161,9 +160,8 @@ impl Matrix {
 
     /// Matrix product `self · rhs`.
     ///
-    /// Blocked over the inner dimension; bit-identical to
-    /// [`Matrix::matmul_naive`] (the accumulation order per output element
-    /// is unchanged — see [`Matrix::matmul_into`]).
+    /// Allocates the result and runs [`Matrix::matmul_dense_into`], so it
+    /// is bit-identical to [`Matrix::matmul_naive`] for finite operands.
     ///
     /// # Panics
     ///
@@ -171,110 +169,24 @@ impl Matrix {
     #[must_use]
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.matmul_into(rhs, &mut out);
+        self.matmul_dense_into(rhs, &mut out);
         out
-    }
-
-    /// Matrix product `self · rhs`, written into `out` (resized to fit).
-    ///
-    /// The traversal is blocked: the `k` range is cut into
-    /// `MATMUL_K_BLOCK`-row blocks of `rhs` so each block stays
-    /// cache-resident across every output row. Blocking only reorders
-    /// *which* `(i, k)` pairs are visited when; every output element still
-    /// accumulates its `k` terms in ascending order, so the result is
-    /// bit-identical to the naive `ikj` product.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the inner dimensions disagree.
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "inner dimensions must agree ({}x{} · {}x{})",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        out.resize_zeroed(self.rows, rhs.cols);
-        let rc = rhs.cols;
-        let mut kb = 0;
-        while kb < self.cols {
-            let k_end = (kb + Self::MATMUL_K_BLOCK).min(self.cols);
-            for i in 0..self.rows {
-                let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-                let out_row = &mut out.data[i * rc..(i + 1) * rc];
-                // Eight `k` terms per pass so each output row is loaded and
-                // stored once per group instead of once per term. The
-                // eight-term update is the same left-to-right chain of adds
-                // as eight scalar passes, so the accumulation order per
-                // element is unchanged; any exact-zero term falls back to
-                // the skipping scalar loop.
-                let mut k = kb;
-                while k + 8 <= k_end {
-                    let c = &a_row[k..k + 8];
-                    let b0 = &rhs.data[k * rc..(k + 1) * rc];
-                    let b1 = &rhs.data[(k + 1) * rc..(k + 2) * rc];
-                    let b2 = &rhs.data[(k + 2) * rc..(k + 3) * rc];
-                    let b3 = &rhs.data[(k + 3) * rc..(k + 4) * rc];
-                    let b4 = &rhs.data[(k + 4) * rc..(k + 5) * rc];
-                    let b5 = &rhs.data[(k + 5) * rc..(k + 6) * rc];
-                    let b6 = &rhs.data[(k + 6) * rc..(k + 7) * rc];
-                    let b7 = &rhs.data[(k + 7) * rc..(k + 8) * rc];
-                    if c.iter().all(|&c| c != 0.0) {
-                        let (c0, c1, c2, c3) = (c[0], c[1], c[2], c[3]);
-                        let (c4, c5, c6, c7) = (c[4], c[5], c[6], c[7]);
-                        for (j, o) in out_row.iter_mut().enumerate() {
-                            *o = *o
-                                + c0 * b0[j]
-                                + c1 * b1[j]
-                                + c2 * b2[j]
-                                + c3 * b3[j]
-                                + c4 * b4[j]
-                                + c5 * b5[j]
-                                + c6 * b6[j]
-                                + c7 * b7[j];
-                        }
-                    } else {
-                        for (g, b) in [b0, b1, b2, b3, b4, b5, b6, b7].into_iter().enumerate() {
-                            let c = c[g];
-                            if c == 0.0 {
-                                continue;
-                            }
-                            for (o, &v) in out_row.iter_mut().zip(b) {
-                                *o += c * v;
-                            }
-                        }
-                    }
-                    k += 8;
-                }
-                while k < k_end {
-                    let a = a_row[k];
-                    if a != 0.0 {
-                        let rhs_row = &rhs.data[k * rc..(k + 1) * rc];
-                        for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                            *o += a * b;
-                        }
-                    }
-                    k += 1;
-                }
-            }
-            kb = k_end;
-        }
     }
 
     /// Branch-free matrix product `out ← self · rhs` for dense (finite,
     /// mostly non-zero) operands — the inference hot path.
     ///
-    /// Bit-identical to [`Matrix::matmul_into`] for finite inputs: every
+    /// Bit-identical to [`Matrix::matmul_naive`] for finite inputs: every
     /// output element accumulates its `k` terms in the same ascending
-    /// order (the blocked kernel's eight-term update is a left-to-right
-    /// chain, i.e. the same sequential sum), and since the accumulator
-    /// starts at `+0.0` and IEEE round-to-nearest never produces `-0.0`
-    /// from a sum of distinct values, adding a `±0.0` term where the
-    /// blocked kernel skips an exact-zero `self` element cannot change any
-    /// bit. Dropping the zero test (and the eightfold indexed loads that
-    /// defeat auto-vectorisation) lets the inner saxpy loop vectorise,
-    /// which is what the batched inference path needs. The only divergence
-    /// is non-finite weights (`0 · ∞`, `0 · NaN`), where the skipping
-    /// kernel would hide the poison — inputs no trained network produces.
+    /// order (the eight-term update is a left-to-right chain, i.e. the
+    /// same sequential sum), and since the accumulator starts at `+0.0`
+    /// and IEEE round-to-nearest never produces `-0.0` from a sum of
+    /// distinct values, adding a `±0.0` term where the naive product skips
+    /// an exact-zero `self` element cannot change any bit. Dropping the
+    /// zero test lets the inner saxpy loop vectorise, which is what the
+    /// batched inference path needs. The only divergence is non-finite
+    /// weights (`0 · ∞`, `0 · NaN`), where the skipping product would hide
+    /// the poison — inputs no trained network produces.
     ///
     /// The operand shape alone picks the loop nest: a right-hand side up to
     /// 32 columns wide (backprop's `W · δᵀ`, the 1–2 column output layers)
@@ -314,8 +226,8 @@ impl Matrix {
         // rows halves the rhs traffic (each loaded rhs value feeds two
         // accumulators). Each output element accumulates its k terms in
         // ascending order (the eight-term left-to-right chain associates
-        // exactly like eight sequential `+=`s), matching the blocked
-        // kernel's order, so pairing rows cannot change any bit.
+        // exactly like eight sequential `+=`s), matching the naive
+        // product's order, so pairing rows cannot change any bit.
         let mut i = 0;
         while i + 2 <= self.rows {
             let a0 = &self.data[i * self.cols..(i + 1) * self.cols];
@@ -428,9 +340,11 @@ impl Matrix {
 
     /// Reference matrix product: the textbook `ikj` loop, no blocking.
     ///
-    /// This is the implementation the optimised [`Matrix::matmul`] is
-    /// pinned against (by proptest): the two must agree *bit for bit*,
-    /// including the skip of exact-zero left-hand elements.
+    /// This is the implementation the optimised kernels
+    /// ([`Matrix::matmul_dense_into`], [`Matrix::matmul_at_b_into`]) are
+    /// pinned against (by proptest): they must agree *bit for bit* on
+    /// finite operands, exact-zero left-hand elements (skipped here)
+    /// included. `pub` because integration tests use it as their oracle.
     ///
     /// # Panics
     ///
@@ -463,7 +377,7 @@ impl Matrix {
 
     /// `selfᵀ · rhs` without materialising the transpose, into `out`.
     ///
-    /// Bit-identical to `self.transpose().matmul_into(rhs, out)`: the outer
+    /// Bit-identical to `self.transpose().matmul_naive(rhs)`: the outer
     /// loop walks the shared dimension (rows of both operands) in ascending
     /// order, so every output element accumulates its terms in exactly the
     /// order the materialised-transpose product would, with the same

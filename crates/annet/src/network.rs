@@ -16,15 +16,6 @@ use crate::dataset::Dataset;
 use crate::layer::{BackwardScratch, Dense, DenseGradients, Velocity};
 use crate::matrix::Matrix;
 
-/// Gradient shards each mini-batch is cut into by
-/// [`Network::train_parallel`].
-///
-/// The shard plan depends only on the batch, never on the worker count, and
-/// shard gradients are always reduced in ascending shard order — that fixed
-/// reduction order is what makes the trained weights bit-identical at any
-/// thread count.
-const GRAD_SHARDS: usize = 8;
-
 /// Builder for a [`Network`].
 #[derive(Debug, Clone)]
 pub struct NetworkBuilder {
@@ -360,78 +351,6 @@ impl Network {
         TrainReport { epoch_losses }
     }
 
-    /// Trains like [`Network::train`], computing each mini-batch's gradient
-    /// in parallel over `GRAD_SHARDS` data shards.
-    ///
-    /// The shard plan and the reduction order are fixed functions of the
-    /// batch alone, so the trained weights are **bit-identical for every
-    /// `threads` value** — parallelism changes wall-clock, never the
-    /// result. (The shard-wise reduction groups floating-point additions
-    /// differently from the sequential path, so the weights differ in the
-    /// last bits from [`Network::train`] — deterministically so.)
-    ///
-    /// # Panics
-    ///
-    /// As [`Network::train`], plus `threads` must be positive.
-    pub fn train_parallel(
-        &mut self,
-        data: &Dataset,
-        config: &TrainConfig,
-        rng: &mut SimRng,
-        threads: usize,
-    ) -> TrainReport {
-        self.train_parallel_profiled(data, config, rng, threads, &Profiler::disabled())
-    }
-
-    /// Trains like [`Network::train_parallel`] with a wall-clock span
-    /// [`Profiler`] attached. Spans cover whole epochs and the per-epoch
-    /// loss evaluation; the shard workers themselves are not instrumented
-    /// (spans nest in one logical flow, and per-shard timing would
-    /// perturb the hot path the benchmark measures).
-    ///
-    /// # Panics
-    ///
-    /// As [`Network::train_parallel`].
-    pub fn train_parallel_profiled(
-        &mut self,
-        data: &Dataset,
-        config: &TrainConfig,
-        rng: &mut SimRng,
-        threads: usize,
-        prof: &Profiler,
-    ) -> TrainReport {
-        self.check_train_args(data, config);
-        assert!(threads > 0, "need at least one worker");
-        let n = data.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut epoch_losses = Vec::with_capacity(config.epochs);
-        let mut velocities: Vec<Velocity> = self.layers.iter().map(Dense::zero_velocity).collect();
-        let mut scratches: Vec<TrainScratch> =
-            (0..GRAD_SHARDS).map(|_| TrainScratch::new(self)).collect();
-        let mut total: Vec<DenseGradients> =
-            self.layers.iter().map(Dense::zero_gradients).collect();
-        for _ in 0..config.epochs {
-            let _epoch_guard = prof.span("annet.epoch");
-            if config.shuffle {
-                rng.shuffle(&mut order);
-            }
-            for chunk in order.chunks(config.batch_size) {
-                self.parallel_batch(
-                    data,
-                    chunk,
-                    config,
-                    &mut velocities,
-                    &mut scratches,
-                    &mut total,
-                    threads,
-                );
-            }
-            let _eval_guard = prof.span("annet.eval");
-            epoch_losses.push(self.mse_into(data, &mut scratches[0].eval));
-        }
-        TrainReport { epoch_losses }
-    }
-
     fn check_train_args(&self, data: &Dataset, config: &TrainConfig) {
         assert_eq!(data.feature_dim(), self.input_dim(), "feature dim mismatch");
         assert_eq!(data.target_dim(), self.output_dim(), "target dim mismatch");
@@ -515,99 +434,6 @@ impl Network {
         }
     }
 
-    /// One shard's gradient contribution: forward + backward over the
-    /// shard's rows with the loss normalised by the *full* batch size, so
-    /// the shard gradients sum to the whole-batch gradient.
-    fn shard_gradients(
-        &self,
-        data: &Dataset,
-        shard: &[usize],
-        batch_n: f64,
-        scratch: &mut TrainScratch,
-    ) {
-        data.x()
-            .gather_rows_into(shard, &mut scratch.activations[0]);
-        data.y().gather_rows_into(shard, &mut scratch.targets);
-        self.forward_scratch(scratch);
-        Self::loss_gradient_scratch(scratch, batch_n, self.output_dim());
-        for (i, layer) in self.layers.iter().enumerate().rev() {
-            layer.backward_into(
-                &scratch.activations[i],
-                &scratch.activations[i + 1],
-                &scratch.grad,
-                i > 0,
-                &mut scratch.back,
-                &mut scratch.grads[i],
-            );
-            std::mem::swap(&mut scratch.grad, &mut scratch.grads[i].input);
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn parallel_batch(
-        &mut self,
-        data: &Dataset,
-        chunk: &[usize],
-        config: &TrainConfig,
-        velocities: &mut [Velocity],
-        scratches: &mut [TrainScratch],
-        total: &mut [DenseGradients],
-        threads: usize,
-    ) {
-        // Fixed shard plan: near-equal contiguous index ranges, a function
-        // of the batch alone.
-        let shards = chunk.len().min(GRAD_SHARDS);
-        let shard_len = chunk.len().div_ceil(shards);
-        let batch_n = chunk.len() as f64;
-        {
-            let net = &*self;
-            let mut jobs: Vec<(&[usize], &mut TrainScratch)> =
-                chunk.chunks(shard_len).zip(scratches.iter_mut()).collect();
-            if threads <= 1 {
-                for (shard, scratch) in &mut jobs {
-                    net.shard_gradients(data, shard, batch_n, scratch);
-                }
-            } else {
-                let per_worker = jobs.len().div_ceil(threads.min(jobs.len()));
-                std::thread::scope(|scope| {
-                    for worker_jobs in jobs.chunks_mut(per_worker) {
-                        scope.spawn(move || {
-                            for (shard, scratch) in worker_jobs.iter_mut() {
-                                net.shard_gradients(data, shard, batch_n, scratch);
-                            }
-                        });
-                    }
-                });
-            }
-        }
-        // Reduce in ascending shard order — fixed, thread-independent.
-        let used = chunk.chunks(shard_len).count();
-        for (l, tot) in total.iter_mut().enumerate() {
-            let (in_dim, out_dim) = (self.layers[l].input_dim(), self.layers[l].output_dim());
-            tot.weights.resize_zeroed(in_dim, out_dim);
-            tot.bias.clear();
-            tot.bias.resize(out_dim, 0.0);
-            for scratch in &scratches[..used] {
-                tot.weights.add_assign(&scratch.grads[l].weights);
-                for (t, g) in tot.bias.iter_mut().zip(&scratch.grads[l].bias) {
-                    *t += g;
-                }
-            }
-        }
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            if config.momentum > 0.0 {
-                layer.apply_gradients_with_momentum(
-                    &total[i],
-                    config.learning_rate,
-                    config.momentum,
-                    &mut velocities[i],
-                );
-            } else {
-                layer.apply_gradients(&total[i], config.learning_rate);
-            }
-        }
-    }
-
     /// Serialises the network (weights and topology) to JSON.
     ///
     /// # Errors
@@ -638,7 +464,7 @@ impl Network {
 /// performs no per-step heap allocation.
 ///
 /// Each [`IncrementalTrainer::step`] applies exactly the update
-/// [`Network::train`] applies per mini-batch (the same blocked forward /
+/// [`Network::train`] applies per mini-batch (the same forward /
 /// backward kernels through the same internal scratch path), so a fresh
 /// trainer stepped over the chunks of one unshuffled epoch produces
 /// weights **bit-identical** to `train` with `shuffle = false,

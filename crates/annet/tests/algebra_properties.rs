@@ -9,20 +9,21 @@ fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |data| Matrix::from_vec(rows, cols, data))
 }
 
-/// Like [`arb_matrix`] but with exact zeros mixed in, so the blocked
-/// multiply's zero-coefficient skip paths get exercised.
+/// Like [`arb_matrix`] but with exact zeros mixed in: the naive product
+/// skips a zero coefficient, the dense kernel adds its `±0.0` term.
 fn arb_sparse_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     let cell = prop_oneof![Just(0.0f64), -100.0f64..100.0];
     proptest::collection::vec(cell, rows * cols)
         .prop_map(move |data| Matrix::from_vec(rows, cols, data))
 }
 
-/// `matmul` (blocked, eight-wide k groups) must be *bit*-identical to the
-/// naive triple loop it replaced — training digests depend on it.
+/// `matmul` (the dense kernel; these right-hand sides are narrow, so its
+/// column strips) must be *bit*-identical to the naive triple loop —
+/// training digests depend on it.
 fn assert_bits_equal_naive(a: &Matrix, b: &Matrix) -> Result<(), TestCaseError> {
-    let blocked = a.matmul(b);
+    let dense = a.matmul(b);
     let naive = a.matmul_naive(b);
-    for (i, (x, y)) in blocked
+    for (i, (x, y)) in dense
         .as_slice()
         .iter()
         .zip(naive.as_slice().iter())
@@ -31,7 +32,7 @@ fn assert_bits_equal_naive(a: &Matrix, b: &Matrix) -> Result<(), TestCaseError> 
         prop_assert_eq!(
             x.to_bits(),
             y.to_bits(),
-            "element {} differs: blocked {} vs naive {}",
+            "element {} differs: dense {} vs naive {}",
             i,
             x,
             y
@@ -82,42 +83,24 @@ proptest! {
         prop_assert_eq!(i.matmul(&m), m);
     }
 
-    /// Bit-identity across the k-block boundary (k = 37 spans two 16-wide
-    /// blocks plus a 5-long remainder, so both the eight-wide group and the
-    /// scalar tail run).
+    /// Bit-identity on a ragged shape: an odd row count (a row pair plus a
+    /// single row), k = 37, and five columns (a 4 + 1 strip cascade).
     #[test]
     fn blocked_matmul_is_bit_identical_wide(a in arb_sparse_matrix(3, 37), b in arb_sparse_matrix(37, 5)) {
         assert_bits_equal_naive(&a, &b)?;
     }
 
-    /// Bit-identity at exact group boundaries (k = 16 is one full block of
-    /// two eight-wide groups, no remainder).
+    /// Bit-identity on an aligned shape: two row pairs, k = 16, one
+    /// eight-wide strip.
     #[test]
     fn blocked_matmul_is_bit_identical_aligned(a in arb_sparse_matrix(4, 16), b in arb_sparse_matrix(16, 8)) {
         assert_bits_equal_naive(&a, &b)?;
     }
 
-    /// Bit-identity below the group width (k = 3 never enters the
-    /// eight-wide path at all).
+    /// Bit-identity on a small shape: k = 3, one four-wide strip.
     #[test]
     fn blocked_matmul_is_bit_identical_narrow(a in arb_sparse_matrix(5, 3), b in arb_sparse_matrix(3, 4)) {
         assert_bits_equal_naive(&a, &b)?;
-    }
-
-    /// The branch-free dense product (inference hot path) is bit-identical
-    /// to the blocked zero-skipping product, even with exact zeros mixed
-    /// into both operands: starting from a `+0.0` accumulator, adding a
-    /// `±0.0` term is a bitwise no-op, so skip vs add cannot diverge.
-    /// Nine rows exercise both the four-row register block and the row
-    /// tail; k = 37 exercises the eight-wide k groups and the scalar tail.
-    #[test]
-    fn dense_matmul_is_bit_identical_to_blocked(a in arb_sparse_matrix(9, 37), b in arb_sparse_matrix(37, 5)) {
-        let blocked = a.matmul(&b);
-        let mut dense = Matrix::zeros(1, 1);
-        a.matmul_dense_into(&b, &mut dense);
-        for (i, (x, y)) in dense.as_slice().iter().zip(blocked.as_slice()).enumerate() {
-            prop_assert_eq!(x.to_bits(), y.to_bits(), "element {} differs: dense {} vs blocked {}", i, x, y);
-        }
     }
 
     /// Scaling into [0,1] and back is lossless for in-range data.

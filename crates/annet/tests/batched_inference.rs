@@ -44,7 +44,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// Row `i` of a batched forward equals the scalar predict of row `i`,
-    /// bit for bit: the blocked matmul computes output rows independently
+    /// bit for bit: the dense matmul computes output rows independently
     /// in a fixed accumulation order.
     #[test]
     fn batch_rows_match_scalar_predict(

@@ -4,16 +4,16 @@
 //! ```text
 //! repro <target> [--messages N] [--quick] [--paper-ann] [--seed S] [--json]
 //! repro run-spec FILE.toml [flags...]      # run any scenario document
-//! repro list-scenarios [DIR]               # list the corpus
-//! repro validate-scenarios [DIR]           # parse + pin the corpus
-//! repro export-scenarios DIR               # write the built-in corpus
+//! repro list-scenarios [DIR]               # list the corpus (or DIR's)
+//! repro validate-scenarios [DIR]           # parse + validate DIR's documents
 //!
 //! targets:
 //!   fig4 fig5 fig6 fig7 fig8 fig9 collection ann kpi table1 table2 fleet all
 //! ```
 //!
-//! Every named target resolves to its built-in scenario (`spec::builtin`)
-//! and runs through the same executor as `run-spec`; `--json` dumps
+//! Every named target resolves to its committed scenario document
+//! (`scenarios/<target>.toml`, embedded by `spec::builtin`) and runs
+//! through the same executor as `run-spec`; `--json` dumps
 //! machine-readable output instead.
 
 use std::path::Path;
@@ -98,7 +98,6 @@ fn usage() -> String {
      \x20      repro run-spec FILE.{toml|json} [flags as above]\n\
      \x20      repro list-scenarios [DIR]\n\
      \x20      repro validate-scenarios [DIR]\n\
-     \x20      repro export-scenarios DIR\n\
      \x20      repro profile [--out DIR] [--seed S] [--messages N]\n\
      \x20      repro report [SCENARIO|FILE.toml] [--out DIR] [--seed S] [--messages N]"
         .to_string()
@@ -115,13 +114,6 @@ fn main() {
     match target.as_str() {
         "list-scenarios" => list_scenarios(operand.as_deref()),
         "validate-scenarios" => validate_scenarios(operand.as_deref().unwrap_or("scenarios")),
-        "export-scenarios" => {
-            let Some(dir) = operand else {
-                eprintln!("export-scenarios needs a directory\n{}", usage());
-                std::process::exit(2);
-            };
-            export_scenarios(&dir);
-        }
         "profile" => profile(&args),
         "report" => report(operand.as_deref(), &args),
         "run-spec" => {
@@ -295,12 +287,12 @@ fn policy_kinds(doc: &Spec) -> String {
     }
 }
 
+/// Lists `dir`'s scenarios, or the embedded corpus when no directory is
+/// named (whatever the working directory).
 fn list_scenarios(dir: Option<&str>) {
-    let dir = dir.unwrap_or("scenarios");
-    let (source, docs) = if Path::new(dir).is_dir() {
-        (format!("from {dir}/"), load_dir(dir))
-    } else {
-        ("built-in".to_string(), spec::builtin::all())
+    let (source, docs) = match dir {
+        Some(dir) => (format!("from {dir}/"), load_dir(dir)),
+        None => ("built-in".to_string(), spec::builtin::all()),
     };
     println!("{} scenarios ({source}):", docs.len());
     println!("  {:<20} {:<30} description", "name", "policy");
@@ -314,50 +306,11 @@ fn list_scenarios(dir: Option<&str>) {
     }
 }
 
-/// Parses and validates every committed scenario, then pins the corpus
-/// against the built-in definitions: every built-in must be present and
-/// equal. Exits non-zero on any failure — this is the CI gate.
+/// Parses and validates every `*.toml` scenario in `dir`; [`load_dir`]
+/// exits non-zero naming the first file that fails.
 fn validate_scenarios(dir: &str) {
     let docs = load_dir(dir);
     println!("parsed and validated {} scenarios from {dir}/", docs.len());
-    let mut failures = 0;
-    for builtin in spec::builtin::all() {
-        match docs.iter().find(|d| d.name == builtin.name) {
-            Some(doc) if *doc == builtin => println!("  {:<20} matches the built-in", doc.name),
-            Some(_) => {
-                eprintln!(
-                    "  {:<20} DIFFERS from the built-in (re-run `repro export-scenarios {dir}`)",
-                    builtin.name
-                );
-                failures += 1;
-            }
-            None => {
-                eprintln!("  {:<20} MISSING from {dir}/", builtin.name);
-                failures += 1;
-            }
-        }
-    }
-    if failures > 0 {
-        eprintln!("{failures} scenario(s) out of sync with the built-in corpus");
-        std::process::exit(1);
-    }
-    println!("scenario corpus is in sync with the built-in definitions");
-}
-
-fn export_scenarios(dir: &str) {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("cannot create {dir}: {e}");
-        std::process::exit(1);
-    }
-    let docs = spec::builtin::all();
-    for doc in &docs {
-        let path = format!("{dir}/{}.toml", doc.name);
-        if let Err(e) = std::fs::write(&path, spec::io::to_toml_string(doc)) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    println!("wrote {} scenarios to {dir}/", docs.len());
 }
 
 // ---------------------------------------------------------------------------
@@ -803,7 +756,7 @@ fn regime_shift(doc: &Spec, spec: &spec::RegimeShiftSpec, args: &Args) {
 /// `base-<tag>.jsonl` and re-parsed to verify the round-trip.
 fn trace_demo(doc: &Spec, demo: &spec::TraceDemoSpec, args: &Args) {
     use kafkasim::runtime::KafkaRun;
-    use obs::{JsonlSink, MessageFate, RingBufferSink, TimelineReport, TraceSink};
+    use obs::{MessageFate, RingBufferSink, TimelineReport};
 
     let json = args.json;
     let trace_out = args.trace_out.as_deref();
@@ -820,17 +773,10 @@ fn trace_demo(doc: &Spec, demo: &spec::TraceDemoSpec, args: &Args) {
 
         let written = trace_out.map(|base| {
             let path = derive_trace_path(base, &tag);
-            let file = std::fs::File::create(&path)
-                .unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
-            let mut jsonl = JsonlSink::new(std::io::BufWriter::new(file));
-            for e in &events {
-                jsonl.record(e.clone());
+            if let Err(e) = write_trace(&path, &events) {
+                eprintln!("{e}");
+                std::process::exit(1);
             }
-            assert_eq!(jsonl.errors(), 0, "all events serialise");
-            jsonl.into_inner().expect("flush trace file");
-            let text = std::fs::read_to_string(&path).expect("re-read trace file");
-            let parsed = obs::parse_jsonl(&text).expect("trace file parses back");
-            assert_eq!(parsed, events, "JSONL round-trip preserves the trace");
             (path, events.len())
         });
 
@@ -909,6 +855,31 @@ fn trace_demo(doc: &Spec, demo: &spec::TraceDemoSpec, args: &Args) {
     } else {
         println!();
     }
+}
+
+/// Writes `events` to `path` as JSONL, then re-reads the file and checks
+/// that it parses back to the same events.
+fn write_trace(path: &str, events: &[obs::TraceEvent]) -> Result<(), String> {
+    use obs::TraceSink;
+
+    let file = std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+    let mut jsonl = obs::JsonlSink::new(std::io::BufWriter::new(file));
+    for e in events {
+        jsonl.record(e.clone());
+    }
+    if jsonl.errors() > 0 {
+        return Err(format!(
+            "cannot write {path}: {} events failed",
+            jsonl.errors()
+        ));
+    }
+    jsonl
+        .into_inner()
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let parsed = obs::parse_jsonl(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+    assert_eq!(parsed, events, "JSONL round-trip preserves the trace");
+    Ok(())
 }
 
 /// `base.jsonl` + `amo` → `base-amo.jsonl`.

@@ -1,18 +1,17 @@
-//! One experiment definition per paper table/figure.
+//! The effort knob, the row and series types the executor
+//! ([`crate::exec`]) returns, and the training helpers the `repro`
+//! targets share.
 //!
-//! Every definition lives in the declarative scenario corpus
-//! ([`spec::builtin`], mirrored by the committed `scenarios/*.toml`
-//! files); the functions here look the scenario up by name and hand it to
-//! the executor ([`crate::exec`]), so the `repro` binary, the repo
-//! benchmark, and the integration tests all share the same definitions.
-//! `n_messages` scales precision: the paper uses 10⁶ per point; the
-//! defaults here use fewer for tractable sweeps (see `EXPERIMENTS.md` for
-//! the precision discussion).
+//! Every experiment definition lives in the committed `scenarios/*.toml`
+//! corpus (embedded by [`spec::builtin`]); `repro` resolves a target to
+//! its document and dispatches on the experiment kind to `exec::*`, so
+//! there is no per-figure function here. `Effort::messages` scales
+//! precision: the paper uses 10⁶ per point; the defaults here use fewer
+//! for tractable sweeps (see `EXPERIMENTS.md` for the precision
+//! discussion).
 
 use kafka_predict::prelude::*;
 use kafkasim::config::DeliverySemantics;
-use kafkasim::state::DeliveryCase;
-use netsim::trace::NetworkTrace;
 use serde::{Deserialize, Serialize};
 use spec::{ExperimentSpec, Spec};
 use testbed::dynamic::DynamicRunReport;
@@ -104,80 +103,12 @@ fn builtin(name: &str) -> Spec {
     Spec::builtin(name).unwrap_or_else(|| panic!("{name} is a built-in scenario"))
 }
 
-fn builtin_sweep(name: &str, effort: Effort) -> Vec<Series> {
-    match builtin(name).experiment {
-        ExperimentSpec::Sweep(sweep) => exec::sweep(&sweep, effort),
-        _ => unreachable!("{name} is a sweep scenario"),
-    }
-}
-
-/// Fig. 4 — `P_l` vs message size `M` (bytes) for both semantics, under
-/// the paper's injected fault `D = 100 ms`, `L = 19 %`, fully-loaded
-/// producer, no batching.
-#[must_use]
-pub fn fig4(effort: Effort) -> Vec<Series> {
-    builtin_sweep("fig4", effort)
-}
-
-/// Fig. 5 — `P_l` vs message timeout `T_o` (ms) under full load with **no**
-/// network faults.
-///
-/// The paper's producer is fully loaded; with the calibrated host the
-/// near-saturated size (`M = 620 B`, ρ ≈ 0.8) is the regime where `T_o`
-/// governs the loss tail, as in the paper's figure.
-#[must_use]
-pub fn fig5(effort: Effort) -> Vec<Series> {
-    builtin_sweep("fig5", effort)
-}
-
-/// Fig. 6 — `P_l` vs polling interval `δ` (ms) with `T_o = 500 ms`, no
-/// faults, small messages (the overload regime: > 45 % loss at δ = 0).
-#[must_use]
-pub fn fig6(effort: Effort) -> Vec<Series> {
-    builtin_sweep("fig6", effort)
-}
-
-/// Fig. 7 — `P_l` vs packet loss rate `L` for batch sizes `B ∈ {1..10}`
-/// under both semantics (solid = at-most-once, dashed = at-least-once in
-/// the paper).
-#[must_use]
-pub fn fig7(effort: Effort) -> Vec<Series> {
-    builtin_sweep("fig7", effort)
-}
-
-/// Fig. 8 — `P_d` vs batch size `B` under at-least-once, for several
-/// injected loss rates.
-#[must_use]
-pub fn fig8(effort: Effort) -> Vec<Series> {
-    builtin_sweep("fig8", effort)
-}
-
-/// Fig. 9 — the unstable network of the dynamic-configuration experiment:
-/// Pareto delay + Gilbert–Elliott loss, sampled every 10 s for 10 min.
-#[must_use]
-pub fn fig9(seed: u64) -> NetworkTrace {
-    match builtin("fig9").experiment {
-        ExperimentSpec::NetworkTrace(trace) => exec::network_trace(&trace, seed),
-        _ => unreachable!("fig9 is a network-trace scenario"),
-    }
-}
-
 /// The collection design shared by the training experiments (`ann`,
 /// `overlay`, `table2`, `ext-online`): the `ann` scenario's grids.
 fn training_design() -> spec::CollectionDesign {
     match builtin("ann").experiment {
         ExperimentSpec::Train(train) => train.collection,
         _ => unreachable!("ann is a training scenario"),
-    }
-}
-
-/// Fig. 3 — the training-data collection design: grid sizes per case
-/// family (normal, abnormal, broker-fault).
-#[must_use]
-pub fn collection_summary() -> (usize, usize, usize) {
-    match builtin("collection").experiment {
-        ExperimentSpec::Collection(design) => exec::collection_sizes(&design),
-        _ => unreachable!("collection is a collection scenario"),
     }
 }
 
@@ -215,26 +146,6 @@ pub fn ann_accuracy(effort: Effort, paper_scale: bool) -> TrainedModel {
     train_on(&results, paper_scale, effort.seed)
 }
 
-/// Eq. 2 — γ across batch sizes and semantics for a fixed lossy condition,
-/// using a trained (or synthetic) predictor.
-#[must_use]
-pub fn kpi_sweep(predictor: &dyn Predictor) -> Vec<(String, f64)> {
-    match builtin("kpi").experiment {
-        ExperimentSpec::KpiGrid(grid) => exec::kpi_grid(&grid, predictor),
-        _ => unreachable!("kpi is a KPI-grid scenario"),
-    }
-}
-
-/// Table I — exhaustive enumeration of the five delivery cases with their
-/// transition paths, verified against the executable state machine.
-#[must_use]
-pub fn table1() -> Vec<(DeliveryCase, String, bool)> {
-    match builtin("table1").experiment {
-        ExperimentSpec::Table1(cases) => exec::table1(&cases),
-        _ => unreachable!("table1 is a Table I scenario"),
-    }
-}
-
 /// One Table II cell pair: default vs dynamic for a scenario.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Table2Row {
@@ -246,19 +157,6 @@ pub struct Table2Row {
     pub default: DynamicRunReport,
     /// Dynamic (model-planned) configuration outcome.
     pub dynamic: DynamicRunReport,
-}
-
-/// Table II — the dynamic-configuration experiment over the Fig. 9 network
-/// for the three application scenarios.
-///
-/// `predictor` drives the planner (train one with [`ann_accuracy`] or pass
-/// a synthetic predictor).
-#[must_use]
-pub fn table2(predictor: &dyn Predictor, effort: Effort) -> Vec<Table2Row> {
-    match builtin("table2").experiment {
-        ExperimentSpec::Table2(spec) => exec::table2(&spec, predictor, effort),
-        _ => unreachable!("table2 is a Table II scenario"),
-    }
 }
 
 /// A simple simulation-independent predictor for harness runs that skip
@@ -286,21 +184,6 @@ pub fn heuristic_predictor() -> impl Predictor {
     })
 }
 
-// ---------------------------------------------------------------------------
-// Extensions beyond the paper (its "future research" directions) and
-// ablations of this reproduction's own design choices.
-// ---------------------------------------------------------------------------
-
-/// EXT-1 — broker failure (the paper's future work: "more failure scenarios
-/// including the failure of brokers").
-///
-/// `P_l` vs outage duration for one of three brokers, under both semantics,
-/// with and without leader failover (detection delay 1 s).
-#[must_use]
-pub fn ext_broker_outage(effort: Effort) -> Vec<Series> {
-    builtin_sweep("ext-outage", effort)
-}
-
 /// One cell of the EXT-4 broker-fault matrix: a full run at one `acks`
 /// level under one failure scenario.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -322,27 +205,6 @@ pub struct BrokerFaultRow {
     pub clean_elections: u64,
     /// Unclean leader elections during the run.
     pub unclean_elections: u64,
-}
-
-/// EXT-4 — broker-caused loss vs acknowledgement level (beyond the paper).
-///
-/// A 3×3 matrix: `acks ∈ {0, 1, all}` against `{no fault, clean failover,
-/// unclean failover}` on a replicated single-partition topic. The clean
-/// scenario crashes the leader while both followers are in sync; the
-/// unclean one first starves the only follower (early crash plus a
-/// one-record fetch cap keep it lagging and out of the ISR) so the
-/// election must promote a replica missing acknowledged records.
-///
-/// The expected shape: `acks=all` with a clean election loses nothing;
-/// `acks=1` loses the acked-but-unreplicated tail even on a clean
-/// election; every unclean election loses data regardless of `acks`, and
-/// the audit pins those losses on the broker, not the network.
-#[must_use]
-pub fn ext_broker_faults(effort: Effort) -> Vec<BrokerFaultRow> {
-    match builtin("broker-faults").experiment {
-        ExperimentSpec::BrokerFaultMatrix(matrix) => exec::broker_fault_matrix(&matrix, effort),
-        _ => unreachable!("broker-faults is a fault-matrix scenario"),
-    }
 }
 
 /// One tenant class of a fleet run under one partitioning strategy.
@@ -405,59 +267,6 @@ pub struct FleetStrategyRow {
     pub windows: obs::TenantSeries,
 }
 
-/// Fleet figure — partition skew and rebalance storms across partitioning
-/// strategies (see `scenarios/fleet.toml`).
-#[must_use]
-pub fn fleet(effort: Effort) -> Vec<FleetStrategyRow> {
-    match builtin("fleet").experiment {
-        ExperimentSpec::Fleet(spec) => exec::fleet(&spec, effort),
-        _ => unreachable!("fleet is a fleet scenario"),
-    }
-}
-
-/// EXT-2 — the retry strategy (the paper: "we do not make a deep dive into
-/// the retry strategy").
-///
-/// `P_l` (and `P_d` via the same points) vs retry budget `τ_r`, one series
-/// per request timeout, under a fixed lossy condition.
-#[must_use]
-pub fn ext_retry_strategy(effort: Effort) -> Vec<Series> {
-    builtin_sweep("ext-retries", effort)
-}
-
-/// ABL-1 — transport ablation: RFC 5827 early retransmit on vs off.
-///
-/// Justifies the TCP realism choice in DESIGN.md: without early retransmit,
-/// small-window loss recovery is RTO-bound and the producer collapses at
-/// loss rates the paper's testbed handled.
-#[must_use]
-pub fn ablation_early_retransmit(effort: Effort) -> Vec<Series> {
-    builtin_sweep("ablation-transport", effort)
-}
-
-/// ABL-2 — service-jitter ablation: exponential vs deterministic
-/// serialisation times.
-///
-/// The Fig. 5 loss tail is a queue-wait tail; with deterministic service it
-/// collapses, which is why the host model keeps the jitter of a busy
-/// containerised producer.
-#[must_use]
-pub fn ablation_service_jitter(effort: Effort) -> Vec<Series> {
-    builtin_sweep("ablation-jitter", effort)
-}
-
-/// Figs. 4–6 overlay — the paper's figures compare *predicted* curves with
-/// held-out test samples; this reproduces that comparison on the Fig. 4
-/// sweep: measured `P_l(M)` (fresh seeds, unseen by training) next to the
-/// trained model's predictions.
-#[must_use]
-pub fn prediction_overlay(effort: Effort, paper_scale: bool) -> (Vec<Series>, f64) {
-    match builtin("overlay").experiment {
-        ExperimentSpec::Overlay(spec) => exec::overlay(&spec, effort, paper_scale),
-        _ => unreachable!("overlay is an overlay scenario"),
-    }
-}
-
 /// One EXT-3 control-mode row: the run outcome plus, for the online
 /// controller, its self-reported planner metrics (memo-cache hits, misses,
 /// evictions and replan count).
@@ -470,23 +279,6 @@ pub struct ExtOnlineRow {
     /// Controller-exported metrics; `None` for the offline modes, which
     /// have no controller.
     pub planner_metrics: Option<obs::MetricsSummary>,
-}
-
-/// EXT-3 — *online* dynamic configuration (the paper's deferred future
-/// work).
-///
-/// Compares three control modes on the same unstable network and workload:
-/// the static default, the §V offline planner (network known), and the
-/// online feedback controller (network estimated from producer counters).
-/// The online row carries the controller's planner metrics — the
-/// memo-cache hit/miss/evict counters show how much inference the cache
-/// saved across replan intervals.
-#[must_use]
-pub fn ext_online(model: ReliabilityModel, effort: Effort) -> Vec<ExtOnlineRow> {
-    match builtin("ext-online").experiment {
-        ExperimentSpec::Online(spec) => exec::online_compare(&spec, model, effort),
-        _ => unreachable!("ext-online is an online-compare scenario"),
-    }
 }
 
 /// One regime-shift policy run: the run outcome, the policy's exported
@@ -509,32 +301,26 @@ pub struct RegimeShiftRow {
     pub post_shift_err: Option<f64>,
 }
 
-/// CPL-1 — the control-plane comparison over a mid-run network regime
-/// shift: the frozen planner, the drift-detecting online-adaptive planner
-/// and the UCB1 bandit baseline steer the same scenario over the same
-/// spliced network, head-to-head.
-#[must_use]
-pub fn regime_shift(model: ReliabilityModel, effort: Effort) -> Vec<RegimeShiftRow> {
-    match builtin("regime-shift").experiment {
-        ExperimentSpec::RegimeShift(spec) => exec::regime_shift(&spec, model, effort),
-        _ => unreachable!("regime-shift is a regime-shift scenario"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn table1_paths_all_verify() {
-        let rows = table1();
+        let ExperimentSpec::Table1(cases) = builtin("table1").experiment else {
+            panic!("table1 is a Table I scenario");
+        };
+        let rows = exec::table1(&cases);
         assert_eq!(rows.len(), 5);
         assert!(rows.iter().all(|(_, _, ok)| *ok));
     }
 
     #[test]
     fn collection_sizes_are_reported() {
-        let (normal, abnormal, faults) = collection_summary();
+        let ExperimentSpec::Collection(design) = builtin("collection").experiment else {
+            panic!("collection is a collection scenario");
+        };
+        let (normal, abnormal, faults) = exec::collection_sizes(&design);
         assert!(normal > 50);
         assert!(abnormal > 100);
         assert!(faults > 10);
@@ -542,23 +328,32 @@ mod tests {
 
     #[test]
     fn fig9_trace_is_deterministic() {
+        let ExperimentSpec::NetworkTrace(trace) = builtin("fig9").experiment else {
+            panic!("fig9 is a network-trace scenario");
+        };
+        let fig9 = |seed| exec::network_trace(&trace, seed);
         assert_eq!(fig9(1), fig9(1));
         assert_ne!(fig9(1), fig9(2));
     }
 
     #[test]
     fn kpi_sweep_produces_unit_gammas() {
-        let p = heuristic_predictor();
-        let rows = kpi_sweep(&p);
+        let ExperimentSpec::KpiGrid(grid) = builtin("kpi").experiment else {
+            panic!("kpi is a KPI-grid scenario");
+        };
+        let rows = exec::kpi_grid(&grid, &heuristic_predictor());
         assert_eq!(rows.len(), 8);
         assert!(rows.iter().all(|(_, g)| (0.0..=1.0).contains(g)));
     }
 
     #[test]
     fn fig6_overload_floor_appears() {
+        let ExperimentSpec::Sweep(sweep) = builtin("fig6").experiment else {
+            panic!("fig6 is a sweep scenario");
+        };
         let mut effort = Effort::quick();
         effort.messages = 1_500;
-        let series = fig6(effort);
+        let series = exec::sweep(&sweep, effort);
         // At δ = 0 the overloaded producer loses a large share.
         let amo = &series[0];
         assert!(amo.points[0].p_loss > 0.3, "δ=0: {}", amo.points[0].p_loss);

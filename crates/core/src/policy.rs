@@ -487,7 +487,7 @@ struct AdaptiveState {
 /// the γ prediction error into a [`DriftDetector`]. On detection the
 /// policy refits the live semantics head with deterministic
 /// incremental-SGD steps over the replay buffer
-/// ([`annet::IncrementalTrainer`] — the same blocked kernels as offline
+/// ([`annet::IncrementalTrainer`] — the same kernels as offline
 /// training), bumps the model generation, and invalidates the prediction
 /// memo cache, emitting [`TraceEvent::PolicyDrift`] and
 /// [`TraceEvent::PolicyRefit`] into the run's trace.

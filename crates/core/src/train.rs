@@ -27,11 +27,6 @@ pub struct TrainOptions {
     pub sgd: TrainConfig,
     /// Fraction of samples held out for evaluation.
     pub test_fraction: f64,
-    /// Worker threads for gradient accumulation. `1` trains sequentially;
-    /// more threads use [`annet::Network::train_parallel`], whose fixed
-    /// shard plan makes the trained weights identical at any count (though
-    /// not identical to the sequential path).
-    pub threads: usize,
 }
 
 impl TrainOptions {
@@ -48,7 +43,6 @@ impl TrainOptions {
                 momentum: 0.0,
             },
             test_fraction: 0.2,
-            threads: 1,
         }
     }
 
@@ -66,14 +60,14 @@ impl TrainOptions {
                 momentum: 0.0,
             },
             test_fraction: 0.2,
-            threads: 1,
         }
     }
 
-    /// Returns `self` with `threads` worker threads for training.
+    /// Returns `self` unchanged: training runs on one thread. `benchmark/`
+    /// still calls this name; it goes when the benchmark re-points.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 }
@@ -187,11 +181,7 @@ fn train_head(
             available: data.len(),
         })?;
     let head = model.head_mut(semantics);
-    let report = if options.threads > 1 {
-        head.train_parallel(&train, &options.sgd, rng, options.threads)
-    } else {
-        head.train(&train, &options.sgd, rng)
-    };
+    let report = head.train(&train, &options.sgd, rng);
     let predictions = head.predict_batch(test.x());
     Ok(HeadEvaluation {
         train_samples: train.len(),
@@ -347,15 +337,6 @@ mod tests {
         let b = train_model(&results, &TrainOptions::fast(), 5).unwrap();
         assert_eq!(a.model, b.model);
         assert_eq!(a.alo, b.alo);
-    }
-
-    #[test]
-    fn parallel_training_is_thread_count_invariant() {
-        let results = tiny_results();
-        let two = train_model(&results, &TrainOptions::fast().with_threads(2), 5).unwrap();
-        let eight = train_model(&results, &TrainOptions::fast().with_threads(8), 5).unwrap();
-        assert_eq!(two.model, eight.model);
-        assert_eq!(two.alo, eight.alo);
     }
 
     #[test]

@@ -267,120 +267,6 @@ pub fn audit(
     }
 }
 
-/// Integer part of the audit over one contiguous key range — everything
-/// except the latency moments, which are order-sensitive f64 accumulation
-/// and stay sequential.
-#[derive(Default)]
-struct AuditPartial {
-    delivered_once: u64,
-    lost: u64,
-    duplicated: u64,
-    extra_copies: u64,
-    case_counts: [u64; 5],
-    loss_by_tag: [u64; 7],
-    stale: u64,
-}
-
-/// [`audit`] with `threads` worker threads.
-///
-/// Bit-identical to the sequential [`audit`] at any thread count: the
-/// counting pass splits the key space into contiguous ranges whose partial
-/// sums merge exactly (integer counters, per-reason maps), while the
-/// latency [`RunningMoments`] — whose f64 accumulation is order-sensitive —
-/// are computed in a separate sequential pass in key order.
-#[must_use]
-pub fn audit_threaded(
-    ledger: &Ledger,
-    topic: &ConsumedTopic,
-    timeliness: Option<SimDuration>,
-    ended_at: SimTime,
-    threads: usize,
-) -> DeliveryReport {
-    let n = ledger.len();
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 {
-        return audit(ledger, topic, timeliness, ended_at);
-    }
-    let all_attempts = ledger.attempts_col();
-    let all_tags = ledger.lost_col();
-    let chunk = n.div_ceil(threads);
-    let partials: Vec<AuditPartial> = std::thread::scope(|s| {
-        let handles: Vec<_> = all_attempts
-            .chunks(chunk)
-            .zip(all_tags.chunks(chunk))
-            .enumerate()
-            .map(|(ci, (attempts, tags))| {
-                let base = ci * chunk;
-                s.spawn(move || {
-                    let mut p = AuditPartial::default();
-                    for (off, (&att, &tag)) in attempts.iter().zip(tags).enumerate() {
-                        let key = MessageKey((base + off) as u64);
-                        let copies = topic.copies(key);
-                        p.case_counts[DeliveryCase::classify_index(att, copies)] += 1;
-                        let is_lost = u64::from(copies == 0);
-                        p.lost += is_lost;
-                        p.delivered_once += u64::from(copies == 1);
-                        p.duplicated += u64::from(copies > 1);
-                        p.extra_copies += copies.saturating_sub(1);
-                        p.loss_by_tag[tag as usize] += is_lost;
-                        if copies > 0 {
-                            if let Some(first) = topic.first_latency(key) {
-                                if timeliness.is_some_and(|s| first > s) {
-                                    p.stale += 1;
-                                }
-                            }
-                        }
-                    }
-                    p
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("audit thread panicked"))
-            .collect()
-    });
-    let mut report = DeliveryReport {
-        n_source: n as u64,
-        delivered_once: 0,
-        lost: 0,
-        duplicated: 0,
-        extra_copies: 0,
-        case_counts: [0; 5],
-        loss_reasons: BTreeMap::new(),
-        latency: LatencyStats::default(),
-        stale: 0,
-        duration: ended_at.saturating_since(SimTime::ZERO),
-    };
-    let mut loss_by_tag = [0u64; 7];
-    for p in partials {
-        report.delivered_once += p.delivered_once;
-        report.lost += p.lost;
-        report.duplicated += p.duplicated;
-        report.extra_copies += p.extra_copies;
-        for (i, c) in p.case_counts.iter().enumerate() {
-            report.case_counts[i] += c;
-        }
-        for (i, c) in p.loss_by_tag.iter().enumerate() {
-            loss_by_tag[i] += c;
-        }
-        report.stale += p.stale;
-    }
-    report.loss_reasons = loss_map(loss_by_tag);
-    // Sequential latency pass, identical accumulation order to `audit`.
-    let mut latency = RunningMoments::new();
-    for idx in 0..n {
-        let key = MessageKey(idx as u64);
-        if topic.copies(key) > 0 {
-            if let Some(first) = topic.first_latency(key) {
-                latency.record(first.as_secs_f64());
-            }
-        }
-    }
-    report.latency = LatencyStats::from(&latency);
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

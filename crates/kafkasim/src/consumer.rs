@@ -42,64 +42,7 @@ impl ConsumedTopic {
     /// Reads the whole topic from a cluster.
     #[must_use]
     pub fn read_all(cluster: &Cluster) -> Self {
-        Self::read_brokers(cluster.brokers())
-    }
-
-    /// Reads the whole topic with `threads` reader threads, one contiguous
-    /// broker range per thread.
-    ///
-    /// Bit-identical to [`ConsumedTopic::read_all`] at any thread count:
-    /// records concatenate in broker order (each thread scans a contiguous
-    /// broker range, partials merge in range order), per-key copy counts
-    /// are integer sums, and the first-copy latency is an exact `min` over
-    /// copies — all order-independent merges.
-    #[must_use]
-    pub fn read_all_threaded(cluster: &Cluster, threads: usize) -> Self {
         let brokers = cluster.brokers();
-        let threads = threads.clamp(1, brokers.len().max(1));
-        if threads == 1 {
-            return Self::read_brokers(brokers);
-        }
-        let chunk = brokers.len().div_ceil(threads);
-        let partials: Vec<ConsumedTopic> = std::thread::scope(|s| {
-            let handles: Vec<_> = brokers
-                .chunks(chunk)
-                .map(|range| s.spawn(move || Self::read_brokers(range)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("topic reader thread panicked"))
-                .collect()
-        });
-        let mut topic = ConsumedTopic::default();
-        topic
-            .records
-            .reserve_exact(partials.iter().map(|p| p.records.len()).sum());
-        for p in partials {
-            if p.copies_per_key.len() > topic.copies_per_key.len() {
-                topic.copies_per_key.resize(p.copies_per_key.len(), 0);
-                topic
-                    .first_latency
-                    .resize(p.copies_per_key.len(), SimDuration::ZERO);
-            }
-            for (k, &copies) in p.copies_per_key.iter().enumerate() {
-                if copies == 0 {
-                    continue;
-                }
-                if topic.copies_per_key[k] == 0 {
-                    topic.first_latency[k] = p.first_latency[k];
-                } else {
-                    topic.first_latency[k] = topic.first_latency[k].min(p.first_latency[k]);
-                }
-                topic.copies_per_key[k] += copies;
-            }
-            topic.records.extend(p.records);
-        }
-        topic
-    }
-
-    /// Scans a broker range into a partial topic.
-    fn read_brokers(brokers: &[crate::broker::Broker]) -> Self {
         let total: usize = brokers.iter().flat_map(|b| b.logs()).map(|l| l.len()).sum();
         let mut topic = ConsumedTopic::default();
         topic.records.reserve_exact(total);

@@ -34,7 +34,7 @@ use netsim::{
 use obs::{LossCause, MetricsSummary, NoopSink, Profiler, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
 
-use crate::audit::{audit_threaded, DeliveryReport, LossReason};
+use crate::audit::{audit, DeliveryReport, LossReason};
 use crate::broker::{BrokerId, ProduceRecord};
 use crate::cluster::{Cluster, ClusterSpec, ReplicationDelta};
 use crate::config::{DeliverySemantics, ProducerConfig};
@@ -673,35 +673,13 @@ impl RunArena {
 pub struct KafkaRun {
     spec: RunSpec,
     seed: u64,
-    threads: usize,
 }
 
 impl KafkaRun {
     /// Prepares a run of `spec` with a deterministic `seed`.
     #[must_use]
     pub fn new(spec: RunSpec, seed: u64) -> Self {
-        KafkaRun {
-            spec,
-            seed,
-            threads: 1,
-        }
-    }
-
-    /// Sets how many worker threads the run may use (`0` is treated as
-    /// `1`).
-    ///
-    /// The protocol event loop itself is inherently sequential — one
-    /// producer conversing with a handful of brokers over one causal
-    /// timeline. The knob parallelises the end-of-run phases whose merges
-    /// are exact: the consumer read-back
-    /// ([`ConsumedTopic::read_all_threaded`]) and the audit's counting
-    /// pass ([`crate::audit::audit_threaded`]). The [`RunOutcome`] is
-    /// bit-identical at every thread count; the workspace determinism
-    /// test pins it.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+        KafkaRun { spec, seed }
     }
 
     /// Executes the run to completion and audits the result.
@@ -801,7 +779,6 @@ impl KafkaRun {
     ) -> (RunOutcome, Box<dyn TraceSink>) {
         let setup_guard = prof.span("kafkasim.setup");
         self.spec.validate().expect("invalid run spec");
-        let threads = self.threads;
         let RunSpec {
             producer,
             cluster: cluster_spec,
@@ -957,7 +934,7 @@ impl KafkaRun {
         let audit_guard = prof.span("kafkasim.audit");
         let (report, metrics, trace) = {
             let world = sim.world_mut();
-            let topic = ConsumedTopic::read_all_threaded(&world.cluster, threads);
+            let topic = ConsumedTopic::read_all(&world.cluster);
             if world.trace.enabled() {
                 let end = world.last_activity;
                 // Messages still unresolved at the horizon: the audit
@@ -984,12 +961,11 @@ impl KafkaRun {
                     });
                 }
             }
-            let report = audit_threaded(
+            let report = audit(
                 &world.ledger,
                 &topic,
                 world.source.timeliness,
                 world.last_activity,
-                threads,
             );
             let metrics = world.trace.metrics().map(obs::MetricsRegistry::summary);
             let trace = std::mem::replace(&mut world.trace, Box::new(NoopSink));

@@ -1,814 +1,83 @@
 //! The built-in scenario corpus: every `repro` target as a declarative
 //! [`Spec`].
 //!
-//! These are the canonical definitions — the committed `scenarios/*.toml`
-//! corpus is generated from them (`repro export-scenarios`) and the golden
-//! test pins the two representations equal, so editing a scenario file
-//! and editing this module are interchangeable.
+//! The committed `scenarios/*.toml` files are the only definition of the
+//! corpus. This module embeds them at compile time and parses each through
+//! [`from_toml_str`] — the path `repro run-spec` takes — so a named target
+//! and its file are one datum. Adding a scenario is one `.toml` and one
+//! line of `CORPUS`; `tests/golden_corpus.rs` fails when the two differ.
 
-use kafkasim::config::DeliverySemantics;
-use kafkasim::state::{DeliveryCase, Transition};
-use netsim::trace::TraceConfig;
-use testbed::scenarios::{ApplicationScenario, KpiWeights};
+use crate::document::Spec;
+use crate::io::from_toml_str;
 
-use crate::collection::CollectionDesign;
-use kafkasim::fleet::{Assignor, ChurnAction, PartitionStrategy};
+/// `(name, scenarios/<name>.toml)` for each name, embedded at compile time.
+macro_rules! corpus {
+    ($($name:literal,)*) => {
+        [$(($name, include_str!(concat!("../../../scenarios/", $name, ".toml")))),*]
+    };
+}
 
-use crate::document::{
-    AcksLevelSpec, AdaptivePolicySpec, BanditPolicySpec, BrokerFaultMatrixSpec, DeliveryCaseSpec,
-    ExperimentSpec, FaultScenarioSpec, FaultSpec, FleetPopulationEntry, FleetSpec, GroupChurnSpec,
-    KpiGridSpec, NetworkTraceSpec, OnlineCompareSpec, OutageSite, OverlaySpec, PolicyKind,
-    PolicySpec, RegimeShiftSpec, ReportSpec, SensitivitySpec, SeriesSpec, Spec, SweepAxis,
-    SweepMode, SweepSpec, Table1Spec, Table2Spec, TraceDemoSpec, TraceScenarioSpec, TrainSpec,
-};
-use crate::grid::ConfigGrid;
-use crate::point::PointSpec;
+/// Every committed scenario, in the order `repro all` runs them.
+const CORPUS: [(&str, &str); 22] = corpus![
+    "table1",
+    "collection",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "ann",
+    "kpi",
+    "table2",
+    "overlay",
+    "sensitivity",
+    "ext-outage",
+    "ext-online",
+    "ext-retries",
+    "broker-faults",
+    "ablation-transport",
+    "ablation-jitter",
+    "trace",
+    "fleet",
+    "regime-shift",
+];
+
+fn parse(name: &str, text: &str) -> Spec {
+    from_toml_str(text).unwrap_or_else(|e| panic!("scenarios/{name}.toml: {e}"))
+}
 
 impl Spec {
     /// Looks up a built-in scenario by its `repro` target name.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the embedded document does not parse and validate — a
+    /// broken committed file, which tier-1 catches.
     #[must_use]
     pub fn builtin(name: &str) -> Option<Spec> {
-        all().into_iter().find(|s| s.name == name)
+        CORPUS
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(n, text)| parse(n, text))
     }
 }
 
 /// Every built-in scenario, in the order `repro all` runs them.
+///
+/// # Panics
+///
+/// Panics if an embedded document does not parse and validate.
 #[must_use]
 pub fn all() -> Vec<Spec> {
-    vec![
-        table1(),
-        collection(),
-        fig4(),
-        fig5(),
-        fig6(),
-        fig7(),
-        fig8(),
-        fig9(),
-        ann(),
-        kpi(),
-        table2(),
-        overlay(),
-        sensitivity(),
-        ext_outage(),
-        ext_online(),
-        ext_retries(),
-        broker_faults(),
-        ablation_transport(),
-        ablation_jitter(),
-        trace(),
-        fleet(),
-        regime_shift(),
-    ]
-}
-
-fn series_only(label: &str, semantics: DeliverySemantics) -> SeriesSpec {
-    SeriesSpec {
-        label: label.to_string(),
-        semantics: Some(semantics),
-        ..SeriesSpec::semantics_only(semantics)
-    }
-}
-
-fn table1() -> Spec {
-    use DeliveryCase::*;
-    use Transition::*;
-    let case = |case, path: &str, transitions: Vec<Transition>| DeliveryCaseSpec {
-        case,
-        path: path.to_string(),
-        transitions,
-    };
-    Spec {
-        name: "table1".into(),
-        title: "Table I: message delivery cases (verified against the state machine)".into(),
-        description: "Replays the five Table I transition paths through the executable Fig. 2 \
-                      state machine."
-            .into(),
-        experiment: ExperimentSpec::Table1(Table1Spec {
-            cases: vec![
-                case(Case1, "I", vec![I]),
-                case(Case2, "II", vec![II]),
-                case(Case3, "II -> tau_r*III", vec![II, III, III]),
-                case(Case4, "II -> tau_r*III -> IV", vec![II, III, IV]),
-                case(
-                    Case5,
-                    "II -> tau_r*III -> IV -> V -> tau_d*VI",
-                    vec![II, III, IV, V, VI],
-                ),
-            ],
-        }),
-        report: None,
-    }
-}
-
-fn collection() -> Spec {
-    Spec {
-        name: "collection".into(),
-        title: "Fig. 3: training-data collection design".into(),
-        description: "Grid sizes of the normal/abnormal/broker-fault training-data design.".into(),
-        experiment: ExperimentSpec::Collection(CollectionDesign::default()),
-        report: None,
-    }
-}
-
-fn fig4() -> Spec {
-    Spec {
-        name: "fig4".into(),
-        title: "Fig. 4: P_l vs message size M (D=100ms, L=19%, full load)".into(),
-        description: "Loss rate over message size for both semantics under the paper's injected \
-                      fault."
-            .into(),
-        experiment: ExperimentSpec::Sweep(SweepSpec {
-            x_label: "M (bytes)".into(),
-            metric: "P_l".into(),
-            base: PointSpec {
-                delay_ms: 100,
-                loss_rate: 0.19,
-                poll_interval_ms: 0,
-                message_timeout_ms: 2_000,
-                ..PointSpec::default()
-            },
-            axis: SweepAxis::MessageSize(vec![50, 100, 150, 200, 300, 400, 500, 700, 1000]),
-            series: vec![
-                SeriesSpec::semantics_only(DeliverySemantics::AtMostOnce),
-                SeriesSpec::semantics_only(DeliverySemantics::AtLeastOnce),
-            ],
-            mode: SweepMode::Parallel,
-            max_messages: None,
-            outage: None,
-        }),
-        report: Some(ReportSpec {
-            window_ms: 1_000,
-            profile: true,
-            timeline: true,
-        }),
-    }
-}
-
-fn fig5() -> Spec {
-    Spec {
-        name: "fig5".into(),
-        title: "Fig. 5: P_l vs message timeout T_o (no faults, near-saturated load)".into(),
-        description: "The T_o loss tail at the near-saturated message size (M=620, rho~0.8)."
-            .into(),
-        experiment: ExperimentSpec::Sweep(SweepSpec {
-            x_label: "T_o (ms)".into(),
-            metric: "P_l".into(),
-            base: PointSpec {
-                message_size: 620,
-                poll_interval_ms: 0,
-                ..PointSpec::default()
-            },
-            axis: SweepAxis::MessageTimeoutMs(vec![
-                200, 400, 600, 800, 1000, 1250, 1500, 2000, 2500, 3000,
-            ]),
-            series: vec![
-                SeriesSpec::semantics_only(DeliverySemantics::AtMostOnce),
-                SeriesSpec::semantics_only(DeliverySemantics::AtLeastOnce),
-            ],
-            mode: SweepMode::Parallel,
-            max_messages: None,
-            outage: None,
-        }),
-        report: None,
-    }
-}
-
-fn fig6() -> Spec {
-    Spec {
-        name: "fig6".into(),
-        title: "Fig. 6: P_l vs polling interval delta (T_o=500ms, no faults)".into(),
-        description: "The overload floor: loss over the polling interval for small messages."
-            .into(),
-        experiment: ExperimentSpec::Sweep(SweepSpec {
-            x_label: "delta (ms)".into(),
-            metric: "P_l".into(),
-            base: PointSpec {
-                message_size: 100,
-                message_timeout_ms: 500,
-                ..PointSpec::default()
-            },
-            axis: SweepAxis::PollIntervalMs(vec![0, 10, 20, 30, 40, 50, 60, 70, 80, 90]),
-            series: vec![
-                SeriesSpec::semantics_only(DeliverySemantics::AtMostOnce),
-                SeriesSpec::semantics_only(DeliverySemantics::AtLeastOnce),
-            ],
-            mode: SweepMode::Parallel,
-            max_messages: None,
-            outage: None,
-        }),
-        report: None,
-    }
-}
-
-fn fig7() -> Spec {
-    let mut series = Vec::new();
-    for semantics in [
-        DeliverySemantics::AtMostOnce,
-        DeliverySemantics::AtLeastOnce,
-    ] {
-        for b in [1usize, 2, 4, 6, 8, 10] {
-            series.push(SeriesSpec {
-                batch_size: Some(b),
-                ..series_only(&format!("B={b}, {semantics}"), semantics)
-            });
-        }
-    }
-    Spec {
-        name: "fig7".into(),
-        title: "Fig. 7: P_l vs packet loss L, batch sizes x semantics".into(),
-        description: "Loss over injected packet loss for batch sizes under both semantics.".into(),
-        experiment: ExperimentSpec::Sweep(SweepSpec {
-            x_label: "L".into(),
-            metric: "P_l".into(),
-            base: PointSpec {
-                delay_ms: 100,
-                poll_interval_ms: 70,
-                message_timeout_ms: 2_000,
-                ..PointSpec::default()
-            },
-            axis: SweepAxis::LossRate(vec![
-                0.0, 0.02, 0.05, 0.08, 0.10, 0.13, 0.16, 0.20, 0.25, 0.30, 0.40, 0.50,
-            ]),
-            series,
-            mode: SweepMode::Parallel,
-            max_messages: None,
-            outage: None,
-        }),
-        report: None,
-    }
-}
-
-fn fig8() -> Spec {
-    let series = [0.05, 0.10, 0.15, 0.20]
-        .into_iter()
-        .map(|l| SeriesSpec {
-            label: format!("L={:.0}%", l * 100.0),
-            loss_rate: Some(l),
-            semantics: None,
-            batch_size: None,
-            request_timeout_ms: None,
-            failover_s: None,
-            early_retransmit: None,
-            jittered_service: None,
-        })
-        .collect();
-    Spec {
-        name: "fig8".into(),
-        title: "Fig. 8: P_d vs batch size B (at-least-once)".into(),
-        description: "Duplication over batch size for several loss rates under at-least-once."
-            .into(),
-        experiment: ExperimentSpec::Sweep(SweepSpec {
-            x_label: "B".into(),
-            metric: "P_d".into(),
-            base: PointSpec {
-                delay_ms: 100,
-                semantics: DeliverySemantics::AtLeastOnce,
-                poll_interval_ms: 70,
-                message_timeout_ms: 2_000,
-                ..PointSpec::default()
-            },
-            axis: SweepAxis::BatchSize(vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10]),
-            series,
-            mode: SweepMode::Parallel,
-            max_messages: None,
-            outage: None,
-        }),
-        report: None,
-    }
-}
-
-fn fig9() -> Spec {
-    Spec {
-        name: "fig9".into(),
-        title: "Fig. 9: network connection in the dynamic-configuration experiment".into(),
-        description: "The unstable network: Pareto delay + Gilbert-Elliott loss, sampled every \
-                      10s for 10min."
-            .into(),
-        experiment: ExperimentSpec::NetworkTrace(NetworkTraceSpec {
-            trace: TraceConfig::default(),
-        }),
-        report: None,
-    }
-}
-
-fn ann() -> Spec {
-    Spec {
-        name: "ann".into(),
-        title: "ANN prediction accuracy (paper: MAE < 0.02)".into(),
-        description: "Runs the Fig. 3 collection design and trains the reliability ANN.".into(),
-        experiment: ExperimentSpec::Train(TrainSpec {
-            collection: CollectionDesign::default(),
-        }),
-        report: None,
-    }
-}
-
-fn kpi() -> Spec {
-    Spec {
-        name: "kpi".into(),
-        title: "Eq. 2: weighted KPI gamma (D=100ms, L=13%, default weights)".into(),
-        description: "The weighted KPI over a semantics x batch grid at a fixed lossy condition."
-            .into(),
-        experiment: ExperimentSpec::KpiGrid(KpiGridSpec {
-            base: PointSpec {
-                delay_ms: 100,
-                loss_rate: 0.13,
-                poll_interval_ms: 70,
-                message_timeout_ms: 2_000,
-                ..PointSpec::default()
-            },
-            weights: KpiWeights::paper_default(),
-            semantics: vec![
-                DeliverySemantics::AtMostOnce,
-                DeliverySemantics::AtLeastOnce,
-            ],
-            batch_sizes: vec![1, 2, 4, 8],
-        }),
-        report: None,
-    }
-}
-
-fn table2() -> Spec {
-    Spec {
-        name: "table2".into(),
-        title: "Table II: default vs dynamic configuration per application scenario".into(),
-        description: "The dynamic-configuration experiment over the Fig. 9 network for the three \
-                      Table II streams."
-            .into(),
-        experiment: ExperimentSpec::Table2(Table2Spec {
-            scenarios: ApplicationScenario::table2().to_vec(),
-            trace: TraceConfig::default(),
-            plan_interval_s: 60,
-            grid: ConfigGrid::planner_default(),
-        }),
-        report: None,
-    }
-}
-
-fn overlay() -> Spec {
-    Spec {
-        name: "overlay".into(),
-        title: "Figs. 4-6 overlay: measured vs ANN-predicted P_l on the Fig. 4 sweep".into(),
-        description: "Trains on the collection design, then compares fresh-seed measurements \
-                      with predictions."
-            .into(),
-        experiment: ExperimentSpec::Overlay(OverlaySpec {
-            collection: CollectionDesign::default(),
-            sizes: vec![50, 100, 150, 200, 300, 400, 500, 700, 1000],
-            base: PointSpec {
-                delay_ms: 100,
-                loss_rate: 0.19,
-                poll_interval_ms: 0,
-                message_timeout_ms: 2_000,
-                ..PointSpec::default()
-            },
-            semantics: vec![
-                DeliverySemantics::AtMostOnce,
-                DeliverySemantics::AtLeastOnce,
-            ],
-            seed_offset: 777,
-        }),
-        report: None,
-    }
-}
-
-fn sensitivity() -> Spec {
-    Spec {
-        name: "sensitivity".into(),
-        title: "Sec. III-D sensitivity analysis: +/-50% perturbations around a lossy baseline"
-            .into(),
-        description: "Feature-impact report used for the paper's feature selection.".into(),
-        experiment: ExperimentSpec::Sensitivity(SensitivitySpec {
-            base: PointSpec {
-                delay_ms: 100,
-                loss_rate: 0.20,
-                semantics: DeliverySemantics::AtLeastOnce,
-                batch_size: 2,
-                poll_interval_ms: 70,
-                message_timeout_ms: 1_000,
-                ..PointSpec::default()
-            },
-            threshold: 0.01,
-        }),
-        report: None,
-    }
-}
-
-fn ext_outage() -> Spec {
-    Spec {
-        name: "ext-outage".into(),
-        title: "EXT-1: P_l vs broker outage duration (1 of 3 brokers down)".into(),
-        description: "Broker-failure extension: loss over outage duration with and without \
-                      leader failover."
-            .into(),
-        experiment: ExperimentSpec::Sweep(SweepSpec {
-            x_label: "outage (s)".into(),
-            metric: "P_l".into(),
-            base: PointSpec {
-                delay_ms: 5,
-                poll_interval_ms: 60,
-                message_timeout_ms: 1_000,
-                ..PointSpec::default()
-            },
-            axis: SweepAxis::OutageSecs(vec![0, 5, 10, 20, 30]),
-            series: vec![
-                series_only("at-most-once, no failover", DeliverySemantics::AtMostOnce),
-                series_only("at-least-once, no failover", DeliverySemantics::AtLeastOnce),
-                SeriesSpec {
-                    failover_s: Some(1),
-                    ..series_only("at-least-once, failover 1s", DeliverySemantics::AtLeastOnce)
-                },
-            ],
-            mode: SweepMode::FixedSeed,
-            max_messages: Some(5_000),
-            outage: Some(OutageSite {
-                broker: 0,
-                start_s: 10,
-            }),
-        }),
-        report: None,
-    }
-}
-
-fn ext_online() -> Spec {
-    Spec {
-        name: "ext-online".into(),
-        title: "EXT-3: online vs offline dynamic configuration (web access records)".into(),
-        description: "Static default vs offline planner vs online feedback controller on the \
-                      same unstable network."
-            .into(),
-        experiment: ExperimentSpec::Online(OnlineCompareSpec {
-            scenario: ApplicationScenario::web_access_records(),
-            trace: TraceConfig::default(),
-            plan_interval_s: 60,
-            online_interval_s: 30,
-            grid: ConfigGrid::planner_default(),
-        }),
-        report: None,
-    }
-}
-
-fn ext_retries() -> Spec {
-    let series = [400u64, 1_000, 2_000]
-        .into_iter()
-        .map(|rt| SeriesSpec {
-            label: format!("request timeout {rt}ms"),
-            request_timeout_ms: Some(rt),
-            semantics: None,
-            batch_size: None,
-            loss_rate: None,
-            failover_s: None,
-            early_retransmit: None,
-            jittered_service: None,
-        })
-        .collect();
-    Spec {
-        name: "ext-retries".into(),
-        title: "EXT-2: P_l vs retry budget tau_r (L=25%, D=100ms)".into(),
-        description: "Retry-strategy extension: loss over the retry budget per request timeout."
-            .into(),
-        experiment: ExperimentSpec::Sweep(SweepSpec {
-            x_label: "tau_r".into(),
-            metric: "P_l".into(),
-            base: PointSpec {
-                delay_ms: 100,
-                loss_rate: 0.25,
-                semantics: DeliverySemantics::AtLeastOnce,
-                batch_size: 2,
-                poll_interval_ms: 70,
-                message_timeout_ms: 4_000,
-                ..PointSpec::default()
-            },
-            axis: SweepAxis::RetryBudget(vec![0, 1, 2, 3, 5, 8]),
-            series,
-            mode: SweepMode::FixedSeed,
-            max_messages: Some(8_000),
-            outage: None,
-        }),
-        report: None,
-    }
-}
-
-fn broker_faults() -> Spec {
-    let crash_leader = FaultSpec {
-        broker: 0,
-        at_ms: 2_115,
-        down_ms: 5_000,
-    };
-    Spec {
-        name: "broker-faults".into(),
-        title: "EXT-4: broker faults — loss and duplication by acks x failure scenario".into(),
-        description: "The acks {0,1,all} x {no fault, clean failover, unclean failover} matrix \
-                      on a replicated topic."
-            .into(),
-        experiment: ExperimentSpec::BrokerFaultMatrix(BrokerFaultMatrixSpec {
-            max_messages: 3_000,
-            message_size: 200,
-            rate_hz: 100.0,
-            message_timeout_ms: 2_500,
-            max_in_flight: 64,
-            partitions: 1,
-            acks: vec![
-                AcksLevelSpec {
-                    label: "acks=0".into(),
-                    semantics: DeliverySemantics::AtMostOnce,
-                },
-                AcksLevelSpec {
-                    label: "acks=1".into(),
-                    semantics: DeliverySemantics::AtLeastOnce,
-                },
-                AcksLevelSpec {
-                    label: "acks=all".into(),
-                    semantics: DeliverySemantics::All,
-                },
-            ],
-            scenarios: vec![
-                FaultScenarioSpec {
-                    name: "no fault".into(),
-                    replication_factor: 3,
-                    lag_time_max_ms: None,
-                    max_fetch_records: None,
-                    allow_unclean: false,
-                    faults: vec![],
-                    failover_after_ms: None,
-                },
-                FaultScenarioSpec {
-                    name: "clean failover".into(),
-                    replication_factor: 3,
-                    lag_time_max_ms: None,
-                    max_fetch_records: None,
-                    allow_unclean: false,
-                    faults: vec![crash_leader],
-                    failover_after_ms: Some(500),
-                },
-                FaultScenarioSpec {
-                    name: "unclean failover".into(),
-                    replication_factor: 2,
-                    lag_time_max_ms: Some(200),
-                    max_fetch_records: Some(1),
-                    allow_unclean: true,
-                    faults: vec![
-                        FaultSpec {
-                            broker: 1,
-                            at_ms: 100,
-                            down_ms: 1_400,
-                        },
-                        crash_leader,
-                    ],
-                    failover_after_ms: Some(500),
-                },
-            ],
-        }),
-        report: None,
-    }
-}
-
-fn ablation_transport() -> Spec {
-    let series = [true, false]
-        .into_iter()
-        .map(|early| SeriesSpec {
-            label: if early {
-                "early retransmit (modern TCP)".into()
-            } else {
-                "classic 3-dupack Reno".into()
-            },
-            early_retransmit: Some(early),
-            semantics: None,
-            batch_size: None,
-            loss_rate: None,
-            request_timeout_ms: None,
-            failover_s: None,
-            jittered_service: None,
-        })
-        .collect();
-    Spec {
-        name: "ablation-transport".into(),
-        title: "ABL-1: early retransmit vs classic Reno (fire-and-forget, full load)".into(),
-        description: "Transport ablation: RFC 5827 early retransmit on vs off in the \
-                      goodput-bound regime."
-            .into(),
-        experiment: ExperimentSpec::Sweep(SweepSpec {
-            x_label: "L".into(),
-            metric: "P_l".into(),
-            base: PointSpec {
-                message_size: 1_000,
-                delay_ms: 100,
-                semantics: DeliverySemantics::AtMostOnce,
-                poll_interval_ms: 0,
-                message_timeout_ms: 2_000,
-                ..PointSpec::default()
-            },
-            axis: SweepAxis::LossRate(vec![0.05, 0.10, 0.19, 0.30]),
-            series,
-            mode: SweepMode::FixedSeed,
-            max_messages: Some(8_000),
-            outage: None,
-        }),
-        report: None,
-    }
-}
-
-fn ablation_jitter() -> Spec {
-    let series = [true, false]
-        .into_iter()
-        .map(|jitter| SeriesSpec {
-            label: if jitter {
-                "exponential service (default)".into()
-            } else {
-                "deterministic service".into()
-            },
-            jittered_service: Some(jitter),
-            semantics: None,
-            batch_size: None,
-            loss_rate: None,
-            request_timeout_ms: None,
-            failover_s: None,
-            early_retransmit: None,
-        })
-        .collect();
-    Spec {
-        name: "ablation-jitter".into(),
-        title: "ABL-2: service-time jitter and the T_o loss tail".into(),
-        description: "Host-model ablation: exponential vs deterministic serialisation times."
-            .into(),
-        experiment: ExperimentSpec::Sweep(SweepSpec {
-            x_label: "T_o (ms)".into(),
-            metric: "P_l".into(),
-            base: PointSpec {
-                message_size: 620,
-                semantics: DeliverySemantics::AtLeastOnce,
-                poll_interval_ms: 0,
-                message_timeout_ms: 2_000,
-                ..PointSpec::default()
-            },
-            axis: SweepAxis::MessageTimeoutMs(vec![200, 400, 800, 1500, 3000]),
-            series,
-            mode: SweepMode::FixedSeed,
-            max_messages: Some(10_000),
-            outage: None,
-        }),
-        report: None,
-    }
-}
-
-fn trace() -> Spec {
-    Spec {
-        name: "trace".into(),
-        title: "Message-lifecycle traces: every P_l / P_d count explained".into(),
-        description: "Traced runs of the two canonical failure scenarios, cross-checked against \
-                      the audit."
-            .into(),
-        experiment: ExperimentSpec::TraceDemo(TraceDemoSpec {
-            scenarios: vec![
-                TraceScenarioSpec {
-                    tag: "amo".into(),
-                    label: "acks=0, D=100ms, L=30% (silent loss)".into(),
-                    seed: 3,
-                    messages: 1_000,
-                    message_size: 200,
-                    rate_hz: 500.0,
-                    semantics: DeliverySemantics::AtMostOnce,
-                    delay_ms: 100,
-                    loss_rate: 0.30,
-                    message_timeout_ms: 2_000,
-                    request_timeout_ms: None,
-                },
-                TraceScenarioSpec {
-                    tag: "alo".into(),
-                    label: "acks=1, D=150ms, L=25%, request timeout 400ms (duplicates)".into(),
-                    seed: 5,
-                    messages: 2_000,
-                    message_size: 200,
-                    rate_hz: 500.0,
-                    semantics: DeliverySemantics::AtLeastOnce,
-                    delay_ms: 150,
-                    loss_rate: 0.25,
-                    message_timeout_ms: 5_000,
-                    request_timeout_ms: Some(400),
-                },
-            ],
-        }),
-        report: None,
-    }
-}
-
-fn fleet() -> Spec {
-    Spec {
-        name: "fleet".into(),
-        title: "Fleet: 1200 producers x 3 stream types — partition skew and rebalance storms"
-            .into(),
-        description: "A Table II population over a 32-partition topic, swept across round-robin \
-                      / key-hash / locality partitioners, with consumer join+leave churn under \
-                      the sticky assignor and per-tenant loss attribution."
-            .into(),
-        experiment: ExperimentSpec::Fleet(FleetSpec {
-            producers: 1_200,
-            partitions: 32,
-            partitioners: vec![
-                PartitionStrategy::RoundRobin,
-                PartitionStrategy::KeyHash,
-                PartitionStrategy::Locality,
-            ],
-            population: vec![
-                FleetPopulationEntry {
-                    class: "social-media".into(),
-                    weight: 0.5,
-                    rate_hz: 1.0,
-                },
-                FleetPopulationEntry {
-                    class: "web-access-records".into(),
-                    weight: 0.3,
-                    rate_hz: 0.5,
-                },
-                FleetPopulationEntry {
-                    class: "game-traffic".into(),
-                    weight: 0.2,
-                    rate_hz: 2.0,
-                },
-            ],
-            consumers: 8,
-            assignor: Assignor::Sticky,
-            churn: vec![
-                GroupChurnSpec {
-                    at_s: 20,
-                    action: ChurnAction::Join,
-                    member: 8,
-                },
-                GroupChurnSpec {
-                    at_s: 40,
-                    action: ChurnAction::Leave,
-                    member: 2,
-                },
-            ],
-            duration_s: 60,
-            window_ms: 5_000,
-            partition_capacity_hz: 60.0,
-            base_loss: 0.002,
-            rebalance_pause_ms: 2_000,
-            threads: None,
-        }),
-        report: None,
-    }
-}
-
-fn regime_shift() -> Spec {
-    Spec {
-        name: "regime-shift".into(),
-        title: "CPL-1: frozen vs online-adaptive vs bandit across a network regime shift".into(),
-        description: "One scenario over a calm network that turns stormy mid-run; the frozen \
-                      planner, the drift-detecting online-adaptive planner and the UCB1 bandit \
-                      baseline plan the same run head-to-head. Delivery semantics are held \
-                      fixed (at-most-once sends no acks, so no policy could be scored on it)."
-            .into(),
-        experiment: ExperimentSpec::RegimeShift(RegimeShiftSpec {
-            scenario: ApplicationScenario::web_access_records(),
-            trace: TraceConfig {
-                p_good_to_bad: 0.02,
-                p_bad_to_good: 0.80,
-                loss_good: (0.0, 0.01),
-                loss_bad: (0.04, 0.10),
-                ..TraceConfig::default()
-            },
-            shifted: TraceConfig {
-                p_good_to_bad: 0.90,
-                p_bad_to_good: 0.05,
-                loss_good: (0.02, 0.05),
-                loss_bad: (0.25, 0.45),
-                ..TraceConfig::default()
-            },
-            shift_at_s: 300,
-            online_interval_s: 30,
-            grid: ConfigGrid {
-                allow_semantics_switch: false,
-                ..ConfigGrid::planner_default()
-            },
-            policies: vec![
-                PolicySpec::of_kind(PolicyKind::Frozen),
-                PolicySpec {
-                    kind: PolicyKind::OnlineAdaptive,
-                    adaptive: Some(AdaptivePolicySpec {
-                        drift_window: 4,
-                        drift_threshold: 0.01,
-                        refit_steps: 160,
-                        learning_rate: 0.3,
-                        replay_capacity: 256,
-                    }),
-                    bandit: None,
-                },
-                PolicySpec {
-                    kind: PolicyKind::Bandit,
-                    adaptive: None,
-                    bandit: Some(BanditPolicySpec { exploration: 0.5 }),
-                },
-            ],
-        }),
-        report: None,
-    }
+    CORPUS.iter().map(|(n, text)| parse(n, text)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::document::ExperimentSpec;
+    use kafkasim::config::DeliverySemantics;
 
     #[test]
     fn every_builtin_validates() {

@@ -14,8 +14,8 @@
 //!
 //! ```text
 //! scenarios/*.toml ──io::load──▶ Spec ──validate──▶ bench::exec ──▶ figure/table
-//!        ▲                        │
-//!        └──── repro export ──────┘   (builtin corpus == committed corpus)
+//!        │                        ▲
+//!        └─ include_str! ─ builtin┘   (the named `repro` targets: same files, embedded)
 //! ```
 //!
 //! * [`document`] — the [`Spec`] / [`ExperimentSpec`] types;
@@ -23,7 +23,7 @@
 //! * [`grid`] — [`GridAxis`] and [`ConfigGrid`] (every parameter grid in
 //!   the repository derives from these);
 //! * [`collection`] — the Fig. 3 training-data collection design;
-//! * [`builtin`] — the canonical corpus, one spec per `repro` target;
+//! * [`builtin`] — the committed corpus, embedded: one spec per `repro` target;
 //! * [`io`] — TOML/JSON load + save ([`LoadError`]);
 //! * [`toml`] — the self-contained TOML subset parser/writer.
 //!

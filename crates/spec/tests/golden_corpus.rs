@@ -1,10 +1,8 @@
 //! Golden-file tests over the committed `scenarios/` corpus.
 //!
-//! Every file must parse, validate, carry the name of its file stem, and
-//! be byte-for-byte equal (as a document) to the built-in definition it
-//! mirrors — and the corpus must cover every built-in. `repro
-//! export-scenarios scenarios` regenerates the corpus after a deliberate
-//! change.
+//! Every file must parse, validate and carry the name of its file stem,
+//! and the table `spec::builtin` embeds must be exactly the directory
+//! listing — a file added without its table line (or the reverse) is red.
 
 use std::path::PathBuf;
 
@@ -47,23 +45,17 @@ fn file_stems_match_scenario_names() {
 }
 
 #[test]
-fn corpus_matches_builtins_exactly() {
-    let docs = corpus();
-    for builtin in spec::builtin::all() {
-        let found = docs
-            .iter()
-            .find(|(_, d)| d.name == builtin.name)
-            .unwrap_or_else(|| panic!("scenarios/{}.toml is missing", builtin.name));
-        assert_eq!(
-            found.1, builtin,
-            "scenarios/{}.toml drifted from the built-in definition",
-            builtin.name
-        );
-    }
+fn embedded_table_is_exactly_the_directory_listing() {
+    let mut embedded: Vec<_> = spec::builtin::all().into_iter().map(|s| s.name).collect();
+    embedded.sort();
+    let mut files: Vec<_> = corpus()
+        .iter()
+        .map(|(path, _)| path.file_stem().unwrap().to_str().unwrap().to_string())
+        .collect();
+    files.sort();
     assert_eq!(
-        docs.len(),
-        spec::builtin::all().len(),
-        "scenarios/ has files with no built-in counterpart"
+        embedded, files,
+        "spec::builtin's table and scenarios/*.toml list different scenarios"
     );
 }
 

@@ -250,32 +250,25 @@ fn flapping_run() -> RunSpec {
     run
 }
 
-/// `KafkaRun::with_threads` parallelises read-back and audit counting;
-/// the full outcome — delivery report, audit ledger rollups, producer and
-/// broker counters — must be bit-identical at 1/2/4/8 threads, on both
-/// broker-fault scenarios.
+/// The two broker-fault scenarios at seed 77, pinned like the runs above;
+/// a fault that perturbs nothing would pin nothing worth holding.
 #[test]
-fn broker_fault_runs_are_thread_invariant() {
-    for (name, spec) in [("crash", crash_run()), ("flapping", flapping_run())] {
+fn broker_fault_run_outcomes_are_pinned() {
+    for (name, spec, want) in [
+        ("crash", crash_run(), RUN_CRASH),
+        ("flapping", flapping_run(), RUN_FLAPPING),
+    ] {
         spec.validate().expect("fault scenario is valid");
-        let baseline = KafkaRun::new(spec.clone(), 77).with_threads(1).execute();
+        let outcome = KafkaRun::new(spec, 77).execute();
         assert!(
-            baseline.report.lost > 0 || baseline.report.duplicated > 0,
+            outcome.report.lost > 0 || outcome.report.duplicated > 0,
             "{name}: the fault must actually perturb delivery"
         );
-        for threads in [2, 4, 8] {
-            let run = KafkaRun::new(spec.clone(), 77)
-                .with_threads(threads)
-                .execute();
-            assert_eq!(
-                run.report, baseline.report,
-                "{name}: delivery report diverged at {threads} threads"
-            );
-            assert_eq!(
-                run, baseline,
-                "{name}: outcome diverged at {threads} threads"
-            );
-        }
+        assert_eq!(
+            (outcome.events_fired, debug_digest(&outcome)),
+            want,
+            "{name}"
+        );
     }
 }
 
@@ -289,6 +282,9 @@ const SPARSE_KEY_HASH: FleetPin = (30_168, 8_700, 2_299, 76, 7120391369548954538
 const SPARSE_LOCALITY: FleetPin = (30_168, 8_700, 1_741, 59, 17672271558542554298);
 const RUN_AT_LEAST_ONCE: (u64, u64) = (11_484, 17741149464509989960);
 const RUN_AT_MOST_ONCE: (u64, u64) = (7_690, 10932670437184555871);
+// Written by the parent commit, whose one-thread path was today's only path.
+const RUN_CRASH: (u64, u64) = (21_510, 3650946061504918518);
+const RUN_FLAPPING: (u64, u64) = (14_907, 11802491271031039536);
 
 /// Runs `cfg` and checks termination (the call returns) and conservation:
 /// every produced message is delivered or lost with a cause, per tenant
