@@ -22,12 +22,21 @@ echo "== agenda == bare heap (proptest, release, raised case count) =="
 # the default 64.
 PROPTEST_CASES=20000 cargo test --release -q -p desim --lib agenda
 
-echo "== matmul kernels == naive product (proptest, release, raised case count) =="
-# The column strips under backprop's narrow products (every 8/4/2/1 cascade
-# split, odd row counts) and the loops beside them must equal matmul_naive
-# bit for bit, into dirty buffers. Release, because that is the code every
-# measured run and every pinned digest executes.
-PROPTEST_CASES=20000 cargo test --release -q -p annet --lib kernels_equal_the_naive_product
+echo "== matmul kernels: dispatched == baseline == naive (proptest, release, raised case count) =="
+# Every product runs three ways, compared bit for bit into dirty buffers:
+# through the public entry (the AVX2 instantiation on a CPU that has it), as
+# the baseline instantiation called directly, and as matmul_naive; the
+# selection test beside the property fails if the entry did not pick AVX2
+# where it is detected. Release, because that is the code every measured run
+# and every pinned digest executes.
+PROPTEST_CASES=20000 cargo test --release -q -p annet --lib -- \
+    kernels_equal_the_naive_product avx2_instantiation_runs
+
+echo "== from_secs_f64 == f64::round (proptest, release, raised case count) =="
+# The integer rounding under every simulated transmit, RTT update and service
+# time against the libm call it replaced, over random magnitudes and ties.
+PROPTEST_CASES=20000 cargo test --release -q -p desim --lib -- \
+    from_secs_f64_equals_rounding_by_libm integer_rounding_equals_f64_round
 
 echo "== contract digests (release) =="
 # tests/contract_digests.rs already ran under `cargo test` above, in debug.
@@ -45,6 +54,19 @@ echo "== one trainer (the TrainOptions::with_threads shim has no caller) =="
 # Same arrangement: benchmark/ passes its thread count through the name.
 [ "$(grep -rn 'with_threads' crates tests examples | wc -l)" -eq 1 ] \
     || { echo "with_threads regrew a caller" >&2; exit 1; }
+
+echo "== one unsafe call (annet's AVX2 dispatch; the other nine crates forbid it) =="
+# Outside comments and lint attributes the keyword appears twice under
+# crates/*/src, both in annet::matrix::Kernel: the type of the field holding
+# the AVX2 instantiation, and the one block that calls it.
+unsafe_lines="$(grep -rnw 'unsafe' crates/*/src | grep -vE ':[0-9]+: *//|unsafe_code')"
+[ "$(grep -c . <<<"$unsafe_lines")" -eq 2 ] \
+    && [ "$(grep -c 'matrix.rs:.*unsafe { (self.avx2)' <<<"$unsafe_lines")" -eq 1 ] \
+    && [ "$(grep -rn 'allow(unsafe_code)' crates/*/src | wc -l)" -eq 1 ] \
+    || { echo "unsafe grew past the one dispatch call:" >&2; echo "$unsafe_lines" >&2; exit 1; }
+[ "$(grep -lx '#!\[forbid(unsafe_code)\]' crates/*/src/lib.rs | wc -l)" -eq 9 ] \
+    && grep -qx '#!\[deny(unsafe_code)\]' crates/annet/src/lib.rs \
+    || { echo "a crate dropped forbid(unsafe_code)" >&2; exit 1; }
 
 echo "== span profiler (smoke) =="
 # The profiled smoke run must keep emitting a loadable Chrome trace:

@@ -1,6 +1,9 @@
 //! A row-major `f64` matrix with exactly the operations backpropagation
-//! needs. No BLAS, no unsafe — cache-friendly `ikj` loops, and
+//! needs. No BLAS, no intrinsics — cache-friendly `ikj` loops, and
 //! register-resident column strips where the right-hand side is narrow.
+//! The three product kernels are compiled twice from one source, for
+//! baseline x86-64 and for AVX2, and `Kernel::run` picks by the CPU: the
+//! crate's one `unsafe` call (DESIGN.md §8b).
 
 use serde::{Deserialize, Serialize};
 
@@ -205,18 +208,25 @@ impl Matrix {
             "inner dimensions must agree ({}x{} · {}x{})",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        if rhs.cols <= Self::STRIP_MAX_COLS {
-            self.matmul_strips_into(rhs, out);
+        Self::dense_kernel(rhs.cols).run(self, rhs, out);
+    }
+
+    /// The kernel [`Matrix::matmul_dense_into`] runs for a right-hand side
+    /// of `rhs_cols` columns.
+    fn dense_kernel(rhs_cols: usize) -> &'static Kernel {
+        if rhs_cols <= Self::STRIP_MAX_COLS {
+            &STRIPS
         } else {
-            self.matmul_rows_into(rhs, out);
+            &ROWS
         }
     }
 
     /// [`Matrix::matmul_dense_into`] for a wide `rhs`: streams whole output
-    /// rows, eight `k` terms a pass. Out of line, like its sibling: compiled
-    /// into one body with the strips, the one-row loop here ran 10 % slower
-    /// (5.9 against 5.3 µs on a 200 × 200 layer).
-    #[inline(never)]
+    /// rows, eight `k` terms a pass. Its two instantiations ([`ROWS`]) stay
+    /// out of line, like its sibling's: compiled into one body with the
+    /// strips, the one-row loop here ran 10 % slower (5.9 against 5.3 µs on
+    /// a 200 × 200 layer).
+    #[inline(always)]
     fn matmul_rows_into(&self, rhs: &Matrix, out: &mut Matrix) {
         out.resize_zeroed(self.rows, rhs.cols);
         let rc = rhs.cols;
@@ -323,7 +333,7 @@ impl Matrix {
     /// [`Matrix::matmul_dense_into`] for a narrow `rhs`: column strips, two
     /// output rows a pass. Every element of `out` is stored exactly once,
     /// so it is not zeroed first.
-    #[inline(never)]
+    #[inline(always)]
     fn matmul_strips_into(&self, rhs: &Matrix, out: &mut Matrix) {
         let rc = rhs.cols;
         out.reshape_for_overwrite(self.rows, rc);
@@ -392,6 +402,12 @@ impl Matrix {
             "row counts must agree (({}x{})ᵀ · {}x{})",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
+        AT_B.run(self, rhs, out);
+    }
+
+    /// The loops of [`Matrix::matmul_at_b_into`], behind its shape check.
+    #[inline(always)]
+    fn matmul_at_b_body(&self, rhs: &Matrix, out: &mut Matrix) {
         out.resize_zeroed(self.cols, rhs.cols);
         let rc = rhs.cols;
         // Block the output rows so each ~25 KiB stripe of `out` stays
@@ -619,13 +635,76 @@ impl Matrix {
     }
 }
 
+/// What the three product kernels share: `out ← f(a, rhs)`, shapes checked
+/// by the caller.
+type KernelFn = fn(&Matrix, &Matrix, &mut Matrix);
+
+/// One product kernel, compiled twice from the same `#[inline(always)]`
+/// body: for the build's baseline target, and (x86-64 only) with AVX2
+/// switched on, where the same safe loops auto-vectorise four doubles wide
+/// instead of two. Only the vector width differs — AVX2 has no fused
+/// multiply-add, and `fma` is never enabled — so every output element is
+/// the same multiplies and adds in the same ascending `k`, and which
+/// instantiation ran is invisible in the bits.
+struct Kernel {
+    baseline: KernelFn,
+    /// Must enable no target feature but `avx2`: that is the whole safety
+    /// condition of the call in [`Kernel::run`].
+    #[cfg(target_arch = "x86_64")]
+    avx2: unsafe fn(&Matrix, &Matrix, &mut Matrix),
+}
+
+impl Kernel {
+    /// Runs the widest instantiation this CPU has, and says whether that
+    /// was the AVX2 one (only the selection test reads the answer). The
+    /// CPU alone decides: there is no switch to set.
+    #[allow(unsafe_code)]
+    #[inline]
+    fn run(&self, a: &Matrix, rhs: &Matrix, out: &mut Matrix) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `self.avx2` is a safe function whose only
+            // `#[target_feature]` is `avx2` (see `kernel!`, the one place a
+            // `Kernel` is built), and the line above found it on this CPU.
+            unsafe { (self.avx2)(a, rhs, out) };
+            return true;
+        }
+        (self.baseline)(a, rhs, out);
+        false
+    }
+}
+
+/// Both instantiations of the `Matrix` method `$body`, as a [`Kernel`].
+macro_rules! kernel {
+    ($body:ident) => {{
+        #[inline(never)]
+        fn baseline(a: &Matrix, rhs: &Matrix, out: &mut Matrix) {
+            a.$body(rhs, out);
+        }
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        fn avx2(a: &Matrix, rhs: &Matrix, out: &mut Matrix) {
+            a.$body(rhs, out);
+        }
+        Kernel {
+            baseline,
+            #[cfg(target_arch = "x86_64")]
+            avx2,
+        }
+    }};
+}
+
+static ROWS: Kernel = kernel!(matmul_rows_into);
+static STRIPS: Kernel = kernel!(matmul_strips_into);
+static AT_B: Kernel = kernel!(matmul_at_b_body);
+
 /// One `R × W` block of a product, register-resident. `left` yields, in
 /// ascending `k`, the `R` left-operand elements of term `k`; `rhs` starts
 /// at the block's first column of an `rc`-wide row-major operand. The
 /// `R · W` accumulators live in locals across the whole shared dimension
-/// (2 × 8 doubles are 8 of the 16 SSE2 registers) and each is the
-/// sequential sum `((+0.0 + a₀·b₀) + a₁·b₁) + …`: the order of the `ikj`
-/// loops, one rounding per multiply and per add, no FMA.
+/// (2 × 8 doubles are 8 of the 16 SSE2 registers, 4 of the 16 AVX2 ones)
+/// and each is the sequential sum `((+0.0 + a₀·b₀) + a₁·b₁) + …`: the
+/// order of the `ikj` loops, one rounding per multiply and per add, no FMA.
 #[inline(always)]
 fn strip_block<const R: usize, const W: usize>(
     left: impl Iterator<Item = [f64; R]>,
@@ -779,7 +858,10 @@ mod tests {
         /// the wide loop next to them *are* the product: bit for bit
         /// `matmul_naive`, whose exact-zero skip must stay invisible, into
         /// dirty buffers of the wrong shape. `matmul_at_b_into` is held to
-        /// the same oracle through `transpose()`.
+        /// the same oracle through `transpose()`. Each runs twice: through
+        /// the public entry (the AVX2 instantiation wherever the CPU has
+        /// it) and as the baseline instantiation called directly, which is
+        /// how that one stays covered on an AVX2 host.
         #[test]
         fn dense_and_at_b_kernels_equal_the_naive_product_bitwise(
             rows in 1usize..41,
@@ -791,17 +873,38 @@ mod tests {
             let mut rng = desim::SimRng::seed_from_u64(seed);
             let a = sparse(rows, shared, &mut rng);
             let b = sparse(shared, cols, &mut rng);
+            let at = a.transpose();
             let want = a.matmul_naive(&b);
 
-            let mut out = dirty(large);
-            a.matmul_dense_into(&b, &mut out);
-            proptest::prop_assert_eq!((out.rows(), out.cols()), (rows, cols));
-            proptest::prop_assert_eq!(bits(&out), bits(&want));
+            let runs: [(&Matrix, KernelFn); 4] = [
+                (&a, Matrix::matmul_dense_into),
+                (&a, Matrix::dense_kernel(cols).baseline),
+                (&at, Matrix::matmul_at_b_into),
+                (&at, AT_B.baseline),
+            ];
+            for (i, (left, kernel)) in runs.into_iter().enumerate() {
+                let mut out = dirty(large);
+                kernel(left, &b, &mut out);
+                proptest::prop_assert_eq!((out.rows(), out.cols()), (rows, cols), "run {}", i);
+                proptest::prop_assert_eq!(bits(&out), bits(&want), "run {}", i);
+            }
+        }
+    }
 
-            let mut out = dirty(large);
-            a.transpose().matmul_at_b_into(&b, &mut out);
-            proptest::prop_assert_eq!((out.rows(), out.cols()), (rows, cols));
-            proptest::prop_assert_eq!(bits(&out), bits(&want));
+    /// Guards the property above against comparing the baseline with
+    /// itself: a misspelt `cfg` or feature name in [`Kernel::run`] would
+    /// leave every bit and every test unchanged and only the speed gone.
+    #[test]
+    fn the_avx2_instantiation_runs_wherever_avx2_is_detected() {
+        #[cfg(target_arch = "x86_64")]
+        let detected = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let detected = false;
+        let m = Matrix::identity(3);
+        for kernel in [&ROWS, &STRIPS, &AT_B] {
+            let mut out = dirty(false);
+            assert_eq!(kernel.run(&m, &m, &mut out), detected);
+            assert_eq!(out, m);
         }
     }
 

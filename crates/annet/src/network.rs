@@ -108,19 +108,12 @@ impl Default for TrainConfig {
     }
 }
 
-/// Per-epoch training record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// What a training run reports.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrainReport {
-    /// Mean-squared-error loss after each epoch.
-    pub epoch_losses: Vec<f64>,
-}
-
-impl TrainReport {
-    /// The final epoch's loss.
-    #[must_use]
-    pub fn final_loss(&self) -> f64 {
-        self.epoch_losses.last().copied().unwrap_or(f64::NAN)
-    }
+    /// Mean-squared-error loss over the training data after the last epoch
+    /// ([`Network::mse`] of the trained network).
+    pub final_loss: f64,
 }
 
 /// A feed-forward network.
@@ -146,8 +139,6 @@ struct TrainScratch {
     grad: Matrix,
     /// Per-layer gradient buffers.
     grads: Vec<DenseGradients>,
-    /// Buffers of the per-epoch full-dataset loss evaluation.
-    eval: InferScratch,
 }
 
 impl TrainScratch {
@@ -158,7 +149,6 @@ impl TrainScratch {
             back: BackwardScratch::default(),
             grad: Matrix::zeros(1, 1),
             grads: net.layers.iter().map(Dense::zero_gradients).collect(),
-            eval: InferScratch::new(),
         }
     }
 }
@@ -284,12 +274,8 @@ impl Network {
     /// Mean-squared-error loss over a dataset.
     #[must_use]
     pub fn mse(&self, data: &Dataset) -> f64 {
-        self.mse_into(data, &mut InferScratch::new())
-    }
-
-    /// [`Network::mse`] through reusable buffers.
-    fn mse_into(&self, data: &Dataset, scratch: &mut InferScratch) -> f64 {
-        let pred = self.predict_batch_into(data.x(), scratch);
+        let mut scratch = InferScratch::new();
+        let pred = self.predict_batch_into(data.x(), &mut scratch);
         let total: f64 = pred
             .as_slice()
             .iter()
@@ -302,7 +288,7 @@ impl Network {
         total / pred.as_slice().len() as f64
     }
 
-    /// Trains with mini-batch SGD, returning the per-epoch loss trace.
+    /// Trains with mini-batch SGD, returning the loss it ended at.
     ///
     /// # Panics
     ///
@@ -315,7 +301,7 @@ impl Network {
 
     /// Trains like [`Network::train`] with a wall-clock span [`Profiler`]
     /// attached: each epoch, each mini-batch's forward and backward
-    /// stages, and the per-epoch loss evaluation get their own spans.
+    /// stages, and the closing loss evaluation get their own spans.
     ///
     /// Profiling is observational only — the trained weights are
     /// bit-identical whether the profiler is enabled or disabled (a
@@ -334,7 +320,6 @@ impl Network {
         self.check_train_args(data, config);
         let n = data.len();
         let mut order: Vec<usize> = (0..n).collect();
-        let mut epoch_losses = Vec::with_capacity(config.epochs);
         let mut velocities: Vec<Velocity> = self.layers.iter().map(Dense::zero_velocity).collect();
         let mut scratch = TrainScratch::new(self);
         for _ in 0..config.epochs {
@@ -345,10 +330,11 @@ impl Network {
             for chunk in order.chunks(config.batch_size) {
                 self.train_batch(data, chunk, config, &mut velocities, &mut scratch, prof);
             }
-            let _eval_guard = prof.span("annet.eval");
-            epoch_losses.push(self.mse_into(data, &mut scratch.eval));
         }
-        TrainReport { epoch_losses }
+        let _eval_guard = prof.span("annet.eval");
+        TrainReport {
+            final_loss: self.mse(data),
+        }
     }
 
     fn check_train_args(&self, data: &Dataset, config: &TrainConfig) {
@@ -590,36 +576,60 @@ mod tests {
         };
         let report = net.train(&data, &config, &mut rng);
         assert!(
-            report.final_loss() < 0.05,
+            report.final_loss < 0.05,
             "XOR should be learnable: loss {}",
-            report.final_loss()
+            report.final_loss
         );
         assert!(net.predict(&[0.0, 1.0])[0] > 0.8);
         assert!(net.predict(&[1.0, 1.0])[0] < 0.2);
     }
 
-    #[test]
-    fn loss_decreases_during_training() {
-        let data = xor_dataset();
-        let mut rng = SimRng::seed_from_u64(4);
-        let mut net = NetworkBuilder::new(2)
+    /// A small unshuffled XOR fit: network, data and the config it trains
+    /// under.
+    fn xor_fit(seed: u64, epochs: usize) -> (Network, Dataset, TrainConfig, SimRng) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let net = NetworkBuilder::new(2)
             .dense(6, Activation::Tanh)
             .dense(1, Activation::Sigmoid)
             .build(&mut rng);
-        let report = net.train(
-            &data,
-            &TrainConfig {
-                epochs: 300,
-                learning_rate: 0.5,
-                batch_size: 4,
-                shuffle: false,
-                momentum: 0.0,
-            },
-            &mut rng,
-        );
-        let first = report.epoch_losses[0];
-        let last = report.final_loss();
+        let config = TrainConfig {
+            epochs,
+            learning_rate: 0.5,
+            batch_size: 4,
+            shuffle: false,
+            momentum: 0.0,
+        };
+        (net, xor_dataset(), config, rng)
+    }
+
+    #[test]
+    fn loss_decreases_during_training() {
+        let (mut net, data, config, mut rng) = xor_fit(4, 300);
+        let first = net.mse(&data);
+        net.train(&data, &config, &mut rng);
+        let last = net.mse(&data);
         assert!(last < first, "loss should fall: {first} → {last}");
+    }
+
+    #[test]
+    fn final_loss_is_the_mse_after_training() {
+        let (mut net, data, config, mut rng) = xor_fit(4, 30);
+        let report = net.train(&data, &config, &mut rng);
+        assert_eq!(report.final_loss.to_bits(), net.mse(&data).to_bits());
+    }
+
+    #[test]
+    fn profiled_train_evaluates_the_loss_once() {
+        let (mut net, data, config, mut rng) = xor_fit(4, 7);
+        let prof = Profiler::enabled();
+        net.train_profiled(&data, &config, &mut rng, &prof);
+        let spans = prof.snapshot().spans;
+        let calls = |name: &str| -> u64 {
+            let named = spans.iter().filter(|s| s.name == name);
+            named.map(|s| s.calls).sum()
+        };
+        assert_eq!(calls("annet.epoch"), 7);
+        assert_eq!(calls("annet.eval"), 1);
     }
 
     #[test]
@@ -657,7 +667,7 @@ mod tests {
     fn incremental_steps_match_one_epoch_of_train() {
         // A fresh IncrementalTrainer stepped over the chunks of one
         // unshuffled epoch must produce weights bit-identical to
-        // Network::train with shuffle = false, epochs = 1 (the per-epoch
+        // Network::train with shuffle = false, epochs = 1 (the closing
         // MSE probe in train reads but never mutates weights).
         for momentum in [0.0, 0.9] {
             let data = xor_dataset();
@@ -752,9 +762,9 @@ mod tests {
             &mut rng,
         );
         assert!(
-            report.final_loss() < 0.05,
+            report.final_loss < 0.05,
             "momentum SGD learns XOR: loss {}",
-            report.final_loss()
+            report.final_loss
         );
     }
 

@@ -187,7 +187,7 @@ fn train_head(
         train_samples: train.len(),
         test_samples: test.len(),
         test_mae: mae(&predictions, test.y()),
-        final_train_mse: report.final_loss(),
+        final_train_mse: report.final_loss,
     })
 }
 

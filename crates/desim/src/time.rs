@@ -124,7 +124,7 @@ impl SimDuration {
         if !secs.is_finite() || secs <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((secs * 1e6).round().min(u64::MAX as f64) as u64)
+        SimDuration(round_half_away(secs * 1e6))
     }
 
     /// The span in whole microseconds.
@@ -251,6 +251,18 @@ impl Div<u64> for SimDuration {
     }
 }
 
+/// `x.round() as u64` for `x > 0` (`+∞` included), in integer arithmetic:
+/// baseline x86-64 has no `roundsd`, so `f64::round` there is a call into
+/// libm on a path every simulated segment and ACK takes. Below 2⁵² the
+/// truncation `t` and the remainder `x − t` are both exact, so "add one iff
+/// the remainder is at least a half" *is* round-half-away-from-zero; from
+/// 2⁵² up `x` is already an integer, the remainder is zero until the cast
+/// saturates, and past that the add saturates with it.
+fn round_half_away(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
+}
+
 impl Sum for SimDuration {
     fn sum<I: Iterator<Item = SimDuration>>(iter: I) -> SimDuration {
         iter.fold(SimDuration::ZERO, Add::add)
@@ -315,6 +327,71 @@ mod tests {
             SimDuration::from_secs_f64(0.001),
             SimDuration::from_millis(1)
         );
+    }
+
+    /// What `from_secs_f64` computed while it still called libm.
+    fn round_by_libm(secs: f64) -> SimDuration {
+        if !secs.is_finite() || secs <= 0.0 {
+            return SimDuration::ZERO;
+        }
+        SimDuration((secs * 1e6).round().min(u64::MAX as f64) as u64)
+    }
+
+    /// `x`, a tie or not, with its two representable neighbours a side.
+    fn neighbourhood(x: f64) -> impl Iterator<Item = f64> {
+        (x.to_bits() - 2..=x.to_bits() + 2).map(f64::from_bits)
+    }
+
+    #[test]
+    fn integer_rounding_equals_f64_round_at_the_edges() {
+        let two52 = (1u64 << 52) as f64;
+        let singles = [
+            0.49999999999999994,
+            two52 - 0.5,
+            two52,
+            (1u64 << 53) as f64 + 2.0,
+            u64::MAX as f64,
+            f64::MAX,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+        ];
+        let ties = [0.5, 1.5, 2.5, 7.5, 1e6 + 0.5, two52 / 2.0 - 0.5];
+        for x in singles
+            .into_iter()
+            .chain(ties.into_iter().flat_map(neighbourhood))
+        {
+            let want = x.round().min(u64::MAX as f64) as u64;
+            assert_eq!(round_half_away(x), want, "{x:e} µs");
+        }
+        for secs in [f64::NAN, f64::NEG_INFINITY, -0.0, -1e-9, -3.5, 1e300] {
+            let got = SimDuration::from_secs_f64(secs);
+            assert_eq!(got, round_by_libm(secs), "{secs:e} s");
+        }
+    }
+
+    proptest::proptest! {
+        /// Seconds of either sign with any mantissa and an exponent from
+        /// 2⁻²⁴ to 2⁴⁸, so sub-microsecond, fractional, integral-only
+        /// (2³² s up) and saturating (2⁴⁴ s up) magnitudes are all drawn;
+        /// and, since a random product almost never lands on one, the
+        /// neighbourhood of a random tie `n + 0.5` µs.
+        #[test]
+        fn from_secs_f64_equals_rounding_by_libm(
+            exponent in 999u64..1072,
+            mantissa in 0u64..(1 << 52),
+            negative in proptest::bool::ANY,
+            n in 0u64..(1 << 51),
+        ) {
+            let secs = f64::from_bits(u64::from(negative) << 63 | exponent << 52 | mantissa);
+            proptest::prop_assert_eq!(
+                SimDuration::from_secs_f64(secs),
+                round_by_libm(secs),
+                "{:e} s", secs
+            );
+            for x in neighbourhood(n as f64 + 0.5) {
+                proptest::prop_assert_eq!(round_half_away(x), x.round() as u64, "{:e} µs", x);
+            }
+        }
     }
 
     #[test]

@@ -217,9 +217,8 @@ pub struct DuplexChannel {
     cfg: ChannelConfig,
     links: [Link; 2],
     streams: [Stream; 2],
-    heap: MinQueue<(u64, Ev)>,
+    heap: MinQueue<Ev>,
     next_seq: u64,
-    generation: u64,
     rng: SimRng,
     open_at: SimTime,
     resets: u64,
@@ -229,7 +228,7 @@ pub struct DuplexChannel {
     seg_buf: Vec<Segment>,
     /// Scratch buffer reused by [`DuplexChannel::reset_into`] for the
     /// drained event-queue entries.
-    drain_buf: Vec<(u64, Ev)>,
+    drain_buf: Vec<Ev>,
 }
 
 impl core::fmt::Debug for DuplexChannel {
@@ -256,7 +255,6 @@ impl DuplexChannel {
             cfg,
             heap: MinQueue::new(),
             next_seq: 0,
-            generation: 0,
             rng,
             open_at: now,
             resets: 0,
@@ -269,7 +267,7 @@ impl DuplexChannel {
     fn push(&mut self, at: SimTime, ev: Ev) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(at, seq, (self.generation, ev));
+        self.heap.push(at, seq, ev);
     }
 
     /// The earliest instant at which internal state will change, if any.
@@ -417,10 +415,7 @@ impl DuplexChannel {
         let mut events = core::mem::take(&mut self.drain_buf);
         events.clear();
         events.extend(self.heap.drain_unordered());
-        for &(generation, ev) in &events {
-            if generation != self.generation {
-                continue;
-            }
+        for &ev in &events {
             if let Ev::Seg { dir, seq, len } = ev {
                 let _ = self.streams[dir].rcv.on_segment(seq, len);
             }
@@ -447,7 +442,6 @@ impl DuplexChannel {
                 }
             }
         }
-        self.generation += 1;
         self.resets += 1;
         self.streams[0].reset(now);
         self.streams[1].reset(now);
@@ -484,10 +478,7 @@ impl DuplexChannel {
             "advance must move forward in time"
         );
         self.last_advance = now;
-        while let Some((t, (generation, ev))) = self.heap.pop_at_or_before(now) {
-            if generation != self.generation {
-                continue;
-            }
+        while let Some((t, ev)) = self.heap.pop_at_or_before(now) {
             match ev {
                 Ev::Seg { dir, seq, len } => self.on_segment(dir, seq, len, t, out),
                 Ev::Ack { dir, ack } => self.on_ack(dir, ack, t, out),
