@@ -24,13 +24,22 @@ PROPTEST_CASES=20000 cargo test --release -q -p desim --lib agenda
 
 echo "== matmul kernels: dispatched == baseline == naive (proptest, release, raised case count) =="
 # Every product runs three ways, compared bit for bit into dirty buffers:
-# through the public entry (the AVX2 instantiation on a CPU that has it), as
-# the baseline instantiation called directly, and as matmul_naive; the
-# selection test beside the property fails if the entry did not pick AVX2
-# where it is detected. Release, because that is the code every measured run
-# and every pinned digest executes.
+# through the public entry (the AVX2+FMA instantiation on a CPU that has
+# both), as the baseline instantiation called directly, and as matmul_naive;
+# the selection test beside the property fails if the entry (a product's or
+# tanh's) did not pick the wide one where it is detected. Release, because
+# that is the code every measured run and every pinned digest executes.
 PROPTEST_CASES=20000 cargo test --release -q -p annet --lib -- \
     kernels_equal_the_naive_product avx2_instantiation_runs
+
+echo "== own tanh: dispatched == baseline == scalar, and == libm where libm has FMA (proptest, release, raised case count) =="
+# Slices of 0..=70 random bit patterns or of values in +-25, through the
+# dispatched entry, the baseline instantiation (library fma) and the scalar
+# Activation::apply; then the dispatched entry against f64::tanh, which is
+# the glibc build the port was taken from only on a CPU with FMA (the test
+# is vacuous elsewhere; the golden table under `cargo test` is not).
+PROPTEST_CASES=20000 cargo test --release -q -p annet --lib -- \
+    slice_kernels_and_scalar_apply_agree_bitwise own_tanh_equals_the_libm_it_replaced
 
 echo "== from_secs_f64 == f64::round (proptest, release, raised case count) =="
 # The integer rounding under every simulated transmit, RTT update and service
@@ -55,18 +64,28 @@ echo "== one trainer (the TrainOptions::with_threads shim has no caller) =="
 [ "$(grep -rn 'with_threads' crates tests examples | wc -l)" -eq 1 ] \
     || { echo "with_threads regrew a caller" >&2; exit 1; }
 
-echo "== one unsafe call (annet's AVX2 dispatch; the other nine crates forbid it) =="
-# Outside comments and lint attributes the keyword appears twice under
-# crates/*/src, both in annet::matrix::Kernel: the type of the field holding
-# the AVX2 instantiation, and the one block that calls it.
+echo "== one unsafe call (annet's AVX2+FMA dispatch; the other nine crates forbid it) =="
+# Outside comments and lint attributes the keyword appears on exactly 2
+# lines under crates/*/src, both in annet::matrix::Kernel<A>, which the
+# three products and tanh share: the type of the field holding the wide
+# instantiation (`wide: unsafe fn(A)`), and the one block that calls it.
 unsafe_lines="$(grep -rnw 'unsafe' crates/*/src | grep -vE ':[0-9]+: *//|unsafe_code')"
 [ "$(grep -c . <<<"$unsafe_lines")" -eq 2 ] \
-    && [ "$(grep -c 'matrix.rs:.*unsafe { (self.avx2)' <<<"$unsafe_lines")" -eq 1 ] \
+    && [ "$(grep -c 'matrix.rs:.*unsafe { (self.wide)' <<<"$unsafe_lines")" -eq 1 ] \
     && [ "$(grep -rn 'allow(unsafe_code)' crates/*/src | wc -l)" -eq 1 ] \
     || { echo "unsafe grew past the one dispatch call:" >&2; echo "$unsafe_lines" >&2; exit 1; }
 [ "$(grep -lx '#!\[forbid(unsafe_code)\]' crates/*/src/lib.rs | wc -l)" -eq 9 ] \
     && grep -qx '#!\[deny(unsafe_code)\]' crates/annet/src/lib.rs \
     || { echo "a crate dropped forbid(unsafe_code)" >&2; exit 1; }
+
+echo "== no libm tanh in annet (f64::tanh only in the tests that pin the port to it) =="
+# 0 lines: a `.tanh()` above a file's `#[cfg(test)]` would put the host's
+# libm, and with it whether the CPU has FMA, back into every trained weight.
+libm_tanh="$(for f in crates/annet/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit } /\.tanh\(\)/ { print FILENAME ":" FNR ": " $0 }' "$f"
+done)"
+[ -z "$libm_tanh" ] \
+    || { echo "annet calls libm's tanh outside its tests:" >&2; echo "$libm_tanh" >&2; exit 1; }
 
 echo "== span profiler (smoke) =="
 # The profiled smoke run must keep emitting a loadable Chrome trace:

@@ -25,9 +25,24 @@ impl Activation {
     pub fn apply(self, x: f64) -> f64 {
         match self {
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Tanh => x.tanh(),
+            Activation::Tanh => crate::tanh::lane(x),
             Activation::Relu => x.max(0.0),
             Activation::Linear => x,
+        }
+    }
+
+    /// [`Activation::apply`] over a slice, bit for bit: tanh runs as the
+    /// crate's vectorised kernel (`tanh.rs`), the rest element by
+    /// element.
+    #[inline]
+    pub fn apply_in_place(self, xs: &mut [f64]) {
+        match self {
+            Activation::Tanh => crate::tanh::in_place(xs),
+            _ => {
+                for x in xs {
+                    *x = self.apply(*x);
+                }
+            }
         }
     }
 

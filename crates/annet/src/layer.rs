@@ -137,8 +137,9 @@ impl Dense {
         for r in 0..out.rows() {
             let row = out.row_mut(r);
             for (o, b) in row.iter_mut().zip(&self.bias) {
-                *o = self.activation.apply(*o + b);
+                *o += b;
             }
+            self.activation.apply_in_place(row);
         }
     }
 

@@ -10,7 +10,8 @@
 //!
 //! * [`matrix`] — a row-major `f64` matrix with the handful of operations
 //!   backpropagation needs;
-//! * [`activation`] — sigmoid, tanh, ReLU and linear activations;
+//! * [`activation`] — sigmoid, tanh, ReLU and linear activations (`tanh` is
+//!   the crate's own, not the host libm's: `tanh.rs`);
 //! * [`layer`] — dense layers with Xavier/He initialisation;
 //! * [`network`] — the sequential network, mini-batch SGD training with
 //!   mean-squared-error loss, and prediction;
@@ -53,6 +54,7 @@ pub mod matrix;
 pub mod metrics;
 pub mod network;
 pub mod scaler;
+mod tanh;
 
 /// Convenient glob import of the main types.
 pub mod prelude {

@@ -1,9 +1,10 @@
 //! A row-major `f64` matrix with exactly the operations backpropagation
 //! needs. No BLAS, no intrinsics — cache-friendly `ikj` loops, and
 //! register-resident column strips where the right-hand side is narrow.
-//! The three product kernels are compiled twice from one source, for
-//! baseline x86-64 and for AVX2, and `Kernel::run` picks by the CPU: the
-//! crate's one `unsafe` call (DESIGN.md §8b).
+//! The three product kernels, and the slice loop of `tanh.rs`, are
+//! compiled twice from one source, for baseline x86-64 and for AVX2+FMA,
+//! and `Kernel::run` picks by the CPU: the crate's one `unsafe` call
+//! (DESIGN.md §8b).
 
 use serde::{Deserialize, Serialize};
 
@@ -208,21 +209,21 @@ impl Matrix {
             "inner dimensions must agree ({}x{} · {}x{})",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        Self::dense_kernel(rhs.cols).run(self, rhs, out);
+        Self::dense_kernel(rhs.cols).run((self, rhs, out));
     }
 
     /// The kernel [`Matrix::matmul_dense_into`] runs for a right-hand side
     /// of `rhs_cols` columns.
-    fn dense_kernel(rhs_cols: usize) -> &'static Kernel {
+    fn dense_kernel<'a>(rhs_cols: usize) -> Kernel<Product<'a>> {
         if rhs_cols <= Self::STRIP_MAX_COLS {
-            &STRIPS
+            Kernel::STRIPS
         } else {
-            &ROWS
+            Kernel::ROWS
         }
     }
 
     /// [`Matrix::matmul_dense_into`] for a wide `rhs`: streams whole output
-    /// rows, eight `k` terms a pass. Its two instantiations ([`ROWS`]) stay
+    /// rows, eight `k` terms a pass. Its two instantiations ([`Kernel::ROWS`]) stay
     /// out of line, like its sibling's: compiled into one body with the
     /// strips, the one-row loop here ran 10 % slower (5.9 against 5.3 µs on
     /// a 200 × 200 layer).
@@ -402,7 +403,7 @@ impl Matrix {
             "row counts must agree (({}x{})ᵀ · {}x{})",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        AT_B.run(self, rhs, out);
+        Kernel::AT_B.run((self, rhs, out));
     }
 
     /// The loops of [`Matrix::matmul_at_b_into`], behind its shape check.
@@ -635,68 +636,88 @@ impl Matrix {
     }
 }
 
-/// What the three product kernels share: `out ← f(a, rhs)`, shapes checked
-/// by the caller.
-type KernelFn = fn(&Matrix, &Matrix, &mut Matrix);
+/// The argument of the three product kernels: `out ← f(a, rhs)`, shapes
+/// checked by the caller.
+type Product<'a> = (&'a Matrix, &'a Matrix, &'a mut Matrix);
 
-/// One product kernel, compiled twice from the same `#[inline(always)]`
-/// body: for the build's baseline target, and (x86-64 only) with AVX2
-/// switched on, where the same safe loops auto-vectorise four doubles wide
-/// instead of two. Only the vector width differs — AVX2 has no fused
-/// multiply-add, and `fma` is never enabled — so every output element is
-/// the same multiplies and adds in the same ascending `k`, and which
-/// instantiation ran is invisible in the bits.
-struct Kernel {
-    baseline: KernelFn,
-    /// Must enable no target feature but `avx2`: that is the whole safety
-    /// condition of the call in [`Kernel::run`].
+/// One kernel over an argument `A`, compiled twice from the same
+/// `#[inline(always)]` body: for the build's baseline target, and (x86-64
+/// only) with AVX2 and FMA switched on, where the same safe loops
+/// auto-vectorise four doubles wide instead of two and [`f64::mul_add`] is
+/// one instruction instead of a library call. Which instantiation ran is
+/// invisible in the bits: `mul_add` is exactly rounded in both, and rustc
+/// never contracts a written `a * b + c` into a fused multiply-add, so
+/// enabling `fma` changes no product's arithmetic — every output element is
+/// the same multiplies and adds in the same ascending `k`.
+pub(crate) struct Kernel<A> {
+    baseline: fn(A),
+    /// Must enable no target feature but `avx2` and `fma`: that is the
+    /// whole safety condition of the call in [`Kernel::run`]. The field is
+    /// private and `kernel!` is local to this module, so every `Kernel` in
+    /// the crate is one of the four below.
     #[cfg(target_arch = "x86_64")]
-    avx2: unsafe fn(&Matrix, &Matrix, &mut Matrix),
+    wide: unsafe fn(A),
 }
 
-impl Kernel {
+impl<A> Kernel<A> {
     /// Runs the widest instantiation this CPU has, and says whether that
-    /// was the AVX2 one (only the selection test reads the answer). The
+    /// was the AVX2+FMA one (only the selection tests read the answer). The
     /// CPU alone decides: there is no switch to set.
     #[allow(unsafe_code)]
     #[inline]
-    fn run(&self, a: &Matrix, rhs: &Matrix, out: &mut Matrix) -> bool {
+    pub(crate) fn run(&self, args: A) -> bool {
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: `self.avx2` is a safe function whose only
-            // `#[target_feature]` is `avx2` (see `kernel!`, the one place a
-            // `Kernel` is built), and the line above found it on this CPU.
-            unsafe { (self.avx2)(a, rhs, out) };
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
+            // SAFETY: `self.wide` is a safe function whose only
+            // `#[target_feature]`s are `avx2` and `fma` (see `kernel!`, the
+            // one place a `Kernel` is built), and the line above found both
+            // on this CPU.
+            unsafe { (self.wide)(args) };
             return true;
         }
-        (self.baseline)(a, rhs, out);
+        (self.baseline)(args);
         false
+    }
+
+    /// Runs the baseline instantiation, for the tests that hold it to the
+    /// dispatched one on a CPU where `run` never picks it.
+    #[cfg(test)]
+    pub(crate) fn run_baseline(&self, args: A) {
+        (self.baseline)(args);
     }
 }
 
-/// Both instantiations of the `Matrix` method `$body`, as a [`Kernel`].
+/// Both instantiations of `$body` over `$args: $ty`, as a [`Kernel`].
 macro_rules! kernel {
-    ($body:ident) => {{
+    ($ty:ty, |$args:pat_param| $body:expr) => {{
         #[inline(never)]
-        fn baseline(a: &Matrix, rhs: &Matrix, out: &mut Matrix) {
-            a.$body(rhs, out);
+        fn baseline($args: $ty) {
+            $body
         }
         #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        fn avx2(a: &Matrix, rhs: &Matrix, out: &mut Matrix) {
-            a.$body(rhs, out);
+        #[target_feature(enable = "avx2,fma")]
+        fn wide($args: $ty) {
+            $body
         }
         Kernel {
             baseline,
             #[cfg(target_arch = "x86_64")]
-            avx2,
+            wide,
         }
     }};
 }
 
-static ROWS: Kernel = kernel!(matmul_rows_into);
-static STRIPS: Kernel = kernel!(matmul_strips_into);
-static AT_B: Kernel = kernel!(matmul_at_b_body);
+impl Kernel<Product<'_>> {
+    const ROWS: Self = kernel!(Product<'_>, |(a, rhs, out)| a.matmul_rows_into(rhs, out));
+    const STRIPS: Self = kernel!(Product<'_>, |(a, rhs, out)| a.matmul_strips_into(rhs, out));
+    const AT_B: Self = kernel!(Product<'_>, |(a, rhs, out)| a.matmul_at_b_body(rhs, out));
+}
+
+impl Kernel<&mut [f64]> {
+    /// `x ← tanh(x)` over a slice ([`crate::tanh`]).
+    pub(crate) const TANH: Self = kernel!(&mut [f64], |xs| crate::tanh::slice_body(xs));
+}
 
 /// One `R × W` block of a product, register-resident. `left` yields, in
 /// ascending `k`, the `R` left-operand elements of term `k`; `rhs` starts
@@ -876,11 +897,12 @@ mod tests {
             let at = a.transpose();
             let want = a.matmul_naive(&b);
 
-            let runs: [(&Matrix, KernelFn); 4] = [
-                (&a, Matrix::matmul_dense_into),
-                (&a, Matrix::dense_kernel(cols).baseline),
-                (&at, Matrix::matmul_at_b_into),
-                (&at, AT_B.baseline),
+            type Run<'f> = &'f dyn Fn(&Matrix, &Matrix, &mut Matrix);
+            let runs: [(&Matrix, Run); 4] = [
+                (&a, &Matrix::matmul_dense_into),
+                (&a, &|a, rhs, out| Matrix::dense_kernel(cols).run_baseline((a, rhs, out))),
+                (&at, &Matrix::matmul_at_b_into),
+                (&at, &|a, rhs, out| Kernel::AT_B.run_baseline((a, rhs, out))),
             ];
             for (i, (left, kernel)) in runs.into_iter().enumerate() {
                 let mut out = dirty(large);
@@ -891,21 +913,34 @@ mod tests {
         }
     }
 
-    /// Guards the property above against comparing the baseline with
-    /// itself: a misspelt `cfg` or feature name in [`Kernel::run`] would
-    /// leave every bit and every test unchanged and only the speed gone.
+    /// Guards the property above, and its sibling in `tanh`, against
+    /// comparing the baseline with itself: a misspelt `cfg` or feature name
+    /// in [`Kernel::run`] would leave every bit and every test unchanged
+    /// and only the speed gone.
     #[test]
     fn the_avx2_instantiation_runs_wherever_avx2_is_detected() {
         #[cfg(target_arch = "x86_64")]
-        let detected = std::arch::is_x86_feature_detected!("avx2");
+        let detected = std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma");
         #[cfg(not(target_arch = "x86_64"))]
         let detected = false;
         let m = Matrix::identity(3);
-        for kernel in [&ROWS, &STRIPS, &AT_B] {
+        for i in 0..3 {
+            let kernel = &[Kernel::ROWS, Kernel::STRIPS, Kernel::AT_B][i];
             let mut out = dirty(false);
-            assert_eq!(kernel.run(&m, &m, &mut out), detected);
+            assert_eq!(kernel.run((&m, &m, &mut out)), detected);
             assert_eq!(out, m);
         }
+        let mut xs = [0.3, -1.5, 8.0];
+        assert_eq!(Kernel::TANH.run(&mut xs), detected);
+        assert_eq!(
+            xs.map(f64::to_bits),
+            [
+                0x3fd2_a4dd_a7d9_14fa,
+                0xbfec_f6f9_786d_f577,
+                0x3fef_ffff_872a_91f8
+            ]
+        );
     }
 
     #[test]

@@ -57,6 +57,12 @@ fn parse_args() -> Result<(String, Option<String>, Args), String> {
             "--messages" => {
                 let v = argv.next().ok_or("--messages needs a value")?;
                 effort.messages = v.parse().map_err(|_| format!("bad message count {v}"))?;
+                // Rejected here for every target, the ones that ignore the
+                // flag included: a run spec of zero messages is invalid, and
+                // a worker thread finding that out is a panic.
+                if effort.messages == 0 {
+                    return Err("--messages must be at least 1".into());
+                }
             }
             "--seed" => {
                 let v = argv.next().ok_or("--seed needs a value")?;
@@ -65,6 +71,9 @@ fn parse_args() -> Result<(String, Option<String>, Args), String> {
             "--threads" => {
                 let v = argv.next().ok_or("--threads needs a value")?;
                 effort.threads = v.parse().map_err(|_| format!("bad thread count {v}"))?;
+                if effort.threads == 0 {
+                    return Err("--threads must be at least 1".into());
+                }
             }
             "--data" => data = Some(argv.next().ok_or("--data needs a path")?),
             "--save-data" => save_data = Some(argv.next().ok_or("--save-data needs a path")?),

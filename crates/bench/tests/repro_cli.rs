@@ -61,16 +61,35 @@ fn list_scenarios_rejects_an_operand_that_is_not_a_directory() {
     assert!(stderr(&out).contains("NOPE"), "{}", stderr(&out));
 }
 
+/// Under a file, where nobody can create anything: a merely missing
+/// directory is one `mkdir` away from writable when the tests run as root.
 #[test]
 fn unwritable_trace_out_is_an_error_not_a_panic() {
-    let out = repro(&["trace", "--trace-out", "/nonexistent/x.jsonl"]);
+    let out = repro(&["trace", "--trace-out", "/dev/null/x.jsonl"]);
     let err = stderr(&out);
     assert_eq!(out.status.code(), Some(1), "{err}");
-    assert!(
-        err.contains("cannot create /nonexistent/x-amo.jsonl"),
-        "{err}"
-    );
+    assert!(err.contains("cannot create /dev/null/x-amo.jsonl"), "{err}");
     assert!(!err.contains("panicked"), "{err}");
+}
+
+/// A zero count is refused where the flag is parsed: exit 2 and one line,
+/// as for a malformed value, on targets that would otherwise have panicked
+/// in a sweep worker (`fig4`) and on targets that never read the flag
+/// (`fig9`, `fleet`) alike.
+#[test]
+fn zero_messages_or_threads_is_a_usage_error_not_a_panic() {
+    for target in ["fig4", "fig9", "fleet"] {
+        for (flag, message) in [
+            ("--messages", "--messages must be at least 1\n"),
+            ("--threads", "--threads must be at least 1\n"),
+        ] {
+            let out = repro(&[target, "--quick", flag, "0"]);
+            let err = stderr(&out);
+            assert_eq!(out.status.code(), Some(2), "{target} {flag} 0: {err}");
+            assert_eq!(err, message, "{target} {flag} 0");
+            assert!(out.stdout.is_empty(), "{target} {flag} 0 printed output");
+        }
+    }
 }
 
 /// The corpus-regeneration command went with the Rust mirror it wrote

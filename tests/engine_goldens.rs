@@ -18,6 +18,8 @@ use kafkasim::fleet::{
 use kafkasim::runtime::{BrokerFault, KafkaRun, RunSpec};
 use kafkasim::source::{SizeSpec, SourceSpec};
 use netsim::{ConditionTimeline, NetCondition};
+use testbed::experiment::ExperimentPoint;
+use testbed::Calibration;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -411,5 +413,80 @@ fn fleet_with_flushes_larger_than_the_burst_bucket() {
         };
         let totals = assert_terminates_and_conserves(&cfg).totals;
         assert!(totals.delivered > 0 && totals.lost_overload > totals.delivered);
+    }
+}
+
+/// The per-message engine on scenarios where nothing can be delivered:
+/// the call returns, every source message is accounted for exactly once,
+/// every loss carries a cause, and the causes are the ones the semantics
+/// can produce — a silent reset loss or an expiry under at-most-once,
+/// exhausted retries or an expiry under at-least-once.
+#[test]
+fn per_message_engine_terminates_and_conserves_when_nothing_gets_through() {
+    use kafkasim::audit::LossReason;
+    let every_packet_lost = ExperimentPoint {
+        loss_rate: 1.0,
+        ..ExperimentPoint::default()
+    };
+    let scenarios = [
+        ("L = 100 %, paced", every_packet_lost.clone()),
+        (
+            "L = 100 %, full load",
+            ExperimentPoint {
+                poll_interval: SimDuration::ZERO,
+                ..every_packet_lost
+            },
+        ),
+        (
+            "T_o = 1 ms",
+            ExperimentPoint {
+                message_timeout: SimDuration::from_millis(1),
+                ..ExperimentPoint::default()
+            },
+        ),
+        (
+            "T_o = 20 ms < δ, D = 100 ms",
+            ExperimentPoint {
+                delay: SimDuration::from_millis(100),
+                message_timeout: SimDuration::from_millis(20),
+                ..ExperimentPoint::default()
+            },
+        ),
+    ];
+    let cal = Calibration::paper();
+    for (name, point) in scenarios {
+        for (semantics, allowed) in [
+            (
+                DeliverySemantics::AtMostOnce,
+                [LossReason::ConnectionReset, LossReason::ExpiredInBuffer],
+            ),
+            (
+                DeliverySemantics::AtLeastOnce,
+                [LossReason::RetriesExhausted, LossReason::ExpiredInBuffer],
+            ),
+        ] {
+            let point = ExperimentPoint {
+                semantics,
+                ..point.clone()
+            };
+            let report = point.run(&cal, 500, 5).report;
+            let case = format!("{name}, {semantics:?}: {report:?}");
+            assert_eq!(report.n_source, 500, "{case}");
+            assert_eq!(
+                report.delivered_once + report.lost + report.duplicated,
+                report.n_source,
+                "{case}"
+            );
+            assert_eq!(report.delivered_once, 0, "{case}");
+            assert_eq!(
+                report.loss_reasons.values().sum::<u64>(),
+                report.lost,
+                "{case}"
+            );
+            assert!(
+                report.loss_reasons.keys().all(|r| allowed.contains(r)),
+                "{case}"
+            );
+        }
     }
 }
