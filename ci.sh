@@ -78,6 +78,33 @@ unsafe_lines="$(grep -rnw 'unsafe' crates/*/src | grep -vE ':[0-9]+: *//|unsafe_
     && grep -qx '#!\[deny(unsafe_code)\]' crates/annet/src/lib.rs \
     || { echo "a crate dropped forbid(unsafe_code)" >&2; exit 1; }
 
+echo "== no fused multiply-add in the products (disassembly of the release binary) =="
+# DESIGN 8b's "checked, not assumed": the wide instantiations are compiled
+# with `fma` enabled, and the bits stand only because rustc never contracts a
+# written `a * b + c`. So the three products' `wide` symbols must hold no
+# vfmadd/vfnmadd/vfmsub/vfnmsub at all, and tanh's, where every fusion is a
+# written `mul_add`, must hold some (else the grep has stopped seeing
+# anything). x86-64 only: elsewhere there is no `wide` symbol to look at.
+if ! command -v objdump >/dev/null; then
+    echo "note: objdump not found, product disassembly check skipped"
+elif [ "$(uname -m)" != x86_64 ]; then
+    echo "note: not x86-64, no wide instantiation to disassemble"
+else
+    cargo build --release -q -p bench --bin repro
+    fused="$(objdump -d --no-show-raw-insn -C target/release/repro | awk '
+        /^[0-9a-f]+ <.*>:$/ { sym = "" }
+        /^[0-9a-f]+ <annet::matrix::Kernel<.*>::(ROWS|STRIPS|AT_B|TANH)::wide>:$/ {
+            sym = $0; sub(/.*>::/, "", sym); sub(/::wide>:$/, "", sym); seen[sym] = 1
+        }
+        sym != "" && /vfn?m(add|sub)/ { n[sym]++ }
+        END { for (k in seen) print k, n[k] + 0 }' | sort)"
+    echo "$fused" | tr '\n' ';'; echo
+    [ "$(grep -c . <<<"$fused")" -eq 4 ] \
+        && [ "$(grep -cE '^(AT_B|ROWS|STRIPS) 0$' <<<"$fused")" -eq 3 ] \
+        && grep -qE '^TANH [1-9]' <<<"$fused" \
+        || { echo "a product was compiled to a fused multiply-add, or a wide symbol is gone" >&2; exit 1; }
+fi
+
 echo "== no libm tanh in annet (f64::tanh only in the tests that pin the port to it) =="
 # 0 lines: a `.tanh()` above a file's `#[cfg(test)]` would put the host's
 # libm, and with it whether the CPU has FMA, back into every trained weight.

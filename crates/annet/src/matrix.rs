@@ -1,10 +1,10 @@
 //! A row-major `f64` matrix with exactly the operations backpropagation
-//! needs. No BLAS, no intrinsics — cache-friendly `ikj` loops, and
-//! register-resident column strips where the right-hand side is narrow.
-//! The three product kernels, and the slice loop of `tanh.rs`, are
-//! compiled twice from one source, for baseline x86-64 and for AVX2+FMA,
-//! and `Kernel::run` picks by the CPU: the crate's one `unsafe` call
-//! (DESIGN.md §8b).
+//! needs. No BLAS, no intrinsics — the three products share one
+//! register-resident block (`strip_block`), cut to the register width, and
+//! one row-streaming loop for the shapes where that wins. The three product
+//! kernels, and the slice loop of `tanh.rs`, are compiled twice from one
+//! source, for baseline x86-64 and for AVX2+FMA, and `Kernel::run` picks by
+//! the CPU: the crate's one `unsafe` call (DESIGN.md §8b).
 
 use serde::{Deserialize, Serialize};
 
@@ -152,14 +152,9 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Output rows per cache block of [`Matrix::matmul_at_b_into`].
-    ///
-    /// 16 rows of a 200-wide `f64` matrix is ~25 KiB — it fits L1, so each
-    /// stripe of `out` stays resident across the whole shared dimension.
-    const MATMUL_K_BLOCK: usize = 16;
-
-    /// Widest right-hand side [`Matrix::matmul_dense_into`] hands to the
-    /// column-strip kernel.
+    /// Widest right-hand side the products treat as narrow (backprop's
+    /// `W · δᵀ` and the 1–2 column output layers): blocks as tall as the
+    /// registers allow and no row streams.
     const STRIP_MAX_COLS: usize = 32;
 
     /// Matrix product `self · rhs`.
@@ -181,24 +176,18 @@ impl Matrix {
     /// mostly non-zero) operands — the inference hot path.
     ///
     /// Bit-identical to [`Matrix::matmul_naive`] for finite inputs: every
-    /// output element accumulates its `k` terms in the same ascending
-    /// order (the eight-term update is a left-to-right chain, i.e. the
-    /// same sequential sum), and since the accumulator starts at `+0.0`
-    /// and IEEE round-to-nearest never produces `-0.0` from a sum of
-    /// distinct values, adding a `±0.0` term where the naive product skips
-    /// an exact-zero `self` element cannot change any bit. Dropping the
-    /// zero test lets the inner saxpy loop vectorise, which is what the
-    /// batched inference path needs. The only divergence is non-finite
-    /// weights (`0 · ∞`, `0 · NaN`), where the skipping product would hide
-    /// the poison — inputs no trained network produces.
+    /// output element is its own accumulator, summing its `k` terms in the
+    /// same ascending order from `+0.0`, one rounding per multiply and per
+    /// add, and since IEEE round-to-nearest never produces `-0.0` from a
+    /// sum that started at `+0.0`, adding a `±0.0` term where the naive
+    /// product skips an exact-zero `self` element cannot change any bit.
+    /// The only divergence is non-finite operands (`0 · ∞`, `0 · NaN`),
+    /// where the skipping product would hide the poison — inputs no trained
+    /// network produces.
     ///
-    /// The operand shape alone picks the loop nest: a right-hand side up to
-    /// 32 columns wide (backprop's `W · δᵀ`, the 1–2 column output layers)
-    /// runs as register-resident column strips (`strip_block`), where the
-    /// row-streaming loops would reload and store their short output rows
-    /// once per eight terms; both add the same products in the same
-    /// ascending `k` from `+0.0`, so which one ran is invisible in the
-    /// bits (DESIGN.md §8b).
+    /// The operand shape and the register width alone pick the loop nest
+    /// (`product`); all of them add the same products in the same order, so
+    /// which one ran is invisible in the bits (DESIGN.md §8b).
     ///
     /// # Panics
     ///
@@ -219,133 +208,6 @@ impl Matrix {
             Kernel::STRIPS
         } else {
             Kernel::ROWS
-        }
-    }
-
-    /// [`Matrix::matmul_dense_into`] for a wide `rhs`: streams whole output
-    /// rows, eight `k` terms a pass. Its two instantiations ([`Kernel::ROWS`]) stay
-    /// out of line, like its sibling's: compiled into one body with the
-    /// strips, the one-row loop here ran 10 % slower (5.9 against 5.3 µs on
-    /// a 200 × 200 layer).
-    #[inline(always)]
-    fn matmul_rows_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        out.resize_zeroed(self.rows, rhs.cols);
-        let rc = rhs.cols;
-        // Every slice below is re-sliced to exactly `rc` elements so the
-        // `j < rc` loop bound proves all the indexed accesses in bounds —
-        // the inner loops compile branch-free and vectorise. Pairing output
-        // rows halves the rhs traffic (each loaded rhs value feeds two
-        // accumulators). Each output element accumulates its k terms in
-        // ascending order (the eight-term left-to-right chain associates
-        // exactly like eight sequential `+=`s), matching the naive
-        // product's order, so pairing rows cannot change any bit.
-        let mut i = 0;
-        while i + 2 <= self.rows {
-            let a0 = &self.data[i * self.cols..(i + 1) * self.cols];
-            let a1 = &self.data[(i + 1) * self.cols..(i + 2) * self.cols];
-            let (o0, o1) = out.data[i * rc..(i + 2) * rc].split_at_mut(rc);
-            let o0 = &mut o0[..rc];
-            let o1 = &mut o1[..rc];
-            let mut k = 0;
-            while k + 8 <= self.cols {
-                let c0: &[f64; 8] = a0[k..k + 8].try_into().unwrap();
-                let c1: &[f64; 8] = a1[k..k + 8].try_into().unwrap();
-                let b0 = &rhs.data[k * rc..][..rc];
-                let b1 = &rhs.data[(k + 1) * rc..][..rc];
-                let b2 = &rhs.data[(k + 2) * rc..][..rc];
-                let b3 = &rhs.data[(k + 3) * rc..][..rc];
-                let b4 = &rhs.data[(k + 4) * rc..][..rc];
-                let b5 = &rhs.data[(k + 5) * rc..][..rc];
-                let b6 = &rhs.data[(k + 6) * rc..][..rc];
-                let b7 = &rhs.data[(k + 7) * rc..][..rc];
-                for j in 0..rc {
-                    o0[j] = o0[j]
-                        + c0[0] * b0[j]
-                        + c0[1] * b1[j]
-                        + c0[2] * b2[j]
-                        + c0[3] * b3[j]
-                        + c0[4] * b4[j]
-                        + c0[5] * b5[j]
-                        + c0[6] * b6[j]
-                        + c0[7] * b7[j];
-                    o1[j] = o1[j]
-                        + c1[0] * b0[j]
-                        + c1[1] * b1[j]
-                        + c1[2] * b2[j]
-                        + c1[3] * b3[j]
-                        + c1[4] * b4[j]
-                        + c1[5] * b5[j]
-                        + c1[6] * b6[j]
-                        + c1[7] * b7[j];
-                }
-                k += 8;
-            }
-            while k < self.cols {
-                let a0k = a0[k];
-                let a1k = a1[k];
-                let rhs_row = &rhs.data[k * rc..][..rc];
-                for j in 0..rc {
-                    o0[j] += a0k * rhs_row[j];
-                    o1[j] += a1k * rhs_row[j];
-                }
-                k += 1;
-            }
-            i += 2;
-        }
-        while i < self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let out_row = &mut out.data[i * rc..][..rc];
-            let mut k = 0;
-            while k + 8 <= self.cols {
-                let c: &[f64; 8] = a_row[k..k + 8].try_into().unwrap();
-                let b0 = &rhs.data[k * rc..][..rc];
-                let b1 = &rhs.data[(k + 1) * rc..][..rc];
-                let b2 = &rhs.data[(k + 2) * rc..][..rc];
-                let b3 = &rhs.data[(k + 3) * rc..][..rc];
-                let b4 = &rhs.data[(k + 4) * rc..][..rc];
-                let b5 = &rhs.data[(k + 5) * rc..][..rc];
-                let b6 = &rhs.data[(k + 6) * rc..][..rc];
-                let b7 = &rhs.data[(k + 7) * rc..][..rc];
-                for j in 0..rc {
-                    out_row[j] = out_row[j]
-                        + c[0] * b0[j]
-                        + c[1] * b1[j]
-                        + c[2] * b2[j]
-                        + c[3] * b3[j]
-                        + c[4] * b4[j]
-                        + c[5] * b5[j]
-                        + c[6] * b6[j]
-                        + c[7] * b7[j];
-                }
-                k += 8;
-            }
-            while k < self.cols {
-                let a = a_row[k];
-                let rhs_row = &rhs.data[k * rc..][..rc];
-                for j in 0..rc {
-                    out_row[j] += a * rhs_row[j];
-                }
-                k += 1;
-            }
-            i += 1;
-        }
-    }
-
-    /// [`Matrix::matmul_dense_into`] for a narrow `rhs`: column strips, two
-    /// output rows a pass. Every element of `out` is stored exactly once,
-    /// so it is not zeroed first.
-    #[inline(always)]
-    fn matmul_strips_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        let rc = rhs.cols;
-        out.reshape_for_overwrite(self.rows, rc);
-        let rows = self.data.chunks(2 * self.cols);
-        for (a, o) in rows.zip(out.data.chunks_mut(2 * rc)) {
-            if a.len() == 2 * self.cols {
-                let (a0, a1) = a.split_at(self.cols);
-                strip_cascade(|| a0.iter().zip(a1).map(|(&x, &y)| [x, y]), rhs, o);
-            } else {
-                strip_cascade(|| a.iter().map(|&x| [x]), rhs, o);
-            }
         }
     }
 
@@ -388,11 +250,12 @@ impl Matrix {
 
     /// `selfᵀ · rhs` without materialising the transpose, into `out`.
     ///
-    /// Bit-identical to `self.transpose().matmul_naive(rhs)`: the outer
-    /// loop walks the shared dimension (rows of both operands) in ascending
-    /// order, so every output element accumulates its terms in exactly the
-    /// order the materialised-transpose product would, with the same
-    /// exact-zero skip on `self` elements.
+    /// Bit-identical to `self.transpose().matmul_naive(rhs)` for finite
+    /// operands: the same kernels as [`Matrix::matmul_dense_into`] reading
+    /// their left terms down the columns of `self`, so every output element
+    /// accumulates its terms in ascending order of the shared dimension
+    /// (rows of both operands) from `+0.0`. No zero is skipped; as there,
+    /// non-finite operands are the one divergence.
     ///
     /// # Panics
     ///
@@ -404,72 +267,6 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         Kernel::AT_B.run((self, rhs, out));
-    }
-
-    /// The loops of [`Matrix::matmul_at_b_into`], behind its shape check.
-    #[inline(always)]
-    fn matmul_at_b_body(&self, rhs: &Matrix, out: &mut Matrix) {
-        out.resize_zeroed(self.cols, rhs.cols);
-        let rc = rhs.cols;
-        // Block the output rows so each ~25 KiB stripe of `out` stays
-        // cache-resident across the whole shared dimension, and walk the
-        // shared dimension four rows at a time so each output row is
-        // loaded and stored once per group instead of once per term.
-        // Neither change reorders any output element's accumulation:
-        // terms still arrive in ascending `k`, skipping exact-zero `self`
-        // elements (the four-term update falls back to the skipping scalar
-        // loop whenever a zero is present).
-        let mut ib = 0;
-        while ib < self.cols {
-            let i_end = (ib + Self::MATMUL_K_BLOCK).min(self.cols);
-            let mut k = 0;
-            while k + 4 <= self.rows {
-                let a0 = &self.data[k * self.cols..(k + 1) * self.cols];
-                let a1 = &self.data[(k + 1) * self.cols..(k + 2) * self.cols];
-                let a2 = &self.data[(k + 2) * self.cols..(k + 3) * self.cols];
-                let a3 = &self.data[(k + 3) * self.cols..(k + 4) * self.cols];
-                let b0 = &rhs.data[k * rc..(k + 1) * rc];
-                let b1 = &rhs.data[(k + 1) * rc..(k + 2) * rc];
-                let b2 = &rhs.data[(k + 2) * rc..(k + 3) * rc];
-                let b3 = &rhs.data[(k + 3) * rc..(k + 4) * rc];
-                for i in ib..i_end {
-                    let (c0, c1, c2, c3) = (a0[i], a1[i], a2[i], a3[i]);
-                    let out_row = &mut out.data[i * rc..(i + 1) * rc];
-                    if c0 != 0.0 && c1 != 0.0 && c2 != 0.0 && c3 != 0.0 {
-                        for ((((o, &v0), &v1), &v2), &v3) in
-                            out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
-                        {
-                            *o = *o + c0 * v0 + c1 * v1 + c2 * v2 + c3 * v3;
-                        }
-                    } else {
-                        for &(c, b) in &[(c0, b0), (c1, b1), (c2, b2), (c3, b3)] {
-                            if c == 0.0 {
-                                continue;
-                            }
-                            for (o, &v) in out_row.iter_mut().zip(b) {
-                                *o += c * v;
-                            }
-                        }
-                    }
-                }
-                k += 4;
-            }
-            while k < self.rows {
-                let a_row = &self.data[k * self.cols..(k + 1) * self.cols];
-                let rhs_row = &rhs.data[k * rc..(k + 1) * rc];
-                for (i, &a) in a_row.iter().enumerate().take(i_end).skip(ib) {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let out_row = &mut out.data[i * rc..(i + 1) * rc];
-                    for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                        *o += a * b;
-                    }
-                }
-                k += 1;
-            }
-            ib = i_end;
-        }
     }
 
     /// The transpose.
@@ -689,15 +486,19 @@ impl<A> Kernel<A> {
 }
 
 /// Both instantiations of `$body` over `$args: $ty`, as a [`Kernel`].
+/// `$lanes` names, inside `$body`, the doubles a register holds where that
+/// instantiation runs.
 macro_rules! kernel {
-    ($ty:ty, |$args:pat_param| $body:expr) => {{
+    ($ty:ty, |$args:pat_param, $lanes:ident| $body:expr) => {{
         #[inline(never)]
         fn baseline($args: $ty) {
+            const $lanes: usize = 2;
             $body
         }
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2,fma")]
         fn wide($args: $ty) {
+            const $lanes: usize = 4;
             $body
         }
         Kernel {
@@ -708,24 +509,166 @@ macro_rules! kernel {
     }};
 }
 
+/// The block shapes, by operand shape and register width alone. A narrow
+/// `rhs` (`W · δᵀ`) takes eight registers of accumulators as `LANES × 8`
+/// (2 × 8, 4 × 8). A wide one (`x · W`, `xᵀ · δ`) takes row pairs, 2 × 16
+/// or, where the shared dimension is only a mini-batch long and a bigger
+/// block amortises its zeroing and storing better, twelve registers as
+/// 2 × 24, on four lanes; two-lane registers stream them
+/// (`blocked_under_wide_rhs`).
 impl Kernel<Product<'_>> {
-    const ROWS: Self = kernel!(Product<'_>, |(a, rhs, out)| a.matmul_rows_into(rhs, out));
-    const STRIPS: Self = kernel!(Product<'_>, |(a, rhs, out)| a.matmul_strips_into(rhs, out));
-    const AT_B: Self = kernel!(Product<'_>, |(a, rhs, out)| a.matmul_at_b_body(rhs, out));
+    const ROWS: Self = kernel!(Product<'_>, |(a, rhs, out), LANES| {
+        let blocked = blocked_under_wide_rhs(a.rows, LANES);
+        product::<2, { 8 * LANES }>(Rows(a), a.rows, blocked, rhs, out)
+    });
+    const STRIPS: Self = kernel!(Product<'_>, |(a, rhs, out), LANES| {
+        product::<LANES, { 8 * LANES }>(Rows(a), a.rows, a.rows, rhs, out)
+    });
+    const AT_B: Self = kernel!(Product<'_>, |(a, rhs, out), LANES| {
+        if rhs.cols <= Matrix::STRIP_MAX_COLS {
+            product::<LANES, { 8 * LANES }>(Cols(a), a.cols, a.cols, rhs, out)
+        } else {
+            let blocked = blocked_under_wide_rhs(a.cols, LANES);
+            product::<2, { 12 * LANES }>(Cols(a), a.cols, blocked, rhs, out)
+        }
+    });
 }
 
 impl Kernel<&mut [f64]> {
     /// `x ← tanh(x)` over a slice ([`crate::tanh`]).
-    pub(crate) const TANH: Self = kernel!(&mut [f64], |xs| crate::tanh::slice_body(xs));
+    pub(crate) const TANH: Self = kernel!(&mut [f64], |xs, _LANES| crate::tanh::slice_body(xs));
+}
+
+/// How many leading output rows of a product with a wide `rhs` run as
+/// register blocks: the row pairs, on a four-lane machine. An odd last row
+/// streams: alone it re-uses no strip of `rhs`, and whole rows of `rhs` are
+/// the access pattern the prefetcher follows. On two lanes every row
+/// streams: a 2 × 8 block is eight registers of accumulators there too, but
+/// it costs as many instructions a term as it does multiply-adds, and loses
+/// (measured in DESIGN.md §8b).
+const fn blocked_under_wide_rhs(rows: usize, lanes: usize) -> usize {
+    if lanes == 2 {
+        0
+    } else {
+        rows - rows % 2
+    }
+}
+
+/// The left operand of a product as the kernels walk it.
+trait Left: Copy {
+    /// In ascending `k`, term `k` of output rows `i..i + R`.
+    fn terms<const R: usize>(self, i: usize) -> impl Iterator<Item = [f64; R]>;
+}
+
+/// `a` as it is stored: output row `i` reads row `i` of `a`.
+#[derive(Clone, Copy)]
+struct Rows<'a>(&'a Matrix);
+
+/// `aᵀ`, never materialised: output row `i` reads column `i` of `a`, so the
+/// `R` left terms of a block are adjacent in memory.
+#[derive(Clone, Copy)]
+struct Cols<'a>(&'a Matrix);
+
+impl Left for Rows<'_> {
+    #[inline(always)]
+    fn terms<const R: usize>(self, i: usize) -> impl Iterator<Item = [f64; R]> {
+        let Matrix { cols, data, .. } = self.0;
+        let rows: [&[f64]; R] = std::array::from_fn(|r| &data[(i + r) * cols..][..*cols]);
+        (0..*cols).map(move |k| rows.map(|row| row[k]))
+    }
+}
+
+impl Left for Cols<'_> {
+    #[inline(always)]
+    fn terms<const R: usize>(self, i: usize) -> impl Iterator<Item = [f64; R]> {
+        let Matrix { cols, data, .. } = self.0;
+        data[i..]
+            .chunks(*cols)
+            .map(|row| *row.first_chunk().expect("R columns right of i"))
+    }
+}
+
+/// `out ← left · rhs` (`rows × rhs.cols`): output rows `..blocked` as
+/// register blocks of up to `ACC` accumulators, `R` rows tall, then a row
+/// pair and a last row in blocks of their own; rows `blocked..` streamed, in
+/// pairs and a last one. Every element of `out` is written by exactly one of
+/// them, whatever it held.
+#[inline(always)]
+fn product<const R: usize, const ACC: usize>(
+    left: impl Left,
+    rows: usize,
+    blocked: usize,
+    rhs: &Matrix,
+    out: &mut Matrix,
+) {
+    out.reshape_for_overwrite(rows, rhs.cols);
+    let out = &mut out.data[..];
+    let (full, paired) = (blocked - blocked % R, blocked - blocked % 2);
+    blocks::<R, ACC>(left, 0..full, rhs, out);
+    blocks::<2, ACC>(left, full..paired, rhs, out);
+    blocks::<1, ACC>(left, paired..blocked, rhs, out);
+    let paired = rows - (rows - blocked) % 2;
+    stream::<2>(left, blocked..paired, rhs, out);
+    stream::<1>(left, paired..rows, rhs, out);
+}
+
+/// Output rows `rows`, `R` at a pass, streaming whole rows of `rhs` eight
+/// terms at a time into the output rows, zeroed first. The eight-term update
+/// is a left-to-right chain, so every output element is still the sequential
+/// sum from `+0.0` in ascending `k`; the `R` rows of a pass share the eight
+/// rows of `rhs` while they are in L1 (DESIGN.md §8b has what it is
+/// measured against).
+#[inline(always)]
+fn stream<const R: usize>(
+    left: impl Left,
+    rows: std::ops::Range<usize>,
+    rhs: &Matrix,
+    out: &mut [f64],
+) {
+    let rc = rhs.cols;
+    for i in rows.step_by(R) {
+        let group = &mut out[i * rc..(i + R) * rc];
+        group.fill(0.0);
+        let mut terms = left.terms::<R>(i);
+        let mut b = rhs.data.chunks_exact(rc);
+        for _ in 0..rhs.rows / 8 {
+            let c: [[f64; R]; 8] = std::array::from_fn(|_| terms.next().expect("a term"));
+            let b: [&[f64]; 8] = std::array::from_fn(|_| b.next().expect("its rhs row"));
+            for (r, o) in group.chunks_exact_mut(rc).enumerate() {
+                add_eight(o, b, c.map(|c| c[r]));
+            }
+        }
+        for (c, b) in terms.zip(b) {
+            for (r, o) in group.chunks_exact_mut(rc).enumerate() {
+                for (o, &b) in o.iter_mut().zip(b) {
+                    *o += c[r] * b;
+                }
+            }
+        }
+    }
+}
+
+/// `o[j] ← ((o[j] + c₀·b₀[j]) + c₁·b₁[j]) + …` over one output row. A
+/// function of its own so that `o`, the only slice written, is known not to
+/// overlap the rows read and the loop vectorises without run-time checks.
+#[inline(always)]
+fn add_eight(o: &mut [f64], b: [&[f64]; 8], c: [f64; 8]) {
+    let b = b.map(|row| &row[..o.len()]);
+    for j in 0..o.len() {
+        let mut sum = o[j];
+        for t in 0..8 {
+            sum += c[t] * b[t][j];
+        }
+        o[j] = sum;
+    }
 }
 
 /// One `R × W` block of a product, register-resident. `left` yields, in
 /// ascending `k`, the `R` left-operand elements of term `k`; `rhs` starts
 /// at the block's first column of an `rc`-wide row-major operand. The
 /// `R · W` accumulators live in locals across the whole shared dimension
-/// (2 × 8 doubles are 8 of the 16 SSE2 registers, 4 of the 16 AVX2 ones)
-/// and each is the sequential sum `((+0.0 + a₀·b₀) + a₁·b₁) + …`: the
-/// order of the `ikj` loops, one rounding per multiply and per add, no FMA.
+/// and each is the sequential sum `((+0.0 + a₀·b₀) + a₁·b₁) + …`: the order
+/// of the `ikj` loops, one rounding per multiply and per add, no FMA.
 #[inline(always)]
 fn strip_block<const R: usize, const W: usize>(
     left: impl Iterator<Item = [f64; R]>,
@@ -746,39 +689,49 @@ fn strip_block<const R: usize, const W: usize>(
     acc
 }
 
-/// Every `W`-column strip that still fits right of `*j`, stored once each
-/// into the `R` rows of `out`.
+/// Every `W`-column strip that still fits right of `*j`, each down output
+/// rows `rows` in steps of `R`, a block stored once. Nothing when `R × W`
+/// is more than the `ACC` accumulators the caller has registers for.
 #[inline(always)]
-fn strips<const R: usize, const W: usize, I: Iterator<Item = [f64; R]>>(
-    left: &impl Fn() -> I,
+fn strips<const R: usize, const W: usize, const ACC: usize>(
+    left: impl Left,
+    rows: &std::ops::Range<usize>,
     rhs: &Matrix,
     out: &mut [f64],
     j: &mut usize,
 ) {
     let rc = rhs.cols;
-    while *j + W <= rc {
-        let acc = strip_block::<R, W>(left(), &rhs.data[*j..], rc);
-        for (r, acc) in acc.iter().enumerate() {
-            out[r * rc + *j..][..W].copy_from_slice(acc);
+    while R * W <= ACC && *j + W <= rc {
+        for i in rows.clone().step_by(R) {
+            let acc = strip_block::<R, W>(left.terms(i), &rhs.data[*j..], rc);
+            for (r, acc) in acc.iter().enumerate() {
+                out[(i + r) * rc + *j..][..W].copy_from_slice(acc);
+            }
         }
         *j += W;
     }
 }
 
-/// `R` full output rows (`out`, `R × rhs.cols`) as an 8/4/2/1 cascade of
-/// column strips, so any width is covered without padding: 21 = 8 + 8 +
-/// 4 + 1. `left` restarts the term stream for each strip.
+/// Output rows `rows` (a multiple of `R` of them) as column strips, widest
+/// first, so any width is covered without padding: 21 = 16 + 4 + 1. The
+/// strip is the outer loop: a `200 × 16` strip of `rhs` (25 KB) stays in L1
+/// down every row group instead of all of `rhs` streaming from L2 once per
+/// group. Every element of `out` is stored exactly once, never read.
 #[inline(always)]
-fn strip_cascade<const R: usize, I: Iterator<Item = [f64; R]>>(
-    left: impl Fn() -> I,
+fn blocks<const R: usize, const ACC: usize>(
+    left: impl Left,
+    rows: std::ops::Range<usize>,
     rhs: &Matrix,
     out: &mut [f64],
 ) {
     let mut j = 0;
-    strips::<R, 8, I>(&left, rhs, out, &mut j);
-    strips::<R, 4, I>(&left, rhs, out, &mut j);
-    strips::<R, 2, I>(&left, rhs, out, &mut j);
-    strips::<R, 1, I>(&left, rhs, out, &mut j);
+    strips::<R, 32, ACC>(left, &rows, rhs, out, &mut j);
+    strips::<R, 24, ACC>(left, &rows, rhs, out, &mut j);
+    strips::<R, 16, ACC>(left, &rows, rhs, out, &mut j);
+    strips::<R, 8, ACC>(left, &rows, rhs, out, &mut j);
+    strips::<R, 4, ACC>(left, &rows, rhs, out, &mut j);
+    strips::<R, 2, ACC>(left, &rows, rhs, out, &mut j);
+    strips::<R, 1, ACC>(left, &rows, rhs, out, &mut j);
 }
 
 #[cfg(test)]
@@ -867,30 +820,35 @@ mod tests {
     /// result below, holding values no sum may pick up.
     fn dirty(large: bool) -> Matrix {
         if large {
-            Matrix::from_vec(45, 45, vec![f64::NAN; 45 * 45])
+            Matrix::from_vec(65, 65, vec![f64::NAN; 65 * 65])
         } else {
             Matrix::from_vec(1, 3, vec![7.5; 3])
         }
     }
 
     proptest::proptest! {
-        /// The column strips (right-hand sides up to 32 wide: every 8/4/2/1
-        /// cascade split, odd row counts, 1-wide and 1-tall operands) and
-        /// the wide loop next to them *are* the product: bit for bit
-        /// `matmul_naive`, whose exact-zero skip must stay invisible, into
-        /// dirty buffers of the wrong shape. `matmul_at_b_into` is held to
-        /// the same oracle through `transpose()`. Each runs twice: through
-        /// the public entry (the AVX2 instantiation wherever the CPU has
-        /// it) and as the baseline instantiation called directly, which is
-        /// how that one stays covered on an AVX2 host.
+        /// Every nest under the three products *is* the product: bit for
+        /// bit `matmul_naive`, whose exact-zero skip must stay invisible,
+        /// into dirty buffers of the wrong shape; `matmul_at_b_into` is
+        /// held to the same oracle through `transpose()`. Right-hand sides
+        /// up to 64 columns put every step of the strip cascades (32, 24,
+        /// 16, 8, 4, 2, 1) and both sides of the narrow / wide bound under
+        /// it; half the cases have 1, 2, 3, 32 or 33 rows, for the blocks of
+        /// four, the pair and the last row alone; shared dimensions either side of eight run the streaming
+        /// loop's eight-term passes and its one-term remainder. Each runs
+        /// twice: through the public entry (the AVX2 instantiation wherever
+        /// the CPU has it) and as the baseline instantiation called
+        /// directly, which is how that one stays covered on an AVX2 host.
         #[test]
         fn dense_and_at_b_kernels_equal_the_naive_product_bitwise(
             rows in 1usize..41,
+            edge in 0usize..10,
             shared in 1usize..41,
-            cols in 1usize..41,
+            cols in 1usize..65,
             large in proptest::bool::ANY,
             seed in 0u64..u64::MAX,
         ) {
+            let rows = [1, 2, 3, 32, 33].get(edge).copied().unwrap_or(rows);
             let mut rng = desim::SimRng::seed_from_u64(seed);
             let a = sparse(rows, shared, &mut rng);
             let b = sparse(shared, cols, &mut rng);

@@ -255,6 +255,12 @@ impl RunSpec {
         self.producer.validate().map_err(|e| e.to_string())?;
         self.cluster.validate()?;
         self.source.validate()?;
+        let rate = self.channel.link.rate_bytes_per_sec;
+        if !(rate.is_finite() && rate > 0.0) {
+            return Err(format!(
+                "channel.link.rate_bytes_per_sec must be positive and finite, got {rate}"
+            ));
+        }
         for (_, cfg) in &self.config_schedule {
             cfg.validate().map_err(|e| e.to_string())?;
         }

@@ -161,22 +161,10 @@ impl Profiler {
     /// the returned guard drops. `name` is `&'static str` so interning
     /// never copies; use stable, dot-namespaced names
     /// (`"kafkasim.dispatch"`).
+    #[inline]
     pub fn span(&self, name: &'static str) -> SpanGuard {
-        match &self.inner {
-            None => SpanGuard { inner: None },
-            Some(arc) => {
-                let mut g = arc.lock().expect("profiler mutex poisoned");
-                let now_ns = elapsed_ns(g.t0);
-                let parent = g.stack.last().map(|f| f.path);
-                let path = g.intern(parent, name);
-                g.stack.push(Frame {
-                    path,
-                    start_ns: now_ns,
-                });
-                SpanGuard {
-                    inner: Some(Arc::clone(arc)),
-                }
-            }
+        SpanGuard {
+            inner: self.inner.as_ref().map(|arc| open(arc, name)),
         }
     }
 
@@ -227,6 +215,50 @@ fn elapsed_ns(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
+/// The recording arm of [`Profiler::span`], out of line so that the
+/// disabled path is the `None` test alone at every instrumented site.
+#[cold]
+#[inline(never)]
+fn open(arc: &Arc<Mutex<Inner>>, name: &'static str) -> Arc<Mutex<Inner>> {
+    let mut g = arc.lock().expect("profiler mutex poisoned");
+    let now_ns = elapsed_ns(g.t0);
+    let parent = g.stack.last().map(|f| f.path);
+    let path = g.intern(parent, name);
+    g.stack.push(Frame {
+        path,
+        start_ns: now_ns,
+    });
+    Arc::clone(arc)
+}
+
+/// The recording arm of [`SpanGuard`]'s drop: charges the innermost open
+/// span its wall-clock duration.
+#[cold]
+#[inline(never)]
+fn close(arc: &Mutex<Inner>) {
+    let mut g = arc.lock().expect("profiler mutex poisoned");
+    let now_ns = elapsed_ns(g.t0);
+    let Some(frame) = g.stack.pop() else {
+        return;
+    };
+    let end_ns = now_ns.max(frame.start_ns);
+    let dur = end_ns - frame.start_ns;
+    g.agg[frame.path].calls += 1;
+    g.agg[frame.path].total_ns += dur;
+    if let Some(parent) = g.paths[frame.path].parent {
+        g.agg[parent].child_ns += dur;
+    }
+    if g.records.len() < RECORD_CAP {
+        g.records.push(Record {
+            path: frame.path,
+            start_ns: frame.start_ns,
+            end_ns,
+        });
+    } else {
+        g.dropped += 1;
+    }
+}
+
 /// Closes its span when dropped. Obtain via [`Profiler::span`] or the
 /// [`span!`](crate::span!) macro; hold in a local so it drops at scope
 /// end, in LIFO order with any nested guards.
@@ -237,30 +269,10 @@ pub struct SpanGuard {
 }
 
 impl Drop for SpanGuard {
+    #[inline]
     fn drop(&mut self) {
-        let Some(arc) = self.inner.take() else {
-            return;
-        };
-        let mut g = arc.lock().expect("profiler mutex poisoned");
-        let now_ns = elapsed_ns(g.t0);
-        let Some(frame) = g.stack.pop() else {
-            return;
-        };
-        let end_ns = now_ns.max(frame.start_ns);
-        let dur = end_ns - frame.start_ns;
-        g.agg[frame.path].calls += 1;
-        g.agg[frame.path].total_ns += dur;
-        if let Some(parent) = g.paths[frame.path].parent {
-            g.agg[parent].child_ns += dur;
-        }
-        if g.records.len() < RECORD_CAP {
-            g.records.push(Record {
-                path: frame.path,
-                start_ns: frame.start_ns,
-                end_ns,
-            });
-        } else {
-            g.dropped += 1;
+        if let Some(arc) = &self.inner {
+            close(arc);
         }
     }
 }

@@ -416,6 +416,22 @@ fn fleet_with_flushes_larger_than_the_burst_bucket() {
     }
 }
 
+/// Every source message is accounted for exactly once and every loss
+/// carries a cause.
+fn assert_conserves_and_attributes(report: &kafkasim::audit::DeliveryReport, case: &str) {
+    assert_eq!(report.n_source, 500, "{case}");
+    assert_eq!(
+        report.delivered_once + report.lost + report.duplicated,
+        report.n_source,
+        "{case}"
+    );
+    assert_eq!(
+        report.loss_reasons.values().sum::<u64>(),
+        report.lost,
+        "{case}"
+    );
+}
+
 /// The per-message engine on scenarios where nothing can be delivered:
 /// the call returns, every source message is accounted for exactly once,
 /// every loss carries a cause, and the causes are the ones the semantics
@@ -471,22 +487,48 @@ fn per_message_engine_terminates_and_conserves_when_nothing_gets_through() {
             };
             let report = point.run(&cal, 500, 5).report;
             let case = format!("{name}, {semantics:?}: {report:?}");
-            assert_eq!(report.n_source, 500, "{case}");
-            assert_eq!(
-                report.delivered_once + report.lost + report.duplicated,
-                report.n_source,
-                "{case}"
-            );
+            assert_conserves_and_attributes(&report, &case);
             assert_eq!(report.delivered_once, 0, "{case}");
-            assert_eq!(
-                report.loss_reasons.values().sum::<u64>(),
-                report.lost,
-                "{case}"
-            );
             assert!(
                 report.loss_reasons.keys().all(|r| allowed.contains(r)),
                 "{case}"
             );
         }
+    }
+}
+
+/// Zero bandwidth is not a scenario: `RunSpec::validate` refuses a link
+/// rate that is zero, negative or not finite and names the field, where
+/// `execute` used to panic inside `Link::new`. The nearest valid scenario,
+/// a link of one byte a second, is degenerate the way nothing getting
+/// through is: the call returns, every source message is accounted for
+/// exactly once, every loss carries a cause, and what is delivered is the
+/// one request each connection had serialised before its queue filled.
+#[test]
+fn zero_bandwidth_is_refused_and_a_starved_link_terminates_and_conserves() {
+    let cal = Calibration::paper();
+    let with_rate = |semantics, rate| {
+        let point = ExperimentPoint {
+            semantics,
+            ..ExperimentPoint::default()
+        };
+        let mut spec = point.to_run_spec(&cal, 500);
+        spec.channel.link.rate_bytes_per_sec = rate;
+        spec
+    };
+    for semantics in [
+        DeliverySemantics::AtMostOnce,
+        DeliverySemantics::AtLeastOnce,
+    ] {
+        for rate in [0.0, -12.5e6, f64::NAN, f64::INFINITY] {
+            let err = with_rate(semantics, rate).validate().unwrap_err();
+            assert!(err.contains("channel.link.rate_bytes_per_sec"), "{err}");
+        }
+        let spec = with_rate(semantics, 1.0);
+        spec.validate().expect("a slow link is a valid one");
+        let report = KafkaRun::new(spec, 5).execute().report;
+        let case = format!("{semantics:?}: {report:?}");
+        assert_conserves_and_attributes(&report, &case);
+        assert!(report.lost > report.n_source * 9 / 10, "{case}");
     }
 }
