@@ -1,6 +1,7 @@
 //! The scheduling front-end shared by both engines: clock, sequence
 //! counter, fired count, and the pending events behind **delay-class FIFO
-//! lanes** in front of the [`MinQueue`] heap.
+//! lanes** in front of a [`MinQueue`] (the "heap" below: the general
+//! structure, itself a short sorted run with a 4-ary heap behind it).
 //!
 //! Most events of a long simulation are periodic: a fleet tenant's flush is
 //! re-armed exactly one flush interval ahead, a request's timeout exactly
@@ -60,6 +61,10 @@ pub(crate) struct Agenda<E> {
     next_seq: u64,
     fired: u64,
     heap: MinQueue<E>,
+    /// Least key in `heap`, [`NO_FRONT`] when empty: cached like a lane's
+    /// front, so finding the least event reads five keys and never the
+    /// queue.
+    heap_front: Key,
     /// The delay each lane owns. Only meaningful together with the lane's
     /// content: an empty lane keeps its last delay until another claims it.
     lane_delay: [SimDuration; LANES],
@@ -77,6 +82,7 @@ impl<E> Agenda<E> {
             next_seq: 0,
             fired: 0,
             heap: MinQueue::new(),
+            heap_front: NO_FRONT,
             lane_delay: [SimDuration::ZERO; LANES],
             lane_front: [NO_FRONT; LANES],
             lane_back: [NO_BACK; LANES],
@@ -114,7 +120,7 @@ impl<E> Agenda<E> {
                 if key >= self.lane_back[lane] {
                     self.append(lane, key, event);
                 } else {
-                    self.heap.push(at, seq, event);
+                    self.push_heap(key, event);
                 }
                 return;
             }
@@ -127,13 +133,18 @@ impl<E> Agenda<E> {
                 self.lane_delay[lane] = delay;
                 self.append(lane, key, event);
             }
-            None => self.heap.push(at, seq, event),
+            None => self.push_heap(key, event),
         }
     }
 
     /// Schedules `event` to fire `delay` after the current instant.
     pub(crate) fn schedule_in(&mut self, delay: SimDuration, event: E) {
         self.schedule_at(self.now + delay, event);
+    }
+
+    fn push_heap(&mut self, key: Key, event: E) {
+        self.heap_front = self.heap_front.min(key);
+        self.heap.push(key.0, key.1, event);
     }
 
     fn append(&mut self, lane: usize, key: Key, event: E) {
@@ -147,7 +158,7 @@ impl<E> Agenda<E> {
     /// The lane holding the least key, or `LANES` when the heap top is the
     /// least (or everything is empty), together with that key.
     fn least(&self) -> (usize, Key) {
-        let mut best = self.heap.peek_key().unwrap_or(NO_FRONT);
+        let mut best = self.heap_front;
         let mut source = LANES;
         for lane in 0..LANES {
             if self.lane_front[lane] < best {
@@ -173,7 +184,9 @@ impl<E> Agenda<E> {
             return None;
         }
         if source == LANES {
-            return self.heap.pop();
+            let popped = self.heap.pop();
+            self.heap_front = self.heap.peek_key().unwrap_or(NO_FRONT);
+            return popped;
         }
         let lane = &mut self.lanes[source];
         let (at, _, event) = lane.pop_front().expect("cached front of a lane");
@@ -217,6 +230,7 @@ impl<E> Agenda<E> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// One step of a random scheduling program.
     #[derive(Debug, Clone, Copy)]
@@ -256,11 +270,12 @@ mod tests {
         })
     }
 
-    /// An [`Agenda`] and the reference it must equal: a bare [`MinQueue`]
-    /// fed the same `(at, seq)` keys, with its own clock and counter.
+    /// An [`Agenda`] and the reference it must equal: a `BTreeMap` fed the
+    /// same `(at, seq)` keys, with its own clock and counter. Not a
+    /// [`MinQueue`]: the agenda's fallback must not be its own oracle.
     struct Twin {
         agenda: Agenda<u64>,
-        queue: MinQueue<u64>,
+        oracle: BTreeMap<Key, u64>,
         now: SimTime,
         next_seq: u64,
     }
@@ -269,7 +284,7 @@ mod tests {
         fn new() -> Self {
             Twin {
                 agenda: Agenda::new(),
-                queue: MinQueue::new(),
+                oracle: BTreeMap::new(),
                 now: SimTime::ZERO,
                 next_seq: 0,
             }
@@ -280,14 +295,20 @@ mod tests {
         fn schedule_at(&mut self, at: SimTime) {
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.queue.push(at.max(self.now), seq, seq);
+            self.oracle.insert((at.max(self.now), seq), seq);
             self.agenda.schedule_at(at, seq);
         }
 
         /// Pops both sides if the next event is due by `limit`; `Ok(false)`
         /// when neither had one.
         fn pop(&mut self, limit: SimTime) -> Result<bool, TestCaseError> {
-            let want = self.queue.pop_at_or_before(limit);
+            let want = match self.oracle.first_key_value() {
+                Some((&key, &seq)) if key.0 <= limit => {
+                    self.oracle.remove(&key);
+                    Some((key.0, seq))
+                }
+                _ => None,
+            };
             let got = self.agenda.take_at_or_before(limit);
             prop_assert_eq!(got, want);
             if let Some((at, _)) = want {
@@ -307,11 +328,11 @@ mod tests {
         }
 
         fn check(&self) -> Result<(), TestCaseError> {
-            prop_assert_eq!(self.agenda.len(), self.queue.len());
+            prop_assert_eq!(self.agenda.len(), self.oracle.len());
             prop_assert_eq!(self.agenda.now(), self.now);
             prop_assert_eq!(
                 self.agenda.next_deadline(),
-                self.queue.peek().map(|(at, _)| at)
+                self.oracle.keys().next().map(|&(at, _)| at)
             );
             Ok(())
         }
@@ -356,7 +377,7 @@ mod tests {
 
     proptest! {
         /// The agenda is a priority queue: under any program it pops the
-        /// `(time, seq, payload)` sequence of a bare `MinQueue` fed the same
+        /// `(time, seq, payload)` sequence of a `BTreeMap` fed the same
         /// keys, and agrees with it on `len` and the next deadline after
         /// every step.
         #[test]
@@ -380,7 +401,7 @@ mod tests {
             for _ in 0..rounds {
                 // The payload is the event's `seq`; it picks the class the
                 // event re-arms with.
-                let Some(&seq) = twin.queue.peek().map(|(_, seq)| seq) else {
+                let Some(&seq) = twin.oracle.values().next() else {
                     break;
                 };
                 prop_assert!(twin.pop(SimTime::MAX)?);

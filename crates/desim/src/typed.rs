@@ -7,9 +7,10 @@
 //! [`EventSim`] removes it: the world declares a plain `enum` of its event
 //! kinds ([`EventWorld::Event`]) and a single [`EventWorld::handle`] method
 //! that dispatches on it. Events are stored *by value* in the crate's
-//! agenda (delay-class FIFO lanes in front of the 4-ary index-min queue),
-//! so scheduling is a couple of writes into a ring or a `Vec` and firing is
-//! a match — no boxes, no virtual calls, no per-event allocation.
+//! agenda (delay-class FIFO lanes in front of a short sorted run and a
+//! 4-ary heap), so scheduling is a couple of writes into a ring or a `Vec`
+//! and firing is a match — no boxes, no virtual calls, no per-event
+//! allocation.
 //!
 //! There is deliberately **no cancellation**: models that need to retire a
 //! stale timer guard it with an epoch or flag in the world (the timer fires,

@@ -119,7 +119,7 @@ impl ClusterSpec {
         self.replication.validate()?;
         if self.replication.factor > self.brokers {
             return Err(format!(
-                "replication factor {} exceeds the {} brokers",
+                "cluster.replication.factor must not exceed cluster.brokers, got {} > {}",
                 self.replication.factor, self.brokers
             ));
         }
@@ -659,7 +659,7 @@ mod tests {
             ..ClusterSpec::default()
         })
         .unwrap_err();
-        assert!(err.contains("replication factor"));
+        assert!(err.contains("cluster.replication.factor"), "{err}");
     }
 
     #[test]

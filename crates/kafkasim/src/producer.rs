@@ -6,7 +6,7 @@
 //! accounting — can be unit-tested in isolation; [`crate::runtime`] drives
 //! them from the event loop.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use desim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -456,11 +456,15 @@ pub struct InFlightRequest {
 }
 
 /// Table of in-flight requests keyed by request id.
+///
+/// Timeouts are not indexed here: each request's `RequestTimeout` event
+/// sits in the engine's agenda, which is the only place they are read.
 #[derive(Debug, Clone, Default)]
 pub struct InFlightTable {
     requests: FastMap<u64, InFlightRequest>,
-    timeouts: BTreeSet<(SimTime, u64)>,
-    per_conn: FastMap<usize, usize>,
+    /// Requests in flight per connection index (connections are dense
+    /// `0..n`; the vector grows to the highest index seen).
+    per_conn: Vec<usize>,
 }
 
 impl InFlightTable {
@@ -473,7 +477,7 @@ impl InFlightTable {
     /// Number of requests in flight on `conn`.
     #[must_use]
     pub fn count(&self, conn: usize) -> usize {
-        self.per_conn.get(&conn).copied().unwrap_or(0)
+        self.per_conn.get(conn).copied().unwrap_or(0)
     }
 
     /// Total requests in flight.
@@ -494,8 +498,10 @@ impl InFlightTable {
     ///
     /// Panics if the id is already present.
     pub fn insert(&mut self, id: u64, request: InFlightRequest) {
-        self.timeouts.insert((request.timeout_at, id));
-        *self.per_conn.entry(request.conn).or_insert(0) += 1;
+        if request.conn >= self.per_conn.len() {
+            self.per_conn.resize(request.conn + 1, 0);
+        }
+        self.per_conn[request.conn] += 1;
         let prev = self.requests.insert(id, request);
         assert!(prev.is_none(), "duplicate request id");
     }
@@ -503,10 +509,7 @@ impl InFlightTable {
     /// Completes (acknowledges) a request, removing it.
     pub fn complete(&mut self, id: u64) -> Option<InFlightRequest> {
         let request = self.requests.remove(&id)?;
-        self.timeouts.remove(&(request.timeout_at, id));
-        if let Some(n) = self.per_conn.get_mut(&request.conn) {
-            *n -= 1;
-        }
+        self.per_conn[request.conn] -= 1;
         Some(request)
     }
 
@@ -528,12 +531,6 @@ impl InFlightTable {
                 (id, r)
             })
             .collect()
-    }
-
-    /// The earliest (timeout instant, request id), if any.
-    #[must_use]
-    pub fn next_timeout(&self) -> Option<(SimTime, u64)> {
-        self.timeouts.iter().next().copied()
     }
 
     /// Whether `id` is still in flight.
@@ -893,13 +890,17 @@ mod tests {
                 timeout_at: SimTime::from_millis(50),
             },
         );
-        assert_eq!(t.count(0), 2);
-        assert_eq!(t.next_timeout(), Some((SimTime::from_millis(50), 11)));
+        assert_eq!((t.count(0), t.count(1), t.count(7)), (2, 0, 0));
         let done = t.complete(11).unwrap();
         assert_eq!(done.timeout_at, SimTime::from_millis(50));
         assert_eq!(t.count(0), 1);
-        assert_eq!(t.next_timeout(), Some((SimTime::from_millis(100), 10)));
         assert!(t.complete(11).is_none(), "double completion is None");
+        assert_eq!(t.count(0), 1, "a refused completion counts nothing");
+        assert_eq!(
+            t.complete(10).unwrap().timeout_at,
+            SimTime::from_millis(100)
+        );
+        assert_eq!((t.count(0), t.len()), (0, 0));
     }
 
     #[test]

@@ -408,19 +408,28 @@ impl DuplexChannel {
     /// The report's vectors and the channel's internal buffers are reused,
     /// so a steady stream of resets allocates nothing.
     pub fn reset_into(&mut self, now: SimTime, report: &mut ResetReport) {
+        let mut events = core::mem::take(&mut self.drain_buf);
+        events.clear();
+        events.extend(self.heap.drain_unordered());
+        self.tear_down(now, &events, report);
+        self.drain_buf = events;
+    }
+
+    /// The teardown itself, given every event the queue held, in the
+    /// (unspecified) order the queue drained them. That order cannot move
+    /// the outcome: a receiver's contiguous prefix after a set of segments
+    /// is the same whatever order they arrive in, the report lists records
+    /// in `pending` order, and both streams are then reset.
+    fn tear_down(&mut self, now: SimTime, in_flight: &[Ev], report: &mut ResetReport) {
         report.clear();
         // Segments already in flight still arrive at the peer before the
         // teardown does: feed them to the receivers, then see which records
         // became contiguous.
-        let mut events = core::mem::take(&mut self.drain_buf);
-        events.clear();
-        events.extend(self.heap.drain_unordered());
-        for &ev in &events {
+        for &ev in in_flight {
             if let Ev::Seg { dir, seq, len } = ev {
                 let _ = self.streams[dir].rcv.on_segment(seq, len);
             }
         }
-        self.drain_buf = events;
         for (dir, delivered, undelivered) in [
             (
                 0usize,
@@ -774,6 +783,93 @@ mod tests {
         let report = ch.reset(SimTime::from_millis(1));
         assert_eq!(report.teardown_delivered_to_b, vec![1]);
         assert_eq!(report.undelivered_from_a, vec![2]);
+    }
+
+    /// A channel carrying records both ways over jittered (so reordering)
+    /// and possibly lossy links, driven to `until`: a reset there finds
+    /// segments in flight out of order, with gaps, in both directions.
+    fn busy_channel(seed: u64, loss: f64, records: u64, until: SimTime) -> DuplexChannel {
+        let mut cfg = quiet_cfg();
+        cfg.link.delay = DelayModel::normal(
+            SimDuration::from_millis(20),
+            SimDuration::from_millis(15),
+            SimDuration::ZERO,
+        );
+        cfg.link.loss = LossModel::bernoulli(loss);
+        let mut ch = DuplexChannel::new(cfg, SimRng::seed_from_u64(seed));
+        let mut now = SimTime::ZERO;
+        let mut id = 0;
+        loop {
+            while id < records && ch.writable(Endpoint::A) >= 3_000 {
+                ch.send_record(Endpoint::A, id, 3_000, now).unwrap();
+                if id % 3 == 0 {
+                    let _ = ch.send_record(Endpoint::B, id, 700, now);
+                }
+                id += 1;
+            }
+            match ch.next_wakeup() {
+                Some(t) if t <= until => {
+                    now = t;
+                    ch.advance(t);
+                }
+                _ => return ch,
+            }
+        }
+    }
+
+    /// Everything a reset leaves behind that the owner can observe.
+    fn post_reset_state(ch: &DuplexChannel) -> String {
+        format!(
+            "{:?} {:?} {:?} {} {}",
+            ch.streams,
+            ch.open_at,
+            ch.next_wakeup(),
+            ch.resets,
+            ch.heap.len()
+        )
+    }
+
+    /// Reopens and delivers a few records each way.
+    fn after_reset(ch: &mut DuplexChannel) -> Vec<ChannelEvent> {
+        let open = ch.open_at();
+        for id in 100..105 {
+            ch.send_record(Endpoint::A, id, 1_000, open).unwrap();
+            ch.send_record(Endpoint::B, id, 300, open).unwrap();
+        }
+        ch.run_until_idle(open + SimDuration::from_secs(60))
+    }
+
+    proptest::proptest! {
+        /// `reset_into` feeds the receivers every pending segment in the
+        /// order the queue drains them, which the queue leaves unspecified.
+        /// Any order gives the same report, the same post-reset sender and
+        /// receiver state, and the same connection afterwards.
+        #[test]
+        fn reset_outcome_is_independent_of_the_drain_order(
+            seed in 0u64..1_000,
+            loss in 0.0f64..0.3,
+            records in 1u64..60,
+            until_ms in 1u64..400,
+            shuffle in 0u64..u64::MAX,
+        ) {
+            let until = SimTime::from_millis(until_ms);
+            let mut reference = busy_channel(seed, loss, records, until);
+            let mut want = ResetReport::default();
+            reference.reset_into(until, &mut want);
+
+            let mut ch = busy_channel(seed, loss, records, until);
+            let mut in_flight: Vec<Ev> = ch.heap.drain_unordered().collect();
+            let mut rng = SimRng::seed_from_u64(shuffle);
+            for i in (1..in_flight.len()).rev() {
+                in_flight.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+            let mut got = ResetReport::default();
+            ch.tear_down(until, &in_flight, &mut got);
+
+            proptest::prop_assert_eq!(&got, &want);
+            proptest::prop_assert_eq!(post_reset_state(&ch), post_reset_state(&reference));
+            proptest::prop_assert_eq!(after_reset(&mut ch), after_reset(&mut reference));
+        }
     }
 
     #[test]

@@ -532,3 +532,75 @@ fn zero_bandwidth_is_refused_and_a_starved_link_terminates_and_conserves() {
         assert!(report.lost > report.n_source * 9 / 10, "{case}");
     }
 }
+
+/// A replication factor above the broker count is refused by
+/// `RunSpec::validate`, naming the field; at the broker count it is valid.
+#[test]
+fn replication_factor_beyond_the_brokers_is_refused() {
+    let mut spec = RunSpec::default();
+    spec.cluster.brokers = 2;
+    spec.cluster.replication.factor = 3;
+    let err = spec.validate().unwrap_err();
+    assert!(err.contains("cluster.replication.factor"), "{err}");
+    spec.cluster.replication.factor = 2;
+    spec.validate()
+        .expect("a factor equal to the broker count is valid");
+}
+
+/// Every broker down from the first instant to the end of the horizon:
+/// no request is ever answered or appended. The call returns, every source
+/// message is lost exactly once, and every loss carries a cause.
+#[test]
+fn every_broker_down_for_the_whole_run_terminates_conserves_and_attributes() {
+    let cal = Calibration::paper();
+    for semantics in [
+        DeliverySemantics::AtMostOnce,
+        DeliverySemantics::AtLeastOnce,
+    ] {
+        let point = ExperimentPoint {
+            semantics,
+            ..ExperimentPoint::default()
+        };
+        let mut spec = point.to_run_spec(&cal, 500);
+        let end = SimTime::ZERO + spec.max_duration;
+        spec.outages = (0..spec.cluster.brokers)
+            .map(|b| kafkasim::runtime::BrokerOutage {
+                broker: BrokerId(b),
+                from: SimTime::ZERO,
+                until: end,
+            })
+            .collect();
+        spec.validate()
+            .expect("a cluster that never comes up is valid");
+        let report = KafkaRun::new(spec, 5).execute().report;
+        let case = format!("{semantics:?}: {report:?}");
+        assert_conserves_and_attributes(&report, &case);
+        assert_eq!(report.lost, report.n_source, "{case}");
+    }
+}
+
+/// `pinned_run`'s at-least-once run with NetEm jitter: each packet's
+/// propagation delay is drawn from a normal around 50 ms (σ = 20 ms), so
+/// segments and ACKs overtake one another on the wire (the receivers
+/// stash about twice the out-of-order segments of the unjittered run,
+/// where only loss leaves gaps) and the channels' queues place arrivals
+/// behind later-sent ones. No other golden and no benchmark workload
+/// reorders packets.
+fn jittered_run() -> RunSpec {
+    RunSpec {
+        network: ConditionTimeline::constant(
+            NetCondition::new(SimDuration::from_millis(50), 0.22)
+                .with_jitter(SimDuration::from_millis(20)),
+        ),
+        ..pinned_run(DeliverySemantics::AtLeastOnce)
+    }
+}
+
+#[test]
+fn jittered_run_outcome_is_pinned() {
+    let outcome = KafkaRun::new(jittered_run(), 11).execute();
+    assert_eq!((outcome.events_fired, debug_digest(&outcome)), RUN_JITTERED);
+}
+
+// Written by the parent commit (desim's `MinQueue` a bare 4-ary heap).
+const RUN_JITTERED: (u64, u64) = (11_576, 12578257555607608498);
