@@ -66,6 +66,18 @@ echo "== one trainer (the TrainOptions::with_threads shim has no caller) =="
 [ "$(grep -rn 'with_threads' crates tests examples | wc -l)" -eq 1 ] \
     || { echo "with_threads regrew a caller" >&2; exit 1; }
 
+echo "== one entry point per run engine =="
+# KafkaRun and FleetRun each run through execute_profiled; execute and
+# execute_traced are one-call wrappers over it, and those two suffixed names
+# on those two types are the only public run entries that differ from
+# another by a suffix. Runs carry no buffers from one to the next.
+entry_points="$(grep -rnE 'pub fn (execute|run)\w*_(pooled|with|traced|profiled)\b' crates || true)"
+[ "$(grep -c . <<<"$entry_points")" -eq 4 ] \
+    && [ "$(grep -cE '^crates/kafkasim/src/(runtime|fleet/engine)\.rs:[0-9]+: +pub fn execute_(traced|profiled)\(' <<<"$entry_points")" -eq 4 ] \
+    || { echo "a run entry point regrew a variant:" >&2; echo "$entry_points" >&2; exit 1; }
+! grep -rn 'RunArena' crates tests examples \
+    || { echo "RunArena is back" >&2; exit 1; }
+
 echo "== one unsafe call (annet's AVX2+FMA dispatch; the other nine crates forbid it) =="
 # Outside comments and lint attributes the keyword appears on exactly 2
 # lines under crates/*/src, both in annet::matrix::Kernel<A>, which the

@@ -16,13 +16,13 @@ use kafkasim::source::SourceSpec;
 use kafkasim::LossReason;
 use netsim::trace::{generate_regime_shift, generate_trace, NetworkTrace};
 use netsim::{ConditionTimeline, NetCondition};
-use obs::{RingBufferSink, TraceEvent};
+use obs::{NoopSink, Profiler, RingBufferSink, TraceEvent};
 use spec::{
     BrokerFaultMatrixSpec, CollectionDesign, FleetSpec, KpiGridSpec, NetworkTraceSpec,
     OnlineCompareSpec, OverlaySpec, PolicyKind, RegimeShiftSpec, SensitivitySpec, SweepAxis,
     SweepMode, SweepSpec, Table1Spec, Table2Spec, TraceDemoSpec, TraceScenarioSpec,
 };
-use testbed::dynamic::{default_static_config, run_scenario, StaticPlanner};
+use testbed::dynamic::{default_static_config, run_scenario, run_scenario_online, StaticPlanner};
 use testbed::scenarios::ApplicationScenario;
 use testbed::sensitivity::SensitivityRow;
 use testbed::sweep::run_sweep;
@@ -406,7 +406,6 @@ pub fn online_compare(
 ) -> Vec<ExtOnlineRow> {
     use kafkasim::runtime::OnlineSpec;
     use std::sync::Arc;
-    use testbed::dynamic::run_scenario_online_traced;
 
     let cal = Calibration::paper();
     let trace = network_trace(
@@ -456,7 +455,7 @@ pub fn online_compare(
         scenario.mean_size(),
         scenario.timeliness.as_secs_f64() * 1e3,
     );
-    let (report, metrics) = run_scenario_online_traced(
+    let (report, _, metrics) = run_scenario_online(
         scenario,
         &trace,
         default_cfg,
@@ -467,6 +466,8 @@ pub fn online_compare(
         &cal,
         n,
         effort.seed,
+        Box::new(NoopSink),
+        Profiler::disabled(),
     );
     rows.push(ExtOnlineRow {
         mode: "online dynamic (network estimated)".to_string(),
@@ -493,10 +494,9 @@ fn run_regime_policy<P: kafka_predict::Policy + 'static>(
     use kafka_predict::{GammaSample, PolicyController};
     use kafkasim::runtime::{OnlineController, OnlineSpec};
     use std::sync::Arc;
-    use testbed::dynamic::run_scenario_online_traced;
 
     let controller = Arc::new(PolicyController::new(policy));
-    let (report, metrics) = run_scenario_online_traced(
+    let (report, _, metrics) = run_scenario_online(
         scenario,
         trace,
         default_cfg,
@@ -507,6 +507,8 @@ fn run_regime_policy<P: kafka_predict::Policy + 'static>(
         cal,
         n,
         seed,
+        Box::new(NoopSink),
+        Profiler::disabled(),
     );
     let policy = controller.policy();
     let gamma = policy.gamma_trace();

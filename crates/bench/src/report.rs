@@ -30,7 +30,7 @@ use obs::{
     TraceEvent, WindowSeries,
 };
 use spec::{ExperimentSpec, ReportSpec, Spec};
-use testbed::dynamic::{default_static_config, run_scenario_online_profiled};
+use testbed::dynamic::{default_static_config, run_scenario_online};
 use testbed::scenarios::ApplicationScenario;
 
 use crate::figures::Effort;
@@ -209,7 +209,7 @@ pub fn profile_smoke(effort: Effort) -> ProfileSmoke {
     )
     .with_profiler(prof.clone());
     let n = effort.messages.clamp(200, REPORT_MESSAGE_CAP);
-    let (report, mut sink, planner_metrics) = run_scenario_online_profiled(
+    let (report, mut sink, planner_metrics) = run_scenario_online(
         &scenario,
         &network,
         default_static_config(&cal),

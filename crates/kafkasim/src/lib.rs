@@ -117,6 +117,6 @@ pub use audit::{DeliveryReport, LossReason};
 pub use config::{ConfigError, DeliverySemantics, ProducerConfig};
 pub use explain::{crosscheck, TraceAudit};
 pub use fleet::{FleetConfig, FleetOutcome, FleetRun};
-pub use runtime::{KafkaRun, RunArena, RunOutcome, RunSpec};
+pub use runtime::{KafkaRun, RunOutcome, RunSpec};
 pub use source::SourceSpec;
 pub use state::{DeliveryCase, MessageState};

@@ -190,16 +190,6 @@ impl Accumulator {
         self.pool_buf(batch.messages);
     }
 
-    /// Seeds the buffer pool (e.g. from a previous run's arena).
-    pub(crate) fn adopt_pool(&mut self, pool: Vec<Vec<Message>>) {
-        self.pool = pool;
-    }
-
-    /// Takes the buffer pool out, for reuse by a later run.
-    pub(crate) fn take_pool(&mut self) -> Vec<Vec<Message>> {
-        std::mem::take(&mut self.pool)
-    }
-
     /// Buffered messages (open + ready).
     #[must_use]
     pub fn len(&self) -> usize {
@@ -581,33 +571,6 @@ impl Ledger {
         Ledger::default()
     }
 
-    /// An empty ledger reusing previously allocated columns (arena path).
-    #[must_use]
-    pub(crate) fn with_columns(cols: LedgerColumns) -> Self {
-        let LedgerColumns {
-            mut created,
-            mut attempts,
-            mut lost,
-        } = cols;
-        created.clear();
-        attempts.clear();
-        lost.clear();
-        Ledger {
-            created,
-            attempts,
-            lost,
-        }
-    }
-
-    /// Takes the columns out for reuse by a later run.
-    pub(crate) fn take_columns(&mut self) -> LedgerColumns {
-        LedgerColumns {
-            created: std::mem::take(&mut self.created),
-            attempts: std::mem::take(&mut self.attempts),
-            lost: std::mem::take(&mut self.lost),
-        }
-    }
-
     /// Registers a freshly created message; keys must arrive in order.
     pub fn register(&mut self, key: MessageKey, created_at: SimTime) {
         debug_assert_eq!(key.0 as usize, self.created.len(), "keys must be dense");
@@ -672,14 +635,6 @@ impl Ledger {
     pub fn is_empty(&self) -> bool {
         self.created.is_empty()
     }
-}
-
-/// The ledger's raw columns, pooled across runs by `runtime::RunArena`.
-#[derive(Debug, Default)]
-pub(crate) struct LedgerColumns {
-    created: Vec<SimTime>,
-    attempts: Vec<u32>,
-    lost: Vec<u8>,
 }
 
 #[cfg(test)]

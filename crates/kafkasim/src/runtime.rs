@@ -40,9 +40,7 @@ use crate::cluster::{Cluster, ClusterSpec, ReplicationDelta};
 use crate::config::{DeliverySemantics, ProducerConfig};
 use crate::consumer::ConsumedTopic;
 use crate::message::{Message, MessageKey};
-use crate::producer::{
-    Accumulator, InFlightRequest, InFlightTable, Ledger, LedgerColumns, PendingBatch,
-};
+use crate::producer::{Accumulator, InFlightRequest, InFlightTable, Ledger, PendingBatch};
 use crate::source::SourceSpec;
 use crate::wire::WireFormat;
 use desim::fasthash::{FastMap, FastSet};
@@ -475,12 +473,8 @@ impl EventWorld for World {
     type Event = Event;
 
     fn handle(&mut self, event: Event, ctx: &mut Ctx) {
-        if self.prof_on {
-            let _guard = self.prof.span(phase_name(&event));
-            self.dispatch(event, ctx);
-        } else {
-            self.dispatch(event, ctx);
-        }
+        let _g = self.prof.span(phase_name(&event));
+        self.dispatch(event, ctx);
     }
 }
 
@@ -535,11 +529,9 @@ impl World {
 }
 
 struct World {
-    /// Wall-clock span profiler; disabled outside profiled runs.
+    /// Wall-clock span profiler; disabled outside profiled runs, where a
+    /// span is one inline `None` test.
     prof: Profiler,
-    /// Cached `prof.is_enabled()` — one branch per event instead of an
-    /// `Option` probe per instrumented site.
-    prof_on: bool,
     cfg: ProducerConfig,
     wire: WireFormat,
     source: SourceSpec,
@@ -650,29 +642,6 @@ impl World {
 
 type Ctx = EventContext<Event>;
 
-/// Reusable allocation pools threaded across runs.
-///
-/// A single run recycles its message and record buffers internally; an
-/// arena carries those pools *between* runs, so a sweep worker executing
-/// many experiment points allocates its buffers once. Pass it to
-/// [`KafkaRun::execute_pooled`]; a fresh arena is equivalent to none.
-#[derive(Debug, Default)]
-pub struct RunArena {
-    msg_bufs: Vec<Vec<Message>>,
-    rec_bufs: Vec<Vec<ProduceRecord>>,
-    /// Typed ledger columns (created / attempts / loss tags), reused so
-    /// repeated runs never regrow the per-message accounting arrays.
-    ledger_cols: LedgerColumns,
-}
-
-impl RunArena {
-    /// An empty arena.
-    #[must_use]
-    pub fn new() -> Self {
-        RunArena::default()
-    }
-}
-
 /// One executable experiment.
 ///
 /// See the [crate documentation](crate) for an end-to-end example.
@@ -690,9 +659,9 @@ impl KafkaRun {
 
     /// Executes the run to completion and audits the result.
     ///
-    /// Runs untraced (an [`obs::NoopSink`] is attached): the hot path asks
-    /// the sink once per site whether to construct an event, so this costs
-    /// one constant-returning virtual call per site and nothing else.
+    /// [`KafkaRun::execute_traced`] with an [`obs::NoopSink`]: the hot path
+    /// asks the sink once per site whether to construct an event, so this
+    /// costs one constant-returning virtual call per site and nothing else.
     ///
     /// # Panics
     ///
@@ -703,24 +672,13 @@ impl KafkaRun {
         self.execute_traced(Box::new(NoopSink)).0
     }
 
-    /// Executes the run untraced, drawing buffers from (and returning them
-    /// to) `arena` so repeated runs on one thread reuse their allocations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec fails validation — call [`RunSpec::validate`]
-    /// first when the spec comes from untrusted input.
-    #[must_use]
-    pub fn execute_pooled(self, arena: &mut RunArena) -> RunOutcome {
-        self.execute_traced_with(Box::new(NoopSink), arena).0
-    }
-
     /// Executes the run with `sink` receiving a [`TraceEvent`] for every
     /// hop of every message, and returns the sink alongside the outcome so
     /// its contents (events, metrics) can be inspected.
     ///
-    /// Tracing is observational only: a traced run takes the exact same
-    /// decisions as an untraced one with the same spec and seed.
+    /// [`KafkaRun::execute_profiled`] with a disabled [`Profiler`]. Tracing
+    /// is observational only: a traced run takes the exact same decisions
+    /// as an untraced one with the same spec and seed.
     ///
     /// # Panics
     ///
@@ -728,16 +686,19 @@ impl KafkaRun {
     /// first when the spec comes from untrusted input.
     #[must_use]
     pub fn execute_traced(self, sink: Box<dyn TraceSink>) -> (RunOutcome, Box<dyn TraceSink>) {
-        self.execute_traced_with(sink, &mut RunArena::new())
+        self.execute_profiled(sink, Profiler::disabled())
     }
 
-    /// [`KafkaRun::execute_traced`] with a wall-clock span [`Profiler`]
-    /// attached: the event loop runs in profiled slices and every handler
-    /// is charged to a per-phase span (see the crate's span taxonomy).
+    /// The run itself, which the other two entry points call: trace events
+    /// go to `sink`, and every handler is charged to a per-phase span of
+    /// `prof` (see the crate's span taxonomy) inside `desim.run-slice`
+    /// spans over the event loop.
     ///
-    /// Profiling is observational only: a profiled run takes the exact
-    /// same decisions as an unprofiled one with the same spec and seed,
-    /// whether the profiler is enabled or disabled.
+    /// Each run allocates its own buffers and recycles them within the run
+    /// (batch message buffers, request record buffers, the reset report);
+    /// nothing is carried from one run to the next. Tracing and profiling
+    /// are observational only: the run takes the exact same decisions with
+    /// any sink and with the profiler enabled or disabled.
     ///
     /// # Panics
     ///
@@ -747,40 +708,6 @@ impl KafkaRun {
     pub fn execute_profiled(
         self,
         sink: Box<dyn TraceSink>,
-        prof: Profiler,
-    ) -> (RunOutcome, Box<dyn TraceSink>) {
-        self.execute_profiled_with(sink, &mut RunArena::new(), prof)
-    }
-
-    /// [`KafkaRun::execute_traced`] with an explicit buffer arena.
-    ///
-    /// Pooling is observational only: a pooled run takes the exact same
-    /// decisions as an unpooled one with the same spec and seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec fails validation — call [`RunSpec::validate`]
-    /// first when the spec comes from untrusted input.
-    #[must_use]
-    pub fn execute_traced_with(
-        self,
-        sink: Box<dyn TraceSink>,
-        arena: &mut RunArena,
-    ) -> (RunOutcome, Box<dyn TraceSink>) {
-        self.execute_profiled_with(sink, arena, Profiler::disabled())
-    }
-
-    /// [`KafkaRun::execute_profiled`] with an explicit buffer arena.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec fails validation — call [`RunSpec::validate`]
-    /// first when the spec comes from untrusted input.
-    #[must_use]
-    pub fn execute_profiled_with(
-        self,
-        sink: Box<dyn TraceSink>,
-        arena: &mut RunArena,
         prof: Profiler,
     ) -> (RunOutcome, Box<dyn TraceSink>) {
         let setup_guard = prof.span("kafkasim.setup");
@@ -822,20 +749,17 @@ impl KafkaRun {
         let partition_conn: Vec<usize> = (0..cluster.partitions())
             .map(|p| cluster.leader_of(p).0 as usize)
             .collect();
-        let mut accumulator = Accumulator::new(
+        let accumulator = Accumulator::new(
             producer.batch_size,
             producer.linger,
             producer.buffer_capacity,
             cluster.partitions(),
         );
-        accumulator.adopt_pool(std::mem::take(&mut arena.msg_bufs));
         let n_messages = source.n_messages;
         let n_conns = conns.len();
         let trace_on = sink.enabled();
-        let prof_on = prof.is_enabled();
         let world = World {
             prof: prof.clone(),
-            prof_on,
             cfg: producer,
             wire,
             source,
@@ -847,7 +771,7 @@ impl KafkaRun {
             amo_outstanding: FastMap::default(),
             requests: FastMap::default(),
             append_info: FastMap::default(),
-            ledger: Ledger::with_columns(std::mem::take(&mut arena.ledger_cols)),
+            ledger: Ledger::new(),
             rng,
             next_key: 0,
             n_messages,
@@ -873,7 +797,7 @@ impl KafkaRun {
             appended_keys: FastSet::default(),
             msg_scratch: Vec::new(),
             chan_events: Vec::new(),
-            rec_pool: std::mem::take(&mut arena.rec_bufs),
+            rec_pool: Vec::new(),
             deque_scratch: VecDeque::new(),
             reset_report: ResetReport::default(),
         };
@@ -915,25 +839,14 @@ impl KafkaRun {
         }
         let hard_deadline = SimTime::ZERO + max_duration;
         drop(setup_guard);
-        if prof_on {
-            // Identical event-for-event to the plain loop below (see
-            // `EventSim::run_slice`), but each slice of the loop gets its
-            // own span so the trace shows event-loop occupancy over time.
-            const SLICE_EVENTS: u64 = 4096;
-            loop {
-                let fired = {
-                    let _guard = prof.span("desim.run-slice");
-                    sim.run_slice(hard_deadline, SLICE_EVENTS)
-                };
-                if fired == 0 {
-                    break;
-                }
-            }
-        } else {
-            while sim.now() <= hard_deadline {
-                if !sim.step() {
-                    break;
-                }
+        // Slices are event-for-event identical to a plain `step` loop (see
+        // `EventSim::run_slice`); each gets its own span so a profile shows
+        // event-loop occupancy over time.
+        const SLICE_EVENTS: u64 = 4096;
+        loop {
+            let _slice = prof.span("desim.run-slice");
+            if sim.run_slice(hard_deadline, SLICE_EVENTS) == 0 {
+                break;
             }
         }
 
@@ -978,7 +891,7 @@ impl KafkaRun {
             (report, metrics, trace)
         };
         let events_fired = sim.events_fired();
-        let mut world = sim.into_world();
+        let world = sim.into_world();
         let outcome = RunOutcome {
             report,
             producer: ProducerStats {
@@ -1006,10 +919,6 @@ impl KafkaRun {
                 .sum(),
             metrics,
         };
-        // Salvage the run's buffer pools for the next run on this arena.
-        arena.msg_bufs = world.accumulator.take_pool();
-        arena.rec_bufs = std::mem::take(&mut world.rec_pool);
-        arena.ledger_cols = world.ledger.take_columns();
         drop(audit_guard);
         (outcome, trace)
     }

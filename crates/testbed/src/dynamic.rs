@@ -10,14 +10,19 @@
 //!   as the paper's "default configuration" baseline);
 //! * [`build_schedule`] — offline generation of the configuration file;
 //! * [`run_scenario`] — executing one Table II cell and reporting the
-//!   overall rates `R_l` and `R_d` of Eq. 3.
+//!   overall rates `R_l` and `R_d` of Eq. 3;
+//! * [`run_scenario_online`] — the same cell under an online controller
+//!   instead of an offline schedule.
 
 use desim::{SimDuration, SimTime};
 use kafkasim::audit::DeliveryReport;
 use kafkasim::config::{DeliverySemantics, ProducerConfig};
-use kafkasim::runtime::{KafkaRun, OnlineSpec, ProducerStats, RunSpec};
+use kafkasim::runtime::{KafkaRun, OnlineSpec, ProducerStats, RunOutcome, RunSpec};
+use kafkasim::source::SourceSpec;
 use netsim::{ConditionTimeline, NetCondition};
+use obs::{MetricsRegistry, MetricsSummary, Profiler, TraceSink};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 use crate::calibration::Calibration;
 use crate::scenarios::ApplicationScenario;
@@ -128,42 +133,25 @@ pub fn run_scenario<P: ConfigPlanner + ?Sized>(
     assert!(!schedule.is_empty(), "planner produced no configuration");
     let initial = schedule.remove(0).1;
     let switches = schedule.len();
-    let spec = RunSpec {
-        producer: initial,
-        cluster: cal.cluster.clone(),
-        source: scenario.source(n_messages),
-        network: network.clone(),
-        channel: cal.channel.clone(),
-        wire: cal.wire,
-        config_schedule: schedule,
-        max_duration: horizon.saturating_since(SimTime::ZERO) + SimDuration::from_secs(600),
-        outages: Vec::new(),
-        faults: Vec::new(),
-        failover_after: None,
-        online: None,
-    };
-    let outcome = KafkaRun::new(spec, seed).execute();
-    let delivered = outcome.report.delivered_once + outcome.report.duplicated;
-    let stale_fraction = if delivered == 0 {
-        0.0
-    } else {
-        outcome.report.stale as f64 / delivered as f64
-    };
-    DynamicRunReport {
-        scenario: scenario.name.clone(),
-        r_loss: outcome.report.p_loss(),
-        r_dup: outcome.report.p_dup(),
-        stale_fraction,
-        config_switches: switches,
-        report: outcome.report,
-        producer: outcome.producer,
-    }
+    let source = scenario.source(n_messages);
+    let run = scenario_run(network, cal, source, initial, schedule, None, seed);
+    to_report(scenario, run.execute(), switches)
 }
 
 /// Runs one scenario with an *online* controller instead of an offline
 /// schedule: the EXT-3 configuration loop. The network is replayed but
 /// never revealed to the controller, which must infer it from the
 /// producer's own statistics.
+///
+/// `sink` receives every trace event of the run (so timelines, metrics and
+/// per-window KPI series can be derived from it afterwards) and `prof`
+/// records wall-clock spans across the simulator, the planner and the memo
+/// cache; pass an [`obs::NoopSink`] and a disabled profiler for a plain
+/// run. Returns the run report, the sink (with whatever it retained), and
+/// the controller's self-reported metrics (planner memo-cache hits, misses
+/// and evictions, replan count — whatever its `export_metrics` publishes),
+/// exported after the run through the [`OnlineSpec`]'s shared `Arc`.
+#[allow(clippy::too_many_arguments)]
 #[must_use]
 pub fn run_scenario_online(
     scenario: &ApplicationScenario,
@@ -173,23 +161,66 @@ pub fn run_scenario_online(
     cal: &Calibration,
     n_messages: u64,
     seed: u64,
-) -> DynamicRunReport {
+    sink: Box<dyn TraceSink>,
+    prof: Profiler,
+) -> (DynamicRunReport, Box<dyn TraceSink>, MetricsSummary) {
+    let controller = Arc::clone(&online.controller);
+    let source = scenario.source(n_messages);
+    let run = scenario_run(
+        network,
+        cal,
+        source,
+        initial,
+        Vec::new(),
+        Some(online),
+        seed,
+    );
+    let (outcome, sink) = run.execute_profiled(sink, prof);
+    let switches = outcome.producer.online_reconfigurations as usize;
+    let mut registry = MetricsRegistry::new();
+    controller.export_metrics(&mut registry);
+    (
+        to_report(scenario, outcome, switches),
+        sink,
+        registry.summary(),
+    )
+}
+
+/// The run both entry points execute: `source` over `network`, with the
+/// horizon at the trace's last change plus 600 s of drain time.
+fn scenario_run(
+    network: &ConditionTimeline,
+    cal: &Calibration,
+    source: SourceSpec,
+    producer: ProducerConfig,
+    config_schedule: Vec<(SimTime, ProducerConfig)>,
+    online: Option<OnlineSpec>,
+    seed: u64,
+) -> KafkaRun {
     let horizon = network.last_change();
     let spec = RunSpec {
-        producer: initial,
+        producer,
         cluster: cal.cluster.clone(),
-        source: scenario.source(n_messages),
+        source,
         network: network.clone(),
         channel: cal.channel.clone(),
         wire: cal.wire,
-        config_schedule: Vec::new(),
+        config_schedule,
         max_duration: horizon.saturating_since(SimTime::ZERO) + SimDuration::from_secs(600),
         outages: Vec::new(),
         faults: Vec::new(),
         failover_after: None,
-        online: Some(online),
+        online,
     };
-    let outcome = KafkaRun::new(spec, seed).execute();
+    KafkaRun::new(spec, seed)
+}
+
+/// Eq. 3's overall rates, and the stale share of what was delivered.
+fn to_report(
+    scenario: &ApplicationScenario,
+    outcome: RunOutcome,
+    config_switches: usize,
+) -> DynamicRunReport {
     let delivered = outcome.report.delivered_once + outcome.report.duplicated;
     let stale_fraction = if delivered == 0 {
         0.0
@@ -201,96 +232,10 @@ pub fn run_scenario_online(
         r_loss: outcome.report.p_loss(),
         r_dup: outcome.report.p_dup(),
         stale_fraction,
-        config_switches: outcome.producer.online_reconfigurations as usize,
+        config_switches,
         report: outcome.report,
         producer: outcome.producer,
     }
-}
-
-/// Like [`run_scenario_online`], but additionally collects the
-/// controller's self-reported metrics (planner memo-cache hits, misses and
-/// evictions, replan count — whatever the controller's
-/// `export_metrics` publishes) into an [`obs::MetricsSummary`].
-///
-/// The controller is shared with the runtime through the [`OnlineSpec`]'s
-/// `Arc`, so its counters reflect the whole run at the point of export.
-#[must_use]
-pub fn run_scenario_online_traced(
-    scenario: &ApplicationScenario,
-    network: &ConditionTimeline,
-    initial: ProducerConfig,
-    online: OnlineSpec,
-    cal: &Calibration,
-    n_messages: u64,
-    seed: u64,
-) -> (DynamicRunReport, obs::MetricsSummary) {
-    let controller = std::sync::Arc::clone(&online.controller);
-    let report = run_scenario_online(scenario, network, initial, online, cal, n_messages, seed);
-    let mut registry = obs::MetricsRegistry::new();
-    controller.export_metrics(&mut registry);
-    (report, registry.summary())
-}
-
-/// Like [`run_scenario_online`], but with full observability attached:
-/// `sink` receives every trace event of the run (so timelines, metrics
-/// and per-window KPI series can be derived from it afterwards) and
-/// `prof` records wall-clock spans across the simulator, the planner and
-/// the memo cache. Pass a disabled profiler for a plain traced run.
-///
-/// Returns the run report, the sink (with whatever it retained), and the
-/// controller's self-reported metrics summary.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn run_scenario_online_profiled(
-    scenario: &ApplicationScenario,
-    network: &ConditionTimeline,
-    initial: ProducerConfig,
-    online: OnlineSpec,
-    cal: &Calibration,
-    n_messages: u64,
-    seed: u64,
-    sink: Box<dyn obs::TraceSink>,
-    prof: obs::Profiler,
-) -> (
-    DynamicRunReport,
-    Box<dyn obs::TraceSink>,
-    obs::MetricsSummary,
-) {
-    let controller = std::sync::Arc::clone(&online.controller);
-    let horizon = network.last_change();
-    let spec = RunSpec {
-        producer: initial,
-        cluster: cal.cluster.clone(),
-        source: scenario.source(n_messages),
-        network: network.clone(),
-        channel: cal.channel.clone(),
-        wire: cal.wire,
-        config_schedule: Vec::new(),
-        max_duration: horizon.saturating_since(SimTime::ZERO) + SimDuration::from_secs(600),
-        outages: Vec::new(),
-        faults: Vec::new(),
-        failover_after: None,
-        online: Some(online),
-    };
-    let (outcome, sink) = KafkaRun::new(spec, seed).execute_profiled(sink, prof);
-    let delivered = outcome.report.delivered_once + outcome.report.duplicated;
-    let stale_fraction = if delivered == 0 {
-        0.0
-    } else {
-        outcome.report.stale as f64 / delivered as f64
-    };
-    let report = DynamicRunReport {
-        scenario: scenario.name.clone(),
-        r_loss: outcome.report.p_loss(),
-        r_dup: outcome.report.p_dup(),
-        stale_fraction,
-        config_switches: outcome.producer.online_reconfigurations as usize,
-        report: outcome.report,
-        producer: outcome.producer,
-    };
-    let mut registry = obs::MetricsRegistry::new();
-    controller.export_metrics(&mut registry);
-    (report, sink, registry.summary())
 }
 
 #[cfg(test)]
@@ -414,7 +359,7 @@ mod tests {
                 0,
             ))),
         };
-        let (report, metrics) = run_scenario_online_traced(
+        let (report, _, metrics) = run_scenario_online(
             &scenario,
             &network,
             default_static_config(&cal),
@@ -422,6 +367,8 @@ mod tests {
             &cal,
             300,
             17,
+            Box::new(obs::NoopSink),
+            Profiler::disabled(),
         );
         assert_eq!(
             report.report.n_source, 300,

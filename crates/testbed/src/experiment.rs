@@ -10,7 +10,7 @@ use desim::{SimDuration, SimTime};
 use kafkasim::audit::DeliveryReport;
 use kafkasim::broker::BrokerId;
 use kafkasim::config::{DeliverySemantics, ProducerConfig};
-use kafkasim::runtime::{BrokerFault, KafkaRun, ProducerStats, RunArena, RunSpec};
+use kafkasim::runtime::{BrokerFault, KafkaRun, ProducerStats, RunSpec};
 use kafkasim::source::{RateSpec, SizeSpec, SourceSpec};
 use netsim::{ConditionTimeline, NetCondition};
 use serde::{Deserialize, Serialize};
@@ -177,28 +177,14 @@ impl ExperimentPoint {
         }
     }
 
-    /// Runs the experiment with `n_messages` source messages.
+    /// Runs the experiment with `n_messages` source messages, untraced.
+    ///
+    /// To trace or profile a point, run its [`ExperimentPoint::to_run_spec`]
+    /// through [`KafkaRun::execute_traced`] or
+    /// [`KafkaRun::execute_profiled`].
     #[must_use]
     pub fn run(&self, cal: &Calibration, n_messages: u64, seed: u64) -> ExperimentResult {
-        self.run_pooled(cal, n_messages, seed, &mut RunArena::new())
-    }
-
-    /// Runs the experiment untraced, drawing run buffers from `arena`.
-    ///
-    /// A sweep worker that executes many points passes one arena through
-    /// all of them, so the steady state allocates nothing per run. The
-    /// result is bit-identical to [`ExperimentPoint::run`] with the same
-    /// seed — pooling is observational only.
-    #[must_use]
-    pub fn run_pooled(
-        &self,
-        cal: &Calibration,
-        n_messages: u64,
-        seed: u64,
-        arena: &mut RunArena,
-    ) -> ExperimentResult {
-        let spec = self.to_run_spec(cal, n_messages);
-        let outcome = KafkaRun::new(spec, seed).execute_pooled(arena);
+        let outcome = KafkaRun::new(self.to_run_spec(cal, n_messages), seed).execute();
         ExperimentResult {
             point: self.clone(),
             p_loss: outcome.report.p_loss(),
@@ -207,31 +193,6 @@ impl ExperimentPoint {
             producer: outcome.producer,
             seed,
         }
-    }
-
-    /// Runs the experiment with a trace sink attached to the simulated
-    /// pipeline. Returns the result plus the sink, which now holds whatever
-    /// it collected (events for an [`obs::RingBufferSink`], a registry for
-    /// an [`obs::MetricsSink`]).
-    #[must_use]
-    pub fn run_traced(
-        &self,
-        cal: &Calibration,
-        n_messages: u64,
-        seed: u64,
-        sink: Box<dyn obs::TraceSink>,
-    ) -> (ExperimentResult, Box<dyn obs::TraceSink>) {
-        let spec = self.to_run_spec(cal, n_messages);
-        let (outcome, sink) = KafkaRun::new(spec, seed).execute_traced(sink);
-        let result = ExperimentResult {
-            point: self.clone(),
-            p_loss: outcome.report.p_loss(),
-            p_dup: outcome.report.p_dup(),
-            report: outcome.report,
-            producer: outcome.producer,
-            seed,
-        };
-        (result, sink)
     }
 }
 
@@ -344,9 +305,13 @@ mod tests {
             ..ExperimentPoint::default()
         };
         let plain = p.run(&cal, 200, 9);
-        let (traced, mut sink) =
-            p.run_traced(&cal, 200, 9, Box::new(obs::RingBufferSink::new(1 << 20)));
-        assert_eq!(plain, traced, "tracing must not perturb the simulation");
+        let (traced, mut sink) = KafkaRun::new(p.to_run_spec(&cal, 200), 9)
+            .execute_traced(Box::new(obs::RingBufferSink::new(1 << 20)));
+        assert_eq!(
+            plain.report, traced.report,
+            "tracing must not perturb the simulation"
+        );
+        assert_eq!(plain.producer, traced.producer);
         let events = sink.drain();
         let enqueued = events
             .iter()

@@ -9,11 +9,9 @@
 //! Work is split by *chunked ownership*: the grid is cut into one
 //! contiguous chunk per worker, each worker owns its chunk's result vector
 //! outright (no shared slots, no locks), and the chunks are concatenated
-//! in order at the end. Each worker also threads one [`RunArena`] through
-//! its runs, so per-run buffers are allocated once per worker instead of
-//! once per point.
-
-use kafkasim::runtime::RunArena;
+//! in order at the end. Every point is one [`ExperimentPoint::run`], which
+//! allocates its own buffers: carrying them from run to run was measured
+//! within noise (DESIGN §8) and is not done.
 
 use crate::calibration::Calibration;
 use crate::experiment::{ExperimentPoint, ExperimentResult};
@@ -47,14 +45,13 @@ pub fn run_sweep(
             .enumerate()
             .map(|(w, slice)| {
                 scope.spawn(move || {
-                    let mut arena = RunArena::new();
                     let offset = w * chunk_len;
                     slice
                         .iter()
                         .enumerate()
                         .map(|(j, point)| {
                             let seed = derive_seed(base_seed, (offset + j) as u64);
-                            point.run_pooled(cal, n_messages, seed, &mut arena)
+                            point.run(cal, n_messages, seed)
                         })
                         .collect::<Vec<ExperimentResult>>()
                 })

@@ -189,7 +189,7 @@ fn online_controller_matches_offline_planner_on_a_trace() {
         scenario.mean_size(),
         scenario.timeliness.as_secs_f64() * 1e3,
     );
-    let online = run_scenario_online(
+    let (online, _, _) = run_scenario_online(
         &scenario,
         &trace,
         default_static_config(&cal),
@@ -200,6 +200,8 @@ fn online_controller_matches_offline_planner_on_a_trace() {
         &cal,
         n,
         5,
+        Box::new(obs::NoopSink),
+        obs::Profiler::disabled(),
     );
     assert!(
         online.r_loss < default.r_loss,

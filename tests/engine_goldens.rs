@@ -287,6 +287,13 @@ const RUN_AT_MOST_ONCE: (u64, u64) = (7_690, 10932670437184555871);
 // Written by the parent commit, whose one-thread path was today's only path.
 const RUN_CRASH: (u64, u64) = (21_510, 3650946061504918518);
 const RUN_FLAPPING: (u64, u64) = (14_907, 11802491271031039536);
+// Written by the parent commit of the run entry-point fold.
+const EMPTIED_ROUND_ROBIN: FleetPin = (15_297, 4_475, 4_467, 293, 16291903712840653791);
+const EMPTIED_KEY_HASH: FleetPin = (15_297, 4_475, 4_467, 306, 14829889168664503834);
+const EMPTIED_LOCALITY: FleetPin = (15_297, 4_475, 4_222, 271, 202371793436208538);
+const REJOINED_ROUND_ROBIN: FleetPin = (15_298, 4_475, 4_467, 643, 3637379592976624352);
+const REJOINED_KEY_HASH: FleetPin = (15_298, 4_475, 4_467, 656, 6746222870364022320);
+const REJOINED_LOCALITY: FleetPin = (15_298, 4_475, 4_222, 595, 9851709776825244342);
 
 /// Runs `cfg` and checks termination (the call returns) and conservation:
 /// every produced message is delivered or lost with a cause, per tenant
@@ -397,6 +404,89 @@ fn fleet_that_loses_every_message() {
         let outcome = assert_terminates_and_conserves(&cfg);
         assert!(outcome.totals.produced > 0);
         assert_eq!(outcome.totals.lost_network, outcome.totals.produced);
+    }
+}
+
+/// All four consumers leave, one a second from 6 s: from 9 s no partition
+/// has an owner, so nothing is consumed and the backlog only grows. Two
+/// classes, so that locality routes differently from key-hash.
+fn emptied_group(strategy: PartitionStrategy) -> FleetConfig {
+    FleetConfig {
+        strategy,
+        population: Population::new(vec![class("slow", 0.7, 3.0), class("fast", 4.0, 1.0)])
+            .expect("valid mix"),
+        churn: (0..4)
+            .map(|member| ChurnEvent {
+                at: SimTime::from_secs(6 + u64::from(member)),
+                action: ChurnAction::Leave,
+                member,
+            })
+            .collect(),
+        ..FleetConfig::default()
+    }
+}
+
+/// `emptied_group`, then a new consumer joins the empty group at 17 s.
+fn rejoined_group(strategy: PartitionStrategy) -> FleetConfig {
+    let mut cfg = emptied_group(strategy);
+    cfg.churn.push(ChurnEvent {
+        at: SimTime::from_secs(17),
+        action: ChurnAction::Join,
+        member: 7,
+    });
+    cfg
+}
+
+/// Churn that empties the consumer group: the leave of the last member is
+/// a rebalance to no members that moves nothing, every window closed while
+/// the group is empty counts no members, and the backlog grows through them.
+#[test]
+fn fleet_whose_churn_empties_the_group() {
+    let want = [EMPTIED_ROUND_ROBIN, EMPTIED_KEY_HASH, EMPTIED_LOCALITY];
+    for (strategy, want) in STRATEGIES.into_iter().zip(want) {
+        let o = assert_terminates_and_conserves(&emptied_group(strategy));
+        let last = o.rebalances.last().expect("four leaves rebalance");
+        assert_eq!(o.rebalances.len(), 4, "{strategy:?}");
+        assert!(last.members.is_empty() && last.moved.is_empty(), "{last:?}");
+        // One row a cohort a window; the backlog is the fleet's, so one
+        // cohort's rows see all of it.
+        let empty: Vec<_> = (o.windows.rows.iter())
+            .filter(|r| r.window >= 1 && r.cohort == "slow")
+            .collect();
+        assert!(empty.iter().all(|r| r.group_members == 0), "{strategy:?}");
+        assert!(
+            empty.windows(2).all(|w| w[0].backlog < w[1].backlog),
+            "{strategy:?}: nothing drains an empty group"
+        );
+        assert_eq!(fleet_pin(&o), want, "{strategy:?}");
+    }
+}
+
+/// A consumer joining the emptied group takes every partition in one
+/// rebalance, and once the hand-off pause is over it drains the backlog the
+/// empty group left.
+#[test]
+fn fleet_whose_emptied_group_recovers_on_a_rejoin() {
+    let want = [REJOINED_ROUND_ROBIN, REJOINED_KEY_HASH, REJOINED_LOCALITY];
+    for (strategy, want) in STRATEGIES.into_iter().zip(want) {
+        let cfg = rejoined_group(strategy);
+        let o = assert_terminates_and_conserves(&cfg);
+        assert_eq!(o.rebalances.len(), 5, "{strategy:?}");
+        let (emptied, rejoined) = (&o.rebalances[3], &o.rebalances[4]);
+        assert!(emptied.members.is_empty(), "{emptied:?}");
+        assert_eq!(rejoined.members, vec![7]);
+        assert_eq!(rejoined.moved, (0..cfg.partitions).collect::<Vec<_>>());
+        // The window closed at 15 s, empty since 9 s, and the last one.
+        let peak = o.windows.rows.iter().find(|r| r.window == 2).unwrap();
+        let end = o.windows.rows.last().unwrap();
+        assert_eq!((peak.group_members, end.group_members), (0, 1));
+        assert!(
+            end.backlog * 4 < peak.backlog,
+            "{strategy:?}: backlog {} at 15 s, {} at the end",
+            peak.backlog,
+            end.backlog
+        );
+        assert_eq!(fleet_pin(&o), want, "{strategy:?}");
     }
 }
 
