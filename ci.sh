@@ -78,6 +78,20 @@ entry_points="$(grep -rnE 'pub fn (execute|run)\w*_(pooled|with|traced|profiled)
 ! grep -rn 'RunArena' crates tests examples \
     || { echo "RunArena is back" >&2; exit 1; }
 
+echo "== one planning loop =="
+# A Policy is the run loop's OnlineController, with no adapter between them,
+# and the frozen and online-adaptive policies both plan through
+# OnlineModelController::plan: outside tests, one function across online.rs
+# and policy.rs builds the stepwise search.
+! grep -rn 'PolicyController' crates tests examples \
+    || { echo "PolicyController is back" >&2; exit 1; }
+planners="$(for f in crates/core/src/online.rs crates/core/src/policy.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit } /(^| )fn [a-z_0-9]+[<(]/ { fn = $0 }
+         /Recommender::new\(/ { print FILENAME ":" fn }' "$f"
+done | sort -u)"
+[ "$(grep -c . <<<"$planners")" -eq 1 ] \
+    || { echo "the stepwise search is built in more than one function:" >&2; echo "$planners" >&2; exit 1; }
+
 echo "== one unsafe call (annet's AVX2+FMA dispatch; the other nine crates forbid it) =="
 # Outside comments and lint attributes the keyword appears on exactly 2
 # lines under crates/*/src, both in annet::matrix::Kernel<A>, which the

@@ -477,67 +477,10 @@ pub fn online_compare(
     rows
 }
 
-/// Runs one control policy over the spliced regime-shift network and
-/// splits its γ-error trace at the shift point.
-#[allow(clippy::too_many_arguments)]
-fn run_regime_policy<P: kafka_predict::Policy + 'static>(
-    policy: P,
-    scenario: &ApplicationScenario,
-    trace: &ConditionTimeline,
-    default_cfg: ProducerConfig,
-    interval: SimDuration,
-    cal: &Calibration,
-    n: u64,
-    seed: u64,
-    shift_s: f64,
-) -> RegimeShiftRow {
-    use kafka_predict::{GammaSample, PolicyController};
-    use kafkasim::runtime::{OnlineController, OnlineSpec};
-    use std::sync::Arc;
-
-    let controller = Arc::new(PolicyController::new(policy));
-    let (report, _, metrics) = run_scenario_online(
-        scenario,
-        trace,
-        default_cfg,
-        OnlineSpec {
-            interval,
-            controller: Arc::clone(&controller) as Arc<dyn OnlineController>,
-        },
-        cal,
-        n,
-        seed,
-        Box::new(NoopSink),
-        Profiler::disabled(),
-    );
-    let policy = controller.policy();
-    let gamma = policy.gamma_trace();
-    let mean_err = |post: bool| {
-        let errs: Vec<f64> = gamma
-            .iter()
-            .filter(|s| (s.at_s >= shift_s) == post)
-            .map(GammaSample::gamma_err)
-            .collect();
-        if errs.is_empty() {
-            None
-        } else {
-            Some(errs.iter().sum::<f64>() / errs.len() as f64)
-        }
-    };
-    RegimeShiftRow {
-        policy: policy.kind().to_string(),
-        report,
-        planner_metrics: metrics,
-        generation: policy.generation(),
-        pre_shift_err: mean_err(false),
-        post_shift_err: mean_err(true),
-        gamma,
-    }
-}
-
 /// CPL-1 — runs every policy of the spec head-to-head over the same
 /// spliced regime-shift network: base generator parameters up to
 /// `shift_at_s`, shifted parameters after, one continuous random stream.
+/// Each policy's γ-error trace is split at the shift point.
 ///
 /// # Panics
 ///
@@ -549,6 +492,9 @@ pub fn regime_shift(
     model: ReliabilityModel,
     effort: Effort,
 ) -> Vec<RegimeShiftRow> {
+    use kafkasim::runtime::OnlineSpec;
+    use std::sync::Arc;
+
     let cal = Calibration::paper();
     let trace = generate_regime_shift(
         &spec.trace,
@@ -560,51 +506,15 @@ pub fn regime_shift(
     .timeline;
     let scenario = &spec.scenario;
     let n = messages_for(scenario, &trace);
-    let interval = SimDuration::from_secs(spec.online_interval_s);
-    let default_cfg = default_static_config(&cal);
     let shift_s = spec.shift_at_s as f64;
     let timeliness_ms = scenario.timeliness.as_secs_f64() * 1e3;
 
     spec.policies
         .iter()
-        .map(|entry| match entry.kind {
-            PolicyKind::Frozen => {
-                let controller = OnlineModelController::new(
-                    model.clone(),
-                    &cal,
-                    search_space(&spec.grid),
-                    scenario.weights,
-                    scenario.gamma_requirement,
-                    scenario.mean_size(),
-                    timeliness_ms,
-                );
-                run_regime_policy(
-                    kafka_predict::FrozenPolicy::new(controller, &cal, scenario.weights),
-                    scenario,
-                    &trace,
-                    default_cfg.clone(),
-                    interval,
-                    &cal,
-                    n,
-                    effort.seed,
-                    shift_s,
-                )
-            }
-            PolicyKind::OnlineAdaptive => {
-                let config =
-                    entry
-                        .adaptive
-                        .map_or_else(kafka_predict::AdaptiveConfig::default, |a| {
-                            kafka_predict::AdaptiveConfig {
-                                drift_window: a.drift_window,
-                                drift_threshold: a.drift_threshold,
-                                refit_steps: a.refit_steps,
-                                learning_rate: a.learning_rate,
-                                replay_capacity: a.replay_capacity,
-                            }
-                        });
-                run_regime_policy(
-                    kafka_predict::OnlineAdaptivePolicy::new(
+        .map(|entry| {
+            let policy: Arc<dyn Policy> = match entry.kind {
+                PolicyKind::Frozen => Arc::new(FrozenPolicy::new(
+                    OnlineModelController::new(
                         model.clone(),
                         &cal,
                         search_space(&spec.grid),
@@ -612,44 +522,72 @@ pub fn regime_shift(
                         scenario.gamma_requirement,
                         scenario.mean_size(),
                         timeliness_ms,
-                        config,
                     ),
-                    scenario,
-                    &trace,
-                    default_cfg.clone(),
-                    interval,
                     &cal,
-                    n,
-                    effort.seed,
-                    shift_s,
-                )
-            }
-            PolicyKind::Bandit => {
-                let config = entry
-                    .bandit
-                    .map_or_else(kafka_predict::BanditConfig::default, |b| {
-                        kafka_predict::BanditConfig {
+                    scenario.weights,
+                )),
+                PolicyKind::OnlineAdaptive => Arc::new(OnlineAdaptivePolicy::new(
+                    model.clone(),
+                    &cal,
+                    search_space(&spec.grid),
+                    scenario.weights,
+                    scenario.gamma_requirement,
+                    scenario.mean_size(),
+                    timeliness_ms,
+                    entry
+                        .adaptive
+                        .map_or_else(AdaptiveConfig::default, |a| AdaptiveConfig {
+                            drift_window: a.drift_window,
+                            drift_threshold: a.drift_threshold,
+                            refit_steps: a.refit_steps,
+                            learning_rate: a.learning_rate,
+                            replay_capacity: a.replay_capacity,
+                        }),
+                )),
+                PolicyKind::Bandit => Arc::new(BanditPolicy::new(
+                    &cal,
+                    &search_space(&spec.grid),
+                    scenario.weights,
+                    scenario.mean_size(),
+                    timeliness_ms,
+                    entry
+                        .bandit
+                        .map_or_else(BanditConfig::default, |b| BanditConfig {
                             exploration: b.exploration,
-                        }
-                    });
-                run_regime_policy(
-                    kafka_predict::BanditPolicy::new(
-                        &cal,
-                        &search_space(&spec.grid),
-                        scenario.weights,
-                        scenario.mean_size(),
-                        timeliness_ms,
-                        config,
-                    ),
-                    scenario,
-                    &trace,
-                    default_cfg.clone(),
-                    interval,
-                    &cal,
-                    n,
-                    effort.seed,
-                    shift_s,
-                )
+                        }),
+                )),
+            };
+            let (report, _, metrics) = run_scenario_online(
+                scenario,
+                &trace,
+                default_static_config(&cal),
+                OnlineSpec {
+                    interval: SimDuration::from_secs(spec.online_interval_s),
+                    controller: policy.clone(),
+                },
+                &cal,
+                n,
+                effort.seed,
+                Box::new(NoopSink),
+                Profiler::disabled(),
+            );
+            let gamma = policy.gamma_trace();
+            let mean_err = |post: bool| {
+                let errs: Vec<f64> = gamma
+                    .iter()
+                    .filter(|s| (s.at_s >= shift_s) == post)
+                    .map(GammaSample::gamma_err)
+                    .collect();
+                (!errs.is_empty()).then(|| errs.iter().sum::<f64>() / errs.len() as f64)
+            };
+            RegimeShiftRow {
+                policy: policy.kind().to_string(),
+                report,
+                planner_metrics: metrics,
+                generation: policy.generation(),
+                pre_shift_err: mean_err(false),
+                post_shift_err: mean_err(true),
+                gamma,
             }
         })
         .collect()

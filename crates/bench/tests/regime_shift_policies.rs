@@ -6,8 +6,9 @@
 //! post-drift γ prediction error — while behaving identically before the
 //! drift. This test runs the full pipeline (train the model at quick
 //! effort, splice the regime-shift trace, run all three policies) and
-//! pins those relationships, not the exact numbers, so it survives
-//! calibration tweaks but fails the moment adaptation stops paying off.
+//! pins those relationships, so it survives calibration tweaks but fails
+//! the moment adaptation stops paying off. A second case pins the quick
+//! figure's exact bytes.
 
 use bench::figures::{collect_training_results, train_on, Effort};
 use bench::{exec, figures};
@@ -65,4 +66,24 @@ fn online_adaptive_beats_frozen_after_the_shift() {
         "bandit must report a γ trajectory alongside the model policies"
     );
     assert_eq!(bandit.generation, 0, "the bandit has no model to refit");
+}
+
+/// The figure itself, byte for byte: FNV-1a of `repro regime-shift
+/// --quick` stdout, written by the commit before the policies were folded
+/// onto one planning loop. A change that moves it has changed a decision.
+#[test]
+fn quick_figure_is_pinned() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["regime-shift", "--quick"])
+        .output()
+        .expect("repro runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let digest = out.stdout.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(format!("{digest:016x}"), "13be51c8629d05d5");
 }

@@ -37,10 +37,12 @@
 //!   dynamic-configuration experiment from the trained model;
 //! * [`online`] — the *online* controller the paper deferred to future
 //!   work: it estimates the network from the producer's own counters and
-//!   reconfigures via the same KPI search;
-//! * [`policy`] — control plane v2: the pluggable [`policy::Policy`]
-//!   abstraction with the frozen planner, an online-adaptive policy
-//!   (drift detection + incremental refits) and a UCB1 bandit baseline.
+//!   reconfigures via the same KPI search — the one planning loop;
+//! * [`policy`] — control plane v2: [`policy::Policy`], the run loop's
+//!   `OnlineController` plus a kind, a model generation and a γ trace,
+//!   with the frozen planner and an online-adaptive policy (drift
+//!   detection + incremental refits) over that loop and a UCB1 bandit
+//!   baseline beside it.
 //!
 //! # Example
 //!
@@ -85,7 +87,7 @@ pub mod prelude {
     pub use crate::planner::{ModelPlanner, PlannerMode};
     pub use crate::policy::{
         AdaptiveConfig, BanditConfig, BanditPolicy, DriftDetector, DriftSignal, FrozenPolicy,
-        GammaSample, OnlineAdaptivePolicy, Policy, PolicyController,
+        GammaSample, OnlineAdaptivePolicy, Policy,
     };
     pub use crate::recommend::{Recommendation, Recommender, SearchSpace};
     pub use crate::train::{quick_grid, train_model, TrainOptions, TrainedModel};
@@ -97,6 +99,6 @@ pub use kpi::{fleet_gammas, TenantGamma};
 pub use model::{Prediction, Predictor, ReliabilityModel};
 pub use policy::{
     AdaptiveConfig, BanditConfig, BanditPolicy, DriftDetector, FrozenPolicy, GammaSample,
-    OnlineAdaptivePolicy, Policy, PolicyController,
+    OnlineAdaptivePolicy, Policy,
 };
 pub use train::{train_model, TrainOptions, TrainedModel};

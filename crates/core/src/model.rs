@@ -9,6 +9,7 @@
 //! features; the semantics feature selects the head.
 
 use std::cell::RefCell;
+use std::sync::Mutex;
 
 use annet::network::InferScratch;
 use annet::{Matrix, MinMaxScaler, Network, NetworkBuilder};
@@ -66,6 +67,18 @@ pub struct FnPredictor<F: Fn(&Features) -> Prediction>(pub F);
 impl<F: Fn(&Features) -> Prediction + Sync> Predictor for FnPredictor<F> {
     fn predict(&self, features: &Features) -> Prediction {
         (self.0)(features)
+    }
+}
+
+/// A predictor that can be refitted while shared: every call predicts
+/// under the lock, so a refit never runs in the middle of a batch.
+impl<P: Predictor + Send> Predictor for Mutex<P> {
+    fn predict(&self, features: &Features) -> Prediction {
+        self.lock().expect("model lock").predict(features)
+    }
+
+    fn predict_batch(&self, features: &[Features]) -> Vec<Prediction> {
+        self.lock().expect("model lock").predict_batch(features)
     }
 }
 

@@ -36,21 +36,21 @@ use crate::recommend::{Recommendation, Recommender, SearchSpace};
 /// * **Delay**: the transport's smoothed RTT halves to a one-way estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NetworkEstimator {
-    /// Smoothing factor in `(0, 1]`; higher reacts faster.
-    pub alpha: f64,
     /// Current loss estimate `L̂`.
     pub loss: f64,
     /// Current one-way delay estimate in milliseconds.
     pub delay_ms: f64,
 }
 
+/// The estimator's smoothing factor: each window carries half the weight.
+const ALPHA: f64 = 0.5;
+
 impl NetworkEstimator {
     /// A fresh estimator assuming a healthy network.
+    #[allow(clippy::new_without_default)]
     #[must_use]
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
+    pub fn new() -> Self {
         NetworkEstimator {
-            alpha,
             loss: 0.0,
             delay_ms: 1.0,
         }
@@ -61,13 +61,26 @@ impl NetworkEstimator {
         if stats.requests_sent > 0 {
             let failures = stats.retries + stats.connection_resets;
             let raw = (failures as f64 / stats.requests_sent as f64).clamp(0.0, 0.6);
-            self.loss = (1.0 - self.alpha) * self.loss + self.alpha * raw;
+            self.loss = (1.0 - ALPHA) * self.loss + ALPHA * raw;
         }
         if let Some(srtt) = stats.srtt_ms {
             let one_way = (srtt / 2.0).max(0.1);
-            self.delay_ms = (1.0 - self.alpha) * self.delay_ms + self.alpha * one_way;
+            self.delay_ms = (1.0 - ALPHA) * self.delay_ms + ALPHA * one_way;
         }
     }
+}
+
+/// The producer configuration that runs a planned point: its batching,
+/// polling and timeout under `cal`, keeping the current retry budget (no
+/// planner tunes it).
+pub(crate) fn producer_config(
+    features: &Features,
+    cal: &Calibration,
+    current: &ProducerConfig,
+) -> ProducerConfig {
+    let mut cfg = features.to_experiment_point().producer_config(cal);
+    cfg.max_retries = current.max_retries.max(cal.max_retries);
+    cfg
 }
 
 /// Quantum for the loss-rate axis of [`CacheKey`]: 0.1 percentage points.
@@ -373,20 +386,20 @@ impl Predictor for CachedPredictor<'_> {
 ///
 /// Owns its predictor (the runtime shares controllers across threads), so
 /// hand it the trained [`crate::ReliabilityModel`] by value or any other
-/// `Predictor + Send + Sync`.
+/// `Predictor + Send + Sync`. It is the one planning loop: the frozen and
+/// online-adaptive policies of [`crate::policy`] plan through it.
 pub struct OnlineModelController<P> {
-    predictor: P,
+    pub(crate) predictor: P,
     cal: Calibration,
-    kpi: KpiModel,
-    space: SearchSpace,
-    weights: KpiWeights,
+    pub(crate) kpi: KpiModel,
+    pub(crate) space: SearchSpace,
+    pub(crate) weights: KpiWeights,
     gamma_requirement: f64,
     message_size: u64,
     timeliness_ms: f64,
     estimator: Mutex<NetworkEstimator>,
-    cache: PredictionCache,
+    pub(crate) cache: PredictionCache,
     replans: AtomicU64,
-    last: Mutex<Option<Recommendation>>,
     prof: Profiler,
 }
 
@@ -422,10 +435,9 @@ impl<P: Predictor + Send + Sync> OnlineModelController<P> {
             gamma_requirement,
             message_size,
             timeliness_ms,
-            estimator: Mutex::new(NetworkEstimator::new(0.5)),
+            estimator: Mutex::new(NetworkEstimator::new()),
             cache: PredictionCache::new(CONTROLLER_CACHE_CAPACITY),
             replans: AtomicU64::new(0),
-            last: Mutex::new(None),
             prof: Profiler::disabled(),
         }
     }
@@ -453,30 +465,24 @@ impl<P: Predictor + Send + Sync> OnlineModelController<P> {
         self.cache.stats()
     }
 
-    /// The generation of the model the memo cache currently serves
-    /// (always 0 for this frozen controller — it never refits).
+    /// The generation of the model the memo cache currently serves: 0
+    /// until a refit of the predictor bumps it.
     #[must_use]
     pub fn model_generation(&self) -> u64 {
         self.cache.generation()
     }
 
-    /// The most recent replan's outcome, with the reliability prediction
-    /// the planner saw for the chosen configuration. Observational only:
-    /// reads go through [`PredictionCache::peek`], so the cache traffic
-    /// counters are untouched. `None` before the first replan.
-    #[must_use]
-    pub fn planned_prediction(&self) -> Option<(Recommendation, Prediction)> {
-        let rec = self.last.lock().expect("last-plan lock").clone()?;
-        let prediction = self
-            .cache
-            .peek(&rec.features)
-            .unwrap_or_else(|| self.predictor.predict(&rec.features));
-        Some((rec, prediction))
-    }
-}
-
-impl<P: Predictor + Send + Sync> OnlineController for OnlineModelController<P> {
-    fn decide(&self, stats: &WindowStats, current: &ProducerConfig) -> Option<ProducerConfig> {
+    /// One replan: folds `stats` into the network estimate, runs the
+    /// memo-cached stepwise search from the current configuration, and
+    /// returns the configuration to run with the recommendation behind it
+    /// and the reliability prediction the planner saw for it. That last
+    /// read goes through [`PredictionCache::peek`], so the cache traffic
+    /// counters count the search alone.
+    pub(crate) fn plan(
+        &self,
+        stats: &WindowStats,
+        current: &ProducerConfig,
+    ) -> (ProducerConfig, Recommendation, Prediction) {
         let estimate = {
             let mut est = self.estimator.lock().expect("estimator lock");
             est.observe(stats);
@@ -499,14 +505,18 @@ impl<P: Predictor + Send + Sync> OnlineController for OnlineModelController<P> {
             CachedPredictor::with_profiler(&self.predictor, &self.cache, self.prof.clone());
         let recommender = Recommender::new(&self.kpi, &cached, self.space.clone());
         let rec = recommender.recommend(&start, &self.weights, self.gamma_requirement);
-        *self.last.lock().expect("last-plan lock") = Some(rec.clone());
-        let mut cfg = rec
-            .features
-            .to_experiment_point()
-            .producer_config(&self.cal);
-        // Keep the current retry budget: the search space does not tune it.
-        cfg.max_retries = current.max_retries.max(self.cal.max_retries);
-        Some(cfg)
+        let prediction = self
+            .cache
+            .peek(&rec.features)
+            .unwrap_or_else(|| self.predictor.predict(&rec.features));
+        let cfg = producer_config(&rec.features, &self.cal, current);
+        (cfg, rec, prediction)
+    }
+}
+
+impl<P: Predictor + Send + Sync> OnlineController for OnlineModelController<P> {
+    fn decide(&self, stats: &WindowStats, current: &ProducerConfig) -> Option<ProducerConfig> {
+        Some(self.plan(stats, current).0)
     }
 
     fn export_metrics(&self, registry: &mut MetricsRegistry) {
@@ -541,7 +551,7 @@ mod tests {
 
     #[test]
     fn estimator_converges_to_observed_failure_fraction() {
-        let mut est = NetworkEstimator::new(0.5);
+        let mut est = NetworkEstimator::new();
         for _ in 0..12 {
             est.observe(&window(100, 20, Some(200.0)));
         }
@@ -551,7 +561,7 @@ mod tests {
 
     #[test]
     fn estimator_recovers_when_network_heals() {
-        let mut est = NetworkEstimator::new(0.5);
+        let mut est = NetworkEstimator::new();
         for _ in 0..8 {
             est.observe(&window(100, 30, Some(300.0)));
         }
@@ -565,7 +575,7 @@ mod tests {
 
     #[test]
     fn empty_windows_leave_the_estimate_alone() {
-        let mut est = NetworkEstimator::new(0.5);
+        let mut est = NetworkEstimator::new();
         est.observe(&window(100, 40, None));
         let loss = est.loss;
         let delay = est.delay_ms;

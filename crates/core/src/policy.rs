@@ -1,41 +1,36 @@
 //! Control plane v2 — pluggable planning policies.
 //!
-//! PR 4's online controller hard-wired one planning strategy: a frozen
-//! offline-trained [`ReliabilityModel`] driving the Eq. 2 stepwise search.
-//! This module breaks that coupling. A [`Policy`] is anything that maps a
-//! window of producer statistics to a configuration decision; the
-//! simulator drives it generically through [`PolicyController`] (which
-//! implements the `kafkasim` [`OnlineController`] trait), so the run
-//! loop no longer knows *how* decisions are made. Three policies ship:
+//! A [`Policy`] is anything that maps a window of producer statistics to a
+//! configuration decision. It *is* a `kafkasim` [`OnlineController`] — the
+//! run loop's one decide trait — and adds only what reports ask of a
+//! policy: its kind, its model generation and its γ trace. Three policies
+//! ship:
 //!
-//! * [`FrozenPolicy`] — the existing frozen-ANN γ-planner, routed through
-//!   the trait **bit-identically** (it delegates every decision to the
-//!   unchanged [`OnlineModelController`]) while additionally recording a
-//!   per-window predicted-vs-observed γ trace;
-//! * [`OnlineAdaptivePolicy`] — the same planner over a *live* model:
-//!   every window pairs the planner's prediction with the reliability the
-//!   producer actually observed, a [`DriftDetector`] watches the
-//!   prediction-error stream, and a detected drift triggers an
+//! * [`FrozenPolicy`] — the frozen-ANN γ-planner: every decision is one
+//!   replan of the wrapped [`OnlineModelController`], and the plan it
+//!   returns feeds a per-window predicted-vs-observed γ trace;
+//! * [`OnlineAdaptivePolicy`] — the same planning loop over a *live*
+//!   model: every window pairs the planner's prediction with the
+//!   reliability the producer actually observed, a [`DriftDetector`]
+//!   watches the prediction-error stream, and a detected drift triggers an
 //!   incremental-SGD refit (via [`annet::IncrementalTrainer`]) that bumps
-//!   the model generation and invalidates the PR-4 feature cache;
+//!   the model generation and invalidates the planner's memo cache;
 //! * [`BanditPolicy`] — a deterministic UCB1 baseline over a coarse arm
 //!   grid drawn from the [`SearchSpace`], with the *observed* Eq. 2 γ as
 //!   reward: no reliability model at all, the head-to-head control the
 //!   paper does not have.
 //!
 //! ```text
-//!   kafkasim online_tick ──► OnlineController (trait)
-//!                                 │
-//!                          PolicyController<P>
-//!                                 │ delegates
-//!                            Policy (trait)
+//!   kafkasim online_tick ──► OnlineController (trait) ◄── Policy: kind,
+//!                                 │                 generation, gamma_trace
 //!                      ┌──────────┼───────────────┐
 //!                FrozenPolicy  OnlineAdaptivePolicy  BanditPolicy
-//!                 (ANN, γ)     (ANN + drift/refit)   (UCB1 on γ_obs)
+//!                      │          │ (drift/refit)    (UCB1 on γ_obs)
+//!                      └────┬─────┘
+//!              OnlineModelController::plan (estimate → search → config)
 //! ```
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use annet::{Dataset, IncrementalTrainer, TrainConfig};
@@ -49,15 +44,15 @@ use testbed::Calibration;
 use crate::features::Features;
 use crate::kpi::KpiModel;
 use crate::model::{Prediction, Predictor, ReliabilityModel};
-use crate::online::{CachedPredictor, NetworkEstimator, OnlineModelController, PredictionCache};
-use crate::recommend::{Recommender, SearchSpace};
+use crate::online::{producer_config, OnlineModelController};
+use crate::recommend::SearchSpace;
 
-/// A planning policy: the control plane's replaceable brain.
+/// A planning policy: an [`OnlineController`] the reports can name and
+/// score.
 ///
 /// Implementations must be internally synchronised (`&self` decisions) —
-/// the runtime shares controllers across threads, exactly as it does the
-/// [`OnlineController`] trait this generalises.
-pub trait Policy: Send + Sync {
+/// the runtime shares controllers across threads.
+pub trait Policy: OnlineController {
     /// Stable kind label (`"frozen"`, `"online-adaptive"`, `"bandit"`):
     /// scenario files and reports use it to say which brain ran.
     fn kind(&self) -> &'static str;
@@ -68,62 +63,9 @@ pub trait Policy: Send + Sync {
         0
     }
 
-    /// Returns the configuration for the next window, or `None` to keep
-    /// the current one. Semantics are identical to
-    /// [`OnlineController::decide`].
-    fn decide(&self, stats: &WindowStats, current: &ProducerConfig) -> Option<ProducerConfig>;
-
-    /// Publishes the policy's counters into a metrics registry.
-    fn export_metrics(&self, registry: &mut MetricsRegistry) {
-        let _ = registry;
-    }
-
-    /// Moves buffered trace events (drift detections, refits) into `out`.
-    fn drain_events(&self, out: &mut Vec<TraceEvent>) {
-        let _ = out;
-    }
-
     /// The per-window γ bookkeeping recorded so far (one sample per
-    /// completed observation window). Empty for policies that don't track.
-    fn gamma_trace(&self) -> Vec<GammaSample> {
-        Vec::new()
-    }
-}
-
-/// Drives any [`Policy`] through the `kafkasim` [`OnlineController`]
-/// trait. Pure delegation — a policy behind this adapter decides exactly
-/// what it would decide called directly, so routing the frozen planner
-/// through it is bit-identical to the pre-refactor wiring.
-pub struct PolicyController<P: Policy> {
-    policy: P,
-}
-
-impl<P: Policy> PolicyController<P> {
-    /// Wraps `policy` for the simulator.
-    #[must_use]
-    pub fn new(policy: P) -> Self {
-        PolicyController { policy }
-    }
-
-    /// The wrapped policy (post-run inspection: γ traces, refit counts).
-    #[must_use]
-    pub fn policy(&self) -> &P {
-        &self.policy
-    }
-}
-
-impl<P: Policy> OnlineController for PolicyController<P> {
-    fn decide(&self, stats: &WindowStats, current: &ProducerConfig) -> Option<ProducerConfig> {
-        self.policy.decide(stats, current)
-    }
-
-    fn export_metrics(&self, registry: &mut MetricsRegistry) {
-        self.policy.export_metrics(registry);
-    }
-
-    fn drain_events(&self, out: &mut Vec<TraceEvent>) {
-        self.policy.drain_events(out);
-    }
+    /// completed observation window).
+    fn gamma_trace(&self) -> Vec<GammaSample>;
 }
 
 /// One window of γ bookkeeping: what the policy expected against what the
@@ -275,8 +217,7 @@ impl DriftDetector {
     }
 }
 
-/// γ bookkeeping shared by the model-driven policies: the plan made last
-/// window, waiting for its observed outcome.
+/// The plan made last window, waiting for its observed outcome.
 struct PendingPlan {
     features: Features,
     prediction: Prediction,
@@ -285,82 +226,102 @@ struct PendingPlan {
     generation: u64,
 }
 
-/// Tracker state behind the frozen policy's mutex.
+/// γ bookkeeping shared by the model-driven policies: each decide first
+/// settles the previous plan against the window's counters, then records
+/// the plan [`OnlineModelController::plan`] just made.
+#[derive(Default)]
 struct GammaTracker {
     pending: Option<PendingPlan>,
     samples: Vec<GammaSample>,
 }
 
-/// Scores `pending` against the window's observed reliability, if any.
-/// Returns the window's γ prediction error — the drift statistic.
-fn settle_pending(
-    pending: &mut Option<PendingPlan>,
-    samples: &mut Vec<GammaSample>,
-    weights: &KpiWeights,
-    stats: &WindowStats,
-) -> Option<f64> {
-    let plan = pending.take()?;
-    let (p_loss_obs, p_dup_obs) = observed_reliability(stats)?;
-    let gamma_pred = weights.gamma(
-        plan.phi,
-        plan.mu,
-        plan.prediction.p_loss,
-        plan.prediction.p_dup,
-    );
-    let gamma_obs = weights.gamma(plan.phi, plan.mu, p_loss_obs, p_dup_obs);
-    samples.push(GammaSample {
-        at_s: stats.at.as_secs_f64(),
-        gamma_pred,
-        gamma_obs,
-        p_loss_pred: plan.prediction.p_loss,
-        p_loss_obs,
-        p_dup_pred: plan.prediction.p_dup,
-        p_dup_obs,
-        generation: plan.generation,
-    });
-    Some((gamma_pred - gamma_obs).abs())
+impl GammaTracker {
+    /// Scores the pending plan against the window's observed reliability,
+    /// if any, and returns the planned features with the new sample.
+    fn settle(
+        &mut self,
+        weights: &KpiWeights,
+        stats: &WindowStats,
+    ) -> Option<(Features, GammaSample)> {
+        let plan = self.pending.take()?;
+        let (p_loss_obs, p_dup_obs) = observed_reliability(stats)?;
+        let sample = GammaSample {
+            at_s: stats.at.as_secs_f64(),
+            gamma_pred: weights.gamma(
+                plan.phi,
+                plan.mu,
+                plan.prediction.p_loss,
+                plan.prediction.p_dup,
+            ),
+            gamma_obs: weights.gamma(plan.phi, plan.mu, p_loss_obs, p_dup_obs),
+            p_loss_pred: plan.prediction.p_loss,
+            p_loss_obs,
+            p_dup_pred: plan.prediction.p_dup,
+            p_dup_obs,
+            generation: plan.generation,
+        };
+        self.samples.push(sample);
+        Some((plan.features, sample))
+    }
+
+    /// Holds the plan `controller` just made until the next window settles
+    /// it.
+    fn record<P: Predictor + Send + Sync>(
+        &mut self,
+        controller: &OnlineModelController<P>,
+        features: Features,
+        prediction: Prediction,
+    ) {
+        let inputs = controller.kpi.inputs_with(prediction, &features);
+        self.pending = Some(PendingPlan {
+            features,
+            prediction,
+            phi: inputs.phi,
+            mu: inputs.mu,
+            generation: controller.model_generation(),
+        });
+    }
 }
 
 /// The frozen-ANN γ-planner as a [`Policy`].
 ///
-/// Every decision delegates to the wrapped — numerically unchanged —
-/// [`OnlineModelController`], so a run through this policy is
-/// bit-identical to the pre-refactor wiring (same configs, same cache
-/// counters, same metrics). On top, it keeps the per-window γ trace the
-/// regime-shift comparison needs; the bookkeeping reads the planner's
-/// memo cache through the non-counting peek path only.
+/// Every decision is one replan of the wrapped
+/// [`OnlineModelController`], so a run through this policy decides, and
+/// counts cache traffic, exactly as the bare controller does. On top, it
+/// keeps the per-window γ trace the regime-shift comparison needs.
 pub struct FrozenPolicy<P> {
     controller: OnlineModelController<P>,
-    kpi: KpiModel,
-    weights: KpiWeights,
     tracker: Mutex<GammaTracker>,
 }
 
 impl<P: Predictor + Send + Sync> FrozenPolicy<P> {
-    /// Wraps an already-built controller. `cal` and `weights` must be the
-    /// ones the controller plans with (they parameterise the γ
-    /// bookkeeping, not the decisions).
+    /// Wraps an already-built controller. The calibration and weights
+    /// arguments duplicate the controller's own and are ignored: the γ
+    /// bookkeeping reads the controller's.
     #[must_use]
     pub fn new(
         controller: OnlineModelController<P>,
-        cal: &Calibration,
-        weights: KpiWeights,
+        _cal: &Calibration,
+        _weights: KpiWeights,
     ) -> Self {
         FrozenPolicy {
             controller,
-            kpi: KpiModel::from_calibration(cal),
-            weights,
-            tracker: Mutex::new(GammaTracker {
-                pending: None,
-                samples: Vec::new(),
-            }),
+            tracker: Mutex::default(),
         }
     }
+}
 
-    /// The wrapped frozen controller.
-    #[must_use]
-    pub fn controller(&self) -> &OnlineModelController<P> {
-        &self.controller
+impl<P: Predictor + Send + Sync> OnlineController for FrozenPolicy<P> {
+    fn decide(&self, stats: &WindowStats, current: &ProducerConfig) -> Option<ProducerConfig> {
+        let tracker = &mut *self.tracker.lock().expect("tracker lock");
+        tracker.settle(&self.controller.weights, stats);
+        let (cfg, rec, prediction) = self.controller.plan(stats, current);
+        tracker.record(&self.controller, rec.features, prediction);
+        Some(cfg)
+    }
+
+    fn export_metrics(&self, registry: &mut MetricsRegistry) {
+        self.controller.export_metrics(registry);
     }
 }
 
@@ -371,35 +332,6 @@ impl<P: Predictor + Send + Sync> Policy for FrozenPolicy<P> {
 
     fn generation(&self) -> u64 {
         self.controller.model_generation()
-    }
-
-    fn decide(&self, stats: &WindowStats, current: &ProducerConfig) -> Option<ProducerConfig> {
-        {
-            let tracker = &mut *self.tracker.lock().expect("tracker lock");
-            settle_pending(
-                &mut tracker.pending,
-                &mut tracker.samples,
-                &self.weights,
-                stats,
-            );
-        }
-        let decision = OnlineController::decide(&self.controller, stats, current);
-        if let Some((rec, prediction)) = self.controller.planned_prediction() {
-            let inputs = self.kpi.inputs_with(prediction, &rec.features);
-            let tracker = &mut *self.tracker.lock().expect("tracker lock");
-            tracker.pending = Some(PendingPlan {
-                features: rec.features,
-                prediction,
-                phi: inputs.phi,
-                mu: inputs.mu,
-                generation: self.controller.model_generation(),
-            });
-        }
-        decision
-    }
-
-    fn export_metrics(&self, registry: &mut MetricsRegistry) {
-        OnlineController::export_metrics(&self.controller, registry);
     }
 
     fn gamma_trace(&self) -> Vec<GammaSample> {
@@ -470,8 +402,7 @@ const REFIT_MIN_SAMPLES: usize = 4;
 struct AdaptiveState {
     detector: DriftDetector,
     replay: VecDeque<(Features, f64, f64)>,
-    pending: Option<PendingPlan>,
-    samples: Vec<GammaSample>,
+    tracker: GammaTracker,
     events: Vec<TraceEvent>,
     refits: u64,
     /// A drift fired and invalidated the replay buffer; the refit waits
@@ -479,7 +410,7 @@ struct AdaptiveState {
     refit_armed: bool,
 }
 
-/// The online-adaptive policy: the frozen planner's search over a model
+/// The online-adaptive policy: the frozen planner's loop over a model
 /// that *learns from the run it is steering*.
 ///
 /// Each window pairs the previous plan's predicted reliability with the
@@ -490,25 +421,13 @@ struct AdaptiveState {
 /// ([`annet::IncrementalTrainer`] — the same kernels as offline
 /// training), bumps the model generation, and invalidates the prediction
 /// memo cache, emitting [`TraceEvent::PolicyDrift`] and
-/// [`TraceEvent::PolicyRefit`] into the run's trace.
+/// [`TraceEvent::PolicyRefit`] into the run's trace. Until a refit it
+/// decides exactly as a [`FrozenPolicy`] over the same model.
 pub struct OnlineAdaptivePolicy {
-    model: Mutex<ReliabilityModel>,
-    cal: Calibration,
-    kpi: KpiModel,
-    space: SearchSpace,
-    weights: KpiWeights,
-    gamma_requirement: f64,
-    message_size: u64,
-    timeliness_ms: f64,
+    controller: OnlineModelController<Mutex<ReliabilityModel>>,
     config: AdaptiveConfig,
-    estimator: Mutex<NetworkEstimator>,
-    cache: PredictionCache,
-    replans: AtomicU64,
     state: Mutex<AdaptiveState>,
 }
-
-/// Memo-cache capacity (matches the frozen controller's).
-const ADAPTIVE_CACHE_CAPACITY: usize = 4096;
 
 impl OnlineAdaptivePolicy {
     /// Creates the policy around a starting model (usually the same
@@ -529,30 +448,26 @@ impl OnlineAdaptivePolicy {
         timeliness_ms: f64,
         config: AdaptiveConfig,
     ) -> Self {
-        space.validate().expect("invalid search space");
         config.validate().expect("invalid adaptive config");
         OnlineAdaptivePolicy {
-            model: Mutex::new(model),
-            kpi: KpiModel::from_calibration(cal),
-            cal: cal.clone(),
-            space,
-            weights,
-            gamma_requirement,
-            message_size,
-            timeliness_ms,
-            estimator: Mutex::new(NetworkEstimator::new(0.5)),
-            cache: PredictionCache::new(ADAPTIVE_CACHE_CAPACITY),
+            controller: OnlineModelController::new(
+                Mutex::new(model),
+                cal,
+                space,
+                weights,
+                gamma_requirement,
+                message_size,
+                timeliness_ms,
+            ),
             state: Mutex::new(AdaptiveState {
                 detector: DriftDetector::new(config.drift_window, config.drift_threshold),
                 replay: VecDeque::with_capacity(config.replay_capacity),
-                pending: None,
-                samples: Vec::new(),
+                tracker: GammaTracker::default(),
                 events: Vec::new(),
                 refits: 0,
                 refit_armed: false,
             }),
             config,
-            replans: AtomicU64::new(0),
         }
     }
 
@@ -589,9 +504,10 @@ impl OnlineAdaptivePolicy {
             DeliverySemantics::AtLeastOnce | DeliverySemantics::All => vec![p_loss, p_dup],
         };
         let template = rows.last().expect("checked non-empty").0;
-        let batches = axis_points(self.space.batch.0 as f64, self.space.batch.1 as f64);
-        let timeouts = axis_points(self.space.timeout_ms.0, self.space.timeout_ms.1);
-        let polls = axis_points(self.space.poll_ms.0, self.space.poll_ms.1);
+        let space = &self.controller.space;
+        let batches = axis_points(space.batch.0 as f64, space.batch.1 as f64);
+        let timeouts = axis_points(space.timeout_ms.0, space.timeout_ms.1);
+        let polls = axis_points(space.poll_ms.0, space.poll_ms.1);
         let mut anchors = Vec::new();
         for &batch in &batches {
             for &timeout in &timeouts {
@@ -606,7 +522,7 @@ impl OnlineAdaptivePolicy {
                 }
             }
         }
-        let model = &mut *self.model.lock().expect("model lock");
+        let model = &mut *self.controller.predictor.lock().expect("model lock");
         let mut x = Vec::new();
         let mut y = Vec::new();
         // Repeat the live rows so their gradient weight outvotes the
@@ -638,9 +554,64 @@ impl OnlineAdaptivePolicy {
         for step in 0..self.config.refit_steps {
             trainer.step(head, &data, chunks[step % chunks.len()], &train);
         }
-        self.cache.bump_generation();
+        self.controller.cache.bump_generation();
         state.refits += 1;
         true
+    }
+}
+
+impl OnlineController for OnlineAdaptivePolicy {
+    fn decide(&self, stats: &WindowStats, current: &ProducerConfig) -> Option<ProducerConfig> {
+        let state = &mut *self.state.lock().expect("state lock");
+        // Score last window's plan, bank the observation, watch drift.
+        if let Some((features, sample)) = state.tracker.settle(&self.controller.weights, stats) {
+            let observation = (features, sample.p_loss_obs, sample.p_dup_obs);
+            if state.replay.len() == self.config.replay_capacity {
+                state.replay.pop_front();
+            }
+            state.replay.push_back(observation);
+            if state.refit_armed {
+                // A drift already cleared the stale buffer; refit as soon
+                // as the post-drift evidence suffices. The detector stays
+                // paused until the model catches up.
+                if self.refit(state, features.semantics) {
+                    state.refit_armed = false;
+                    state.events.push(TraceEvent::PolicyRefit {
+                        at: stats.at,
+                        generation: self.controller.model_generation(),
+                        samples: state.replay.len() as u64,
+                    });
+                }
+            } else if let Some(signal) = state.detector.observe(sample.gamma_err()) {
+                state.events.push(TraceEvent::PolicyDrift {
+                    at: stats.at,
+                    error: signal.error,
+                    baseline: signal.baseline,
+                    window: signal.window as u64,
+                });
+                // The signal dates everything before it: drop the
+                // invalidated regime's samples and refit once enough fresh
+                // ones accumulate (the triggering window's observation is
+                // the first).
+                state.replay.clear();
+                state.replay.push_back(observation);
+                state.refit_armed = true;
+            }
+        }
+        let (cfg, rec, prediction) = self.controller.plan(stats, current);
+        state
+            .tracker
+            .record(&self.controller, rec.features, prediction);
+        Some(cfg)
+    }
+
+    fn export_metrics(&self, registry: &mut MetricsRegistry) {
+        self.controller.export_metrics(registry);
+        registry.add_to_counter("planner-refit", self.refits());
+    }
+
+    fn drain_events(&self, out: &mut Vec<TraceEvent>) {
+        out.append(&mut self.state.lock().expect("state lock").events);
     }
 }
 
@@ -650,119 +621,16 @@ impl Policy for OnlineAdaptivePolicy {
     }
 
     fn generation(&self) -> u64 {
-        self.cache.generation()
-    }
-
-    fn decide(&self, stats: &WindowStats, current: &ProducerConfig) -> Option<ProducerConfig> {
-        {
-            let state = &mut *self.state.lock().expect("state lock");
-            // Score last window's plan, bank the observation, watch drift.
-            let planned = state
-                .pending
-                .as_ref()
-                .map(|p| (p.features, p.prediction.p_loss));
-            if let Some(err) = {
-                let AdaptiveState {
-                    pending, samples, ..
-                } = state;
-                settle_pending(pending, samples, &self.weights, stats)
-            } {
-                if let Some((features, _)) = planned {
-                    let sample = state.samples.last().expect("just pushed");
-                    let observation = (features, sample.p_loss_obs, sample.p_dup_obs);
-                    if state.replay.len() == self.config.replay_capacity {
-                        state.replay.pop_front();
-                    }
-                    state.replay.push_back(observation);
-                    if state.refit_armed {
-                        // A drift already cleared the stale buffer; refit as
-                        // soon as the post-drift evidence suffices. The
-                        // detector stays paused until the model catches up.
-                        if self.refit(state, features.semantics) {
-                            state.refit_armed = false;
-                            state.events.push(TraceEvent::PolicyRefit {
-                                at: stats.at,
-                                generation: self.cache.generation(),
-                                samples: state.replay.len() as u64,
-                            });
-                        }
-                    } else if let Some(signal) = state.detector.observe(err) {
-                        state.events.push(TraceEvent::PolicyDrift {
-                            at: stats.at,
-                            error: signal.error,
-                            baseline: signal.baseline,
-                            window: signal.window as u64,
-                        });
-                        // The signal dates everything before it: drop the
-                        // invalidated regime's samples and refit once enough
-                        // fresh ones accumulate (the triggering window's
-                        // observation is the first).
-                        state.replay.clear();
-                        state.replay.push_back(observation);
-                        state.refit_armed = true;
-                    }
-                }
-            }
-        }
-
-        // Plan exactly as the frozen controller does, over the live model.
-        let estimate = {
-            let mut est = self.estimator.lock().expect("estimator lock");
-            est.observe(stats);
-            *est
-        };
-        let start = Features {
-            message_size: self.message_size,
-            timeliness_ms: self.timeliness_ms,
-            delay_ms: estimate.delay_ms,
-            loss_rate: estimate.loss,
-            semantics: current.semantics,
-            batch_size: current.batch_size,
-            poll_interval_ms: current.poll_interval.as_secs_f64() * 1e3,
-            message_timeout_ms: current.message_timeout.as_secs_f64() * 1e3,
-            ..Features::default()
-        };
-        self.replans.fetch_add(1, Ordering::Relaxed);
-        let model = self.model.lock().expect("model lock");
-        let cached = CachedPredictor::new(&*model, &self.cache);
-        let recommender = Recommender::new(&self.kpi, &cached, self.space.clone());
-        let rec = recommender.recommend(&start, &self.weights, self.gamma_requirement);
-        let prediction = self
-            .cache
-            .peek(&rec.features)
-            .unwrap_or_else(|| model.predict(&rec.features));
-        drop(model);
-        let inputs = self.kpi.inputs_with(prediction, &rec.features);
-        {
-            let state = &mut *self.state.lock().expect("state lock");
-            state.pending = Some(PendingPlan {
-                features: rec.features,
-                prediction,
-                phi: inputs.phi,
-                mu: inputs.mu,
-                generation: self.cache.generation(),
-            });
-        }
-        let mut cfg = rec
-            .features
-            .to_experiment_point()
-            .producer_config(&self.cal);
-        cfg.max_retries = current.max_retries.max(self.cal.max_retries);
-        Some(cfg)
-    }
-
-    fn export_metrics(&self, registry: &mut MetricsRegistry) {
-        self.cache.export_metrics(registry);
-        registry.add_to_counter("planner-replan", self.replans.load(Ordering::Relaxed));
-        registry.add_to_counter("planner-refit", self.refits());
-    }
-
-    fn drain_events(&self, out: &mut Vec<TraceEvent>) {
-        out.append(&mut self.state.lock().expect("state lock").events);
+        self.controller.model_generation()
     }
 
     fn gamma_trace(&self) -> Vec<GammaSample> {
-        self.state.lock().expect("state lock").samples.clone()
+        self.state
+            .lock()
+            .expect("state lock")
+            .tracker
+            .samples
+            .clone()
     }
 }
 
@@ -917,11 +785,7 @@ impl BanditPolicy {
     }
 }
 
-impl Policy for BanditPolicy {
-    fn kind(&self) -> &'static str {
-        "bandit"
-    }
-
+impl OnlineController for BanditPolicy {
     fn decide(&self, stats: &WindowStats, current: &ProducerConfig) -> Option<ProducerConfig> {
         let state = &mut *self.state.lock().expect("state lock");
         // Credit last window's arm with the γ its counters produced.
@@ -963,11 +827,7 @@ impl Policy for BanditPolicy {
         }
         let arm = self.select(state);
         state.last_arm = Some(arm);
-        let mut cfg = self.arms[arm]
-            .to_experiment_point()
-            .producer_config(&self.cal);
-        cfg.max_retries = current.max_retries.max(self.cal.max_retries);
-        Some(cfg)
+        Some(producer_config(&self.arms[arm], &self.cal, current))
     }
 
     fn export_metrics(&self, registry: &mut MetricsRegistry) {
@@ -976,6 +836,12 @@ impl Policy for BanditPolicy {
         registry.add_to_counter("bandit-arms", self.arms.len() as u64);
         let explored = state.counts.iter().filter(|&&c| c > 0).count() as u64;
         registry.add_to_counter("bandit-arms-explored", explored);
+    }
+}
+
+impl Policy for BanditPolicy {
+    fn kind(&self) -> &'static str {
+        "bandit"
     }
 
     fn gamma_trace(&self) -> Vec<GammaSample> {
@@ -1102,7 +968,7 @@ mod tests {
             200,
             0.0,
         );
-        let wrapped = PolicyController::new(frozen_policy());
+        let wrapped = frozen_policy();
         let mut cfg_bare = ProducerConfig {
             semantics: DeliverySemantics::AtLeastOnce,
             ..ProducerConfig::default()
@@ -1116,10 +982,7 @@ mod tests {
         }
         // Cache traffic is identical too: the γ bookkeeping reads only
         // through the non-counting peek path.
-        assert_eq!(
-            bare.cache_stats(),
-            wrapped.policy().controller().cache_stats()
-        );
+        assert_eq!(bare.cache_stats(), wrapped.controller.cache_stats());
         // And both exports agree counter for counter.
         let (mut a, mut b) = (MetricsRegistry::new(), MetricsRegistry::new());
         OnlineController::export_metrics(&bare, &mut a);
@@ -1229,6 +1092,66 @@ mod tests {
         let gens: std::collections::BTreeSet<u64> =
             policy.gamma_trace().iter().map(|s| s.generation).collect();
         assert!(gens.len() >= 2, "trace must span generations: {gens:?}");
+    }
+
+    /// With a detector that cannot fire, the adaptive policy is the frozen
+    /// planner over a model behind a lock: same configurations, same γ
+    /// trace, same cache traffic, same counters but its refit tally.
+    #[test]
+    fn adaptive_policy_without_drift_decides_like_the_frozen_policy() {
+        let cal = Calibration::paper();
+        let weights = KpiWeights::paper_default();
+        let controller = OnlineModelController::new(
+            tiny_model(3),
+            &cal,
+            SearchSpace::default(),
+            weights,
+            0.9,
+            200,
+            0.0,
+        );
+        let frozen = FrozenPolicy::new(controller, &cal, weights);
+        let adaptive = OnlineAdaptivePolicy::new(
+            tiny_model(3),
+            &cal,
+            SearchSpace::default(),
+            weights,
+            0.9,
+            200,
+            0.0,
+            AdaptiveConfig {
+                drift_window: 3,
+                drift_threshold: 1e9,
+                refit_steps: 10,
+                ..AdaptiveConfig::default()
+            },
+        );
+        let mut cfg_frozen = ProducerConfig {
+            semantics: DeliverySemantics::AtLeastOnce,
+            ..ProducerConfig::default()
+        };
+        let mut cfg_adaptive = cfg_frozen.clone();
+        // The model, stream and detector window that refit in the test
+        // above once the threshold lets them.
+        for i in 0..24 {
+            let (retries, expired) = if i < 8 { (10, 900) } else { (0, 0) };
+            let stats = window_at(30 * (i + 1), 100, retries, expired);
+            cfg_frozen = frozen.decide(&stats, &cfg_frozen).expect("plans");
+            cfg_adaptive = adaptive.decide(&stats, &cfg_adaptive).expect("plans");
+            assert_eq!(cfg_frozen, cfg_adaptive, "window {i}");
+        }
+        assert_eq!(adaptive.refits(), 0);
+        assert_eq!(frozen.gamma_trace(), adaptive.gamma_trace());
+        assert_eq!(
+            frozen.controller.cache_stats(),
+            adaptive.controller.cache_stats()
+        );
+        let (mut a, mut b) = (MetricsRegistry::new(), MetricsRegistry::new());
+        frozen.export_metrics(&mut a);
+        adaptive.export_metrics(&mut b);
+        let mut counters = b.counters().clone();
+        assert_eq!(counters.remove("planner-refit"), Some(0));
+        assert_eq!(a.counters(), &counters);
     }
 
     #[test]

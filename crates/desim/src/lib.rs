@@ -43,7 +43,6 @@ mod agenda;
 pub mod engine;
 pub mod fasthash;
 pub mod minq;
-pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -51,7 +50,6 @@ pub mod typed;
 
 pub use engine::{Context, EventId, Simulation};
 pub use fasthash::{FastMap, FastSet, FxBuildHasher, FxHasher};
-pub use queue::BoundedQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use typed::{EventContext, EventSim, EventWorld};
