@@ -92,6 +92,18 @@ done | sort -u)"
 [ "$(grep -c . <<<"$planners")" -eq 1 ] \
     || { echo "the stepwise search is built in more than one function:" >&2; echo "$planners" >&2; exit 1; }
 
+echo "== one request lifecycle =="
+# Every request written to a socket sits in the one InFlightTable, tagged with
+# the acks level it was sent under, and one teardown in runtime.rs settles it
+# by that level, whether a request timeout, an acks=0 stall or a broker crash
+# brought the connection down. BrokerFault is the one outage description.
+! grep -rnE 'amo_outstanding|reset_amo|fail_connection_alo|teardown_append|BrokerOutage' \
+    crates tests examples \
+    || { echo "a second request table, reset path or outage type is back" >&2; exit 1; }
+[ "$(grep -rnE '^\s*fn tear_down\(' crates/kafkasim/src | wc -l)" -eq 1 ] \
+    && grep -qE '^fn tear_down\(w: &mut World' crates/kafkasim/src/runtime.rs \
+    || { echo "the runtime's teardown is not one function in runtime.rs" >&2; exit 1; }
+
 echo "== one unsafe call (annet's AVX2+FMA dispatch; the other nine crates forbid it) =="
 # Outside comments and lint attributes the keyword appears on exactly 2
 # lines under crates/*/src, both in annet::matrix::Kernel<A>, which the

@@ -11,7 +11,7 @@ use kafka_predict::prelude::*;
 use kafkasim::broker::BrokerId;
 use kafkasim::config::ProducerConfig;
 use kafkasim::fleet::{ChurnEvent, FleetConfig, FleetRun, Population, PopulationEntry};
-use kafkasim::runtime::{BrokerFault, BrokerOutage, KafkaRun, RunSpec};
+use kafkasim::runtime::{BrokerFault, KafkaRun, RunSpec};
 use kafkasim::source::SourceSpec;
 use kafkasim::LossReason;
 use netsim::trace::{generate_regime_shift, generate_trace, NetworkTrace};
@@ -148,11 +148,16 @@ fn sweep_fixed_seed(spec: &SweepSpec, effort: Effort) -> Vec<Series> {
                         SweepAxis::RetryBudget(v) => run.producer.max_retries = v[idx],
                         SweepAxis::OutageSecs(v) if v[idx] > 0 => {
                             let site = spec.outage.expect("validated OutageSecs axes have a site");
-                            run.outages = vec![BrokerOutage {
-                                broker: BrokerId(site.broker),
-                                from: SimTime::from_secs(site.start_s),
-                                until: SimTime::from_secs(site.start_s + v[idx]),
-                            }];
+                            // At the front of `faults`, so the sweep's crash is
+                            // scheduled ahead of any fault the point brings.
+                            run.faults.insert(
+                                0,
+                                BrokerFault::crash(
+                                    BrokerId(site.broker),
+                                    SimTime::from_secs(site.start_s),
+                                    SimDuration::from_secs(v[idx]),
+                                ),
+                            );
                             run.failover_after = series.failover_s.map(SimDuration::from_secs);
                         }
                         _ => {}

@@ -432,7 +432,9 @@ impl Accumulator {
     }
 }
 
-/// An in-flight produce request awaiting its broker response (`acks=1`).
+/// A produce request written to a socket and not yet settled: acknowledged
+/// (`acks ≥ 1`), arrived at the broker (`acks=0`), or torn down with its
+/// connection.
 #[derive(Debug, Clone)]
 pub struct InFlightRequest {
     /// The batch the request carries.
@@ -441,8 +443,9 @@ pub struct InFlightRequest {
     pub conn: usize,
     /// When it was written to the socket.
     pub sent_at: SimTime,
-    /// When the response timeout fires.
-    pub timeout_at: SimTime,
+    /// Whether it was sent awaiting a response (`acks ≥ 1`); a teardown
+    /// settles it by this, not by the producer's current acks level.
+    pub wants_ack: bool,
 }
 
 /// Table of in-flight requests keyed by request id.
@@ -452,8 +455,8 @@ pub struct InFlightRequest {
 #[derive(Debug, Clone, Default)]
 pub struct InFlightTable {
     requests: FastMap<u64, InFlightRequest>,
-    /// Requests in flight per connection index (connections are dense
-    /// `0..n`; the vector grows to the highest index seen).
+    /// Requests awaiting an ack per connection index (connections are
+    /// dense `0..n`; the vector grows to the highest index seen).
     per_conn: Vec<usize>,
 }
 
@@ -464,7 +467,8 @@ impl InFlightTable {
         InFlightTable::default()
     }
 
-    /// Number of requests in flight on `conn`.
+    /// Number of requests awaiting an ack on `conn` — what the in-flight
+    /// limit counts.
     #[must_use]
     pub fn count(&self, conn: usize) -> usize {
         self.per_conn.get(conn).copied().unwrap_or(0)
@@ -488,18 +492,22 @@ impl InFlightTable {
     ///
     /// Panics if the id is already present.
     pub fn insert(&mut self, id: u64, request: InFlightRequest) {
-        if request.conn >= self.per_conn.len() {
-            self.per_conn.resize(request.conn + 1, 0);
+        if request.wants_ack {
+            if request.conn >= self.per_conn.len() {
+                self.per_conn.resize(request.conn + 1, 0);
+            }
+            self.per_conn[request.conn] += 1;
         }
-        self.per_conn[request.conn] += 1;
         let prev = self.requests.insert(id, request);
         assert!(prev.is_none(), "duplicate request id");
     }
 
-    /// Completes (acknowledges) a request, removing it.
+    /// Completes (settles) a request, removing it.
     pub fn complete(&mut self, id: u64) -> Option<InFlightRequest> {
         let request = self.requests.remove(&id)?;
-        self.per_conn[request.conn] -= 1;
+        if request.wants_ack {
+            self.per_conn[request.conn] -= 1;
+        }
         Some(request)
     }
 
@@ -827,34 +835,30 @@ mod tests {
             messages: vec![msg(0, 0, 1000)],
             attempts: 1,
         };
-        t.insert(
-            10,
-            InFlightRequest {
-                batch: batch.clone(),
-                conn: 0,
-                sent_at: SimTime::ZERO,
-                timeout_at: SimTime::from_millis(100),
-            },
+        for (id, wants_ack) in [(10, true), (11, true), (12, false)] {
+            t.insert(
+                id,
+                InFlightRequest {
+                    batch: batch.clone(),
+                    conn: 0,
+                    sent_at: SimTime::from_millis(id),
+                    wants_ack,
+                },
+            );
+        }
+        assert_eq!(
+            (t.count(0), t.count(1), t.count(7), t.len()),
+            (2, 0, 0, 3),
+            "the limit counts only requests awaiting an ack"
         );
-        t.insert(
-            11,
-            InFlightRequest {
-                batch,
-                conn: 0,
-                sent_at: SimTime::ZERO,
-                timeout_at: SimTime::from_millis(50),
-            },
-        );
-        assert_eq!((t.count(0), t.count(1), t.count(7)), (2, 0, 0));
         let done = t.complete(11).unwrap();
-        assert_eq!(done.timeout_at, SimTime::from_millis(50));
+        assert_eq!(done.sent_at, SimTime::from_millis(11));
         assert_eq!(t.count(0), 1);
         assert!(t.complete(11).is_none(), "double completion is None");
         assert_eq!(t.count(0), 1, "a refused completion counts nothing");
-        assert_eq!(
-            t.complete(10).unwrap().timeout_at,
-            SimTime::from_millis(100)
-        );
+        assert!(!t.complete(12).unwrap().wants_ack);
+        assert_eq!(t.count(0), 1, "settling an acks=0 request counts nothing");
+        assert!(t.complete(10).unwrap().wants_ack);
         assert_eq!((t.count(0), t.len()), (0, 0));
     }
 
@@ -873,8 +877,8 @@ mod tests {
                 InFlightRequest {
                     batch: batch.clone(),
                     conn,
-                    sent_at: SimTime::ZERO,
-                    timeout_at: SimTime::from_millis(id),
+                    sent_at: SimTime::from_millis(id),
+                    wants_ack: true,
                 },
             );
         }

@@ -13,11 +13,13 @@
 //!   side is dropped (Kafka's `delivery.timeout.ms`). This is the loss mode
 //!   of an overloaded producer (Figs. 5 and 6).
 //! * **Connection recycling** — when an in-socket batch passes its deadline,
-//!   or the transport stalls through repeated RTO backoffs, the producer
-//!   tears the connection down, exactly like a real client disconnecting an
-//!   unresponsive broker. The bytes in the dead socket are gone: under
-//!   `acks=0` that is *silent* loss (Fig. 4's at-most-once penalty); under
-//!   `acks=1` the missing responses trigger retries.
+//!   the transport stalls through repeated RTO backoffs, or the broker
+//!   crashes, the producer tears the connection down, exactly like a real
+//!   client disconnecting an unresponsive broker. One teardown settles
+//!   every request written to the socket by the acks level it was *sent*
+//!   under, whatever the producer's level is now: the bytes in the dead
+//!   socket are gone, which for an `acks=0` request is *silent* loss
+//!   (Fig. 4's at-most-once penalty) and for an acked one a retry.
 //! * **Retries** — an unanswered produce request times out, fails the
 //!   connection, and is retried up to `τ_r` times within `T_o`. A retry of a
 //!   request whose original *was* persisted (the ack was lost or late)
@@ -39,6 +41,7 @@ use crate::broker::{BrokerId, ProduceRecord};
 use crate::cluster::{Cluster, ClusterSpec, ReplicationDelta};
 use crate::config::{DeliverySemantics, ProducerConfig};
 use crate::consumer::ConsumedTopic;
+use crate::explain::to_loss_cause;
 use crate::message::{Message, MessageKey};
 use crate::producer::{Accumulator, InFlightRequest, InFlightTable, Ledger, PendingBatch};
 use crate::source::SourceSpec;
@@ -128,20 +131,9 @@ impl core::fmt::Debug for OnlineSpec {
     }
 }
 
-/// A scheduled broker outage (the paper's future-work failure scenario).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BrokerOutage {
-    /// The broker that goes down.
-    pub broker: BrokerId,
-    /// When it crashes.
-    pub from: SimTime,
-    /// When it comes back.
-    pub until: SimTime,
-}
-
-/// A broker fault pattern: one crash, a crash-with-restart, or repeated
-/// flapping. Expands into [`BrokerOutage`] cycles driven through the
-/// event engine, each crash/restart traced as
+/// A broker fault pattern (the paper's future-work failure scenario): one
+/// crash with restart, or repeated flapping. Each crash/restart cycle is
+/// driven through the event engine and traced as
 /// [`TraceEvent::BrokerDown`]/[`TraceEvent::BrokerUp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BrokerFault {
@@ -171,19 +163,12 @@ impl BrokerFault {
         }
     }
 
-    /// The outage cycles this fault expands to.
-    #[must_use]
-    pub fn outages(&self) -> Vec<BrokerOutage> {
-        (0..self.flaps)
-            .map(|k| {
-                let from = self.at + (self.down_for + self.up_for) * u64::from(k);
-                BrokerOutage {
-                    broker: self.broker,
-                    from,
-                    until: from + self.down_for,
-                }
-            })
-            .collect()
+    /// The `(crash, restart)` instants of each cycle, in time order.
+    fn cycles(self) -> impl Iterator<Item = (SimTime, SimTime)> {
+        (0..self.flaps).map(move |k| {
+            let from = self.at + (self.down_for + self.up_for) * u64::from(k);
+            (from, from + self.down_for)
+        })
     }
 }
 
@@ -207,10 +192,7 @@ pub struct RunSpec {
     pub config_schedule: Vec<(SimTime, ProducerConfig)>,
     /// Hard simulation horizon; anything unresolved by then counts lost.
     pub max_duration: SimDuration,
-    /// Scheduled broker outages.
-    pub outages: Vec<BrokerOutage>,
-    /// Broker fault patterns (crash / restart / flapping); each expands
-    /// into outage cycles on top of `outages`.
+    /// Broker faults (crash / restart / flapping).
     pub faults: Vec<BrokerFault>,
     /// When set, partitions led by a downed broker fail over after this
     /// detection delay (Kafka's controller moving leadership): a new
@@ -235,7 +217,6 @@ impl Default for RunSpec {
             wire: WireFormat::default(),
             config_schedule: Vec::new(),
             max_duration: SimDuration::from_secs(7_200),
-            outages: Vec::new(),
             faults: Vec::new(),
             failover_after: None,
             online: None,
@@ -264,14 +245,6 @@ impl RunSpec {
         }
         if self.config_schedule.windows(2).any(|w| w[0].0 >= w[1].0) {
             return Err("config schedule must strictly increase in time".into());
-        }
-        for outage in &self.outages {
-            if outage.from >= outage.until {
-                return Err("outage must end after it starts".into());
-            }
-            if outage.broker.0 >= self.cluster.brokers {
-                return Err("outage names an unknown broker".into());
-            }
         }
         for fault in &self.faults {
             if fault.down_for.is_zero() {
@@ -539,8 +512,9 @@ struct World {
     conns: Vec<Conn>,
     partition_conn: Vec<usize>,
     accumulator: Accumulator,
+    /// Every request written to a socket and not yet settled, at any acks
+    /// level.
     in_flight: InFlightTable,
-    amo_outstanding: FastMap<u64, (usize, PendingBatch)>,
     requests: FastMap<u64, RequestInfo>,
     /// Requests whose broker-side processing delay is elapsing: the payload
     /// of a scheduled [`Event::Append`], parked here so the event itself
@@ -596,26 +570,16 @@ impl World {
             .collect()
     }
 
-    fn mark_expired(&mut self, now: SimTime, messages: &[Message]) {
+    /// Marks `messages` lost for `reason` in the ledger and emits one
+    /// `Expired` trace event each (the ledger only, when untraced).
+    fn lose(&mut self, now: SimTime, messages: &[Message], reason: LossReason, batch: Option<u64>) {
         for m in messages {
-            self.ledger.mark_lost(m.key, LossReason::ExpiredInBuffer);
+            self.ledger.mark_lost(m.key, reason);
         }
-        self.stats.expired += messages.len() as u64;
-        self.trace_losses(now, messages, LossCause::ExpiredInBuffer, None);
-    }
-
-    /// Emits one `Expired` trace event per dropped message (no-op when the
-    /// sink is disabled).
-    fn trace_losses(
-        &mut self,
-        now: SimTime,
-        messages: &[Message],
-        cause: LossCause,
-        batch: Option<u64>,
-    ) {
         if !self.trace_on {
             return;
         }
+        let cause = to_loss_cause(reason);
         for m in messages {
             self.trace.record(TraceEvent::Expired {
                 at: now,
@@ -721,7 +685,6 @@ impl KafkaRun {
             wire,
             config_schedule,
             max_duration,
-            outages,
             faults,
             failover_after,
             online,
@@ -768,7 +731,6 @@ impl KafkaRun {
             partition_conn,
             accumulator,
             in_flight: InFlightTable::new(),
-            amo_outstanding: FastMap::default(),
             requests: FastMap::default(),
             append_info: FastMap::default(),
             ledger: Ledger::new(),
@@ -811,23 +773,15 @@ impl KafkaRun {
         for (t, cfg) in config_schedule {
             sim.schedule_at(t, Event::ApplyConfig(Box::new(cfg)));
         }
-        let all_outages: Vec<BrokerOutage> = outages
-            .into_iter()
-            .chain(faults.iter().flat_map(BrokerFault::outages))
-            .collect();
-        for outage in all_outages {
-            let ci = outage.broker.0 as usize;
-            sim.schedule_at(
-                outage.from,
-                Event::OutageStart {
-                    ci,
-                    until: outage.until,
-                },
-            );
-            if let Some(detect) = failover_after {
-                sim.schedule_at(outage.from + detect, Event::Failover { ci });
+        for fault in faults {
+            let ci = fault.broker.0 as usize;
+            for (from, until) in fault.cycles() {
+                sim.schedule_at(from, Event::OutageStart { ci, until });
+                if let Some(detect) = failover_after {
+                    sim.schedule_at(from + detect, Event::Failover { ci });
+                }
+                sim.schedule_at(until, Event::BrokerUp { ci });
             }
-            sim.schedule_at(outage.until, Event::BrokerUp { ci });
         }
         if sim.world().cluster.spec().replication.factor > 1 {
             let interval = sim.world().cluster.spec().replication.fetch_interval;
@@ -969,15 +923,12 @@ fn poll_source(w: &mut World, ctx: &mut Ctx) {
             });
         }
         if let Err(rejected) = w.accumulator.push(message, partition, now) {
-            w.ledger.mark_lost(rejected.key, LossReason::BufferOverflow);
-            if w.trace_on {
-                w.trace.record(TraceEvent::Expired {
-                    at: now,
-                    key: rejected.key.0,
-                    cause: LossCause::BufferOverflow,
-                    batch: None,
-                });
-            }
+            w.lose(
+                now,
+                std::slice::from_ref(&rejected),
+                LossReason::BufferOverflow,
+                None,
+            );
         }
         kick_sender(w, ctx, now);
         let gap = w.source.poll_gap(now, payload, &w.cfg.host);
@@ -1013,7 +964,8 @@ fn kick_sender(w: &mut World, ctx: &mut Ctx, now: SimTime) {
     loop {
         expired.clear();
         let picked = w.accumulator.pop_ready_with_expiry(now, &mut expired);
-        w.mark_expired(now, &expired);
+        w.lose(now, &expired, LossReason::ExpiredInBuffer, None);
+        w.stats.expired += expired.len() as u64;
         let Some(mut batch) = picked else {
             w.msg_scratch = expired;
             schedule_linger_wake(w, ctx, now);
@@ -1037,7 +989,8 @@ fn kick_sender(w: &mut World, ctx: &mut Ctx, now: SimTime) {
         // committed.
         expired.clear();
         batch.drop_expired_into(now + mean, &mut expired);
-        w.mark_expired(now, &expired);
+        w.lose(now, &expired, LossReason::ExpiredInBuffer, None);
+        w.stats.expired += expired.len() as u64;
         if batch.messages.is_empty() {
             w.accumulator.recycle(batch);
             continue;
@@ -1095,11 +1048,8 @@ fn try_send(
         let mut expired = std::mem::take(&mut w.msg_scratch);
         expired.clear();
         batch.drop_expired_into(now, &mut expired);
-        for m in &expired {
-            w.ledger.mark_lost(m.key, LossReason::RetriesExhausted);
-        }
+        w.lose(now, &expired, LossReason::RetriesExhausted, Some(batch.id));
         w.stats.expired += expired.len() as u64;
-        w.trace_losses(now, &expired, LossCause::RetriesExhausted, Some(batch.id));
         w.msg_scratch = expired;
     }
     if batch.messages.is_empty() {
@@ -1165,20 +1115,18 @@ fn try_send(
                     batch_id: batch.id,
                 },
             );
+            w.in_flight.insert(
+                req_id,
+                InFlightRequest {
+                    batch,
+                    conn: ci,
+                    sent_at: now,
+                    wants_ack,
+                },
+            );
             if wants_ack {
                 let timeout_at = now + w.cfg.request_timeout;
-                w.in_flight.insert(
-                    req_id,
-                    InFlightRequest {
-                        batch,
-                        conn: ci,
-                        sent_at: now,
-                        timeout_at,
-                    },
-                );
                 ctx.schedule_at(timeout_at, Event::RequestTimeout { req_id });
-            } else {
-                w.amo_outstanding.insert(req_id, (ci, batch));
             }
             sched_conn_wake(w, ctx, ci);
             Ok(())
@@ -1229,7 +1177,7 @@ fn pump_conn(w: &mut World, ctx: &mut Ctx, ci: usize) {
                 to: Endpoint::B,
                 id,
                 ..
-            } => on_request_arrived(w, ctx, ci, id),
+            } => schedule_append(w, ctx, ci, id, false),
             ChannelEvent::RecordDelivered {
                 to: Endpoint::A,
                 id,
@@ -1270,13 +1218,18 @@ fn pump_conn(w: &mut World, ctx: &mut Ctx, ci: usize) {
     sched_conn_wake(w, ctx, ci);
 }
 
-fn on_request_arrived(w: &mut World, ctx: &mut Ctx, ci: usize, id: u64) {
+/// Request `id`'s bytes reached broker `ci`, in order or — `via_teardown` —
+/// while its connection was being torn down: schedules the append after
+/// the broker's processing delay. An `acks=0` request is settled here, its
+/// bytes out of reset risk; an acked one stays in flight until its ack.
+fn schedule_append(w: &mut World, ctx: &mut Ctx, ci: usize, id: u64, via_teardown: bool) {
     let Some(info) = w.requests.remove(&id) else {
         return; // stale duplicate of an already-processed request
     };
-    // The batch's bytes crossed the wire: it is no longer at reset risk.
-    if let Some((_, batch)) = w.amo_outstanding.remove(&id) {
-        w.accumulator.recycle(batch);
+    if !info.wants_ack {
+        if let Some(req) = w.in_flight.complete(id) {
+            w.accumulator.recycle(req.batch);
+        }
     }
     let proc = w
         .cluster
@@ -1289,7 +1242,7 @@ fn on_request_arrived(w: &mut World, ctx: &mut Ctx, ci: usize, id: u64) {
         Event::Append {
             ci,
             id,
-            via_teardown: false,
+            via_teardown,
         },
     );
 }
@@ -1396,80 +1349,9 @@ fn on_request_timeout(w: &mut World, ctx: &mut Ctx, req_id: u64) {
         return; // answered in time
     }
     // An unanswered request fails the whole connection (as in a real
-    // client): reset it and retry everything that was in flight on it.
+    // client): tear it down and settle everything that was in flight on it.
     let ci = w.in_flight.conn_of(req_id).expect("request is in flight");
-    fail_connection_alo(w, ctx, ci);
-}
-
-fn fail_connection_alo(w: &mut World, ctx: &mut Ctx, ci: usize) {
-    let now = ctx.now();
-    let mut report = std::mem::take(&mut w.reset_report);
-    w.conns[ci].channel.reset_into(now, &mut report);
-    w.stats.connection_resets += 1;
-    if w.trace_on {
-        // Under acks=1 nothing is lost in the socket itself: the in-flight
-        // batches are requeued, and any that die do so as RetriesExhausted
-        // expiries below.
-        w.trace.record(TraceEvent::ConnectionReset {
-            at: now,
-            conn: ci as u32,
-            epoch: w.conn_epochs[ci],
-            lost_keys: Vec::new(),
-        });
-    }
-    w.conn_epochs[ci] += 1;
-    // Responses that were already on the wire still count: those requests
-    // completed and must not be retried.
-    for id in &report.teardown_delivered_to_a {
-        if let Some(req) = w.in_flight.complete(*id) {
-            w.accumulator.recycle(req.batch);
-        }
-    }
-    // Requests whose bytes reached the broker during teardown are appended
-    // there — but the producer never hears back, so it will retry them:
-    // this is exactly how Case 5 duplicates arise.
-    for &id in &report.teardown_delivered_to_b {
-        teardown_append(w, ctx, ci, id);
-    }
-    let taken = w.in_flight.take_conn(ci);
-    for id in &report.undelivered_from_a {
-        if let Some(info) = w.requests.remove(id) {
-            w.recycle_records(info.records);
-        }
-    }
-    w.reset_report = report;
-    w.conns[ci].resp_queue.clear();
-    // Requeue newest-first with push_front so the oldest batch (closest to
-    // its deadline) ends up at the head of the retry queue.
-    let mut expired = std::mem::take(&mut w.msg_scratch);
-    for (_, inflight) in taken.into_iter().rev() {
-        let mut batch = inflight.batch;
-        if batch.attempts > w.cfg.max_retries {
-            for m in &batch.messages {
-                w.ledger.mark_lost(m.key, LossReason::RetriesExhausted);
-            }
-            let given_up = std::mem::take(&mut batch.messages);
-            w.trace_losses(now, &given_up, LossCause::RetriesExhausted, Some(batch.id));
-            batch.messages = given_up;
-            w.accumulator.recycle(batch);
-            continue;
-        }
-        expired.clear();
-        batch.drop_expired_into(now, &mut expired);
-        for m in &expired {
-            w.ledger.mark_lost(m.key, LossReason::RetriesExhausted);
-        }
-        w.trace_losses(now, &expired, LossCause::RetriesExhausted, Some(batch.id));
-        if !batch.messages.is_empty() {
-            w.conns[ci].blocked.push_front(batch);
-        } else {
-            w.accumulator.recycle(batch);
-        }
-    }
-    w.msg_scratch = expired;
-    let reopen = w.conns[ci].channel.open_at();
-    ctx.schedule_at(reopen, Event::DrainBlocked { ci });
-    sched_conn_wake(w, ctx, ci);
+    tear_down(w, ctx, ci);
 }
 
 fn amo_stall_check(w: &mut World, ctx: &mut Ctx, ci: usize) {
@@ -1490,42 +1372,59 @@ fn amo_stall_check(w: &mut World, ctx: &mut Ctx, ci: usize) {
     let backed_off = channel.backoffs(Endpoint::A) >= w.cfg.stall_backoffs;
     let timed_out = channel.is_stalled(Endpoint::A, now, w.cfg.stall_patience);
     if backed_off || timed_out {
-        reset_amo(w, ctx, ci);
+        tear_down(w, ctx, ci);
     }
 }
 
-fn reset_amo(w: &mut World, ctx: &mut Ctx, ci: usize) {
+/// Tears connection `ci` down (a request timeout, an `acks=0` stall or a
+/// broker crash) and settles every request on it by the acks level it was
+/// sent under:
+///
+/// * a response already on the wire completes its request;
+/// * a request whose bytes reach the broker during teardown is appended
+///   there, unanswered: an `acks=0` one is then done, an acked one stays in
+///   flight and its retry makes the Case 5 duplicate;
+/// * an `acks=0` request still in the socket is silently lost, attributable
+///   only through the `ConnectionReset` trace event;
+/// * an acked request is requeued, or given up once its retries or its
+///   deadline are spent.
+fn tear_down(w: &mut World, ctx: &mut Ctx, ci: usize) {
     let now = ctx.now();
     let mut report = std::mem::take(&mut w.reset_report);
     w.conns[ci].channel.reset_into(now, &mut report);
     w.stats.connection_resets += 1;
-    // Requests that crossed the wire during teardown still get persisted.
-    for &id in &report.teardown_delivered_to_b {
-        if let Some((_, batch)) = w.amo_outstanding.remove(&id) {
-            w.accumulator.recycle(batch);
+    for id in &report.teardown_delivered_to_a {
+        if let Some(req) = w.in_flight.complete(*id) {
+            w.accumulator.recycle(req.batch);
         }
-        teardown_append(w, ctx, ci, id);
     }
-    let mut lost_keys = Vec::new();
+    for &id in &report.teardown_delivered_to_b {
+        schedule_append(w, ctx, ci, id, true);
+    }
     for id in &report.undelivered_from_a {
-        if let Some((_, batch)) = w.amo_outstanding.remove(id) {
-            for m in &batch.messages {
-                w.ledger.mark_lost(m.key, LossReason::ConnectionReset);
-                if w.trace_on {
-                    lost_keys.push(m.key.0);
-                }
-            }
-            w.stats.reset_losses += batch.messages.len() as u64;
-            w.accumulator.recycle(batch);
-        }
         if let Some(info) = w.requests.remove(id) {
             w.recycle_records(info.records);
         }
     }
     w.reset_report = report;
+    w.conns[ci].resp_queue.clear();
+    let (acked, unacked): (Vec<_>, Vec<_>) = w
+        .in_flight
+        .take_conn(ci)
+        .into_iter()
+        .partition(|(_, req)| req.wants_ack);
+    let mut lost_keys = Vec::new();
+    for (_, req) in unacked {
+        for m in &req.batch.messages {
+            w.ledger.mark_lost(m.key, LossReason::ConnectionReset);
+            if w.trace_on {
+                lost_keys.push(m.key.0);
+            }
+        }
+        w.stats.reset_losses += req.batch.messages.len() as u64;
+        w.accumulator.recycle(req.batch);
+    }
     if w.trace_on {
-        // The keys that died silently in the torn-down socket: acks=0's
-        // loss mode, attributable only through this event.
         w.trace.record(TraceEvent::ConnectionReset {
             at: now,
             conn: ci as u32,
@@ -1534,31 +1433,28 @@ fn reset_amo(w: &mut World, ctx: &mut Ctx, ci: usize) {
         });
     }
     w.conn_epochs[ci] += 1;
+    // Requeue newest-first with push_front so the oldest batch (closest to
+    // its deadline) ends up at the head of the retry queue.
+    let mut expired = std::mem::take(&mut w.msg_scratch);
+    for (_, req) in acked.into_iter().rev() {
+        let mut batch = req.batch;
+        expired.clear();
+        if batch.attempts > w.cfg.max_retries {
+            expired.append(&mut batch.messages); // retries spent: all of it
+        } else {
+            batch.drop_expired_into(now, &mut expired);
+        }
+        w.lose(now, &expired, LossReason::RetriesExhausted, Some(batch.id));
+        if batch.messages.is_empty() {
+            w.accumulator.recycle(batch);
+        } else {
+            w.conns[ci].blocked.push_front(batch);
+        }
+    }
+    w.msg_scratch = expired;
     let reopen = w.conns[ci].channel.open_at();
     ctx.schedule_at(reopen, Event::DrainBlocked { ci });
     sched_conn_wake(w, ctx, ci);
-}
-
-/// Appends a request that arrived at the broker while its connection was
-/// being torn down. No response is possible: the connection is gone.
-fn teardown_append(w: &mut World, ctx: &mut Ctx, ci: usize, id: u64) {
-    let Some(info) = w.requests.remove(&id) else {
-        return;
-    };
-    let proc = w
-        .cluster
-        .broker(w.conns[ci].broker)
-        .expect("broker exists")
-        .processing_time(info.records.len());
-    w.append_info.insert(id, info);
-    ctx.schedule_in(
-        proc,
-        Event::Append {
-            ci,
-            id,
-            via_teardown: true,
-        },
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -1576,12 +1472,7 @@ fn on_outage_start(w: &mut World, ctx: &mut Ctx, ci: usize, until: SimTime) {
             broker: w.conns[ci].broker.0,
         });
     }
-    match w.cfg.semantics {
-        DeliverySemantics::AtMostOnce => reset_amo(w, ctx, ci),
-        DeliverySemantics::AtLeastOnce | DeliverySemantics::All => {
-            fail_connection_alo(w, ctx, ci);
-        }
-    }
+    tear_down(w, ctx, ci);
 }
 
 /// The broker's outage window ends: the connection is usable again and the
@@ -1784,25 +1675,23 @@ fn release_pending_acks(w: &mut World, ctx: &mut Ctx) {
 fn housekeeping(w: &mut World, ctx: &mut Ctx) {
     let now = ctx.now();
     let expired = w.accumulator.expire_all(now);
-    w.mark_expired(now, &expired);
+    w.lose(now, &expired, LossReason::ExpiredInBuffer, None);
+    w.stats.expired += expired.len() as u64;
     // Blocked batches also age out.
     let mut expired = std::mem::take(&mut w.msg_scratch);
     for ci in 0..w.conns.len() {
         if !w.conns[ci].blocked.is_empty() {
             let mut kept = std::mem::take(&mut w.deque_scratch);
             while let Some(mut batch) = w.conns[ci].blocked.pop_front() {
-                let (reason, cause) = if batch.attempts == 0 {
-                    (LossReason::ExpiredInBuffer, LossCause::ExpiredInBuffer)
+                let reason = if batch.attempts == 0 {
+                    LossReason::ExpiredInBuffer
                 } else {
-                    (LossReason::RetriesExhausted, LossCause::RetriesExhausted)
+                    LossReason::RetriesExhausted
                 };
                 expired.clear();
                 batch.drop_expired_into(now, &mut expired);
-                for m in &expired {
-                    w.ledger.mark_lost(m.key, reason);
-                }
+                w.lose(now, &expired, reason, Some(batch.id));
                 w.stats.expired += expired.len() as u64;
-                w.trace_losses(now, &expired, cause, Some(batch.id));
                 if !batch.messages.is_empty() {
                     kept.push_back(batch);
                 } else {
@@ -1822,7 +1711,6 @@ fn housekeeping(w: &mut World, ctx: &mut Ctx) {
     let idle = w.done_polling
         && w.accumulator.is_empty()
         && w.in_flight.is_empty()
-        && w.amo_outstanding.is_empty()
         && w.requests.is_empty()
         && w.conns.iter().all(|c| c.blocked.is_empty());
     if idle {
@@ -2106,11 +1994,11 @@ mod tests {
             .message_timeout(SimDuration::from_millis(1_000))
             .build()
             .unwrap();
-        spec.outages = vec![BrokerOutage {
-            broker: crate::broker::BrokerId(0),
-            from: SimTime::from_secs(5),
-            until: SimTime::from_secs(15),
-        }];
+        spec.faults = vec![BrokerFault::crash(
+            BrokerId(0),
+            SimTime::from_secs(5),
+            SimDuration::from_secs(10),
+        )];
         let outcome = KafkaRun::new(spec, 11).execute();
         // Broker 0 leads 1 of 3 partitions; ~10s of its traffic expires.
         let r = &outcome.report;
@@ -2133,11 +2021,11 @@ mod tests {
                 .message_timeout(SimDuration::from_millis(1_000))
                 .build()
                 .unwrap();
-            spec.outages = vec![BrokerOutage {
-                broker: crate::broker::BrokerId(0),
-                from: SimTime::from_secs(5),
-                until: SimTime::from_secs(15),
-            }];
+            spec.faults = vec![BrokerFault::crash(
+                BrokerId(0),
+                SimTime::from_secs(5),
+                SimDuration::from_secs(10),
+            )];
             spec.failover_after = failover;
             KafkaRun::new(spec, 11).execute().report.p_loss()
         };
@@ -2151,21 +2039,15 @@ mod tests {
 
     #[test]
     fn outage_validation_rejects_nonsense() {
+        let fault = BrokerFault::crash(BrokerId(0), SimTime::from_secs(5), SimDuration::ZERO);
         let spec = RunSpec {
-            outages: vec![BrokerOutage {
-                broker: crate::broker::BrokerId(0),
-                from: SimTime::from_secs(5),
-                until: SimTime::from_secs(5),
-            }],
+            faults: vec![fault],
             ..RunSpec::default()
         };
         assert!(spec.validate().is_err());
+        let fault = BrokerFault::crash(BrokerId(9), SimTime::ZERO, SimDuration::from_secs(1));
         let spec = RunSpec {
-            outages: vec![BrokerOutage {
-                broker: crate::broker::BrokerId(9),
-                from: SimTime::ZERO,
-                until: SimTime::from_secs(1),
-            }],
+            faults: vec![fault],
             ..RunSpec::default()
         };
         assert!(spec.validate().is_err());

@@ -10,6 +10,7 @@ use kafkasim::config::{DeliverySemantics, ProducerConfig};
 use kafkasim::runtime::{BrokerFault, KafkaRun, RunSpec};
 use kafkasim::source::SourceSpec;
 use kafkasim::{crosscheck, LossReason};
+use netsim::{ConditionTimeline, NetCondition};
 use obs::{LossCause, MessageFate, RingBufferSink, TimelineReport, TraceEvent};
 use proptest::prelude::*;
 
@@ -228,6 +229,70 @@ fn acks_one_clean_failover_can_still_lose_acknowledged_records() {
         one.report.loss_reasons.get(&LossReason::LeaderFailover),
         Some(&one.report.lost)
     );
+}
+
+/// 400 messages at 100 msg/s over a loss-free 100 ms link; broker 0 crashes
+/// for 1 s at 2.001 s, right after the producer switches from `from` to
+/// `to` (when given) at 2 s, so the crash tears down a connection holding
+/// requests sent under both acks levels.
+fn switch_then_crash(
+    from: DeliverySemantics,
+    to: Option<DeliverySemantics>,
+) -> kafkasim::RunOutcome {
+    let config = |semantics| {
+        ProducerConfig::builder()
+            .semantics(semantics)
+            .build()
+            .unwrap()
+    };
+    let mut spec = RunSpec {
+        producer: config(from),
+        source: SourceSpec::fixed_rate(400, 200, 100.0),
+        network: ConditionTimeline::constant(NetCondition::new(SimDuration::from_millis(100), 0.0)),
+        ..RunSpec::default()
+    };
+    spec.config_schedule = to
+        .map(|to| (SimTime::from_secs(2), config(to)))
+        .into_iter()
+        .collect();
+    spec.faults.push(BrokerFault::crash(
+        BrokerId(0),
+        SimTime::from_millis(2_001),
+        SimDuration::from_secs(1),
+    ));
+    KafkaRun::new(spec, 7).execute()
+}
+
+#[test]
+fn acks_zero_requests_torn_down_after_a_switch_to_acks_one_are_settled() {
+    let plain = switch_then_crash(DeliverySemantics::AtMostOnce, None);
+    let switched = switch_then_crash(
+        DeliverySemantics::AtMostOnce,
+        Some(DeliverySemantics::AtLeastOnce),
+    );
+    // An acks=0 request stranded by the crash would keep the run from ever
+    // going idle, ticking housekeeping to the 7 200 s horizon.
+    assert!(
+        switched.events_fired <= 2 * plain.events_fired,
+        "{} events against {} without the switch",
+        switched.events_fired,
+        plain.events_fired
+    );
+    let r = &switched.report;
+    assert_eq!(r.delivered_once + r.lost + r.duplicated, r.n_source);
+}
+
+#[test]
+fn acked_requests_torn_down_after_a_switch_to_acks_zero_are_settled() {
+    let switched = switch_then_crash(
+        DeliverySemantics::AtLeastOnce,
+        Some(DeliverySemantics::AtMostOnce),
+    );
+    // The crash settles the acks=1 requests too, so none of their timeouts
+    // tears the reopened connection down again.
+    assert_eq!(switched.producer.connection_resets, 1);
+    let r = &switched.report;
+    assert_eq!(r.delivered_once + r.lost + r.duplicated, r.n_source);
 }
 
 proptest! {

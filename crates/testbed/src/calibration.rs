@@ -49,9 +49,6 @@ pub struct Calibration {
     pub stall_patience: SimDuration,
     /// Default accumulator capacity in messages.
     pub buffer_capacity: usize,
-    /// Messages per experiment data point (the paper uses 10⁶; the default
-    /// here trades precision for grid-sweep speed and is overridable).
-    pub default_messages: u64,
 }
 
 impl Calibration {
@@ -112,7 +109,6 @@ impl Calibration {
             stall_backoffs: 4,
             stall_patience: SimDuration::from_millis(2_500),
             buffer_capacity: 200_000,
-            default_messages: 20_000,
         }
     }
 }

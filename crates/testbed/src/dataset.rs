@@ -13,7 +13,7 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 
 use crate::calibration::Calibration;
-use crate::experiment::{to_training_rows, ExperimentResult};
+use crate::experiment::ExperimentResult;
 
 /// A persisted batch of experiment results with its provenance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -156,12 +156,6 @@ impl ResultSet {
         }
         Ok(set)
     }
-
-    /// The training rows `(features, [P_l, P_d])` of the stored results.
-    #[must_use]
-    pub fn training_rows(&self) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        to_training_rows(&self.results)
-    }
 }
 
 #[cfg(test)]
@@ -222,15 +216,6 @@ mod tests {
         }
         assert!(ResultSet::load_for(&path, &Calibration::paper()).is_ok());
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn training_rows_align_with_results() {
-        let set = tiny_set();
-        let (x, y) = set.training_rows();
-        assert_eq!(x.len(), set.results.len());
-        assert_eq!(y.len(), set.results.len());
-        assert_eq!(y[0], vec![set.results[0].p_loss, set.results[0].p_dup]);
     }
 
     #[test]

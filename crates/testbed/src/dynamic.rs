@@ -207,7 +207,6 @@ fn scenario_run(
         wire: cal.wire,
         config_schedule,
         max_duration: horizon.saturating_since(SimTime::ZERO) + SimDuration::from_secs(600),
-        outages: Vec::new(),
         faults: Vec::new(),
         failover_after: None,
         online,

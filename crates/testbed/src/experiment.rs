@@ -69,35 +69,6 @@ impl Default for ExperimentPoint {
 }
 
 impl ExperimentPoint {
-    /// The numeric feature vector for the prediction model, in the order
-    /// `[M, S_ms, D_ms, L, semantics, B, δ_ms, T_o_ms, RF, F_ms, U]`
-    /// (semantics encoded 0 = at-most-once, 1 = at-least-once,
-    /// 2 = acks-all; `S = 0` when unset; `F_ms` is the injected broker
-    /// downtime in ms, `U` is 1 when unclean election is allowed).
-    #[must_use]
-    pub fn feature_vector(&self) -> Vec<f64> {
-        vec![
-            self.message_size as f64,
-            self.timeliness.map_or(0.0, |s| s.as_secs_f64() * 1e3),
-            self.delay.as_secs_f64() * 1e3,
-            self.loss_rate,
-            match self.semantics {
-                DeliverySemantics::AtMostOnce => 0.0,
-                DeliverySemantics::AtLeastOnce => 1.0,
-                DeliverySemantics::All => 2.0,
-            },
-            self.batch_size as f64,
-            self.poll_interval.as_secs_f64() * 1e3,
-            self.message_timeout.as_secs_f64() * 1e3,
-            f64::from(self.replication_factor),
-            self.fault_downtime.as_secs_f64() * 1e3,
-            f64::from(u8::from(self.allow_unclean)),
-        ]
-    }
-
-    /// Number of features in [`ExperimentPoint::feature_vector`].
-    pub const FEATURES: usize = 11;
-
     /// When the injected broker fault (if any) begins.
     pub const FAULT_AT: SimTime = SimTime::from_millis(1_500);
 
@@ -170,7 +141,6 @@ impl ExperimentPoint {
             wire: cal.wire,
             config_schedule: Vec::new(),
             max_duration: SimDuration::from_secs(7_200),
-            outages: Vec::new(),
             faults,
             failover_after,
             online: None,
@@ -214,22 +184,6 @@ pub struct ExperimentResult {
     pub seed: u64,
 }
 
-impl ExperimentResult {
-    /// The training row for the prediction model:
-    /// `(features, [P_l, P_d])`.
-    #[must_use]
-    pub fn training_row(&self) -> (Vec<f64>, Vec<f64>) {
-        (self.point.feature_vector(), vec![self.p_loss, self.p_dup])
-    }
-}
-
-/// Converts results into parallel feature/target row vectors for model
-/// training.
-#[must_use]
-pub fn to_training_rows(results: &[ExperimentResult]) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-    results.iter().map(ExperimentResult::training_row).unzip()
-}
-
 /// The instant an experiment's network trace considers "the end" — used by
 /// Table II style runs (re-exported for convenience).
 #[must_use]
@@ -240,28 +194,6 @@ pub fn trace_end(timeline: &ConditionTimeline) -> SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn feature_vector_layout() {
-        let p = ExperimentPoint {
-            message_size: 100,
-            timeliness: Some(SimDuration::from_millis(250)),
-            delay: SimDuration::from_millis(100),
-            loss_rate: 0.19,
-            semantics: DeliverySemantics::AtMostOnce,
-            batch_size: 4,
-            poll_interval: SimDuration::from_millis(90),
-            message_timeout: SimDuration::from_millis(500),
-            replication_factor: 3,
-            fault_downtime: SimDuration::from_millis(4_000),
-            allow_unclean: true,
-        };
-        assert_eq!(
-            p.feature_vector(),
-            vec![100.0, 250.0, 100.0, 0.19, 0.0, 4.0, 90.0, 500.0, 3.0, 4000.0, 1.0]
-        );
-        assert_eq!(p.feature_vector().len(), ExperimentPoint::FEATURES);
-    }
 
     #[test]
     fn normal_case_classification() {
@@ -321,25 +253,6 @@ mod tests {
         let report = obs::TimelineReport::reconstruct(&events);
         let audit = kafkasim::crosscheck(&traced.report, &report);
         assert!(audit.fully_explains(), "{:?}", audit.discrepancies);
-    }
-
-    #[test]
-    fn training_rows_align() {
-        let cal = Calibration::paper();
-        let results: Vec<ExperimentResult> = (0..3)
-            .map(|i| {
-                ExperimentPoint {
-                    message_size: 100 + 100 * i,
-                    ..ExperimentPoint::default()
-                }
-                .run(&cal, 100, i)
-            })
-            .collect();
-        let (x, y) = to_training_rows(&results);
-        assert_eq!(x.len(), 3);
-        assert_eq!(y.len(), 3);
-        assert_eq!(x[1][0], 200.0);
-        assert_eq!(y[0].len(), 2);
     }
 
     #[test]

@@ -108,7 +108,7 @@ fn synth_dataset(samples: usize, dims: usize, seed: u64) -> Dataset {
 /// has had to leave these weights where they were.
 #[test]
 fn trained_weights_are_pinned() {
-    let dims = ExperimentPoint::FEATURES;
+    let dims = 11;
     let data = synth_dataset(512, dims, 42);
     let mut rng = SimRng::seed_from_u64(17);
     let mut net = NetworkBuilder::paper_topology(dims, 2).build(&mut rng);

@@ -652,13 +652,8 @@ fn every_broker_down_for_the_whole_run_terminates_conserves_and_attributes() {
             ..ExperimentPoint::default()
         };
         let mut spec = point.to_run_spec(&cal, 500);
-        let end = SimTime::ZERO + spec.max_duration;
-        spec.outages = (0..spec.cluster.brokers)
-            .map(|b| kafkasim::runtime::BrokerOutage {
-                broker: BrokerId(b),
-                from: SimTime::ZERO,
-                until: end,
-            })
+        spec.faults = (0..spec.cluster.brokers)
+            .map(|b| BrokerFault::crash(BrokerId(b), SimTime::ZERO, spec.max_duration))
             .collect();
         spec.validate()
             .expect("a cluster that never comes up is valid");
