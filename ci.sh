@@ -93,8 +93,8 @@ done | sort -u)"
     || { echo "the stepwise search is built in more than one function:" >&2; echo "$planners" >&2; exit 1; }
 
 echo "== one request lifecycle =="
-# Every request written to a socket sits in the one InFlightTable, tagged with
-# the acks level it was sent under, and one teardown in runtime.rs settles it
+# Every request written to a socket sits in its connection's in-flight queue,
+# tagged with the acks level it was sent under, and one teardown in runtime.rs settles it
 # by that level, whether a request timeout, an acks=0 stall or a broker crash
 # brought the connection down. BrokerFault is the one outage description.
 ! grep -rnE 'amo_outstanding|reset_amo|fail_connection_alo|teardown_append|BrokerOutage' \
@@ -103,6 +103,19 @@ echo "== one request lifecycle =="
 [ "$(grep -rnE '^\s*fn tear_down\(' crates/kafkasim/src | wc -l)" -eq 1 ] \
     && grep -qE '^fn tear_down\(w: &mut World' crates/kafkasim/src/runtime.rs \
     || { echo "the runtime's teardown is not one function in runtime.rs" >&2; exit 1; }
+
+echo "== one in-flight queue per connection =="
+# A request lives in one place from its socket write until it is settled: the
+# send-ordered queue on its connection. No global table, no second copy keyed
+# by id, no per-connection epoch counter beside the channel's own reset count,
+# no undelivered lists in the channel's reset report, and one loss enum
+# (kafkasim's LossReason is obs's LossCause). The broker-side payload is
+# built once, when the request's bytes reach the broker.
+! grep -rnE 'InFlightTable|undelivered_from_|conn_epochs|to_loss_reason|to_loss_cause' \
+    crates tests examples \
+    || { echo "a second copy of the in-flight state or the loss enum is back" >&2; exit 1; }
+[ "$(grep -v '^struct RequestInfo {' crates/kafkasim/src/runtime.rs | grep -c 'RequestInfo {')" -eq 1 ] \
+    || { echo "RequestInfo is built in more than one place" >&2; exit 1; }
 
 echo "== one unsafe call (annet's AVX2+FMA dispatch; the other nine crates forbid it) =="
 # Outside comments and lint attributes the keyword appears on exactly 2

@@ -77,18 +77,6 @@ impl Dataset {
         Ok(Dataset { x, y })
     }
 
-    /// Builds a dataset directly from matrices.
-    ///
-    /// # Errors
-    ///
-    /// [`DatasetError::LengthMismatch`] when the row counts differ.
-    pub fn from_matrices(x: Matrix, y: Matrix) -> Result<Self, DatasetError> {
-        if x.rows() != y.rows() {
-            return Err(DatasetError::LengthMismatch);
-        }
-        Ok(Dataset { x, y })
-    }
-
     /// Number of samples.
     #[must_use]
     pub fn len(&self) -> usize {

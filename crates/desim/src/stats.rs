@@ -1,10 +1,10 @@
-//! Streaming statistics: counters, running moments, histograms, and
-//! time-weighted averages.
+//! Streaming statistics: running moments, histograms, and time-weighted
+//! averages.
 //!
 //! All accumulators are O(1) in memory so that million-message experiments
 //! (the paper sends 10⁶ messages per data point) stay cheap.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Welford's online algorithm for mean and variance.
 ///
@@ -74,16 +74,6 @@ impl RunningMoments {
             0.0
         } else {
             self.m2 / self.count as f64
-        }
-    }
-
-    /// Sample variance (dividing by n−1), or 0 with fewer than two samples.
-    #[must_use]
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
         }
     }
 
@@ -301,60 +291,6 @@ impl TimeWeighted {
     }
 }
 
-/// Simple ratio counter: successes out of attempts.
-///
-/// Used pervasively for the paper's POFOD-style metrics (`P_l`, `P_d`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Ratio {
-    hits: u64,
-    total: u64,
-}
-
-impl Ratio {
-    /// Creates an empty ratio.
-    #[must_use]
-    pub fn new() -> Self {
-        Ratio::default()
-    }
-
-    /// Records one trial; `hit` marks it as counting toward the numerator.
-    pub fn record(&mut self, hit: bool) {
-        self.total += 1;
-        if hit {
-            self.hits += 1;
-        }
-    }
-
-    /// Numerator.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Denominator.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// `hits / total`, or 0 when no trials were recorded.
-    #[must_use]
-    pub fn value(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.total as f64
-        }
-    }
-}
-
-/// Converts a duration sample into seconds and records it.
-///
-/// Convenience so call sites don't repeat the unit conversion.
-pub fn record_duration(moments: &mut RunningMoments, d: SimDuration) {
-    moments.record(d.as_secs_f64());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,17 +369,5 @@ mod tests {
         // 2.0 for 2s, then 6.0 for 2s → average 4.0 at t=4s.
         assert!((tw.average(SimTime::from_secs(4)) - 4.0).abs() < 1e-12);
         assert_eq!(tw.current(), 6.0);
-    }
-
-    #[test]
-    fn ratio_basis() {
-        let mut r = Ratio::new();
-        for i in 0..10 {
-            r.record(i < 3);
-        }
-        assert_eq!(r.hits(), 3);
-        assert_eq!(r.total(), 10);
-        assert!((r.value() - 0.3).abs() < 1e-12);
-        assert_eq!(Ratio::new().value(), 0.0);
     }
 }

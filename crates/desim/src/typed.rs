@@ -178,12 +178,6 @@ impl<W: EventWorld> EventSim<W> {
         &mut self.world
     }
 
-    /// Exclusive access to both the world and the scheduling context —
-    /// needed when setup code must schedule and mutate in one breath.
-    pub fn world_and_ctx(&mut self) -> (&mut W, &mut EventContext<W::Event>) {
-        (&mut self.world, &mut self.ctx)
-    }
-
     /// Consumes the simulation, returning the world.
     #[must_use]
     pub fn into_world(self) -> W {

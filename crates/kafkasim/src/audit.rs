@@ -16,75 +16,9 @@ use crate::message::MessageKey;
 use crate::producer::Ledger;
 use crate::state::DeliveryCase;
 
-/// Why the producer gave up on a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum LossReason {
-    /// Expired in the accumulator before (or between) send attempts
-    /// (`T_o` elapsed).
-    ExpiredInBuffer,
-    /// The accumulator was full when the message arrived
-    /// (`buffer.memory` exhausted).
-    BufferOverflow,
-    /// Retries `τ_r` (or the message deadline) were exhausted
-    /// (at-least-once).
-    RetriesExhausted,
-    /// Discarded with a torn-down connection's socket buffer
-    /// (at-most-once's silent loss).
-    ConnectionReset,
-    /// Still unresolved when the run's hard horizon ended.
-    UnsentAtEnd,
-    /// Truncated from a partition log when leadership moved to a replica
-    /// that had not fetched the record — broker-caused loss (unclean
-    /// leader election, or a failover under `acks < all`), distinct from
-    /// every network-caused reason above.
-    LeaderFailover,
-}
-
-impl LossReason {
-    /// Every reason, in declaration (= `Ord`) order.
-    pub const ALL: [LossReason; 6] = [
-        LossReason::ExpiredInBuffer,
-        LossReason::BufferOverflow,
-        LossReason::RetriesExhausted,
-        LossReason::ConnectionReset,
-        LossReason::UnsentAtEnd,
-        LossReason::LeaderFailover,
-    ];
-
-    /// Dense index 0..6 (declaration order), for counter columns.
-    #[must_use]
-    pub const fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Non-zero tag for packed `Option`-free columns (0 means "not lost").
-    #[must_use]
-    pub const fn tag(self) -> u8 {
-        self as u8 + 1
-    }
-
-    /// Inverse of [`LossReason::tag`]; `None` for 0 or out of range.
-    #[must_use]
-    pub fn from_tag(tag: u8) -> Option<LossReason> {
-        (tag as usize)
-            .checked_sub(1)
-            .and_then(|i| LossReason::ALL.get(i).copied())
-    }
-}
-
-impl core::fmt::Display for LossReason {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let s = match self {
-            LossReason::ExpiredInBuffer => "expired-in-buffer",
-            LossReason::BufferOverflow => "buffer-overflow",
-            LossReason::RetriesExhausted => "retries-exhausted",
-            LossReason::ConnectionReset => "connection-reset",
-            LossReason::UnsentAtEnd => "unsent-at-end",
-            LossReason::LeaderFailover => "leader-failover",
-        };
-        write!(f, "{s}")
-    }
-}
+/// Why the producer gave up on a message: the trace's [`obs::LossCause`],
+/// under the audit's name.
+pub use obs::LossCause as LossReason;
 
 /// Latency summary in seconds (finite even when empty, so it serialises).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]

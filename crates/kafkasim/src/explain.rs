@@ -7,37 +7,9 @@
 //! messages, same loss-reason histogram, same number of duplicated
 //! messages, and a traced cause behind each one.
 
-use std::collections::BTreeMap;
+use obs::TimelineReport;
 
-use obs::{LossCause, TimelineReport};
-
-use crate::audit::{DeliveryReport, LossReason};
-
-/// The audit reason corresponding to a traced loss cause.
-#[must_use]
-pub fn to_loss_reason(cause: LossCause) -> LossReason {
-    match cause {
-        LossCause::ExpiredInBuffer => LossReason::ExpiredInBuffer,
-        LossCause::BufferOverflow => LossReason::BufferOverflow,
-        LossCause::RetriesExhausted => LossReason::RetriesExhausted,
-        LossCause::ConnectionReset => LossReason::ConnectionReset,
-        LossCause::UnsentAtEnd => LossReason::UnsentAtEnd,
-        LossCause::LeaderFailover => LossReason::LeaderFailover,
-    }
-}
-
-/// The traced loss cause corresponding to an audit reason.
-#[must_use]
-pub fn to_loss_cause(reason: LossReason) -> LossCause {
-    match reason {
-        LossReason::ExpiredInBuffer => LossCause::ExpiredInBuffer,
-        LossReason::BufferOverflow => LossCause::BufferOverflow,
-        LossReason::RetriesExhausted => LossCause::RetriesExhausted,
-        LossReason::ConnectionReset => LossCause::ConnectionReset,
-        LossReason::UnsentAtEnd => LossCause::UnsentAtEnd,
-        LossReason::LeaderFailover => LossCause::LeaderFailover,
-    }
-}
+use crate::audit::DeliveryReport;
 
 /// The verdict of comparing a [`TimelineReport`] with a
 /// [`DeliveryReport`].
@@ -102,11 +74,7 @@ pub fn crosscheck(report: &DeliveryReport, timeline: &TimelineReport) -> TraceAu
         ));
     }
 
-    let traced: BTreeMap<LossReason, u64> = timeline
-        .lost_by_cause()
-        .into_iter()
-        .map(|(c, n)| (to_loss_reason(c), n))
-        .collect();
+    let traced = timeline.lost_by_cause();
     audit.loss_reasons_match = traced == report.loss_reasons;
     if !audit.loss_reasons_match {
         audit.discrepancies.push(format!(
@@ -136,14 +104,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cause_reason_mapping_is_a_bijection() {
-        for cause in LossCause::ALL {
-            assert_eq!(to_loss_cause(to_loss_reason(cause)), cause);
-            assert_eq!(cause.to_string(), to_loss_reason(cause).to_string());
-        }
-    }
-
-    #[test]
     fn empty_trace_explains_empty_report() {
         let report = DeliveryReport {
             n_source: 0,
@@ -152,7 +112,7 @@ mod tests {
             duplicated: 0,
             extra_copies: 0,
             case_counts: [0; 5],
-            loss_reasons: BTreeMap::new(),
+            loss_reasons: std::collections::BTreeMap::new(),
             latency: crate::audit::LatencyStats::default(),
             stale: 0,
             duration: desim::SimDuration::ZERO,

@@ -1,10 +1,12 @@
-//! Producer-side bookkeeping: the record accumulator, batches, the
-//! in-flight request table and the message ledger.
+//! Producer-side bookkeeping: the record accumulator, batches and the
+//! message ledger.
 //!
 //! These types are pure state machines (no events, no I/O) so their
 //! behaviour — batching by count `B`, linger flushes, `T_o` expiry, retry
 //! accounting — can be unit-tested in isolation; [`crate::runtime`] drives
-//! them from the event loop.
+//! them from the event loop. A batch written to a socket leaves this
+//! module: it waits for its ack in its connection's send-ordered in-flight
+//! queue, which the runtime owns.
 
 use std::collections::VecDeque;
 
@@ -14,7 +16,6 @@ use serde::{Deserialize, Serialize};
 use crate::audit::LossReason;
 use crate::broker::ProduceRecord;
 use crate::message::{Message, MessageKey};
-use desim::fasthash::FastMap;
 
 /// A batch of messages bound for one partition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,18 +47,10 @@ impl PendingBatch {
         self.messages.iter().map(|m| m.payload_bytes).sum()
     }
 
-    /// Drops expired messages, returning them.
-    pub fn drop_expired(&mut self, now: SimTime) -> Vec<Message> {
-        let mut expired = Vec::new();
-        self.drop_expired_into(now, &mut expired);
-        expired
-    }
-
     /// Drops expired messages in place, appending them to `expired`.
     ///
-    /// The allocation-free form of [`PendingBatch::drop_expired`]: survivors
-    /// keep their order and the expired messages are appended to `expired`
-    /// in their original order.
+    /// Survivors keep their order and the expired messages are appended to
+    /// `expired` in their original order.
     pub fn drop_expired_into(&mut self, now: SimTime, expired: &mut Vec<Message>) {
         self.messages.retain(|m| {
             if m.is_expired(now) {
@@ -69,16 +62,8 @@ impl PendingBatch {
         });
     }
 
-    /// The records a broker stores for this batch.
-    #[must_use]
-    pub fn to_records(&self) -> Vec<ProduceRecord> {
-        let mut records = Vec::new();
-        self.to_records_into(&mut records);
-        records
-    }
-
-    /// Writes the batch's broker records into `out` (cleared first), so a
-    /// caller can reuse one buffer across requests.
+    /// Writes the records a broker stores for this batch into `out`
+    /// (cleared first), so a caller can reuse one buffer across requests.
     pub fn to_records_into(&self, out: &mut Vec<ProduceRecord>) {
         out.clear();
         out.extend(self.messages.iter().map(|m| ProduceRecord {
@@ -206,12 +191,6 @@ impl Accumulator {
     #[must_use]
     pub fn overflowed(&self) -> u64 {
         self.overflowed
-    }
-
-    /// Ready (full or lingered-out) batches waiting for the sender.
-    #[must_use]
-    pub fn ready_len(&self) -> usize {
-        self.ready.len()
     }
 
     /// Applies a new batch size / linger (dynamic reconfiguration §V).
@@ -429,118 +408,6 @@ impl Accumulator {
             self.pool_buf(buf);
         }
         expired
-    }
-}
-
-/// A produce request written to a socket and not yet settled: acknowledged
-/// (`acks ≥ 1`), arrived at the broker (`acks=0`), or torn down with its
-/// connection.
-#[derive(Debug, Clone)]
-pub struct InFlightRequest {
-    /// The batch the request carries.
-    pub batch: PendingBatch,
-    /// Connection index it was sent on.
-    pub conn: usize,
-    /// When it was written to the socket.
-    pub sent_at: SimTime,
-    /// Whether it was sent awaiting a response (`acks ≥ 1`); a teardown
-    /// settles it by this, not by the producer's current acks level.
-    pub wants_ack: bool,
-}
-
-/// Table of in-flight requests keyed by request id.
-///
-/// Timeouts are not indexed here: each request's `RequestTimeout` event
-/// sits in the engine's agenda, which is the only place they are read.
-#[derive(Debug, Clone, Default)]
-pub struct InFlightTable {
-    requests: FastMap<u64, InFlightRequest>,
-    /// Requests awaiting an ack per connection index (connections are
-    /// dense `0..n`; the vector grows to the highest index seen).
-    per_conn: Vec<usize>,
-}
-
-impl InFlightTable {
-    /// An empty table.
-    #[must_use]
-    pub fn new() -> Self {
-        InFlightTable::default()
-    }
-
-    /// Number of requests awaiting an ack on `conn` — what the in-flight
-    /// limit counts.
-    #[must_use]
-    pub fn count(&self, conn: usize) -> usize {
-        self.per_conn.get(conn).copied().unwrap_or(0)
-    }
-
-    /// Total requests in flight.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// `true` when nothing is in flight.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
-    }
-
-    /// Inserts a request.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is already present.
-    pub fn insert(&mut self, id: u64, request: InFlightRequest) {
-        if request.wants_ack {
-            if request.conn >= self.per_conn.len() {
-                self.per_conn.resize(request.conn + 1, 0);
-            }
-            self.per_conn[request.conn] += 1;
-        }
-        let prev = self.requests.insert(id, request);
-        assert!(prev.is_none(), "duplicate request id");
-    }
-
-    /// Completes (settles) a request, removing it.
-    pub fn complete(&mut self, id: u64) -> Option<InFlightRequest> {
-        let request = self.requests.remove(&id)?;
-        if request.wants_ack {
-            self.per_conn[request.conn] -= 1;
-        }
-        Some(request)
-    }
-
-    /// Removes every request on `conn` (connection failure path).
-    ///
-    /// Requests come back ordered by id (send order), so retry scheduling
-    /// is deterministic.
-    pub fn take_conn(&mut self, conn: usize) -> Vec<(u64, InFlightRequest)> {
-        let mut ids: Vec<u64> = self
-            .requests
-            .iter()
-            .filter(|(_, r)| r.conn == conn)
-            .map(|(id, _)| *id)
-            .collect();
-        ids.sort_unstable();
-        ids.into_iter()
-            .map(|id| {
-                let r = self.complete(id).expect("listed id");
-                (id, r)
-            })
-            .collect()
-    }
-
-    /// Whether `id` is still in flight.
-    #[must_use]
-    pub fn contains(&self, id: u64) -> bool {
-        self.requests.contains_key(&id)
-    }
-
-    /// The connection `id` is in flight on, if any.
-    #[must_use]
-    pub fn conn_of(&self, id: u64) -> Option<usize> {
-        self.requests.get(&id).map(|r| r.conn)
     }
 }
 
@@ -824,68 +691,6 @@ mod tests {
         };
         assert_eq!(batch.deadline(), SimTime::from_millis(100));
         assert_eq!(batch.payload_bytes(), 300);
-    }
-
-    #[test]
-    fn in_flight_table_tracks_counts_and_timeouts() {
-        let mut t = InFlightTable::new();
-        let batch = PendingBatch {
-            id: 0,
-            partition: 0,
-            messages: vec![msg(0, 0, 1000)],
-            attempts: 1,
-        };
-        for (id, wants_ack) in [(10, true), (11, true), (12, false)] {
-            t.insert(
-                id,
-                InFlightRequest {
-                    batch: batch.clone(),
-                    conn: 0,
-                    sent_at: SimTime::from_millis(id),
-                    wants_ack,
-                },
-            );
-        }
-        assert_eq!(
-            (t.count(0), t.count(1), t.count(7), t.len()),
-            (2, 0, 0, 3),
-            "the limit counts only requests awaiting an ack"
-        );
-        let done = t.complete(11).unwrap();
-        assert_eq!(done.sent_at, SimTime::from_millis(11));
-        assert_eq!(t.count(0), 1);
-        assert!(t.complete(11).is_none(), "double completion is None");
-        assert_eq!(t.count(0), 1, "a refused completion counts nothing");
-        assert!(!t.complete(12).unwrap().wants_ack);
-        assert_eq!(t.count(0), 1, "settling an acks=0 request counts nothing");
-        assert!(t.complete(10).unwrap().wants_ack);
-        assert_eq!((t.count(0), t.len()), (0, 0));
-    }
-
-    #[test]
-    fn take_conn_clears_only_that_connection() {
-        let mut t = InFlightTable::new();
-        let batch = PendingBatch {
-            id: 0,
-            partition: 0,
-            messages: vec![msg(0, 0, 1000)],
-            attempts: 1,
-        };
-        for (id, conn) in [(1u64, 0usize), (2, 1), (3, 0)] {
-            t.insert(
-                id,
-                InFlightRequest {
-                    batch: batch.clone(),
-                    conn,
-                    sent_at: SimTime::from_millis(id),
-                    wants_ack: true,
-                },
-            );
-        }
-        let taken = t.take_conn(0);
-        assert_eq!(taken.len(), 2);
-        assert_eq!(t.len(), 1);
-        assert!(t.contains(2));
     }
 
     #[test]

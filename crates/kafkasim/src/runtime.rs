@@ -15,11 +15,12 @@
 //! * **Connection recycling** — when an in-socket batch passes its deadline,
 //!   the transport stalls through repeated RTO backoffs, or the broker
 //!   crashes, the producer tears the connection down, exactly like a real
-//!   client disconnecting an unresponsive broker. One teardown settles
-//!   every request written to the socket by the acks level it was *sent*
-//!   under, whatever the producer's level is now: the bytes in the dead
-//!   socket are gone, which for an `acks=0` request is *silent* loss
-//!   (Fig. 4's at-most-once penalty) and for an acked one a retry.
+//!   client disconnecting an unresponsive broker. One teardown settles the
+//!   connection's send-ordered queue of in-flight requests, each by the
+//!   acks level it was *sent* under, whatever the producer's level is now:
+//!   the bytes in the dead socket are gone, which for an `acks=0` request
+//!   is *silent* loss (Fig. 4's at-most-once penalty) and for an acked one
+//!   a retry.
 //! * **Retries** — an unanswered produce request times out, fails the
 //!   connection, and is retried up to `τ_r` times within `T_o`. A retry of a
 //!   request whose original *was* persisted (the ack was lost or late)
@@ -41,9 +42,8 @@ use crate::broker::{BrokerId, ProduceRecord};
 use crate::cluster::{Cluster, ClusterSpec, ReplicationDelta};
 use crate::config::{DeliverySemantics, ProducerConfig};
 use crate::consumer::ConsumedTopic;
-use crate::explain::to_loss_cause;
 use crate::message::{Message, MessageKey};
-use crate::producer::{Accumulator, InFlightRequest, InFlightTable, Ledger, PendingBatch};
+use crate::producer::{Accumulator, Ledger, PendingBatch};
 use crate::source::SourceSpec;
 use crate::wire::WireFormat;
 use desim::fasthash::{FastMap, FastSet};
@@ -347,12 +347,40 @@ pub struct RunOutcome {
 struct Conn {
     channel: DuplexChannel,
     broker: BrokerId,
+    /// Every request written to this socket and not yet settled, at any
+    /// acks level, in send order (Kafka's per-node in-flight deque).
+    in_flight: VecDeque<InFlightRequest>,
     blocked: VecDeque<PendingBatch>,
     resp_queue: VecDeque<u64>,
     wake_at: Option<SimTime>,
     down_until: Option<SimTime>,
 }
 
+impl Conn {
+    /// Where request `id` sits in the queue: a short scan, the hit in front.
+    fn position(&self, id: u64) -> Option<usize> {
+        self.in_flight.iter().position(|r| r.id == id)
+    }
+
+    /// Takes request `id` out of the queue: it is settled.
+    fn settle(&mut self, id: u64) -> Option<InFlightRequest> {
+        self.in_flight.remove(self.position(id)?)
+    }
+}
+
+/// A produce request written to a socket and not yet settled: acknowledged
+/// (`acks ≥ 1`), arrived at the broker (`acks=0`), or torn down with its
+/// connection. A retry is a new request: a request never changes connection.
+struct InFlightRequest {
+    id: u64,
+    batch: PendingBatch,
+    sent_at: SimTime,
+    /// Whether it was sent awaiting a response (`acks ≥ 1`); a teardown
+    /// settles it by this, not by the producer's current acks level.
+    wants_ack: bool,
+}
+
+/// A request's broker-side payload, built by [`schedule_append`].
 struct RequestInfo {
     partition: u32,
     records: Vec<ProduceRecord>,
@@ -402,8 +430,8 @@ enum Event {
     LingerWake,
     /// Serialisation of `batch` finished; put it on the wire.
     Dispatch(PendingBatch),
-    /// `req_id`'s response deadline passed.
-    RequestTimeout { req_id: u64 },
+    /// `req_id`, in flight on connection `ci`, passed its response deadline.
+    RequestTimeout { ci: usize, req_id: u64 },
     /// Connection `ci` may accept blocked batches again.
     DrainBlocked { ci: usize },
     /// Connection `ci`'s transport has queued work due now.
@@ -484,7 +512,7 @@ impl World {
                 let now = ctx.now();
                 kick_sender(self, ctx, now);
             }
-            Event::RequestTimeout { req_id } => on_request_timeout(self, ctx, req_id),
+            Event::RequestTimeout { ci, req_id } => on_request_timeout(self, ctx, ci, req_id),
             Event::DrainBlocked { ci } => drain_blocked(self, ctx, ci),
             Event::ConnWake { ci } => {
                 if self.conns[ci].wake_at.is_some_and(|s| s <= ctx.now()) {
@@ -512,10 +540,6 @@ struct World {
     conns: Vec<Conn>,
     partition_conn: Vec<usize>,
     accumulator: Accumulator,
-    /// Every request written to a socket and not yet settled, at any acks
-    /// level.
-    in_flight: InFlightTable,
-    requests: FastMap<u64, RequestInfo>,
     /// Requests whose broker-side processing delay is elapsing: the payload
     /// of a scheduled [`Event::Append`], parked here so the event itself
     /// stays a few words (the queue memcpys every entry it sifts).
@@ -547,7 +571,6 @@ struct World {
     /// Cached `trace.enabled()` — one virtual call at construction instead
     /// of one per trace site per event.
     trace_on: bool,
-    conn_epochs: Vec<u32>,
     appended_keys: FastSet<u64>,
     /// Scratch buffer for expired-message sweeps (reused, never freed).
     msg_scratch: Vec<Message>,
@@ -579,20 +602,14 @@ impl World {
         if !self.trace_on {
             return;
         }
-        let cause = to_loss_cause(reason);
         for m in messages {
             self.trace.record(TraceEvent::Expired {
                 at: now,
                 key: m.key.0,
-                cause,
+                cause: reason,
                 batch,
             });
         }
-    }
-
-    /// A cleared record buffer, reused from the pool when possible.
-    fn take_rec_buf(&mut self) -> Vec<ProduceRecord> {
-        self.rec_pool.pop().unwrap_or_default()
     }
 
     /// Returns a request's record buffer to the pool.
@@ -702,6 +719,7 @@ impl KafkaRun {
                 Conn {
                     channel: ch,
                     broker: b.id(),
+                    in_flight: VecDeque::new(),
                     blocked: VecDeque::new(),
                     resp_queue: VecDeque::new(),
                     wake_at: None,
@@ -719,7 +737,6 @@ impl KafkaRun {
             cluster.partitions(),
         );
         let n_messages = source.n_messages;
-        let n_conns = conns.len();
         let trace_on = sink.enabled();
         let world = World {
             prof: prof.clone(),
@@ -730,8 +747,6 @@ impl KafkaRun {
             conns,
             partition_conn,
             accumulator,
-            in_flight: InFlightTable::new(),
-            requests: FastMap::default(),
             append_info: FastMap::default(),
             ledger: Ledger::new(),
             rng,
@@ -755,7 +770,6 @@ impl KafkaRun {
             hard_deadline: SimTime::ZERO + max_duration,
             trace: sink,
             trace_on,
-            conn_epochs: vec![0; n_conns],
             appended_keys: FastSet::default(),
             msg_scratch: Vec::new(),
             chan_events: Vec::new(),
@@ -1060,7 +1074,8 @@ fn try_send(
         return Err(batch); // broker down: wait (or fail over)
     }
     let wants_ack = w.cfg.semantics != DeliverySemantics::AtMostOnce;
-    if wants_ack && w.in_flight.count(ci) >= w.cfg.max_in_flight {
+    let in_flight = &w.conns[ci].in_flight;
+    if wants_ack && in_flight.iter().filter(|r| r.wants_ack).count() >= w.cfg.max_in_flight {
         return Err(batch);
     }
     let bytes = w
@@ -1082,7 +1097,7 @@ fn try_send(
                 w.stats.retries += 1;
             }
             if w.trace_on {
-                let epoch = w.conn_epochs[ci];
+                let epoch = w.conns[ci].channel.resets() as u32;
                 w.trace.record(TraceEvent::RequestSent {
                     at: now,
                     batch: batch.id,
@@ -1104,29 +1119,15 @@ fn try_send(
                     });
                 }
             }
-            let mut records = w.take_rec_buf();
-            batch.to_records_into(&mut records);
-            w.requests.insert(
-                req_id,
-                RequestInfo {
-                    partition: batch.partition,
-                    records,
-                    wants_ack,
-                    batch_id: batch.id,
-                },
-            );
-            w.in_flight.insert(
-                req_id,
-                InFlightRequest {
-                    batch,
-                    conn: ci,
-                    sent_at: now,
-                    wants_ack,
-                },
-            );
+            w.conns[ci].in_flight.push_back(InFlightRequest {
+                id: req_id,
+                batch,
+                sent_at: now,
+                wants_ack,
+            });
             if wants_ack {
                 let timeout_at = now + w.cfg.request_timeout;
-                ctx.schedule_at(timeout_at, Event::RequestTimeout { req_id });
+                ctx.schedule_at(timeout_at, Event::RequestTimeout { ci, req_id });
             }
             sched_conn_wake(w, ctx, ci);
             Ok(())
@@ -1183,7 +1184,7 @@ fn pump_conn(w: &mut World, ctx: &mut Ctx, ci: usize) {
                 id,
                 ..
             } => {
-                if let Some(req) = w.in_flight.complete(id) {
+                if let Some(req) = w.conns[ci].settle(id) {
                     w.stats.acks_received += 1;
                     w.last_activity = now;
                     if w.trace_on {
@@ -1192,7 +1193,7 @@ fn pump_conn(w: &mut World, ctx: &mut Ctx, ci: usize) {
                             batch: req.batch.id,
                             request: id,
                             conn: ci as u32,
-                            epoch: w.conn_epochs[ci],
+                            epoch: w.conns[ci].channel.resets() as u32,
                             rtt: now.saturating_since(req.sent_at),
                         });
                     }
@@ -1219,17 +1220,27 @@ fn pump_conn(w: &mut World, ctx: &mut Ctx, ci: usize) {
 }
 
 /// Request `id`'s bytes reached broker `ci`, in order or — `via_teardown` —
-/// while its connection was being torn down: schedules the append after
-/// the broker's processing delay. An `acks=0` request is settled here, its
-/// bytes out of reset risk; an acked one stays in flight until its ack.
+/// while its connection was being torn down: builds the records the broker
+/// stores from the queued batch and schedules the append after the
+/// broker's processing delay. An `acks=0` request is settled here, its
+/// bytes out of reset risk; an acked one stays in flight until its ack. The
+/// request is still queued: an ack needs its bytes here first, and a
+/// teardown schedules what arrived during it before taking the queue.
 fn schedule_append(w: &mut World, ctx: &mut Ctx, ci: usize, id: u64, via_teardown: bool) {
-    let Some(info) = w.requests.remove(&id) else {
-        return; // stale duplicate of an already-processed request
+    let mut records = w.rec_pool.pop().unwrap_or_default();
+    let conn = &mut w.conns[ci];
+    let i = conn.position(id).expect("bytes arrive while queued");
+    let req = &conn.in_flight[i];
+    req.batch.to_records_into(&mut records);
+    let info = RequestInfo {
+        partition: req.batch.partition,
+        records,
+        wants_ack: req.wants_ack,
+        batch_id: req.batch.id,
     };
     if !info.wants_ack {
-        if let Some(req) = w.in_flight.complete(id) {
-            w.accumulator.recycle(req.batch);
-        }
+        let req = conn.in_flight.remove(i).expect("position is in the queue");
+        w.accumulator.recycle(req.batch);
     }
     let proc = w
         .cluster
@@ -1344,13 +1355,12 @@ fn flush_responses(w: &mut World, ctx: &mut Ctx, ci: usize) {
 // Failure handling
 // ---------------------------------------------------------------------------
 
-fn on_request_timeout(w: &mut World, ctx: &mut Ctx, req_id: u64) {
-    if !w.in_flight.contains(req_id) {
+fn on_request_timeout(w: &mut World, ctx: &mut Ctx, ci: usize, req_id: u64) {
+    if w.conns[ci].position(req_id).is_none() {
         return; // answered in time
     }
     // An unanswered request fails the whole connection (as in a real
     // client): tear it down and settle everything that was in flight on it.
-    let ci = w.in_flight.conn_of(req_id).expect("request is in flight");
     tear_down(w, ctx, ci);
 }
 
@@ -1377,8 +1387,8 @@ fn amo_stall_check(w: &mut World, ctx: &mut Ctx, ci: usize) {
 }
 
 /// Tears connection `ci` down (a request timeout, an `acks=0` stall or a
-/// broker crash) and settles every request on it by the acks level it was
-/// sent under:
+/// broker crash) and settles every request in its queue, in send order, by
+/// the acks level it was sent under:
 ///
 /// * a response already on the wire completes its request;
 /// * a request whose bytes reach the broker during teardown is appended
@@ -1390,31 +1400,26 @@ fn amo_stall_check(w: &mut World, ctx: &mut Ctx, ci: usize) {
 ///   deadline are spent.
 fn tear_down(w: &mut World, ctx: &mut Ctx, ci: usize) {
     let now = ctx.now();
+    // The trace epoch counts the channel's resets, and only this resets it.
+    let epoch = w.conns[ci].channel.resets() as u32;
     let mut report = std::mem::take(&mut w.reset_report);
     w.conns[ci].channel.reset_into(now, &mut report);
     w.stats.connection_resets += 1;
-    for id in &report.teardown_delivered_to_a {
-        if let Some(req) = w.in_flight.complete(*id) {
+    for &id in &report.teardown_delivered_to_a {
+        if let Some(req) = w.conns[ci].settle(id) {
             w.accumulator.recycle(req.batch);
         }
     }
     for &id in &report.teardown_delivered_to_b {
         schedule_append(w, ctx, ci, id, true);
     }
-    for id in &report.undelivered_from_a {
-        if let Some(info) = w.requests.remove(id) {
-            w.recycle_records(info.records);
-        }
-    }
     w.reset_report = report;
     w.conns[ci].resp_queue.clear();
-    let (acked, unacked): (Vec<_>, Vec<_>) = w
-        .in_flight
-        .take_conn(ci)
+    let (acked, unacked): (Vec<_>, Vec<_>) = std::mem::take(&mut w.conns[ci].in_flight)
         .into_iter()
-        .partition(|(_, req)| req.wants_ack);
+        .partition(|req| req.wants_ack);
     let mut lost_keys = Vec::new();
-    for (_, req) in unacked {
+    for req in unacked {
         for m in &req.batch.messages {
             w.ledger.mark_lost(m.key, LossReason::ConnectionReset);
             if w.trace_on {
@@ -1428,15 +1433,14 @@ fn tear_down(w: &mut World, ctx: &mut Ctx, ci: usize) {
         w.trace.record(TraceEvent::ConnectionReset {
             at: now,
             conn: ci as u32,
-            epoch: w.conn_epochs[ci],
+            epoch,
             lost_keys,
         });
     }
-    w.conn_epochs[ci] += 1;
     // Requeue newest-first with push_front so the oldest batch (closest to
     // its deadline) ends up at the head of the retry queue.
     let mut expired = std::mem::take(&mut w.msg_scratch);
-    for (_, req) in acked.into_iter().rev() {
+    for req in acked.into_iter().rev() {
         let mut batch = req.batch;
         expired.clear();
         if batch.attempts > w.cfg.max_retries {
@@ -1661,7 +1665,7 @@ fn replication_tick(w: &mut World, ctx: &mut Ctx) {
 fn release_pending_acks(w: &mut World, ctx: &mut Ctx) {
     let pending = std::mem::take(&mut w.pending_acks);
     for ack in pending {
-        if !w.in_flight.contains(ack.req_id) {
+        if w.conns[ack.conn].position(ack.req_id).is_none() {
             continue; // reset underneath us: the batch will be retried
         }
         if w.cluster.isr_has(ack.partition, ack.required) {
@@ -1710,9 +1714,9 @@ fn housekeeping(w: &mut World, ctx: &mut Ctx) {
     }
     let idle = w.done_polling
         && w.accumulator.is_empty()
-        && w.in_flight.is_empty()
-        && w.requests.is_empty()
-        && w.conns.iter().all(|c| c.blocked.is_empty());
+        && w.conns
+            .iter()
+            .all(|c| c.in_flight.is_empty() && c.blocked.is_empty());
     if idle {
         w.finished = true;
         return; // stop rescheduling: the event queue will drain

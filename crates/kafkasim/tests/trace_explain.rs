@@ -212,12 +212,43 @@ fn jsonl_trace_round_trips_and_reconstructs_identically() {
 fn loss_reason_histogram_matches_trace_attribution() {
     let (outcome, events) = trace(lossy_amo_spec(1_000), 3);
     let report = TimelineReport::reconstruct(&events);
-    let traced: std::collections::BTreeMap<LossReason, u64> = report
-        .lost_by_cause()
-        .into_iter()
-        .map(|(c, n)| (kafkasim::explain::to_loss_reason(c), n))
-        .collect();
-    assert_eq!(traced, outcome.report.loss_reasons);
+    assert_eq!(report.lost_by_cause(), outcome.report.loss_reasons);
+    assert!(outcome.report.loss_reasons[&LossReason::ConnectionReset] > 0);
+}
+
+/// `max.in.flight.requests.per.connection`, replayed from the trace: a
+/// request is open on its connection from `RequestSent` until its
+/// `AckReceived`, and a `ConnectionReset` settles everything open there.
+/// The open count per connection never passes the limit, and reaches it.
+#[test]
+fn in_flight_requests_per_connection_stay_within_the_limit() {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    for limit in [1, 3] {
+        let mut spec = duplicating_alo_spec(2_000);
+        spec.producer.batch_size = 1;
+        spec.producer.max_in_flight = limit;
+        let (_, events) = trace(spec, 11);
+        let mut open: BTreeMap<u32, BTreeSet<u64>> = BTreeMap::new();
+        let mut peak = 0;
+        for event in &events {
+            match *event {
+                TraceEvent::RequestSent { conn, request, .. } => {
+                    let requests = open.entry(conn).or_default();
+                    requests.insert(request);
+                    peak = peak.max(requests.len());
+                }
+                TraceEvent::AckReceived { conn, request, .. } => {
+                    open.entry(conn).or_default().remove(&request);
+                }
+                TraceEvent::ConnectionReset { conn, .. } => {
+                    open.entry(conn).or_default().clear();
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(peak, limit, "max_in_flight = {limit}");
+    }
 }
 
 proptest! {

@@ -14,9 +14,10 @@
 //!
 //! Everything in between — segmentation, loss, retransmission, congestion
 //! control, ACK-vs-data bandwidth contention — happens inside. The channel
-//! also models **connection resets** ([`DuplexChannel::reset`]): all
-//! undelivered records are discarded, exactly like the bytes sitting in a
-//! killed socket's buffers. This is the mechanism by which `acks=0`
+//! also models **connection resets** ([`DuplexChannel::reset`]): records
+//! already on the wire still arrive and the [`ResetReport`] lists them; the
+//! rest are discarded, like the bytes in a killed socket's buffers, and the
+//! owner, which knows what it wrote, settles them. This is how `acks=0`
 //! (at-most-once) producers silently lose data in the paper.
 
 use std::collections::VecDeque;
@@ -138,8 +139,8 @@ impl core::fmt::Display for SendRecordError {
 
 impl std::error::Error for SendRecordError {}
 
-/// What happened to in-flight records when a [`DuplexChannel::reset`] tore
-/// the connection down.
+/// Which in-flight records still arrived when a [`DuplexChannel::reset`]
+/// tore the connection down.
 ///
 /// Tearing down a TCP connection does not vaporise segments already on the
 /// wire: they typically reach the peer (and get processed) before the
@@ -147,27 +148,21 @@ impl std::error::Error for SendRecordError {}
 /// fully in flight and contiguous — the receiver ends up with them even
 /// though the sender never learns. This is precisely the race that turns an
 /// at-least-once retry into a duplicate, and that makes `acks=0` loss
-/// *partial* rather than total.
+/// *partial* rather than total. Every other record in flight is gone.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResetReport {
-    /// Record ids offered by A that are definitively gone.
-    pub undelivered_from_a: Vec<u64>,
-    /// Record ids offered by B that are definitively gone.
-    pub undelivered_from_b: Vec<u64>,
     /// Records from A that reached B during teardown (B will process them;
-    /// A will never know).
+    /// A will never know), in send order.
     pub teardown_delivered_to_b: Vec<u64>,
-    /// Records from B that reached A during teardown.
+    /// Records from B that reached A during teardown, in send order.
     pub teardown_delivered_to_a: Vec<u64>,
 }
 
 impl ResetReport {
-    /// Empties all four id lists, keeping their capacity — callers that
-    /// reuse one report across [`DuplexChannel::reset_into`] calls pay no
+    /// Empties both id lists, keeping their capacity — callers that reuse
+    /// one report across [`DuplexChannel::reset_into`] calls pay no
     /// allocation per reset.
     pub fn clear(&mut self) {
-        self.undelivered_from_a.clear();
-        self.undelivered_from_b.clear();
         self.teardown_delivered_to_b.clear();
         self.teardown_delivered_to_a.clear();
     }
@@ -424,32 +419,24 @@ impl DuplexChannel {
         report.clear();
         // Segments already in flight still arrive at the peer before the
         // teardown does: feed them to the receivers, then see which records
-        // became contiguous.
+        // became contiguous. `pending` is ordered by stream end, so those
+        // are a prefix of it.
         for &ev in in_flight {
             if let Ev::Seg { dir, seq, len } = ev {
                 let _ = self.streams[dir].rcv.on_segment(seq, len);
             }
         }
-        for (dir, delivered, undelivered) in [
-            (
-                0usize,
-                &mut report.teardown_delivered_to_b,
-                &mut report.undelivered_from_a,
-            ),
-            (
-                1usize,
-                &mut report.teardown_delivered_to_a,
-                &mut report.undelivered_from_b,
-            ),
+        for (dir, delivered) in [
+            (0, &mut report.teardown_delivered_to_b),
+            (1, &mut report.teardown_delivered_to_a),
         ] {
-            let contiguous = self.streams[dir].rcv.contiguous();
-            for (end, id) in self.streams[dir].pending.iter() {
-                if *end <= contiguous {
-                    delivered.push(*id);
-                } else {
-                    undelivered.push(*id);
-                }
-            }
+            let stream = &self.streams[dir];
+            let contiguous = stream.rcv.contiguous();
+            let arrived = stream
+                .pending
+                .iter()
+                .take_while(|(end, _)| *end <= contiguous);
+            delivered.extend(arrived.map(|&(_, id)| id));
         }
         self.resets += 1;
         self.streams[0].reset(now);
@@ -729,9 +716,10 @@ mod tests {
         ch.send_record(Endpoint::A, 11, 800, SimTime::ZERO).unwrap();
         ch.send_record(Endpoint::A, 12, 800, SimTime::ZERO).unwrap();
         let _ = drive(&mut ch, SimTime::from_secs(5));
+        assert_eq!(ch.records_in_flight(Endpoint::A), 2);
         let report = ch.reset(SimTime::from_secs(5));
-        assert_eq!(report.undelivered_from_a, vec![11, 12]);
-        assert!(report.undelivered_from_b.is_empty());
+        assert_eq!(report, ResetReport::default(), "neither record arrived");
+        assert_eq!(ch.records_in_flight(Endpoint::A), 0);
         assert_eq!(ch.resets(), 1);
     }
 
@@ -762,7 +750,7 @@ mod tests {
         // a RecordDelivered event.
         let report = ch.reset(SimTime::from_millis(1));
         assert_eq!(report.teardown_delivered_to_b, vec![0]);
-        assert!(report.undelivered_from_a.is_empty());
+        assert!(report.teardown_delivered_to_a.is_empty());
         let events = drive(&mut ch, SimTime::from_secs(5));
         assert!(delivered_ids(&events, Endpoint::B).is_empty());
     }
@@ -780,9 +768,9 @@ mod tests {
             SimTime::ZERO,
         );
         ch.send_record(Endpoint::A, 2, 400, SimTime::ZERO).unwrap();
+        assert_eq!(ch.records_in_flight(Endpoint::A), 2);
         let report = ch.reset(SimTime::from_millis(1));
-        assert_eq!(report.teardown_delivered_to_b, vec![1]);
-        assert_eq!(report.undelivered_from_a, vec![2]);
+        assert_eq!(report.teardown_delivered_to_b, vec![1], "record 2 is gone");
     }
 
     /// A channel carrying records both ways over jittered (so reordering)

@@ -86,14 +86,6 @@ pub struct Segment {
     pub retransmit: bool,
 }
 
-impl Segment {
-    /// Bytes this segment occupies on the wire under `cfg`.
-    #[must_use]
-    pub fn wire_bytes(&self, cfg: &TcpConfig) -> u64 {
-        self.len + cfg.header_bytes
-    }
-}
-
 /// Cumulative sender statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TcpSenderStats {

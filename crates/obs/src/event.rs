@@ -12,16 +12,19 @@ use serde::{Deserialize, Serialize};
 
 /// Why the producer gave up on a message.
 ///
-/// Mirrors `kafkasim::audit::LossReason` variant-for-variant so that the
-/// per-message attribution the reconstructor produces can be compared
-/// against the end-of-run audit without `obs` depending on `kafkasim`.
+/// One enum for the trace and the audit: `kafkasim` re-exports it as
+/// `LossReason`, so the per-message attribution the reconstructor produces
+/// is compared with the end-of-run audit's histogram directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum LossCause {
-    /// Expired in the accumulator before (or between) send attempts.
+    /// Expired in the accumulator before (or between) send attempts
+    /// (`T_o` elapsed).
     ExpiredInBuffer,
-    /// The accumulator was full when the message arrived.
+    /// The accumulator was full when the message arrived
+    /// (`buffer.memory` exhausted).
     BufferOverflow,
-    /// Retries (or the message deadline) were exhausted (at-least-once).
+    /// Retries `τ_r` (or the message deadline) were exhausted
+    /// (at-least-once).
     RetriesExhausted,
     /// Discarded with a torn-down connection's socket buffer
     /// (at-most-once's silent loss).
@@ -30,12 +33,13 @@ pub enum LossCause {
     UnsentAtEnd,
     /// Truncated from a partition log when leadership moved to a replica
     /// that had not yet fetched the record — the broker-caused loss of an
-    /// unclean leader election (or of a failover under `acks < all`).
+    /// unclean leader election (or of a failover under `acks < all`),
+    /// distinct from every network-caused cause above.
     LeaderFailover,
 }
 
 impl LossCause {
-    /// Every cause, in declaration order.
+    /// Every cause, in declaration (= `Ord`) order.
     pub const ALL: [LossCause; 6] = [
         LossCause::ExpiredInBuffer,
         LossCause::BufferOverflow,
@@ -44,6 +48,20 @@ impl LossCause {
         LossCause::UnsentAtEnd,
         LossCause::LeaderFailover,
     ];
+
+    /// Non-zero tag for packed `Option`-free columns (0 means "not lost").
+    #[must_use]
+    pub const fn tag(self) -> u8 {
+        self as u8 + 1
+    }
+
+    /// Inverse of [`LossCause::tag`]; `None` for 0 or out of range.
+    #[must_use]
+    pub fn from_tag(tag: u8) -> Option<LossCause> {
+        (tag as usize)
+            .checked_sub(1)
+            .and_then(|i| LossCause::ALL.get(i).copied())
+    }
 }
 
 impl core::fmt::Display for LossCause {
@@ -696,6 +714,11 @@ mod tests {
         assert_eq!(LossCause::ConnectionReset.to_string(), "connection-reset");
         assert_eq!(LossCause::LeaderFailover.to_string(), "leader-failover");
         assert_eq!(LossCause::ALL.len(), 6);
+        for cause in LossCause::ALL {
+            assert_eq!(LossCause::from_tag(cause.tag()), Some(cause));
+        }
+        assert_eq!(LossCause::from_tag(0), None);
+        assert_eq!(LossCause::from_tag(7), None);
     }
 
     #[test]

@@ -278,12 +278,6 @@ impl MetricsSink {
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
-
-    /// Consumes the sink, returning the registry.
-    #[must_use]
-    pub fn into_registry(self) -> MetricsRegistry {
-        self.registry
-    }
 }
 
 impl TraceSink for MetricsSink {

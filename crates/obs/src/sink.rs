@@ -77,12 +77,6 @@ impl RingBufferSink {
         self.buf.iter()
     }
 
-    /// Consumes the sink, returning the retained events oldest first.
-    #[must_use]
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.buf.into()
-    }
-
     /// Events evicted (or refused) because the buffer was full.
     #[must_use]
     pub fn dropped(&self) -> u64 {

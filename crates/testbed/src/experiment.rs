@@ -184,13 +184,6 @@ pub struct ExperimentResult {
     pub seed: u64,
 }
 
-/// The instant an experiment's network trace considers "the end" — used by
-/// Table II style runs (re-exported for convenience).
-#[must_use]
-pub fn trace_end(timeline: &ConditionTimeline) -> SimTime {
-    timeline.last_change()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
