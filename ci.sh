@@ -117,6 +117,21 @@ echo "== one in-flight queue per connection =="
 [ "$(grep -v '^struct RequestInfo {' crates/kafkasim/src/runtime.rs | grep -c 'RequestInfo {')" -eq 1 ] \
     || { echo "RequestInfo is built in more than one place" >&2; exit 1; }
 
+echo "== one model per repro run =="
+# repro trains one model a process, the paper's at full effort and the
+# compact one under --quick, and hands it to every target that predicts or
+# plans with it; no executor trains. Outside tests, one function under
+# crates/bench/src calls the trainer.
+! grep -rnE 'paper_ann|paper-ann|train_on\(|ann_accuracy|collect_training_results' \
+    crates tests examples \
+    || { echo "a second model choice or training path is back" >&2; exit 1; }
+trainers="$(for f in $(grep -rl 'train_model(' crates/bench/src); do
+    awk '/^#\[cfg\(test\)\]/ { exit } /(^| )fn [a-z_0-9]+[<(]/ { fn = $0 }
+         /train_model\(/ { print FILENAME ":" fn }' "$f"
+done | sort -u)"
+[ "$(grep -c . <<<"$trainers")" -eq 1 ] \
+    || { echo "the model is trained in more than one function:" >&2; echo "$trainers" >&2; exit 1; }
+
 echo "== one unsafe call (annet's AVX2+FMA dispatch; the other nine crates forbid it) =="
 # Outside comments and lint attributes the keyword appears on exactly 2
 # lines under crates/*/src, both in annet::matrix::Kernel<A>, which the

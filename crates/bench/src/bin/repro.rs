@@ -2,7 +2,7 @@
 //! scenario documents.
 //!
 //! ```text
-//! repro <target> [--messages N] [--quick] [--paper-ann] [--seed S] [--json]
+//! repro <target> [--messages N] [--quick] [--seed S] [--json]
 //! repro run-spec FILE.toml [flags...]      # run any scenario document
 //! repro list-scenarios [DIR]               # list the corpus (or DIR's)
 //! repro validate-scenarios [DIR]           # parse + validate DIR's documents
@@ -21,11 +21,12 @@ use std::path::Path;
 use bench::exec;
 use bench::figures::{self, Effort};
 use bench::render;
-use spec::{ExperimentSpec, Spec};
+use kafka_predict::prelude::{train_model, TrainOptions, TrainedModel};
+use spec::{CollectionDesign, ExperimentSpec, Spec};
 
 struct Args {
     effort: Effort,
-    paper_ann: bool,
+    quick: bool,
     json: bool,
     data: Option<String>,
     save_data: Option<String>,
@@ -38,7 +39,8 @@ fn parse_args() -> Result<(String, Option<String>, Args), String> {
     let target = argv.next().ok_or_else(usage)?;
     let mut operand = None;
     let mut effort = Effort::full();
-    let mut paper_ann = false;
+    let mut quick = false;
+    let mut messages = None;
     let mut json = false;
     let mut data = None;
     let mut save_data = None;
@@ -46,23 +48,19 @@ fn parse_args() -> Result<(String, Option<String>, Args), String> {
     let mut out = None;
     while let Some(flag) = argv.next() {
         match flag.as_str() {
-            "--quick" => {
-                let grid = effort.grid_planner;
-                effort = Effort::quick();
-                effort.grid_planner = grid;
-            }
+            "--quick" => quick = true,
             "--grid" => effort.grid_planner = true,
-            "--paper-ann" => paper_ann = true,
             "--json" => json = true,
             "--messages" => {
                 let v = argv.next().ok_or("--messages needs a value")?;
-                effort.messages = v.parse().map_err(|_| format!("bad message count {v}"))?;
+                let n = v.parse().map_err(|_| format!("bad message count {v}"))?;
                 // Rejected here for every target, the ones that ignore the
                 // flag included: a run spec of zero messages is invalid, and
                 // a worker thread finding that out is a panic.
-                if effort.messages == 0 {
+                if n == 0 {
                     return Err("--messages must be at least 1".into());
                 }
+                messages = Some(n);
             }
             "--seed" => {
                 let v = argv.next().ok_or("--seed needs a value")?;
@@ -85,12 +83,21 @@ fn parse_args() -> Result<(String, Option<String>, Args), String> {
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
     }
+    // `--quick` lowers only the default message count (and trains the
+    // compact model), so every other flag holds wherever it stands, and an
+    // explicit `--messages` wins over it in either order.
+    let defaults = if quick {
+        Effort::quick()
+    } else {
+        Effort::full()
+    };
+    effort.messages = messages.unwrap_or(defaults.messages);
     Ok((
         target,
         operand,
         Args {
             effort,
-            paper_ann,
+            quick,
             json,
             data,
             save_data,
@@ -102,7 +109,7 @@ fn parse_args() -> Result<(String, Option<String>, Args), String> {
 
 fn usage() -> String {
     "usage: repro <fig4|fig5|fig6|fig7|fig8|fig9|collection|ann|kpi|table1|table2|overlay|sensitivity|ext-outage|ext-online|ext-retries|broker-faults|ablation-transport|ablation-jitter|trace|fleet|regime-shift|all> \
-     [--messages N] [--quick] [--grid] [--paper-ann] [--seed S] [--threads T] [--json] [--data FILE] [--save-data FILE] [--trace-out FILE.jsonl]\n\
+     [--messages N] [--quick] [--grid] [--seed S] [--threads T] [--json] [--data FILE] [--save-data FILE] [--trace-out FILE.jsonl]\n\
      \x20      (--threads sizes the sweep and grid-planner pools only; a fleet runs on one thread)\n\
      \x20      repro run-spec FILE.{toml|json} [flags as above]\n\
      \x20      repro list-scenarios [DIR]\n\
@@ -120,6 +127,7 @@ fn main() {
             std::process::exit(2);
         }
     };
+    let mut model = None;
     match target.as_str() {
         "list-scenarios" => list_scenarios(operand.as_deref()),
         "validate-scenarios" => validate_scenarios(operand.as_deref().unwrap_or("scenarios")),
@@ -137,15 +145,15 @@ fn main() {
                     std::process::exit(1);
                 }
             };
-            run_document(&doc, &args);
+            run_document(&doc, &args, &mut model);
         }
         "all" => {
             for doc in spec::builtin::all() {
-                run_document(&doc, &args);
+                run_document(&doc, &args, &mut model);
             }
         }
         name => match Spec::builtin(name) {
-            Some(doc) => run_document(&doc, &args),
+            Some(doc) => run_document(&doc, &args, &mut model),
             None => {
                 eprintln!("unknown target {name}\n{}", usage());
                 std::process::exit(2);
@@ -326,7 +334,11 @@ fn validate_scenarios(dir: &str) {
 // Running one document
 // ---------------------------------------------------------------------------
 
-fn run_document(doc: &Spec, args: &Args) {
+/// The one trained model of a `repro` process, with the collection design
+/// it was trained on.
+type ModelMemo = Option<(CollectionDesign, TrainedModel)>;
+
+fn run_document(doc: &Spec, args: &Args, model: &mut ModelMemo) {
     match &doc.experiment {
         ExperimentSpec::Table1(cases) => table1(doc, cases, args.json),
         ExperimentSpec::Collection(design) => collection(doc, design, args.json),
@@ -338,11 +350,12 @@ fn run_document(doc: &Spec, args: &Args) {
             args.json,
         ),
         ExperimentSpec::NetworkTrace(trace) => fig9(doc, trace, args.effort.seed, args.json),
-        ExperimentSpec::Train(train) => ann(doc, train, args),
+        ExperimentSpec::Train(train) => ann(doc, model_for(&train.collection, args, model), args),
         ExperimentSpec::KpiGrid(grid) => kpi(doc, grid, args.json),
-        ExperimentSpec::Table2(table) => table2(doc, table, args),
+        ExperimentSpec::Table2(table) => table2(doc, table, args, model),
         ExperimentSpec::Overlay(overlay) => {
-            let (series_data, mae) = exec::overlay(overlay, args.effort, args.paper_ann);
+            let trained = model_for(&overlay.collection, args, model);
+            let (series_data, mae) = exec::overlay(overlay, &trained.model, args.effort);
             series(&doc.title, "M (bytes)", "P_l", &series_data, args.json);
             if !args.json {
                 println!("overlay MAE vs fresh measurements: {mae:.4}\n");
@@ -350,10 +363,10 @@ fn run_document(doc: &Spec, args: &Args) {
         }
         ExperimentSpec::Sensitivity(sens) => sensitivity(doc, sens, args),
         ExperimentSpec::BrokerFaultMatrix(matrix) => broker_faults(doc, matrix, args),
-        ExperimentSpec::Online(online) => ext_online(doc, online, args),
+        ExperimentSpec::Online(online) => ext_online(doc, online, args, model),
         ExperimentSpec::TraceDemo(demo) => trace_demo(doc, demo, args),
         ExperimentSpec::Fleet(fleet) => fleet_report(doc, fleet, args),
-        ExperimentSpec::RegimeShift(shift) => regime_shift(doc, shift, args),
+        ExperimentSpec::RegimeShift(shift) => regime_shift(doc, shift, args, model),
     }
 }
 
@@ -536,15 +549,13 @@ fn fig9(doc: &Spec, spec: &spec::NetworkTraceSpec, seed: u64, json: bool) {
     );
 }
 
-fn training_results(
-    design: &spec::CollectionDesign,
-    effort: Effort,
-    data: Option<&str>,
-    save_data: Option<&str>,
-) -> Vec<testbed::ExperimentResult> {
+/// The collection sweep over `design`, or the results `--data` names;
+/// `--save-data` writes a fresh sweep out.
+fn training_results(design: &CollectionDesign, args: &Args) -> Vec<testbed::ExperimentResult> {
     use testbed::dataset::ResultSet;
     use testbed::Calibration;
-    if let Some(path) = data {
+    let effort = args.effort;
+    if let Some(path) = &args.data {
         let set = ResultSet::load_for(Path::new(path), &Calibration::paper()).unwrap_or_else(|e| {
             eprintln!("failed to load {path}: {e}");
             std::process::exit(1);
@@ -553,7 +564,7 @@ fn training_results(
         return set.results;
     }
     let results = exec::collect_training(design, effort);
-    if let Some(path) = save_data {
+    if let Some(path) = &args.save_data {
         let set = ResultSet::new(
             Calibration::paper(),
             effort.messages,
@@ -569,14 +580,30 @@ fn training_results(
     results
 }
 
-fn ann(doc: &Spec, train: &spec::TrainSpec, args: &Args) {
-    let results = training_results(
-        &train.collection,
-        args.effort,
-        args.data.as_deref(),
-        args.save_data.as_deref(),
-    );
-    let trained = figures::train_on(&results, args.paper_ann, args.effort.seed);
+/// The model trained on `design`: the paper's [`TrainOptions::paper`], or
+/// [`figures::quick_train_options`] under `--quick`. The first target that
+/// needs a model trains it into `memo`, and a later target training on the
+/// same design reuses it, so `repro all` collects and trains once.
+fn model_for<'m>(
+    design: &CollectionDesign,
+    args: &Args,
+    memo: &'m mut ModelMemo,
+) -> &'m TrainedModel {
+    if !matches!(memo, Some((trained_on, _)) if trained_on == design) {
+        let results = training_results(design, args);
+        let options = if args.quick {
+            figures::quick_train_options()
+        } else {
+            TrainOptions::paper()
+        };
+        let trained = train_model(&results, &options, args.effort.seed)
+            .expect("collection grids are large enough");
+        *memo = Some((design.clone(), trained));
+    }
+    &memo.as_ref().expect("trained above").1
+}
+
+fn ann(doc: &Spec, trained: &TrainedModel, args: &Args) {
     if args.json {
         println!(
             "{}",
@@ -657,10 +684,9 @@ fn sensitivity(doc: &Spec, spec: &spec::SensitivitySpec, args: &Args) {
     println!();
 }
 
-fn ext_online(doc: &Spec, spec: &spec::OnlineCompareSpec, args: &Args) {
+fn ext_online(doc: &Spec, spec: &spec::OnlineCompareSpec, args: &Args, model: &mut ModelMemo) {
     eprintln!("{}: training the prediction model first...", doc.name);
-    let results = figures::collect_training_results(args.effort);
-    let trained = figures::train_on(&results, false, args.effort.seed);
+    let trained = model_for(&figures::training_design(), args, model);
     eprintln!(
         "{}: model trained (worst-head MAE {:.4}); running control modes...",
         doc.name,
@@ -713,10 +739,9 @@ fn ext_online(doc: &Spec, spec: &spec::OnlineCompareSpec, args: &Args) {
     println!();
 }
 
-fn regime_shift(doc: &Spec, spec: &spec::RegimeShiftSpec, args: &Args) {
+fn regime_shift(doc: &Spec, spec: &spec::RegimeShiftSpec, args: &Args, model: &mut ModelMemo) {
     eprintln!("{}: training the prediction model first...", doc.name);
-    let results = figures::collect_training_results(args.effort);
-    let trained = figures::train_on(&results, false, args.effort.seed);
+    let trained = model_for(&figures::training_design(), args, model);
     eprintln!(
         "{}: model trained (worst-head MAE {:.4}); running {} policies over the regime shift...",
         doc.name,
@@ -906,9 +931,9 @@ fn indent(text: &str) -> String {
         .join("\n")
 }
 
-fn table2(doc: &Spec, spec: &spec::Table2Spec, args: &Args) {
+fn table2(doc: &Spec, spec: &spec::Table2Spec, args: &Args, model: &mut ModelMemo) {
     eprintln!("{}: training the prediction model first...", doc.name);
-    let trained = figures::ann_accuracy(args.effort, args.paper_ann);
+    let trained = model_for(&figures::training_design(), args, model);
     eprintln!(
         "{}: model trained (worst-head MAE {:.4}); running scenarios...",
         doc.name,

@@ -29,8 +29,8 @@ use testbed::sweep::run_sweep;
 use testbed::ExperimentResult;
 
 use crate::figures::{
-    train_on, BrokerFaultRow, Effort, ExtOnlineRow, FleetClassRow, FleetStrategyRow,
-    RegimeShiftRow, Series, SeriesPoint, Table2Row,
+    BrokerFaultRow, Effort, ExtOnlineRow, FleetClassRow, FleetStrategyRow, RegimeShiftRow, Series,
+    SeriesPoint, Table2Row,
 };
 
 /// Table I — replays every scripted transition path through the
@@ -262,13 +262,11 @@ pub fn table2(spec: &Table2Spec, predictor: &dyn Predictor, effort: Effort) -> V
         .collect()
 }
 
-/// Figs. 4–6 overlay — trains on the spec's collection design, then
-/// compares fresh-seed measurements with the model's predictions on the
-/// evaluation sweep. Returns the series plus the overlay MAE.
+/// Figs. 4–6 overlay — compares fresh-seed measurements on the
+/// evaluation sweep with the predictions of `model`, trained on the spec's
+/// collection design. Returns the series plus the overlay MAE.
 #[must_use]
-pub fn overlay(spec: &OverlaySpec, effort: Effort, paper_scale: bool) -> (Vec<Series>, f64) {
-    let results = collect_training(&spec.collection, effort);
-    let trained = train_on(&results, paper_scale, effort.seed);
+pub fn overlay(spec: &OverlaySpec, model: &dyn Predictor, effort: Effort) -> (Vec<Series>, f64) {
     let cal = Calibration::paper();
     let mut series = Vec::new();
     let mut abs_err = 0.0;
@@ -312,7 +310,7 @@ pub fn overlay(spec: &OverlaySpec, effort: Effort, paper_scale: bool) -> (Vec<Se
                 .iter()
                 .zip(&measured)
                 .map(|(&m, r)| {
-                    let p = trained.model.predict(&Features::from(&r.point));
+                    let p = model.predict(&Features::from(&r.point));
                     abs_err += (p.p_loss - r.p_loss).abs();
                     n_err += 1;
                     SeriesPoint {

@@ -1,6 +1,6 @@
 //! The effort knob, the row and series types the executor
-//! ([`crate::exec`]) returns, and the training helpers the `repro`
-//! targets share.
+//! ([`crate::exec`]) returns, and the collection design and `--quick`
+//! model options the `repro` training targets share.
 //!
 //! Every experiment definition lives in the committed `scenarios/*.toml`
 //! corpus (embedded by [`spec::builtin`]); `repro` resolves a target to
@@ -16,8 +16,6 @@ use serde::{Deserialize, Serialize};
 use spec::{ExperimentSpec, Spec};
 use testbed::dynamic::DynamicRunReport;
 use testbed::scenarios::KpiWeights;
-
-use crate::exec;
 
 /// How hard to work: trades precision for wall-clock time.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -103,47 +101,29 @@ fn builtin(name: &str) -> Spec {
     Spec::builtin(name).unwrap_or_else(|| panic!("{name} is a built-in scenario"))
 }
 
-/// The collection design shared by the training experiments (`ann`,
-/// `overlay`, `table2`, `ext-online`): the `ann` scenario's grids.
-fn training_design() -> spec::CollectionDesign {
+/// The collection design the model-planned experiments (`table2`,
+/// `ext-online`, `regime-shift`) train on: the `ann` scenario's grids,
+/// which `overlay` declares too.
+#[must_use]
+pub fn training_design() -> spec::CollectionDesign {
     match builtin("ann").experiment {
         ExperimentSpec::Train(train) => train.collection,
         _ => unreachable!("ann is a training scenario"),
     }
 }
 
-/// Runs the full Fig. 3 collection design, producing the training set.
-#[must_use]
-pub fn collect_training_results(effort: Effort) -> Vec<testbed::ExperimentResult> {
-    exec::collect_training(&training_design(), effort)
-}
-
-/// Trains the model on collected results (paper topology or compact).
-#[must_use]
-pub fn train_on(
-    results: &[testbed::ExperimentResult],
-    paper_scale: bool,
-    seed: u64,
-) -> TrainedModel {
-    let options = if paper_scale {
-        TrainOptions::paper()
-    } else {
-        let mut o = TrainOptions::fast();
-        o.sgd.epochs = 300;
-        o
-    };
-    train_model(results, &options, seed).expect("collection grids are large enough")
-}
-
-/// §III-G — train the ANN on the collection design and report per-head
-/// held-out MAE.
+/// The model `--quick` trains: the compact topology at 300 epochs, where
+/// full effort trains the paper's [`TrainOptions::paper`].
 ///
-/// `paper_scale` selects the full 200/200/200/64 topology with 1000
-/// epochs; otherwise a compact model demonstrates the pipeline quickly.
+/// It stays for run time alone: in the debug build `cargo test` runs, on
+/// a 2-vCPU x86-64 host, `repro ann` at full effort (collection sweep and
+/// paper model) took 268 s, against 14 s for the whole `repro
+/// regime-shift --quick` with this model.
 #[must_use]
-pub fn ann_accuracy(effort: Effort, paper_scale: bool) -> TrainedModel {
-    let results = collect_training_results(effort);
-    train_on(&results, paper_scale, effort.seed)
+pub fn quick_train_options() -> TrainOptions {
+    let mut options = TrainOptions::fast();
+    options.sgd.epochs = 300;
+    options
 }
 
 /// One Table II cell pair: default vs dynamic for a scenario.
@@ -304,6 +284,7 @@ pub struct RegimeShiftRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec;
 
     #[test]
     fn table1_paths_all_verify() {

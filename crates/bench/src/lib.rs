@@ -4,10 +4,12 @@
 //! Every experiment is defined declaratively by a committed
 //! `scenarios/*.toml` document (embedded by [`spec::builtin`]); the
 //! [`exec`] module materialises a spec into figure/table data, and
-//! [`figures`] holds the effort knob, the row types and the shared
-//! training helpers. The `repro` binary resolves a target name to its
-//! document and prints the result; the repo's `benchmark/` package times
-//! the same code paths.
+//! [`figures`] holds the effort knob, the row types, the shared training
+//! design and the `--quick` model options. The `repro` binary resolves a
+//! target name to its document and prints the result; it trains one model
+//! per process, the paper's at full effort, and passes it to every
+//! executor that predicts or plans with it. The repo's `benchmark/`
+//! package times the same code paths.
 //!
 //! | Paper artefact | `repro` target | Executor |
 //! |---|---|---|
@@ -18,7 +20,7 @@
 //! | Fig. 8 (P_d vs batch) | `fig8` | [`exec::sweep`] |
 //! | Fig. 9 (network trace) | `fig9` | [`exec::network_trace`] |
 //! | Fig. 3 (collection design) | `collection` | [`exec::collection_sizes`] |
-//! | §III-G (ANN accuracy) | `ann` | [`exec::collect_training`], [`figures::train_on`] |
+//! | §III-G (ANN accuracy) | `ann` | [`exec::collect_training`], [`kafka_predict::train_model`] |
 //! | Eq. 2 (weighted KPI) | `kpi` | [`exec::kpi_grid`] |
 //! | Table I (delivery cases) | `table1` | [`exec::table1`] |
 //! | Table II (dynamic configuration) | `table2` | [`exec::table2`] |

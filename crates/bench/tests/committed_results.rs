@@ -1,11 +1,14 @@
-//! The committed `results/*.txt` of the simulation-only targets that run
-//! in milliseconds, byte for byte: each target is rerun at its default
-//! effort and seed and its output compared with the text in `results/`.
+//! The committed `results/*.txt` of the targets that run in milliseconds,
+//! byte for byte: each target is rerun at its default effort and seed and
+//! its output compared with the text in `results/`.
 //!
 //! `broker-faults` covers held `acks=all` responses, leader failover and
 //! connection teardown; `trace` covers the per-message trace, connection
 //! epochs included; `fleet` covers the flow-level fleet engine. A change
 //! that moves one of these texts has changed what the simulation does.
+//! `table1`, `kpi`, `fig9` and `collection` run no simulation: they cover
+//! the Fig. 2 state machine, the Eq. 2 KPI, the Fig. 9 trace generator and
+//! the Fig. 3 collection grids.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -23,6 +26,10 @@ fn fast_targets_reproduce_their_committed_texts() {
         ("broker-faults", "broker_faults.txt"),
         ("trace", "trace.txt"),
         ("fleet", "fleet.txt"),
+        ("table1", "table1.txt"),
+        ("kpi", "kpi.txt"),
+        ("fig9", "fig9.txt"),
+        ("collection", "collection.txt"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
             .arg(target)

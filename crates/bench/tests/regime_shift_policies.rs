@@ -10,8 +10,9 @@
 //! the moment adaptation stops paying off. A second case pins the quick
 //! figure's exact bytes.
 
-use bench::figures::{collect_training_results, train_on, Effort};
+use bench::figures::Effort;
 use bench::{exec, figures};
+use kafka_predict::prelude::train_model;
 use spec::ExperimentSpec;
 
 #[test]
@@ -21,8 +22,9 @@ fn online_adaptive_beats_frozen_after_the_shift() {
         panic!("regime-shift must carry a RegimeShift experiment");
     };
     let effort = Effort::quick();
-    let results = collect_training_results(effort);
-    let trained = train_on(&results, false, effort.seed);
+    let results = exec::collect_training(&figures::training_design(), effort);
+    let trained = train_model(&results, &figures::quick_train_options(), effort.seed)
+        .expect("collection grids are large enough");
     let rows = exec::regime_shift(shift, trained.model.clone(), effort);
     assert_eq!(rows.len(), 3, "frozen, online-adaptive, bandit");
 
@@ -71,19 +73,32 @@ fn online_adaptive_beats_frozen_after_the_shift() {
 /// The figure itself, byte for byte: FNV-1a of `repro regime-shift
 /// --quick` stdout, written by the commit before the policies were folded
 /// onto one planning loop. A change that moves it has changed a decision.
+///
+/// The first run saves its collection sweep with `--save-data` and the
+/// second trains on it with `--data`: both must print the same figure, so
+/// the flag reaches this training target as it does `ann`.
 #[test]
 fn quick_figure_is_pinned() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["regime-shift", "--quick"])
-        .output()
-        .expect("repro runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let digest = out.stdout.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    assert_eq!(format!("{digest:016x}"), "13be51c8629d05d5");
+    let data = std::env::temp_dir().join(format!("regime-shift-{}.json", std::process::id()));
+    let data = data.to_str().expect("utf-8 temp path");
+    for (flag, note) in [
+        ("--save-data", " results to "),
+        ("--data", " cached results from "),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["regime-shift", "--quick", flag, data])
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(note),
+            "{flag} did not say {note:?}: {stderr}"
+        );
+        let digest = out.stdout.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(format!("{digest:016x}"), "13be51c8629d05d5", "{flag}");
+    }
+    std::fs::remove_file(data).expect("the saved sweep is there");
 }

@@ -92,6 +92,20 @@ fn zero_messages_or_threads_is_a_usage_error_not_a_panic() {
     }
 }
 
+/// `--quick` picks the default effort without undoing what the line says
+/// elsewhere: an explicit seed holds before it as after it.
+#[test]
+fn flags_hold_in_any_order() {
+    let seed_first = repro(&["fig9", "--seed", "7", "--quick"]);
+    let seed_last = repro(&["fig9", "--quick", "--seed", "7"]);
+    let default_seed = repro(&["fig9", "--quick"]);
+    for out in [&seed_first, &seed_last, &default_seed] {
+        assert!(out.status.success(), "{}", stderr(out));
+    }
+    assert_eq!(seed_first.stdout, seed_last.stdout, "--seed before --quick");
+    assert_ne!(seed_last.stdout, default_seed.stdout, "--seed 7 is seed 42");
+}
+
 /// The corpus-regeneration command went with the Rust mirror it wrote
 /// from. Its name is spelled in two halves so that a grep for it over the
 /// tree stays empty.
