@@ -132,6 +132,18 @@ done | sort -u)"
 [ "$(grep -c . <<<"$trainers")" -eq 1 ] \
     || { echo "the model is trained in more than one function:" >&2; echo "$trainers" >&2; exit 1; }
 
+echo "== one sweep path =="
+# A figure point's run is SweepSpec::run_at under either seed rule, and
+# every untraced grid (collection, sweeps, sensitivity, the broker-fault
+# matrix) runs on testbed::sweep::run_grid: the executor starts no run of
+# its own, and one scoped spawn across testbed and bench is the only pool.
+! grep -rnE 'sweep_fixed_seed|sweep_parallel' crates tests examples \
+    || { echo "a second sweep path is back" >&2; exit 1; }
+! grep -n 'KafkaRun::new(' crates/bench/src/exec.rs \
+    || { echo "the executor runs a simulation outside the pool" >&2; exit 1; }
+[ "$(grep -rn 'thread::scope' crates/testbed/src crates/bench/src | wc -l)" -eq 1 ] \
+    || { echo "a second worker pool is back" >&2; exit 1; }
+
 echo "== one unsafe call (annet's AVX2+FMA dispatch; the other nine crates forbid it) =="
 # Outside comments and lint attributes the keyword appears on exactly 2
 # lines under crates/*/src, both in annet::matrix::Kernel<A>, which the

@@ -110,7 +110,7 @@ fn parse_args() -> Result<(String, Option<String>, Args), String> {
 fn usage() -> String {
     "usage: repro <fig4|fig5|fig6|fig7|fig8|fig9|collection|ann|kpi|table1|table2|overlay|sensitivity|ext-outage|ext-online|ext-retries|broker-faults|ablation-transport|ablation-jitter|trace|fleet|regime-shift|all> \
      [--messages N] [--quick] [--grid] [--seed S] [--threads T] [--json] [--data FILE] [--save-data FILE] [--trace-out FILE.jsonl]\n\
-     \x20      (--threads sizes the sweep and grid-planner pools only; a fleet runs on one thread)\n\
+     \x20      (--threads sizes every untraced grid, fixed-seed sweeps and the broker-fault matrix included, and the grid planner; a fleet runs on one thread)\n\
      \x20      repro run-spec FILE.{toml|json} [flags as above]\n\
      \x20      repro list-scenarios [DIR]\n\
      \x20      repro validate-scenarios [DIR]\n\

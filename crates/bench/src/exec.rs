@@ -11,7 +11,7 @@ use kafka_predict::prelude::*;
 use kafkasim::broker::BrokerId;
 use kafkasim::config::ProducerConfig;
 use kafkasim::fleet::{ChurnEvent, FleetConfig, FleetRun, Population, PopulationEntry};
-use kafkasim::runtime::{BrokerFault, KafkaRun, RunSpec};
+use kafkasim::runtime::{BrokerFault, RunSpec};
 use kafkasim::source::SourceSpec;
 use kafkasim::LossReason;
 use netsim::trace::{generate_regime_shift, generate_trace, NetworkTrace};
@@ -19,13 +19,13 @@ use netsim::{ConditionTimeline, NetCondition};
 use obs::{NoopSink, Profiler, RingBufferSink, TraceEvent};
 use spec::{
     BrokerFaultMatrixSpec, CollectionDesign, FleetSpec, KpiGridSpec, NetworkTraceSpec,
-    OnlineCompareSpec, OverlaySpec, PolicyKind, RegimeShiftSpec, SensitivitySpec, SweepAxis,
-    SweepMode, SweepSpec, Table1Spec, Table2Spec, TraceDemoSpec, TraceScenarioSpec,
+    OnlineCompareSpec, OverlaySpec, PolicyKind, RegimeShiftSpec, SensitivitySpec, SweepMode,
+    SweepSpec, Table1Spec, Table2Spec, TraceDemoSpec, TraceScenarioSpec,
 };
 use testbed::dynamic::{default_static_config, run_scenario, run_scenario_online, StaticPlanner};
 use testbed::scenarios::ApplicationScenario;
 use testbed::sensitivity::SensitivityRow;
-use testbed::sweep::run_sweep;
+use testbed::sweep::{derive_seed, run_grid, run_sweep};
 use testbed::ExperimentResult;
 
 use crate::figures::{
@@ -83,100 +83,39 @@ pub fn network_trace(spec: &NetworkTraceSpec, seed: u64) -> NetworkTrace {
 
 /// Figs. 4–8, EXT-1/2, ABL-1/2 — runs a swept reliability figure.
 ///
-/// [`SweepMode::Parallel`] runs each series through
-/// [`testbed::sweep::run_sweep`] (per-point derived seeds, worker
-/// threads); [`SweepMode::FixedSeed`] runs one sequential [`KafkaRun`]
-/// per point with the base seed, applying the run-spec level overrides
-/// (retry budget, request timeout, broker outage, calibration switches)
-/// the parallel path cannot express.
+/// Every (series, axis index) is one [`SweepSpec::run_at`], and all of
+/// them run on [`run_grid`] with `effort.threads` workers, axis index
+/// major, so each worker takes a stretch of the axis across every series.
+/// The sweep's [`SweepMode`] is its seed rule: [`SweepMode::Parallel`]
+/// runs point `idx` of every series on `derive_seed(effort.seed, idx)`,
+/// [`SweepMode::FixedSeed`] runs every point on `effort.seed`.
 #[must_use]
 pub fn sweep(spec: &SweepSpec, effort: Effort) -> Vec<Series> {
-    match spec.mode {
-        SweepMode::Parallel => sweep_parallel(spec, effort),
-        SweepMode::FixedSeed => sweep_fixed_seed(spec, effort),
-    }
-}
-
-fn sweep_parallel(spec: &SweepSpec, effort: Effort) -> Vec<Series> {
-    let cal = Calibration::paper();
+    let curves = spec.series.len();
     let xs = spec.axis.xs();
+    let points = run_grid(
+        xs.len() * curves,
+        effort.threads,
+        |k| {
+            let idx = k / curves;
+            let seed = match spec.mode {
+                SweepMode::Parallel => derive_seed(effort.seed, idx as u64),
+                SweepMode::FixedSeed => effort.seed,
+            };
+            (spec.run_at(k % curves, idx, effort.messages), seed)
+        },
+        |k, outcome| SeriesPoint {
+            x: xs[k / curves],
+            p_loss: outcome.report.p_loss(),
+            p_dup: outcome.report.p_dup(),
+        },
+    );
     spec.series
         .iter()
         .enumerate()
-        .map(|(series_idx, series)| {
-            let points: Vec<_> = (0..spec.axis.len())
-                .map(|idx| spec.point_at(series_idx, idx))
-                .collect();
-            let results = run_sweep(&points, &cal, effort.messages, effort.seed, effort.threads);
-            Series {
-                label: series.label.clone(),
-                points: xs
-                    .iter()
-                    .zip(results)
-                    .map(|(&x, r)| SeriesPoint {
-                        x,
-                        p_loss: r.p_loss,
-                        p_dup: r.p_dup,
-                    })
-                    .collect(),
-            }
-        })
-        .collect()
-}
-
-fn sweep_fixed_seed(spec: &SweepSpec, effort: Effort) -> Vec<Series> {
-    let n = spec
-        .max_messages
-        .map_or(effort.messages, |cap| effort.messages.min(cap));
-    let xs = spec.axis.xs();
-    spec.series
-        .iter()
-        .enumerate()
-        .map(|(series_idx, series)| {
-            let mut cal = Calibration::paper();
-            if let Some(early) = series.early_retransmit {
-                cal.channel.tcp.early_retransmit = early;
-            }
-            if let Some(jitter) = series.jittered_service {
-                cal.host.jittered_service = jitter;
-            }
-            let points = (0..spec.axis.len())
-                .map(|idx| {
-                    let point = spec.point_at(series_idx, idx);
-                    let mut run = point.to_run_spec(&cal, n);
-                    match &spec.axis {
-                        SweepAxis::RetryBudget(v) => run.producer.max_retries = v[idx],
-                        SweepAxis::OutageSecs(v) if v[idx] > 0 => {
-                            let site = spec.outage.expect("validated OutageSecs axes have a site");
-                            // At the front of `faults`, so the sweep's crash is
-                            // scheduled ahead of any fault the point brings.
-                            run.faults.insert(
-                                0,
-                                BrokerFault::crash(
-                                    BrokerId(site.broker),
-                                    SimTime::from_secs(site.start_s),
-                                    SimDuration::from_secs(v[idx]),
-                                ),
-                            );
-                            run.failover_after = series.failover_s.map(SimDuration::from_secs);
-                        }
-                        _ => {}
-                    }
-                    if let Some(rt) = series.request_timeout_ms {
-                        run.producer.request_timeout = SimDuration::from_millis(rt);
-                    }
-                    let outcome = KafkaRun::new(run, effort.seed).execute();
-                    SeriesPoint {
-                        x: xs[idx],
-                        p_loss: outcome.report.p_loss(),
-                        p_dup: outcome.report.p_dup(),
-                    }
-                })
-                .collect();
-            Series {
-                label: series.label.clone(),
-                points,
-            }
+        .map(|(s, series)| Series {
+            label: series.label.clone(),
+            points: points.iter().skip(s).step_by(curves).copied().collect(),
         })
         .collect()
 }
@@ -339,7 +278,8 @@ pub fn sensitivity(spec: &SensitivitySpec, effort: Effort) -> Vec<SensitivityRow
     )
 }
 
-/// EXT-4 — runs the full `acks` × failure-scenario matrix.
+/// EXT-4 — runs the full `acks` × failure-scenario matrix, every cell
+/// on the base seed, on [`run_grid`] with `effort.threads` workers.
 ///
 /// # Panics
 ///
@@ -348,9 +288,13 @@ pub fn sensitivity(spec: &SensitivitySpec, effort: Effort) -> Vec<SensitivityRow
 #[must_use]
 pub fn broker_fault_matrix(spec: &BrokerFaultMatrixSpec, effort: Effort) -> Vec<BrokerFaultRow> {
     let n = effort.messages.min(spec.max_messages);
-    let mut rows = Vec::new();
-    for acks in &spec.acks {
-        for scenario in &spec.scenarios {
+    let width = spec.scenarios.len();
+    let cell = |k: usize| (&spec.acks[k / width], &spec.scenarios[k % width]);
+    run_grid(
+        spec.acks.len() * width,
+        effort.threads,
+        |k| {
+            let (acks, scenario) = cell(k);
             let mut run = RunSpec {
                 source: SourceSpec::fixed_rate(n, spec.message_size, spec.rate_hz),
                 ..RunSpec::default()
@@ -378,8 +322,11 @@ pub fn broker_fault_matrix(spec: &BrokerFaultMatrixSpec, effort: Effort) -> Vec<
                 ));
             }
             run.failover_after = scenario.failover_after_ms.map(SimDuration::from_millis);
-            let outcome = KafkaRun::new(run, effort.seed).execute();
-            rows.push(BrokerFaultRow {
+            (run, effort.seed)
+        },
+        |k, outcome| {
+            let (acks, scenario) = cell(k);
+            BrokerFaultRow {
                 acks: acks.label.clone(),
                 scenario: scenario.name.clone(),
                 p_loss: outcome.report.p_loss(),
@@ -393,10 +340,9 @@ pub fn broker_fault_matrix(spec: &BrokerFaultMatrixSpec, effort: Effort) -> Vec<
                     .unwrap_or(0),
                 clean_elections: outcome.brokers.clean_elections,
                 unclean_elections: outcome.brokers.unclean_elections,
-            });
-        }
-    }
-    rows
+            }
+        },
+    )
 }
 
 /// EXT-3 — static default vs offline planner vs online feedback

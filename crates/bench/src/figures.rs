@@ -22,7 +22,8 @@ use testbed::scenarios::KpiWeights;
 pub struct Effort {
     /// Source messages per experiment point.
     pub messages: u64,
-    /// Worker threads for sweeps.
+    /// Worker threads for every untraced grid of runs, sweeps of either
+    /// seed rule and the broker-fault matrix included, and the grid planner.
     pub threads: usize,
     /// Base seed.
     pub seed: u64,

@@ -72,9 +72,11 @@ pub struct RunReport {
 /// Generates the run report for a scenario document by running one
 /// representative configuration with full tracing.
 ///
-/// Sweeps report their base point (series 0, axis index 0); trace demos
-/// report their first scripted scenario. Other experiment kinds have no
-/// single representative run and return an error naming the kind.
+/// Sweeps report their first point, series 0 at axis index 0, as the
+/// figure runs it ([`spec::SweepSpec::run_at`]) at no more than 2 000
+/// messages, on the effort's seed; trace demos report their first scripted
+/// scenario. Other experiment kinds have no single representative run and
+/// return an error naming the kind.
 ///
 /// # Errors
 ///
@@ -292,15 +294,10 @@ pub fn write_profile(smoke: &ProfileSmoke, dir: &Path) -> std::io::Result<Vec<St
 /// Resolves the one run a report describes.
 fn representative_run(doc: &Spec, effort: Effort) -> Result<(RunSpec, u64), String> {
     match &doc.experiment {
-        ExperimentSpec::Sweep(sweep) => {
-            let cal = Calibration::paper();
-            let n = sweep
-                .max_messages
-                .map_or(effort.messages, |cap| effort.messages.min(cap))
-                .clamp(1, REPORT_MESSAGE_CAP);
-            let run = sweep.point_at(0, 0).to_run_spec(&cal, n);
-            Ok((run, effort.seed))
-        }
+        ExperimentSpec::Sweep(sweep) => Ok((
+            sweep.run_at(0, 0, effort.messages.min(REPORT_MESSAGE_CAP)),
+            effort.seed,
+        )),
         ExperimentSpec::TraceDemo(demo) => {
             let first = demo
                 .scenarios

@@ -6,6 +6,9 @@
 //! connection teardown; `trace` covers the per-message trace, connection
 //! epochs included; `fleet` covers the flow-level fleet engine. A change
 //! that moves one of these texts has changed what the simulation does.
+//! `ext-retries` and `ablation-transport` are fixed-seed sweeps: they cover
+//! a sweep point's run-level axis, its series' request timeouts and its
+//! transport calibration switch.
 //! `table1`, `kpi`, `fig9` and `collection` run no simulation: they cover
 //! the Fig. 2 state machine, the Eq. 2 KPI, the Fig. 9 trace generator and
 //! the Fig. 3 collection grids.
@@ -30,6 +33,8 @@ fn fast_targets_reproduce_their_committed_texts() {
         ("kpi", "kpi.txt"),
         ("fig9", "fig9.txt"),
         ("collection", "collection.txt"),
+        ("ext-retries", "ext_retries.txt"),
+        ("ablation-transport", "ablation_transport.txt"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
             .arg(target)

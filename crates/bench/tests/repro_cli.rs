@@ -1,11 +1,17 @@
 //! The `repro` binary at its command line: named targets and `run-spec`
-//! are the same run, and bad operands fail with a message and exit 1.
+//! are the same run, a sweep's point is the same run under either seed rule
+//! and in `repro report`, and bad operands fail with a message and exit 1.
 //!
-//! Only targets that run no simulation (or fail before one matters), so
-//! every case takes milliseconds in a debug build.
+//! Most cases run no simulation (or fail before one matters) and take
+//! milliseconds in a debug build; the sweep cases run EXT-2 at no more
+//! than 2 000 messages a point, about a second.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+use bench::figures::Series;
+use serde_json::Value;
+use spec::{ExperimentSpec, Spec, SweepMode};
 
 fn repro(args: &[&str]) -> Output {
     repro_in(Path::new("."), args)
@@ -29,6 +35,91 @@ fn scenario(name: &str) -> String {
 
 fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// The stdout of a successful `--json` run.
+fn json(out: &Output) -> Value {
+    assert!(out.status.success(), "{}", stderr(out));
+    serde_json::parse_value(&String::from_utf8_lossy(&out.stdout)).expect("--json prints JSON")
+}
+
+/// A fresh directory under the system temp dir, unique to this test.
+fn scratch(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("repro-cli-{}-{test}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir is writable");
+    dir
+}
+
+/// `P_l` of every point of every series a sweep's `--json` run prints.
+fn p_loss_rows(out: &Output) -> Vec<Vec<f64>> {
+    assert!(out.status.success(), "{}", stderr(out));
+    let series: Vec<Series> =
+        serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).expect("a list of series");
+    series
+        .iter()
+        .map(|s| s.points.iter().map(|p| p.p_loss).collect())
+        .collect()
+}
+
+/// EXT-2 switched to the per-index seed rule still runs its retry-budget
+/// axis and each series' request timeout: the rows differ, and the
+/// 400 ms row falls with the budget.
+#[test]
+fn a_parallel_sweep_honours_its_run_level_axis_and_overrides() {
+    let mut doc = Spec::builtin("ext-retries").expect("built-in");
+    let ExperimentSpec::Sweep(sweep) = &mut doc.experiment else {
+        panic!("ext-retries is a sweep");
+    };
+    sweep.mode = SweepMode::Parallel;
+    let dir = scratch("parallel-ext-retries");
+    let file = dir.join("ext-retries-parallel.toml");
+    std::fs::write(&file, spec::io::to_toml_string(&doc)).expect("write the document");
+    let out = repro(&[
+        "run-spec",
+        &file.display().to_string(),
+        "--messages",
+        "1000",
+        "--json",
+    ]);
+    let rows = p_loss_rows(&out);
+    assert_eq!(rows.len(), 3);
+    assert!(
+        rows[0] != rows[1] && rows[1] != rows[2] && rows[0] != rows[2],
+        "request timeouts ignored: {rows:?}"
+    );
+    let (no_retries, eight) = (rows[0][0], rows[0][5]);
+    assert!(no_retries > eight, "tau_r ignored: {:?}", rows[0]);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `repro report` on a sweep describes the figure's first point: its
+/// `P_l` is the figure's cell at series 0, axis index 0.
+#[test]
+fn a_sweep_report_describes_the_figures_first_point() {
+    let dir = scratch("report-ext-retries");
+    let report = json(&repro(&[
+        "report",
+        "ext-retries",
+        "--messages",
+        "2000",
+        "--json",
+        "--out",
+        &dir.display().to_string(),
+    ]));
+    let count = |field: &str| {
+        report
+            .get("delivery")
+            .and_then(|d| d.get(field))
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("report has delivery.{field}"))
+    };
+    let figure = repro(&["ext-retries", "--messages", "2000", "--json"]);
+    assert_eq!(
+        count("lost") as f64 / count("n_source") as f64,
+        p_loss_rows(&figure)[0][0],
+        "report vs figure cell"
+    );
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]

@@ -77,7 +77,9 @@ pub fn all() -> Vec<Spec> {
 mod tests {
     use super::*;
     use crate::document::ExperimentSpec;
+    use desim::SimTime;
     use kafkasim::config::DeliverySemantics;
+    use kafkasim::source::{RateSpec, SizeSpec};
 
     #[test]
     fn every_builtin_validates() {
@@ -111,10 +113,10 @@ mod tests {
         let ExperimentSpec::Sweep(sweep) = experiment else {
             panic!("fig4 is a sweep");
         };
-        let p = sweep.point_at(0, 3);
-        assert_eq!(p.message_size, 200);
-        assert_eq!(p.loss_rate, 0.19);
-        assert!(p.poll_interval.is_zero());
-        assert_eq!(p.semantics, DeliverySemantics::AtMostOnce);
+        let run = sweep.run_at(0, 3, 1_000);
+        assert_eq!(run.source.size, SizeSpec::Fixed(200));
+        assert_eq!(run.network.at(SimTime::ZERO).loss_rate, 0.19);
+        assert_eq!(run.source.rate, RateSpec::FullLoad);
+        assert_eq!(run.producer.semantics, DeliverySemantics::AtMostOnce);
     }
 }

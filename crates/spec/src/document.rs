@@ -7,13 +7,16 @@
 //! `experiment.Sweep.base.loss_rate: loss rate must be within [0, 1]`
 //! points at the offending TOML key, not at a line number.
 
+use desim::{SimDuration, SimTime};
+use kafkasim::broker::BrokerId;
 use kafkasim::config::DeliverySemantics;
 use kafkasim::fleet::{Assignor, ChurnAction, PartitionStrategy};
+use kafkasim::runtime::{BrokerFault, RunSpec};
 use kafkasim::state::{DeliveryCase, Transition};
 use netsim::trace::TraceConfig;
 use serde::{Deserialize, Serialize};
-use testbed::experiment::ExperimentPoint;
 use testbed::scenarios::{ApplicationScenario, KpiWeights};
+use testbed::Calibration;
 
 use crate::collection::CollectionDesign;
 use crate::error::SpecError;
@@ -230,27 +233,7 @@ pub enum SweepAxis {
 }
 
 impl SweepAxis {
-    /// Number of points along the axis.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            SweepAxis::MessageSize(v) => v.len(),
-            SweepAxis::MessageTimeoutMs(v) => v.len(),
-            SweepAxis::PollIntervalMs(v) => v.len(),
-            SweepAxis::LossRate(v) => v.len(),
-            SweepAxis::BatchSize(v) => v.len(),
-            SweepAxis::RetryBudget(v) => v.len(),
-            SweepAxis::OutageSecs(v) => v.len(),
-        }
-    }
-
-    /// `true` when the axis has no values.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The x coordinates of the axis, in sweep order.
+    /// The x coordinates of the axis, one per point, in sweep order.
     #[must_use]
     pub fn xs(&self) -> Vec<f64> {
         match self {
@@ -264,27 +247,8 @@ impl SweepAxis {
         }
     }
 
-    /// Applies the `idx`-th axis value to a feature point. Run-spec axes
-    /// ([`SweepAxis::RetryBudget`], [`SweepAxis::OutageSecs`]) leave the
-    /// point unchanged; the executor applies them at run level.
-    pub fn apply(&self, point: &mut ExperimentPoint, idx: usize) {
-        use desim::SimDuration;
-        match self {
-            SweepAxis::MessageSize(v) => point.message_size = v[idx],
-            SweepAxis::MessageTimeoutMs(v) => {
-                point.message_timeout = SimDuration::from_millis(v[idx]);
-            }
-            SweepAxis::PollIntervalMs(v) => {
-                point.poll_interval = SimDuration::from_millis(v[idx]);
-            }
-            SweepAxis::LossRate(v) => point.loss_rate = v[idx],
-            SweepAxis::BatchSize(v) => point.batch_size = v[idx],
-            SweepAxis::RetryBudget(_) | SweepAxis::OutageSecs(_) => {}
-        }
-    }
-
     fn validate(&self, path: &str) -> Result<(), SpecError> {
-        if self.is_empty() {
+        if self.xs().is_empty() {
             return Err(SpecError::new(path, "axis needs at least one value"));
         }
         match self {
@@ -321,8 +285,8 @@ pub struct SeriesSpec {
     pub loss_rate: Option<f64>,
     /// Producer request-timeout override (ms; run-spec level).
     pub request_timeout_ms: Option<u64>,
-    /// Leader-failover detection delay (s; run-spec level, used with an
-    /// [`SweepAxis::OutageSecs`] axis).
+    /// Leader-failover detection delay (s; run-spec level, valid only on
+    /// an [`SweepAxis::OutageSecs`] axis).
     pub failover_s: Option<u64>,
     /// Calibration override: RFC 5827 early retransmit on/off.
     pub early_retransmit: Option<bool>,
@@ -348,14 +312,17 @@ impl SeriesSpec {
     }
 }
 
-/// How the executor seeds and schedules the sweep.
+/// A sweep's seed rule, and nothing else: every point is one
+/// [`SweepSpec::run_at`] on one worker pool under either rule. The names
+/// stay from when each also picked a code path: renaming them would change
+/// every committed scenario's text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SweepMode {
-    /// `testbed::sweep::run_sweep`: per-point derived seeds, worker
-    /// threads (the Fig. 4–8 path).
+    /// Point `idx` of every series runs on
+    /// `testbed::sweep::derive_seed(seed, idx)` (the Fig. 4–8 rule).
     Parallel,
-    /// One sequential `KafkaRun` per point, all with the base seed (the
-    /// EXT/ABL path, where run-spec surgery is needed).
+    /// Every point runs on the base seed itself (the EXT/ABL rule), so
+    /// the curves differ only by what the axis and series change.
     FixedSeed,
 }
 
@@ -373,11 +340,12 @@ pub struct SweepSpec {
     pub axis: SweepAxis,
     /// The curves.
     pub series: Vec<SeriesSpec>,
-    /// Seeding/scheduling mode.
+    /// Seed rule.
     pub mode: SweepMode,
     /// Per-point message cap (`min` with the effort's message count).
     pub max_messages: Option<u64>,
-    /// Broker-outage site for [`SweepAxis::OutageSecs`] axes.
+    /// Broker-outage site, required by and valid only on
+    /// [`SweepAxis::OutageSecs`] axes.
     pub outage: Option<OutageSite>,
 }
 
@@ -391,14 +359,17 @@ pub struct OutageSite {
 }
 
 impl SweepSpec {
-    /// The feature point of series `series_idx` at axis index `idx`:
-    /// base point + series overrides + axis value.
+    /// The run of series `series_idx` at axis index `idx`, whichever
+    /// [`SweepMode`] seeds it: the base point with the series' and the
+    /// axis' feature values, under `Calibration::paper()` with the series'
+    /// switches, at `messages` (at most `max_messages`), then the run-level
+    /// axis and overrides.
     ///
     /// # Panics
     ///
     /// Panics when either index is out of bounds.
     #[must_use]
-    pub fn point_at(&self, series_idx: usize, idx: usize) -> ExperimentPoint {
+    pub fn run_at(&self, series_idx: usize, idx: usize, messages: u64) -> RunSpec {
         let series = &self.series[series_idx];
         let mut point = self.base.to_point();
         if let Some(s) = series.semantics {
@@ -410,13 +381,55 @@ impl SweepSpec {
         if let Some(l) = series.loss_rate {
             point.loss_rate = l;
         }
-        self.axis.apply(&mut point, idx);
-        point
+        match &self.axis {
+            SweepAxis::MessageSize(v) => point.message_size = v[idx],
+            SweepAxis::MessageTimeoutMs(v) => {
+                point.message_timeout = SimDuration::from_millis(v[idx]);
+            }
+            SweepAxis::PollIntervalMs(v) => {
+                point.poll_interval = SimDuration::from_millis(v[idx]);
+            }
+            SweepAxis::LossRate(v) => point.loss_rate = v[idx],
+            SweepAxis::BatchSize(v) => point.batch_size = v[idx],
+            SweepAxis::RetryBudget(_) | SweepAxis::OutageSecs(_) => {}
+        }
+        let mut cal = Calibration::paper();
+        if let Some(early) = series.early_retransmit {
+            cal.channel.tcp.early_retransmit = early;
+        }
+        if let Some(jitter) = series.jittered_service {
+            cal.host.jittered_service = jitter;
+        }
+        let messages = self.max_messages.map_or(messages, |cap| messages.min(cap));
+        let mut run = point.to_run_spec(&cal, messages);
+        match &self.axis {
+            SweepAxis::RetryBudget(v) => run.producer.max_retries = v[idx],
+            SweepAxis::OutageSecs(v) if v[idx] > 0 => {
+                let site = self.outage.expect("validated OutageSecs axes have a site");
+                // At the front of `faults`, so the sweep's crash is
+                // scheduled ahead of any fault the point brings.
+                run.faults.insert(
+                    0,
+                    BrokerFault::crash(
+                        BrokerId(site.broker),
+                        SimTime::from_secs(site.start_s),
+                        SimDuration::from_secs(v[idx]),
+                    ),
+                );
+                run.failover_after = series.failover_s.map(SimDuration::from_secs);
+            }
+            _ => {}
+        }
+        if let Some(rt) = series.request_timeout_ms {
+            run.producer.request_timeout = SimDuration::from_millis(rt);
+        }
+        run
     }
 
     fn validate(&self, path: &str) -> Result<(), SpecError> {
         self.base.validate(&format!("{path}.base"))?;
         self.axis.validate(&format!("{path}.axis"))?;
+        let outage_axis = matches!(self.axis, SweepAxis::OutageSecs(_));
         if self.series.is_empty() {
             return Err(SpecError::new(
                 format!("{path}.series"),
@@ -444,11 +457,21 @@ impl SweepSpec {
                     "batch sizes start at 1",
                 ));
             }
+            if s.failover_s.is_some() && !outage_axis {
+                return Err(SpecError::new(
+                    format!("{path}.series[{i}].failover_s"),
+                    "a failover delay takes effect only on an OutageSecs axis",
+                ));
+            }
         }
-        if matches!(self.axis, SweepAxis::OutageSecs(_)) && self.outage.is_none() {
+        if outage_axis != self.outage.is_some() {
             return Err(SpecError::new(
                 format!("{path}.outage"),
-                "an OutageSecs axis needs an outage site",
+                if outage_axis {
+                    "an OutageSecs axis needs an outage site"
+                } else {
+                    "an outage site takes effect only on an OutageSecs axis"
+                },
             ));
         }
         if self.max_messages == Some(0) {
@@ -1248,6 +1271,7 @@ impl FleetSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kafkasim::source::SizeSpec;
 
     fn sweep() -> SweepSpec {
         SweepSpec {
@@ -1306,13 +1330,55 @@ mod tests {
     }
 
     #[test]
-    fn point_at_applies_series_then_axis() {
+    fn failover_without_an_outage_axis_is_rejected() {
+        let mut sw = sweep();
+        sw.series[0].failover_s = Some(1);
+        let err = spec(ExperimentSpec::Sweep(sw)).validate().unwrap_err();
+        assert_eq!(err.path, "experiment.Sweep.series[0].failover_s");
+    }
+
+    #[test]
+    fn outage_site_without_an_outage_axis_is_rejected() {
+        let mut sw = sweep();
+        sw.outage = Some(OutageSite {
+            broker: 0,
+            start_s: 2,
+        });
+        let err = spec(ExperimentSpec::Sweep(sw)).validate().unwrap_err();
+        assert_eq!(err.path, "experiment.Sweep.outage");
+    }
+
+    #[test]
+    fn run_at_applies_series_then_axis_then_run_level() {
         let mut sw = sweep();
         sw.series[0].batch_size = Some(4);
-        let p = sw.point_at(0, 1);
-        assert_eq!(p.message_size, 100);
-        assert_eq!(p.batch_size, 4);
-        assert_eq!(p.semantics, DeliverySemantics::AtMostOnce);
+        sw.series[0].request_timeout_ms = Some(400);
+        sw.series[0].early_retransmit = Some(false);
+        sw.max_messages = Some(300);
+        let run = sw.run_at(0, 1, 1_000);
+        assert_eq!(run.source.size, SizeSpec::Fixed(100));
+        assert_eq!(run.source.n_messages, 300);
+        assert_eq!(run.producer.batch_size, 4);
+        assert_eq!(run.producer.semantics, DeliverySemantics::AtMostOnce);
+        assert_eq!(run.producer.request_timeout, SimDuration::from_millis(400));
+        assert!(!run.channel.tcp.early_retransmit);
+        assert_eq!(sw.run_at(0, 1, 200).source.n_messages, 200);
+
+        sw.axis = SweepAxis::RetryBudget(vec![0, 8]);
+        assert_eq!(sw.run_at(0, 1, 1_000).producer.max_retries, 8);
+
+        sw.axis = SweepAxis::OutageSecs(vec![0, 5]);
+        sw.outage = Some(OutageSite {
+            broker: 1,
+            start_s: 2,
+        });
+        sw.series[0].failover_s = Some(1);
+        let calm = sw.run_at(0, 0, 1_000);
+        assert!(calm.faults.is_empty());
+        assert_eq!(calm.failover_after, None);
+        let down = sw.run_at(0, 1, 1_000);
+        assert_eq!(down.faults.len(), 1);
+        assert_eq!(down.failover_after, Some(SimDuration::from_secs(1)));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use desim::{SimDuration, SimTime};
 use kafkasim::audit::DeliveryReport;
 use kafkasim::broker::BrokerId;
 use kafkasim::config::{DeliverySemantics, ProducerConfig};
-use kafkasim::runtime::{BrokerFault, KafkaRun, ProducerStats, RunSpec};
+use kafkasim::runtime::{BrokerFault, KafkaRun, ProducerStats, RunOutcome, RunSpec};
 use kafkasim::source::{RateSpec, SizeSpec, SourceSpec};
 use netsim::{ConditionTimeline, NetCondition};
 use serde::{Deserialize, Serialize};
@@ -154,15 +154,8 @@ impl ExperimentPoint {
     /// [`KafkaRun::execute_profiled`].
     #[must_use]
     pub fn run(&self, cal: &Calibration, n_messages: u64, seed: u64) -> ExperimentResult {
-        let outcome = KafkaRun::new(self.to_run_spec(cal, n_messages), seed).execute();
-        ExperimentResult {
-            point: self.clone(),
-            p_loss: outcome.report.p_loss(),
-            p_dup: outcome.report.p_dup(),
-            report: outcome.report,
-            producer: outcome.producer,
-            seed,
-        }
+        let spec = self.to_run_spec(cal, n_messages);
+        ExperimentResult::new(self, KafkaRun::new(spec, seed).execute(), seed)
     }
 }
 
@@ -182,6 +175,21 @@ pub struct ExperimentResult {
     pub producer: ProducerStats,
     /// Seed the run used.
     pub seed: u64,
+}
+
+impl ExperimentResult {
+    /// What a sweep keeps of `point`'s run on `seed`.
+    #[must_use]
+    pub fn new(point: &ExperimentPoint, outcome: RunOutcome, seed: u64) -> Self {
+        ExperimentResult {
+            point: point.clone(),
+            p_loss: outcome.report.p_loss(),
+            p_dup: outcome.report.p_dup(),
+            report: outcome.report,
+            producer: outcome.producer,
+            seed,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,22 +1,68 @@
 //! Parallel execution of experiment grids.
 //!
-//! The paper runs "numerous experiments" to collect training data; the
-//! feature grids here can hold hundreds of points, each an independent
-//! simulation, so they fan out over worker threads. Results come back in
-//! the input order regardless of completion order, keeping downstream
-//! processing deterministic.
+//! Every untraced grid of independent runs (the training collection, a
+//! figure's sweep under either seed rule, the sensitivity study, the
+//! broker-fault matrix) fans out through the one pool here, [`run_grid`].
+//! Results come back in the input order regardless of completion order,
+//! keeping downstream processing deterministic.
 //!
 //! Work is split by *chunked ownership*: the grid is cut into one
-//! contiguous chunk per worker, each worker owns its chunk's result vector
-//! outright (no shared slots, no locks), and the chunks are concatenated
-//! in order at the end. Every point is one [`ExperimentPoint::run`], which
-//! allocates its own buffers: carrying them from run to run was measured
-//! within noise (DESIGN §8) and is not done.
+//! contiguous chunk per worker, each worker builds and runs its chunk's
+//! runs and owns their results outright (no shared slots, no locks), and
+//! the chunks are concatenated in order. Every run allocates its own
+//! buffers: carrying them from run to run was measured within noise
+//! (DESIGN §8) and is not done.
+
+use kafkasim::runtime::{KafkaRun, RunOutcome, RunSpec};
 
 use crate::calibration::Calibration;
 use crate::experiment::{ExperimentPoint, ExperimentResult};
 
-/// Runs every point, in parallel, with `threads` workers.
+/// Runs `runs` independent simulations on `threads` workers: run `i` is
+/// the spec and seed `build(i)` returns, executed untraced, and `keep(i,
+/// outcome)` is what its worker keeps of it. Results are in run order, and
+/// a run's bits depend on its spec and seed only, never on the thread count.
+///
+/// # Panics
+///
+/// Panics if `threads` is zero or a worker thread panics.
+#[must_use]
+pub fn run_grid<R: Send>(
+    runs: usize,
+    threads: usize,
+    build: impl Fn(usize) -> (RunSpec, u64) + Sync,
+    keep: impl Fn(usize, RunOutcome) -> R + Sync,
+) -> Vec<R> {
+    assert!(threads > 0, "need at least one worker");
+    let chunk_len = runs.div_ceil(threads).max(1);
+    let (build, keep) = (&build, &keep);
+    let chunks: Vec<Vec<R>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..runs)
+            .step_by(chunk_len)
+            .map(|start| {
+                scope.spawn(move || {
+                    (start..runs.min(start + chunk_len))
+                        .map(|i| {
+                            let (spec, seed) = build(i);
+                            keep(i, KafkaRun::new(spec, seed).execute())
+                        })
+                        .collect::<Vec<R>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .collect()
+    });
+    let mut results = Vec::with_capacity(runs);
+    for chunk in chunks {
+        results.extend(chunk);
+    }
+    results
+}
+
+/// Runs every point on [`run_grid`] with `threads` workers.
 ///
 /// Each point gets a deterministic seed derived from `base_seed` and its
 /// index, so a sweep is reproducible regardless of thread count and
@@ -33,40 +79,13 @@ pub fn run_sweep(
     base_seed: u64,
     threads: usize,
 ) -> Vec<ExperimentResult> {
-    assert!(threads > 0, "need at least one worker");
-    if points.is_empty() {
-        return Vec::new();
-    }
-    let workers = threads.min(points.len());
-    let chunk_len = points.len().div_ceil(workers);
-    let chunks: Vec<Vec<ExperimentResult>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = points
-            .chunks(chunk_len)
-            .enumerate()
-            .map(|(w, slice)| {
-                scope.spawn(move || {
-                    let offset = w * chunk_len;
-                    slice
-                        .iter()
-                        .enumerate()
-                        .map(|(j, point)| {
-                            let seed = derive_seed(base_seed, (offset + j) as u64);
-                            point.run(cal, n_messages, seed)
-                        })
-                        .collect::<Vec<ExperimentResult>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    let mut results = Vec::with_capacity(points.len());
-    for chunk in chunks {
-        results.extend(chunk);
-    }
-    results
+    let seed = |i: usize| derive_seed(base_seed, i as u64);
+    run_grid(
+        points.len(),
+        threads,
+        |i| (points[i].to_run_spec(cal, n_messages), seed(i)),
+        |i, outcome| ExperimentResult::new(&points[i], outcome, seed(i)),
+    )
 }
 
 /// The seed used for point `index` of a sweep rooted at `base_seed`.
