@@ -144,6 +144,22 @@ echo "== one sweep path =="
 [ "$(grep -rn 'thread::scope' crates/testbed/src crates/bench/src | wc -l)" -eq 1 ] \
     || { echo "a second worker pool is back" >&2; exit 1; }
 
+echo "== one read-back pass =="
+# The audit reads the partition logs once, into two per-key columns sized
+# from the ledger (copies and first-copy latency); the trace's ConsumerRead
+# replay is a second pass over the same logs, made only when tracing. No list
+# of consumed copies is built, a partition log stores only each record's key
+# and append time, and the runtime sizes its ledger once from the message
+# count.
+! grep -rn 'ConsumedRecord' crates tests examples \
+    || { echo "a list of consumed copies is back" >&2; exit 1; }
+! grep -n 'Ledger::new()' crates/kafkasim/src/runtime.rs \
+    || { echo "the runtime grows its ledger instead of sizing it once" >&2; exit 1; }
+log_columns="$(awk '/^pub struct PartitionLog \{/ { on = 1; next } on && /^\}/ { exit }
+    on && /: Vec</' crates/kafkasim/src/log.rs)"
+[ "$(grep -c . <<<"$log_columns")" -eq 2 ] \
+    || { echo "PartitionLog does not hold exactly two columns:" >&2; echo "$log_columns" >&2; exit 1; }
+
 echo "== one unsafe call (annet's AVX2+FMA dispatch; the other nine crates forbid it) =="
 # Outside comments and lint attributes the keyword appears on exactly 2
 # lines under crates/*/src, both in annet::matrix::Kernel<A>, which the

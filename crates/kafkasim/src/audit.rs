@@ -148,7 +148,8 @@ fn loss_map(mut loss_by_tag: [u64; 7]) -> BTreeMap<LossReason, u64> {
 /// The counting pass is branch-free over the ledger's columns: outcome
 /// cases go through [`DeliveryCase::classify_index`]'s lookup table and
 /// loss reasons through tag-indexed counters, so the loop is a straight
-/// stream over two dense columns plus the topic's copy counts.
+/// stream over two dense ledger columns plus the topic's two per-key
+/// columns (copies and first-copy latency).
 #[must_use]
 pub fn audit(
     ledger: &Ledger,
@@ -158,8 +159,6 @@ pub fn audit(
 ) -> DeliveryReport {
     let n_source = ledger.len() as u64;
     let mut latency = RunningMoments::new();
-    let attempts = ledger.attempts_col();
-    let lost_tags = ledger.lost_col();
     let mut delivered_once = 0u64;
     let mut lost = 0u64;
     let mut duplicated = 0u64;
@@ -167,23 +166,23 @@ pub fn audit(
     let mut case_counts = [0u64; 5];
     let mut loss_by_tag = [0u64; 7];
     let mut stale = 0u64;
-    for idx in 0..attempts.len() {
+    let columns = ledger.attempts_col().iter().zip(ledger.lost_col());
+    for (idx, (&attempts, &lost_tag)) in columns.enumerate() {
         let key = MessageKey(idx as u64);
         let copies = topic.copies(key);
-        case_counts[DeliveryCase::classify_index(attempts[idx], copies)] += 1;
+        case_counts[DeliveryCase::classify_index(attempts, copies)] += 1;
         let is_lost = u64::from(copies == 0);
         lost += is_lost;
         delivered_once += u64::from(copies == 1);
         duplicated += u64::from(copies > 1);
         extra_copies += copies.saturating_sub(1);
         // Adds 0 to an arbitrary slot for delivered messages, so no branch.
-        loss_by_tag[lost_tags[idx] as usize] += is_lost;
-        if copies > 0 {
-            if let Some(first) = topic.first_latency(key) {
-                latency.record(first.as_secs_f64());
-                if timeliness.is_some_and(|s| first > s) {
-                    stale += 1;
-                }
+        // A tag is 0 or a `LossReason::tag` (1..=6), so the slot exists.
+        loss_by_tag[lost_tag as usize] += is_lost;
+        if let Some(first) = topic.first_latency(key) {
+            latency.record(first.as_secs_f64());
+            if timeliness.is_some_and(|s| first > s) {
+                stale += 1;
             }
         }
     }
@@ -214,7 +213,7 @@ mod tests {
             Option<LossReason>,
         )],
     ) -> DeliveryReport {
-        let mut ledger = Ledger::new();
+        let mut ledger = Ledger::default();
         let mut cluster = Cluster::new(ClusterSpec {
             brokers: 1,
             partitions: 1,
@@ -247,7 +246,7 @@ mod tests {
                     .unwrap();
             }
         }
-        let topic = ConsumedTopic::read_all(&cluster);
+        let topic = ConsumedTopic::read_all(&cluster, &ledger);
         audit(
             &ledger,
             &topic,

@@ -47,7 +47,9 @@ pub struct ProduceRecord {
     pub key: MessageKey,
     /// Payload size in bytes.
     pub payload_bytes: u64,
-    /// Creation time at the producer (for latency accounting).
+    /// Creation time at the producer (the trace's append latency). The
+    /// log does not store it: the audit reads creation times from the
+    /// producer's ledger.
     pub created_at: SimTime,
 }
 

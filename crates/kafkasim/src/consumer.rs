@@ -4,117 +4,94 @@
 //! the fault injection and start a consumer container to consume all
 //! messages in this topic. Finally, we analyze the results by comparing the
 //! unique keys from source data and the messages received by the consumer."
+//!
+//! The read-back is one pass over the stored copies in broker → log →
+//! offset order ([`for_each_copy`]). A copy's latency is its append time
+//! minus the ledger's creation time for its key: the log stores no creation
+//! time of its own, and the ledger stamps the same poll instant the
+//! produce record carried.
 
 use desim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::cluster::Cluster;
 use crate::message::MessageKey;
+use crate::producer::Ledger;
 
-/// One message copy as read back by the consumer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ConsumedRecord {
-    /// The unique key.
-    pub key: MessageKey,
-    /// Partition it was stored in.
-    pub partition: u32,
-    /// Offset within that partition.
-    pub offset: u64,
-    /// Producer-to-broker latency of this copy.
-    pub latency: SimDuration,
+/// Visits every stored copy in broker → log → offset order with its
+/// partition, offset, key and producer-to-broker latency.
+///
+/// Every stored key was registered in the ledger before its batch could be
+/// sent, so the ledger knows every key a run's logs hold; a key it does not
+/// know has no creation time and is skipped, as the audit (which counts
+/// ledger keys only) would ignore it anyway.
+pub fn for_each_copy(
+    cluster: &Cluster,
+    ledger: &Ledger,
+    mut visit: impl FnMut(u32, u64, MessageKey, SimDuration),
+) {
+    let created = ledger.created_col();
+    for log in cluster.brokers().iter().flat_map(|b| b.logs()) {
+        let partition = log.partition();
+        for (offset, (&key, &appended)) in log.keys().iter().zip(log.appended_col()).enumerate() {
+            if let Some(&created) = created.get(key.0 as usize) {
+                visit(
+                    partition,
+                    offset as u64,
+                    key,
+                    appended.saturating_since(created),
+                );
+            }
+        }
+    }
 }
 
-/// Everything the consumer saw, aggregated per key.
+/// Everything the consumer saw, folded per key.
 ///
 /// Message keys are the dense sequence numbers the source hands out, so
-/// the per-key aggregates live in plain vectors indexed by key — the audit
-/// does a couple of lookups per message and a hash map would dominate its
-/// cost. A key with `copies_per_key[k] == 0` was never consumed and its
-/// `first_latency[k]` slot is meaningless.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// the per-key aggregates are two columns indexed by key and sized once
+/// from the ledger — the audit does a couple of lookups per message and a
+/// hash map would dominate its cost. A key with `copies[k] == 0` was never
+/// consumed and its `first_latency[k]` slot is meaningless.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConsumedTopic {
-    records: Vec<ConsumedRecord>,
-    copies_per_key: Vec<u64>,
+    copies: Vec<u32>,
     first_latency: Vec<SimDuration>,
 }
 
 impl ConsumedTopic {
-    /// Reads the whole topic from a cluster.
+    /// Reads the whole topic from a cluster, one slot per ledger key.
     #[must_use]
-    pub fn read_all(cluster: &Cluster) -> Self {
-        let brokers = cluster.brokers();
-        let total: usize = brokers.iter().flat_map(|b| b.logs()).map(|l| l.len()).sum();
-        let mut topic = ConsumedTopic::default();
-        topic.records.reserve_exact(total);
-        for broker in brokers {
-            for log in broker.logs() {
-                // Stream the log's columns directly (key + the two
-                // timestamps); the offset is the column index.
-                let partition = log.partition();
-                let keys = log.keys();
-                let created = log.created_col();
-                let appended = log.appended_col();
-                for (i, &key) in keys.iter().enumerate() {
-                    let consumed = ConsumedRecord {
-                        key,
-                        partition,
-                        offset: i as u64,
-                        latency: appended[i].saturating_since(created[i]),
-                    };
-                    let k = key.0 as usize;
-                    if k >= topic.copies_per_key.len() {
-                        topic.copies_per_key.resize(k + 1, 0);
-                        topic.first_latency.resize(k + 1, SimDuration::ZERO);
-                    }
-                    if topic.copies_per_key[k] == 0 {
-                        topic.first_latency[k] = consumed.latency;
-                    } else {
-                        topic.first_latency[k] = topic.first_latency[k].min(consumed.latency);
-                    }
-                    topic.copies_per_key[k] += 1;
-                    topic.records.push(consumed);
-                }
-            }
+    pub fn read_all(cluster: &Cluster, ledger: &Ledger) -> Self {
+        let mut copies = vec![0u32; ledger.len()];
+        let mut first_latency = vec![SimDuration::MAX; ledger.len()];
+        // `for_each_copy` visits only keys the ledger holds, so `k` indexes
+        // both columns.
+        for_each_copy(cluster, ledger, |_, _, key, latency| {
+            let k = key.0 as usize;
+            copies[k] += 1;
+            first_latency[k] = first_latency[k].min(latency);
+        });
+        ConsumedTopic {
+            copies,
+            first_latency,
         }
-        topic
-    }
-
-    /// Total record copies read (including duplicates).
-    #[must_use]
-    pub fn total_records(&self) -> usize {
-        self.records.len()
     }
 
     /// Number of copies stored for `key` (0 = lost).
     #[must_use]
     pub fn copies(&self, key: MessageKey) -> u64 {
-        self.copies_per_key
-            .get(key.0 as usize)
-            .copied()
-            .unwrap_or(0)
+        self.copies.get(key.0 as usize).map_or(0, |&c| u64::from(c))
     }
 
     /// The earliest-copy latency for `key`, if delivered.
     #[must_use]
     pub fn first_latency(&self, key: MessageKey) -> Option<SimDuration> {
         let k = key.0 as usize;
-        if self.copies_per_key.get(k).copied().unwrap_or(0) == 0 {
+        if self.copies(key) == 0 {
             None
         } else {
             Some(self.first_latency[k])
         }
-    }
-
-    /// All records read, in partition/offset order per partition.
-    #[must_use]
-    pub fn records(&self) -> &[ConsumedRecord] {
-        &self.records
-    }
-
-    /// Distinct keys observed.
-    #[must_use]
-    pub fn distinct_keys(&self) -> usize {
-        self.copies_per_key.iter().filter(|&&c| c > 0).count()
     }
 }
 
@@ -125,23 +102,35 @@ mod tests {
     use crate::cluster::ClusterSpec;
     use desim::SimTime;
 
+    fn append(cluster: &mut Cluster, partition: u32, key: u64, at: SimTime) {
+        let leader = cluster.leader_of(partition);
+        cluster
+            .broker_mut(leader)
+            .unwrap()
+            .append(
+                partition,
+                &[ProduceRecord {
+                    key: MessageKey(key),
+                    payload_bytes: 100,
+                    created_at: SimTime::ZERO,
+                }],
+                at,
+            )
+            .unwrap();
+    }
+
+    fn ledger_of(n: u64) -> Ledger {
+        let mut ledger = Ledger::with_capacity(n as usize);
+        for k in 0..n {
+            ledger.register(MessageKey(k), SimTime::ZERO);
+        }
+        ledger
+    }
+
     fn cluster_with_records(appends: &[(u32, u64)]) -> Cluster {
         let mut cluster = Cluster::new(ClusterSpec::default()).unwrap();
         for &(partition, key) in appends {
-            let leader = cluster.leader_of(partition);
-            cluster
-                .broker_mut(leader)
-                .unwrap()
-                .append(
-                    partition,
-                    &[ProduceRecord {
-                        key: MessageKey(key),
-                        payload_bytes: 100,
-                        created_at: SimTime::ZERO,
-                    }],
-                    SimTime::from_millis(5),
-                )
-                .unwrap();
+            append(&mut cluster, partition, key, SimTime::from_millis(5));
         }
         cluster
     }
@@ -149,36 +138,32 @@ mod tests {
     #[test]
     fn reads_across_partitions() {
         let cluster = cluster_with_records(&[(0, 1), (1, 2), (2, 3)]);
-        let topic = ConsumedTopic::read_all(&cluster);
-        assert_eq!(topic.total_records(), 3);
-        assert_eq!(topic.distinct_keys(), 3);
+        let topic = ConsumedTopic::read_all(&cluster, &ledger_of(100));
         for k in 1..=3 {
             assert_eq!(topic.copies(MessageKey(k)), 1);
         }
         assert_eq!(topic.copies(MessageKey(99)), 0);
+        let mut visited = Vec::new();
+        for_each_copy(&cluster, &ledger_of(100), |p, o, k, _| {
+            visited.push((p, o, k.0));
+        });
+        assert_eq!(visited, vec![(0, 0, 1), (1, 0, 2), (2, 0, 3)]);
     }
 
     #[test]
     fn duplicates_counted_per_key() {
         let cluster = cluster_with_records(&[(0, 7), (0, 7), (1, 7)]);
-        let topic = ConsumedTopic::read_all(&cluster);
+        let topic = ConsumedTopic::read_all(&cluster, &ledger_of(8));
         assert_eq!(topic.copies(MessageKey(7)), 3);
-        assert_eq!(topic.distinct_keys(), 1);
+        assert_eq!(topic.copies(MessageKey(6)), 0);
     }
 
     #[test]
     fn first_latency_is_minimum_over_copies() {
         let mut cluster = Cluster::new(ClusterSpec::default()).unwrap();
-        let rec = ProduceRecord {
-            key: MessageKey(1),
-            payload_bytes: 10,
-            created_at: SimTime::ZERO,
-        };
-        let leader = cluster.leader_of(0);
-        let b = cluster.broker_mut(leader).unwrap();
-        b.append(0, &[rec], SimTime::from_millis(30)).unwrap();
-        b.append(0, &[rec], SimTime::from_millis(10)).unwrap();
-        let topic = ConsumedTopic::read_all(&cluster);
+        append(&mut cluster, 0, 1, SimTime::from_millis(30));
+        append(&mut cluster, 0, 1, SimTime::from_millis(10));
+        let topic = ConsumedTopic::read_all(&cluster, &ledger_of(2));
         assert_eq!(
             topic.first_latency(MessageKey(1)),
             Some(SimDuration::from_millis(10))
@@ -186,10 +171,23 @@ mod tests {
     }
 
     #[test]
+    fn latency_is_append_minus_create() {
+        let mut cluster = Cluster::new(ClusterSpec::default()).unwrap();
+        append(&mut cluster, 0, 0, SimTime::from_millis(25));
+        let mut ledger = Ledger::with_capacity(1);
+        ledger.register(MessageKey(0), SimTime::from_millis(5));
+        let topic = ConsumedTopic::read_all(&cluster, &ledger);
+        assert_eq!(
+            topic.first_latency(MessageKey(0)),
+            Some(SimDuration::from_millis(20))
+        );
+    }
+
+    #[test]
     fn empty_cluster_reads_empty() {
         let cluster = Cluster::new(ClusterSpec::default()).unwrap();
-        let topic = ConsumedTopic::read_all(&cluster);
-        assert_eq!(topic.total_records(), 0);
+        let topic = ConsumedTopic::read_all(&cluster, &ledger_of(1));
+        assert_eq!(topic.copies(MessageKey(0)), 0);
         assert_eq!(topic.first_latency(MessageKey(0)), None);
     }
 }

@@ -6,12 +6,13 @@
 //! at-least-once), a retried batch whose original was already persisted is
 //! appended *again* — that is exactly how duplicates (Case 5) materialise.
 //!
-//! The log is stored struct-of-arrays: one dense column per record field,
-//! with the offset implicit in the index. The audit's read-back pass streams
-//! each column sequentially (keys, then timestamps) instead of striding over
-//! padded per-record structs, and a produce request's records append as one
-//! bulk column extension ([`PartitionLog::append_batch`]) rather than `n`
-//! scalar pushes.
+//! The log is stored struct-of-arrays and holds only what is read back:
+//! each record's key and the time the broker appended it, with the offset
+//! implicit in the index. Payload size and creation time travel with the
+//! produce request but are not stored — the audit takes a copy's creation
+//! time from the producer's ledger, which stamps it at the same poll
+//! instant. A produce request's records append as one bulk column extension
+//! ([`PartitionLog::append_batch`]) rather than `n` scalar pushes.
 
 use desim::SimTime;
 use serde::{Deserialize, Serialize};
@@ -19,27 +20,15 @@ use serde::{Deserialize, Serialize};
 use crate::broker::ProduceRecord;
 use crate::message::MessageKey;
 
-/// One record as stored in a partition (a row view over the log columns).
+/// One record removed from a partition (a row view over the log columns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoredRecord {
     /// Offset within the partition.
     pub offset: u64,
     /// The producer-assigned unique key.
     pub key: MessageKey,
-    /// Payload size in bytes.
-    pub payload_bytes: u64,
-    /// When the record was created at the producer.
-    pub created_at: SimTime,
     /// When the broker appended it.
     pub appended_at: SimTime,
-}
-
-impl StoredRecord {
-    /// End-to-end delivery latency of this copy.
-    #[must_use]
-    pub fn latency(&self) -> desim::SimDuration {
-        self.appended_at.saturating_since(self.created_at)
-    }
 }
 
 /// An append-only partition log.
@@ -52,7 +41,7 @@ impl StoredRecord {
 /// use desim::SimTime;
 ///
 /// let mut log = PartitionLog::new(0);
-/// let offset = log.append(MessageKey(9), 200, SimTime::ZERO, SimTime::from_millis(3));
+/// let offset = log.append(MessageKey(9), SimTime::from_millis(3));
 /// assert_eq!(offset, 0);
 /// assert_eq!(log.len(), 1);
 /// ```
@@ -60,8 +49,6 @@ impl StoredRecord {
 pub struct PartitionLog {
     partition: u32,
     keys: Vec<MessageKey>,
-    payload_bytes: Vec<u64>,
-    created_at: Vec<SimTime>,
     appended_at: Vec<SimTime>,
 }
 
@@ -72,8 +59,6 @@ impl PartitionLog {
         PartitionLog {
             partition,
             keys: Vec::new(),
-            payload_bytes: Vec::new(),
-            created_at: Vec::new(),
             appended_at: Vec::new(),
         }
     }
@@ -85,17 +70,9 @@ impl PartitionLog {
     }
 
     /// Appends a record, returning its offset.
-    pub fn append(
-        &mut self,
-        key: MessageKey,
-        payload_bytes: u64,
-        created_at: SimTime,
-        appended_at: SimTime,
-    ) -> u64 {
+    pub fn append(&mut self, key: MessageKey, appended_at: SimTime) -> u64 {
         let offset = self.keys.len() as u64;
         self.keys.push(key);
-        self.payload_bytes.push(payload_bytes);
-        self.created_at.push(created_at);
         self.appended_at.push(appended_at);
         offset
     }
@@ -105,13 +82,10 @@ impl PartitionLog {
     ///
     /// Equivalent to `n` calls to [`PartitionLog::append`] in request order
     /// (`accept(n) ≡ n × accept(1)`, pinned by tests): same stored rows,
-    /// same offsets — one branch and four `extend`s instead of `4n` pushes.
+    /// same offsets — two `extend`s instead of `2n` pushes.
     pub fn append_batch(&mut self, records: &[ProduceRecord], appended_at: SimTime) -> u64 {
         let base = self.keys.len() as u64;
         self.keys.extend(records.iter().map(|r| r.key));
-        self.payload_bytes
-            .extend(records.iter().map(|r| r.payload_bytes));
-        self.created_at.extend(records.iter().map(|r| r.created_at));
         self.appended_at
             .extend(std::iter::repeat_n(appended_at, records.len()));
         base
@@ -129,47 +103,10 @@ impl PartitionLog {
         self.keys.is_empty()
     }
 
-    /// Materialises the row at `offset`.
-    fn row(&self, offset: usize) -> StoredRecord {
-        StoredRecord {
-            offset: offset as u64,
-            key: self.keys[offset],
-            payload_bytes: self.payload_bytes[offset],
-            created_at: self.created_at[offset],
-            appended_at: self.appended_at[offset],
-        }
-    }
-
-    /// The record at `offset`, if present.
-    #[must_use]
-    pub fn get(&self, offset: u64) -> Option<StoredRecord> {
-        if (offset as usize) < self.keys.len() {
-            Some(self.row(offset as usize))
-        } else {
-            None
-        }
-    }
-
-    /// Iterates over records from a starting offset (a consumer fetch).
-    pub fn fetch_from(&self, offset: u64) -> impl Iterator<Item = StoredRecord> + '_ {
-        (offset as usize..self.keys.len()).map(|i| self.row(i))
-    }
-
-    /// Iterates over all records in offset order.
-    pub fn iter(&self) -> impl Iterator<Item = StoredRecord> + '_ {
-        self.fetch_from(0)
-    }
-
     /// Record keys in offset order.
     #[must_use]
     pub fn keys(&self) -> &[MessageKey] {
         &self.keys
-    }
-
-    /// Producer creation timestamps in offset order.
-    #[must_use]
-    pub fn created_col(&self) -> &[SimTime] {
-        &self.created_at
     }
 
     /// Broker append timestamps in offset order.
@@ -182,15 +119,22 @@ impl PartitionLog {
     /// rewinding to the new leader's log-end offset), returning the removed
     /// suffix in offset order.
     pub fn truncate_to(&mut self, offset: u64) -> Vec<StoredRecord> {
-        let offset = offset as usize;
-        if offset >= self.keys.len() {
+        let start = offset as usize;
+        if start >= self.keys.len() {
             return Vec::new();
         }
-        let removed = (offset..self.keys.len()).map(|i| self.row(i)).collect();
-        self.keys.truncate(offset);
-        self.payload_bytes.truncate(offset);
-        self.created_at.truncate(offset);
-        self.appended_at.truncate(offset);
+        let removed = self.keys[start..]
+            .iter()
+            .zip(&self.appended_at[start..])
+            .zip(offset..)
+            .map(|((&key, &appended_at), offset)| StoredRecord {
+                offset,
+                key,
+                appended_at,
+            })
+            .collect();
+        self.keys.truncate(start);
+        self.appended_at.truncate(start);
         removed
     }
 }
@@ -198,37 +142,27 @@ impl PartitionLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desim::SimDuration;
 
     #[test]
     fn offsets_are_dense_and_ordered() {
         let mut log = PartitionLog::new(3);
         for i in 0..10 {
-            let off = log.append(MessageKey(i), 100, SimTime::ZERO, SimTime::from_millis(i));
+            let off = log.append(MessageKey(i), SimTime::from_millis(i));
             assert_eq!(off, i);
         }
         assert_eq!(log.partition(), 3);
         assert_eq!(log.len(), 10);
-        let offsets: Vec<u64> = log.iter().map(|r| r.offset).collect();
-        assert_eq!(offsets, (0..10).collect::<Vec<_>>());
+        let keys: Vec<u64> = log.keys().iter().map(|k| k.0).collect();
+        assert_eq!(keys, (0..10).collect::<Vec<_>>());
+        assert_eq!(log.appended_col()[7], SimTime::from_millis(7));
     }
 
     #[test]
     fn duplicate_keys_are_appended_not_deduplicated() {
         let mut log = PartitionLog::new(0);
-        log.append(MessageKey(7), 10, SimTime::ZERO, SimTime::from_millis(1));
-        log.append(MessageKey(7), 10, SimTime::ZERO, SimTime::from_millis(2));
+        log.append(MessageKey(7), SimTime::from_millis(1));
+        log.append(MessageKey(7), SimTime::from_millis(2));
         assert_eq!(log.len(), 2, "no idempotence: the duplicate is stored");
-    }
-
-    #[test]
-    fn fetch_from_skips_consumed_prefix() {
-        let mut log = PartitionLog::new(0);
-        for i in 0..5 {
-            log.append(MessageKey(i), 10, SimTime::ZERO, SimTime::ZERO);
-        }
-        let tail: Vec<u64> = log.fetch_from(3).map(|r| r.key.0).collect();
-        assert_eq!(tail, vec![3, 4]);
     }
 
     #[test]
@@ -244,12 +178,12 @@ mod tests {
         let mut bulk = PartitionLog::new(2);
         let mut scalar = PartitionLog::new(2);
         // Pre-populate so base offsets are non-trivial.
-        bulk.append(MessageKey(99), 1, SimTime::ZERO, SimTime::ZERO);
-        scalar.append(MessageKey(99), 1, SimTime::ZERO, SimTime::ZERO);
+        bulk.append(MessageKey(99), SimTime::ZERO);
+        scalar.append(MessageKey(99), SimTime::ZERO);
         let base = bulk.append_batch(&records, now);
         let mut scalar_base = None;
         for r in &records {
-            let off = scalar.append(r.key, r.payload_bytes, r.created_at, now);
+            let off = scalar.append(r.key, now);
             scalar_base.get_or_insert(off);
         }
         assert_eq!(Some(base), scalar_base);
@@ -262,25 +196,26 @@ mod tests {
     fn truncate_returns_the_removed_suffix() {
         let mut log = PartitionLog::new(0);
         for i in 0..5 {
-            log.append(MessageKey(i), 10, SimTime::ZERO, SimTime::ZERO);
+            log.append(MessageKey(i), SimTime::from_millis(10 * i));
         }
         let removed = log.truncate_to(3);
         assert_eq!(log.len(), 3);
-        let keys: Vec<u64> = removed.iter().map(|r| r.key.0).collect();
-        assert_eq!(keys, vec![3, 4]);
+        assert_eq!(
+            removed,
+            vec![
+                StoredRecord {
+                    offset: 3,
+                    key: MessageKey(3),
+                    appended_at: SimTime::from_millis(30),
+                },
+                StoredRecord {
+                    offset: 4,
+                    key: MessageKey(4),
+                    appended_at: SimTime::from_millis(40),
+                },
+            ]
+        );
         assert!(log.truncate_to(10).is_empty(), "no-op past the end");
         assert_eq!(log.len(), 3);
-    }
-
-    #[test]
-    fn latency_is_append_minus_create() {
-        let mut log = PartitionLog::new(0);
-        log.append(
-            MessageKey(0),
-            10,
-            SimTime::from_millis(5),
-            SimTime::from_millis(25),
-        );
-        assert_eq!(log.get(0).unwrap().latency(), SimDuration::from_millis(20));
     }
 }

@@ -11,7 +11,6 @@
 use std::collections::VecDeque;
 
 use desim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::audit::LossReason;
 use crate::broker::ProduceRecord;
@@ -413,14 +412,17 @@ impl Accumulator {
 
 /// Producer-side per-message accounting.
 ///
-/// The ledger records the producer's *view* (attempts, loss reasons); the
-/// final report combines it with the ground truth found in the broker logs.
+/// The ledger records the producer's *view* (creation time, attempts, loss
+/// reasons); the final report combines it with the ground truth found in
+/// the broker logs.
 ///
 /// Stored struct-of-arrays: three dense columns indexed by message key, so
 /// the audit's counting pass streams sequentially over exactly the bytes it
 /// needs (one `u32` + one `u8` per message) instead of striding over padded
 /// per-message structs, and the loss column packs `Option<LossReason>` into
-/// a single byte (0 = not lost, else [`LossReason::tag`]).
+/// a single byte (0 = not lost, else [`LossReason::tag`]). The run knows its
+/// message count at set-up, so the columns are sized once
+/// ([`Ledger::with_capacity`]) rather than grown by doubling.
 #[derive(Debug, Clone, Default)]
 pub struct Ledger {
     created: Vec<SimTime>,
@@ -428,22 +430,15 @@ pub struct Ledger {
     lost: Vec<u8>,
 }
 
-/// One message's producer-side record (a row view over the ledger columns).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LedgerEntry {
-    /// When the message entered the producer.
-    pub created_at: SimTime,
-    /// Kafka-level send attempts that included this message.
-    pub attempts: u32,
-    /// Loss reason, when the producer gave up on the message.
-    pub lost: Option<LossReason>,
-}
-
 impl Ledger {
-    /// An empty ledger.
+    /// An empty ledger with room for `n` messages.
     #[must_use]
-    pub fn new() -> Self {
-        Ledger::default()
+    pub fn with_capacity(n: usize) -> Self {
+        Ledger {
+            created: Vec::with_capacity(n),
+            attempts: Vec::with_capacity(n),
+            lost: Vec::with_capacity(n),
+        }
     }
 
     /// Registers a freshly created message; keys must arrive in order.
@@ -468,17 +463,6 @@ impl Ledger {
                 *t = reason.tag();
             }
         }
-    }
-
-    /// The entry for `key`, materialised from the columns.
-    #[must_use]
-    pub fn get(&self, key: MessageKey) -> Option<LedgerEntry> {
-        let i = key.0 as usize;
-        Some(LedgerEntry {
-            created_at: *self.created.get(i)?,
-            attempts: self.attempts[i],
-            lost: LossReason::from_tag(self.lost[i]),
-        })
     }
 
     /// Creation timestamps in key order.
@@ -695,14 +679,14 @@ mod tests {
 
     #[test]
     fn ledger_accumulates_attempts_and_first_loss() {
-        let mut ledger = Ledger::new();
-        ledger.register(MessageKey(0), SimTime::ZERO);
+        let mut ledger = Ledger::with_capacity(1);
+        ledger.register(MessageKey(0), SimTime::from_millis(4));
         ledger.note_attempt(MessageKey(0));
         ledger.note_attempt(MessageKey(0));
         ledger.mark_lost(MessageKey(0), LossReason::RetriesExhausted);
         ledger.mark_lost(MessageKey(0), LossReason::ConnectionReset);
-        let e = ledger.get(MessageKey(0)).unwrap();
-        assert_eq!(e.attempts, 2);
-        assert_eq!(e.lost, Some(LossReason::RetriesExhausted));
+        assert_eq!(ledger.created_col(), &[SimTime::from_millis(4)]);
+        assert_eq!(ledger.attempts_col(), &[2]);
+        assert_eq!(ledger.lost_col(), &[LossReason::RetriesExhausted.tag()]);
     }
 }

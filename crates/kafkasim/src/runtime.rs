@@ -41,7 +41,7 @@ use crate::audit::{audit, DeliveryReport, LossReason};
 use crate::broker::{BrokerId, ProduceRecord};
 use crate::cluster::{Cluster, ClusterSpec, ReplicationDelta};
 use crate::config::{DeliverySemantics, ProducerConfig};
-use crate::consumer::ConsumedTopic;
+use crate::consumer::{self, ConsumedTopic};
 use crate::message::{Message, MessageKey};
 use crate::producer::{Accumulator, Ledger, PendingBatch};
 use crate::source::SourceSpec;
@@ -748,7 +748,7 @@ impl KafkaRun {
             partition_conn,
             accumulator,
             append_info: FastMap::default(),
-            ledger: Ledger::new(),
+            ledger: Ledger::with_capacity(n_messages as usize),
             rng,
             next_key: 0,
             n_messages,
@@ -821,7 +821,7 @@ impl KafkaRun {
         let audit_guard = prof.span("kafkasim.audit");
         let (report, metrics, trace) = {
             let world = sim.world_mut();
-            let topic = ConsumedTopic::read_all(&world.cluster);
+            let topic = ConsumedTopic::read_all(&world.cluster, &world.ledger);
             if world.trace.enabled() {
                 let end = world.last_activity;
                 // Messages still unresolved at the horizon: the audit
@@ -837,16 +837,21 @@ impl KafkaRun {
                         });
                     }
                 }
-                // Replay the audit consumer's pass over the topic.
-                for rec in topic.records() {
-                    world.trace.record(TraceEvent::ConsumerRead {
-                        at: end,
-                        key: rec.key.0,
-                        partition: rec.partition,
-                        offset: rec.offset,
-                        latency: rec.latency,
-                    });
-                }
+                // Replay the audit consumer's pass over the topic: a second
+                // pass over the logs in the fold's order, made only here.
+                consumer::for_each_copy(
+                    &world.cluster,
+                    &world.ledger,
+                    |partition, offset, key, latency| {
+                        world.trace.record(TraceEvent::ConsumerRead {
+                            at: end,
+                            key: key.0,
+                            partition,
+                            offset,
+                            latency,
+                        });
+                    },
+                );
             }
             let report = audit(
                 &world.ledger,
@@ -1533,7 +1538,7 @@ fn on_failover(w: &mut World, ctx: &mut Ctx, ci: usize) {
                 .cluster
                 .broker(outcome.leader)
                 .and_then(|b| b.log(partition))
-                .map(|log| log.iter().map(|r| r.key.0).collect())
+                .map(|log| log.keys().iter().map(|k| k.0).collect())
                 .unwrap_or_default();
             let mut lost_keys = truncated_keys.clone();
             lost_keys.dedup();

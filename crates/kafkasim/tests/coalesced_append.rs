@@ -93,7 +93,7 @@ proptest! {
                     let base = bulk.append_batch(&recs, at);
                     let scalar_base = scalar.len() as u64;
                     for r in &recs {
-                        scalar.append(r.key, r.payload_bytes, r.created_at, at);
+                        scalar.append(r.key, at);
                     }
                     prop_assert_eq!(base, scalar_base);
                 }
