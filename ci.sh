@@ -73,7 +73,7 @@ echo "== one entry point per run engine =="
 # another by a suffix. Runs carry no buffers from one to the next.
 entry_points="$(grep -rnE 'pub fn (execute|run)\w*_(pooled|with|traced|profiled)\b' crates || true)"
 [ "$(grep -c . <<<"$entry_points")" -eq 4 ] \
-    && [ "$(grep -cE '^crates/kafkasim/src/(runtime|fleet/engine)\.rs:[0-9]+: +pub fn execute_(traced|profiled)\(' <<<"$entry_points")" -eq 4 ] \
+    && [ "$(grep -cE '^crates/kafkasim/src/(runtime/mod|fleet/engine)\.rs:[0-9]+: +pub fn execute_(traced|profiled)\(' <<<"$entry_points")" -eq 4 ] \
     || { echo "a run entry point regrew a variant:" >&2; echo "$entry_points" >&2; exit 1; }
 ! grep -rn 'RunArena' crates tests examples \
     || { echo "RunArena is back" >&2; exit 1; }
@@ -94,15 +94,16 @@ done | sort -u)"
 
 echo "== one request lifecycle =="
 # Every request written to a socket sits in its connection's in-flight queue,
-# tagged with the acks level it was sent under, and one teardown in runtime.rs settles it
-# by that level, whether a request timeout, an acks=0 stall or a broker crash
-# brought the connection down. BrokerFault is the one outage description.
+# tagged with the acks level it was sent under, and one teardown in the
+# runtime's connection module settles it by that level, whether a request
+# timeout, an acks=0 stall or a broker crash brought the connection down.
+# BrokerFault is the one outage description.
 ! grep -rnE 'amo_outstanding|reset_amo|fail_connection_alo|teardown_append|BrokerOutage' \
     crates tests examples \
     || { echo "a second request table, reset path or outage type is back" >&2; exit 1; }
-[ "$(grep -rnE '^\s*fn tear_down\(' crates/kafkasim/src | wc -l)" -eq 1 ] \
-    && grep -qE '^fn tear_down\(w: &mut World' crates/kafkasim/src/runtime.rs \
-    || { echo "the runtime's teardown is not one function in runtime.rs" >&2; exit 1; }
+[ "$(grep -rnE '^\s*(pub(\([a-z]+\))? )?fn tear_down\(' crates/kafkasim/src | wc -l)" -eq 1 ] \
+    && grep -qE '^pub\(super\) fn tear_down\(w: &mut World' crates/kafkasim/src/runtime/conn.rs \
+    || { echo "the runtime's teardown is not one function in runtime/conn.rs" >&2; exit 1; }
 
 echo "== one in-flight queue per connection =="
 # A request lives in one place from its socket write until it is settled: the
@@ -114,8 +115,20 @@ echo "== one in-flight queue per connection =="
 ! grep -rnE 'InFlightTable|undelivered_from_|conn_epochs|to_loss_reason|to_loss_cause' \
     crates tests examples \
     || { echo "a second copy of the in-flight state or the loss enum is back" >&2; exit 1; }
-[ "$(grep -v '^struct RequestInfo {' crates/kafkasim/src/runtime.rs | grep -c 'RequestInfo {')" -eq 1 ] \
+[ "$(cat crates/kafkasim/src/runtime/*.rs | grep -vE '^(pub\(super\) )?struct RequestInfo \{' | grep -c 'RequestInfo {')" -eq 1 ] \
     || { echo "RequestInfo is built in more than one place" >&2; exit 1; }
+
+echo "== one copy of the cluster's state =="
+# Who leads each partition and which brokers are down live in
+# kafkasim::cluster::Cluster only: the runtime keeps no partition-to-connection
+# table and no liveness of its own, and replication and elections read the
+# cluster's liveness instead of taking a mask.
+! grep -rnE 'partition_conn|down_mask|down_until' crates/kafkasim/src/runtime/ \
+    || { echo "the runtime keeps a second copy of leadership or liveness" >&2; exit 1; }
+! grep -nE '&\[bool\]' crates/kafkasim/src/cluster.rs \
+    && grep -qE 'pub fn replicate\(&mut self, now: SimTime\)' crates/kafkasim/src/cluster.rs \
+    && grep -qE 'pub fn election_candidate\(&self, partition: u32, now: SimTime\)' crates/kafkasim/src/cluster.rs \
+    || { echo "Cluster::{replicate, election_candidate} take a liveness mask again" >&2; exit 1; }
 
 echo "== one model per repro run =="
 # repro trains one model a process, the paper's at full effort and the
@@ -153,7 +166,7 @@ echo "== one read-back pass =="
 # count.
 ! grep -rn 'ConsumedRecord' crates tests examples \
     || { echo "a list of consumed copies is back" >&2; exit 1; }
-! grep -n 'Ledger::new()' crates/kafkasim/src/runtime.rs \
+! grep -rn 'Ledger::new()' crates/kafkasim/src/runtime/ \
     || { echo "the runtime grows its ledger instead of sizing it once" >&2; exit 1; }
 log_columns="$(awk '/^pub struct PartitionLog \{/ { on = 1; next } on && /^\}/ { exit }
     on && /: Vec</' crates/kafkasim/src/log.rs)"

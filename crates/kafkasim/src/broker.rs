@@ -73,7 +73,6 @@ pub struct Broker {
     id: BrokerId,
     logs: Vec<PartitionLog>,
     model: BrokerModel,
-    requests_handled: u64,
     records_appended: u64,
 }
 
@@ -107,7 +106,6 @@ impl Broker {
             id,
             logs: partitions.into_iter().map(PartitionLog::new).collect(),
             model: BrokerModel::default(),
-            requests_handled: 0,
             records_appended: 0,
         }
     }
@@ -169,7 +167,6 @@ impl Broker {
                 partition,
             })?;
         let base = log.append_batch(records, now);
-        self.requests_handled += 1;
         self.records_appended += records.len() as u64;
         Ok(base)
     }
@@ -209,12 +206,6 @@ impl Broker {
         &self.logs
     }
 
-    /// Produce requests handled so far.
-    #[must_use]
-    pub fn requests_handled(&self) -> u64 {
-        self.requests_handled
-    }
-
     /// Records appended so far.
     #[must_use]
     pub fn records_appended(&self) -> u64 {
@@ -243,7 +234,6 @@ mod tests {
         assert_eq!(base, 0);
         let base2 = b.append(2, &[rec(3)], SimTime::from_millis(2)).unwrap();
         assert_eq!(base2, 2);
-        assert_eq!(b.requests_handled(), 2);
         assert_eq!(b.records_appended(), 3);
     }
 

@@ -13,6 +13,7 @@
 //! new leader's fetched offset.
 
 use desim::{SimDuration, SimTime};
+use obs::TraceEvent;
 use serde::{Deserialize, Serialize};
 
 use crate::broker::{Broker, BrokerId, BrokerModel};
@@ -143,43 +144,6 @@ pub struct Replica {
     pub in_isr: bool,
 }
 
-/// What one replication round did — the runtime turns these into trace
-/// events and counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplicationDelta {
-    /// A follower copied records from its leader.
-    Fetch {
-        /// The partition replicated.
-        partition: u32,
-        /// The leader fetched from.
-        leader: BrokerId,
-        /// The fetching follower.
-        follower: BrokerId,
-        /// The follower's log-end offset before the fetch.
-        from_offset: u64,
-        /// Records copied.
-        records: u64,
-    },
-    /// A replica fell out of the ISR (lagged past `replica.lag.time.max`).
-    Shrink {
-        /// The partition whose ISR shrank.
-        partition: u32,
-        /// The evicted replica.
-        broker: BrokerId,
-        /// The ISR after the shrink.
-        isr: Vec<u32>,
-    },
-    /// A replica caught back up and rejoined the ISR.
-    Expand {
-        /// The partition whose ISR grew.
-        partition: u32,
-        /// The rejoining replica.
-        broker: BrokerId,
-        /// The ISR after the expansion.
-        isr: Vec<u32>,
-    },
-}
-
 /// The result of a leader election.
 #[derive(Debug, Clone)]
 pub struct ElectionOutcome {
@@ -191,11 +155,10 @@ pub struct ElectionOutcome {
     /// Records truncated off the log because the new leader had not
     /// fetched them (empty for a fully caught-up winner).
     pub truncated: Vec<StoredRecord>,
-    /// The partition's ISR after the election.
-    pub isr: Vec<u32>,
 }
 
-/// A running cluster: brokers with their partition logs.
+/// A running cluster: brokers with their partition logs, who leads each
+/// partition, and which brokers are down.
 ///
 /// Partition `p` is led by broker `p % brokers`, mirroring Kafka's
 /// round-robin leader spread for a fresh topic.
@@ -218,6 +181,9 @@ pub struct Cluster {
     /// Empty inner vectors never occur; `factor = 1` leaves only the
     /// leader, so replication is a no-op.
     replicas: Vec<Vec<Replica>>,
+    /// Per broker: the end of its latest outage window (`ZERO` = never
+    /// crashed). A broker is down at `now` while `now < down_until`.
+    down_until: Vec<SimTime>,
 }
 
 impl Cluster {
@@ -255,6 +221,7 @@ impl Cluster {
             })
             .collect();
         Ok(Cluster {
+            down_until: vec![SimTime::ZERO; spec.brokers as usize],
             spec,
             brokers,
             leaders,
@@ -317,14 +284,25 @@ impl Cluster {
         self.spec.partitions
     }
 
-    /// Total records stored across all partitions.
+    /// Crashes `broker` until `until`. A crash inside an outage window
+    /// replaces that window.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown broker.
+    pub fn crash(&mut self, broker: BrokerId, until: SimTime) {
+        self.down_until[broker.0 as usize] = until;
+    }
+
+    /// `true` while `broker` is inside its outage window at `now`. A
+    /// restart needs no call: the window simply ends.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown broker.
     #[must_use]
-    pub fn total_records(&self) -> u64 {
-        self.brokers
-            .iter()
-            .flat_map(|b| b.logs())
-            .map(|l| l.len() as u64)
-            .sum()
+    pub fn is_down(&self, broker: BrokerId, now: SimTime) -> bool {
+        now < self.down_until[broker.0 as usize]
     }
 
     /// The replicas of `partition` (leader included), with their fetched
@@ -383,34 +361,37 @@ impl Cluster {
     /// Runs one replication round at simulated time `now`: each alive
     /// follower fetches up to `max_fetch_records` from its partition
     /// leader, catches up or accrues lag, and the ISR shrinks/expands per
-    /// `replica.lag.time.max`. `down[b]` marks broker `b` as crashed
-    /// (crashed followers fetch nothing; a crashed leader freezes its
-    /// partition until an election).
+    /// `replica.lag.time.max`. Crashed followers fetch nothing; a crashed
+    /// leader freezes its partition until an election.
     ///
-    /// Returns what happened, for tracing.
-    pub fn replicate(&mut self, now: SimTime, down: &[bool]) -> Vec<ReplicationDelta> {
-        let mut deltas = Vec::new();
+    /// Returns what happened as `ReplicaFetch`, `IsrShrink` and
+    /// `IsrExpand` trace events, which the runtime counts and, when
+    /// tracing, records.
+    pub fn replicate(&mut self, now: SimTime) -> Vec<TraceEvent> {
+        let mut events = Vec::new();
         let lag_max = self.spec.replication.lag_time_max;
         let max_fetch = self.spec.replication.max_fetch_records;
         for p in 0..self.spec.partitions {
             let leader = self.leaders[p as usize];
-            let leader_down = down.get(leader.0 as usize).copied().unwrap_or(false);
+            let leader_down = self.is_down(leader, now);
             let leader_leo = self.leader_leo(p);
             let mut shrunk: Vec<BrokerId> = Vec::new();
             let mut expanded: Vec<BrokerId> = Vec::new();
+            let down_until = &self.down_until;
             for r in self.replicas[p as usize].iter_mut() {
                 if r.broker == leader {
                     r.leo = leader_leo;
                     r.lag_since = None;
                     continue;
                 }
-                let follower_down = down.get(r.broker.0 as usize).copied().unwrap_or(false);
+                let follower_down = now < down_until[r.broker.0 as usize];
                 if !follower_down && !leader_down && r.leo < leader_leo {
                     let n = max_fetch.min(leader_leo - r.leo);
-                    deltas.push(ReplicationDelta::Fetch {
+                    events.push(TraceEvent::ReplicaFetch {
+                        at: now,
                         partition: p,
-                        leader,
-                        follower: r.broker,
+                        leader: leader.0,
+                        follower: r.broker.0,
                         from_offset: r.leo,
                         records: n,
                     });
@@ -432,26 +413,28 @@ impl Cluster {
             }
             for b in shrunk {
                 let isr = self.isr_of(p);
-                deltas.push(ReplicationDelta::Shrink {
+                events.push(TraceEvent::IsrShrink {
+                    at: now,
                     partition: p,
-                    broker: b,
+                    broker: b.0,
                     isr,
                 });
             }
             for b in expanded {
                 let isr = self.isr_of(p);
-                deltas.push(ReplicationDelta::Expand {
+                events.push(TraceEvent::IsrExpand {
+                    at: now,
                     partition: p,
-                    broker: b,
+                    broker: b.0,
                     isr,
                 });
             }
         }
-        deltas
+        events
     }
 
-    /// Picks an election candidate for `partition` among its alive
-    /// replicas, excluding the current (crashed) leader: the in-sync
+    /// Picks an election candidate for `partition` among the replicas alive
+    /// at `now`, excluding the current (crashed) leader: the in-sync
     /// replica with the highest fetched offset when one is alive (clean),
     /// otherwise — only if the spec allows unclean elections — the alive
     /// replica with the highest offset (`clean = false`).
@@ -464,11 +447,9 @@ impl Cluster {
     ///
     /// Panics if `partition` is outside the topic.
     #[must_use]
-    pub fn election_candidate(&self, partition: u32, down: &[bool]) -> Option<(BrokerId, bool)> {
+    pub fn election_candidate(&self, partition: u32, now: SimTime) -> Option<(BrokerId, bool)> {
         let leader = self.leaders[partition as usize];
-        let alive = |r: &&Replica| {
-            r.broker != leader && !down.get(r.broker.0 as usize).copied().unwrap_or(false)
-        };
+        let alive = |r: &&Replica| r.broker != leader && !self.is_down(r.broker, now);
         let best_isr = self
             .replicas_of(partition)
             .iter()
@@ -547,7 +528,6 @@ impl Cluster {
             leader: to,
             clean,
             truncated,
-            isr: self.isr_of(partition),
         }
     }
 }
@@ -587,27 +567,6 @@ mod tests {
             ..ClusterSpec::default()
         })
         .is_err());
-    }
-
-    #[test]
-    fn total_records_counts_across_brokers() {
-        let mut c = Cluster::new(ClusterSpec::default()).unwrap();
-        for p in 0..3 {
-            let leader = c.leader_of(p);
-            c.broker_mut(leader)
-                .unwrap()
-                .append(
-                    p,
-                    &[ProduceRecord {
-                        key: MessageKey(p as u64),
-                        payload_bytes: 10,
-                        created_at: SimTime::ZERO,
-                    }],
-                    SimTime::ZERO,
-                )
-                .unwrap();
-        }
-        assert_eq!(c.total_records(), 3);
     }
 
     #[test]
@@ -666,17 +625,16 @@ mod tests {
     fn followers_fetch_in_bounded_rounds() {
         let mut c = replicated_cluster(3);
         append_keys(&mut c, 0, 0..5);
-        let down = [false; 3];
-        let deltas = c.replicate(SimTime::from_millis(50), &down);
+        let deltas = c.replicate(SimTime::from_millis(50));
         // Two followers each fetched max_fetch_records = 2.
         let fetches = deltas
             .iter()
-            .filter(|d| matches!(d, ReplicationDelta::Fetch { records: 2, .. }))
+            .filter(|d| matches!(d, TraceEvent::ReplicaFetch { records: 2, .. }))
             .count();
         assert_eq!(fetches, 2);
         assert!(!c.isr_has(0, 5), "followers still 3 records behind");
-        c.replicate(SimTime::from_millis(100), &down);
-        c.replicate(SimTime::from_millis(150), &down);
+        c.replicate(SimTime::from_millis(100));
+        c.replicate(SimTime::from_millis(150));
         assert!(c.isr_has(0, 5), "three rounds replicate all five records");
         assert_eq!(c.isr_of(0), vec![0, 1, 2]);
     }
@@ -687,30 +645,21 @@ mod tests {
         append_keys(&mut c, 0, 0..4);
         // Broker 1 (the only follower) is down: it accrues lag and is
         // evicted once past lag_time_max (100 ms).
-        let down = [false, true, false];
-        c.replicate(SimTime::from_millis(50), &down);
+        c.crash(BrokerId(1), SimTime::from_millis(250));
+        c.replicate(SimTime::from_millis(50));
         assert_eq!(c.isr_of(0), vec![0, 1], "lag clock started, not expired");
-        let deltas = c.replicate(SimTime::from_millis(200), &down);
-        assert!(deltas.iter().any(|d| matches!(
-            d,
-            ReplicationDelta::Shrink {
-                broker: BrokerId(1),
-                ..
-            }
-        )));
+        let deltas = c.replicate(SimTime::from_millis(200));
+        assert!(deltas
+            .iter()
+            .any(|d| matches!(d, TraceEvent::IsrShrink { broker: 1, .. })));
         assert_eq!(c.isr_of(0), vec![0]);
         assert!(c.isr_has(0, 4), "ISR = leader alone: trivially caught up");
         // Broker 1 restarts, refetches, rejoins.
-        let down = [false; 3];
-        c.replicate(SimTime::from_millis(250), &down);
-        let deltas = c.replicate(SimTime::from_millis(300), &down);
-        assert!(deltas.iter().any(|d| matches!(
-            d,
-            ReplicationDelta::Expand {
-                broker: BrokerId(1),
-                ..
-            }
-        )));
+        c.replicate(SimTime::from_millis(250));
+        let deltas = c.replicate(SimTime::from_millis(300));
+        assert!(deltas
+            .iter()
+            .any(|d| matches!(d, TraceEvent::IsrExpand { broker: 1, .. })));
         assert_eq!(c.isr_of(0), vec![0, 1]);
     }
 
@@ -718,13 +667,12 @@ mod tests {
     fn clean_election_keeps_every_replicated_record() {
         let mut c = replicated_cluster(2);
         append_keys(&mut c, 0, 0..4);
-        let down = [false; 3];
-        c.replicate(SimTime::from_millis(50), &down);
-        c.replicate(SimTime::from_millis(100), &down);
+        c.replicate(SimTime::from_millis(50));
+        c.replicate(SimTime::from_millis(100));
         assert!(c.isr_has(0, 4));
         // Leader 0 crashes; broker 1 is in the ISR with everything.
-        let down = [true, false, false];
-        let (cand, clean) = c.election_candidate(0, &down).unwrap();
+        c.crash(BrokerId(0), SimTime::from_secs(1));
+        let (cand, clean) = c.election_candidate(0, SimTime::from_millis(150)).unwrap();
         assert_eq!(cand, BrokerId(1));
         assert!(clean);
         let outcome = c.elect_leader(0, cand, SimTime::from_millis(150));
@@ -753,14 +701,13 @@ mod tests {
         append_keys(&mut c, 0, 0..6);
         // One fetch round only: follower 1 has 2 of 6 records, then goes
         // down and lags out of the ISR.
-        let down = [false; 3];
-        c.replicate(SimTime::from_millis(50), &down);
-        let down = [false, true, false];
-        c.replicate(SimTime::from_millis(250), &down);
+        c.replicate(SimTime::from_millis(50));
+        c.crash(BrokerId(1), SimTime::from_millis(300));
+        c.replicate(SimTime::from_millis(250));
         assert_eq!(c.isr_of(0), vec![0]);
         // Leader crashes: no ISR candidate alive, unclean election wins.
-        let down = [true, false, false];
-        let (cand, clean) = c.election_candidate(0, &down).unwrap();
+        c.crash(BrokerId(0), SimTime::from_secs(1));
+        let (cand, clean) = c.election_candidate(0, SimTime::from_millis(300)).unwrap();
         assert_eq!(cand, BrokerId(1));
         assert!(!clean);
         let outcome = c.elect_leader(0, cand, SimTime::from_millis(300));
@@ -768,23 +715,35 @@ mod tests {
         let lost: Vec<u64> = outcome.truncated.iter().map(|r| r.key.0).collect();
         assert_eq!(lost, vec![2, 3, 4, 5], "records past the fetched offset");
         assert_eq!(c.broker(BrokerId(1)).unwrap().log(0).unwrap().len(), 2);
-        assert_eq!(outcome.isr, vec![1], "unclean ISR collapses to the winner");
-        assert_eq!(c.total_records(), 2);
+        assert_eq!(c.isr_of(0), vec![1], "unclean ISR collapses to the winner");
+        assert!(c.broker(BrokerId(0)).unwrap().log(0).is_none());
     }
 
     #[test]
     fn no_candidate_without_unclean_permission() {
         let mut c = replicated_cluster(2);
         append_keys(&mut c, 0, 0..6);
-        let down = [false; 3];
-        c.replicate(SimTime::from_millis(50), &down);
+        c.replicate(SimTime::from_millis(50));
         // Evict the follower (down past the lag limit)...
-        let down = [false, true, false];
-        c.replicate(SimTime::from_millis(300), &down);
+        c.crash(BrokerId(1), SimTime::from_millis(350));
+        c.replicate(SimTime::from_millis(300));
         assert_eq!(c.isr_of(0), vec![0]);
         // ...then crash the leader; the stale follower restarts but unclean
         // elections are disabled.
-        let down = [true, false, false];
-        assert!(c.election_candidate(0, &down).is_none());
+        c.crash(BrokerId(0), SimTime::from_secs(1));
+        assert!(c.election_candidate(0, SimTime::from_millis(400)).is_none());
+    }
+
+    #[test]
+    fn a_broker_is_down_inside_its_latest_outage_window() {
+        let mut c = Cluster::new(ClusterSpec::default()).unwrap();
+        assert!(!c.is_down(BrokerId(0), SimTime::ZERO), "never crashed");
+        c.crash(BrokerId(0), SimTime::from_millis(300));
+        assert!(c.is_down(BrokerId(0), SimTime::from_millis(299)));
+        assert!(!c.is_down(BrokerId(0), SimTime::from_millis(300)));
+        assert!(!c.is_down(BrokerId(1), SimTime::from_millis(100)));
+        // A second crash inside the window replaces it.
+        c.crash(BrokerId(0), SimTime::from_millis(200));
+        assert!(!c.is_down(BrokerId(0), SimTime::from_millis(250)));
     }
 }

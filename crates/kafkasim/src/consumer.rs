@@ -9,10 +9,13 @@
 //! offset order ([`for_each_copy`]). A copy's latency is its append time
 //! minus the ledger's creation time for its key: the log stores no creation
 //! time of its own, and the ledger stamps the same poll instant the
-//! produce record carried.
+//! produce record carried. `read_back` is a run's last step: the fold,
+//! its trace replay when tracing, and the audit.
 
-use desim::SimDuration;
+use desim::{SimDuration, SimTime};
+use obs::{TraceEvent, TraceSink};
 
+use crate::audit::{audit, DeliveryReport, LossReason};
 use crate::cluster::Cluster;
 use crate::message::MessageKey;
 use crate::producer::Ledger;
@@ -43,6 +46,43 @@ pub fn for_each_copy(
             }
         }
     }
+}
+
+/// Reads the topic back at a run's `end` and audits it. A tracing `sink`
+/// gets an `UnsentAtEnd` expiry per message still unresolved (as the audit
+/// counts them), then the read-back replayed as `ConsumerRead` events by a
+/// second pass of [`for_each_copy`], in the fold's order.
+pub(crate) fn read_back(
+    cluster: &Cluster,
+    ledger: &Ledger,
+    timeliness: Option<SimDuration>,
+    end: SimTime,
+    sink: &mut dyn TraceSink,
+) -> DeliveryReport {
+    let topic = ConsumedTopic::read_all(cluster, ledger);
+    if sink.enabled() {
+        for (i, &tag) in ledger.lost_col().iter().enumerate() {
+            let key = MessageKey(i as u64);
+            if tag == 0 && topic.copies(key) == 0 {
+                sink.record(TraceEvent::Expired {
+                    at: end,
+                    key: key.0,
+                    cause: LossReason::UnsentAtEnd,
+                    batch: None,
+                });
+            }
+        }
+        for_each_copy(cluster, ledger, |partition, offset, key, latency| {
+            sink.record(TraceEvent::ConsumerRead {
+                at: end,
+                key: key.0,
+                partition,
+                offset,
+                latency,
+            });
+        });
+    }
+    audit(ledger, &topic, timeliness, end)
 }
 
 /// Everything the consumer saw, folded per key.

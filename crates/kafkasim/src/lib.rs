@@ -21,12 +21,12 @@
 //!   paper's methodology: compare the unique keys of the source stream with
 //!   the keys found in the topic, count `N_l` and `N_d`, and classify every
 //!   message into one of Table I's five delivery cases;
-//! * a **runtime** ([`runtime`]) that wires producer, brokers and
-//!   [`netsim::DuplexChannel`]s into one deterministic event loop, with
-//!   NetEm-style fault injection from a [`netsim::ConditionTimeline`],
-//!   broker crash/restart/flapping injection ([`runtime::BrokerFault`])
-//!   and support for mid-run configuration changes (the paper's §V
-//!   dynamic configuration);
+//! * a **runtime** ([`runtime`]): one deterministic event loop over the
+//!   producer, a [`netsim::DuplexChannel`] per broker and the cluster, one
+//!   module per seam (sender, connection, brokers, online control), with
+//!   NetEm-style faults from a [`netsim::ConditionTimeline`], broker
+//!   crash/restart/flapping ([`runtime::BrokerFault`]) and mid-run
+//!   reconfiguration (the paper's §V dynamic configuration);
 //! * **observability** — the runtime is instrumented with [`obs`]
 //!   lifecycle trace events ([`runtime::KafkaRun::execute_traced`]), and
 //!   [`explain`] cross-checks a reconstructed trace against the audit so

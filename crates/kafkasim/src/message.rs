@@ -56,12 +56,6 @@ impl Message {
     pub fn is_expired(&self, now: SimTime) -> bool {
         now >= self.deadline
     }
-
-    /// Age of the message at `now`.
-    #[must_use]
-    pub fn age(&self, now: SimTime) -> SimDuration {
-        now.saturating_since(self.created_at)
-    }
 }
 
 #[cfg(test)]
@@ -78,10 +72,6 @@ mod tests {
         );
         assert!(!m.is_expired(SimTime::from_millis(1_400)));
         assert!(m.is_expired(SimTime::from_millis(1_500)));
-        assert_eq!(
-            m.age(SimTime::from_millis(1_300)),
-            SimDuration::from_millis(300)
-        );
     }
 
     #[test]

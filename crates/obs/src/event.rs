@@ -54,14 +54,6 @@ impl LossCause {
     pub const fn tag(self) -> u8 {
         self as u8 + 1
     }
-
-    /// Inverse of [`LossCause::tag`]; `None` for 0 or out of range.
-    #[must_use]
-    pub fn from_tag(tag: u8) -> Option<LossCause> {
-        (tag as usize)
-            .checked_sub(1)
-            .and_then(|i| LossCause::ALL.get(i).copied())
-    }
 }
 
 impl core::fmt::Display for LossCause {
@@ -714,11 +706,6 @@ mod tests {
         assert_eq!(LossCause::ConnectionReset.to_string(), "connection-reset");
         assert_eq!(LossCause::LeaderFailover.to_string(), "leader-failover");
         assert_eq!(LossCause::ALL.len(), 6);
-        for cause in LossCause::ALL {
-            assert_eq!(LossCause::from_tag(cause.tag()), Some(cause));
-        }
-        assert_eq!(LossCause::from_tag(0), None);
-        assert_eq!(LossCause::from_tag(7), None);
     }
 
     #[test]
