@@ -173,6 +173,29 @@ log_columns="$(awk '/^pub struct PartitionLog \{/ { on = 1; next } on && /^\}/ {
 [ "$(grep -c . <<<"$log_columns")" -eq 2 ] \
     || { echo "PartitionLog does not hold exactly two columns:" >&2; echo "$log_columns" >&2; exit 1; }
 
+echo "== one JSON formatter =="
+# serde_json's writer is the one place the data model becomes JSON text. A
+# Value replays itself into it rather than formatting itself (no
+# Value::write_json, no Display for Value), and the only other sink builds
+# the Value tree: derived and hand-written Serialize impls emit sink calls,
+# never text.
+! grep -rn 'fn write_json\|Display for Value' vendor crates tests examples \
+    || { echo "a second JSON formatter is back" >&2; exit 1; }
+sinks="$(grep -rnE 'impl (serde::)?Sink for' vendor crates tests examples)"
+[ "$(grep -c . <<<"$sinks")" -eq 2 ] \
+    && grep -q '^vendor/serde/src/lib.rs:[0-9]*:impl Sink for ValueSink' <<<"$sinks" \
+    && grep -q '^vendor/serde_json/src/lib.rs:[0-9]*:impl serde::Sink for JsonWriter' <<<"$sinks" \
+    || { echo "a sink other than the tree builder and the JSON writer:" >&2; echo "$sinks" >&2; exit 1; }
+
+echo "== model heads are shared =="
+# A ReliabilityModel holds its three heads as Arc<Network>: a clone bumps
+# reference counts and head_mut copies a head only while it is shared, so
+# every policy holding the trained model costs no weights of its own.
+heads="$(awk '/^pub struct ReliabilityModel \{/ { on = 1; next } on && /^\}/ { exit }
+    on && /_head:/' crates/core/src/model.rs)"
+[ "$(grep -c . <<<"$heads")" -eq 3 ] && [ "$(grep -c '_head: Arc<Network>,$' <<<"$heads")" -eq 3 ] \
+    || { echo "ReliabilityModel's heads are not three Arc<Network>:" >&2; echo "$heads" >&2; exit 1; }
+
 echo "== one unsafe call (annet's AVX2+FMA dispatch; the other nine crates forbid it) =="
 # Outside comments and lint attributes the keyword appears on exactly 2
 # lines under crates/*/src, both in annet::matrix::Kernel<A>, which the

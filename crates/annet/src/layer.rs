@@ -1,7 +1,7 @@
 //! Dense (fully-connected) layers.
 
 use desim::SimRng;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Value};
 
 use crate::activation::Activation;
 use crate::matrix::Matrix;
@@ -264,14 +264,18 @@ impl Dense {
 
 /// JSON keeps `weights` as the `out × in` matrix every model file written
 /// before the `in × out` layout carries, so old files load and every pinned
-/// weights digest stands; the transpose is paid once per (de)serialisation.
+/// weights digest stands. Writing streams the stored matrix column by
+/// column, so no transposed copy is made; reading pays one transpose.
 impl Serialize for Dense {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("weights".into(), self.weights.transpose().to_value()),
-            ("bias".into(), self.bias.to_value()),
-            ("activation".into(), self.activation.to_value()),
-        ])
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.begin_map();
+        sink.key("weights");
+        self.weights.serialize_transposed(sink);
+        sink.key("bias");
+        self.bias.serialize(sink);
+        sink.key("activation");
+        self.activation.serialize(sink);
+        sink.end_map();
     }
 }
 
@@ -280,9 +284,9 @@ impl Deserialize for Dense {
         let map = v
             .as_map()
             .ok_or_else(|| DeError::custom("expected map for Dense"))?;
-        let weights = Matrix::from_value(serde::__field(map, "weights"))?;
-        let bias = Vec::<f64>::from_value(serde::__field(map, "bias"))?;
-        let activation = Activation::from_value(serde::__field(map, "activation"))?;
+        let weights: Matrix = serde::__field(map, "weights")?;
+        let bias: Vec<f64> = serde::__field(map, "bias")?;
+        let activation: Activation = serde::__field(map, "activation")?;
         let len = weights.as_slice().len();
         if len == 0
             || weights.rows().checked_mul(weights.cols()) != Some(len)

@@ -6,7 +6,7 @@
 //! source, for baseline x86-64 and for AVX2+FMA, and `Kernel::run` picks by
 //! the CPU: the crate's one `unsafe` call (DESIGN.md §8b).
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Sink};
 
 /// A dense row-major matrix.
 ///
@@ -18,11 +18,38 @@ use serde::{Deserialize, Serialize};
 /// let b = Matrix::identity(2);
 /// assert_eq!(a.matmul(&b), a);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+/// The serialised layout: `rows`, `cols`, then `data` row-major.
+fn serialize_fields<'a, S: Sink + ?Sized>(
+    sink: &mut S,
+    rows: usize,
+    cols: usize,
+    data: impl Iterator<Item = &'a f64>,
+) {
+    sink.begin_map();
+    sink.key("rows");
+    rows.serialize(sink);
+    sink.key("cols");
+    cols.serialize(sink);
+    sink.key("data");
+    sink.begin_seq();
+    for &x in data {
+        sink.float(x);
+    }
+    sink.end_seq();
+    sink.end_map();
+}
+
+impl Serialize for Matrix {
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        serialize_fields(sink, self.rows, self.cols, self.data.iter());
+    }
 }
 
 impl Matrix {
@@ -267,6 +294,13 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         Kernel::AT_B.run((self, rhs, out));
+    }
+
+    /// Serialises the transpose, reading this matrix column by column, so
+    /// no transposed copy is built.
+    pub(crate) fn serialize_transposed<S: Sink + ?Sized>(&self, sink: &mut S) {
+        let columns = (0..self.cols).flat_map(|c| self.data[c..].iter().step_by(self.cols));
+        serialize_fields(sink, self.cols, self.rows, columns);
     }
 
     /// The transpose.

@@ -139,6 +139,10 @@ struct TrainScratch {
     grad: Matrix,
     /// Per-layer gradient buffers.
     grads: Vec<DenseGradients>,
+    /// Per-layer momentum state: empty until the first step with
+    /// `momentum > 0`, so momentum-free training never holds a
+    /// weight-sized zero buffer per layer.
+    velocities: Vec<Velocity>,
 }
 
 impl TrainScratch {
@@ -149,6 +153,7 @@ impl TrainScratch {
             back: BackwardScratch::default(),
             grad: Matrix::zeros(1, 1),
             grads: net.layers.iter().map(Dense::zero_gradients).collect(),
+            velocities: Vec::new(),
         }
     }
 }
@@ -320,7 +325,6 @@ impl Network {
         self.check_train_args(data, config);
         let n = data.len();
         let mut order: Vec<usize> = (0..n).collect();
-        let mut velocities: Vec<Velocity> = self.layers.iter().map(Dense::zero_velocity).collect();
         let mut scratch = TrainScratch::new(self);
         for _ in 0..config.epochs {
             let _epoch_guard = prof.span("annet.epoch");
@@ -328,7 +332,7 @@ impl Network {
                 rng.shuffle(&mut order);
             }
             for chunk in order.chunks(config.batch_size) {
-                self.train_batch(data, chunk, config, &mut velocities, &mut scratch, prof);
+                self.train_batch(data, chunk, config, &mut scratch, prof);
             }
         }
         let _eval_guard = prof.span("annet.eval");
@@ -379,10 +383,12 @@ impl Network {
         data: &Dataset,
         chunk: &[usize],
         config: &TrainConfig,
-        velocities: &mut [Velocity],
         scratch: &mut TrainScratch,
         prof: &Profiler,
     ) {
+        if config.momentum > 0.0 && scratch.velocities.is_empty() {
+            scratch.velocities = self.layers.iter().map(Dense::zero_velocity).collect();
+        }
         let forward_guard = prof.span("annet.forward");
         // Gather the batch, then forward keeping every layer's output.
         data.x()
@@ -412,7 +418,7 @@ impl Network {
                     &scratch.grads[i],
                     config.learning_rate,
                     config.momentum,
-                    &mut velocities[i],
+                    &mut scratch.velocities[i],
                 );
             } else {
                 layer.apply_gradients(&scratch.grads[i], config.learning_rate);
@@ -442,7 +448,7 @@ impl Network {
 
 /// Persistent state for *online* (incremental) SGD.
 ///
-/// [`Network::train`] owns its velocity buffers and scratch for the
+/// [`Network::train`] owns its scratch (momentum state included) for the
 /// duration of one call; a long-lived controller that refits a model
 /// mini-batch by mini-batch as live observations arrive needs those
 /// buffers to survive between steps instead. An `IncrementalTrainer`
@@ -456,24 +462,22 @@ impl Network {
 /// weights **bit-identical** to `train` with `shuffle = false,
 /// epochs = 1` — the pin test holds this equivalence.
 pub struct IncrementalTrainer {
-    velocities: Vec<Velocity>,
     scratch: TrainScratch,
 }
 
 impl core::fmt::Debug for IncrementalTrainer {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("IncrementalTrainer")
-            .field("layers", &self.velocities.len())
+            .field("layers", &self.scratch.grads.len())
             .finish_non_exhaustive()
     }
 }
 
 impl IncrementalTrainer {
-    /// A trainer sized for `net`: zero momentum velocities, cold scratch.
+    /// A trainer sized for `net`: cold scratch, no momentum state yet.
     #[must_use]
     pub fn new(net: &Network) -> Self {
         IncrementalTrainer {
-            velocities: net.layers.iter().map(Dense::zero_velocity).collect(),
             scratch: TrainScratch::new(net),
         }
     }
@@ -502,7 +506,7 @@ impl IncrementalTrainer {
         net.check_train_args(data, config);
         assert!(!chunk.is_empty(), "a training step needs at least one row");
         assert_eq!(
-            self.velocities.len(),
+            self.scratch.grads.len(),
             net.layers.len(),
             "trainer was built for a different network"
         );
@@ -510,7 +514,6 @@ impl IncrementalTrainer {
             data,
             chunk,
             config,
-            &mut self.velocities,
             &mut self.scratch,
             &Profiler::disabled(),
         );
@@ -725,6 +728,28 @@ mod tests {
             }
         }
         assert_eq!(trained, stepped);
+    }
+
+    #[test]
+    fn momentum_buffers_exist_only_once_momentum_is_used() {
+        let data = xor_dataset();
+        let mut net = NetworkBuilder::new(2)
+            .dense(6, Activation::Tanh)
+            .dense(1, Activation::Sigmoid)
+            .build(&mut SimRng::seed_from_u64(13));
+        let mut config = TrainConfig {
+            epochs: 1,
+            learning_rate: 0.4,
+            batch_size: 2,
+            shuffle: false,
+            momentum: 0.0,
+        };
+        let mut trainer = IncrementalTrainer::new(&net);
+        trainer.step(&mut net, &data, &[0, 1], &config);
+        assert!(trainer.scratch.velocities.is_empty());
+        config.momentum = 0.9;
+        trainer.step(&mut net, &data, &[2, 3], &config);
+        assert_eq!(trainer.scratch.velocities.len(), 2);
     }
 
     #[test]

@@ -181,14 +181,15 @@ fn profile(args: &Args) {
     if args.json {
         println!(
             "{}",
-            serde_json::json!({
+            serde_json::to_string(&serde_json::json!({
                 "events": smoke.events,
                 "windows": smoke.windows.rows.len(),
                 "span_paths": smoke.profile.spans.len(),
                 "span_events": smoke.profile.events.len(),
                 "root_total_ns": smoke.profile.root_total_ns(),
                 "files": written,
-            })
+            }))
+            .expect("serialisable")
         );
         return;
     }
@@ -470,11 +471,12 @@ fn collection(doc: &Spec, design: &spec::CollectionDesign, json: bool) {
     if json {
         println!(
             "{}",
-            serde_json::json!({
+            serde_json::to_string(&serde_json::json!({
                 "normal_points": normal,
                 "abnormal_points": abnormal,
                 "broker_fault_points": broker_faults,
-            })
+            }))
+            .expect("serialisable")
         );
         return;
     }
@@ -607,10 +609,11 @@ fn ann(doc: &Spec, trained: &TrainedModel, args: &Args) {
     if args.json {
         println!(
             "{}",
-            serde_json::json!({
+            serde_json::to_string(&serde_json::json!({
                 "amo": trained.amo, "alo": trained.alo, "all": trained.all,
                 "worst_mae": trained.worst_mae()
-            })
+            }))
+            .expect("serialisable")
         );
         return;
     }

@@ -9,7 +9,7 @@
 //! features; the semantics feature selects the head.
 
 use std::cell::RefCell;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use annet::network::InferScratch;
 use annet::{Matrix, MinMaxScaler, Network, NetworkBuilder};
@@ -106,11 +106,16 @@ impl Topology {
 /// The three-headed reliability model: one head per delivery semantics
 /// (the paper's two, plus the beyond-the-paper `acks=all` head, which —
 /// like at-least-once — predicts both `P_l` and `P_d`).
+///
+/// The heads are shared copy-on-write: a clone bumps three reference
+/// counts, and [`ReliabilityModel::head_mut`] copies a head only while
+/// another model still shares it, so every policy can hold the trained
+/// model and a refitting one pays for the head it refits, once.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReliabilityModel {
-    amo_head: Network,
-    alo_head: Network,
-    all_head: Network,
+    amo_head: Arc<Network>,
+    alo_head: Arc<Network>,
+    all_head: Arc<Network>,
     topology: Topology,
 }
 
@@ -119,9 +124,9 @@ impl ReliabilityModel {
     #[must_use]
     pub fn new(topology: Topology, rng: &mut SimRng) -> Self {
         ReliabilityModel {
-            amo_head: topology.builder(Features::HEAD_INPUTS, 1).build(rng),
-            alo_head: topology.builder(Features::HEAD_INPUTS, 2).build(rng),
-            all_head: topology.builder(Features::HEAD_INPUTS, 2).build(rng),
+            amo_head: Arc::new(topology.builder(Features::HEAD_INPUTS, 1).build(rng)),
+            alo_head: Arc::new(topology.builder(Features::HEAD_INPUTS, 2).build(rng)),
+            all_head: Arc::new(topology.builder(Features::HEAD_INPUTS, 2).build(rng)),
             topology,
         }
     }
@@ -132,13 +137,14 @@ impl ReliabilityModel {
         self.topology
     }
 
-    /// Exclusive access to one head's network (training).
+    /// Exclusive access to one head's network (training). A head still
+    /// shared with a clone is copied first, so the clone never changes.
     pub fn head_mut(&mut self, semantics: DeliverySemantics) -> &mut Network {
-        match semantics {
+        Arc::make_mut(match semantics {
             DeliverySemantics::AtMostOnce => &mut self.amo_head,
             DeliverySemantics::AtLeastOnce => &mut self.alo_head,
             DeliverySemantics::All => &mut self.all_head,
-        }
+        })
     }
 
     /// Read access to one head's network.

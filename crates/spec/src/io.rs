@@ -7,7 +7,7 @@
 
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::document::Spec;
 use crate::error::{LoadError, SpecError};
@@ -22,10 +22,7 @@ use crate::toml::{parse_toml, to_toml};
 pub fn from_toml_str(text: &str) -> Result<Spec, LoadError> {
     let value = parse_toml(text)
         .map_err(|e| LoadError::Parse(SpecError::new(format!("line {}", e.line), e.message)))?;
-    let spec = Spec::from_value(&value)
-        .map_err(|e| LoadError::Parse(SpecError::new("document", e.to_string())))?;
-    spec.validate().map_err(LoadError::Invalid)?;
-    Ok(spec)
+    decode(&value)
 }
 
 /// Parses and validates a JSON scenario document.
@@ -35,8 +32,23 @@ pub fn from_toml_str(text: &str) -> Result<Spec, LoadError> {
 /// [`LoadError::Parse`] for syntax or shape errors, [`LoadError::Invalid`]
 /// when the document parses but fails [`Spec::validate`].
 pub fn from_json_str(text: &str) -> Result<Spec, LoadError> {
-    let spec: Spec = serde_json::from_str(text)
+    let value = serde_json::parse_value(text)
         .map_err(|e| LoadError::Parse(SpecError::new("document", e.to_string())))?;
+    decode(&value)
+}
+
+/// Decodes and validates a parsed document. A document whose shape does not
+/// fit names the field path where decoding failed (`document` when the
+/// root itself is wrong).
+fn decode(value: &Value) -> Result<Spec, LoadError> {
+    let spec = Spec::from_value(value).map_err(|e| {
+        let path = if e.path().is_empty() {
+            "document"
+        } else {
+            e.path()
+        };
+        LoadError::Parse(SpecError::new(path, e.message()))
+    })?;
     spec.validate().map_err(LoadError::Invalid)?;
     Ok(spec)
 }
@@ -120,6 +132,38 @@ mod tests {
             }
             other => panic!("expected Invalid, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn shape_errors_name_the_field_path() {
+        let ann = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../scenarios/ann.toml"
+        ))
+        .expect("the committed ann scenario");
+        let parse_error = |text: &str| match from_toml_str(text) {
+            Err(LoadError::Parse(e)) => e,
+            other => panic!("expected Parse, got {other:?}"),
+        };
+        // A training design without its broker-fault grid (the file's last
+        // table), through TOML and through JSON.
+        let (without, _) = ann
+            .split_once("[experiment.Train.collection.broker_faults]")
+            .expect("ann.toml trains with broker faults");
+        let e = parse_error(without);
+        assert_eq!(e.path, "experiment.Train.collection.broker_faults");
+        assert_eq!(e.message, "expected map for BrokerFaultGrid");
+        let json = serde_json::to_string(&crate::toml::parse_toml(without).unwrap()).unwrap();
+        match from_json_str(&json) {
+            Err(LoadError::Parse(json_error)) => assert_eq!(json_error, e),
+            other => panic!("expected Parse, got {other:?}"),
+        }
+        // A sequence element is named by its index.
+        let bad_size = ann.replacen("message_sizes = [50, 100,", "message_sizes = [50, -1,", 1);
+        assert_eq!(
+            parse_error(&bad_size).path,
+            "experiment.Train.collection.normal.message_sizes[1]"
+        );
     }
 
     #[test]
