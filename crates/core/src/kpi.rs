@@ -1,22 +1,25 @@
 //! The weighted KPI of Eq. 2.
 //!
 //! `γ = ω₁·φ + ω₂·μ + ω₃·(1 − P_l) + ω₄·(1 − P_d)` with `Σωᵢ = 1`.
-//! The performance metrics come from the queueing model (`perfmodel`,
-//! standing in for the authors' ref. \[6\]); the reliability metrics come
-//! from a [`Predictor`]. The paper's empirical default weights are
-//! `(0.3, 0.3, 0.3, 0.1)` "since duplicated messages can be tolerated by
-//! most applications due to idempotent mechanism".
+//! The performance metrics come from the simulated producer's own cost
+//! model, standing in for the authors' queueing model (ref. \[6\]): `μ` is
+//! the service rate of kafkasim's [`HostModel`] and `φ` the offered wire
+//! traffic of its [`WireFormat`] over the link capacity. The reliability
+//! metrics come from a [`Predictor`]. The paper's empirical default
+//! weights are `(0.3, 0.3, 0.3, 0.1)` "since duplicated messages can be
+//! tolerated by most applications due to idempotent mechanism".
 
 use desim::SimDuration;
+use kafkasim::config::HostModel;
 use kafkasim::fleet::FleetOutcome;
-use perfmodel::bandwidth::{utilisation, wire_bytes_per_message};
-use perfmodel::ServiceModel;
+use kafkasim::wire::WireFormat;
 use serde::{Deserialize, Serialize};
 use testbed::scenarios::{ApplicationScenario, KpiWeights};
 use testbed::Calibration;
 
 use crate::features::Features;
 use crate::model::{Prediction, Predictor};
+use crate::{bandwidth, service};
 
 /// The four KPI ingredients for one configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -34,43 +37,40 @@ pub struct KpiInputs {
 /// Computes Eq. 2 from calibration constants and a reliability predictor.
 #[derive(Debug, Clone)]
 pub struct KpiModel {
-    service: ServiceModel,
+    host: HostModel,
+    wire: WireFormat,
     link_capacity: f64,
-    request_overhead: f64,
-    record_overhead: f64,
     packet_header: f64,
     mss: f64,
 }
 
 impl KpiModel {
     /// Builds the KPI model from the testbed calibration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the calibrated link capacity is not strictly positive.
     #[must_use]
     pub fn from_calibration(cal: &Calibration) -> Self {
+        let link_capacity = cal.channel.link.rate_bytes_per_sec;
+        assert!(link_capacity > 0.0, "link capacity must be positive");
         KpiModel {
-            service: ServiceModel {
-                per_request_s: cal.host.cpu_per_request.as_secs_f64(),
-                per_message_s: cal.host.cpu_per_message.as_secs_f64(),
-                per_byte_s: cal.host.cpu_per_byte_ns * 1e-9,
-            },
-            link_capacity: cal.channel.link.rate_bytes_per_sec,
-            request_overhead: cal.wire.request_overhead as f64,
-            record_overhead: cal.wire.record_overhead as f64,
+            host: cal.host,
+            wire: cal.wire,
+            link_capacity,
             packet_header: cal.channel.tcp.header_bytes as f64,
             mss: cal.channel.tcp.mss as f64,
         }
     }
 
-    /// The message arrival rate a configuration implies (from `δ`, bounded
-    /// by the service rate under full load).
-    fn arrival_rate(&self, features: &Features) -> f64 {
-        let mu = self
-            .service
-            .service_rate(features.message_size, features.batch_size);
-        if features.poll_interval_ms <= 0.0 {
-            mu // full load: the producer saturates its own service rate
-        } else {
-            (1e3 / features.poll_interval_ms).min(mu)
-        }
+    /// Wire bytes per message: the request's bytes plus one TCP/IP header
+    /// per `mss`-sized segment, amortised over the batch.
+    fn wire_bytes_per_message(&self, features: &Features) -> f64 {
+        let batch = features.batch_size.max(1);
+        let request_bytes = self
+            .wire
+            .request_bytes_uniform(batch, features.message_size) as f64;
+        bandwidth::wire_bytes_per_message(request_bytes, batch, self.packet_header, self.mss)
     }
 
     /// Computes the four ingredients for `features`, asking `predictor` for
@@ -86,20 +86,21 @@ impl KpiModel {
     /// [`KpiModel::inputs`] given the prediction for `features`.
     #[must_use]
     pub fn inputs_with(&self, prediction: Prediction, features: &Features) -> KpiInputs {
-        let rate = self.arrival_rate(features);
-        let wire = wire_bytes_per_message(
-            features.message_size as f64,
-            features.batch_size,
-            self.request_overhead,
-            self.record_overhead,
-            self.packet_header,
-            self.mss,
-        );
+        let mu = service::service_rate(&self.host, features.message_size, features.batch_size);
+        // The arrival rate `δ` implies, bounded by the service rate: under
+        // full load the producer saturates its own service rate.
+        let rate = if features.poll_interval_ms <= 0.0 {
+            mu
+        } else {
+            (1e3 / features.poll_interval_ms).min(mu)
+        };
         KpiInputs {
-            phi: utilisation(rate, wire, self.link_capacity),
-            mu: self
-                .service
-                .normalized_rate(features.message_size, features.batch_size),
+            phi: bandwidth::utilisation(
+                rate,
+                self.wire_bytes_per_message(features),
+                self.link_capacity,
+            ),
+            mu: service::normalized_rate(&self.host, mu),
             p_loss: prediction.p_loss,
             p_dup: prediction.p_dup,
         }
@@ -296,6 +297,41 @@ mod tests {
         // fewer wire bytes per message → lower φ at the same rate.
         assert!(batched.mu > single.mu);
         assert!(batched.phi <= single.phi);
+        let wire = |batch_size| {
+            kpi.wire_bytes_per_message(&Features {
+                message_size: 100,
+                batch_size,
+                ..Features::default()
+            })
+        };
+        // One segment: 94 + 140 request bytes and a 66-byte header. Payload
+        // and record overhead (140 bytes) are the irreducible floor.
+        assert_eq!(wire(1), 300.0);
+        assert!(wire(10) < wire(1) && wire(10) > 140.0);
+    }
+
+    #[test]
+    fn phi_grows_with_rate_and_clamps_to_one() {
+        let mut cal = Calibration::paper();
+        let phi = |cal: &Calibration, poll_interval_ms| {
+            let f = Features {
+                poll_interval_ms,
+                ..Features::default()
+            };
+            KpiModel::from_calibration(cal).inputs(&oracle(), &f).phi
+        };
+        assert!(phi(&cal, 1_000.0) < phi(&cal, 100.0));
+        assert!(phi(&cal, 100.0) < phi(&cal, 10.0) && phi(&cal, 10.0) < 1.0);
+        cal.channel.link.rate_bytes_per_sec = 1.0;
+        assert_eq!(phi(&cal, 10.0), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "link capacity must be positive")]
+    fn zero_link_capacity_is_refused() {
+        let mut cal = Calibration::paper();
+        cal.channel.link.rate_bytes_per_sec = 0.0;
+        let _ = KpiModel::from_calibration(&cal);
     }
 
     #[test]

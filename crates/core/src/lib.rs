@@ -13,7 +13,8 @@
 //! ```
 //!
 //! with an artificial neural network, combine them with the performance
-//! metrics of the queueing model (`perfmodel`) into the weighted KPI
+//! metrics of the simulated producer's host and wire model into the
+//! weighted KPI
 //!
 //! ```text
 //! γ = ω₁·φ + ω₂·μ + ω₃·(1 − P_l) + ω₄·(1 − P_d)   (Eq. 2)
@@ -31,7 +32,9 @@
 //!   `P_d`), exactly as §III-G prescribes;
 //! * [`train`] — the training pipeline from testbed experiment results,
 //!   with held-out MAE evaluation (the paper reports MAE < 0.02);
-//! * [`kpi`] — Eq. 2 evaluation on top of `perfmodel`;
+//! * [`kpi`] — Eq. 2 evaluation, with `φ` and `μ` read from kafkasim's
+//!   `HostModel` and `WireFormat` (the crate-private `bandwidth` and
+//!   `service` modules hold the two terms' formulas);
 //! * [`recommend`] — the §V stepwise configuration search;
 //! * [`planner`] — a [`testbed::dynamic::ConfigPlanner`] that drives the
 //!   dynamic-configuration experiment from the trained model;
@@ -67,6 +70,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bandwidth;
 pub mod features;
 pub mod kpi;
 pub mod model;
@@ -74,6 +78,7 @@ pub mod online;
 pub mod planner;
 pub mod policy;
 pub mod recommend;
+mod service;
 pub mod train;
 
 /// Convenient glob import of the main types.

@@ -87,6 +87,45 @@ impl HostModel {
             + SimDuration::from_secs_f64(self.cpu_per_byte_ns * 1e-9 * payload_bytes as f64)
     }
 
+    /// Mean CPU time per message, in seconds, for batches of `batch`
+    /// messages of `message_bytes` each: the per-request cost amortised
+    /// over the batch, plus the per-message and per-byte costs. Equals
+    /// `service_time(batch, batch · message_bytes) / batch` without the
+    /// microsecond rounding; `1 / mean_service_s` is the service rate `μ`
+    /// of Eq. 2.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use kafkasim::config::HostModel;
+    ///
+    /// let host = HostModel::default();
+    /// // Batching amortises the per-request cost: μ grows with B.
+    /// assert!(host.mean_service_s(200, 10) < host.mean_service_s(200, 1));
+    /// // 400 µs / 4 + 300 µs + 60 ns · 1000 per message.
+    /// assert!((host.mean_service_s(1_000, 4) - 460e-6).abs() < 1e-12);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` is zero.
+    #[must_use]
+    pub fn mean_service_s(&self, message_bytes: u64, batch: usize) -> f64 {
+        assert!(batch > 0, "batch size must be positive");
+        self.cpu_per_request.as_secs_f64() / batch as f64
+            + self.cpu_per_message.as_secs_f64()
+            + self.cpu_per_byte_ns * 1e-9 * message_bytes as f64
+    }
+
+    /// The service rate's upper bound in messages/second,
+    /// `1 / cpu_per_message`: the rate [`HostModel::mean_service_s`]
+    /// approaches for empty messages as the batch grows without bound.
+    /// Eq. 2 normalises `μ` against it.
+    #[must_use]
+    pub fn peak_service_rate(&self) -> f64 {
+        1.0 / self.cpu_per_message.as_secs_f64()
+    }
+
     /// Time to fetch one message of `payload_bytes` from the source at full
     /// speed.
     #[must_use]
@@ -453,6 +492,32 @@ mod tests {
         // less than 10 single-message requests.
         let ten_singles = SimDuration::from_micros(one.as_micros() * 10);
         assert!(ten < ten_singles);
+    }
+
+    #[test]
+    fn mean_service_is_the_unrounded_per_message_service_time() {
+        let host = HostModel::default();
+        for m in [1u64, 100, 620, 5_000] {
+            let mut prev = f64::INFINITY;
+            for b in [1usize, 2, 8, 64] {
+                let mean = host.mean_service_s(m, b);
+                let rounded = host.service_time(b, b as u64 * m).as_secs_f64() / b as f64;
+                assert!((mean - rounded).abs() <= 1e-6 / b as f64, "M={m} B={b}");
+                // Batching amortises the per-request cost: μ rises with B.
+                assert!(mean < prev, "M={m} B={b}");
+                prev = mean;
+            }
+            // Larger messages serialise more slowly: μ falls with M.
+            assert!(host.mean_service_s(m, 4) < host.mean_service_s(m + 1, 4));
+        }
+        assert!(1.0 / host.mean_service_s(0, 1 << 20) < host.peak_service_rate());
+        assert!(1.0 / host.mean_service_s(0, 1 << 20) > 0.999 * host.peak_service_rate());
+    }
+
+    #[test]
+    #[should_panic(expected = "batch size must be positive")]
+    fn mean_service_of_an_empty_batch_panics() {
+        let _ = HostModel::default().mean_service_s(100, 0);
     }
 
     #[test]

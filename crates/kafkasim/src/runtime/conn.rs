@@ -309,12 +309,12 @@ pub(super) fn tear_down(w: &mut World, ctx: &mut Ctx, ci: usize) {
     let mut report = std::mem::take(&mut w.reset_report);
     w.conns[ci].channel.reset_into(now, &mut report);
     w.stats.connection_resets += 1;
-    for &id in &report.teardown_delivered_to_a {
+    for &id in report.delivered_to(Endpoint::A) {
         if let Some(req) = w.conns[ci].settle(id) {
             w.accumulator.recycle(req.batch);
         }
     }
-    for &id in &report.teardown_delivered_to_b {
+    for &id in report.delivered_to(Endpoint::B) {
         on_arrival(w, ctx, ci, id, true);
     }
     w.reset_report = report;

@@ -144,27 +144,24 @@ impl std::error::Error for SendRecordError {}
 ///
 /// Tearing down a TCP connection does not vaporise segments already on the
 /// wire: they typically reach the peer (and get processed) before the
-/// RST/FIN does. `teardown_delivered_*` lists the records whose bytes were
-/// fully in flight and contiguous — the receiver ends up with them even
-/// though the sender never learns. This is precisely the race that turns an
-/// at-least-once retry into a duplicate, and that makes `acks=0` loss
-/// *partial* rather than total. Every other record in flight is gone.
+/// RST/FIN does. [`ResetReport::delivered_to`] lists the records whose
+/// bytes were fully in flight and contiguous — the receiver ends up with
+/// them even though the sender never learns. This is precisely the race that
+/// turns an at-least-once retry into a duplicate, and that makes `acks=0`
+/// loss *partial* rather than total. Every other record in flight is gone.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResetReport {
-    /// Records from A that reached B during teardown (B will process them;
-    /// A will never know), in send order.
-    pub teardown_delivered_to_b: Vec<u64>,
-    /// Records from B that reached A during teardown, in send order.
-    pub teardown_delivered_to_a: Vec<u64>,
+    /// Per receiving endpoint (A first), the ids of the records that
+    /// reached it during teardown, in send order.
+    delivered_to: [Vec<u64>; 2],
 }
 
 impl ResetReport {
-    /// Empties both id lists, keeping their capacity — callers that reuse
-    /// one report across [`DuplexChannel::reset_into`] calls pay no
-    /// allocation per reset.
-    pub fn clear(&mut self) {
-        self.teardown_delivered_to_b.clear();
-        self.teardown_delivered_to_a.clear();
+    /// The records that reached `endpoint` during teardown (it will
+    /// process them; their sender will never know), in send order.
+    #[must_use]
+    pub fn delivered_to(&self, endpoint: Endpoint) -> &[u64] {
+        &self.delivered_to[endpoint.dir()]
     }
 }
 
@@ -416,7 +413,7 @@ impl DuplexChannel {
     /// is the same whatever order they arrive in, the report lists records
     /// in `pending` order, and both streams are then reset.
     fn tear_down(&mut self, now: SimTime, in_flight: &[Ev], report: &mut ResetReport) {
-        report.clear();
+        report.delivered_to.iter_mut().for_each(Vec::clear);
         // Segments already in flight still arrive at the peer before the
         // teardown does: feed them to the receivers, then see which records
         // became contiguous. `pending` is ordered by stream end, so those
@@ -426,11 +423,8 @@ impl DuplexChannel {
                 let _ = self.streams[dir].rcv.on_segment(seq, len);
             }
         }
-        for (dir, delivered) in [
-            (0, &mut report.teardown_delivered_to_b),
-            (1, &mut report.teardown_delivered_to_a),
-        ] {
-            let stream = &self.streams[dir];
+        for (dir, stream) in self.streams.iter().enumerate() {
+            let delivered = &mut report.delivered_to[Endpoint::from_dir(dir).peer().dir()];
             let contiguous = stream.rcv.contiguous();
             let arrived = stream
                 .pending
@@ -749,8 +743,8 @@ mod tests {
         // forget — the record reaches B during teardown, but never produces
         // a RecordDelivered event.
         let report = ch.reset(SimTime::from_millis(1));
-        assert_eq!(report.teardown_delivered_to_b, vec![0]);
-        assert!(report.teardown_delivered_to_a.is_empty());
+        assert_eq!(report.delivered_to(Endpoint::B), [0]);
+        assert!(report.delivered_to(Endpoint::A).is_empty());
         let events = drive(&mut ch, SimTime::from_secs(5));
         assert!(delivered_ids(&events, Endpoint::B).is_empty());
     }
@@ -770,7 +764,7 @@ mod tests {
         ch.send_record(Endpoint::A, 2, 400, SimTime::ZERO).unwrap();
         assert_eq!(ch.records_in_flight(Endpoint::A), 2);
         let report = ch.reset(SimTime::from_millis(1));
-        assert_eq!(report.teardown_delivered_to_b, vec![1], "record 2 is gone");
+        assert_eq!(report.delivered_to(Endpoint::B), [1], "record 2 is gone");
     }
 
     /// A channel carrying records both ways over jittered (so reordering)

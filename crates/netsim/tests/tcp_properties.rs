@@ -181,7 +181,7 @@ fn reset_conserves_records() {
     assert_eq!(delivered.len() + in_flight, sent.len());
     let report = ch.reset(now);
     let mut arrived: Vec<u64> = delivered;
-    arrived.extend(report.teardown_delivered_to_b.iter());
+    arrived.extend(report.delivered_to(Endpoint::B));
     assert_eq!(
         arrived,
         sent[..arrived.len()],

@@ -339,18 +339,13 @@ impl BrokerFaultGrid {
         points
     }
 
-    /// Validates the grid.
+    /// Validates the grid. An empty `replication_factors` is legal and
+    /// means "no broker-fault rows"; the other axes are still checked.
     ///
     /// # Errors
     ///
     /// Returns a [`SpecError`] anchored beneath `path`.
     pub fn validate(&self, path: &str) -> Result<(), SpecError> {
-        if self.replication_factors.is_empty() {
-            return Err(SpecError::new(
-                format!("{path}.replication_factors"),
-                "need at least one replication factor",
-            ));
-        }
         if self.replication_factors.contains(&0) {
             return Err(SpecError::new(
                 format!("{path}.replication_factors"),
@@ -517,6 +512,20 @@ mod tests {
     #[test]
     fn default_design_validates() {
         CollectionDesign::default().validate("collection").unwrap();
+    }
+
+    #[test]
+    fn an_empty_broker_fault_grid_is_legal_and_round_trips() {
+        let mut spec = crate::Spec::builtin("collection").unwrap();
+        let crate::ExperimentSpec::Collection(design) = &mut spec.experiment else {
+            panic!("the collection scenario holds a collection design");
+        };
+        design.broker_faults.replication_factors.clear();
+        assert_eq!(design.sizes().2, 0, "no broker-fault rows");
+        assert!(design.sizes().0 > 0 && design.sizes().1 > 0);
+        spec.validate().unwrap();
+        let back = crate::io::from_toml_str(&crate::io::to_toml_string(&spec)).unwrap();
+        assert_eq!(back, spec);
     }
 
     #[test]

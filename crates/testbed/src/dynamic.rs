@@ -25,6 +25,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 use crate::calibration::Calibration;
+use crate::experiment::ExperimentPoint;
 use crate::scenarios::ApplicationScenario;
 
 /// Chooses a producer configuration for a known network condition.
@@ -51,19 +52,17 @@ impl ConfigPlanner for StaticPlanner {
 /// and a long delivery timeout.
 #[must_use]
 pub fn default_static_config(cal: &Calibration) -> ProducerConfig {
-    ProducerConfig {
+    let point = ExperimentPoint {
         semantics: DeliverySemantics::AtLeastOnce,
         batch_size: 1,
         poll_interval: SimDuration::ZERO,
         message_timeout: SimDuration::from_secs(30),
+        ..ExperimentPoint::default()
+    };
+    ProducerConfig {
         linger: SimDuration::ZERO,
         max_retries: 0,
-        request_timeout: cal.request_timeout,
-        max_in_flight: cal.max_in_flight,
-        buffer_capacity: cal.buffer_capacity,
-        stall_backoffs: cal.stall_backoffs,
-        stall_patience: cal.stall_patience,
-        host: cal.host,
+        ..point.producer_config(cal)
     }
 }
 
@@ -252,6 +251,28 @@ mod tests {
         generate_trace(&cfg, &mut SimRng::seed_from_u64(seed))
             .unwrap()
             .timeline
+    }
+
+    #[test]
+    fn default_static_config_is_the_classic_client_default() {
+        let cal = Calibration::paper();
+        // Every field spelled out, so a new `ProducerConfig` field fails to
+        // compile here until its baseline value is decided.
+        let classic = ProducerConfig {
+            semantics: DeliverySemantics::AtLeastOnce,
+            batch_size: 1,
+            poll_interval: SimDuration::ZERO,
+            message_timeout: SimDuration::from_secs(30),
+            linger: SimDuration::ZERO,
+            max_retries: 0,
+            request_timeout: cal.request_timeout,
+            max_in_flight: cal.max_in_flight,
+            buffer_capacity: cal.buffer_capacity,
+            stall_backoffs: cal.stall_backoffs,
+            stall_patience: cal.stall_patience,
+            host: cal.host,
+        };
+        assert_eq!(default_static_config(&cal), classic);
     }
 
     #[test]

@@ -1,21 +1,50 @@
-//! Cross-validation between the analytic queueing model (`perfmodel`,
-//! standing in for the paper's ref. [6]) and the discrete-event simulator:
-//! in the regimes where the M/M/1 abstraction is valid, the two independent
-//! implementations must agree.
+//! Cross-validation between the analytic queueing view of the producer
+//! (the paper's ref. [6]: service rate `μ` from kafkasim's `HostModel`,
+//! M/M/1 waits over it) and the discrete-event simulator: in the regimes
+//! where the M/M/1 abstraction is valid, the two must agree.
 
 use desim::SimDuration;
 use kafkasim::config::DeliverySemantics;
-use perfmodel::{MM1Queue, ServiceModel};
 use testbed::experiment::ExperimentPoint;
 use testbed::Calibration;
 
-/// The analytic service model mirrors the simulator's host constants.
-fn service_model(cal: &Calibration) -> ServiceModel {
-    ServiceModel {
-        per_request_s: cal.host.cpu_per_request.as_secs_f64(),
-        per_message_s: cal.host.cpu_per_message.as_secs_f64(),
-        per_byte_s: cal.host.cpu_per_byte_ns * 1e-9,
-    }
+/// The analytic service rate `μ(M, B)` of the calibrated host.
+fn service_rate(cal: &Calibration, m: u64, b: usize) -> f64 {
+    1.0 / cal.host.mean_service_s(m, b)
+}
+
+/// Whether an M/M/1 queue with arrival rate `λ` and service rate `μ` has
+/// a stationary distribution (`λ/μ < 1`).
+fn mm1_is_stable(lambda: f64, mu: f64) -> bool {
+    lambda / mu < 1.0
+}
+
+/// Mean M/M/1 sojourn (wait + service) `1 / (μ − λ)` of a stable queue.
+fn mm1_mean_sojourn(lambda: f64, mu: f64) -> f64 {
+    1.0 / (mu - lambda)
+}
+
+/// `P(W > t)`, the M/M/1 sojourn tail `e^{−(μ−λ)t}` of a stable queue:
+/// the analytic form of Fig. 5 (loss from `T_o`-expiry under load).
+fn mm1_sojourn_exceeds(lambda: f64, mu: f64, t: f64) -> f64 {
+    (-(mu - lambda) * t).exp()
+}
+
+#[test]
+fn mm1_textbook_values() {
+    // λ=8, μ=10: ρ=0.8, W = 1/(10−8) = 0.5 s, Wq = W − 1/μ = 0.4 s.
+    assert!(mm1_is_stable(8.0, 10.0));
+    assert!(!mm1_is_stable(12.0, 10.0));
+    assert!((mm1_mean_sojourn(8.0, 10.0) - 0.5).abs() < 1e-12);
+    assert!((mm1_mean_sojourn(8.0, 10.0) - 1.0 / 10.0 - 0.4).abs() < 1e-12);
+}
+
+#[test]
+fn mm1_tail_probability() {
+    // P(W > 0.5) = e^{-2·0.5} = e^{-1}
+    assert!((mm1_sojourn_exceeds(8.0, 10.0, 0.5) - (-1.0f64).exp()).abs() < 1e-12);
+    // Tail decreases with t.
+    assert!(mm1_sojourn_exceeds(8.0, 10.0, 1.0) < mm1_sojourn_exceeds(8.0, 10.0, 0.5));
 }
 
 fn point(m: u64, poll_ms: u64, timeout_ms: u64) -> ExperimentPoint {
@@ -38,7 +67,7 @@ fn analytic_service_rate_matches_simulated_throughput_under_overload() {
     // approach the analytic μ: the CPU never idles.
     let cal = Calibration::paper();
     let m = 100u64;
-    let mu = service_model(&cal).service_rate(m, 1);
+    let mu = service_rate(&cal, m, 1);
     let p = point(m, 0, 1_000); // full load, δ = 0
     let result = p.run(&cal, 6_000, 3);
     let simulated = result.report.throughput();
@@ -55,7 +84,7 @@ fn overload_loss_floor_matches_one_minus_rho_inverse() {
     let cal = Calibration::paper();
     let m = 100u64;
     let lambda = 1.0 / cal.host.fetch_time(m).as_secs_f64();
-    let mu = service_model(&cal).service_rate(m, 1);
+    let mu = service_rate(&cal, m, 1);
     let analytic_floor = 1.0 - mu / lambda;
     let result = point(m, 0, 500).run(&cal, 6_000, 4);
     assert!(
@@ -76,11 +105,13 @@ fn mm1_tail_bounds_the_simulated_expiry_loss() {
     let cal = Calibration::paper();
     let m = 620u64;
     let lambda = 1.0 / cal.host.fetch_time(m).as_secs_f64();
-    let mu = service_model(&cal).service_rate(m, 1);
-    let queue = MM1Queue::new(lambda, mu).expect("positive rates");
-    assert!(queue.is_stable(), "the fig5 operating point must be stable");
+    let mu = service_rate(&cal, m, 1);
+    assert!(
+        mm1_is_stable(lambda, mu),
+        "the fig5 operating point must be stable"
+    );
     for timeout_ms in [400u64, 1_000] {
-        let analytic = queue.sojourn_exceeds(timeout_ms as f64 / 1e3);
+        let analytic = mm1_sojourn_exceeds(lambda, mu, timeout_ms as f64 / 1e3);
         let measured = point(m, 0, timeout_ms).run(&cal, 6_000, 5).p_loss;
         assert!(
             measured <= analytic + 0.05,
@@ -101,10 +132,9 @@ fn latency_tracks_mm1_sojourn_in_the_stable_regime() {
     let m = 200u64;
     let poll_ms = 70u64;
     let lambda = 1.0 / (poll_ms as f64 / 1e3).max(cal.host.fetch_time(m).as_secs_f64());
-    let mu = service_model(&cal).service_rate(m, 1);
-    let queue = MM1Queue::new(lambda, mu).expect("positive rates");
-    assert!(queue.is_stable());
-    let analytic_sojourn = queue.mean_sojourn();
+    let mu = service_rate(&cal, m, 1);
+    assert!(mm1_is_stable(lambda, mu));
+    let analytic_sojourn = mm1_mean_sojourn(lambda, mu);
     let result = point(m, poll_ms, 5_000).run(&cal, 5_000, 7);
     let measured = result.report.latency.mean_s;
     assert!(
@@ -119,8 +149,7 @@ fn batching_speedup_agrees_between_model_and_simulator() {
     // overload-throughput gain from batching.
     let cal = Calibration::paper();
     let m = 100u64;
-    let svc = service_model(&cal);
-    let analytic_gain = svc.service_rate(m, 8) / svc.service_rate(m, 1);
+    let analytic_gain = service_rate(&cal, m, 8) / service_rate(&cal, m, 1);
     let run = |b: usize| {
         let mut p = point(m, 0, 2_000);
         p.batch_size = b;
