@@ -24,6 +24,16 @@ echo "== agenda and MinQueue == sorted map (proptest, release, raised case count
 PROPTEST_CASES=20000 cargo test --release -q -p desim --lib -- \
     agenda queue_pops_what_a_sorted_map_pops
 
+echo "== fleet: one flush event per phase == one per tenant (proptest, release, raised case count) =="
+# The fleet engine fires one event per flush phase tick and walks the phase's
+# tenants in index order; the per-tenant loop it replaced is kept in its test
+# module. Over random fleets (1-40 producers, runs off the flush grid and
+# shorter than the first phase, churn on every kind of tie, tight buckets,
+# all three partitioners) both must give the same FleetOutcome but for
+# events_fired. 20 000 random fleets instead of the default 64.
+PROPTEST_CASES=20000 cargo test --release -q -p kafkasim --lib -- \
+    phase_flushes_equal_the_per_tenant_loop
+
 echo "== matmul kernels: dispatched == baseline == naive (proptest, release, raised case count) =="
 # Every product runs three ways, compared bit for bit into dirty buffers:
 # through the public entry (the AVX2+FMA instantiation on a CPU that has

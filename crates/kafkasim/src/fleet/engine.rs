@@ -35,6 +35,10 @@ use super::population::Population;
 
 /// Producers flush accumulated messages on this cadence.
 const FLUSH_INTERVAL: SimDuration = SimDuration::from_millis(200);
+/// Flushes are staggered over this many phases of the interval, so fleet
+/// arrivals spread over time instead of synchronising on one grid point:
+/// tenant `t` flushes in phase `t % PHASES`.
+const PHASES: usize = 8;
 /// Consumer drain cadence.
 const CONSUME_TICK: SimDuration = SimDuration::from_millis(100);
 /// Token-bucket burst window: a partition can absorb this many seconds
@@ -89,7 +93,7 @@ pub struct ChurnEvent {
 ///         },
 ///         weight: 1.0,
 ///     }])
-///     .unwrap(),
+///     .expect("a positive weight and rate"),
 ///     ..FleetConfig::default()
 /// };
 /// assert!(cfg.validate().is_ok());
@@ -138,7 +142,7 @@ impl Default for FleetConfig {
                 },
                 weight: 1.0,
             }])
-            .expect("default population is valid"),
+            .expect("one class of positive weight and rate is valid"),
             initial_consumers: 4,
             assignor: Assignor::Sticky,
             churn: Vec::new(),
@@ -193,7 +197,7 @@ impl FleetConfig {
 }
 
 /// Per-tenant delivery ledger: where every message of one producer went.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct TenantLedger {
     /// Tenant (producer) id.
     pub tenant: u32,
@@ -411,7 +415,7 @@ fn totals_and_classes(
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FleetEvent {
-    /// Tenant flushes accumulated messages.
+    /// Every tenant of one flush phase flushes accumulated messages.
     Flush(u32),
     /// Scripted churn entry (index into `FleetConfig::churn`).
     Churn(u32),
@@ -436,7 +440,6 @@ struct FleetWorld {
     group: GroupCoordinator,
     partitions: Vec<PartitionState>,
     ledgers: Vec<TenantLedger>,
-    last_flush: Vec<SimTime>,
     carry: Vec<f64>,
     class_producers: Vec<u64>,
     class_window: Vec<ClassWindowAcc>,
@@ -579,6 +582,22 @@ impl FleetWorld {
         self.window_moved = 0;
         self.window_idx += 1;
     }
+
+    /// The outcome of a finished run, and the trace sink back.
+    fn finish(self, events_fired: u64) -> (FleetOutcome, Box<dyn TraceSink>) {
+        let (totals, classes) =
+            totals_and_classes(&self.ledgers, &self.class_producers, &self.cfg.population);
+        let outcome = FleetOutcome {
+            tenants: self.ledgers,
+            totals,
+            classes,
+            partition_appends: self.partitions.iter().map(|p| p.appends).collect(),
+            rebalances: self.rebalances,
+            windows: self.series,
+            events_fired,
+        };
+        (outcome, self.trace)
+    }
 }
 
 impl EventWorld for FleetWorld {
@@ -587,20 +606,23 @@ impl EventWorld for FleetWorld {
     fn handle(&mut self, event: FleetEvent, ctx: &mut EventContext<FleetEvent>) {
         let now = ctx.now();
         match event {
-            FleetEvent::Flush(tenant) => {
+            FleetEvent::Flush(phase) => {
                 let _span = self.prof.span("fleet.flush");
-                let t = tenant as usize;
-                let elapsed = (now - self.last_flush[t]).as_secs_f64();
-                self.last_flush[t] = now;
-                let emitted = self.rate_of(tenant) * elapsed + self.carry[t];
-                let n = emitted as u64;
-                self.carry[t] = emitted - n as f64;
-                if n > 0 {
-                    self.send(tenant, n, now);
+                // The phase's previous tick was one interval ago, or time
+                // zero before its first, at `(phase + 1) / PHASES` of one.
+                let elapsed = (now - SimTime::ZERO).min(FLUSH_INTERVAL).as_secs_f64();
+                for tenant in (phase..self.ledgers.len() as u32).step_by(PHASES) {
+                    let t = tenant as usize;
+                    let emitted = self.rate_of(tenant) * elapsed + self.carry[t];
+                    let n = emitted as u64;
+                    self.carry[t] = emitted - n as f64;
+                    if n > 0 {
+                        self.send(tenant, n, now);
+                    }
                 }
                 let next = now + FLUSH_INTERVAL;
                 if next < self.end {
-                    ctx.schedule_at(next, FleetEvent::Flush(tenant));
+                    ctx.schedule_at(next, FleetEvent::Flush(phase));
                 }
             }
             FleetEvent::Churn(idx) => self.apply_churn(idx as usize, now),
@@ -696,8 +718,34 @@ impl FleetRun {
         sink: Box<dyn TraceSink>,
         prof: Profiler,
     ) -> (FleetOutcome, Box<dyn TraceSink>) {
-        let cfg = self.cfg;
         let setup = prof.span("fleet.setup");
+        let mut sim = EventSim::new(self.world(sink, &prof));
+        let cfg = &sim.world().cfg;
+        let (producers, churn, window) = (cfg.producers, cfg.churn.clone(), cfg.window);
+        // One event per non-empty flush phase, seeded before the churn and
+        // the ticks: it pops where the phase's per-tenant flushes would, and
+        // they would pop as one run in tenant order (DESIGN §6).
+        for phase in 0..producers.min(PHASES) as u64 {
+            let first = FLUSH_INTERVAL.as_micros() * (phase + 1) / PHASES as u64;
+            sim.schedule_at(SimTime::from_micros(first), FleetEvent::Flush(phase as u32));
+        }
+        for (i, c) in churn.iter().enumerate() {
+            sim.schedule_at(c.at, FleetEvent::Churn(i as u32));
+        }
+        sim.schedule_at(SimTime::ZERO + CONSUME_TICK, FleetEvent::ConsumeTick);
+        sim.schedule_at(SimTime::ZERO + window, FleetEvent::WindowClose);
+        drop(setup);
+        {
+            let _run = prof.span("fleet.run");
+            sim.run_until_idle();
+        }
+        let events_fired = sim.events_fired();
+        sim.into_world().finish(events_fired)
+    }
+
+    /// The world at time zero, before any event is seeded.
+    fn world(self, sink: Box<dyn TraceSink>, prof: &Profiler) -> FleetWorld {
+        let cfg = self.cfg;
         let classes_of = cfg.population.apportion(cfg.producers);
         let mut master = SimRng::seed_from_u64(self.seed);
         let rngs: Vec<SimRng> = (0..cfg.producers).map(|_| master.fork()).collect();
@@ -732,33 +780,25 @@ impl FleetRun {
         for &c in &classes_of {
             class_producers[c as usize] += 1;
         }
-        let ledgers: Vec<TenantLedger> = classes_of
-            .iter()
-            .enumerate()
-            .map(|(t, &class)| TenantLedger {
-                tenant: t as u32,
+        let ledgers: Vec<TenantLedger> = (classes_of.iter().zip(0u32..))
+            .map(|(&class, tenant)| TenantLedger {
+                tenant,
                 class,
-                produced: 0,
-                delivered: 0,
-                lost_network: 0,
-                lost_overload: 0,
-                duplicated: 0,
+                ..TenantLedger::default()
             })
             .collect();
-        let partitions =
-            vec![PartitionState::fresh(cfg.partition_capacity_hz); cfg.partitions as usize];
-
-        let end = SimTime::ZERO + cfg.duration;
-        let world = FleetWorld {
-            end,
+        FleetWorld {
+            end: SimTime::ZERO + cfg.duration,
             classes_of,
             rngs,
             router,
             homes,
             group,
-            partitions,
+            partitions: vec![
+                PartitionState::fresh(cfg.partition_capacity_hz);
+                cfg.partitions as usize
+            ],
             ledgers,
-            last_flush: vec![SimTime::ZERO; cfg.producers],
             carry: vec![0.0; cfg.producers],
             class_producers,
             class_window: vec![ClassWindowAcc::default(); n_classes],
@@ -769,50 +809,7 @@ impl FleetRun {
             trace,
             prof: prof.clone(),
             cfg,
-        };
-        let mut sim = EventSim::new(world);
-        // Stagger tenant flushes across the interval so fleet arrivals
-        // spread over time instead of synchronising on one grid point.
-        for t in 0..sim.world().cfg.producers {
-            let phase = (t % 8) as u64 + 1;
-            let first =
-                SimTime::ZERO + SimDuration::from_micros(FLUSH_INTERVAL.as_micros() * phase / 8);
-            sim.schedule_at(first, FleetEvent::Flush(t as u32));
         }
-        for (i, c) in sim.world().cfg.churn.clone().iter().enumerate() {
-            sim.schedule_at(c.at, FleetEvent::Churn(i as u32));
-        }
-        sim.schedule_at(SimTime::ZERO + CONSUME_TICK, FleetEvent::ConsumeTick);
-        sim.schedule_at(
-            SimTime::ZERO + sim.world().cfg.window,
-            FleetEvent::WindowClose,
-        );
-        drop(setup);
-
-        {
-            let _run = prof.span("fleet.run");
-            sim.run_until_idle();
-        }
-
-        let events_fired = sim.events_fired();
-        let world = sim.into_world();
-        let (totals, classes) = totals_and_classes(
-            &world.ledgers,
-            &world.class_producers,
-            &world.cfg.population,
-        );
-        (
-            FleetOutcome {
-                tenants: world.ledgers,
-                totals,
-                classes,
-                partition_appends: world.partitions.iter().map(|p| p.appends).collect(),
-                rebalances: world.rebalances,
-                windows: world.series,
-                events_fired,
-            },
-            world.trace,
-        )
     }
 }
 
@@ -822,6 +819,7 @@ mod tests {
     use super::*;
     use crate::source::SizeSpec;
     use obs::RingBufferSink;
+    use proptest::prelude::*;
 
     fn small_cfg() -> FleetConfig {
         FleetConfig {
@@ -989,5 +987,179 @@ mod tests {
         c.base_loss = 1.5;
         assert!(c.validate().is_err());
         assert!(small_cfg().validate().is_ok());
+    }
+
+    /// The per-tenant flush loop that one event per flush phase replaced,
+    /// kept as the reference the engine must equal: one `Flush(tenant)`
+    /// event per tenant, each tenant remembering its own last flush.
+    struct PerTenant {
+        world: FleetWorld,
+        last_flush: Vec<SimTime>,
+    }
+
+    impl EventWorld for PerTenant {
+        type Event = FleetEvent;
+
+        fn handle(&mut self, event: FleetEvent, ctx: &mut EventContext<FleetEvent>) {
+            let FleetEvent::Flush(tenant) = event else {
+                return self.world.handle(event, ctx);
+            };
+            let (w, now, t) = (&mut self.world, ctx.now(), tenant as usize);
+            let elapsed = (now - self.last_flush[t]).as_secs_f64();
+            self.last_flush[t] = now;
+            let emitted = w.rate_of(tenant) * elapsed + w.carry[t];
+            let n = emitted as u64;
+            w.carry[t] = emitted - n as f64;
+            if n > 0 {
+                w.send(tenant, n, now);
+            }
+            let next = now + FLUSH_INTERVAL;
+            if next < w.end {
+                ctx.schedule_at(next, FleetEvent::Flush(tenant));
+            }
+        }
+    }
+
+    /// `FleetRun::execute` on the per-tenant loop, seeded as that loop was:
+    /// every tenant's first flush in tenant order, then the churn, the
+    /// first consume tick and the first window close.
+    fn execute_per_tenant(cfg: FleetConfig, seed: u64) -> FleetOutcome {
+        let world =
+            FleetRun::new(cfg.clone(), seed).world(Box::new(NoopSink), &Profiler::disabled());
+        let last_flush = vec![SimTime::ZERO; cfg.producers];
+        let mut sim = EventSim::new(PerTenant { world, last_flush });
+        for t in 0..cfg.producers {
+            let phase = (t % 8) as u64 + 1;
+            let first =
+                SimTime::ZERO + SimDuration::from_micros(FLUSH_INTERVAL.as_micros() * phase / 8);
+            sim.schedule_at(first, FleetEvent::Flush(t as u32));
+        }
+        for (i, c) in cfg.churn.iter().enumerate() {
+            sim.schedule_at(c.at, FleetEvent::Churn(i as u32));
+        }
+        sim.schedule_at(SimTime::ZERO + CONSUME_TICK, FleetEvent::ConsumeTick);
+        sim.schedule_at(SimTime::ZERO + cfg.window, FleetEvent::WindowClose);
+        sim.run_until_idle();
+        let events_fired = sim.events_fired();
+        sim.into_world().world.finish(events_fired).0
+    }
+
+    /// A churn instant strictly inside a run of `d_us` microseconds, by
+    /// `kind`: anywhere, before the first flush interval ends, or on a tie
+    /// with a flush (every 25 ms is some phase's tick), a consume tick or a
+    /// window close. A tie the run is too short for falls back to anywhere.
+    fn churn_at(kind: usize, draw: u64, d_us: u64, window_us: u64) -> SimTime {
+        let anywhere = 1 + draw % (d_us - 1);
+        let on_grid = |step: u64| match (d_us - 1) / step {
+            0 => anywhere,
+            n => step * (1 + draw % n),
+        };
+        SimTime::from_micros(match kind {
+            0 => anywhere,
+            1 => 1 + draw % (d_us - 1).min(FLUSH_INTERVAL.as_micros() - 1),
+            2 => on_grid(FLUSH_INTERVAL.as_micros() / PHASES as u64),
+            3 => on_grid(CONSUME_TICK.as_micros()),
+            _ => on_grid(window_us),
+        })
+    }
+
+    /// Random fleets of 1 to 40 producers over 1 to 6 partitions: runs
+    /// from under the first flush phase to several seconds, off the flush
+    /// grid; windows from 10 ms to 2 s; churn anywhere, early and on every
+    /// kind of tie; all three partitioners; `base_loss` 0, 0.3 or 1; and
+    /// buckets from a tenth of a message upwards against rates of up to
+    /// 60 Hz, so a phase's tenants compete for a bucket in one instant.
+    fn arb_fleet() -> impl Strategy<Value = (FleetConfig, u64)> {
+        let shape = (
+            1usize..41,
+            1u32..7,
+            0usize..3,
+            0usize..3,
+            1u32..5,
+            proptest::bool::ANY,
+        );
+        let window = prop_oneof![10_000u64..25_000, 25_000u64..200_000, 200_000u64..2_000_001];
+        let time = (window, 1u64..9, 0u64..3_000_001);
+        let classes = proptest::collection::vec((1u32..601, 1u32..5), 1..4);
+        let churn = proptest::collection::vec(
+            (0usize..5, 0u64..u64::MAX, 0u32..7, proptest::bool::ANY),
+            0..5,
+        );
+        (shape, time, (classes, 1u32..401), churn, 0u64..u64::MAX).prop_map(
+            |(
+                (producers, partitions, strategy, loss, consumers, sticky),
+                (window_us, windows, pause_us),
+                (classes, capacity),
+                churn,
+                seed,
+            )| {
+                let d_us = window_us * windows;
+                let population = classes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(deci_hz, weight))| PopulationEntry {
+                        class: StreamClass {
+                            name: format!("class-{i}"),
+                            size: SizeSpec::Fixed(200),
+                            rate_hz: f64::from(deci_hz) / 10.0,
+                            timeliness: SimDuration::from_secs(1),
+                        },
+                        weight: f64::from(weight),
+                    })
+                    .collect();
+                let cfg = FleetConfig {
+                    producers,
+                    partitions,
+                    strategy: [
+                        PartitionStrategy::RoundRobin,
+                        PartitionStrategy::KeyHash,
+                        PartitionStrategy::Locality,
+                    ][strategy],
+                    population: Population::new(population).unwrap(),
+                    initial_consumers: consumers,
+                    assignor: if sticky {
+                        Assignor::Sticky
+                    } else {
+                        Assignor::Range
+                    },
+                    churn: churn
+                        .iter()
+                        .map(|&(kind, draw, member, join)| ChurnEvent {
+                            at: churn_at(kind, draw, d_us, window_us),
+                            action: if join {
+                                ChurnAction::Join
+                            } else {
+                                ChurnAction::Leave
+                            },
+                            member,
+                        })
+                        .collect(),
+                    duration: SimDuration::from_micros(d_us),
+                    window: SimDuration::from_micros(window_us),
+                    partition_capacity_hz: f64::from(capacity) / 10.0,
+                    base_loss: [0.0, 0.3, 1.0][loss],
+                    rebalance_pause: SimDuration::from_micros(pause_us),
+                };
+                (cfg, seed)
+            },
+        )
+    }
+
+    proptest! {
+        /// One event per flush phase computes what one event per tenant
+        /// computed: every ledger, bucket, rebalance and window row, with
+        /// `events_fired` (the one thing it exists to change) masked.
+        #[test]
+        fn phase_flushes_equal_the_per_tenant_loop(case in arb_fleet()) {
+            let (cfg, seed) = case;
+            cfg.validate().map_err(TestCaseError::fail)?;
+            let reference = execute_per_tenant(cfg.clone(), seed);
+            let phased = FleetRun::new(cfg.clone(), seed).execute();
+            prop_assert!(phased.events_fired <= reference.events_fired);
+            prop_assert_eq!(
+                FleetOutcome { events_fired: 0, ..phased },
+                FleetOutcome { events_fired: 0, ..reference }
+            );
+        }
     }
 }

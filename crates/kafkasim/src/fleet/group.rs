@@ -203,7 +203,10 @@ impl GroupCoordinator {
                 for p in 0..self.n_partitions {
                     match self.owner[p as usize] {
                         Some(m) if self.members.binary_search(&m).is_ok() => {
-                            load.iter_mut().find(|(id, _)| *id == m).unwrap().1 += 1;
+                            load.iter_mut()
+                                .find(|(id, _)| *id == m)
+                                .expect("`load` has one entry per member")
+                                .1 += 1;
                         }
                         _ => {
                             self.owner[p as usize] = None;
@@ -220,7 +223,7 @@ impl GroupCoordinator {
                         let victim = (0..self.n_partitions)
                             .rev()
                             .find(|&p| self.owner[p as usize] == Some(heavy))
-                            .unwrap();
+                            .expect("`heavy` owns more than `ceil` partitions");
                         self.owner[victim as usize] = None;
                         orphans.push(victim);
                         entry.1 -= 1;
@@ -235,7 +238,7 @@ impl GroupCoordinator {
                         .enumerate()
                         .min_by_key(|&(_, &(id, c))| (c, id))
                         .map(|(i, _)| i)
-                        .unwrap();
+                        .expect("the group is not empty");
                     self.owner[p as usize] = Some(load[idx].0);
                     load[idx].1 += 1;
                 }
@@ -244,13 +247,13 @@ impl GroupCoordinator {
                 loop {
                     let max_i = (0..load.len())
                         .max_by_key(|&i| (load[i].1, usize::MAX - i))
-                        .unwrap();
+                        .expect("the group is not empty");
                     let min_i = load
                         .iter()
                         .enumerate()
                         .min_by_key(|&(_, &(id, c))| (c, id))
                         .map(|(i, _)| i)
-                        .unwrap();
+                        .expect("the group is not empty");
                     if load[max_i].1 <= load[min_i].1 + 1 {
                         break;
                     }
@@ -258,7 +261,7 @@ impl GroupCoordinator {
                     let victim = (0..self.n_partitions)
                         .rev()
                         .find(|&p| self.owner[p as usize] == Some(heavy))
-                        .unwrap();
+                        .expect("`heavy` owns at least two partitions more than the lightest");
                     self.owner[victim as usize] = Some(load[min_i].0);
                     load[max_i].1 -= 1;
                     load[min_i].1 += 1;

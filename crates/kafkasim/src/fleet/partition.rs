@@ -152,10 +152,14 @@ impl LocalityPartitioner {
         }
         // Settle the seat count to exactly n_partitions.
         let mut order: Vec<usize> = (0..n_classes).collect();
+        // `total_cmp` orders the remainders, all in `[+0, 1)`, as `partial_cmp`
+        // does, and orders NaN too: shares whose sum underflows to 0 or
+        // overflows to ∞ (valid weights and rates, products out of range)
+        // give NaN quotas, which `partial_cmp` cannot order.
         order.sort_by(|&a, &b| {
             let ra = quotas[a] - quotas[a].floor();
             let rb = quotas[b] - quotas[b].floor();
-            rb.partial_cmp(&ra).unwrap().then(a.cmp(&b))
+            rb.total_cmp(&ra).then(a.cmp(&b))
         });
         let mut assigned: u32 = widths.iter().sum();
         let mut i = 0usize;
@@ -167,7 +171,9 @@ impl LocalityPartitioner {
         // Over-assignment can only come from the max(1) floor; shrink the
         // widest classes back down.
         while assigned > n_partitions {
-            let widest = (0..n_classes).max_by_key(|&c| widths[c]).unwrap();
+            let widest = (0..n_classes)
+                .max_by_key(|&c| widths[c])
+                .expect("a population has at least one class");
             if widths[widest] <= 1 {
                 break;
             }
@@ -271,6 +277,19 @@ mod tests {
         for t in 0..50 {
             for c in 0..3 {
                 assert!(r.route(t, c, 2) < 2);
+            }
+        }
+    }
+
+    #[test]
+    fn locality_with_shares_out_of_range_still_covers_the_topic() {
+        // Valid weights and rates whose products overflow to ∞ or
+        // underflow to 0: the quotas are NaN, and every class still gets
+        // a range inside the topic.
+        for p in [pop(&[(1e200, 1e200), (1.0, 1.0)]), pop(&[(1e-200, 1e-200)])] {
+            let mut r = PartitionStrategy::Locality.build(4, &p);
+            for c in 0..p.entries().len() as u16 {
+                assert!((0..50).all(|t| r.route(t, c, 4) < 4));
             }
         }
     }

@@ -78,7 +78,7 @@ pub struct PopulationEntry {
 ///     PopulationEntry { class: class("a"), weight: 0.7 },
 ///     PopulationEntry { class: class("b"), weight: 0.3 },
 /// ])
-/// .unwrap();
+/// .expect("positive weights and rates");
 ///
 /// let classes = pop.apportion(10);
 /// assert_eq!(classes.len(), 10);
@@ -153,7 +153,11 @@ impl Population {
         order.sort_by(|&a, &b| {
             let ra = quotas[a] - quotas[a].floor();
             let rb = quotas[b] - quotas[b].floor();
-            rb.partial_cmp(&ra).unwrap().then(a.cmp(&b))
+            // Each weight is finite and positive, so `weight / total` is in
+            // `[0, 1]` even when `total` overflows.
+            rb.partial_cmp(&ra)
+                .expect("no quota is NaN")
+                .then(a.cmp(&b))
         });
         for i in 0..producers.saturating_sub(assigned) {
             counts[order[i % order.len()]] += 1;

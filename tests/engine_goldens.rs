@@ -7,6 +7,10 @@
 //! written by the commit *before* the change it guards (the scheduler's
 //! delay-class lanes; the fleet engine's one-step append of a flush's
 //! survivors); a change that moves one of them has changed the model.
+//! A fleet pin digests its outcome with `events_fired` masked and pins the
+//! count beside it, so an engine change that drops events which change
+//! nothing moves the count alone (the fleet engine's one event per flush
+//! phase did).
 
 use desim::{SimDuration, SimTime};
 use kafkasim::broker::BrokerId;
@@ -78,7 +82,7 @@ const STRATEGIES: [PartitionStrategy; 3] = [
 ];
 
 /// `(events_fired, produced, delivered, duplicated, Debug digest)` of one
-/// fleet outcome.
+/// fleet outcome, the digest taken with `events_fired` masked.
 type FleetPin = (u64, u64, u64, u64, u64);
 
 fn fleet_pin(o: &FleetOutcome) -> FleetPin {
@@ -87,8 +91,19 @@ fn fleet_pin(o: &FleetOutcome) -> FleetPin {
         o.totals.produced,
         o.totals.delivered,
         o.totals.duplicated,
-        debug_digest(o),
+        debug_digest(&masked(o)),
     )
+}
+
+/// The outcome with `events_fired` set to 0. The digests pin what a run
+/// computed and the count, pinned beside them, how many events it took:
+/// an engine change that drops events which change nothing moves the count
+/// alone.
+fn masked(o: &FleetOutcome) -> FleetOutcome {
+    FleetOutcome {
+        events_fired: 0,
+        ..o.clone()
+    }
 }
 
 /// The fleet engine at the committed scenarios' rates (at most one message
@@ -160,18 +175,26 @@ fn high_rate_fleet(strategy: PartitionStrategy) -> FleetConfig {
     }
 }
 
-/// FNV-1a of the outcome's JSON at seed 61, written by the parent commit's
-/// per-message flush loop. Key-hash is the ROADMAP's "sharded" contract
+/// FNV-1a of the outcome's JSON at seed 61 with `events_fired` masked,
+/// and the count on its own. Key-hash is the ROADMAP's "sharded" contract
 /// digest: the deleted sharded engine equalled this one on static
 /// partitioners. The other seven live in `tests/contract_digests.rs`.
 #[test]
 fn high_rate_fleet_outcomes_are_pinned() {
-    let want = ["c523a50df398bfa1", "34d42504bba91120", "c2f2f44df42960a3"];
+    let want = [
+        HIGH_RATE_ROUND_ROBIN,
+        HIGH_RATE_KEY_HASH,
+        HIGH_RATE_LOCALITY,
+    ];
     for (strategy, want) in STRATEGIES.into_iter().zip(want) {
         let outcome = FleetRun::new(high_rate_fleet(strategy), 61).execute();
-        let json = serde_json::to_string(&outcome).expect("outcome serialises");
+        let json = serde_json::to_string(&masked(&outcome)).expect("outcome serialises");
         let digest = format!("{:016x}", fnv1a(json.as_bytes()));
-        assert_eq!(digest, want, "{strategy:?}");
+        assert_eq!(
+            (outcome.events_fired, digest.as_str()),
+            want,
+            "{strategy:?}"
+        );
     }
 }
 
@@ -274,26 +297,33 @@ fn broker_fault_run_outcomes_are_pinned() {
     }
 }
 
+// The fleet pins. Each masked digest was taken by the new test body run
+// against the code of the commit before the one-event-per-flush-phase
+// engine, where it equals the commit's own; the `events_fired` beside it is
+// the one-event-per-phase engine's count (the per-tenant engine fired
+// 30 168 for SEQUENTIAL_* and SPARSE_*, 15 297 for EMPTIED_*, 15 298 for
+// REJOINED_* and 300 057 for HIGH_RATE_*).
+const HIGH_RATE_ROUND_ROBIN: (u64, &str) = (1_506, "0b92f1163540a77a");
+const HIGH_RATE_KEY_HASH: (u64, &str) = (1_506, "1858f997c04997a5");
+const HIGH_RATE_LOCALITY: (u64, &str) = (1_506, "08dc08ab0232a428");
+const SEQUENTIAL_ROUND_ROBIN: FleetPin = (1_004, 8_850, 8_354, 303, 15063813961409042244);
+const SEQUENTIAL_KEY_HASH: FleetPin = (1_004, 8_850, 8_240, 312, 3177815102412245109);
+const SEQUENTIAL_LOCALITY: FleetPin = (1_004, 8_850, 6_823, 281, 16761185891686279950);
+const SPARSE_ROUND_ROBIN: FleetPin = (1_004, 8_700, 2_584, 87, 17412885148997987731);
+const SPARSE_KEY_HASH: FleetPin = (1_004, 8_700, 2_299, 76, 13678607953845202718);
+const SPARSE_LOCALITY: FleetPin = (1_004, 8_700, 1_741, 59, 13905668148238668206);
+const EMPTIED_ROUND_ROBIN: FleetPin = (1_508, 4_475, 4_467, 293, 15488851164864974739);
+const EMPTIED_KEY_HASH: FleetPin = (1_508, 4_475, 4_467, 306, 6418305801036084622);
+const EMPTIED_LOCALITY: FleetPin = (1_508, 4_475, 4_222, 271, 9850945848356422926);
+const REJOINED_ROUND_ROBIN: FleetPin = (1_509, 4_475, 4_467, 643, 16727170421687350577);
+const REJOINED_KEY_HASH: FleetPin = (1_509, 4_475, 4_467, 656, 10919830876759430337);
+const REJOINED_LOCALITY: FleetPin = (1_509, 4_475, 4_222, 595, 2993912956029324531);
 // Written by the parent commit (plain `MinQueue` under every engine).
-const SEQUENTIAL_ROUND_ROBIN: FleetPin = (30_168, 8_850, 8_354, 303, 481979365943894936);
-const SEQUENTIAL_KEY_HASH: FleetPin = (30_168, 8_850, 8_240, 312, 16919420233190634965);
-const SEQUENTIAL_LOCALITY: FleetPin = (30_168, 8_850, 6_823, 281, 2492325219751143578);
-// Written by the parent commit's per-message flush loop.
-const SPARSE_ROUND_ROBIN: FleetPin = (30_168, 8_700, 2_584, 87, 11584088681590218171);
-const SPARSE_KEY_HASH: FleetPin = (30_168, 8_700, 2_299, 76, 7120391369548954538);
-const SPARSE_LOCALITY: FleetPin = (30_168, 8_700, 1_741, 59, 17672271558542554298);
 const RUN_AT_LEAST_ONCE: (u64, u64) = (11_484, 17741149464509989960);
 const RUN_AT_MOST_ONCE: (u64, u64) = (7_690, 10932670437184555871);
 // Written by the parent commit, whose one-thread path was today's only path.
 const RUN_CRASH: (u64, u64) = (21_510, 3650946061504918518);
 const RUN_FLAPPING: (u64, u64) = (14_907, 11802491271031039536);
-// Written by the parent commit of the run entry-point fold.
-const EMPTIED_ROUND_ROBIN: FleetPin = (15_297, 4_475, 4_467, 293, 16291903712840653791);
-const EMPTIED_KEY_HASH: FleetPin = (15_297, 4_475, 4_467, 306, 14829889168664503834);
-const EMPTIED_LOCALITY: FleetPin = (15_297, 4_475, 4_222, 271, 202371793436208538);
-const REJOINED_ROUND_ROBIN: FleetPin = (15_298, 4_475, 4_467, 643, 3637379592976624352);
-const REJOINED_KEY_HASH: FleetPin = (15_298, 4_475, 4_467, 656, 6746222870364022320);
-const REJOINED_LOCALITY: FleetPin = (15_298, 4_475, 4_222, 595, 9851709776825244342);
 
 /// Runs `cfg` and checks termination (the call returns) and conservation:
 /// every produced message is delivered or lost with a cause, per tenant
@@ -314,8 +344,9 @@ fn assert_terminates_and_conserves(cfg: &FleetConfig) -> FleetOutcome {
     o
 }
 
-/// The run ends before the first flush phase (25 ms): no tenant ever
-/// flushes, the only events are the ones seeded at time zero.
+/// The run ends before the first flush phase (25 ms): the only events are
+/// the ones seeded at time zero, each phase's first tick fires past the end
+/// and re-arms nothing, and at 1 Hz none of them emits a message.
 #[test]
 fn fleet_shorter_than_the_first_flush_phase() {
     for strategy in STRATEGIES {
@@ -325,7 +356,9 @@ fn fleet_shorter_than_the_first_flush_phase() {
             window: SimDuration::from_millis(20),
             ..FleetConfig::default()
         };
-        assert_eq!(assert_terminates_and_conserves(&cfg).totals.produced, 0);
+        let o = assert_terminates_and_conserves(&cfg);
+        assert_eq!(o.totals.produced, 0);
+        assert_eq!(o.events_fired, events_of(&cfg));
     }
 }
 
@@ -340,7 +373,10 @@ fn fleet_duration_off_the_flush_grid() {
             window: SimDuration::from_millis(685),
             ..FleetConfig::default()
         };
-        assert_terminates_and_conserves(&cfg);
+        assert_eq!(
+            assert_terminates_and_conserves(&cfg).events_fired,
+            events_of(&cfg)
+        );
     }
 }
 
@@ -353,7 +389,105 @@ fn fleet_of_one_producer() {
             producers: 1,
             ..FleetConfig::default()
         };
-        assert!(assert_terminates_and_conserves(&cfg).totals.produced > 0);
+        let o = assert_terminates_and_conserves(&cfg);
+        assert!(o.totals.produced > 0);
+        assert_eq!(o.events_fired, events_of(&cfg));
+    }
+}
+
+/// Seven producers: one flush phase of the eight has no tenant and fires
+/// no event.
+#[test]
+fn fleet_of_fewer_producers_than_flush_phases() {
+    for strategy in STRATEGIES {
+        let cfg = FleetConfig {
+            strategy,
+            producers: 7,
+            ..FleetConfig::default()
+        };
+        let o = assert_terminates_and_conserves(&cfg);
+        assert!(o.tenants.iter().all(|t| t.produced > 0), "{strategy:?}");
+        assert_eq!(o.events_fired, events_of(&cfg));
+    }
+}
+
+/// One KPI window as long as the run: one row a class, closed at the end.
+#[test]
+fn fleet_whose_window_is_the_whole_run() {
+    for strategy in STRATEGIES {
+        let cfg = FleetConfig {
+            duration: SimDuration::from_millis(2_300),
+            window: SimDuration::from_millis(2_300),
+            churn: vec![],
+            ..pinned_fleet(strategy)
+        };
+        let o = assert_terminates_and_conserves(&cfg);
+        assert_eq!(o.windows.rows.len(), 2, "{strategy:?}");
+        assert!(o.totals.produced > 0);
+        assert_eq!(o.events_fired, events_of(&cfg));
+    }
+}
+
+/// A class of rate zero is refused by `Population::new`, naming the class.
+/// The nearest valid one, a rate too small to emit one message in the run,
+/// terminates and conserves, and its producers produce nothing.
+#[test]
+fn zero_rate_class_is_refused_and_an_idle_class_conserves() {
+    let err = Population::new(vec![class("idle", 0.0, 1.0), class("busy", 2.0, 1.0)]).unwrap_err();
+    assert!(err.contains("'idle'") && err.contains("rate"), "{err}");
+    for strategy in STRATEGIES {
+        let cfg = FleetConfig {
+            strategy,
+            population: Population::new(vec![
+                class("idle", f64::MIN_POSITIVE, 1.0),
+                class("busy", 2.0, 1.0),
+            ])
+            .expect("valid mix"),
+            ..FleetConfig::default()
+        };
+        let o = assert_terminates_and_conserves(&cfg);
+        assert_eq!(o.classes[0].produced, 0, "{strategy:?}");
+        assert!(o.classes[1].produced > 0, "{strategy:?}");
+    }
+}
+
+/// Events a fleet run fires: each of the `min(8, producers)` flush phases
+/// ticks every 200 ms from `(phase + 1) · 25 ms`, the group drains every
+/// 100 ms, a window closes every `window`, and each churn step fires once.
+/// The first of each periodic kind is seeded at time zero and fires even
+/// past the end; each re-arms while the next instant is before the end
+/// (a window close, at or before it).
+fn events_of(cfg: &FleetConfig) -> u64 {
+    let end = cfg.duration.as_micros();
+    let ticks = |first: u64, every: u64, upto_end: bool| {
+        let more = (1..).map(|k| first + k * every);
+        1 + more
+            .take_while(|&t| t < end || upto_end && t == end)
+            .count() as u64
+    };
+    let flushes: u64 = (1..=cfg.producers.min(8) as u64)
+        .map(|phase| ticks(25_000 * phase, 200_000, false))
+        .sum();
+    let window = cfg.window.as_micros();
+    flushes + ticks(100_000, 100_000, false) + ticks(window, window, true) + cfg.churn.len() as u64
+}
+
+/// The fleet engine's event count grows with simulated time, not with the
+/// fleet: 8 and 2 000 producers over the same run fire the same events, one
+/// a flush phase tick, consume tick, window close and churn step.
+#[test]
+fn fleet_events_scale_with_time_not_tenants() {
+    for strategy in STRATEGIES {
+        let fleet = |producers| FleetConfig {
+            producers,
+            ..pinned_fleet(strategy)
+        };
+        let want = events_of(&fleet(8));
+        assert_eq!(want, 799 + 199 + 4 + 2);
+        for producers in [8, 2_000] {
+            let o = FleetRun::new(fleet(producers), 7).execute();
+            assert_eq!(o.events_fired, want, "{strategy:?}, {producers} producers");
+        }
     }
 }
 
