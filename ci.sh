@@ -34,20 +34,23 @@ echo "== fleet: one flush event per phase == one per tenant (proptest, release, 
 PROPTEST_CASES=20000 cargo test --release -q -p kafkasim --lib -- \
     phase_flushes_equal_the_per_tenant_loop
 
-echo "== matmul kernels: dispatched == baseline == naive (proptest, release, raised case count) =="
-# Every product runs three ways, compared bit for bit into dirty buffers:
-# through the public entry (the AVX2+FMA instantiation on a CPU that has
-# both), as the baseline instantiation called directly, and as matmul_naive;
-# the selection test beside the property fails if the entry (a product's or
-# tanh's) did not pick the wide one where it is detected. Release, because
+echo "== matmul kernels: every instantiation == naive (proptest, release, raised case count) =="
+# Every product runs through the public entry pinned to each instantiation
+# the CPU runs (baseline, AVX2+FMA, AVX-512; the widest is what an unpinned
+# call runs), compared bit for bit with matmul_naive into dirty buffers; the
+# selection test beside the property fails if an entry (a product's or
+# tanh's) did not pick the widest one detected, or a pin did not run the one
+# it names; and a short paper-topology training and a 512-row prediction
+# must end in the same bits under every instantiation. Release, because
 # that is the code every measured run and every pinned digest executes.
 PROPTEST_CASES=20000 cargo test --release -q -p annet --lib -- \
-    kernels_equal_the_naive_product avx2_instantiation_runs
+    kernels_equal_the_naive_product selection_rule same_bits_under_every_instantiation
 
-echo "== own tanh: dispatched == baseline == scalar, and == libm where libm has FMA (proptest, release, raised case count) =="
+echo "== own tanh: every instantiation == scalar, and == libm where libm has FMA (proptest, release, raised case count) =="
 # Slices of 0..=70 random bit patterns or of values in +-25, through the
-# dispatched entry, the baseline instantiation (library fma) and the scalar
-# Activation::apply; then the dispatched entry against f64::tanh, which is
+# dispatched entry pinned to each instantiation the CPU runs (the baseline's
+# with library fma) and the scalar Activation::apply; then the dispatched
+# entry against f64::tanh, which is
 # the glibc build the port was taken from only on a CPU with FMA (the test
 # is vacuous elsewhere; the golden table under `cargo test` is not).
 PROPTEST_CASES=20000 cargo test --release -q -p annet --lib -- \
@@ -219,14 +222,15 @@ echo "== one model of the producer's host =="
     | grep -vE '^crates/(kafkasim/src/config|testbed/src/calibration)\.rs:' \
     || { echo "the host's cost constants are copied outside HostModel and its calibration" >&2; exit 1; }
 
-echo "== one unsafe call (annet's AVX2+FMA dispatch; the other eight crates forbid it) =="
+echo "== one unsafe call (annet's AVX2+FMA / AVX-512 dispatch; the other eight crates forbid it) =="
 # Outside comments and lint attributes the keyword appears on exactly 2
 # lines under crates/*/src, both in annet::matrix::Kernel<A>, which the
-# three products and tanh share: the type of the field holding the wide
-# instantiation (`wide: unsafe fn(A)`), and the one block that calls it.
+# three products and tanh share: the type of the one field holding both
+# wide instantiations (`wide: [unsafe fn(A); 2]`), and the one block that
+# calls an entry of it.
 unsafe_lines="$(grep -rnw 'unsafe' crates/*/src | grep -vE ':[0-9]+: *//|unsafe_code')"
 [ "$(grep -c . <<<"$unsafe_lines")" -eq 2 ] \
-    && [ "$(grep -c 'matrix.rs:.*unsafe { (self.wide)' <<<"$unsafe_lines")" -eq 1 ] \
+    && [ "$(grep -c 'matrix.rs:.*unsafe { self\.wide\[' <<<"$unsafe_lines")" -eq 1 ] \
     && [ "$(grep -rn 'allow(unsafe_code)' crates/*/src | wc -l)" -eq 1 ] \
     || { echo "unsafe grew past the one dispatch call:" >&2; echo "$unsafe_lines" >&2; exit 1; }
 [ "$(grep -lx '#!\[forbid(unsafe_code)\]' crates/*/src/lib.rs | wc -l)" -eq 8 ] \
@@ -236,10 +240,11 @@ unsafe_lines="$(grep -rnw 'unsafe' crates/*/src | grep -vE ':[0-9]+: *//|unsafe_
 echo "== no fused multiply-add in the products (disassembly of the release binary) =="
 # DESIGN 8b's "checked, not assumed": the wide instantiations are compiled
 # with `fma` enabled, and the bits stand only because rustc never contracts a
-# written `a * b + c`. So the three products' `wide` symbols must hold no
-# vfmadd/vfnmadd/vfmsub/vfnmsub at all, and tanh's, where every fusion is a
-# written `mul_add`, must hold some (else the grep has stopped seeing
-# anything). x86-64 only: elsewhere there is no `wide` symbol to look at.
+# written `a * b + c`. So the three products' `avx2` and `avx512` symbols
+# must hold no vfmadd/vfnmadd/vfmsub/vfnmsub at all, and tanh's two, where
+# every fusion is a written `mul_add`, must hold some (else the grep has
+# stopped seeing anything); all eight must be found. x86-64 only: elsewhere
+# there is no wide symbol to look at.
 if ! command -v objdump >/dev/null; then
     echo "note: objdump not found, product disassembly check skipped"
 elif [ "$(uname -m)" != x86_64 ]; then
@@ -248,15 +253,16 @@ else
     cargo build --release -q -p bench --bin repro
     fused="$(objdump -d --no-show-raw-insn -C target/release/repro | awk '
         /^[0-9a-f]+ <.*>:$/ { sym = "" }
-        /^[0-9a-f]+ <annet::matrix::Kernel<.*>::(ROWS|STRIPS|AT_B|TANH)::wide>:$/ {
-            sym = $0; sub(/.*>::/, "", sym); sub(/::wide>:$/, "", sym); seen[sym] = 1
+        /^[0-9a-f]+ <annet::matrix::Kernel<.*>::(ROWS|STRIPS|AT_B|TANH)::(avx2|avx512)>:$/ {
+            parts = split(substr($0, 1, length($0) - 2), part, "::")
+            sym = part[parts - 1] "::" part[parts]; seen[sym] = 1
         }
         sym != "" && /vfn?m(add|sub)/ { n[sym]++ }
         END { for (k in seen) print k, n[k] + 0 }' | sort)"
     echo "$fused" | tr '\n' ';'; echo
-    [ "$(grep -c . <<<"$fused")" -eq 4 ] \
-        && [ "$(grep -cE '^(AT_B|ROWS|STRIPS) 0$' <<<"$fused")" -eq 3 ] \
-        && grep -qE '^TANH [1-9]' <<<"$fused" \
+    [ "$(grep -c . <<<"$fused")" -eq 8 ] \
+        && [ "$(grep -cE '^(AT_B|ROWS|STRIPS)::(avx2|avx512) 0$' <<<"$fused")" -eq 6 ] \
+        && [ "$(grep -cE '^TANH::(avx2|avx512) [1-9]' <<<"$fused")" -eq 2 ] \
         || { echo "a product was compiled to a fused multiply-add, or a wide symbol is gone" >&2; exit 1; }
 fi
 

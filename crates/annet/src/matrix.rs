@@ -2,9 +2,10 @@
 //! needs. No BLAS, no intrinsics — the three products share one
 //! register-resident block (`strip_block`), cut to the register width, and
 //! one row-streaming loop for the shapes where that wins. The three product
-//! kernels, and the slice loop of `tanh.rs`, are compiled twice from one
-//! source, for baseline x86-64 and for AVX2+FMA, and `Kernel::run` picks by
-//! the CPU: the crate's one `unsafe` call (DESIGN.md §8b).
+//! kernels, and the slice loop of `tanh.rs`, are compiled three times from
+//! one source, for baseline x86-64, for AVX2+FMA and for AVX-512F, and
+//! `Kernel::run` picks the widest the CPU has: the crate's one `unsafe`
+//! call (DESIGN.md §8b).
 
 use serde::{Deserialize, Serialize, Sink};
 
@@ -471,55 +472,127 @@ impl Matrix {
 /// checked by the caller.
 type Product<'a> = (&'a Matrix, &'a Matrix, &'a mut Matrix);
 
-/// One kernel over an argument `A`, compiled twice from the same
+/// One kernel over an argument `A`, compiled three times from the same
 /// `#[inline(always)]` body: for the build's baseline target, and (x86-64
-/// only) with AVX2 and FMA switched on, where the same safe loops
-/// auto-vectorise four doubles wide instead of two and [`f64::mul_add`] is
-/// one instruction instead of a library call. Which instantiation ran is
-/// invisible in the bits: `mul_add` is exactly rounded in both, and rustc
-/// never contracts a written `a * b + c` into a fused multiply-add, so
-/// enabling `fma` changes no product's arithmetic — every output element is
-/// the same multiplies and adds in the same ascending `k`.
+/// only) with AVX2 and FMA switched on and with AVX-512F, where the same
+/// safe loops auto-vectorise four and eight doubles wide instead of two and
+/// [`f64::mul_add`] is one instruction instead of a library call. Which
+/// instantiation ran is invisible in the bits: `mul_add` is exactly rounded
+/// in all three, and rustc never contracts a written `a * b + c` into a
+/// fused multiply-add, so enabling `fma` changes no product's arithmetic —
+/// every output element is the same multiplies and adds in the same
+/// ascending `k`.
 pub(crate) struct Kernel<A> {
     baseline: fn(A),
-    /// Must enable no target feature but `avx2` and `fma`: that is the
-    /// whole safety condition of the call in [`Kernel::run`]. The field is
-    /// private and `kernel!` is local to this module, so every `Kernel` in
-    /// the crate is one of the four below.
+    /// The AVX2+FMA instantiation, then the AVX-512 one: entry `i` is run
+    /// for the [`Isa`] of discriminant `i + 1`, and must enable no target
+    /// feature that [`Isa::detected`] does not test before it returns that
+    /// `Isa` or a wider one. That is the whole safety condition of the call
+    /// in [`Kernel::run`]. The field is private and `kernel!` is local to
+    /// this module, so every `Kernel` in the crate is one of the four below.
     #[cfg(target_arch = "x86_64")]
-    wide: unsafe fn(A),
+    wide: [unsafe fn(A); 2],
+}
+
+/// An instantiation of a [`Kernel`], narrowest first.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Isa {
+    /// The build's own target: two lanes on x86-64 (SSE2).
+    Baseline,
+    /// AVX2 and FMA: four lanes.
+    Avx2,
+    /// AVX-512F, which implies AVX2, FMA and F16C: eight lanes.
+    Avx512,
+}
+
+impl Isa {
+    /// The widest instantiation this CPU runs: AVX-512 where `avx2`, `fma`,
+    /// `avx512f` and `f16c` are all detected, AVX2+FMA where `avx2` and
+    /// `fma` are, the baseline elsewhere. The CPU alone decides: there is no
+    /// switch to set.
+    #[inline]
+    fn detected() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            if has!("avx2") && has!("fma") {
+                return if has!("avx512f") && has!("f16c") {
+                    Isa::Avx512
+                } else {
+                    Isa::Avx2
+                };
+            }
+        }
+        Isa::Baseline
+    }
+
+    /// What [`Kernel::run`] runs: [`Isa::detected`], narrowed on this thread
+    /// by [`Isa::pinned`] under test. Never wider than `detected`.
+    #[inline]
+    fn selected() -> Isa {
+        let isa = Isa::detected();
+        #[cfg(test)]
+        let isa = isa.min(PINNED.get());
+        isa
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The widest instantiation [`Isa::selected`] may return on this thread.
+    static PINNED: std::cell::Cell<Isa> = const { std::cell::Cell::new(Isa::Avx512) };
+}
+
+#[cfg(test)]
+impl Isa {
+    /// Every instantiation this CPU runs, narrowest first.
+    pub(crate) fn supported() -> impl Iterator<Item = Isa> {
+        let widest = Isa::detected();
+        [Isa::Baseline, Isa::Avx2, Isa::Avx512]
+            .into_iter()
+            .filter(move |&isa| isa <= widest)
+    }
+
+    /// Runs `f` with every kernel this thread calls running as `self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this CPU does not run `self`.
+    pub(crate) fn pinned<T>(self, f: impl FnOnce() -> T) -> T {
+        assert!(self <= Isa::detected(), "{self:?} does not run here");
+        let outer = PINNED.replace(self);
+        let out = f();
+        PINNED.set(outer);
+        out
+    }
 }
 
 impl<A> Kernel<A> {
-    /// Runs the widest instantiation this CPU has, and says whether that
-    /// was the AVX2+FMA one (only the selection tests read the answer). The
-    /// CPU alone decides: there is no switch to set.
+    /// Runs the instantiation [`Isa::selected`] picks, and says which (only
+    /// the selection tests read the answer).
     #[allow(unsafe_code)]
     #[inline]
-    pub(crate) fn run(&self, args: A) -> bool {
+    pub(crate) fn run(&self, args: A) -> Isa {
+        let isa = Isa::selected();
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            // SAFETY: `self.wide` is a safe function whose only
-            // `#[target_feature]`s are `avx2` and `fma` (see `kernel!`, the
-            // one place a `Kernel` is built), and the line above found both
-            // on this CPU.
-            unsafe { (self.wide)(args) };
-            return true;
+        if isa > Isa::Baseline {
+            // SAFETY: `self.wide` is `[avx2, avx512]` of `kernel!`, the one
+            // place a `Kernel` is built: safe functions whose only
+            // `#[target_feature]`s are `avx2` and `fma`, and `avx512f` with
+            // the `avx2`, `fma` and `f16c` it implies. `Isa::selected` never
+            // exceeds `Isa::detected`, which returns `Avx2` or wider only
+            // where it found `avx2` and `fma` on this CPU, and `Avx512` only
+            // where it also found `avx512f` and `f16c`.
+            unsafe { self.wide[isa as usize - 1](args) };
+            return isa;
         }
         (self.baseline)(args);
-        false
-    }
-
-    /// Runs the baseline instantiation, for the tests that hold it to the
-    /// dispatched one on a CPU where `run` never picks it.
-    #[cfg(test)]
-    pub(crate) fn run_baseline(&self, args: A) {
-        (self.baseline)(args);
+        isa
     }
 }
 
-/// Both instantiations of `$body` over `$args: $ty`, as a [`Kernel`].
+/// The three instantiations of `$body` over `$args: $ty`, as a [`Kernel`].
 /// `$lanes` names, inside `$body`, the doubles a register holds where that
 /// instantiation runs.
 macro_rules! kernel {
@@ -531,39 +604,61 @@ macro_rules! kernel {
         }
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2,fma")]
-        fn wide($args: $ty) {
+        fn avx2($args: $ty) {
             const $lanes: usize = 4;
+            $body
+        }
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx512f")]
+        fn avx512($args: $ty) {
+            const $lanes: usize = 8;
             $body
         }
         Kernel {
             baseline,
             #[cfg(target_arch = "x86_64")]
-            wide,
+            wide: [avx2 as _, avx512 as _],
         }
     }};
 }
 
-/// The block shapes, by operand shape and register width alone. A narrow
-/// `rhs` (`W · δᵀ`) takes eight registers of accumulators as `LANES × 8`
-/// (2 × 8, 4 × 8). A wide one (`x · W`, `xᵀ · δ`) takes row pairs, 2 × 16
-/// or, where the shared dimension is only a mini-batch long and a bigger
-/// block amortises its zeroing and storing better, twelve registers as
-/// 2 × 24, on four lanes; two-lane registers stream them
+/// The block shapes, by operand shape and register width alone. On eight
+/// lanes every product blocks four rows, as 4 × 16 where the width allows
+/// (eight of the 32 registers as accumulators): a `200 × 16` strip of `rhs`
+/// is 25 KB and stays in L1 down every row group, where the 2 × 32 that
+/// fills the same registers two rows at a time reads a 51 KB strip that
+/// spills it. On four lanes a narrow `rhs` (`W · δᵀ`) takes eight registers
+/// of accumulators as 4 × 8 (2 × 8 on two). A wide one (`x · W`, `xᵀ · δ`)
+/// takes row pairs, 2 × 16 or, where the shared dimension is only a
+/// mini-batch long and a bigger block amortises its zeroing and storing
+/// better, twelve registers as 2 × 24; two-lane registers stream them
 /// (`blocked_under_wide_rhs`).
 impl Kernel<Product<'_>> {
     const ROWS: Self = kernel!(Product<'_>, |(a, rhs, out), LANES| {
         let blocked = blocked_under_wide_rhs(a.rows, LANES);
-        product::<2, { 8 * LANES }>(Rows(a), a.rows, blocked, rhs, out)
+        match LANES {
+            8 => product::<4, 64>(Rows(a), a.rows, blocked, rhs, out),
+            _ => product::<2, { 8 * LANES }>(Rows(a), a.rows, blocked, rhs, out),
+        }
     });
     const STRIPS: Self = kernel!(Product<'_>, |(a, rhs, out), LANES| {
-        product::<LANES, { 8 * LANES }>(Rows(a), a.rows, a.rows, rhs, out)
+        match LANES {
+            8 => product::<4, 64>(Rows(a), a.rows, a.rows, rhs, out),
+            _ => product::<LANES, { 8 * LANES }>(Rows(a), a.rows, a.rows, rhs, out),
+        }
     });
     const AT_B: Self = kernel!(Product<'_>, |(a, rhs, out), LANES| {
         if rhs.cols <= Matrix::STRIP_MAX_COLS {
-            product::<LANES, { 8 * LANES }>(Cols(a), a.cols, a.cols, rhs, out)
+            match LANES {
+                8 => product::<4, 64>(Cols(a), a.cols, a.cols, rhs, out),
+                _ => product::<LANES, { 8 * LANES }>(Cols(a), a.cols, a.cols, rhs, out),
+            }
         } else {
             let blocked = blocked_under_wide_rhs(a.cols, LANES);
-            product::<2, { 12 * LANES }>(Cols(a), a.cols, blocked, rhs, out)
+            match LANES {
+                8 => product::<4, 64>(Cols(a), a.cols, blocked, rhs, out),
+                _ => product::<2, { 12 * LANES }>(Cols(a), a.cols, blocked, rhs, out),
+            }
         }
     });
 }
@@ -574,7 +669,7 @@ impl Kernel<&mut [f64]> {
 }
 
 /// How many leading output rows of a product with a wide `rhs` run as
-/// register blocks: the row pairs, on a four-lane machine. An odd last row
+/// register blocks: the row pairs, on four or eight lanes. An odd last row
 /// streams: alone it re-uses no strip of `rhs`, and whole rows of `rhs` are
 /// the access pattern the prefetcher follows. On two lanes every row
 /// streams: a 2 × 8 block is eight registers of accumulators there too, but
@@ -867,64 +962,84 @@ mod tests {
         /// held to the same oracle through `transpose()`. Right-hand sides
         /// up to 64 columns put every step of the strip cascades (32, 24,
         /// 16, 8, 4, 2, 1) and both sides of the narrow / wide bound under
-        /// it; half the cases have 1, 2, 3, 32 or 33 rows, for the blocks of
-        /// four, the pair and the last row alone; shared dimensions either side of eight run the streaming
-        /// loop's eight-term passes and its one-term remainder. Each runs
-        /// twice: through the public entry (the AVX2 instantiation wherever
-        /// the CPU has it) and as the baseline instantiation called
-        /// directly, which is how that one stays covered on an AVX2 host.
+        /// it; half the cases have 1–9, 32 or 33 rows, for every remainder
+        /// of the blocks of four, the pair and the last row alone; shared
+        /// dimensions either side of eight run the streaming loop's
+        /// eight-term passes and its one-term remainder. Each runs through
+        /// the public entries pinned to every instantiation the CPU runs:
+        /// the widest is what an unpinned call runs, and the pins are how
+        /// the narrower ones stay covered on a wide host.
         #[test]
         fn dense_and_at_b_kernels_equal_the_naive_product_bitwise(
             rows in 1usize..41,
-            edge in 0usize..10,
+            edge in 0usize..22,
             shared in 1usize..41,
             cols in 1usize..65,
             large in proptest::bool::ANY,
             seed in 0u64..u64::MAX,
         ) {
-            let rows = [1, 2, 3, 32, 33].get(edge).copied().unwrap_or(rows);
+            let rows = [1, 2, 3, 4, 5, 6, 7, 8, 9, 32, 33].get(edge).copied().unwrap_or(rows);
             let mut rng = desim::SimRng::seed_from_u64(seed);
             let a = sparse(rows, shared, &mut rng);
             let b = sparse(shared, cols, &mut rng);
             let at = a.transpose();
             let want = a.matmul_naive(&b);
 
-            type Run<'f> = &'f dyn Fn(&Matrix, &Matrix, &mut Matrix);
-            let runs: [(&Matrix, Run); 4] = [
-                (&a, &Matrix::matmul_dense_into),
-                (&a, &|a, rhs, out| Matrix::dense_kernel(cols).run_baseline((a, rhs, out))),
-                (&at, &Matrix::matmul_at_b_into),
-                (&at, &|a, rhs, out| Kernel::AT_B.run_baseline((a, rhs, out))),
-            ];
-            for (i, (left, kernel)) in runs.into_iter().enumerate() {
-                let mut out = dirty(large);
-                kernel(left, &b, &mut out);
-                proptest::prop_assert_eq!((out.rows(), out.cols()), (rows, cols), "run {}", i);
-                proptest::prop_assert_eq!(bits(&out), bits(&want), "run {}", i);
+            for isa in Isa::supported() {
+                for at_b in [false, true] {
+                    let mut out = dirty(large);
+                    isa.pinned(|| match at_b {
+                        false => a.matmul_dense_into(&b, &mut out),
+                        true => at.matmul_at_b_into(&b, &mut out),
+                    });
+                    proptest::prop_assert_eq!((out.rows(), out.cols()), (rows, cols), "{:?}", isa);
+                    proptest::prop_assert_eq!(bits(&out), bits(&want), "{:?}", isa);
+                }
             }
         }
     }
 
-    /// Guards the property above, and its sibling in `tanh`, against
-    /// comparing the baseline with itself: a misspelt `cfg` or feature name
-    /// in [`Kernel::run`] would leave every bit and every test unchanged
-    /// and only the speed gone.
+    /// Guards the property above, and its siblings in `tanh` and `network`,
+    /// against comparing one instantiation with itself: a misspelt `cfg` or
+    /// feature name in [`Isa::detected`] would leave every bit and every
+    /// test unchanged and only the speed gone. The rule, restated: AVX-512
+    /// where `avx2`, `fma`, `avx512f` and `f16c` are detected, AVX2+FMA
+    /// where the first two are, the baseline elsewhere; every product and
+    /// `tanh` runs it unpinned, and a pin runs the instantiation it names.
     #[test]
-    fn the_avx2_instantiation_runs_wherever_avx2_is_detected() {
+    fn the_selection_rule_picks_the_widest_detected_instantiation() {
         #[cfg(target_arch = "x86_64")]
-        let detected = std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma");
+        let rule = {
+            use std::arch::is_x86_feature_detected as has;
+            match (has!("avx2") && has!("fma"), has!("avx512f") && has!("f16c")) {
+                (true, true) => Isa::Avx512,
+                (true, false) => Isa::Avx2,
+                (false, _) => Isa::Baseline,
+            }
+        };
         #[cfg(not(target_arch = "x86_64"))]
-        let detected = false;
-        let m = Matrix::identity(3);
-        for i in 0..3 {
-            let kernel = &[Kernel::ROWS, Kernel::STRIPS, Kernel::AT_B][i];
-            let mut out = dirty(false);
-            assert_eq!(kernel.run((&m, &m, &mut out)), detected);
-            assert_eq!(out, m);
+        let rule = Isa::Baseline;
+        assert_eq!(Isa::supported().last(), Some(rule));
+
+        assert_eq!(run_every_kernel(), [rule; 4]);
+        for isa in Isa::supported() {
+            assert_eq!(isa.pinned(run_every_kernel), [isa; 4]);
         }
+    }
+
+    /// Runs the three products on an identity and `tanh` on three pinned
+    /// arguments, checks every result, and returns which instantiation each
+    /// of the four ran.
+    fn run_every_kernel() -> [Isa; 4] {
+        let m = Matrix::identity(3);
+        let product = |i: usize| {
+            let mut out = dirty(false);
+            let ran = [Kernel::ROWS, Kernel::STRIPS, Kernel::AT_B][i].run((&m, &m, &mut out));
+            assert_eq!(out, m);
+            ran
+        };
         let mut xs = [0.3, -1.5, 8.0];
-        assert_eq!(Kernel::TANH.run(&mut xs), detected);
+        let tanh = Kernel::TANH.run(&mut xs);
         assert_eq!(
             xs.map(f64::to_bits),
             [
@@ -933,6 +1048,7 @@ mod tests {
                 0x3fef_ffff_872a_91f8
             ]
         );
+        [product(0), product(1), product(2), tanh]
     }
 
     #[test]

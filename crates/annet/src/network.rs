@@ -523,6 +523,7 @@ impl IncrementalTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Isa;
     use crate::metrics::mae;
 
     fn xor_dataset() -> Dataset {
@@ -813,6 +814,44 @@ mod tests {
             net
         };
         assert_eq!(train(7), train(7));
+    }
+
+    /// The kernels' instantiations are one function end to end: a short
+    /// training of the paper topology (batches of 32, 32 and 26 rows) and a
+    /// 512-row `predict_batch_into`, pinned to each instantiation this CPU
+    /// runs, end in the same weights, byte for byte in their JSON, and the
+    /// same output bits.
+    #[test]
+    fn training_and_inference_are_the_same_bits_under_every_instantiation() {
+        let mut rng = SimRng::seed_from_u64(40);
+        let mut draw = |n: usize| (0..n).map(|_| rng.next_f64()).collect::<Vec<f64>>();
+        let x: Vec<Vec<f64>> = (0..90).map(|_| draw(10)).collect();
+        let y = x
+            .iter()
+            .map(|r| vec![r[0] * r[1], r[2].min(r[3])])
+            .collect();
+        let data = Dataset::from_rows(x, y).expect("90 rows of 10 → 2");
+        let inputs = Matrix::from_vec(512, 10, draw(5_120));
+        let run = |isa: Isa| {
+            isa.pinned(|| {
+                let mut rng = SimRng::seed_from_u64(41);
+                let mut net = NetworkBuilder::paper_topology(10, 2).build(&mut rng);
+                let config = TrainConfig {
+                    epochs: 2,
+                    ..TrainConfig::default()
+                };
+                net.train(&data, &config, &mut rng);
+                let mut scratch = InferScratch::new();
+                let out = net.predict_batch_into(&inputs, &mut scratch);
+                let out: Vec<u64> = out.as_slice().iter().map(|p| p.to_bits()).collect();
+                (net.to_json().expect("finite weights"), out)
+            })
+        };
+        let mut isas = Isa::supported();
+        let want = run(isas.next().expect("the baseline runs everywhere"));
+        for isa in isas {
+            assert!(run(isa) == want, "{isa:?} differs from the baseline");
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!
 //! Every branch of the C is a select here. All paths are computed for every
 //! lane and the conditions pick among finished values, which is what lets
-//! [`Kernel::TANH`]'s wide instantiation run four lanes to an instruction.
+//! [`Kernel::TANH`]'s wide instantiations run four or eight lanes to an
+//! instruction.
 
 // The constants are spelled digit for digit as fdlibm spells them, `invln2`
 // (the nearest double to `LOG2_E`) included.
@@ -138,7 +139,7 @@ pub(crate) fn in_place(xs: &mut [f64]) {
     Kernel::TANH.run(xs);
 }
 
-/// The loop both instantiations of [`Kernel::TANH`] compile.
+/// The loop every instantiation of [`Kernel::TANH`] compiles.
 #[inline(always)]
 pub(crate) fn slice_body(xs: &mut [f64]) {
     for x in xs {
@@ -150,6 +151,7 @@ pub(crate) fn slice_body(xs: &mut [f64]) {
 mod tests {
     use super::*;
     use crate::activation::Activation;
+    use crate::matrix::Isa;
 
     /// `(input bits, output bits)` of `f64::tanh` where this port was
     /// written (glibc 2.36, x86-64 with FMA), at least two arguments on
@@ -280,10 +282,10 @@ mod tests {
 
     proptest::proptest! {
         /// One function, however it is reached: the dispatched slice entry
-        /// (the AVX2+FMA instantiation wherever the CPU has it, whole
-        /// vectors and remainder), the baseline instantiation called
-        /// directly, which is how that one stays covered on an FMA host,
-        /// and the scalar `Activation::apply`.
+        /// (whole vectors and remainder) pinned to every instantiation the
+        /// CPU runs, the widest being what an unpinned call runs and the
+        /// pins how the narrower ones stay covered on a wide host, and the
+        /// scalar `Activation::apply`.
         #[test]
         fn slice_kernels_and_scalar_apply_agree_bitwise(
             len in 0usize..71,
@@ -292,12 +294,11 @@ mod tests {
         ) {
             let xs = arguments(len, any_bits, seed);
             let scalar: Vec<f64> = xs.iter().map(|&x| Activation::Tanh.apply(x)).collect();
-            let mut dispatched = xs.clone();
-            Activation::Tanh.apply_in_place(&mut dispatched);
-            let mut baseline = xs;
-            Kernel::TANH.run_baseline(&mut baseline);
-            proptest::prop_assert_eq!(bits(&dispatched), bits(&scalar));
-            proptest::prop_assert_eq!(bits(&baseline), bits(&scalar));
+            for isa in Isa::supported() {
+                let mut slice = xs.clone();
+                isa.pinned(|| Activation::Tanh.apply_in_place(&mut slice));
+                proptest::prop_assert_eq!(bits(&slice), bits(&scalar), "{:?}", isa);
+            }
         }
 
         /// Provenance: the port equals the libm call it replaced, bit for

@@ -3,9 +3,10 @@
 //! lanes** in front of a [`MinQueue`] (the "heap" below: the general
 //! structure, itself a short sorted run with a 4-ary heap behind it).
 //!
-//! Most events of a long simulation are periodic: a fleet tenant's flush is
-//! re-armed exactly one flush interval ahead, a request's timeout exactly
-//! one request-timeout ahead, housekeeping one period ahead. Instants that
+//! Many events of a simulation are periodic: a request's timeout is armed
+//! exactly one request-timeout ahead, housekeeping and the replication or
+//! controller tick one period ahead, a fleet flush phase one flush interval
+//! ahead. Instants that
 //! lie a *constant* delay after a clock that never runs backwards are
 //! already sorted, so a FIFO holds them in key order and neither end ever
 //! sifts. The agenda keeps [`LANES`] such FIFOs. Each lane owns one delay;
@@ -37,13 +38,16 @@ use std::collections::VecDeque;
 use crate::minq::MinQueue;
 use crate::time::{SimDuration, SimTime};
 
-/// Lanes per agenda. Four is what the traffic needs and what shallow queues
-/// tolerate: a fleet engine re-arms three periodic kinds (flush, consume
-/// tick, window close) and seeds eight flush phases that drain within the
-/// first interval; a protocol run re-arms request timeouts, housekeeping
-/// and the replication or controller tick. Measured, two lanes leave the
-/// fleet heap half as deep as it was, four empty it, and the walk over four
+/// Lanes per agenda. Four is the number of periodic kinds a protocol run can
+/// have armed at once (request timeout, housekeeping, the replication or
+/// controller tick, the online controller's tick), and the walk over four
 /// cached keys is below the noise of the per-message workloads (DESIGN §7a).
+/// There the lanes take about as much traffic as the heap, in short runs
+/// that drain and are claimed again: a count over the benchmark's
+/// `sim-steady` read 1.25 M lane appends and 1.04 M lane claims against
+/// 2.74 M heap pushes at a mean heap depth of 3.3, and over `sim-lossy`
+/// 0.79 M, 1.18 M and 1.72 M at a depth of 2.5. A fleet run keeps at most
+/// eight flush phases, a consume tick and a window close pending.
 const LANES: usize = 4;
 
 type Key = (SimTime, u64);

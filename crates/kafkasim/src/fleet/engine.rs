@@ -720,14 +720,18 @@ impl FleetRun {
     ) -> (FleetOutcome, Box<dyn TraceSink>) {
         let setup = prof.span("fleet.setup");
         let mut sim = EventSim::new(self.world(sink, &prof));
-        let cfg = &sim.world().cfg;
+        let (cfg, end) = (&sim.world().cfg, sim.world().end);
         let (producers, churn, window) = (cfg.producers, cfg.churn.clone(), cfg.window);
-        // One event per non-empty flush phase, seeded before the churn and
-        // the ticks: it pops where the phase's per-tenant flushes would, and
+        // One event per non-empty flush phase whose first tick is before the
+        // end, as every later tick is, seeded before the churn and the
+        // ticks: it pops where the phase's per-tenant flushes would, and
         // they would pop as one run in tenant order (DESIGN §6).
         for phase in 0..producers.min(PHASES) as u64 {
-            let first = FLUSH_INTERVAL.as_micros() * (phase + 1) / PHASES as u64;
-            sim.schedule_at(SimTime::from_micros(first), FleetEvent::Flush(phase as u32));
+            let first =
+                SimTime::from_micros(FLUSH_INTERVAL.as_micros() * (phase + 1) / PHASES as u64);
+            if first < end {
+                sim.schedule_at(first, FleetEvent::Flush(phase as u32));
+            }
         }
         for (i, c) in churn.iter().enumerate() {
             sim.schedule_at(c.at, FleetEvent::Churn(i as u32));
@@ -1020,9 +1024,10 @@ mod tests {
         }
     }
 
-    /// `FleetRun::execute` on the per-tenant loop, seeded as that loop was:
-    /// every tenant's first flush in tenant order, then the churn, the
-    /// first consume tick and the first window close.
+    /// `FleetRun::execute` on the per-tenant loop: every tenant's first
+    /// flush in tenant order (only those before the end, the rule the
+    /// engine's phases follow), then the churn, the first consume tick and
+    /// the first window close.
     fn execute_per_tenant(cfg: FleetConfig, seed: u64) -> FleetOutcome {
         let world =
             FleetRun::new(cfg.clone(), seed).world(Box::new(NoopSink), &Profiler::disabled());
@@ -1032,7 +1037,9 @@ mod tests {
             let phase = (t % 8) as u64 + 1;
             let first =
                 SimTime::ZERO + SimDuration::from_micros(FLUSH_INTERVAL.as_micros() * phase / 8);
-            sim.schedule_at(first, FleetEvent::Flush(t as u32));
+            if first < sim.world().world.end {
+                sim.schedule_at(first, FleetEvent::Flush(t as u32));
+            }
         }
         for (i, c) in cfg.churn.iter().enumerate() {
             sim.schedule_at(c.at, FleetEvent::Churn(i as u32));

@@ -344,21 +344,28 @@ fn assert_terminates_and_conserves(cfg: &FleetConfig) -> FleetOutcome {
     o
 }
 
-/// The run ends before the first flush phase (25 ms): the only events are
-/// the ones seeded at time zero, each phase's first tick fires past the end
-/// and re-arms nothing, and at 1 Hz none of them emits a message.
+/// The run ends before the first flush phase (25 ms): no phase is seeded,
+/// the only events are the first consume tick and the window close at the
+/// end, and nothing is produced, at 1 Hz or at 100 Hz a producer (where a
+/// phase seeded past the end would emit its tenants' 2–20 messages after
+/// the last window closed, into no window).
 #[test]
 fn fleet_shorter_than_the_first_flush_phase() {
     for strategy in STRATEGIES {
-        let cfg = FleetConfig {
-            strategy,
-            duration: SimDuration::from_millis(20),
-            window: SimDuration::from_millis(20),
-            ..FleetConfig::default()
-        };
-        let o = assert_terminates_and_conserves(&cfg);
-        assert_eq!(o.totals.produced, 0);
-        assert_eq!(o.events_fired, events_of(&cfg));
+        for rate_hz in [1.0, 100.0] {
+            let cfg = FleetConfig {
+                strategy,
+                duration: SimDuration::from_millis(20),
+                window: SimDuration::from_millis(20),
+                population: Population::new(vec![class("steady", rate_hz, 1.0)])
+                    .expect("valid mix"),
+                ..FleetConfig::default()
+            };
+            assert_eq!(cfg.producers, 100);
+            let o = assert_terminates_and_conserves(&cfg);
+            assert_eq!(o.totals.produced, 0, "{strategy:?}, {rate_hz} Hz");
+            assert_eq!(o.events_fired, events_of(&cfg));
+        }
     }
 }
 
@@ -454,9 +461,10 @@ fn zero_rate_class_is_refused_and_an_idle_class_conserves() {
 /// Events a fleet run fires: each of the `min(8, producers)` flush phases
 /// ticks every 200 ms from `(phase + 1) · 25 ms`, the group drains every
 /// 100 ms, a window closes every `window`, and each churn step fires once.
-/// The first of each periodic kind is seeded at time zero and fires even
-/// past the end; each re-arms while the next instant is before the end
-/// (a window close, at or before it).
+/// A flush phase is seeded only if its first tick is before the end; the
+/// first consume tick and window close are seeded at time zero and fire
+/// even past the end. Each kind re-arms while the next instant is before
+/// the end (a window close, at or before it).
 fn events_of(cfg: &FleetConfig) -> u64 {
     let end = cfg.duration.as_micros();
     let ticks = |first: u64, every: u64, upto_end: bool| {
@@ -466,6 +474,7 @@ fn events_of(cfg: &FleetConfig) -> u64 {
             .count() as u64
     };
     let flushes: u64 = (1..=cfg.producers.min(8) as u64)
+        .filter(|phase| 25_000 * phase < end)
         .map(|phase| ticks(25_000 * phase, 200_000, false))
         .sum();
     let window = cfg.window.as_micros();
