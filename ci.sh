@@ -16,11 +16,11 @@ echo "== cargo test =="
 cargo test --workspace -q
 
 echo "== agenda and MinQueue == sorted map (proptest, release, raised case count) =="
-# The scheduler under both engines, and the run-plus-heap queue behind its
-# lanes and under every TCP channel, must pop what a BTreeMap keyed by
-# (time, seq) pops. Release, because overflow checks and debug asserts are
-# off there, as they are in every measured run; 20 000 random programs a
-# property instead of the default 64.
+# The scheduler under both engines, and the queue behind its lanes and under
+# every TCP channel (a short sorted run in front of std's BinaryHeap), must
+# pop what a BTreeMap keyed by (time, seq) pops. Release, because overflow
+# checks and debug asserts are off there, as they are in every measured run;
+# 20 000 random programs a property instead of the default 64.
 PROPTEST_CASES=20000 cargo test --release -q -p desim --lib -- \
     agenda queue_pops_what_a_sorted_map_pops
 

@@ -10,6 +10,11 @@
 //! transpose tile, one ReLU layer). The paper-topology head serialises to
 //! 1.9 MB, so it is pinned by the FNV-1a digest of its JSON instead.
 
+#[path = "../../../tests/support/fnv1a.rs"]
+mod fnv1a;
+
+use fnv1a::fnv1a;
+
 use annet::{Activation, Dataset, IncrementalTrainer, Network, NetworkBuilder, TrainConfig};
 use desim::SimRng;
 
@@ -32,12 +37,6 @@ const PAPER_PREDICTIONS: [[u64; 2]; 3] = [
 /// Length and FNV-1a digest of the parent's paper-topology JSON.
 const PAPER_JSON_LEN: usize = 1_975_551;
 const PAPER_JSON_DIGEST: u64 = 0xf62c_1ae6_af1c_f5ee;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 fn probe_rows() -> Vec<Vec<f64>> {
     let mut rng = SimRng::seed_from_u64(99);

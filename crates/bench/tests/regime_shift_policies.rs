@@ -10,6 +10,11 @@
 //! the moment adaptation stops paying off. A second case pins the quick
 //! figure's exact bytes.
 
+#[path = "../../../tests/support/fnv1a.rs"]
+mod fnv1a;
+
+use fnv1a::fnv1a;
+
 use bench::figures::Effort;
 use bench::{exec, figures};
 use kafka_predict::prelude::train_model;
@@ -95,9 +100,7 @@ fn quick_figure_is_pinned() {
             stderr.contains(note),
             "{flag} did not say {note:?}: {stderr}"
         );
-        let digest = out.stdout.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
+        let digest = fnv1a(&out.stdout);
         assert_eq!(format!("{digest:016x}"), "13be51c8629d05d5", "{flag}");
     }
     std::fs::remove_file(data).expect("the saved sweep is there");

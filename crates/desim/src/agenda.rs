@@ -1,7 +1,7 @@
 //! The scheduling front-end shared by both engines: clock, sequence
 //! counter, fired count, and the pending events behind **delay-class FIFO
 //! lanes** in front of a [`MinQueue`] (the "heap" below: the general
-//! structure, itself a short sorted run with a 4-ary heap behind it).
+//! structure, itself a short sorted run with std's binary heap behind it).
 //!
 //! Many events of a simulation are periodic: a request's timeout is armed
 //! exactly one request-timeout ahead, housekeeping and the replication or
@@ -180,9 +180,8 @@ impl<E> Agenda<E> {
     }
 
     /// Removes the earliest pending event if it is due at or before
-    /// `limit`. The clock does not move: the caller decides whether the
-    /// event fires (see [`Agenda::fire`]).
-    pub(crate) fn take_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+    /// `limit`. The clock does not move until [`Agenda::fire`].
+    fn take_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
         let (source, key) = self.least();
         if key == NO_FRONT || key.0 > limit {
             return None;
@@ -205,7 +204,7 @@ impl<E> Agenda<E> {
     }
 
     /// Advances the clock to a removed event's instant and counts it fired.
-    pub(crate) fn fire(&mut self, at: SimTime) {
+    fn fire(&mut self, at: SimTime) {
         debug_assert!(at >= self.now, "time must be monotone");
         self.now = at;
         self.fired += 1;

@@ -1,4 +1,4 @@
-//! The event scheduler: a virtual clock plus an agenda of closures.
+//! The closure engine: a virtual clock plus an agenda of boxed closures.
 //!
 //! A [`Simulation`] owns a user-supplied *world* (any type `W`) and a queue
 //! of events. Each event is a boxed `FnOnce(&mut W, &mut Context<W>)`; firing
@@ -6,63 +6,24 @@
 //! [`Context`]. Events at equal timestamps fire in insertion order, making
 //! every run deterministic.
 //!
-//! Internally the pending events are the crate's agenda (shared with the
-//! typed engine) over `(time, sequence)` keys whose payload
-//! is a slot index into a slab of pending actions. The slab gives O(1)
-//! cancellation (a tombstone in the slot, no hash set) and recycles slots
-//! through a free list, so steady-state stepping performs no allocation
-//! beyond the boxed closure itself.
+//! Every simulator in the workspace runs on the typed engine
+//! ([`crate::EventSim`]), which stores events by value; this one boxes each
+//! event and is kept for the benchmark's engine driver. The pending events
+//! are the crate's agenda, shared with the typed engine. Like it, there is
+//! no cancellation: a model retires a stale timer with an epoch or flag in
+//! its world.
 
 use crate::agenda::Agenda;
 use crate::time::{SimDuration, SimTime};
 
-/// Identifier of a scheduled event, usable to cancel it before it fires.
-///
-/// # Example
-///
-/// ```
-/// use desim::{Simulation, SimDuration};
-/// let mut sim = Simulation::new(0u32);
-/// let id = sim.schedule_in(SimDuration::from_secs(1), |w: &mut u32, _| *w += 1);
-/// sim.cancel(id);
-/// sim.run_until_idle();
-/// assert_eq!(*sim.world(), 0);
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId(u64);
-
-impl EventId {
-    fn new(slot: u32, gen: u32) -> Self {
-        EventId((u64::from(gen) << 32) | u64::from(slot))
-    }
-
-    fn slot(self) -> u32 {
-        (self.0 & 0xffff_ffff) as u32
-    }
-
-    fn gen(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
-
 type Action<W> = Box<dyn FnOnce(&mut W, &mut Context<W>)>;
-
-/// A slab slot holding a pending action. `action` is `None` once the event
-/// has been cancelled (tombstone) or fired; `gen` distinguishes reuses of
-/// the same slot so stale [`EventId`]s cannot cancel unrelated events.
-struct Slot<W> {
-    action: Option<Action<W>>,
-    gen: u32,
-}
 
 /// Scheduling handle passed to every firing event.
 ///
-/// Allows an event to read the clock, schedule follow-up events, and cancel
-/// pending ones, without owning the world borrow.
+/// Allows an event to read the clock and schedule follow-up events without
+/// owning the world borrow.
 pub struct Context<W> {
-    agenda: Agenda<u32>,
-    slots: Vec<Slot<W>>,
-    free: Vec<u32>,
+    agenda: Agenda<Action<W>>,
 }
 
 impl<W> core::fmt::Debug for Context<W> {
@@ -79,8 +40,6 @@ impl<W> Context<W> {
     fn new() -> Self {
         Context {
             agenda: Agenda::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
         }
     }
 
@@ -94,54 +53,19 @@ impl<W> Context<W> {
     ///
     /// Events scheduled in the past fire "now" (at the current clock value),
     /// after all events already queued for the current instant.
-    pub fn schedule_at<F>(&mut self, at: SimTime, action: F) -> EventId
+    pub fn schedule_at<F>(&mut self, at: SimTime, action: F)
     where
         F: FnOnce(&mut W, &mut Context<W>) + 'static,
     {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize].action = Some(Box::new(action));
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 pending events");
-                self.slots.push(Slot {
-                    action: Some(Box::new(action)),
-                    gen: 0,
-                });
-                slot
-            }
-        };
-        self.agenda.schedule_at(at, slot);
-        EventId::new(slot, self.slots[slot as usize].gen)
+        self.agenda.schedule_at(at, Box::new(action));
     }
 
     /// Schedules `action` to fire `delay` after the current instant.
-    pub fn schedule_in<F>(&mut self, delay: SimDuration, action: F) -> EventId
+    pub fn schedule_in<F>(&mut self, delay: SimDuration, action: F)
     where
         F: FnOnce(&mut W, &mut Context<W>) + 'static,
     {
-        self.schedule_at(self.now() + delay, action)
-    }
-
-    /// Cancels a pending event. Has no effect if the event already fired.
-    pub fn cancel(&mut self, id: EventId) {
-        let slot = id.slot() as usize;
-        if let Some(s) = self.slots.get_mut(slot) {
-            if s.gen == id.gen() {
-                s.action = None;
-            }
-        }
-    }
-
-    /// Frees `slot` after its queue entry has been popped, returning the
-    /// action if the event is still live (not cancelled).
-    fn release(&mut self, slot: u32) -> Option<Action<W>> {
-        let s = &mut self.slots[slot as usize];
-        let action = s.action.take();
-        s.gen = s.gen.wrapping_add(1);
-        self.free.push(slot);
-        action
+        self.agenda.schedule_in(delay, Box::new(action));
     }
 
     /// Number of events that have fired so far.
@@ -150,7 +74,7 @@ impl<W> Context<W> {
         self.agenda.fired()
     }
 
-    /// Number of events still pending (including cancelled-but-unpopped ones).
+    /// Number of events still pending.
     #[must_use]
     pub fn pending(&self) -> usize {
         self.agenda.len()
@@ -226,45 +150,30 @@ impl<W> Simulation<W> {
     }
 
     /// Schedules an event at an absolute instant. See [`Context::schedule_at`].
-    pub fn schedule_at<F>(&mut self, at: SimTime, action: F) -> EventId
+    pub fn schedule_at<F>(&mut self, at: SimTime, action: F)
     where
         F: FnOnce(&mut W, &mut Context<W>) + 'static,
     {
-        self.ctx.schedule_at(at, action)
+        self.ctx.schedule_at(at, action);
     }
 
     /// Schedules an event after a delay. See [`Context::schedule_in`].
-    pub fn schedule_in<F>(&mut self, delay: SimDuration, action: F) -> EventId
+    pub fn schedule_in<F>(&mut self, delay: SimDuration, action: F)
     where
         F: FnOnce(&mut W, &mut Context<W>) + 'static,
     {
-        self.ctx.schedule_in(delay, action)
-    }
-
-    /// Cancels a pending event.
-    pub fn cancel(&mut self, id: EventId) {
-        self.ctx.cancel(id);
+        self.ctx.schedule_in(delay, action);
     }
 
     /// Fires the next pending event, advancing the clock to its timestamp.
     ///
     /// Returns `false` when the queue is empty (the clock does not move).
     pub fn step(&mut self) -> bool {
-        self.step_at_or_before(SimTime::MAX)
-    }
-
-    /// Fires the next live event due at or before `limit`, discarding the
-    /// cancelled ones it meets on the way (they neither move the clock nor
-    /// count as fired).
-    fn step_at_or_before(&mut self, limit: SimTime) -> bool {
-        while let Some((at, slot)) = self.ctx.agenda.take_at_or_before(limit) {
-            if let Some(action) = self.ctx.release(slot) {
-                self.ctx.agenda.fire(at);
-                action(&mut self.world, &mut self.ctx);
-                return true;
-            }
-        }
-        false
+        let Some(action) = self.ctx.agenda.pop() else {
+            return false;
+        };
+        action(&mut self.world, &mut self.ctx);
+        true
     }
 
     /// Runs until no events remain.
@@ -284,7 +193,9 @@ impl<W> Simulation<W> {
     /// exceeds `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let before = self.events_fired();
-        while self.step_at_or_before(deadline) {}
+        while let Some(action) = self.ctx.agenda.pop_at_or_before(deadline) {
+            action(&mut self.world, &mut self.ctx);
+        }
         self.ctx.agenda.advance_to(deadline);
         self.events_fired() - before
     }
@@ -332,26 +243,6 @@ mod tests {
         });
         sim.run_until_idle();
         assert_eq!(*sim.world(), SimTime::from_secs(3).as_micros());
-    }
-
-    #[test]
-    fn cancelled_events_do_not_fire() {
-        let mut sim = Simulation::new(0u32);
-        let keep = sim.schedule_in(SimDuration::from_millis(1), |w: &mut u32, _| *w += 1);
-        let drop1 = sim.schedule_in(SimDuration::from_millis(2), |w: &mut u32, _| *w += 10);
-        sim.cancel(drop1);
-        let _ = keep;
-        sim.run_until_idle();
-        assert_eq!(*sim.world(), 1);
-    }
-
-    #[test]
-    fn cancel_from_within_event() {
-        let mut sim = Simulation::new(0u32);
-        let victim = sim.schedule_at(SimTime::from_millis(10), |w: &mut u32, _| *w += 100);
-        sim.schedule_at(SimTime::from_millis(5), move |_, ctx| ctx.cancel(victim));
-        sim.run_until_idle();
-        assert_eq!(*sim.world(), 0);
     }
 
     #[test]
@@ -415,29 +306,5 @@ mod tests {
         }
         sim.run_until_idle();
         assert_eq!(sim.events_fired(), 5);
-    }
-
-    #[test]
-    fn stale_event_id_cannot_cancel_slot_reuse() {
-        // After an event fires, its slot is recycled; a stale id pointing at
-        // the old generation must not cancel the new occupant.
-        let mut sim = Simulation::new(0u32);
-        let stale = sim.schedule_in(SimDuration::from_millis(1), |w: &mut u32, _| *w += 1);
-        sim.run_until_idle();
-        assert_eq!(*sim.world(), 1);
-        let _fresh = sim.schedule_in(SimDuration::from_millis(1), |w: &mut u32, _| *w += 10);
-        sim.cancel(stale); // stale generation: must be a no-op
-        sim.run_until_idle();
-        assert_eq!(*sim.world(), 11);
-    }
-
-    #[test]
-    fn double_cancel_is_harmless() {
-        let mut sim = Simulation::new(0u32);
-        let id = sim.schedule_in(SimDuration::from_millis(1), |w: &mut u32, _| *w += 1);
-        sim.cancel(id);
-        sim.cancel(id);
-        sim.run_until_idle();
-        assert_eq!(*sim.world(), 0);
     }
 }

@@ -9,9 +9,13 @@
 //!
 //! * **Virtual time** is a [`SimTime`] measured in integer microseconds, so
 //!   event ordering is exact and runs are bit-for-bit reproducible.
-//! * **Events** are boxed closures scheduled on a [`Simulation`]; ties are
-//!   broken by insertion order (FIFO among simultaneous events), which keeps
-//!   causality deterministic.
+//! * **Events** are values of a world's own `enum`, fired by an
+//!   [`EventSim`] through one [`EventWorld::handle`] method; ties are broken
+//!   by insertion order (FIFO among simultaneous events), which keeps
+//!   causality deterministic. The pending events sit in one agenda:
+//!   delay-class FIFO lanes in front of a [`minq::MinQueue`]. The closure
+//!   engine ([`Simulation`], boxed `FnOnce` events) schedules through the
+//!   same agenda.
 //! * **Randomness** comes from [`rng::SimRng`], a seeded xoshiro256\*\*
 //!   generator with the distribution set the paper needs (uniform,
 //!   exponential, **Pareto** for network delay, normal, Bernoulli).
@@ -21,18 +25,26 @@
 //! # Example
 //!
 //! ```
-//! use desim::{Simulation, SimDuration};
+//! use desim::{EventContext, EventSim, EventWorld, SimDuration};
 //!
 //! // A world holding a single counter; two chained events increment it.
-//! let mut sim = Simulation::new(0u32);
-//! sim.schedule_in(SimDuration::from_millis(5), |world: &mut u32, ctx| {
-//!     *world += 1;
-//!     ctx.schedule_in(SimDuration::from_millis(5), |world: &mut u32, _| {
-//!         *world += 1;
-//!     });
-//! });
+//! struct Counter(u32);
+//! enum Ev { Bump }
+//!
+//! impl EventWorld for Counter {
+//!     type Event = Ev;
+//!     fn handle(&mut self, _: Ev, ctx: &mut EventContext<Ev>) {
+//!         self.0 += 1;
+//!         if self.0 < 2 {
+//!             ctx.schedule_in(SimDuration::from_millis(5), Ev::Bump);
+//!         }
+//!     }
+//! }
+//!
+//! let mut sim = EventSim::new(Counter(0));
+//! sim.schedule_in(SimDuration::from_millis(5), Ev::Bump);
 //! sim.run_until_idle();
-//! assert_eq!(*sim.world(), 2);
+//! assert_eq!(sim.world().0, 2);
 //! assert_eq!(sim.now().as_millis(), 10);
 //! ```
 
@@ -48,7 +60,7 @@ pub mod stats;
 pub mod time;
 pub mod typed;
 
-pub use engine::{Context, EventId, Simulation};
+pub use engine::{Context, Simulation};
 pub use fasthash::{FastMap, FastSet, FxBuildHasher, FxHasher};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -1,40 +1,36 @@
-//! The index-min event queue shared by both engines and every TCP channel.
+//! The min-queue behind the agenda's lanes and under every TCP channel.
 //!
 //! Keys are `(timestamp, sequence)`. Sequence numbers are unique and
 //! monotone, so keys are totally ordered and equal-time events pop in
 //! insertion order — the determinism contract of the engines.
 //!
-//! The queue is shaped by the traffic it carries. In a per-message run the
-//! agenda's queue (behind its lanes) holds 0–13 events when one is pushed
-//! and a channel's 0–14, and nine pushes in ten have at most three smaller
-//! keys ahead of them. So the queue is two structures behind one API:
+//! A per-message run keeps 0–14 entries in each of these queues, rarely
+//! more, and a new key is usually the next or nearly the next to pop. So
+//! the queue is two structures behind one API:
 //!
 //! * **the run**, a short `Vec` sorted by *descending* key: the minimum is
 //!   its last entry, so `pop` and `peek` read the end, and `push` scans
 //!   from the end and inserts, moving only the entries above the new key;
-//! * **the heap**, a slot-indexed 4-ary min-heap, for the entries the run
-//!   cannot place: past 16 entries (`RUN_MAX`) the run hands its largest
-//!   to the heap. A 4-ary layout halves the depth of a binary heap, and the
-//!   heap array holds only 24-byte `(time, seq, slot)` keys with the
-//!   payloads in a slot arena recycled through a free list, so a sift
-//!   moves fixed-size keys whatever the payload.
+//! * **the heap**, std's [`BinaryHeap`], for the entries the run cannot
+//!   place: past 16 entries (`RUN_MAX`) the run hands its largest to it.
 //!
 //! Removal takes the lesser of the run's end and the heap's top. Both are
 //! sorted, so the queue pops exactly the sequence any correct priority
 //! queue pops; which entry sits where is invisible to the caller.
 
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+
 use crate::time::SimTime;
 
-/// Entries the run holds before it hands its largest to the heap. No
-/// per-message queue reaches it, so there the heap is never touched; on a
-/// deep queue it keeps a push's walk and shift short, and most keys go
-/// straight to the heap after two compares. The other bound raced, "give
-/// up after a 32-step walk", is level with this one on the per-message
-/// engine and reads 17 % below the 4-ary heap alone at depth 4 096, where
-/// this one reads 5 % below (DESIGN §7a).
+/// Entries the run holds before it hands its largest to the heap. A
+/// per-message queue seldom reaches it (under heavy loss one push in
+/// 15 000 does), so there the heap is all but idle; on a deep queue it
+/// keeps a push's walk and shift short, and most keys go straight to the
+/// heap after two compares.
 const RUN_MAX: usize = 16;
 
-/// A run entry: key and payload side by side.
+/// A queued entry, ordered by its key alone.
 struct Entry<T> {
     at: SimTime,
     seq: u64,
@@ -47,31 +43,33 @@ impl<T> Entry<T> {
     }
 }
 
-/// A heap key: the payload is `slots[slot]`.
-#[derive(Clone, Copy)]
-struct HeapKey {
-    at: SimTime,
-    seq: u64,
-    slot: u32,
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
 }
 
-impl HeapKey {
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
+impl<T> Eq for Entry<T> {}
+
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
     }
 }
 
 /// A min-queue of `(SimTime, u64)`-keyed payloads: a short sorted run in
-/// front of a 4-ary heap (see the [module documentation](self)).
+/// front of a binary heap (see the [module documentation](self)).
 pub struct MinQueue<T> {
     /// Sorted by descending key; the least entry is the last.
     run: Vec<Entry<T>>,
-    /// The 4-ary heap of keys; `heap[i].slot` indexes the payload.
-    heap: Vec<HeapKey>,
-    /// Slot arena of the heap's payloads. Freed slots are recycled through
-    /// `free`, so steady-state push/pop never reallocates.
-    slots: Vec<Option<T>>,
-    free: Vec<u32>,
+    /// What the full run could not place, least key on top.
+    heap: BinaryHeap<Reverse<Entry<T>>>,
 }
 
 impl<T> Default for MinQueue<T> {
@@ -86,9 +84,7 @@ impl<T> MinQueue<T> {
     pub fn new() -> Self {
         MinQueue {
             run: Vec::new(),
-            heap: Vec::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
+            heap: BinaryHeap::new(),
         }
     }
 
@@ -130,21 +126,21 @@ impl<T> MinQueue<T> {
     #[cold]
     fn push_past_the_bound(&mut self, at: SimTime, seq: u64, item: T) {
         let key = (at, seq);
-        if self.run[0].key() < key || self.heap.first().is_some_and(|h| h.key() < key) {
-            self.heap_push(at, seq, item);
+        if self.run[0].key() < key || self.heap.peek().is_some_and(|top| top.0.key() < key) {
+            self.heap.push(Reverse(Entry { at, seq, item }));
         } else {
             self.insert(at, seq, item);
-            let Entry { at, seq, item } = self.run.remove(0);
-            self.heap_push(at, seq, item);
+            let largest = self.run.remove(0);
+            self.heap.push(Reverse(largest));
         }
     }
 
     /// The least key, and `true` when the run holds it (`false`: the heap).
     fn least(&self) -> Option<((SimTime, u64), bool)> {
-        match (self.run.last(), self.heap.first()) {
-            (Some(r), Some(h)) if h.key() < r.key() => Some((h.key(), false)),
+        match (self.run.last(), self.heap.peek()) {
+            (Some(r), Some(h)) if h.0.key() < r.key() => Some((h.0.key(), false)),
             (Some(r), _) => Some((r.key(), true)),
-            (None, Some(h)) => Some((h.key(), false)),
+            (None, Some(h)) => Some((h.0.key(), false)),
             (None, None) => None,
         }
     }
@@ -153,14 +149,12 @@ impl<T> MinQueue<T> {
     #[must_use]
     pub fn peek(&self) -> Option<(SimTime, &T)> {
         let ((at, _), in_run) = self.least()?;
-        let item = if in_run {
-            &self.run.last().expect("least is in the run").item
+        let e = if in_run {
+            self.run.last().expect("least is in the run")
         } else {
-            self.slots[self.heap[0].slot as usize]
-                .as_ref()
-                .expect("live slot")
+            &self.heap.peek().expect("least is in the heap").0
         };
-        Some((at, item))
+        Some((at, &e.item))
     }
 
     /// The minimum `(timestamp, sequence)` key, if any.
@@ -185,81 +179,26 @@ impl<T> MinQueue<T> {
     }
 
     /// Removes the run's last entry or the heap's top, as [`Self::least`]
-    /// chose.
+    /// chose. Two returns, not one `if` expression over both sources: that
+    /// form read 13.6 % fewer msgs/s on the benchmark's `sim-lossy`
+    /// (PERFORMANCE.md, "desim's queue").
     fn take(&mut self, in_run: bool) -> (SimTime, T) {
         if in_run {
             let e = self.run.pop().expect("least is in the run");
             return (e.at, e.item);
         }
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        let k = self.heap.pop().expect("least is in the heap");
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-        let item = self.slots[k.slot as usize].take().expect("live slot");
-        self.free.push(k.slot);
-        (k.at, item)
+        let Reverse(e) = self.heap.pop().expect("least is in the heap");
+        (e.at, e.item)
     }
 
     /// Empties the queue, yielding the payloads in unspecified (but
     /// deterministic) order: the run's, then the heap's. For callers that
     /// need to flush every pending entry without caring about key order.
     pub fn drain_unordered(&mut self) -> impl Iterator<Item = T> + '_ {
-        self.heap.clear();
-        self.free.clear();
         self.run
             .drain(..)
+            .chain(self.heap.drain().map(|Reverse(e)| e))
             .map(|e| e.item)
-            .chain(self.slots.drain(..).flatten())
-    }
-
-    fn heap_push(&mut self, at: SimTime, seq: u64, item: T) {
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.slots.push(None);
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.slots[slot as usize] = Some(item);
-        self.heap.push(HeapKey { at, seq, slot });
-        self.sift_up(self.heap.len() - 1);
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 4;
-            if self.heap[i].key() < self.heap[parent].key() {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.heap.len();
-        loop {
-            let first = 4 * i + 1;
-            if first >= n {
-                break;
-            }
-            let mut min = first;
-            let end = (first + 4).min(n);
-            for c in first + 1..end {
-                if self.heap[c].key() < self.heap[min].key() {
-                    min = c;
-                }
-            }
-            if self.heap[min].key() < self.heap[i].key() {
-                self.heap.swap(i, min);
-                i = min;
-            } else {
-                break;
-            }
-        }
     }
 }
 
@@ -355,27 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn slots_are_recycled_across_push_pop_cycles() {
-        let mut q = MinQueue::new();
-        let mut seq = 0u64;
-        // Steady-state churn at a depth past the run bound: the heap holds
-        // at most `depth - RUN_MAX` entries, so its slot arena must not
-        // grow past that.
-        let depth = RUN_MAX as u64 + 4;
-        for round in 0..100u64 {
-            for i in 0..depth {
-                q.push(SimTime::from_millis(round * 100 + i), seq, seq);
-                seq += 1;
-            }
-            for _ in 0..depth {
-                q.pop().unwrap();
-            }
-        }
-        assert!(q.is_empty());
-        assert!(q.slots.len() <= 4, "slot arena grew to {}", q.slots.len());
-    }
-
-    #[test]
     fn a_full_run_hands_its_largest_to_the_heap() {
         let mut q = MinQueue::new();
         for seq in 0..RUN_MAX as u64 {
@@ -385,7 +303,10 @@ mod tests {
         // Below the run's largest: it goes in, the largest goes out.
         q.push(SimTime::from_millis(1), 100, 100);
         assert_eq!((q.run.len(), q.heap.len()), (RUN_MAX, 1));
-        assert_eq!(q.heap[0].at, SimTime::from_millis(10 + RUN_MAX as u64 - 1));
+        assert_eq!(
+            q.heap.peek().map(|top| top.0.at),
+            Some(SimTime::from_millis(10 + RUN_MAX as u64 - 1))
+        );
         // Above it: straight to the heap.
         q.push(SimTime::from_millis(1_000), 101, 101);
         assert_eq!((q.run.len(), q.heap.len()), (RUN_MAX, 2));
@@ -394,6 +315,32 @@ mod tests {
         want.extend(0..RUN_MAX as u64);
         want.push(101);
         assert_eq!(order, want);
+    }
+
+    /// The benchmark's deep hold model (`desim.minq.deep_ops_per_s`): a
+    /// queue kept 4 096 entries deep, each pop followed by a push a random
+    /// increment later, so nearly every entry lives in the heap. About
+    /// 100 k pops and as many pushes, each pop checked against a
+    /// `BTreeMap` keyed by `(time, seq)`.
+    #[test]
+    fn a_deep_hold_model_pops_what_a_sorted_map_pops() {
+        let mut rng = crate::SimRng::seed_from_u64(4_096);
+        let mut q = MinQueue::new();
+        let mut oracle = BTreeMap::new();
+        for seq in 0..4_096 {
+            let at = SimTime::from_micros(rng.next_below(1_000_000));
+            q.push(at, seq, seq);
+            oracle.insert((at, seq), seq);
+        }
+        assert!(q.heap.len() > 4_000, "the heap holds {}", q.heap.len());
+        for seq in 4_096..104_096 {
+            let ((at, _), want) = oracle.pop_first().expect("the map holds its depth");
+            assert_eq!(q.pop(), Some((at, want)), "pop before push {seq}");
+            let at = at + crate::SimDuration::from_micros(1 + rng.next_below(1_000_000));
+            q.push(at, seq, seq);
+            oracle.insert((at, seq), seq);
+        }
+        assert_eq!(q.len(), oracle.len());
     }
 
     /// One step of a random queue program.

@@ -1,22 +1,19 @@
-//! The typed-event engine: a zero-allocation alternative to [`crate::Simulation`].
+//! The typed-event engine, on which every simulator of the workspace runs.
 //!
-//! The closure engine boxes every event (`Box<dyn FnOnce>`), which puts one
-//! heap allocation and one indirect call on the hot path of every scheduled
-//! event. For simulations that fire millions of events, that cost dominates.
-//!
-//! [`EventSim`] removes it: the world declares a plain `enum` of its event
-//! kinds ([`EventWorld::Event`]) and a single [`EventWorld::handle`] method
-//! that dispatches on it. Events are stored *by value* in the crate's
-//! agenda (delay-class FIFO lanes in front of a short sorted run and a
-//! 4-ary heap), so scheduling is a couple of writes into a ring or a `Vec`
-//! and firing is a match — no boxes, no virtual calls, no per-event
-//! allocation.
+//! The world declares a plain `enum` of its event kinds
+//! ([`EventWorld::Event`]) and a single [`EventWorld::handle`] method that
+//! dispatches on it. Events are stored *by value* in the crate's agenda
+//! (delay-class FIFO lanes in front of a short sorted run and std's binary
+//! heap), so scheduling is a couple of writes into a ring or a `Vec` and
+//! firing is a match — no boxes, no virtual calls, no per-event
+//! allocation, where the closure engine ([`crate::Simulation`]) boxes
+//! every event.
 //!
 //! There is deliberately **no cancellation**: models that need to retire a
 //! stale timer guard it with an epoch or flag in the world (the timer fires,
 //! notices its epoch is old, and returns). That keeps the queue free of
-//! tombstone bookkeeping. Determinism contract is identical to the closure
-//! engine: events at equal timestamps fire in insertion order.
+//! tombstone bookkeeping. Events at equal timestamps fire in insertion
+//! order.
 //!
 //! # Example
 //!

@@ -1,12 +1,34 @@
-//! Property tests of the simulation engine's core guarantees: time-ordered,
-//! FIFO-stable, deterministic event execution.
+//! Property tests of the simulation engines' core guarantees: time-ordered,
+//! FIFO-stable, deterministic event execution. The ordering properties run
+//! each schedule through both engines: the closure `Simulation` and the
+//! typed `EventSim` every simulator runs on.
 
-use desim::{SimDuration, SimTime, Simulation};
+use desim::{EventContext, EventSim, EventWorld, SimDuration, SimTime, Simulation};
 use proptest::prelude::*;
+
+/// A typed world that records the tag of each event it fires.
+struct Log(Vec<(u64, usize)>);
+
+impl EventWorld for Log {
+    type Event = (u64, usize);
+    fn handle(&mut self, event: (u64, usize), _: &mut EventContext<(u64, usize)>) {
+        self.0.push(event);
+    }
+}
+
+/// A typed simulation with one event tagged `(t, index)` at each `t`.
+fn typed(times: &[u64]) -> EventSim<Log> {
+    let mut sim = EventSim::new(Log(Vec::new()));
+    for (idx, &t) in times.iter().enumerate() {
+        sim.schedule_at(SimTime::from_micros(t), (t, idx));
+    }
+    sim
+}
 
 proptest! {
     /// Events fire in non-decreasing time order, with ties broken by
-    /// insertion order, for any schedule.
+    /// insertion order, for any schedule, and both engines fire the same
+    /// sequence.
     #[test]
     fn events_fire_in_order(times in proptest::collection::vec(0u64..10_000, 1..100)) {
         let mut sim = Simulation::new(Vec::<(u64, usize)>::new());
@@ -25,10 +47,13 @@ proptest! {
                 "order violated: {:?} then {:?}", pair[0], pair[1]
             );
         }
+        let mut typed = typed(&times);
+        typed.run_until_idle();
+        prop_assert_eq!(&typed.world().0, fired);
     }
 
     /// `run_until(d)` fires exactly the events stamped ≤ d and leaves the
-    /// clock at d.
+    /// clock at d, on both engines.
     #[test]
     fn run_until_is_a_clean_cut(
         times in proptest::collection::vec(0u64..10_000, 1..60),
@@ -44,29 +69,12 @@ proptest! {
         prop_assert_eq!(sim.now(), SimTime::from_micros(cut));
         sim.run_until_idle();
         prop_assert_eq!(*sim.world(), times.len());
-    }
-
-    /// Cancelling any subset of events fires exactly the complement.
-    #[test]
-    fn cancellation_is_exact(
-        times in proptest::collection::vec(1u64..10_000, 1..60),
-        cancel_mask in proptest::collection::vec(proptest::bool::ANY, 60),
-    ) {
-        let mut sim = Simulation::new(0usize);
-        let ids: Vec<_> = times
-            .iter()
-            .map(|&t| sim.schedule_at(SimTime::from_micros(t), |w: &mut usize, _| *w += 1))
-            .collect();
-        let mut kept = 0;
-        for (i, id) in ids.into_iter().enumerate() {
-            if cancel_mask.get(i).copied().unwrap_or(false) {
-                sim.cancel(id);
-            } else {
-                kept += 1;
-            }
-        }
-        sim.run_until_idle();
-        prop_assert_eq!(*sim.world(), kept);
+        let mut typed = typed(&times);
+        typed.run_until(SimTime::from_micros(cut));
+        prop_assert_eq!(typed.world().0.len(), expected);
+        prop_assert_eq!(typed.now(), SimTime::from_micros(cut));
+        typed.run_until_idle();
+        prop_assert_eq!(typed.world().0.len(), times.len());
     }
 
     /// Statistics merging is order-independent (within float tolerance).

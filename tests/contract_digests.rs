@@ -15,6 +15,11 @@
 //! 512 rows × 40 epochs on the paper topology): the root manifest builds
 //! `annet` at `opt-level = 2` under the dev profile to afford them.
 
+#[path = "support/fnv1a.rs"]
+mod fnv1a;
+
+use fnv1a::fnv1a;
+
 use annet::{Dataset, NetworkBuilder, TrainConfig};
 use desim::{SimDuration, SimRng, SimTime};
 use kafka_predict::kpi::KpiModel;
@@ -33,11 +38,8 @@ use testbed::sweep::run_sweep;
 use testbed::Calibration;
 
 /// FNV-1a 64-bit digest, as the 16 hex digits the docs quote.
-fn fnv1a(bytes: &[u8]) -> String {
-    let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    format!("{hash:016x}")
+fn hex_digest(bytes: &[u8]) -> String {
+    format!("{:016x}", fnv1a(bytes))
 }
 
 /// The deterministic sweep grid: 48 points covering both semantics, loss,
@@ -80,7 +82,7 @@ fn sweep_results_are_pinned_at_one_and_four_threads() {
         let results = run_sweep(&points, &cal, 4_000, 99, threads);
         let json = serde_json::to_string(&results).expect("results serialise");
         assert_eq!(
-            fnv1a(json.as_bytes()),
+            hex_digest(json.as_bytes()),
             "653d57b1f236a349",
             "{threads} threads"
         );
@@ -121,7 +123,7 @@ fn trained_weights_are_pinned() {
     };
     net.train(&data, &config, &mut rng);
     let json = net.to_json().expect("serialisable network");
-    assert_eq!(fnv1a(json.as_bytes()), "7ca78f69a03c7cd7");
+    assert_eq!(hex_digest(json.as_bytes()), "7ca78f69a03c7cd7");
 }
 
 /// Deterministic feature rows shaped like planner candidates: every axis
@@ -155,7 +157,7 @@ fn predictions_digest(preds: &[Prediction]) -> String {
         bytes.extend_from_slice(&p.p_loss.to_bits().to_le_bytes());
         bytes.extend_from_slice(&p.p_dup.to_bits().to_le_bytes());
     }
-    fnv1a(&bytes)
+    hex_digest(&bytes)
 }
 
 /// Since PR 4. The cached path runs twice, answering once from the model
@@ -219,7 +221,7 @@ fn planner_recommendations_are_pinned_at_one_and_four_threads() {
             let rec = recommender.recommend_grid(s, &weights, 0.9, threads);
             push_recommendation(&mut bytes, &rec);
         }
-        assert_eq!(fnv1a(&bytes), "749d4a159b87c5b5", "{threads} threads");
+        assert_eq!(hex_digest(&bytes), "749d4a159b87c5b5", "{threads} threads");
     }
 }
 
@@ -269,7 +271,7 @@ fn drive_policy<P: Policy>(policy: &P) -> String {
         bytes.extend_from_slice(&u64::from(cfg.max_retries).to_le_bytes());
         bytes.push(cfg.semantics as u8);
     }
-    fnv1a(&bytes)
+    hex_digest(&bytes)
 }
 
 /// The untrained paper-topology model every policy below starts from.

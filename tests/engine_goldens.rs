@@ -12,6 +12,11 @@
 //! nothing moves the count alone (the fleet engine's one event per flush
 //! phase did).
 
+#[path = "support/fnv1a.rs"]
+mod fnv1a;
+
+use fnv1a::fnv1a;
+
 use desim::{SimDuration, SimTime};
 use kafkasim::broker::BrokerId;
 use kafkasim::config::{DeliverySemantics, ProducerConfig};
@@ -24,12 +29,6 @@ use kafkasim::source::{SizeSpec, SourceSpec};
 use netsim::{ConditionTimeline, NetCondition};
 use testbed::experiment::ExperimentPoint;
 use testbed::Calibration;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 /// FNV-1a of the value's `Debug` rendering: every field, floats included.
 fn debug_digest(value: &impl core::fmt::Debug) -> u64 {
