@@ -6,7 +6,8 @@
 //! that would be millions of batch/ack events per second of simulated
 //! time. Instead it models the fleet at the *flow* level on the same
 //! [`desim`] event loop: producers emit deterministic Poisson-free
-//! (rate × elapsed, fractional carry) message counts per flush, a
+//! (rate × elapsed, plus a fractional carry shared by every tenant of one
+//! flush phase and class) message counts per flush, a
 //! pluggable [`Partitioner`] routes every message, per-partition token
 //! buckets bound append throughput (the *How Fast Can We Insert?*
 //! envelope), and a [`GroupCoordinator`] rebalances consumer ownership
@@ -440,6 +441,8 @@ struct FleetWorld {
     group: GroupCoordinator,
     partitions: Vec<PartitionState>,
     ledgers: Vec<TenantLedger>,
+    /// Fractional message carry of each (flush phase, class), at
+    /// `phase * classes + class`.
     carry: Vec<f64>,
     class_producers: Vec<u64>,
     class_window: Vec<ClassWindowAcc>,
@@ -452,13 +455,6 @@ struct FleetWorld {
 }
 
 impl FleetWorld {
-    fn rate_of(&self, tenant: u32) -> f64 {
-        self.cfg
-            .population
-            .class(self.classes_of[tenant as usize])
-            .rate_hz
-    }
-
     /// One flush of `n > 0` messages of `tenant`. The loss draws come
     /// first, one per message from the tenant's own stream: they read no
     /// partition state, so the survivors can then be appended in one step.
@@ -611,11 +607,21 @@ impl EventWorld for FleetWorld {
                 // The phase's previous tick was one interval ago, or time
                 // zero before its first, at `(phase + 1) / PHASES` of one.
                 let elapsed = (now - SimTime::ZERO).min(FLUSH_INTERVAL).as_secs_f64();
+                // Every tenant of one phase and class started at a zero
+                // carry and has flushed at the same ticks since, so each
+                // class's count is computed once per tick (DESIGN §6).
+                let entries = self.cfg.population.entries();
+                let carry = &mut self.carry[phase as usize * entries.len()..][..entries.len()];
+                let due: Vec<u64> = (entries.iter().zip(carry))
+                    .map(|(entry, carry)| {
+                        let emitted = entry.class.rate_hz * elapsed + *carry;
+                        let n = emitted as u64;
+                        *carry = emitted - n as f64;
+                        n
+                    })
+                    .collect();
                 for tenant in (phase..self.ledgers.len() as u32).step_by(PHASES) {
-                    let t = tenant as usize;
-                    let emitted = self.rate_of(tenant) * elapsed + self.carry[t];
-                    let n = emitted as u64;
-                    self.carry[t] = emitted - n as f64;
+                    let n = due[self.classes_of[tenant as usize] as usize];
                     if n > 0 {
                         self.send(tenant, n, now);
                     }
@@ -803,7 +809,7 @@ impl FleetRun {
                 cfg.partitions as usize
             ],
             ledgers,
-            carry: vec![0.0; cfg.producers],
+            carry: vec![0.0; PHASES * n_classes],
             class_producers,
             class_window: vec![ClassWindowAcc::default(); n_classes],
             window_idx: 0,
@@ -995,10 +1001,21 @@ mod tests {
 
     /// The per-tenant flush loop that one event per flush phase replaced,
     /// kept as the reference the engine must equal: one `Flush(tenant)`
-    /// event per tenant, each tenant remembering its own last flush.
+    /// event per tenant, each tenant remembering its own last flush and
+    /// its own fractional carry.
     struct PerTenant {
         world: FleetWorld,
         last_flush: Vec<SimTime>,
+        carry: Vec<f64>,
+    }
+
+    impl FleetWorld {
+        fn rate_of(&self, tenant: u32) -> f64 {
+            self.cfg
+                .population
+                .class(self.classes_of[tenant as usize])
+                .rate_hz
+        }
     }
 
     impl EventWorld for PerTenant {
@@ -1011,9 +1028,9 @@ mod tests {
             let (w, now, t) = (&mut self.world, ctx.now(), tenant as usize);
             let elapsed = (now - self.last_flush[t]).as_secs_f64();
             self.last_flush[t] = now;
-            let emitted = w.rate_of(tenant) * elapsed + w.carry[t];
+            let emitted = w.rate_of(tenant) * elapsed + self.carry[t];
             let n = emitted as u64;
-            w.carry[t] = emitted - n as f64;
+            self.carry[t] = emitted - n as f64;
             if n > 0 {
                 w.send(tenant, n, now);
             }
@@ -1031,8 +1048,11 @@ mod tests {
     fn execute_per_tenant(cfg: FleetConfig, seed: u64) -> FleetOutcome {
         let world =
             FleetRun::new(cfg.clone(), seed).world(Box::new(NoopSink), &Profiler::disabled());
-        let last_flush = vec![SimTime::ZERO; cfg.producers];
-        let mut sim = EventSim::new(PerTenant { world, last_flush });
+        let mut sim = EventSim::new(PerTenant {
+            world,
+            last_flush: vec![SimTime::ZERO; cfg.producers],
+            carry: vec![0.0; cfg.producers],
+        });
         for t in 0..cfg.producers {
             let phase = (t % 8) as u64 + 1;
             let first =
@@ -1150,6 +1170,58 @@ mod tests {
                 (cfg, seed)
             },
         )
+    }
+
+    /// Phases that mix classes: 12 producers at 0.3 Hz and 1.7 Hz are
+    /// dealt `0,1,0,1,0,1,0,1,1,1,1,1`, so phases 0 and 2 hold one tenant
+    /// of each class and phases 1 and 3 two of the fast one (with 8
+    /// producers each phase would hold one tenant, and a carry per phase
+    /// would pass for a carry per tenant). The churn lands on phase 0's
+    /// sixth tick. A carry keyed by class alone, or by phase alone,
+    /// miscounts here.
+    #[test]
+    fn phase_and_class_carries_equal_per_tenant_carries() {
+        let class = |name: &str, rate_hz, weight| PopulationEntry {
+            class: StreamClass {
+                name: name.into(),
+                size: SizeSpec::Fixed(200),
+                rate_hz,
+                timeliness: SimDuration::from_secs(1),
+            },
+            weight,
+        };
+        let cfg = FleetConfig {
+            producers: 12,
+            partitions: 3,
+            population: Population::new(vec![class("slow", 0.3, 1.0), class("fast", 1.7, 2.0)])
+                .unwrap(),
+            initial_consumers: 2,
+            churn: vec![ChurnEvent {
+                at: SimTime::from_millis(1_025),
+                action: ChurnAction::Join,
+                member: 2,
+            }],
+            duration: SimDuration::from_secs(4),
+            window: SimDuration::from_secs(1),
+            partition_capacity_hz: 4.0,
+            base_loss: 0.1,
+            ..FleetConfig::default()
+        };
+        let world = FleetRun::new(cfg.clone(), 3).world(Box::new(NoopSink), &Profiler::disabled());
+        assert_eq!(world.classes_of, [0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1]);
+        let reference = execute_per_tenant(cfg.clone(), 3);
+        let phased = FleetRun::new(cfg, 3).execute();
+        assert!(reference.classes.iter().all(|c| c.produced > 0));
+        assert_eq!(
+            FleetOutcome {
+                events_fired: 0,
+                ..phased
+            },
+            FleetOutcome {
+                events_fired: 0,
+                ..reference
+            }
+        );
     }
 
     proptest! {

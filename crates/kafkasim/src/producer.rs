@@ -108,10 +108,9 @@ pub struct Accumulator {
     /// `ready`.
     ready_deadlines: VecDeque<SimTime>,
     /// `ready_deadlines` is non-decreasing front to back (the steady state:
-    /// batches seal oldest first and retries requeue older ones in front),
-    /// so [`Accumulator::expire_all`] may stop at the first batch with
-    /// nothing expired. Cleared by an out-of-order `seal`/`requeue_front`;
-    /// re-derived by every sweep and set when the queue empties.
+    /// batches seal oldest first), so [`Accumulator::expire_all`] may stop
+    /// at the first batch with nothing expired. Cleared by an out-of-order
+    /// `seal`; re-derived by every sweep and set when the queue empties.
     ready_in_order: bool,
     buffered: usize,
     next_batch_id: u64,
@@ -307,16 +306,6 @@ impl Accumulator {
     pub fn pop_ready(&mut self, now: SimTime) -> Option<PendingBatch> {
         let mut sink = Vec::new();
         self.pop_ready_with_expiry(now, &mut sink)
-    }
-
-    /// Requeues a batch at the front (retry path).
-    pub fn requeue_front(&mut self, batch: PendingBatch) {
-        let deadline = batch.deadline();
-        self.earliest_deadline = self.earliest_deadline.min(deadline);
-        self.buffered += batch.messages.len();
-        self.ready_in_order &= self.ready_deadlines.front().is_none_or(|&d| deadline <= d);
-        self.ready_deadlines.push_front(deadline);
-        self.ready.push_front(batch);
     }
 
     /// Removes every expired message anywhere in the accumulator.
@@ -573,6 +562,26 @@ mod tests {
         assert!(acc.pop_ready(SimTime::from_millis(500)).is_none());
     }
 
+    /// A sweep whose partial expiry leaves the queue out of order clears
+    /// the order flag, so the next sweep walks past a batch with nothing
+    /// expired to the expired one behind it.
+    #[test]
+    fn a_sweep_that_reorders_the_queue_clears_the_order_flag() {
+        let mut acc = Accumulator::new(2, SimDuration::from_secs(10), 100, 1);
+        acc.push(msg(0, 0, 100), 0, SimTime::ZERO).unwrap();
+        acc.push(msg(1, 0, 10_000), 0, SimTime::ZERO).unwrap();
+        acc.push(msg(2, 1, 300), 0, SimTime::from_millis(1))
+            .unwrap();
+        acc.push(msg(3, 1, 300), 0, SimTime::from_millis(1))
+            .unwrap();
+        assert!(acc.ready_in_order, "deadlines 100 and 301 ms");
+        let keys = |expired: Vec<Message>| expired.iter().map(|m| m.key.0).collect::<Vec<_>>();
+        assert_eq!(keys(acc.expire_all(SimTime::from_millis(150))), [0]);
+        assert!(!acc.ready_in_order, "deadlines 10 000 and 301 ms");
+        assert_eq!(keys(acc.expire_all(SimTime::from_millis(400))), [2, 3]);
+        assert_eq!(acc.len(), 1);
+    }
+
     impl Accumulator {
         /// Every buffered message in sweep order: open slots by partition,
         /// then ready batches front to back.
@@ -596,15 +605,15 @@ mod tests {
         /// `expire_all` returns exactly the expired messages of a full scan,
         /// in scan order, and leaves the rest in place — whether the ready
         /// queue's deadlines are in order (prefix sweep) or were scrambled
-        /// by mixed timeouts, held-back retries and partial expiries.
+        /// by mixed timeouts, seals across partitions and partial expiries.
         #[test]
         fn expire_all_equals_a_full_scan(seed in 0u64..u64::MAX, batch_size in 1usize..5) {
             let mut rng = desim::SimRng::seed_from_u64(seed);
             let mut acc = Accumulator::new(batch_size, SimDuration::from_millis(40), 10_000, 3);
             let mut now_ms = 0u64;
-            let mut held: Vec<PendingBatch> = Vec::new();
-            // Half the programs use one timeout, so only held-back retries
-            // and partial expiries disturb the deadline order.
+            // Half the programs use one timeout, so only partitions sealing
+            // out of age order and partial expiries disturb the deadline
+            // order.
             let mixed = seed % 2 == 0;
             for key in 0..400u64 {
                 now_ms += rng.next_u64() % 8;
@@ -613,12 +622,7 @@ mod tests {
                 acc.push(msg(key, now_ms, timeout), (rng.next_u64() % 3) as u32, now).unwrap();
                 match rng.next_u64() % 8 {
                     0 => acc.flush_due(now),
-                    1 | 2 => held.extend(acc.pop_ready(now)),
-                    3 => {
-                        if let Some(batch) = held.pop() {
-                            acc.requeue_front(batch);
-                        }
-                    }
+                    1 | 2 => drop(acc.pop_ready(now)),
                     4 | 5 => {
                         let before = acc.buffered_in_order();
                         let sweeps = now >= acc.earliest_deadline;
@@ -652,17 +656,6 @@ mod tests {
         acc.push(msg(1, 1, 10_000), 0, SimTime::from_millis(1))
             .unwrap();
         assert!(acc.pop_ready(SimTime::from_millis(1)).is_some());
-    }
-
-    #[test]
-    fn requeue_front_preserves_priority() {
-        let mut acc = Accumulator::new(1, SimDuration::ZERO, 100, 1);
-        acc.push(msg(0, 0, 10_000), 0, SimTime::ZERO).unwrap();
-        acc.push(msg(1, 0, 10_000), 0, SimTime::ZERO).unwrap();
-        let first = acc.pop_ready(SimTime::ZERO).unwrap();
-        acc.requeue_front(first);
-        let again = acc.pop_ready(SimTime::ZERO).unwrap();
-        assert_eq!(again.messages[0].key, MessageKey(0));
     }
 
     #[test]

@@ -94,6 +94,46 @@ fn fleet_pin(o: &FleetOutcome) -> FleetPin {
     )
 }
 
+/// The `FleetOutcome` fields that carry a leaf, in declaration order.
+const LEAF_FIELDS: [&str; 6] = [
+    "tenants",
+    "totals",
+    "classes",
+    "partition_appends",
+    "rebalances",
+    "windows",
+];
+
+/// One `Debug` digest per field of [`LEAF_FIELDS`]: when a fleet pin
+/// moves, the leaves that moved name the fields it moved in.
+type FleetLeaves = [u64; 6];
+
+fn fleet_leaves(o: &FleetOutcome) -> FleetLeaves {
+    [
+        debug_digest(&o.tenants),
+        debug_digest(&o.totals),
+        debug_digest(&o.classes),
+        debug_digest(&o.partition_appends),
+        debug_digest(&o.rebalances),
+        debug_digest(&o.windows),
+    ]
+}
+
+/// Asserts an outcome's leaves before its pin is asserted, so that a
+/// moved pin fails here, naming the fields that moved, unless only
+/// `events_fired` did.
+fn assert_leaves(o: &FleetOutcome, want: FleetLeaves, what: impl core::fmt::Debug) {
+    let got = fleet_leaves(o);
+    let moved: Vec<&str> = (LEAF_FIELDS.iter().zip(got.iter().zip(&want)))
+        .filter(|(_, (got, want))| got != want)
+        .map(|(field, _)| *field)
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "{what:?}: the leaves of {moved:?} moved; leaves now {got:?}"
+    );
+}
+
 /// The outcome with `events_fired` set to 0. The digests pin what a run
 /// computed and the count, pinned beside them, how many events it took:
 /// an engine change that drops events which change nothing moves the count
@@ -114,8 +154,9 @@ fn sequential_fleet_outcomes_are_pinned() {
         SEQUENTIAL_KEY_HASH,
         SEQUENTIAL_LOCALITY,
     ];
-    for (strategy, want) in STRATEGIES.into_iter().zip(want) {
+    for ((strategy, want), leaves) in STRATEGIES.into_iter().zip(want).zip(SEQUENTIAL_LEAVES) {
         let outcome = FleetRun::new(pinned_fleet(strategy), 7).execute();
+        assert_leaves(&outcome, leaves, strategy);
         assert_eq!(fleet_pin(&outcome), want, "{strategy:?}");
     }
 }
@@ -129,7 +170,7 @@ fn sequential_fleet_outcomes_are_pinned() {
 #[test]
 fn sparse_fleet_outcomes_are_pinned() {
     let want = [SPARSE_ROUND_ROBIN, SPARSE_KEY_HASH, SPARSE_LOCALITY];
-    for (strategy, want) in STRATEGIES.into_iter().zip(want) {
+    for ((strategy, want), leaves) in STRATEGIES.into_iter().zip(want).zip(SPARSE_LEAVES) {
         let cfg = FleetConfig {
             population: Population::new(vec![class("slow", 1.0, 3.0), class("fast", 3.0, 1.0)])
                 .expect("valid mix"),
@@ -138,6 +179,7 @@ fn sparse_fleet_outcomes_are_pinned() {
             ..pinned_fleet(strategy)
         };
         let outcome = FleetRun::new(cfg, 7).execute();
+        assert_leaves(&outcome, leaves, strategy);
         assert_eq!(fleet_pin(&outcome), want, "{strategy:?}");
     }
 }
@@ -185,8 +227,9 @@ fn high_rate_fleet_outcomes_are_pinned() {
         HIGH_RATE_KEY_HASH,
         HIGH_RATE_LOCALITY,
     ];
-    for (strategy, want) in STRATEGIES.into_iter().zip(want) {
+    for ((strategy, want), leaves) in STRATEGIES.into_iter().zip(want).zip(HIGH_RATE_LEAVES) {
         let outcome = FleetRun::new(high_rate_fleet(strategy), 61).execute();
+        assert_leaves(&outcome, leaves, strategy);
         let json = serde_json::to_string(&masked(&outcome)).expect("outcome serialises");
         let digest = format!("{:016x}", fnv1a(json.as_bytes()));
         assert_eq!(
@@ -317,6 +360,139 @@ const EMPTIED_LOCALITY: FleetPin = (1_508, 4_475, 4_222, 271, 985094584835642292
 const REJOINED_ROUND_ROBIN: FleetPin = (1_509, 4_475, 4_467, 643, 16727170421687350577);
 const REJOINED_KEY_HASH: FleetPin = (1_509, 4_475, 4_467, 656, 10919830876759430337);
 const REJOINED_LOCALITY: FleetPin = (1_509, 4_475, 4_222, 595, 2993912956029324531);
+// The leaves of the fleet pins above, one array per test in `STRATEGIES`
+// order, written by the commit before the fleet engine's carry per (flush
+// phase, class).
+const SEQUENTIAL_LEAVES: [FleetLeaves; 3] = [
+    [
+        13349088204594822949,
+        11592404284611189950,
+        2266227011674887132,
+        10816706595274561023,
+        4593402475678906925,
+        9661794627082622911,
+    ],
+    [
+        10825861464286119346,
+        12635973783297515082,
+        13931643071977389408,
+        10439615447962179528,
+        4593402475678906925,
+        7306857305430501628,
+    ],
+    [
+        15859404294887809640,
+        18093986245226060371,
+        7667494951195813634,
+        3778901741948053949,
+        4593402475678906925,
+        5699717464120361255,
+    ],
+];
+const SPARSE_LEAVES: [FleetLeaves; 3] = [
+    [
+        18372224751832549567,
+        16391461430305688723,
+        15893871376097647655,
+        14752253488215834191,
+        4593402475678906925,
+        6886184719592834364,
+    ],
+    [
+        15340802589424724449,
+        452955997157337319,
+        14194104559506594002,
+        2657576192576211730,
+        4593402475678906925,
+        14864837159437826017,
+    ],
+    [
+        8728172954189498025,
+        4704879744633859566,
+        14440153030568558074,
+        18260894714577377434,
+        4593402475678906925,
+        14135525337197427094,
+    ],
+];
+const HIGH_RATE_LEAVES: [FleetLeaves; 3] = [
+    [
+        13542659298542479093,
+        15212118359928949061,
+        10786620361163483446,
+        15238048137379005741,
+        1398588170972679717,
+        15140784336670407548,
+    ],
+    [
+        6718213198244257138,
+        15915029964685515389,
+        2356481690553659002,
+        2218776898902619153,
+        1398588170972679717,
+        14545892878981184920,
+    ],
+    [
+        15019050198593789581,
+        11828248041743058602,
+        12813865347245434017,
+        3986238611300470909,
+        1398588170972679717,
+        3455302434438629694,
+    ],
+];
+const EMPTIED_LEAVES: [FleetLeaves; 3] = [
+    [
+        12134685719750145028,
+        18287406122901074038,
+        3628479370675642408,
+        14829013782130335760,
+        18251025337931885836,
+        16148961448792247597,
+    ],
+    [
+        16034593150747681085,
+        3178553653578064903,
+        2064583425088336823,
+        1731008558800626505,
+        18251025337931885836,
+        15837981945326810284,
+    ],
+    [
+        7256002807361797782,
+        10855094985297417740,
+        11783119289017284349,
+        8062188413603716431,
+        18251025337931885836,
+        15431018970136718906,
+    ],
+];
+const REJOINED_LEAVES: [FleetLeaves; 3] = [
+    [
+        2890476610803353845,
+        16202239808615688971,
+        13233101307670723207,
+        14829013782130335760,
+        10600441490062053225,
+        11004172045085954457,
+    ],
+    [
+        12551702965845496818,
+        3772224534366523933,
+        14194989931779518264,
+        1731008558800626505,
+        10600441490062053225,
+        13751741471613824256,
+    ],
+    [
+        6842143479012974285,
+        4272319513914471671,
+        18332970336197573878,
+        8062188413603716431,
+        10600441490062053225,
+        3106233760229872877,
+    ],
+];
 // Written by the parent commit (plain `MinQueue` under every engine).
 const RUN_AT_LEAST_ONCE: (u64, u64) = (11_484, 17741149464509989960);
 const RUN_AT_MOST_ONCE: (u64, u64) = (7_690, 10932670437184555871);
@@ -585,7 +761,7 @@ fn rejoined_group(strategy: PartitionStrategy) -> FleetConfig {
 #[test]
 fn fleet_whose_churn_empties_the_group() {
     let want = [EMPTIED_ROUND_ROBIN, EMPTIED_KEY_HASH, EMPTIED_LOCALITY];
-    for (strategy, want) in STRATEGIES.into_iter().zip(want) {
+    for ((strategy, want), leaves) in STRATEGIES.into_iter().zip(want).zip(EMPTIED_LEAVES) {
         let o = assert_terminates_and_conserves(&emptied_group(strategy));
         let last = o.rebalances.last().expect("four leaves rebalance");
         assert_eq!(o.rebalances.len(), 4, "{strategy:?}");
@@ -600,6 +776,7 @@ fn fleet_whose_churn_empties_the_group() {
             empty.windows(2).all(|w| w[0].backlog < w[1].backlog),
             "{strategy:?}: nothing drains an empty group"
         );
+        assert_leaves(&o, leaves, strategy);
         assert_eq!(fleet_pin(&o), want, "{strategy:?}");
     }
 }
@@ -610,7 +787,7 @@ fn fleet_whose_churn_empties_the_group() {
 #[test]
 fn fleet_whose_emptied_group_recovers_on_a_rejoin() {
     let want = [REJOINED_ROUND_ROBIN, REJOINED_KEY_HASH, REJOINED_LOCALITY];
-    for (strategy, want) in STRATEGIES.into_iter().zip(want) {
+    for ((strategy, want), leaves) in STRATEGIES.into_iter().zip(want).zip(REJOINED_LEAVES) {
         let cfg = rejoined_group(strategy);
         let o = assert_terminates_and_conserves(&cfg);
         assert_eq!(o.rebalances.len(), 5, "{strategy:?}");
@@ -628,6 +805,7 @@ fn fleet_whose_emptied_group_recovers_on_a_rejoin() {
             peak.backlog,
             end.backlog
         );
+        assert_leaves(&o, leaves, strategy);
         assert_eq!(fleet_pin(&o), want, "{strategy:?}");
     }
 }
