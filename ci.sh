@@ -16,15 +16,15 @@ echo "== cargo test =="
 cargo test --workspace -q
 
 echo "== agenda and MinQueue == sorted map (proptest, release, raised case count) =="
-# The scheduler under both engines, and the queue behind its lanes and under
-# every TCP channel (a short sorted run in front of std's BinaryHeap), must
-# pop what a BTreeMap keyed by (time, seq) pops. Release, because overflow
+# The scheduler under both engines, and the one queue it keeps, which every
+# TCP channel keeps too (a short sorted run in front of std's BinaryHeap),
+# must pop what a BTreeMap keyed by (time, seq) pops. Release, because overflow
 # checks and debug asserts are off there, as they are in every measured run;
 # 20 000 random programs a property instead of the default 64.
 PROPTEST_CASES=20000 cargo test --release -q -p desim --lib -- \
     agenda queue_pops_what_a_sorted_map_pops
 
-echo "== fleet: one flush event per phase == one per tenant (proptest, release, raised case count) =="
+echo "== fleet: one flush event per phase == one per tenant; producer expiry sweep == full scan (proptest, release, raised case count) =="
 # The fleet engine fires one event per flush phase tick, computes each class's
 # count once from one carry per (phase, class), and walks the phase's tenants
 # in index order; the per-tenant loop it replaced, with a carry per tenant, is
@@ -32,9 +32,13 @@ echo "== fleet: one flush event per phase == one per tenant (proptest, release, 
 # runs off the flush grid and shorter than the first phase, churn on every
 # kind of tie, tight buckets, all three partitioners) both must give the same
 # FleetOutcome but for events_fired. 20 000 random fleets instead of the
-# default 64.
+# default 64. The producer's expiry sweep (Accumulator::expire_all, which stops
+# at the first unexpired batch while the ready queue's deadlines are in order)
+# must expire what a full scan expires and leave its order flag true only
+# while the queue is in order; a sweep that leaves that flag stale is missed
+# at 64 programs and caught at 5 000.
 PROPTEST_CASES=20000 cargo test --release -q -p kafkasim --lib -- \
-    phase_flushes_equal_the_per_tenant_loop
+    phase_flushes_equal_the_per_tenant_loop expire_all_equals_a_full_scan
 
 echo "== matmul kernels: every instantiation == naive (proptest, release, raised case count) =="
 # Every product runs through the public entry pinned to each instantiation

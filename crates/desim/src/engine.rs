@@ -9,9 +9,9 @@
 //! Every simulator in the workspace runs on the typed engine
 //! ([`crate::EventSim`]), which stores events by value; this one boxes each
 //! event and is kept for the benchmark's engine driver. The pending events
-//! are the crate's agenda, shared with the typed engine. Like it, there is
-//! no cancellation: a model retires a stale timer with an epoch or flag in
-//! its world.
+//! sit in the crate's agenda, the one [`crate::minq::MinQueue`] path the
+//! typed engine takes too. Like it, there is no cancellation: a model
+//! retires a stale timer with an epoch or flag in its world.
 
 use crate::agenda::Agenda;
 use crate::time::{SimDuration, SimTime};

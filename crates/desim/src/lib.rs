@@ -12,8 +12,8 @@
 //! * **Events** are values of a world's own `enum`, fired by an
 //!   [`EventSim`] through one [`EventWorld::handle`] method; ties are broken
 //!   by insertion order (FIFO among simultaneous events), which keeps
-//!   causality deterministic. The pending events sit in one agenda:
-//!   delay-class FIFO lanes in front of a [`minq::MinQueue`]. The closure
+//!   causality deterministic. The pending events sit in one agenda: a
+//!   clock, a sequence counter and one [`minq::MinQueue`]. The closure
 //!   engine ([`Simulation`], boxed `FnOnce` events) schedules through the
 //!   same agenda.
 //! * **Randomness** comes from [`rng::SimRng`], a seeded xoshiro256\*\*

@@ -1,4 +1,5 @@
-//! The min-queue behind the agenda's lanes and under every TCP channel.
+//! The min-queue that holds every engine's pending events (through the
+//! agenda) and every TCP channel's packets in flight.
 //!
 //! Keys are `(timestamp, sequence)`. Sequence numbers are unique and
 //! monotone, so keys are totally ordered and equal-time events pop in

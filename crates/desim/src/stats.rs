@@ -94,24 +94,6 @@ impl RunningMoments {
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
-
-    /// Merges another accumulator into this one (parallel-friendly).
-    pub fn merge(&mut self, other: &RunningMoments) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 += other.m2 + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Fixed-bucket histogram over `[low, high)` with overflow/underflow bins.
@@ -124,8 +106,9 @@ impl RunningMoments {
 /// h.record(3.5);
 /// h.record(3.9);
 /// h.record(42.0);
-/// assert_eq!(h.bucket_count(3), 2);
-/// assert_eq!(h.overflow(), 1);
+/// assert_eq!(h.total(), 3);
+/// assert_eq!(h.quantile(0.5), Some(4.0)); // the upper edge of [3, 4)
+/// assert_eq!(h.quantile(1.0), Some(10.0)); // overflow reads as `high`
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
@@ -169,34 +152,6 @@ impl Histogram {
             let idx = ((frac * self.buckets.len() as f64) as usize).min(self.buckets.len() - 1);
             self.buckets[idx] += 1;
         }
-    }
-
-    /// Count in bucket `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    #[must_use]
-    pub fn bucket_count(&self, idx: usize) -> u64 {
-        self.buckets[idx]
-    }
-
-    /// Number of buckets.
-    #[must_use]
-    pub fn buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Samples below the range.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Samples at or above the range's upper bound.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
     }
 
     /// Total samples recorded.
@@ -271,12 +226,6 @@ impl TimeWeighted {
         self.last_change = now;
     }
 
-    /// The signal's current value.
-    #[must_use]
-    pub fn current(&self) -> f64 {
-        self.current
-    }
-
     /// The average of the signal from the start to `now`.
     ///
     /// Returns the current value when no time has elapsed.
@@ -318,33 +267,15 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..50).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = RunningMoments::new();
-        for &x in &data {
-            whole.record(x);
-        }
-        let mut left = RunningMoments::new();
-        let mut right = RunningMoments::new();
-        for &x in &data[..20] {
-            left.record(x);
-        }
-        for &x in &data[20..] {
-            right.record(x);
-        }
-        left.merge(&right);
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.population_variance() - whole.population_variance()).abs() < 1e-9);
-    }
-
-    #[test]
     fn histogram_buckets_and_quantiles() {
         let mut h = Histogram::new(0.0, 100.0, 10);
         for i in 0..100 {
             h.record(i as f64);
         }
-        for b in 0..10 {
-            assert_eq!(h.bucket_count(b), 10);
+        // Ten samples a bucket: a quantile halfway into the k-th tenth
+        // reads the k-th bucket's upper edge.
+        for k in 1..=10 {
+            assert_eq!(h.quantile(k as f64 / 10.0 - 0.05), Some(10.0 * k as f64));
         }
         let median = h.quantile(0.5).unwrap();
         assert!((median - 50.0).abs() <= 10.0);
@@ -357,9 +288,12 @@ mod tests {
         h.record(-0.5);
         h.record(2.0);
         h.record(0.5);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
         assert_eq!(h.total(), 3);
+        // The underflow reads as `low`, the one in-range sample as its
+        // bucket's upper edge, the overflow as `high`.
+        assert_eq!(h.quantile(1.0 / 3.0), Some(0.0));
+        assert_eq!(h.quantile(2.0 / 3.0), Some(0.75));
+        assert_eq!(h.quantile(1.0), Some(1.0));
     }
 
     #[test]
@@ -368,6 +302,7 @@ mod tests {
         tw.set(SimTime::from_secs(2), 6.0);
         // 2.0 for 2s, then 6.0 for 2s → average 4.0 at t=4s.
         assert!((tw.average(SimTime::from_secs(4)) - 4.0).abs() < 1e-12);
-        assert_eq!(tw.current(), 6.0);
+        // And 6.0 still, with no change since: (4 + 24) / 6 at t=6s.
+        assert!((tw.average(SimTime::from_secs(6)) - 28.0 / 6.0).abs() < 1e-12);
     }
 }

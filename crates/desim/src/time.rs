@@ -82,14 +82,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// The span from `earlier` to `self`.
-    ///
-    /// Returns `None` when `earlier > self`.
-    #[must_use]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -315,8 +307,7 @@ mod tests {
         let early = SimTime::from_millis(1);
         let late = SimTime::from_millis(2);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(early.checked_since(late), None);
-        assert_eq!(late.checked_since(early), Some(SimDuration::from_millis(1)));
+        assert_eq!(late.saturating_since(early), SimDuration::from_millis(1));
     }
 
     #[test]

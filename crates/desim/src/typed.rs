@@ -3,8 +3,8 @@
 //! The world declares a plain `enum` of its event kinds
 //! ([`EventWorld::Event`]) and a single [`EventWorld::handle`] method that
 //! dispatches on it. Events are stored *by value* in the crate's agenda
-//! (delay-class FIFO lanes in front of a short sorted run and std's binary
-//! heap), so scheduling is a couple of writes into a ring or a `Vec` and
+//! (one [`crate::minq::MinQueue`]: a short sorted run with std's binary
+//! heap behind it), so scheduling is an insert into a short `Vec` and
 //! firing is a match — no boxes, no virtual calls, no per-event
 //! allocation, where the closure engine ([`crate::Simulation`]) boxes
 //! every event.

@@ -77,27 +77,6 @@ proptest! {
         prop_assert_eq!(typed.world().0.len(), times.len());
     }
 
-    /// Statistics merging is order-independent (within float tolerance).
-    #[test]
-    fn moments_merge_commutes(
-        a in proptest::collection::vec(-1e3f64..1e3, 1..50),
-        b in proptest::collection::vec(-1e3f64..1e3, 1..50),
-    ) {
-        use desim::stats::RunningMoments;
-        let fill = |xs: &[f64]| {
-            let mut m = RunningMoments::new();
-            for &x in xs { m.record(x); }
-            m
-        };
-        let mut ab = fill(&a);
-        ab.merge(&fill(&b));
-        let mut ba = fill(&b);
-        ba.merge(&fill(&a));
-        prop_assert!((ab.mean() - ba.mean()).abs() < 1e-9);
-        prop_assert!((ab.population_variance() - ba.population_variance()).abs() < 1e-6);
-        prop_assert_eq!(ab.count(), ba.count());
-    }
-
     /// The duration arithmetic respects the triangle-style identities used
     /// throughout the simulators.
     #[test]

@@ -582,6 +582,20 @@ mod tests {
         assert_eq!(acc.len(), 1);
     }
 
+    /// A ready queue drained by pops is trivially in order, so the flag is
+    /// set again: the next sweep may stop at the first batch with nothing
+    /// expired instead of walking the whole queue.
+    #[test]
+    fn an_emptied_ready_queue_sets_the_order_flag_again() {
+        let mut acc = Accumulator::new(1, SimDuration::from_secs(10), 100, 1);
+        acc.push(msg(0, 0, 10_000), 0, SimTime::ZERO).unwrap();
+        acc.push(msg(1, 0, 100), 0, SimTime::ZERO).unwrap();
+        assert!(!acc.ready_in_order, "deadlines 10 000 and 100 ms");
+        assert!(acc.pop_ready(SimTime::ZERO).is_some());
+        assert!(acc.pop_ready(SimTime::ZERO).is_some());
+        assert!(acc.ready_in_order, "an empty queue is in order");
+    }
+
     impl Accumulator {
         /// Every buffered message in sweep order: open slots by partition,
         /// then ready batches front to back.
