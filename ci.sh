@@ -88,11 +88,11 @@ echo "== one trainer (the TrainOptions::with_threads shim has no caller) =="
 echo "== one entry point per run engine =="
 # KafkaRun and FleetRun each run through execute_profiled; execute and
 # execute_traced are one-call wrappers over it, and those two suffixed names
-# on those two types are the only public run entries that differ from
-# another by a suffix. Runs carry no buffers from one to the next.
-entry_points="$(grep -rnE 'pub fn (execute|run)\w*_(pooled|with|traced|profiled)\b' crates || true)"
+# on those two types are the only run entries, public or crate-private, that
+# differ from another by a suffix. Runs carry no buffers from one to the next.
+entry_points="$(grep -rnE 'pub(\(crate\))? fn (execute|run)\w*_(pooled|with|traced|profiled)\b' crates || true)"
 [ "$(grep -c . <<<"$entry_points")" -eq 4 ] \
-    && [ "$(grep -cE '^crates/kafkasim/src/(runtime/mod|fleet/engine)\.rs:[0-9]+: +pub fn execute_(traced|profiled)\(' <<<"$entry_points")" -eq 4 ] \
+    && [ "$(grep -cE '^crates/kafkasim/src/(runtime/mod|fleet/engine)\.rs:[0-9]+: +pub(\(crate\))? fn execute_(traced|profiled)\(' <<<"$entry_points")" -eq 4 ] \
     || { echo "a run entry point regrew a variant:" >&2; echo "$entry_points" >&2; exit 1; }
 ! grep -rn 'RunArena' crates tests examples \
     || { echo "RunArena is back" >&2; exit 1; }
@@ -141,12 +141,14 @@ echo "== one copy of the cluster's state =="
 # Who leads each partition and which brokers are down live in
 # kafkasim::cluster::Cluster only: the runtime keeps no partition-to-connection
 # table and no liveness of its own, and replication and elections read the
-# cluster's liveness instead of taking a mask.
+# cluster's liveness instead of taking a mask. The signatures are matched with
+# their lines joined, public or crate-private, as rustfmt may wrap them.
+cluster_src="$(tr -s ' \n' ' ' < crates/kafkasim/src/cluster.rs)"
 ! grep -rnE 'partition_conn|down_mask|down_until' crates/kafkasim/src/runtime/ \
     || { echo "the runtime keeps a second copy of leadership or liveness" >&2; exit 1; }
 ! grep -nE '&\[bool\]' crates/kafkasim/src/cluster.rs \
-    && grep -qE 'pub fn replicate\(&mut self, now: SimTime\)' crates/kafkasim/src/cluster.rs \
-    && grep -qE 'pub fn election_candidate\(&self, partition: u32, now: SimTime\)' crates/kafkasim/src/cluster.rs \
+    && grep -qE 'pub(\(crate\))? fn replicate\( ?&mut self, now: SimTime,? ?\)' <<<"$cluster_src" \
+    && grep -qE 'pub(\(crate\))? fn election_candidate\( ?&self, partition: u32, now: SimTime,? ?\)' <<<"$cluster_src" \
     || { echo "Cluster::{replicate, election_candidate} take a liveness mask again" >&2; exit 1; }
 
 echo "== one model per repro run =="

@@ -22,7 +22,7 @@ impl Activation {
     /// Applies the activation to one pre-activation value.
     #[inline]
     #[must_use]
-    pub fn apply(self, x: f64) -> f64 {
+    pub(crate) fn apply(self, x: f64) -> f64 {
         match self {
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
             Activation::Tanh => crate::tanh::lane(x),
@@ -35,7 +35,7 @@ impl Activation {
     /// crate's vectorised kernel (`tanh.rs`), the rest element by
     /// element.
     #[inline]
-    pub fn apply_in_place(self, xs: &mut [f64]) {
+    pub(crate) fn apply_in_place(self, xs: &mut [f64]) {
         match self {
             Activation::Tanh => crate::tanh::in_place(xs),
             _ => {
@@ -52,7 +52,7 @@ impl Activation {
     /// backward pass avoid storing pre-activations.
     #[inline]
     #[must_use]
-    pub fn derivative_from_output(self, y: f64) -> f64 {
+    pub(crate) fn derivative_from_output(self, y: f64) -> f64 {
         match self {
             Activation::Sigmoid => y * (1.0 - y),
             Activation::Tanh => 1.0 - y * y,
@@ -70,7 +70,7 @@ impl Activation {
     /// The recommended weight-initialisation gain (He for ReLU, Xavier
     /// otherwise).
     #[must_use]
-    pub fn init_gain(self) -> f64 {
+    pub(crate) fn init_gain(self) -> f64 {
         match self {
             Activation::Relu => 2.0,
             _ => 1.0,

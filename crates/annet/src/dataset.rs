@@ -16,7 +16,6 @@ use crate::matrix::Matrix;
 ///     vec![vec![0.0], vec![2.0], vec![4.0], vec![6.0]],
 /// ).unwrap();
 /// assert_eq!(data.len(), 4);
-/// assert_eq!(data.feature_dim(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dataset {
@@ -55,7 +54,7 @@ impl Dataset {
     ///
     /// # Errors
     ///
-    /// See [`DatasetError`].
+    /// See `DatasetError`.
     pub fn from_rows(x: Vec<Vec<f64>>, y: Vec<Vec<f64>>) -> Result<Self, DatasetError> {
         if x.len() != y.len() {
             return Err(DatasetError::LengthMismatch);
@@ -91,13 +90,13 @@ impl Dataset {
 
     /// Feature dimensionality.
     #[must_use]
-    pub fn feature_dim(&self) -> usize {
+    pub(crate) fn feature_dim(&self) -> usize {
         self.x.cols()
     }
 
     /// Target dimensionality.
     #[must_use]
-    pub fn target_dim(&self) -> usize {
+    pub(crate) fn target_dim(&self) -> usize {
         self.y.cols()
     }
 
@@ -113,23 +112,13 @@ impl Dataset {
         &self.y
     }
 
-    /// One sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn sample(&self, i: usize) -> (&[f64], &[f64]) {
-        (self.x.row(i), self.y.row(i))
-    }
-
     /// A new dataset containing the given sample indices, in order.
     ///
     /// # Panics
     ///
     /// Panics if any index is out of range or `indices` is empty.
     #[must_use]
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
+    pub(crate) fn subset(&self, indices: &[usize]) -> Dataset {
         assert!(!indices.is_empty(), "subset must not be empty");
         let mut xr = Vec::with_capacity(indices.len() * self.feature_dim());
         let mut yr = Vec::with_capacity(indices.len() * self.target_dim());
@@ -148,7 +137,7 @@ impl Dataset {
     ///
     /// # Errors
     ///
-    /// [`DatasetError::BadSplit`] unless `0 < test_fraction < 1` and both
+    /// `DatasetError::BadSplit` unless `0 < test_fraction < 1` and both
     /// sides end up non-empty.
     pub fn train_test_split(
         &self,
@@ -186,9 +175,8 @@ mod tests {
         assert_eq!(d.len(), 5);
         assert_eq!(d.feature_dim(), 2);
         assert_eq!(d.target_dim(), 1);
-        let (x, y) = d.sample(2);
-        assert_eq!(x, &[2.0, 4.0]);
-        assert_eq!(y, &[6.0]);
+        assert_eq!(d.x.row(2), &[2.0, 4.0]);
+        assert_eq!(d.y.row(2), &[6.0]);
     }
 
     #[test]
@@ -254,6 +242,6 @@ mod tests {
         let d = data(10);
         let s = d.subset(&[3, 7]);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.sample(1).1, &[21.0]);
+        assert_eq!(s.y.row(1), &[21.0]);
     }
 }

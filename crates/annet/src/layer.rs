@@ -15,7 +15,7 @@ use crate::matrix::Matrix;
 /// an `n × in` matrix. JSON keeps the historical `out × in` orientation
 /// (see the hand-written serde impls below).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Dense {
+pub(crate) struct Dense {
     weights: Matrix,
     bias: Vec<f64>,
     activation: Activation,
@@ -23,7 +23,7 @@ pub struct Dense {
 
 /// Momentum state for one layer (SGD with momentum).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Velocity {
+pub(crate) struct Velocity {
     /// Velocity of the weights (`in × out`, like the weights).
     pub weights: Matrix,
     /// Velocity of the biases.
@@ -32,7 +32,7 @@ pub struct Velocity {
 
 /// Gradients produced by one backward pass.
 #[derive(Debug, Clone)]
-pub struct DenseGradients {
+pub(crate) struct DenseGradients {
     /// `∂L/∂W`, same `in × out` shape as the weights.
     pub weights: Matrix,
     /// `∂L/∂b`.
@@ -43,7 +43,7 @@ pub struct DenseGradients {
 
 /// Reusable temporaries of [`Dense::backward_into`].
 #[derive(Debug, Clone)]
-pub struct BackwardScratch {
+pub(crate) struct BackwardScratch {
     /// Pre-activation gradient `δ` (`n × out`).
     delta: Matrix,
     /// `δᵀ` (`out × n`).
@@ -70,7 +70,7 @@ impl Dense {
     ///
     /// Panics if either dimension is zero.
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         input_dim: usize,
         output_dim: usize,
         activation: Activation,
@@ -98,25 +98,19 @@ impl Dense {
 
     /// Input dimension.
     #[must_use]
-    pub fn input_dim(&self) -> usize {
+    pub(crate) fn input_dim(&self) -> usize {
         self.weights.rows()
     }
 
     /// Output dimension (number of neurons).
     #[must_use]
-    pub fn output_dim(&self) -> usize {
+    pub(crate) fn output_dim(&self) -> usize {
         self.weights.cols()
-    }
-
-    /// The layer's activation.
-    #[must_use]
-    pub fn activation(&self) -> Activation {
-        self.activation
     }
 
     /// Number of trainable parameters.
     #[must_use]
-    pub fn parameter_count(&self) -> usize {
+    pub(crate) fn parameter_count(&self) -> usize {
         self.weights.rows() * self.weights.cols() + self.bias.len()
     }
 
@@ -131,7 +125,7 @@ impl Dense {
     /// # Panics
     ///
     /// Panics if the input width differs from the layer's input dimension.
-    pub fn forward_into(&self, input: &Matrix, out: &mut Matrix) {
+    pub(crate) fn forward_into(&self, input: &Matrix, out: &mut Matrix) {
         assert_eq!(input.cols(), self.input_dim(), "input width mismatch");
         input.matmul_dense_into(&self.weights, out);
         for r in 0..out.rows() {
@@ -161,7 +155,7 @@ impl Dense {
     ///
     /// Panics on shape mismatch between `input`, `output`, and
     /// `grad_output`.
-    pub fn backward_into(
+    pub(crate) fn backward_into(
         &self,
         input: &Matrix,
         output: &Matrix,
@@ -206,7 +200,7 @@ impl Dense {
     /// # Panics
     ///
     /// Panics on gradient shape mismatch.
-    pub fn apply_gradients(&mut self, grads: &DenseGradients, learning_rate: f64) {
+    pub(crate) fn apply_gradients(&mut self, grads: &DenseGradients, learning_rate: f64) {
         self.weights
             .sub_scaled_assign(&grads.weights, learning_rate);
         for (b, g) in self.bias.iter_mut().zip(&grads.bias) {
@@ -222,7 +216,7 @@ impl Dense {
     /// # Panics
     ///
     /// Panics on shape mismatch between gradients, velocity, and the layer.
-    pub fn apply_gradients_with_momentum(
+    pub(crate) fn apply_gradients_with_momentum(
         &mut self,
         grads: &DenseGradients,
         learning_rate: f64,
@@ -243,7 +237,7 @@ impl Dense {
 
     /// A zeroed velocity buffer matching this layer's shape.
     #[must_use]
-    pub fn zero_velocity(&self) -> Velocity {
+    pub(crate) fn zero_velocity(&self) -> Velocity {
         Velocity {
             weights: Matrix::zeros(self.input_dim(), self.output_dim()),
             bias: vec![0.0; self.output_dim()],
@@ -253,7 +247,7 @@ impl Dense {
     /// A zeroed gradient buffer matching this layer's shape, for use as a
     /// reusable [`Dense::backward_into`] target.
     #[must_use]
-    pub fn zero_gradients(&self) -> DenseGradients {
+    pub(crate) fn zero_gradients(&self) -> DenseGradients {
         DenseGradients {
             weights: Matrix::zeros(self.input_dim(), self.output_dim()),
             bias: vec![0.0; self.output_dim()],
@@ -375,7 +369,7 @@ mod tests {
 
         let y = l.forward(&x);
         let mut grad_out = y.clone();
-        grad_out.sub_assign(&target);
+        grad_out.sub_scaled_assign(&target, 1.0);
         let grads = l.backward(&x, &y, &grad_out);
 
         let h = 1e-6;
@@ -428,7 +422,7 @@ mod tests {
         let mut x = Matrix::from_rows(&[&[0.4, -0.8]]);
         let y = l.forward(&x);
         let mut grad_out = y.clone();
-        grad_out.sub_assign(&target);
+        grad_out.sub_scaled_assign(&target, 1.0);
         let grads = l.backward(&x, &y, &grad_out);
         let h = 1e-6;
         for c in 0..2 {
@@ -457,7 +451,7 @@ mod tests {
         let before = loss(&l);
         let y = l.forward(&x);
         let mut grad_out = y.clone();
-        grad_out.sub_assign(&target);
+        grad_out.sub_scaled_assign(&target, 1.0);
         let grads = l.backward(&x, &y, &grad_out);
         l.apply_gradients(&grads, 0.05);
         assert!(loss(&l) < before);

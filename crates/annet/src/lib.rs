@@ -10,14 +10,14 @@
 //!
 //! * [`matrix`] — a row-major `f64` matrix with the handful of operations
 //!   backpropagation needs;
-//! * [`activation`] — sigmoid, tanh, ReLU and linear activations (`tanh` is
+//! * `activation` — sigmoid, tanh, ReLU and linear activations (`tanh` is
 //!   the crate's own, not the host libm's: `tanh.rs`);
-//! * [`layer`] — dense layers with Xavier/He initialisation;
+//! * `layer` — dense layers with Xavier/He initialisation;
 //! * [`network`] — the sequential network, mini-batch SGD training with
 //!   mean-squared-error loss, and prediction;
-//! * [`scaler`] — min–max feature scaling;
-//! * [`dataset`] — in-memory datasets with shuffling and train/test splits;
-//! * [`metrics`] — MAE (the paper's accuracy criterion), RMSE and R².
+//! * `scaler` — min–max feature scaling;
+//! * `dataset` — in-memory datasets with shuffling and train/test splits;
+//! * [`metrics`] — MAE, the paper's accuracy criterion.
 //!
 //! # Example
 //!
@@ -47,31 +47,24 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod activation;
-pub mod dataset;
-pub mod layer;
+pub(crate) mod activation;
+pub(crate) mod dataset;
+pub(crate) mod layer;
 pub mod matrix;
 pub mod metrics;
 pub mod network;
-pub mod scaler;
+pub(crate) mod scaler;
 mod tanh;
 
 /// Convenient glob import of the main types.
 pub mod prelude {
     pub use crate::activation::Activation;
     pub use crate::dataset::Dataset;
-    pub use crate::matrix::Matrix;
-    pub use crate::metrics::{mae, r_squared, rmse};
-    pub use crate::network::{
-        IncrementalTrainer, InferScratch, Network, NetworkBuilder, TrainConfig, TrainReport,
-    };
-    pub use crate::scaler::MinMaxScaler;
+    pub use crate::network::{NetworkBuilder, TrainConfig};
 }
 
 pub use activation::Activation;
 pub use dataset::Dataset;
 pub use matrix::Matrix;
-pub use network::{
-    IncrementalTrainer, InferScratch, Network, NetworkBuilder, TrainConfig, TrainReport,
-};
+pub use network::{IncrementalTrainer, Network, NetworkBuilder, TrainConfig};
 pub use scaler::MinMaxScaler;

@@ -143,7 +143,7 @@ impl Matrix {
     ///
     /// Panics on out-of-range indices.
     #[inline]
-    pub fn set(&mut self, r: usize, c: usize, value: f64) {
+    pub(crate) fn set(&mut self, r: usize, c: usize, value: f64) {
         assert!(r < self.rows && c < self.cols, "index out of range");
         self.data[r * self.cols + c] = value;
     }
@@ -176,7 +176,7 @@ impl Matrix {
     }
 
     /// Mutable view of the flat row-major data.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
@@ -187,7 +187,7 @@ impl Matrix {
 
     /// Matrix product `self · rhs`.
     ///
-    /// Allocates the result and runs [`Matrix::matmul_dense_into`], so it
+    /// Allocates the result and runs `Matrix::matmul_dense_into`, so it
     /// is bit-identical to [`Matrix::matmul_naive`] for finite operands.
     ///
     /// # Panics
@@ -220,7 +220,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics when the inner dimensions disagree.
-    pub fn matmul_dense_into(&self, rhs: &Matrix, out: &mut Matrix) {
+    pub(crate) fn matmul_dense_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.rows,
             "inner dimensions must agree ({}x{} · {}x{})",
@@ -242,7 +242,7 @@ impl Matrix {
     /// Reference matrix product: the textbook `ikj` loop, no blocking.
     ///
     /// This is the implementation the optimised kernels
-    /// ([`Matrix::matmul_dense_into`], [`Matrix::matmul_at_b_into`]) are
+    /// (`Matrix::matmul_dense_into`, `Matrix::matmul_at_b_into`) are
     /// pinned against (by proptest): they must agree *bit for bit* on
     /// finite operands, exact-zero left-hand elements (skipped here)
     /// included. `pub` because integration tests use it as their oracle.
@@ -288,7 +288,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics when the row counts disagree.
-    pub fn matmul_at_b_into(&self, rhs: &Matrix, out: &mut Matrix) {
+    pub(crate) fn matmul_at_b_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, rhs.rows,
             "row counts must agree (({}x{})ᵀ · {}x{})",
@@ -315,7 +315,7 @@ impl Matrix {
     /// Writes the transpose into `out` (resized to fit), in 8×8 tiles so
     /// the row-wise reads and the column-wise writes both stay within a
     /// handful of cache lines per tile.
-    pub fn transpose_into(&self, out: &mut Matrix) {
+    pub(crate) fn transpose_into(&self, out: &mut Matrix) {
         const TILE: usize = 8;
         out.reshape_for_overwrite(self.cols, self.rows);
         for rb in (0..self.rows).step_by(TILE) {
@@ -386,22 +386,6 @@ impl Matrix {
         }
     }
 
-    /// Element-wise subtraction in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn sub_assign(&mut self, rhs: &Matrix) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "shape mismatch"
-        );
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a -= b;
-        }
-    }
-
     /// Fused `self -= factor · rhs`, element-wise.
     ///
     /// Bit-identical to scaling a copy of `rhs` by `factor` and then
@@ -411,7 +395,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    pub fn sub_scaled_assign(&mut self, rhs: &Matrix, factor: f64) {
+    pub(crate) fn sub_scaled_assign(&mut self, rhs: &Matrix, factor: f64) {
         assert_eq!(
             (self.rows, self.cols),
             (rhs.rows, rhs.cols),
@@ -423,48 +407,10 @@ impl Matrix {
     }
 
     /// Multiplies every element by `factor`, in place.
-    pub fn scale(&mut self, factor: f64) {
+    pub(crate) fn scale(&mut self, factor: f64) {
         for a in &mut self.data {
             *a *= factor;
         }
-    }
-
-    /// Element-wise (Hadamard) product in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn hadamard_assign(&mut self, rhs: &Matrix) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "shape mismatch"
-        );
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a *= b;
-        }
-    }
-
-    /// Applies `f` to every element, returning a new matrix.
-    #[must_use]
-    pub fn map<F: Fn(f64) -> f64>(&self, f: F) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Sum of all elements.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.data.iter().sum()
-    }
-
-    /// The Frobenius norm.
-    #[must_use]
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 }
 
@@ -1057,19 +1003,10 @@ mod tests {
         let b = Matrix::from_rows(&[&[3.0, 4.0]]);
         a.add_assign(&b);
         assert_eq!(a.row(0), &[4.0, 6.0]);
-        a.sub_assign(&b);
-        assert_eq!(a.row(0), &[1.0, 2.0]);
-        a.hadamard_assign(&b);
-        assert_eq!(a.row(0), &[3.0, 8.0]);
+        a.sub_scaled_assign(&b, 0.5);
+        assert_eq!(a.row(0), &[2.5, 4.0]);
         a.scale(0.5);
-        assert_eq!(a.row(0), &[1.5, 4.0]);
-    }
-
-    #[test]
-    fn map_sum_norm() {
-        let m = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert_eq!(m.map(|x| x * x).sum(), 25.0);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
+        assert_eq!(a.row(0), &[1.25, 2.0]);
     }
 
     #[test]

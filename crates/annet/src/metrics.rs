@@ -34,54 +34,6 @@ pub fn mae(predictions: &Matrix, targets: &Matrix) -> f64 {
         / n as f64
 }
 
-/// Root-mean-square error.
-///
-/// # Panics
-///
-/// Panics when the shapes differ.
-#[must_use]
-pub fn rmse(predictions: &Matrix, targets: &Matrix) -> f64 {
-    check(predictions, targets);
-    let n = predictions.as_slice().len();
-    (predictions
-        .as_slice()
-        .iter()
-        .zip(targets.as_slice())
-        .map(|(p, t)| (p - t) * (p - t))
-        .sum::<f64>()
-        / n as f64)
-        .sqrt()
-}
-
-/// Coefficient of determination `R²` (1 = perfect, 0 = mean predictor).
-///
-/// Returns 0 when the targets are constant.
-///
-/// # Panics
-///
-/// Panics when the shapes differ.
-#[must_use]
-pub fn r_squared(predictions: &Matrix, targets: &Matrix) -> f64 {
-    check(predictions, targets);
-    let n = targets.as_slice().len() as f64;
-    let mean = targets.as_slice().iter().sum::<f64>() / n;
-    let ss_tot: f64 = targets
-        .as_slice()
-        .iter()
-        .map(|t| (t - mean) * (t - mean))
-        .sum();
-    if ss_tot <= 0.0 {
-        return 0.0;
-    }
-    let ss_res: f64 = predictions
-        .as_slice()
-        .iter()
-        .zip(targets.as_slice())
-        .map(|(p, t)| (t - p) * (t - p))
-        .sum();
-    1.0 - ss_res / ss_tot
-}
-
 fn check(predictions: &Matrix, targets: &Matrix) {
     assert_eq!(
         (predictions.rows(), predictions.cols()),
@@ -98,30 +50,13 @@ mod tests {
     fn perfect_predictions() {
         let t = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(mae(&t, &t), 0.0);
-        assert_eq!(rmse(&t, &t), 0.0);
-        assert!((r_squared(&t, &t) - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn mae_and_rmse_penalise_differently() {
+    fn mae_is_the_mean_absolute_error() {
         let truth = Matrix::from_rows(&[&[0.0], &[0.0], &[0.0], &[0.0]]);
         let pred = Matrix::from_rows(&[&[0.0], &[0.0], &[0.0], &[2.0]]);
         assert!((mae(&pred, &truth) - 0.5).abs() < 1e-12);
-        assert!((rmse(&pred, &truth) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn r_squared_of_mean_predictor_is_zero() {
-        let truth = Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]);
-        let pred = Matrix::from_rows(&[&[2.0], &[2.0], &[2.0]]);
-        assert!(r_squared(&pred, &truth).abs() < 1e-12);
-    }
-
-    #[test]
-    fn r_squared_constant_targets() {
-        let truth = Matrix::from_rows(&[&[5.0], &[5.0]]);
-        let pred = Matrix::from_rows(&[&[4.0], &[6.0]]);
-        assert_eq!(r_squared(&pred, &truth), 0.0);
     }
 
     #[test]

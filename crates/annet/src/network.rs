@@ -246,7 +246,7 @@ impl Network {
 
     /// Allocation-free batched forward pass (`n × in` → `n × out`).
     ///
-    /// The whole batch flows through one [`Dense::forward_into`] chain —
+    /// The whole batch flows through one `Dense::forward_into` chain —
     /// one dense matmul per layer straight off the stored `in × out`
     /// weights, no transpose, no copy. Activations ping-pong between the
     /// scratch's two buffers, so a warm scratch makes the call

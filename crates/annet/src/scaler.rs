@@ -66,7 +66,7 @@ impl MinMaxScaler {
 
     /// Number of columns the scaler was fitted on.
     #[must_use]
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.mins.len()
     }
 
@@ -97,19 +97,6 @@ impl MinMaxScaler {
         assert_eq!(row.len(), self.dim(), "column count mismatch");
         for (c, v) in row.iter_mut().enumerate() {
             *v = self.scale_value(c, *v);
-        }
-    }
-
-    /// Undoes the scaling for one row.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn inverse_row(&self, row: &mut [f64]) {
-        assert_eq!(row.len(), self.dim(), "column count mismatch");
-        for (c, v) in row.iter_mut().enumerate() {
-            let span = self.maxs[c] - self.mins[c];
-            *v = self.mins[c] + *v * span;
         }
     }
 
@@ -153,17 +140,6 @@ mod tests {
         let mut row = [-5.0];
         s.transform_row(&mut row);
         assert_eq!(row, [0.0]);
-    }
-
-    #[test]
-    fn inverse_round_trips() {
-        let s = MinMaxScaler::from_ranges(&[(50.0, 1000.0), (0.0, 0.5)]);
-        let mut row = [200.0, 0.19];
-        let orig = row;
-        s.transform_row(&mut row);
-        s.inverse_row(&mut row);
-        assert!((row[0] - orig[0]).abs() < 1e-9);
-        assert!((row[1] - orig[1]).abs() < 1e-12);
     }
 
     #[test]

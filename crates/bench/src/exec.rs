@@ -549,7 +549,7 @@ pub fn regime_shift(
 /// Panics when the scenario's producer settings do not form a valid
 /// configuration (validated specs always do).
 #[must_use]
-pub fn trace_run_spec(scenario: &TraceScenarioSpec) -> RunSpec {
+pub(crate) fn trace_run_spec(scenario: &TraceScenarioSpec) -> RunSpec {
     let mut run = RunSpec {
         source: SourceSpec::fixed_rate(scenario.messages, scenario.message_size, scenario.rate_hz),
         ..RunSpec::default()

@@ -59,7 +59,7 @@ impl Effort {
 
     /// The planner mode this effort selects.
     #[must_use]
-    pub fn planner_mode(&self) -> PlannerMode {
+    pub(crate) fn planner_mode(&self) -> PlannerMode {
         if self.grid_planner {
             PlannerMode::Grid {
                 threads: self.threads,

@@ -46,7 +46,7 @@ fn trim_float(x: f64) -> String {
 
 /// A tiny unicode sparkline of the series' chosen metric.
 #[must_use]
-pub fn sparkline(series: &Series, metric: &str) -> String {
+pub(crate) fn sparkline(series: &Series, metric: &str) -> String {
     const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     let values: Vec<f64> = series
         .points

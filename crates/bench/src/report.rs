@@ -13,7 +13,7 @@
 //! How a scenario wants to be reported lives in the scenario document
 //! itself: the optional `[report]` block ([`spec::ReportSpec`]) sets the
 //! window length and whether profiling/timeline attribution run.
-//! Scenarios without the block fall back to [`default_report_spec`].
+//! Scenarios without the block fall back to `default_report_spec`.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -42,7 +42,7 @@ const REPORT_MESSAGE_CAP: u64 = 2_000;
 /// The `[report]` defaults for scenarios whose document omits the block:
 /// one-second windows, timeline attribution on, span profiling off.
 #[must_use]
-pub fn default_report_spec() -> ReportSpec {
+pub(crate) fn default_report_spec() -> ReportSpec {
     ReportSpec {
         window_ms: 1_000,
         profile: false,

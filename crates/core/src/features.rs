@@ -66,7 +66,7 @@ impl Default for Features {
 /// The value ranges, per feature (excluding semantics, which is the
 /// model-selection axis): `[M, S, D, L, B, δ, T_o, RF, F, U]`. The first
 /// seven follow Fig. 3; the last three cover the broker-fault grid.
-pub const FEATURE_RANGES: [(f64, f64); 10] = [
+pub(crate) const FEATURE_RANGES: [(f64, f64); 10] = [
     (50.0, 1_000.0),   // M: 50 B .. 1 kB
     (0.0, 30_000.0),   // S: 0 .. 30 s
     (0.0, 400.0),      // D: 0 .. 400 ms
@@ -83,12 +83,12 @@ impl Features {
     /// Number of numeric inputs per model head (semantics selects the head
     /// instead of being an input, per §III-G's "the input layer can be
     /// reduced").
-    pub const HEAD_INPUTS: usize = 10;
+    pub(crate) const HEAD_INPUTS: usize = 10;
 
     /// The per-head numeric vector `[M, S, D, L, B, δ, T_o, RF, F, U]`
     /// (unscaled).
     #[must_use]
-    pub fn head_vector(&self) -> Vec<f64> {
+    pub(crate) fn head_vector(&self) -> Vec<f64> {
         vec![
             self.message_size as f64,
             self.timeliness_ms,
@@ -105,7 +105,7 @@ impl Features {
 
     /// The fixed scaler over [`FEATURE_RANGES`].
     #[must_use]
-    pub fn scaler() -> MinMaxScaler {
+    pub(crate) fn scaler() -> MinMaxScaler {
         MinMaxScaler::from_ranges(&FEATURE_RANGES)
     }
 
@@ -126,7 +126,7 @@ impl Features {
     /// # Panics
     ///
     /// Panics if `out.len() != Features::HEAD_INPUTS`.
-    pub fn write_scaled_head_vector(&self, scaler: &MinMaxScaler, out: &mut [f64]) {
+    pub(crate) fn write_scaled_head_vector(&self, scaler: &MinMaxScaler, out: &mut [f64]) {
         assert_eq!(out.len(), Self::HEAD_INPUTS, "output slice width mismatch");
         out[0] = self.message_size as f64;
         out[1] = self.timeliness_ms;

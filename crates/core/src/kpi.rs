@@ -23,7 +23,7 @@ use crate::{bandwidth, service};
 
 /// The four KPI ingredients for one configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct KpiInputs {
+pub(crate) struct KpiInputs {
     /// Bandwidth utilisation `φ ∈ [0, 1]`.
     pub phi: f64,
     /// Normalised service rate `μ ∈ [0, 1]`.
@@ -76,7 +76,7 @@ impl KpiModel {
     /// Computes the four ingredients for `features`, asking `predictor` for
     /// the reliability pair.
     #[must_use]
-    pub fn inputs(&self, predictor: &dyn Predictor, features: &Features) -> KpiInputs {
+    pub(crate) fn inputs(&self, predictor: &dyn Predictor, features: &Features) -> KpiInputs {
         self.inputs_with(predictor.predict(features), features)
     }
 
@@ -85,7 +85,7 @@ impl KpiModel {
     /// score each row with this method). Bit-identical to
     /// [`KpiModel::inputs`] given the prediction for `features`.
     #[must_use]
-    pub fn inputs_with(&self, prediction: Prediction, features: &Features) -> KpiInputs {
+    pub(crate) fn inputs_with(&self, prediction: Prediction, features: &Features) -> KpiInputs {
         let mu = service::service_rate(&self.host, features.message_size, features.batch_size);
         // The arrival rate `δ` implies, bounded by the service rate: under
         // full load the producer saturates its own service rate.
@@ -122,7 +122,7 @@ impl KpiModel {
     /// Bit-identical to [`KpiModel::gamma`] given the prediction for
     /// `features`.
     #[must_use]
-    pub fn gamma_with(
+    pub(crate) fn gamma_with(
         &self,
         prediction: Prediction,
         features: &Features,
@@ -173,7 +173,7 @@ impl TenantGamma {
 /// # Example
 ///
 /// ```
-/// use kafka_predict::fleet_gammas;
+/// use kafka_predict::kpi::fleet_gammas;
 /// use kafkasim::fleet::{FleetConfig, FleetRun};
 ///
 /// let cfg = FleetConfig::default();

@@ -84,26 +84,26 @@ pub mod train;
 /// Convenient glob import of the main types.
 pub mod prelude {
     pub use crate::features::Features;
-    pub use crate::kpi::{fleet_gammas, KpiInputs, KpiModel, TenantGamma};
-    pub use crate::model::{Prediction, Predictor, ReliabilityModel};
-    pub use crate::online::{
-        CacheStats, CachedPredictor, NetworkEstimator, OnlineModelController, PredictionCache,
-    };
+    pub use crate::kpi::{fleet_gammas, KpiModel};
+
+    pub use crate::model::{Predictor, ReliabilityModel};
+    pub use crate::online::OnlineModelController;
+
     pub use crate::planner::{ModelPlanner, PlannerMode};
     pub use crate::policy::{
-        AdaptiveConfig, BanditConfig, BanditPolicy, DriftDetector, DriftSignal, FrozenPolicy,
-        GammaSample, OnlineAdaptivePolicy, Policy,
+        AdaptiveConfig, BanditConfig, BanditPolicy, FrozenPolicy, GammaSample,
+        OnlineAdaptivePolicy, Policy,
     };
-    pub use crate::recommend::{Recommendation, Recommender, SearchSpace};
+
+    pub use crate::recommend::{Recommender, SearchSpace};
     pub use crate::train::{quick_grid, train_model, TrainOptions, TrainedModel};
     pub use testbed::calibration::Calibration;
 }
 
 pub use features::Features;
-pub use kpi::{fleet_gammas, TenantGamma};
 pub use model::{Prediction, Predictor, ReliabilityModel};
 pub use policy::{
-    AdaptiveConfig, BanditConfig, BanditPolicy, DriftDetector, FrozenPolicy, GammaSample,
-    OnlineAdaptivePolicy, Policy,
+    AdaptiveConfig, BanditConfig, BanditPolicy, FrozenPolicy, GammaSample, OnlineAdaptivePolicy,
+    Policy,
 };
 pub use train::{train_model, TrainOptions, TrainedModel};

@@ -133,7 +133,8 @@ impl ReliabilityModel {
 
     /// The topology both heads use.
     #[must_use]
-    pub fn topology(&self) -> Topology {
+    #[cfg(test)]
+    pub(crate) fn topology(&self) -> Topology {
         self.topology
     }
 
@@ -159,7 +160,8 @@ impl ReliabilityModel {
 
     /// Total trainable parameters across both heads.
     #[must_use]
-    pub fn parameter_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn parameter_count(&self) -> usize {
         self.amo_head.parameter_count()
             + self.alo_head.parameter_count()
             + self.all_head.parameter_count()

@@ -35,7 +35,7 @@ use crate::recommend::{Recommendation, Recommender, SearchSpace};
 ///   contribute through the reset count.
 /// * **Delay**: the transport's smoothed RTT halves to a one-way estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct NetworkEstimator {
+pub(crate) struct NetworkEstimator {
     /// Current loss estimate `L̂`.
     pub loss: f64,
     /// Current one-way delay estimate in milliseconds.
@@ -49,7 +49,7 @@ impl NetworkEstimator {
     /// A fresh estimator assuming a healthy network.
     #[allow(clippy::new_without_default)]
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         NetworkEstimator {
             loss: 0.0,
             delay_ms: 1.0,
@@ -57,7 +57,7 @@ impl NetworkEstimator {
     }
 
     /// Folds one window of statistics into the estimate.
-    pub fn observe(&mut self, stats: &WindowStats) {
+    pub(crate) fn observe(&mut self, stats: &WindowStats) {
         if stats.requests_sent > 0 {
             let failures = stats.retries + stats.connection_resets;
             let raw = (failures as f64 / stats.requests_sent as f64).clamp(0.0, 0.6);
@@ -209,7 +209,7 @@ impl PredictionCache {
     /// The model generation the cached predictions belong to. Starts at 0
     /// and increments once per [`PredictionCache::bump_generation`].
     #[must_use]
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation.load(Ordering::Relaxed)
     }
 
@@ -233,7 +233,7 @@ impl PredictionCache {
     /// observational reads (γ bookkeeping of an already-planned
     /// configuration) that must not perturb the traffic counters.
     #[must_use]
-    pub fn peek(&self, features: &Features) -> Option<Prediction> {
+    pub(crate) fn peek(&self, features: &Features) -> Option<Prediction> {
         let key = CacheKey::quantize(features);
         self.inner
             .lock()
@@ -244,7 +244,7 @@ impl PredictionCache {
     }
 
     /// Looks `features` up, counting the hit or miss.
-    pub fn get(&self, features: &Features) -> Option<Prediction> {
+    pub(crate) fn get(&self, features: &Features) -> Option<Prediction> {
         self.get_key(&CacheKey::quantize(features))
     }
 
@@ -258,7 +258,7 @@ impl PredictionCache {
     }
 
     /// Stores a prediction, evicting the oldest entry at capacity.
-    pub fn insert(&self, features: &Features, prediction: Prediction) {
+    pub(crate) fn insert(&self, features: &Features, prediction: Prediction) {
         self.insert_key(CacheKey::quantize(features), prediction);
     }
 
@@ -291,7 +291,7 @@ impl PredictionCache {
     /// plus the `planner-model-generation` label those counters belong to
     /// (they reset on every generation bump, so the triple always
     /// describes one generation).
-    pub fn export_metrics(&self, registry: &mut MetricsRegistry) {
+    pub(crate) fn export_metrics(&self, registry: &mut MetricsRegistry) {
         let stats = self.stats();
         registry.add_to_counter("planner-cache-hit", stats.hits);
         registry.add_to_counter("planner-cache-miss", stats.misses);
@@ -324,7 +324,7 @@ impl<'a> CachedPredictor<'a> {
     /// probes and inner-model evaluations of misses get their own spans
     /// (`core.cache-probe`, `core.predict-miss`).
     #[must_use]
-    pub fn with_profiler(
+    pub(crate) fn with_profiler(
         inner: &'a dyn Predictor,
         cache: &'a PredictionCache,
         prof: Profiler,
@@ -454,21 +454,23 @@ impl<P: Predictor + Send + Sync> OnlineModelController<P> {
 
     /// The current network estimate (for inspection and tests).
     #[must_use]
-    pub fn estimate(&self) -> NetworkEstimator {
+    #[cfg(test)]
+    pub(crate) fn estimate(&self) -> NetworkEstimator {
         *self.estimator.lock().expect("estimator lock")
     }
 
     /// Traffic counters of the prediction memo cache, which persists
     /// across replan intervals.
     #[must_use]
-    pub fn cache_stats(&self) -> CacheStats {
+    #[cfg(test)]
+    pub(crate) fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
     /// The generation of the model the memo cache currently serves: 0
     /// until a refit of the predictor bumps it.
     #[must_use]
-    pub fn model_generation(&self) -> u64 {
+    pub(crate) fn model_generation(&self) -> u64 {
         self.cache.generation()
     }
 

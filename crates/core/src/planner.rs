@@ -74,16 +74,10 @@ impl<'a> ModelPlanner<'a> {
         self
     }
 
-    /// The active search mode.
-    #[must_use]
-    pub fn mode(&self) -> PlannerMode {
-        self.mode
-    }
-
     /// The starting features the search begins from for `scenario` under
     /// `condition`.
     #[must_use]
-    pub fn start_features(
+    pub(crate) fn start_features(
         &self,
         scenario: &ApplicationScenario,
         condition: NetCondition,
@@ -106,7 +100,7 @@ impl<'a> ModelPlanner<'a> {
 
     /// The producer configuration a feature selection translates to.
     #[must_use]
-    pub fn to_config(&self, features: &Features) -> ProducerConfig {
+    pub(crate) fn to_config(&self, features: &Features) -> ProducerConfig {
         let point = features.to_experiment_point();
         let mut cfg = point.producer_config(&self.cal);
         // Dynamic reconfiguration keeps retries on (the paper's tuned runs

@@ -11,7 +11,7 @@
 //!   returns feeds a per-window predicted-vs-observed γ trace;
 //! * [`OnlineAdaptivePolicy`] — the same planning loop over a *live*
 //!   model: every window pairs the planner's prediction with the
-//!   reliability the producer actually observed, a [`DriftDetector`]
+//!   reliability the producer actually observed, a `DriftDetector`
 //!   watches the prediction-error stream, and a detected drift triggers an
 //!   incremental-SGD refit (via [`annet::IncrementalTrainer`]) that bumps
 //!   the model generation and invalidates the planner's memo cache;
@@ -113,7 +113,7 @@ impl GammaSample {
 /// appended). Returns `None` for windows with no traffic — an empty
 /// window carries no evidence.
 #[must_use]
-pub fn observed_reliability(stats: &WindowStats) -> Option<(f64, f64)> {
+pub(crate) fn observed_reliability(stats: &WindowStats) -> Option<(f64, f64)> {
     let fill = stats.batch_fill_mean.unwrap_or(1.0).max(1.0);
     let delivered = stats.acks_received as f64 * fill;
     let expired = stats.expired as f64;
@@ -128,7 +128,7 @@ pub fn observed_reliability(stats: &WindowStats) -> Option<(f64, f64)> {
 
 /// What tripped the [`DriftDetector`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DriftSignal {
+pub(crate) struct DriftSignal {
     /// Mean error over the recent window at the moment of detection.
     pub error: f64,
     /// The baseline mean error the detector compared against.
@@ -147,7 +147,7 @@ pub struct DriftSignal {
 /// baseline, so a single regime change produces exactly one detection
 /// and a stationary series never fires.
 #[derive(Debug, Clone)]
-pub struct DriftDetector {
+pub(crate) struct DriftDetector {
     window: usize,
     threshold: f64,
     baseline: Option<f64>,
@@ -162,7 +162,7 @@ impl DriftDetector {
     ///
     /// Panics when `window` is zero or `threshold` is not positive.
     #[must_use]
-    pub fn new(window: usize, threshold: f64) -> Self {
+    pub(crate) fn new(window: usize, threshold: f64) -> Self {
         assert!(window > 0, "drift window must be positive");
         assert!(threshold > 0.0, "drift threshold must be positive");
         DriftDetector {
@@ -174,15 +174,9 @@ impl DriftDetector {
         }
     }
 
-    /// The baseline mean error, once established.
-    #[must_use]
-    pub fn baseline(&self) -> Option<f64> {
-        self.baseline
-    }
-
     /// Folds one error sample in; returns the signal when drift is
     /// detected at this sample.
-    pub fn observe(&mut self, err: f64) -> Option<DriftSignal> {
+    pub(crate) fn observe(&mut self, err: f64) -> Option<DriftSignal> {
         match self.baseline {
             None => {
                 self.warmup.push(err);
@@ -372,7 +366,7 @@ impl AdaptiveConfig {
     /// # Errors
     ///
     /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.drift_window == 0 {
             return Err("drift_window must be positive".into());
         }
@@ -415,7 +409,7 @@ struct AdaptiveState {
 ///
 /// Each window pairs the previous plan's predicted reliability with the
 /// observed pair, feeds the pair into a bounded replay buffer, and pushes
-/// the γ prediction error into a [`DriftDetector`]. On detection the
+/// the γ prediction error into a `DriftDetector`. On detection the
 /// policy refits the live semantics head with deterministic
 /// incremental-SGD steps over the replay buffer
 /// ([`annet::IncrementalTrainer`] — the same kernels as offline
@@ -653,7 +647,7 @@ impl BanditConfig {
     /// # Errors
     ///
     /// Returns a description of the invalid field.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.exploration <= 0.0 {
             return Err("exploration must be positive".into());
         }

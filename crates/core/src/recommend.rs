@@ -87,7 +87,7 @@ impl SearchSpace {
     /// # Errors
     ///
     /// Returns a description of the first invalid bound.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.batch.0 == 0 || self.batch.0 > self.batch.1 {
             return Err("batch bounds must be ordered and positive".into());
         }
@@ -409,7 +409,7 @@ impl<'a> Recommender<'a> {
     /// path's gradient shards, it never depends on the worker count, and
     /// shard results are reduced in ascending shard order, which is what
     /// makes the recommendation bit-identical at any thread count.
-    pub const GRID_SHARD: usize = 512;
+    pub(crate) const GRID_SHARD: usize = 512;
 
     /// Exhaustively scans the full `SearchSpace` grid with batched
     /// inference and returns the γ-maximal configuration (the first one in
@@ -421,7 +421,7 @@ impl<'a> Recommender<'a> {
     /// configurations scored. Non-searched feature fields are taken from
     /// `start`; note the scan is restricted to the lattice, so a `start`
     /// lying off-lattice is *not* itself a candidate. Shards of
-    /// [`Self::GRID_SHARD`] candidates are distributed over `threads`
+    /// `Self::GRID_SHARD` candidates are distributed over `threads`
     /// workers; the result is **bit-identical for every `threads` value**.
     ///
     /// # Panics

@@ -45,7 +45,7 @@ impl<W> Context<W> {
 
     /// The current virtual time.
     #[must_use]
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.agenda.now()
     }
 
@@ -53,7 +53,7 @@ impl<W> Context<W> {
     ///
     /// Events scheduled in the past fire "now" (at the current clock value),
     /// after all events already queued for the current instant.
-    pub fn schedule_at<F>(&mut self, at: SimTime, action: F)
+    pub(crate) fn schedule_at<F>(&mut self, at: SimTime, action: F)
     where
         F: FnOnce(&mut W, &mut Context<W>) + 'static,
     {
@@ -70,13 +70,13 @@ impl<W> Context<W> {
 
     /// Number of events that have fired so far.
     #[must_use]
-    pub fn events_fired(&self) -> u64 {
+    pub(crate) fn events_fired(&self) -> u64 {
         self.agenda.fired()
     }
 
     /// Number of events still pending.
     #[must_use]
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.agenda.len()
     }
 }
@@ -138,18 +138,7 @@ impl<W> Simulation<W> {
         &self.world
     }
 
-    /// Exclusive access to the world.
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
-    /// Consumes the simulation, returning the world.
-    #[must_use]
-    pub fn into_world(self) -> W {
-        self.world
-    }
-
-    /// Schedules an event at an absolute instant. See [`Context::schedule_at`].
+    /// Schedules an event at an absolute instant. See `Context::schedule_at`.
     pub fn schedule_at<F>(&mut self, at: SimTime, action: F)
     where
         F: FnOnce(&mut W, &mut Context<W>) + 'static,
@@ -158,7 +147,8 @@ impl<W> Simulation<W> {
     }
 
     /// Schedules an event after a delay. See [`Context::schedule_in`].
-    pub fn schedule_in<F>(&mut self, delay: SimDuration, action: F)
+    #[cfg(test)]
+    pub(crate) fn schedule_in<F>(&mut self, delay: SimDuration, action: F)
     where
         F: FnOnce(&mut W, &mut Context<W>) + 'static,
     {
@@ -168,7 +158,7 @@ impl<W> Simulation<W> {
     /// Fires the next pending event, advancing the clock to its timestamp.
     ///
     /// Returns `false` when the queue is empty (the clock does not move).
-    pub fn step(&mut self) -> bool {
+    pub(crate) fn step(&mut self) -> bool {
         let Some(action) = self.ctx.agenda.pop() else {
             return false;
         };
@@ -202,7 +192,7 @@ impl<W> Simulation<W> {
 
     /// Total events fired since construction.
     #[must_use]
-    pub fn events_fired(&self) -> u64 {
+    pub(crate) fn events_fired(&self) -> u64 {
         self.ctx.events_fired()
     }
 }

@@ -16,7 +16,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The fixed [`BuildHasher`](std::hash::BuildHasher) behind the fast maps.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A [`HashMap`] keyed through [`FxHasher`]; build one with `default()`.
 pub type FastMap<K, V> = HashMap<K, V, FxBuildHasher>;

@@ -57,11 +57,10 @@ pub mod fasthash;
 pub mod minq;
 pub mod rng;
 pub mod stats;
-pub mod time;
-pub mod typed;
+pub(crate) mod time;
+pub(crate) mod typed;
 
 pub use engine::{Context, Simulation};
-pub use fasthash::{FastMap, FastSet, FxBuildHasher, FxHasher};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use typed::{EventContext, EventSim, EventWorld};

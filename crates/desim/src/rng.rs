@@ -163,7 +163,7 @@ impl SimRng {
     }
 
     /// A standard-normal value via the Box–Muller transform.
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         // Draw u in (0,1] to keep ln finite.
         let u = 1.0 - self.next_f64();
         let v = self.next_f64();

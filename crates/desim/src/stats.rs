@@ -17,7 +17,6 @@ use crate::time::SimTime;
 ///     m.record(x);
 /// }
 /// assert!((m.mean() - 5.0).abs() < 1e-12);
-/// assert!((m.population_variance() - 4.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningMoments {
@@ -69,7 +68,7 @@ impl RunningMoments {
 
     /// Population variance (dividing by n), or 0 when empty.
     #[must_use]
-    pub fn population_variance(&self) -> f64 {
+    pub(crate) fn population_variance(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

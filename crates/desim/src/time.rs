@@ -157,7 +157,8 @@ impl SimDuration {
 
     /// The larger of two spans.
     #[must_use]
-    pub fn max(self, other: SimDuration) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn max(self, other: SimDuration) -> SimDuration {
         if self.0 >= other.0 {
             self
         } else {
@@ -167,7 +168,8 @@ impl SimDuration {
 
     /// The smaller of two spans.
     #[must_use]
-    pub fn min(self, other: SimDuration) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn min(self, other: SimDuration) -> SimDuration {
         if self.0 <= other.0 {
             self
         } else {

@@ -107,13 +107,13 @@ impl<E> EventContext<E> {
 
     /// Number of events that have fired so far.
     #[must_use]
-    pub fn events_fired(&self) -> u64 {
+    pub(crate) fn events_fired(&self) -> u64 {
         self.agenda.fired()
     }
 
     /// Number of events still pending.
     #[must_use]
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.agenda.len()
     }
 
@@ -171,7 +171,8 @@ impl<W: EventWorld> EventSim<W> {
     }
 
     /// Exclusive access to the world.
-    pub fn world_mut(&mut self) -> &mut W {
+    #[cfg(test)]
+    pub(crate) fn world_mut(&mut self) -> &mut W {
         &mut self.world
     }
 
@@ -194,7 +195,7 @@ impl<W: EventWorld> EventSim<W> {
     /// Fires the next pending event, advancing the clock to its timestamp.
     ///
     /// Returns `false` when the queue is empty (the clock does not move).
-    pub fn step(&mut self) -> bool {
+    pub(crate) fn step(&mut self) -> bool {
         let Some(event) = self.ctx.agenda.pop() else {
             return false;
         };
@@ -251,7 +252,8 @@ impl<W: EventWorld> EventSim<W> {
 
     /// Number of events still pending.
     #[must_use]
-    pub fn pending(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> usize {
         self.ctx.pending()
     }
 }

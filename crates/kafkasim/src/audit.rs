@@ -60,7 +60,7 @@ pub struct DeliveryReport {
     pub duplicated: u64,
     /// Total extra copies beyond the first, summed over duplicated keys.
     pub extra_copies: u64,
-    /// Per-case counts, indexed by [`DeliveryCase::index`].
+    /// Per-case counts, indexed by `DeliveryCase::index`.
     pub case_counts: [u64; 5],
     /// Loss attribution from the producer's ledger.
     pub loss_reasons: BTreeMap<LossReason, u64>,
@@ -151,7 +151,7 @@ fn loss_map(mut loss_by_tag: [u64; 7]) -> BTreeMap<LossReason, u64> {
 /// stream over two dense ledger columns plus the topic's two per-key
 /// columns (copies and first-copy latency).
 #[must_use]
-pub fn audit(
+pub(crate) fn audit(
     ledger: &Ledger,
     topic: &ConsumedTopic,
     timeliness: Option<SimDuration>,

@@ -35,7 +35,7 @@ impl Default for BrokerModel {
 impl BrokerModel {
     /// Processing time for a request carrying `records` records.
     #[must_use]
-    pub fn processing_time(&self, records: usize) -> SimDuration {
+    pub(crate) fn processing_time(&self, records: usize) -> SimDuration {
         self.process_per_request + self.process_per_record * records as u64
     }
 }
@@ -112,28 +112,23 @@ impl Broker {
 
     /// Creates a broker with a custom cost model.
     #[must_use]
-    pub fn with_model(id: BrokerId, partitions: Vec<u32>, model: BrokerModel) -> Self {
+    pub(crate) fn with_model(id: BrokerId, partitions: Vec<u32>, model: BrokerModel) -> Self {
         Broker {
             model,
             ..Broker::new(id, partitions)
         }
     }
 
-    /// The broker's id.
-    #[must_use]
-    pub fn id(&self) -> BrokerId {
-        self.id
-    }
-
     /// The partitions this broker leads.
-    pub fn partitions(&self) -> impl Iterator<Item = u32> + '_ {
+    #[cfg(test)]
+    pub(crate) fn partitions(&self) -> impl Iterator<Item = u32> + '_ {
         self.logs.iter().map(|l| l.partition())
     }
 
     /// Starts leading `partition` with a fresh log (leader failover).
     ///
     /// No-op if this broker already has a log for the partition.
-    pub fn add_partition(&mut self, partition: u32) {
+    pub(crate) fn add_partition(&mut self, partition: u32) {
         if self.log(partition).is_none() {
             self.logs.push(PartitionLog::new(partition));
         }
@@ -141,7 +136,7 @@ impl Broker {
 
     /// Processing time for a request of `records` records.
     #[must_use]
-    pub fn processing_time(&self, records: usize) -> SimDuration {
+    pub(crate) fn processing_time(&self, records: usize) -> SimDuration {
         self.model.processing_time(records)
     }
 
@@ -174,7 +169,7 @@ impl Broker {
     /// Removes and returns this broker's log for `partition` (the physical
     /// log handed to a newly elected leader — see
     /// [`Broker::install_log`]).
-    pub fn take_log(&mut self, partition: u32) -> Option<PartitionLog> {
+    pub(crate) fn take_log(&mut self, partition: u32) -> Option<PartitionLog> {
         let idx = self.logs.iter().position(|l| l.partition() == partition)?;
         Some(self.logs.remove(idx))
     }
@@ -182,7 +177,7 @@ impl Broker {
     /// Installs a partition log on this broker (leadership arriving with
     /// the replicated data), replacing any log it already had for that
     /// partition.
-    pub fn install_log(&mut self, log: PartitionLog) {
+    pub(crate) fn install_log(&mut self, log: PartitionLog) {
         if let Some(existing) = self
             .logs
             .iter_mut()
@@ -202,7 +197,7 @@ impl Broker {
 
     /// All logs on this broker.
     #[must_use]
-    pub fn logs(&self) -> &[PartitionLog] {
+    pub(crate) fn logs(&self) -> &[PartitionLog] {
         &self.logs
     }
 

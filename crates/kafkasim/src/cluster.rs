@@ -63,7 +63,7 @@ impl ReplicationSpec {
     /// # Errors
     ///
     /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.factor == 0 {
             return Err("replication factor must be at least 1".into());
         }
@@ -110,7 +110,7 @@ impl ClusterSpec {
     /// # Errors
     ///
     /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.brokers == 0 {
             return Err("cluster needs at least one broker".into());
         }
@@ -130,7 +130,7 @@ impl ClusterSpec {
 
 /// One replica's view of a partition, as the leader tracks it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Replica {
+pub(crate) struct Replica {
     /// The broker hosting the replica.
     pub broker: BrokerId,
     /// The replica's log-end offset: how many records it has fetched.
@@ -146,7 +146,7 @@ pub struct Replica {
 
 /// The result of a leader election.
 #[derive(Debug, Clone)]
-pub struct ElectionOutcome {
+pub(crate) struct ElectionOutcome {
     /// The elected broker.
     pub leader: BrokerId,
     /// `true` when the winner was in the ISR (no acknowledged data can be
@@ -162,18 +162,8 @@ pub struct ElectionOutcome {
 ///
 /// Partition `p` is led by broker `p % brokers`, mirroring Kafka's
 /// round-robin leader spread for a fresh topic.
-///
-/// # Example
-///
-/// ```
-/// use kafkasim::cluster::{Cluster, ClusterSpec};
-///
-/// let cluster = Cluster::new(ClusterSpec { brokers: 3, partitions: 6, ..ClusterSpec::default() }).unwrap();
-/// assert_eq!(cluster.leader_of(4).0, 1);
-/// assert_eq!(cluster.brokers().len(), 3);
-/// ```
 #[derive(Debug, Clone)]
-pub struct Cluster {
+pub(crate) struct Cluster {
     spec: ClusterSpec,
     brokers: Vec<Broker>,
     leaders: Vec<BrokerId>,
@@ -192,7 +182,7 @@ impl Cluster {
     /// # Errors
     ///
     /// Returns the spec's validation error.
-    pub fn new(spec: ClusterSpec) -> Result<Self, String> {
+    pub(crate) fn new(spec: ClusterSpec) -> Result<Self, String> {
         spec.validate()?;
         let mut assignments: Vec<Vec<u32>> = vec![Vec::new(); spec.brokers as usize];
         for p in 0..spec.partitions {
@@ -231,7 +221,7 @@ impl Cluster {
 
     /// The cluster's spec.
     #[must_use]
-    pub fn spec(&self) -> &ClusterSpec {
+    pub(crate) fn spec(&self) -> &ClusterSpec {
         &self.spec
     }
 
@@ -241,7 +231,7 @@ impl Cluster {
     ///
     /// Panics if `partition` is outside the topic.
     #[must_use]
-    pub fn leader_of(&self, partition: u32) -> BrokerId {
+    pub(crate) fn leader_of(&self, partition: u32) -> BrokerId {
         assert!(partition < self.spec.partitions, "unknown partition");
         self.leaders[partition as usize]
     }
@@ -253,7 +243,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics on an unknown partition or broker.
-    pub fn transfer_leadership(&mut self, partition: u32, to: BrokerId) {
+    pub(crate) fn transfer_leadership(&mut self, partition: u32, to: BrokerId) {
         assert!(partition < self.spec.partitions, "unknown partition");
         assert!((to.0 as usize) < self.brokers.len(), "unknown broker");
         self.brokers[to.0 as usize].add_partition(partition);
@@ -262,25 +252,25 @@ impl Cluster {
 
     /// All brokers.
     #[must_use]
-    pub fn brokers(&self) -> &[Broker] {
+    pub(crate) fn brokers(&self) -> &[Broker] {
         &self.brokers
     }
 
     /// Mutable access to one broker.
     #[must_use]
-    pub fn broker_mut(&mut self, id: BrokerId) -> Option<&mut Broker> {
+    pub(crate) fn broker_mut(&mut self, id: BrokerId) -> Option<&mut Broker> {
         self.brokers.get_mut(id.0 as usize)
     }
 
     /// Read access to one broker.
     #[must_use]
-    pub fn broker(&self, id: BrokerId) -> Option<&Broker> {
+    pub(crate) fn broker(&self, id: BrokerId) -> Option<&Broker> {
         self.brokers.get(id.0 as usize)
     }
 
     /// Number of partitions in the topic.
     #[must_use]
-    pub fn partitions(&self) -> u32 {
+    pub(crate) fn partitions(&self) -> u32 {
         self.spec.partitions
     }
 
@@ -290,7 +280,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics on an unknown broker.
-    pub fn crash(&mut self, broker: BrokerId, until: SimTime) {
+    pub(crate) fn crash(&mut self, broker: BrokerId, until: SimTime) {
         self.down_until[broker.0 as usize] = until;
     }
 
@@ -301,7 +291,7 @@ impl Cluster {
     ///
     /// Panics on an unknown broker.
     #[must_use]
-    pub fn is_down(&self, broker: BrokerId, now: SimTime) -> bool {
+    pub(crate) fn is_down(&self, broker: BrokerId, now: SimTime) -> bool {
         now < self.down_until[broker.0 as usize]
     }
 
@@ -312,7 +302,7 @@ impl Cluster {
     ///
     /// Panics if `partition` is outside the topic.
     #[must_use]
-    pub fn replicas_of(&self, partition: u32) -> &[Replica] {
+    pub(crate) fn replicas_of(&self, partition: u32) -> &[Replica] {
         assert!(partition < self.spec.partitions, "unknown partition");
         &self.replicas[partition as usize]
     }
@@ -323,7 +313,7 @@ impl Cluster {
     ///
     /// Panics if `partition` is outside the topic.
     #[must_use]
-    pub fn isr_of(&self, partition: u32) -> Vec<u32> {
+    pub(crate) fn isr_of(&self, partition: u32) -> Vec<u32> {
         self.replicas_of(partition)
             .iter()
             .filter(|r| r.in_isr)
@@ -350,7 +340,7 @@ impl Cluster {
     ///
     /// Panics if `partition` is outside the topic.
     #[must_use]
-    pub fn isr_has(&self, partition: u32, offset: u64) -> bool {
+    pub(crate) fn isr_has(&self, partition: u32, offset: u64) -> bool {
         let leader = self.leaders[partition as usize];
         self.replicas_of(partition)
             .iter()
@@ -367,7 +357,7 @@ impl Cluster {
     /// Returns what happened as `ReplicaFetch`, `IsrShrink` and
     /// `IsrExpand` trace events, which the runtime counts and, when
     /// tracing, records.
-    pub fn replicate(&mut self, now: SimTime) -> Vec<TraceEvent> {
+    pub(crate) fn replicate(&mut self, now: SimTime) -> Vec<TraceEvent> {
         let mut events = Vec::new();
         let lag_max = self.spec.replication.lag_time_max;
         let max_fetch = self.spec.replication.max_fetch_records;
@@ -447,7 +437,11 @@ impl Cluster {
     ///
     /// Panics if `partition` is outside the topic.
     #[must_use]
-    pub fn election_candidate(&self, partition: u32, now: SimTime) -> Option<(BrokerId, bool)> {
+    pub(crate) fn election_candidate(
+        &self,
+        partition: u32,
+        now: SimTime,
+    ) -> Option<(BrokerId, bool)> {
         let leader = self.leaders[partition as usize];
         let alive = |r: &&Replica| r.broker != leader && !self.is_down(r.broker, now);
         let best_isr = self
@@ -480,7 +474,12 @@ impl Cluster {
     ///
     /// Panics on an unknown partition, or when `to` is not a replica of
     /// `partition`.
-    pub fn elect_leader(&mut self, partition: u32, to: BrokerId, now: SimTime) -> ElectionOutcome {
+    pub(crate) fn elect_leader(
+        &mut self,
+        partition: u32,
+        to: BrokerId,
+        now: SimTime,
+    ) -> ElectionOutcome {
         assert!(partition < self.spec.partitions, "unknown partition");
         let old = self.leaders[partition as usize];
         assert!(
@@ -551,6 +550,7 @@ mod tests {
         assert_eq!(c.leader_of(1), BrokerId(1));
         assert_eq!(c.leader_of(2), BrokerId(2));
         assert_eq!(c.leader_of(3), BrokerId(0));
+        assert_eq!(c.brokers().len(), 3);
         let parts0: Vec<u32> = c.broker(BrokerId(0)).unwrap().partitions().collect();
         assert_eq!(parts0, vec![0, 3, 6]);
     }

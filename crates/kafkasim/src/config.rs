@@ -150,7 +150,6 @@ impl HostModel {
 ///     .semantics(DeliverySemantics::AtLeastOnce)
 ///     .batch_size(4)
 ///     .message_timeout(SimDuration::from_millis(1500))
-///     .poll_interval(SimDuration::from_millis(10))
 ///     .build()?;
 /// assert_eq!(config.batch_size, 4);
 /// # Ok::<(), kafkasim::config::ConfigError>(())
@@ -331,7 +330,8 @@ impl ProducerConfigBuilder {
 
     /// Sets the polling interval `δ` (`ZERO` = full load).
     #[must_use]
-    pub fn poll_interval(mut self, poll_interval: SimDuration) -> Self {
+    #[cfg(test)]
+    pub(crate) fn poll_interval(mut self, poll_interval: SimDuration) -> Self {
         self.config.poll_interval = poll_interval;
         self
     }
@@ -343,16 +343,10 @@ impl ProducerConfigBuilder {
         self
     }
 
-    /// Sets the batch linger time.
-    #[must_use]
-    pub fn linger(mut self, linger: SimDuration) -> Self {
-        self.config.linger = linger;
-        self
-    }
-
     /// Sets the retry budget `τ_r`.
     #[must_use]
-    pub fn max_retries(mut self, max_retries: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn max_retries(mut self, max_retries: u32) -> Self {
         self.config.max_retries = max_retries;
         self
     }
@@ -373,29 +367,17 @@ impl ProducerConfigBuilder {
 
     /// Sets the accumulator capacity in messages.
     #[must_use]
-    pub fn buffer_capacity(mut self, buffer_capacity: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn buffer_capacity(mut self, buffer_capacity: usize) -> Self {
         self.config.buffer_capacity = buffer_capacity;
         self
     }
 
     /// Sets the stall threshold in consecutive RTO backoffs.
     #[must_use]
-    pub fn stall_backoffs(mut self, stall_backoffs: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn stall_backoffs(mut self, stall_backoffs: u32) -> Self {
         self.config.stall_backoffs = stall_backoffs;
-        self
-    }
-
-    /// Sets the no-progress patience before recycling a connection.
-    #[must_use]
-    pub fn stall_patience(mut self, stall_patience: SimDuration) -> Self {
-        self.config.stall_patience = stall_patience;
-        self
-    }
-
-    /// Sets the host cost model.
-    #[must_use]
-    pub fn host(mut self, host: HostModel) -> Self {
-        self.config.host = host;
         self
     }
 

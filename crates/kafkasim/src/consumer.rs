@@ -6,7 +6,7 @@
 //! unique keys from source data and the messages received by the consumer."
 //!
 //! The read-back is one pass over the stored copies in broker → log →
-//! offset order ([`for_each_copy`]). A copy's latency is its append time
+//! offset order (`for_each_copy`). A copy's latency is its append time
 //! minus the ledger's creation time for its key: the log stores no creation
 //! time of its own, and the ledger stamps the same poll instant the
 //! produce record carried. `read_back` is a run's last step: the fold,
@@ -27,7 +27,7 @@ use crate::producer::Ledger;
 /// sent, so the ledger knows every key a run's logs hold; a key it does not
 /// know has no creation time and is skipped, as the audit (which counts
 /// ledger keys only) would ignore it anyway.
-pub fn for_each_copy(
+pub(crate) fn for_each_copy(
     cluster: &Cluster,
     ledger: &Ledger,
     mut visit: impl FnMut(u32, u64, MessageKey, SimDuration),
@@ -93,7 +93,7 @@ pub(crate) fn read_back(
 /// hash map would dominate its cost. A key with `copies[k] == 0` was never
 /// consumed and its `first_latency[k]` slot is meaningless.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ConsumedTopic {
+pub(crate) struct ConsumedTopic {
     copies: Vec<u32>,
     first_latency: Vec<SimDuration>,
 }
@@ -101,7 +101,7 @@ pub struct ConsumedTopic {
 impl ConsumedTopic {
     /// Reads the whole topic from a cluster, one slot per ledger key.
     #[must_use]
-    pub fn read_all(cluster: &Cluster, ledger: &Ledger) -> Self {
+    pub(crate) fn read_all(cluster: &Cluster, ledger: &Ledger) -> Self {
         let mut copies = vec![0u32; ledger.len()];
         let mut first_latency = vec![SimDuration::MAX; ledger.len()];
         // `for_each_copy` visits only keys the ledger holds, so `k` indexes
@@ -119,13 +119,13 @@ impl ConsumedTopic {
 
     /// Number of copies stored for `key` (0 = lost).
     #[must_use]
-    pub fn copies(&self, key: MessageKey) -> u64 {
+    pub(crate) fn copies(&self, key: MessageKey) -> u64 {
         self.copies.get(key.0 as usize).map_or(0, |&c| u64::from(c))
     }
 
     /// The earliest-copy latency for `key`, if delivered.
     #[must_use]
-    pub fn first_latency(&self, key: MessageKey) -> Option<SimDuration> {
+    pub(crate) fn first_latency(&self, key: MessageKey) -> Option<SimDuration> {
         let k = key.0 as usize;
         if self.copies(key) == 0 {
             None

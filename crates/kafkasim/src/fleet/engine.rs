@@ -227,15 +227,15 @@ impl TenantLedger {
 /// Fleet-level totals (sums of the per-tenant ledgers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct FleetTotals {
-    /// Sum of [`TenantLedger::produced`].
+    /// Sum of `TenantLedger::produced`.
     pub produced: u64,
-    /// Sum of [`TenantLedger::delivered`].
+    /// Sum of `TenantLedger::delivered`.
     pub delivered: u64,
-    /// Sum of [`TenantLedger::lost_network`].
+    /// Sum of `TenantLedger::lost_network`.
     pub lost_network: u64,
-    /// Sum of [`TenantLedger::lost_overload`].
+    /// Sum of `TenantLedger::lost_overload`.
     pub lost_overload: u64,
-    /// Sum of [`TenantLedger::duplicated`].
+    /// Sum of `TenantLedger::duplicated`.
     pub duplicated: u64,
 }
 
@@ -719,7 +719,7 @@ impl FleetRun {
     }
 
     /// Runs with trace events *and* wall-clock span profiling.
-    pub fn execute_profiled(
+    pub(crate) fn execute_profiled(
         self,
         sink: Box<dyn TraceSink>,
         prof: Profiler,

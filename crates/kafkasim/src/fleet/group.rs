@@ -60,10 +60,6 @@ pub struct Rebalance {
 /// use kafkasim::fleet::{Assignor, GroupCoordinator};
 ///
 /// let mut group = GroupCoordinator::new(Assignor::Sticky, 4, &[0, 1]);
-/// assert_eq!(group.generation(), 1);
-/// // Generation 1 deals orphans alternately: member 0 gets {0, 2}.
-/// assert_eq!(group.partitions_of(0), vec![0, 2]);
-///
 /// let reb = group.join(2).expect("new member triggers a rebalance");
 /// assert_eq!(reb.generation, 2);
 /// // Sticky moves only what it must: member 2 takes one partition each
@@ -108,7 +104,7 @@ impl GroupCoordinator {
 
     /// Current group generation.
     #[must_use]
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
 
@@ -120,13 +116,13 @@ impl GroupCoordinator {
 
     /// The member owning `partition`, when the group is non-empty.
     #[must_use]
-    pub fn owner_of(&self, partition: u32) -> Option<u32> {
+    pub(crate) fn owner_of(&self, partition: u32) -> Option<u32> {
         self.owner[partition as usize]
     }
 
     /// Partitions owned by `member`, ascending.
     #[must_use]
-    pub fn partitions_of(&self, member: u32) -> Vec<u32> {
+    pub(crate) fn partitions_of(&self, member: u32) -> Vec<u32> {
         (0..self.n_partitions)
             .filter(|&p| self.owner[p as usize] == Some(member))
             .collect()

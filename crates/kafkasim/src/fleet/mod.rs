@@ -10,14 +10,14 @@
 //!   weighted mix of stream classes (the paper's Table II workloads),
 //!   apportioned deterministically (largest-remainder, interleaved);
 //! * a partitioned topic with **keyed routing** under a pluggable
-//!   [`Partitioner`] — round-robin, key-hash, or the locality strategy
+//!   `Partitioner` — round-robin, key-hash, or the locality strategy
 //!   after Raptis & Passarella ([`PartitionStrategy`]) — the sweep axis
 //!   that makes partition *skew* visible;
 //! * a **consumer group** with scripted join/leave churn and
 //!   deterministic rebalance under range or sticky assignment
 //!   ([`GroupCoordinator`], [`Assignor`]), whose ownership moves are the
 //!   "rebalance storms" the fleet figure plots;
-//! * **per-tenant reliability accounting** ([`TenantLedger`]): every
+//! * **per-tenant reliability accounting** (`TenantLedger`): every
 //!   message of every producer is attributed to delivered, network loss,
 //!   overload loss, or duplicate — and the per-tenant ledgers sum
 //!   exactly to the fleet totals.
@@ -54,8 +54,7 @@ mod population;
 
 pub use engine::{
     ChurnAction, ChurnEvent, ClassSummary, FleetConfig, FleetOutcome, FleetRun, FleetTotals,
-    RebalanceRecord, TenantLedger,
 };
-pub use group::{Assignor, GroupCoordinator, Rebalance};
-pub use partition::{PartitionStrategy, Partitioner};
+pub use group::{Assignor, GroupCoordinator};
+pub use partition::PartitionStrategy;
 pub use population::{Population, PopulationEntry, StreamClass};

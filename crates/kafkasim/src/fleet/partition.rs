@@ -20,17 +20,7 @@ use super::population::Population;
 /// Implementations must be deterministic functions of their own state and
 /// the `(tenant, class)` key — the fleet engine relies on that for
 /// bit-identical replays.
-///
-/// # Example
-///
-/// ```
-/// use kafkasim::fleet::{Partitioner, PartitionStrategy};
-///
-/// let mut router = PartitionStrategy::RoundRobin.build_simple(8);
-/// let first: Vec<u32> = (0..4).map(|t| router.route(t, 0, 8)).collect();
-/// assert_eq!(first, vec![0, 1, 2, 3]);
-/// ```
-pub trait Partitioner {
+pub(crate) trait Partitioner {
     /// Picks the partition (`0..n_partitions`) for one message of
     /// `tenant` belonging to stream-class index `class`.
     fn route(&mut self, tenant: u32, class: u16, n_partitions: u32) -> u32;
@@ -66,26 +56,12 @@ impl PartitionStrategy {
     /// `population`. The population is only consulted by
     /// [`PartitionStrategy::Locality`] (for class traffic shares).
     #[must_use]
-    pub fn build(&self, n_partitions: u32, population: &Population) -> Box<dyn Partitioner> {
+    pub(crate) fn build(&self, n_partitions: u32, population: &Population) -> Box<dyn Partitioner> {
         match self {
             PartitionStrategy::RoundRobin => Box::new(RoundRobinPartitioner { cursor: 0 }),
             PartitionStrategy::KeyHash => Box::new(KeyHashPartitioner),
             PartitionStrategy::Locality => {
                 Box::new(LocalityPartitioner::new(n_partitions, population))
-            }
-        }
-    }
-
-    /// Builds a router without a population (usable for
-    /// [`PartitionStrategy::RoundRobin`] and
-    /// [`PartitionStrategy::KeyHash`]; `Locality` falls back to
-    /// key-hash since it has no class shares to divide by).
-    #[must_use]
-    pub fn build_simple(&self, _n_partitions: u32) -> Box<dyn Partitioner> {
-        match self {
-            PartitionStrategy::RoundRobin => Box::new(RoundRobinPartitioner { cursor: 0 }),
-            PartitionStrategy::KeyHash | PartitionStrategy::Locality => {
-                Box::new(KeyHashPartitioner)
             }
         }
     }

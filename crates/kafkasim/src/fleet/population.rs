@@ -77,13 +77,9 @@ pub struct PopulationEntry {
 /// let pop = Population::new(vec![
 ///     PopulationEntry { class: class("a"), weight: 0.7 },
 ///     PopulationEntry { class: class("b"), weight: 0.3 },
-/// ])
-/// .expect("positive weights and rates");
-///
-/// let classes = pop.apportion(10);
-/// assert_eq!(classes.len(), 10);
-/// assert_eq!(classes.iter().filter(|&&c| c == 0).count(), 7);
-/// assert_eq!(classes.iter().filter(|&&c| c == 1).count(), 3);
+/// ]);
+/// assert!(pop.is_ok(), "positive weights and rates");
+/// assert!(Population::new(vec![PopulationEntry { class: class("c"), weight: 0.0 }]).is_err());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Population {
@@ -126,7 +122,7 @@ impl Population {
 
     /// The class at `idx` (as produced by [`Population::apportion`]).
     #[must_use]
-    pub fn class(&self, idx: u16) -> &StreamClass {
+    pub(crate) fn class(&self, idx: u16) -> &StreamClass {
         &self.entries[idx as usize].class
     }
 
@@ -138,7 +134,7 @@ impl Population {
     /// membership interleaves rather than forming contiguous tenant-id
     /// blocks. Purely arithmetic — no RNG — hence reproducible.
     #[must_use]
-    pub fn apportion(&self, producers: usize) -> Vec<u16> {
+    pub(crate) fn apportion(&self, producers: usize) -> Vec<u16> {
         let total: f64 = self.entries.iter().map(|e| e.weight).sum();
         // Floor quotas first, then hand leftover seats to the largest
         // fractional remainders (ties to the earlier-declared class).

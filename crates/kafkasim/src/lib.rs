@@ -114,9 +114,6 @@ pub mod state;
 pub mod wire;
 
 pub use audit::{DeliveryReport, LossReason};
-pub use config::{ConfigError, DeliverySemantics, ProducerConfig};
-pub use explain::{crosscheck, TraceAudit};
-pub use fleet::{FleetConfig, FleetOutcome, FleetRun};
-pub use runtime::{KafkaRun, RunOutcome, RunSpec};
-pub use source::SourceSpec;
-pub use state::{DeliveryCase, MessageState};
+pub use config::ConfigError;
+pub use explain::crosscheck;
+pub use runtime::RunOutcome;

@@ -65,7 +65,7 @@ impl PartitionLog {
 
     /// The partition id.
     #[must_use]
-    pub fn partition(&self) -> u32 {
+    pub(crate) fn partition(&self) -> u32 {
         self.partition
     }
 
@@ -105,13 +105,13 @@ impl PartitionLog {
 
     /// Record keys in offset order.
     #[must_use]
-    pub fn keys(&self) -> &[MessageKey] {
+    pub(crate) fn keys(&self) -> &[MessageKey] {
         &self.keys
     }
 
     /// Broker append timestamps in offset order.
     #[must_use]
-    pub fn appended_col(&self) -> &[SimTime] {
+    pub(crate) fn appended_col(&self) -> &[SimTime] {
         &self.appended_at
     }
 

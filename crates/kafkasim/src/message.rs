@@ -23,7 +23,7 @@ impl core::fmt::Display for MessageKey {
 
 /// One message as seen by the producer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Message {
+pub(crate) struct Message {
     /// Unique incremental key.
     pub key: MessageKey,
     /// Payload size `M` in bytes (the paper's first feature).
@@ -37,7 +37,7 @@ pub struct Message {
 impl Message {
     /// Creates a message with the given timeout `T_o`.
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         key: MessageKey,
         payload_bytes: u64,
         created_at: SimTime,
@@ -53,7 +53,7 @@ impl Message {
 
     /// `true` once the message timeout has elapsed.
     #[must_use]
-    pub fn is_expired(&self, now: SimTime) -> bool {
+    pub(crate) fn is_expired(&self, now: SimTime) -> bool {
         now >= self.deadline
     }
 }

@@ -18,7 +18,7 @@ use crate::message::{Message, MessageKey};
 
 /// A batch of messages bound for one partition.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PendingBatch {
+pub(crate) struct PendingBatch {
     /// Batch identifier (unique per run).
     pub id: u64,
     /// Destination partition.
@@ -32,7 +32,7 @@ pub struct PendingBatch {
 impl PendingBatch {
     /// The earliest message deadline — the batch must complete by then.
     #[must_use]
-    pub fn deadline(&self) -> SimTime {
+    pub(crate) fn deadline(&self) -> SimTime {
         self.messages
             .iter()
             .map(|m| m.deadline)
@@ -42,7 +42,7 @@ impl PendingBatch {
 
     /// Total payload bytes.
     #[must_use]
-    pub fn payload_bytes(&self) -> u64 {
+    pub(crate) fn payload_bytes(&self) -> u64 {
         self.messages.iter().map(|m| m.payload_bytes).sum()
     }
 
@@ -50,7 +50,7 @@ impl PendingBatch {
     ///
     /// Survivors keep their order and the expired messages are appended to
     /// `expired` in their original order.
-    pub fn drop_expired_into(&mut self, now: SimTime, expired: &mut Vec<Message>) {
+    pub(crate) fn drop_expired_into(&mut self, now: SimTime, expired: &mut Vec<Message>) {
         self.messages.retain(|m| {
             if m.is_expired(now) {
                 expired.push(*m);
@@ -63,7 +63,7 @@ impl PendingBatch {
 
     /// Writes the records a broker stores for this batch into `out`
     /// (cleared first), so a caller can reuse one buffer across requests.
-    pub fn to_records_into(&self, out: &mut Vec<ProduceRecord>) {
+    pub(crate) fn to_records_into(&self, out: &mut Vec<ProduceRecord>) {
         out.clear();
         out.extend(self.messages.iter().map(|m| ProduceRecord {
             key: m.key,
@@ -81,24 +81,8 @@ struct OpenBatch {
 
 /// The record accumulator: per-partition open batches plus a FIFO of ready
 /// batches awaiting the sender.
-///
-/// # Example
-///
-/// ```
-/// use kafkasim::producer::Accumulator;
-/// use kafkasim::message::{Message, MessageKey};
-/// use desim::{SimDuration, SimTime};
-///
-/// let mut acc = Accumulator::new(2, SimDuration::from_millis(5), 100, 1);
-/// let msg = |k| Message::new(MessageKey(k), 100, SimTime::ZERO, SimDuration::from_secs(1));
-/// acc.push(msg(0), 0, SimTime::ZERO).unwrap();
-/// assert!(acc.pop_ready(SimTime::ZERO).is_none(), "batch of 2 not yet full");
-/// acc.push(msg(1), 0, SimTime::ZERO).unwrap();
-/// let batch = acc.pop_ready(SimTime::ZERO).expect("full batch");
-/// assert_eq!(batch.messages.len(), 2);
-/// ```
 #[derive(Debug, Clone)]
-pub struct Accumulator {
+pub(crate) struct Accumulator {
     batch_size: usize,
     linger: SimDuration,
     capacity: usize,
@@ -137,7 +121,12 @@ impl Accumulator {
     ///
     /// Panics if `batch_size`, `capacity` or `partitions` is zero.
     #[must_use]
-    pub fn new(batch_size: usize, linger: SimDuration, capacity: usize, partitions: u32) -> Self {
+    pub(crate) fn new(
+        batch_size: usize,
+        linger: SimDuration,
+        capacity: usize,
+        partitions: u32,
+    ) -> Self {
         assert!(batch_size > 0, "batch_size must be positive");
         assert!(capacity > 0, "capacity must be positive");
         assert!(partitions > 0, "need at least one partition");
@@ -169,32 +158,32 @@ impl Accumulator {
     /// future open batch can reuse it. Call this wherever a batch's life
     /// ends (acknowledged, given up, or lost); dropping the batch instead
     /// is harmless but wastes the buffer.
-    pub fn recycle(&mut self, batch: PendingBatch) {
+    pub(crate) fn recycle(&mut self, batch: PendingBatch) {
         self.pool_buf(batch.messages);
     }
 
     /// Buffered messages (open + ready).
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buffered
     }
 
     /// `true` when nothing is buffered.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.buffered == 0
     }
 
     /// Messages rejected because the accumulator was full.
     #[must_use]
-    pub fn overflowed(&self) -> u64 {
+    pub(crate) fn overflowed(&self) -> u64 {
         self.overflowed
     }
 
     /// Applies a new batch size / linger (dynamic reconfiguration §V).
     ///
     /// Open batches are sealed under the old configuration.
-    pub fn reconfigure(&mut self, batch_size: usize, linger: SimDuration, now: SimTime) {
+    pub(crate) fn reconfigure(&mut self, batch_size: usize, linger: SimDuration, now: SimTime) {
         assert!(batch_size > 0, "batch_size must be positive");
         // Seal open batches so the new size applies cleanly.
         for p in 0..self.open.len() {
@@ -210,7 +199,12 @@ impl Accumulator {
     ///
     /// Hands the message back when the accumulator is at capacity
     /// (`buffer.memory` exhausted).
-    pub fn push(&mut self, message: Message, partition: u32, now: SimTime) -> Result<(), Message> {
+    pub(crate) fn push(
+        &mut self,
+        message: Message,
+        partition: u32,
+        now: SimTime,
+    ) -> Result<(), Message> {
         if self.buffered >= self.capacity {
             self.overflowed += 1;
             return Err(message);
@@ -256,7 +250,7 @@ impl Accumulator {
     }
 
     /// Seals open batches that have lingered past their deadline.
-    pub fn flush_due(&mut self, now: SimTime) {
+    pub(crate) fn flush_due(&mut self, now: SimTime) {
         for p in 0..self.open.len() {
             let due = self.open[p]
                 .as_ref()
@@ -269,7 +263,7 @@ impl Accumulator {
 
     /// The earliest instant at which an open batch lingers out, if any.
     #[must_use]
-    pub fn next_linger_deadline(&self) -> Option<SimTime> {
+    pub(crate) fn next_linger_deadline(&self) -> Option<SimTime> {
         self.open
             .iter()
             .flatten()
@@ -280,7 +274,7 @@ impl Accumulator {
     /// Takes the next ready batch, discarding expired messages from it.
     ///
     /// Expired messages are returned via `expired`; empty husks are skipped.
-    pub fn pop_ready_with_expiry(
+    pub(crate) fn pop_ready_with_expiry(
         &mut self,
         now: SimTime,
         expired: &mut Vec<Message>,
@@ -303,7 +297,8 @@ impl Accumulator {
 
     /// Convenience wrapper over [`Accumulator::pop_ready_with_expiry`] that
     /// drops the expired list (tests, examples).
-    pub fn pop_ready(&mut self, now: SimTime) -> Option<PendingBatch> {
+    #[cfg(test)]
+    pub(crate) fn pop_ready(&mut self, now: SimTime) -> Option<PendingBatch> {
         let mut sink = Vec::new();
         self.pop_ready_with_expiry(now, &mut sink)
     }
@@ -312,7 +307,7 @@ impl Accumulator {
     ///
     /// Returns the expired messages; used by housekeeping so that `T_o`
     /// fires even when the sender is blocked.
-    pub fn expire_all(&mut self, now: SimTime) -> Vec<Message> {
+    pub(crate) fn expire_all(&mut self, now: SimTime) -> Vec<Message> {
         if now < self.earliest_deadline {
             // Every buffered message's deadline is at or past the
             // watermark, so nothing can have expired yet.
@@ -413,7 +408,7 @@ impl Accumulator {
 /// message count at set-up, so the columns are sized once
 /// ([`Ledger::with_capacity`]) rather than grown by doubling.
 #[derive(Debug, Clone, Default)]
-pub struct Ledger {
+pub(crate) struct Ledger {
     created: Vec<SimTime>,
     attempts: Vec<u32>,
     lost: Vec<u8>,
@@ -422,7 +417,7 @@ pub struct Ledger {
 impl Ledger {
     /// An empty ledger with room for `n` messages.
     #[must_use]
-    pub fn with_capacity(n: usize) -> Self {
+    pub(crate) fn with_capacity(n: usize) -> Self {
         Ledger {
             created: Vec::with_capacity(n),
             attempts: Vec::with_capacity(n),
@@ -431,7 +426,7 @@ impl Ledger {
     }
 
     /// Registers a freshly created message; keys must arrive in order.
-    pub fn register(&mut self, key: MessageKey, created_at: SimTime) {
+    pub(crate) fn register(&mut self, key: MessageKey, created_at: SimTime) {
         debug_assert_eq!(key.0 as usize, self.created.len(), "keys must be dense");
         self.created.push(created_at);
         self.attempts.push(0);
@@ -439,14 +434,14 @@ impl Ledger {
     }
 
     /// Notes one more send attempt for `key`.
-    pub fn note_attempt(&mut self, key: MessageKey) {
+    pub(crate) fn note_attempt(&mut self, key: MessageKey) {
         if let Some(a) = self.attempts.get_mut(key.0 as usize) {
             *a += 1;
         }
     }
 
     /// Marks `key` lost for `reason` (first reason wins).
-    pub fn mark_lost(&mut self, key: MessageKey, reason: LossReason) {
+    pub(crate) fn mark_lost(&mut self, key: MessageKey, reason: LossReason) {
         if let Some(t) = self.lost.get_mut(key.0 as usize) {
             if *t == 0 {
                 *t = reason.tag();
@@ -456,32 +451,26 @@ impl Ledger {
 
     /// Creation timestamps in key order.
     #[must_use]
-    pub fn created_col(&self) -> &[SimTime] {
+    pub(crate) fn created_col(&self) -> &[SimTime] {
         &self.created
     }
 
     /// Send-attempt counts in key order.
     #[must_use]
-    pub fn attempts_col(&self) -> &[u32] {
+    pub(crate) fn attempts_col(&self) -> &[u32] {
         &self.attempts
     }
 
     /// Loss tags in key order (0 = not lost, else [`LossReason::tag`]).
     #[must_use]
-    pub fn lost_col(&self) -> &[u8] {
+    pub(crate) fn lost_col(&self) -> &[u8] {
         &self.lost
     }
 
     /// Number of registered messages.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.created.len()
-    }
-
-    /// `true` when no messages were registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.created.is_empty()
     }
 }
 
@@ -504,6 +493,12 @@ mod tests {
         for k in 0..6 {
             acc.push(msg(k, 0, 10_000), (k % 2) as u32, SimTime::ZERO)
                 .unwrap();
+            if k == 0 {
+                assert!(
+                    acc.pop_ready(SimTime::ZERO).is_none(),
+                    "batch of 3 not yet full"
+                );
+            }
         }
         let a = acc.pop_ready(SimTime::ZERO).unwrap();
         let b = acc.pop_ready(SimTime::ZERO).unwrap();

@@ -28,7 +28,7 @@
 //!
 //! The loop is one module per seam its profiler spans draw, each owning
 //! its state: `sender`, `conn`, `brokers` and `online` (DESIGN §8d). The
-//! [`Cluster`] is the one copy of partition leadership and broker liveness.
+//! `Cluster` is the one copy of partition leadership and broker liveness.
 
 mod brokers;
 mod conn;

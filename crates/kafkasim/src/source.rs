@@ -29,7 +29,7 @@ pub enum SizeSpec {
 
 impl SizeSpec {
     /// Samples one payload size.
-    pub fn sample(&self, rng: &mut SimRng) -> u64 {
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> u64 {
         match self {
             SizeSpec::Fixed(m) => *m,
             SizeSpec::Uniform { low, high } => rng.range_inclusive(*low, *high),
@@ -104,7 +104,8 @@ impl SourceSpec {
 
     /// A full-load source of `n` messages of `payload` bytes.
     #[must_use]
-    pub fn full_load(n: u64, payload: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn full_load(n: u64, payload: u64) -> Self {
         SourceSpec {
             n_messages: n,
             size: SizeSpec::Fixed(payload),
@@ -118,7 +119,7 @@ impl SourceSpec {
     /// The I/O fetch time is always a lower bound: even a generous polling
     /// interval cannot fetch faster than the device.
     #[must_use]
-    pub fn poll_gap(&self, now: SimTime, payload: u64, host: &HostModel) -> SimDuration {
+    pub(crate) fn poll_gap(&self, now: SimTime, payload: u64, host: &HostModel) -> SimDuration {
         let fetch = host.fetch_time(payload);
         match &self.rate {
             RateSpec::FullLoad => fetch,

@@ -64,24 +64,6 @@ pub enum DeliveryCase {
 }
 
 impl DeliveryCase {
-    /// `true` for the cases the paper counts as successful deliveries.
-    #[must_use]
-    pub fn is_success(self) -> bool {
-        matches!(self, DeliveryCase::Case1 | DeliveryCase::Case4)
-    }
-
-    /// `true` for the cases contributing to `P_l`.
-    #[must_use]
-    pub fn is_loss(self) -> bool {
-        matches!(self, DeliveryCase::Case2 | DeliveryCase::Case3)
-    }
-
-    /// `true` for the case contributing to `P_d`.
-    #[must_use]
-    pub fn is_duplicate(self) -> bool {
-        self == DeliveryCase::Case5
-    }
-
     /// Classifies a finished message from its observable outcome.
     ///
     /// * `attempts` — Kafka-level send attempts (0 means the message expired
@@ -89,7 +71,8 @@ impl DeliveryCase {
     ///   because the initial sending failed).
     /// * `copies` — how many copies the audit found in the topic.
     #[must_use]
-    pub fn classify(attempts: u32, copies: u64) -> DeliveryCase {
+    #[cfg(test)]
+    pub(crate) fn classify(attempts: u32, copies: u64) -> DeliveryCase {
         match copies {
             0 => {
                 if attempts <= 1 {
@@ -116,7 +99,7 @@ impl DeliveryCase {
     /// table lookup instead of a nested match; pinned equal to `classify`
     /// by a unit test.
     #[must_use]
-    pub fn classify_index(attempts: u32, copies: u64) -> usize {
+    pub(crate) fn classify_index(attempts: u32, copies: u64) -> usize {
         // Rows: copies 0 / 1 / 2+; columns: attempts ≤ 1 / > 1.
         const CASE: [[usize; 2]; 3] = [
             [1, 2], // copies 0 → Case2 / Case3
@@ -128,7 +111,8 @@ impl DeliveryCase {
 
     /// All five cases in order.
     #[must_use]
-    pub fn all() -> [DeliveryCase; 5] {
+    #[cfg(test)]
+    pub(crate) fn all() -> [DeliveryCase; 5] {
         [
             DeliveryCase::Case1,
             DeliveryCase::Case2,
@@ -140,7 +124,7 @@ impl DeliveryCase {
 
     /// Index 0..5, for counting arrays.
     #[must_use]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             DeliveryCase::Case1 => 0,
             DeliveryCase::Case2 => 1,
@@ -191,8 +175,7 @@ impl std::error::Error for InvalidTransition {}
 /// let mut sm = StateMachine::new();
 /// sm.apply(Transition::II).unwrap();
 /// sm.apply(Transition::III).unwrap();
-/// sm.apply(Transition::IV).unwrap();
-/// assert_eq!(sm.state(), MessageState::Delivered);
+/// assert_eq!(sm.apply(Transition::IV).unwrap(), MessageState::Delivered);
 /// assert_eq!(sm.case(), Some(DeliveryCase::Case4));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -219,14 +202,9 @@ impl StateMachine {
 
     /// The current state.
     #[must_use]
-    pub fn state(&self) -> MessageState {
+    #[cfg(test)]
+    pub(crate) fn state(&self) -> MessageState {
         self.state
-    }
-
-    /// The transitions applied so far.
-    #[must_use]
-    pub fn history(&self) -> &[Transition] {
-        &self.history
     }
 
     /// Applies a transition.
@@ -380,18 +358,6 @@ mod tests {
                     "attempts={attempts} copies={copies}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn success_loss_duplicate_partition() {
-        for case in DeliveryCase::all() {
-            let flags = [case.is_success(), case.is_loss(), case.is_duplicate()];
-            assert_eq!(
-                flags.iter().filter(|f| **f).count(),
-                1,
-                "{case} must belong to exactly one bucket"
-            );
         }
     }
 

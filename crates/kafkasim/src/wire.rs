@@ -50,14 +50,6 @@ impl WireFormat {
     pub fn request_bytes_uniform(&self, count: usize, payload: u64) -> u64 {
         self.request_overhead + (self.record_overhead + payload) * count as u64
     }
-
-    /// Wire efficiency: payload bytes over total request bytes.
-    #[must_use]
-    pub fn efficiency(&self, count: usize, payload: u64) -> f64 {
-        let useful = payload * count as u64;
-        let total = self.request_bytes_uniform(count, payload);
-        useful as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -83,13 +75,6 @@ mod tests {
             batched < single * 10,
             "10-batch beats 10 singles on the wire"
         );
-        assert!(w.efficiency(10, 100) > w.efficiency(1, 100));
-    }
-
-    #[test]
-    fn efficiency_grows_with_message_size() {
-        let w = WireFormat::default();
-        assert!(w.efficiency(1, 1_000) > w.efficiency(1, 50));
     }
 
     #[test]

@@ -298,20 +298,14 @@ proptest! {
         );
     }
 
-    /// Efficiency stays a proper fraction and improves monotonically with
-    /// batch size: every extra record amortises the fixed header further.
+    /// The closed form for `count` records of one size equals the general
+    /// sum over those records.
     #[test]
-    fn wire_efficiency_is_bounded_and_monotone(
+    fn wire_uniform_request_bytes_equal_the_general_sum(
         count in 1usize..100,
         payload in 1u64..10_000,
     ) {
         let w = WireFormat::default();
-        let e = w.efficiency(count, payload);
-        prop_assert!(e > 0.0 && e < 1.0, "efficiency {} out of (0, 1)", e);
-        prop_assert!(
-            w.efficiency(count + 1, payload) > e,
-            "batching must amortise the request header"
-        );
         prop_assert_eq!(
             w.request_bytes_uniform(count, payload),
             w.request_bytes(std::iter::repeat_n(payload, count)),

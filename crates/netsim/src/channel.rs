@@ -1,6 +1,6 @@
 //! A full-duplex, record-oriented channel between two endpoints.
 //!
-//! [`DuplexChannel`] glues together two [`Link`]s (one per direction) and two
+//! [`DuplexChannel`] glues together two `Link`s (one per direction) and two
 //! [`TcpSender`]/[`TcpReceiver`] pairs (one byte stream per direction) and
 //! exposes *records* — length-delimited application messages, like Kafka
 //! produce requests and their responses — with an internal event queue.
@@ -42,7 +42,7 @@ pub enum Endpoint {
 impl Endpoint {
     /// The opposite endpoint.
     #[must_use]
-    pub fn peer(self) -> Endpoint {
+    pub(crate) fn peer(self) -> Endpoint {
         match self {
             Endpoint::A => Endpoint::B,
             Endpoint::B => Endpoint::A,
@@ -319,12 +319,6 @@ impl DuplexChannel {
         self.streams[from.dir()].pending.len()
     }
 
-    /// Last instant `from`'s stream made cumulative-ACK progress.
-    #[must_use]
-    pub fn last_progress(&self, from: Endpoint) -> SimTime {
-        self.streams[from.dir()].snd.last_progress()
-    }
-
     /// Consecutive RTO backoffs on `from`'s stream without progress.
     #[must_use]
     pub fn backoffs(&self, from: Endpoint) -> u32 {
@@ -565,7 +559,8 @@ impl DuplexChannel {
     /// Drives the channel until both directions are idle or `deadline` hits.
     ///
     /// Convenience for tests and drain phases; returns all events produced.
-    pub fn run_until_idle(&mut self, deadline: SimTime) -> Vec<ChannelEvent> {
+    #[cfg(test)]
+    pub(crate) fn run_until_idle(&mut self, deadline: SimTime) -> Vec<ChannelEvent> {
         let mut out = Vec::new();
         while let Some(t) = self.next_wakeup() {
             if t > deadline {

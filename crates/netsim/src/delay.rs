@@ -14,11 +14,10 @@ use serde::{Deserialize, Serialize};
 ///
 /// ```
 /// use netsim::DelayModel;
-/// use desim::{SimDuration, SimRng};
+/// use desim::SimDuration;
 ///
-/// let mut rng = SimRng::seed_from_u64(1);
 /// let model = DelayModel::constant(SimDuration::from_millis(100));
-/// assert_eq!(model.sample(&mut rng), SimDuration::from_millis(100));
+/// assert_eq!(model, DelayModel::Constant { delay: SimDuration::from_millis(100) });
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum DelayModel {
@@ -76,14 +75,15 @@ impl DelayModel {
     ///
     /// Panics if `low > high`.
     #[must_use]
-    pub fn uniform(low: SimDuration, high: SimDuration) -> Self {
+    #[cfg(test)]
+    pub(crate) fn uniform(low: SimDuration, high: SimDuration) -> Self {
         assert!(low <= high, "low must not exceed high");
         DelayModel::Uniform { low, high }
     }
 
     /// A truncated normal delay (mean ± jitter, never below `floor`).
     #[must_use]
-    pub fn normal(mean: SimDuration, jitter: SimDuration, floor: SimDuration) -> Self {
+    pub(crate) fn normal(mean: SimDuration, jitter: SimDuration, floor: SimDuration) -> Self {
         DelayModel::Normal {
             mean,
             jitter,
@@ -97,7 +97,8 @@ impl DelayModel {
     ///
     /// Panics if `shape` is not strictly positive or `scale` is zero.
     #[must_use]
-    pub fn pareto(scale: SimDuration, shape: f64, cap: SimDuration) -> Self {
+    #[cfg(test)]
+    pub(crate) fn pareto(scale: SimDuration, shape: f64, cap: SimDuration) -> Self {
         assert!(shape > 0.0, "shape must be positive");
         assert!(!scale.is_zero(), "scale must be positive");
         DelayModel::Pareto { scale, shape, cap }
@@ -105,7 +106,7 @@ impl DelayModel {
 
     /// Samples the delay for one packet.
     #[must_use]
-    pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> SimDuration {
         match self {
             DelayModel::Constant { delay } => *delay,
             DelayModel::Uniform { low, high } => {
@@ -132,7 +133,8 @@ impl DelayModel {
     /// *untruncated* analytic mean clamped to the cap, a close approximation
     /// for the parameter ranges used here).
     #[must_use]
-    pub fn mean(&self) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn mean(&self) -> SimDuration {
         match self {
             DelayModel::Constant { delay } => *delay,
             DelayModel::Uniform { low, high } => (*low + *high) / 2,

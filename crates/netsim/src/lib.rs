@@ -14,7 +14,7 @@
 //! * [`delay`] — propagation-delay processes, including the heavy-tailed
 //!   **Pareto** distribution the paper cites for end-to-end delay.
 //! * [`link`] — a fluid model of a finite-rate, drop-tail link.
-//! * [`netem`] — NetEm-style impairment configuration and time-varying
+//! * `netem` — NetEm-style impairment configuration and time-varying
 //!   condition timelines (the Fig. 9 network).
 //! * [`tcp`] — a sans-IO TCP sender/receiver pair: cumulative ACKs, RTT
 //!   estimation, RTO with exponential backoff, fast retransmit, slow start
@@ -54,12 +54,11 @@ pub mod channel;
 pub mod delay;
 pub mod link;
 pub mod loss;
-pub mod netem;
+pub(crate) mod netem;
 pub mod tcp;
 pub mod trace;
 
 pub use channel::{ChannelConfig, ChannelEvent, DuplexChannel, Endpoint};
 pub use delay::DelayModel;
-pub use link::{Link, LinkConfig, LinkOutcome};
 pub use loss::LossModel;
 pub use netem::{ConditionTimeline, NetCondition};

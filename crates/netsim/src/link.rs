@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use crate::delay::DelayModel;
 use crate::loss::LossModel;
 
-/// Static configuration of a [`Link`].
+/// Static configuration of a `Link`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LinkConfig {
     /// Serialisation rate in bytes per second.
@@ -45,7 +45,7 @@ impl Default for LinkConfig {
 
 /// The verdict for one offered packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkOutcome {
+pub(crate) enum LinkOutcome {
     /// The packet will arrive at the far end at the given instant.
     Delivered(SimTime),
     /// The packet was transmitted but lost in flight.
@@ -69,37 +69,12 @@ pub struct LinkStats {
     pub bytes_delivered: u64,
 }
 
-impl LinkStats {
-    /// Fraction of offered packets that did not arrive.
-    #[must_use]
-    pub fn loss_fraction(&self) -> f64 {
-        let total = self.delivered + self.lost + self.dropped;
-        if total == 0 {
-            0.0
-        } else {
-            (self.lost + self.dropped) as f64 / total as f64
-        }
-    }
-}
+impl LinkStats {}
 
 /// A unidirectional link with finite rate, drop-tail queueing, loss and
 /// propagation delay.
-///
-/// # Example
-///
-/// ```
-/// use netsim::{Link, LinkConfig, LinkOutcome};
-/// use desim::{SimRng, SimTime};
-///
-/// let mut link = Link::new(LinkConfig::default());
-/// let mut rng = SimRng::seed_from_u64(1);
-/// match link.transmit(SimTime::ZERO, 1500, &mut rng) {
-///     LinkOutcome::Delivered(at) => assert!(at > SimTime::ZERO),
-///     other => panic!("unexpected {other:?}"),
-/// }
-/// ```
 #[derive(Debug, Clone)]
-pub struct Link {
+pub(crate) struct Link {
     config: LinkConfig,
     busy_until: SimTime,
     stats: LinkStats,
@@ -112,7 +87,7 @@ impl Link {
     ///
     /// Panics if the configured rate is not strictly positive.
     #[must_use]
-    pub fn new(config: LinkConfig) -> Self {
+    pub(crate) fn new(config: LinkConfig) -> Self {
         assert!(
             config.rate_bytes_per_sec > 0.0,
             "link rate must be positive"
@@ -128,7 +103,7 @@ impl Link {
     ///
     /// Returns where the packet ends up; on [`LinkOutcome::Delivered`] the
     /// caller must schedule the arrival itself.
-    pub fn transmit(&mut self, now: SimTime, bytes: u64, rng: &mut SimRng) -> LinkOutcome {
+    pub(crate) fn transmit(&mut self, now: SimTime, bytes: u64, rng: &mut SimRng) -> LinkOutcome {
         self.stats.bytes_offered += bytes;
         let start = self.busy_until.max(now);
         let backlog = start.saturating_since(now);
@@ -150,31 +125,26 @@ impl Link {
     }
 
     /// Replaces the loss process (e.g. a NetEm reconfiguration).
-    pub fn set_loss(&mut self, loss: LossModel) {
+    pub(crate) fn set_loss(&mut self, loss: LossModel) {
         self.config.loss = loss;
     }
 
     /// Replaces the propagation-delay process.
-    pub fn set_delay(&mut self, delay: DelayModel) {
+    pub(crate) fn set_delay(&mut self, delay: DelayModel) {
         self.config.delay = delay;
     }
 
     /// The current queueing backlog at `now`.
     #[must_use]
-    pub fn backlog(&self, now: SimTime) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn backlog(&self, now: SimTime) -> SimDuration {
         self.busy_until.saturating_since(now)
     }
 
     /// Cumulative statistics.
     #[must_use]
-    pub fn stats(&self) -> LinkStats {
+    pub(crate) fn stats(&self) -> LinkStats {
         self.stats
-    }
-
-    /// The link's configuration.
-    #[must_use]
-    pub fn config(&self) -> &LinkConfig {
-        &self.config
     }
 }
 
@@ -261,7 +231,7 @@ mod tests {
         }
         let frac = lost as f64 / n as f64;
         assert!((frac - 0.19).abs() < 0.01, "observed {frac}");
-        assert!((link.stats().loss_fraction() - 0.19).abs() < 0.01);
+        assert_eq!(link.stats().lost, u64::from(lost));
     }
 
     #[test]

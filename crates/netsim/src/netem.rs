@@ -62,7 +62,7 @@ impl NetCondition {
     /// The delay model to install on a link under this condition: constant
     /// without jitter, NetEm's truncated normal with it.
     #[must_use]
-    pub fn delay_model(&self) -> DelayModel {
+    pub(crate) fn delay_model(&self) -> DelayModel {
         if self.jitter.is_zero() {
             DelayModel::constant(self.delay)
         } else {
@@ -72,7 +72,7 @@ impl NetCondition {
 
     /// The loss model to install on a link under this condition.
     #[must_use]
-    pub fn loss_model(&self) -> LossModel {
+    pub(crate) fn loss_model(&self) -> LossModel {
         if self.loss_rate == 0.0 {
             LossModel::None
         } else {
@@ -100,12 +100,9 @@ impl Default for NetCondition {
 /// use netsim::{ConditionTimeline, NetCondition};
 /// use desim::{SimDuration, SimTime};
 ///
-/// let tl = ConditionTimeline::new(vec![
-///     (SimTime::ZERO, NetCondition::new(SimDuration::from_millis(10), 0.0)),
-///     (SimTime::from_secs(60), NetCondition::new(SimDuration::from_millis(100), 0.15)),
-/// ]).unwrap();
-/// assert_eq!(tl.at(SimTime::from_secs(30)).loss_rate, 0.0);
+/// let tl = ConditionTimeline::constant(NetCondition::new(SimDuration::from_millis(100), 0.15));
 /// assert_eq!(tl.at(SimTime::from_secs(90)).loss_rate, 0.15);
+/// assert_eq!(tl.last_change(), SimTime::ZERO);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConditionTimeline {
@@ -114,7 +111,7 @@ pub struct ConditionTimeline {
 
 /// Error building a [`ConditionTimeline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimelineError {
+pub(crate) enum TimelineError {
     /// The breakpoint list was empty.
     Empty,
     /// Breakpoints were not strictly increasing in time.
@@ -142,7 +139,7 @@ impl ConditionTimeline {
     ///
     /// Returns [`TimelineError`] when the list is empty, unsorted, or does
     /// not start at time zero.
-    pub fn new(breakpoints: Vec<(SimTime, NetCondition)>) -> Result<Self, TimelineError> {
+    pub(crate) fn new(breakpoints: Vec<(SimTime, NetCondition)>) -> Result<Self, TimelineError> {
         if breakpoints.is_empty() {
             return Err(TimelineError::Empty);
         }
@@ -178,7 +175,7 @@ impl ConditionTimeline {
 
     /// The next breakpoint strictly after `t`, if any.
     #[must_use]
-    pub fn next_change(&self, t: SimTime) -> Option<SimTime> {
+    pub(crate) fn next_change(&self, t: SimTime) -> Option<SimTime> {
         self.breakpoints
             .iter()
             .map(|(start, _)| *start)
@@ -204,7 +201,7 @@ impl ConditionTimeline {
     ///
     /// Useful when summarising what a trace did over an experiment.
     #[must_use]
-    pub fn mean_loss(&self, from: SimTime, to: SimTime) -> f64 {
+    pub(crate) fn mean_loss(&self, from: SimTime, to: SimTime) -> f64 {
         if to <= from {
             return self.at(from).loss_rate;
         }

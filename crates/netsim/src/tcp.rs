@@ -15,7 +15,7 @@
 //! * slow start and AIMD congestion avoidance.
 //!
 //! The types are *sans-IO*: they never talk to a network. [`TcpSender::emit`]
-//! returns segments the caller must carry (e.g. through a [`crate::Link`]),
+//! returns segments the caller must carry (e.g. through a `crate::Link`),
 //! and arrivals are fed back via [`TcpSender::on_ack`] /
 //! [`TcpReceiver::on_segment`]. The [`crate::channel`] module wires a pair of
 //! these into a full-duplex connection.
@@ -170,7 +170,7 @@ impl TcpSender {
 
     /// Send-buffer space currently available to the application.
     #[must_use]
-    pub fn available(&self) -> u64 {
+    pub(crate) fn available(&self) -> u64 {
         self.cfg
             .send_buffer
             .saturating_sub(self.app_end - self.snd_una)
@@ -210,33 +210,21 @@ impl TcpSender {
         self.snd_una == self.app_end
     }
 
-    /// Current congestion window in segments.
-    #[must_use]
-    pub fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
     /// Smoothed RTT estimate, if one has been sampled.
     #[must_use]
-    pub fn srtt(&self) -> Option<SimDuration> {
+    pub(crate) fn srtt(&self) -> Option<SimDuration> {
         self.srtt.map(SimDuration::from_secs_f64)
-    }
-
-    /// Current retransmission timeout.
-    #[must_use]
-    pub fn rto(&self) -> SimDuration {
-        self.rto
     }
 
     /// Consecutive RTO backoffs without forward progress.
     #[must_use]
-    pub fn backoffs(&self) -> u32 {
+    pub(crate) fn backoffs(&self) -> u32 {
         self.backoffs
     }
 
     /// Instant of the last cumulative-ACK progress (or creation).
     #[must_use]
-    pub fn last_progress(&self) -> SimTime {
+    pub(crate) fn last_progress(&self) -> SimTime {
         self.last_progress
     }
 
@@ -250,13 +238,13 @@ impl TcpSender {
     ///
     /// Event-queue drivers use it to lazily invalidate stale timer events.
     #[must_use]
-    pub fn rto_epoch(&self) -> u64 {
+    pub(crate) fn rto_epoch(&self) -> u64 {
         self.rto_epoch
     }
 
     /// Cumulative statistics.
     #[must_use]
-    pub fn stats(&self) -> TcpSenderStats {
+    pub(crate) fn stats(&self) -> TcpSenderStats {
         self.stats
     }
 
@@ -265,7 +253,7 @@ impl TcpSender {
     ///
     /// State-identical to `TcpSender::new(cfg, now)` — connection resets
     /// reuse the existing buffers instead of allocating a new sender.
-    pub fn reset(&mut self, now: SimTime) {
+    pub(crate) fn reset(&mut self, now: SimTime) {
         self.snd_una = 0;
         self.snd_nxt = 0;
         self.app_end = 0;
@@ -302,7 +290,7 @@ impl TcpSender {
 
     /// Emits every segment the window currently allows.
     ///
-    /// Allocating convenience wrapper around [`TcpSender::emit_into`].
+    /// Allocating convenience wrapper around `TcpSender::emit_into`.
     pub fn emit(&mut self, now: SimTime) -> Vec<Segment> {
         let mut out = Vec::new();
         self.emit_into(now, &mut out);
@@ -315,7 +303,7 @@ impl TcpSender {
     /// congestion-window check (there is always at least one segment's worth
     /// of headroom for recovery). The caller owns (and typically reuses)
     /// `out`; this method never clears it.
-    pub fn emit_into(&mut self, now: SimTime, out: &mut Vec<Segment>) {
+    pub(crate) fn emit_into(&mut self, now: SimTime, out: &mut Vec<Segment>) {
         // Retransmissions first.
         while let Some(start) = self.retx_queue.pop_front() {
             if let Some(idx) = self.outstanding_index(start) {
@@ -507,18 +495,12 @@ impl TcpReceiver {
 
     /// The next in-order byte expected — also the cumulative ACK value.
     #[must_use]
-    pub fn contiguous(&self) -> u64 {
+    pub(crate) fn contiguous(&self) -> u64 {
         self.rcv_nxt
     }
 
-    /// Segments received that were entirely duplicate data.
-    #[must_use]
-    pub fn duplicate_segments(&self) -> u64 {
-        self.duplicate_segments
-    }
-
     /// Resets the receiver to expect byte 0 again (connection reset).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.rcv_nxt = 0;
         self.out_of_order.clear();
         self.duplicate_segments = 0;
@@ -605,7 +587,7 @@ mod tests {
             snd.on_ack(ack, now);
         }
         // After 10 ACKs in slow start the window grew by 10.
-        assert!((snd.cwnd() - 20.0).abs() < 1e-9);
+        assert!((snd.cwnd - 20.0).abs() < 1e-9);
         now += SimDuration::from_millis(10);
         let second = snd.emit(now);
         assert_eq!(second.len(), 20);
@@ -624,7 +606,7 @@ mod tests {
         let mut rcv = TcpReceiver::new();
         snd.offer(100_000_000);
         let mut now = SimTime::ZERO;
-        let before = snd.cwnd();
+        let before = snd.cwnd;
         // One full window of ACKs should grow cwnd by about 1 segment.
         let segs = snd.emit(now);
         now += SimDuration::from_millis(10);
@@ -632,11 +614,7 @@ mod tests {
             let ack = rcv.on_segment(seg.seq, seg.len);
             snd.on_ack(ack, now);
         }
-        assert!(
-            (snd.cwnd() - before - 1.0).abs() < 0.1,
-            "cwnd {}",
-            snd.cwnd()
-        );
+        assert!((snd.cwnd - before - 1.0).abs() < 0.1, "cwnd {}", snd.cwnd);
     }
 
     #[test]
@@ -673,17 +651,17 @@ mod tests {
         let _ = snd.emit(SimTime::ZERO);
         let dl1 = snd.rto_deadline().expect("timer armed");
         snd.on_rto(dl1);
-        assert_eq!(snd.cwnd(), 1.0);
+        assert_eq!(snd.cwnd, 1.0);
         assert_eq!(snd.backoffs(), 1);
         let retx = snd.emit(dl1);
         assert_eq!(retx.len(), 1);
         assert!(retx[0].retransmit);
         let dl2 = snd.rto_deadline().expect("timer rearmed");
-        assert!(dl2.saturating_since(dl1) >= snd.rto() / 2);
+        assert!(dl2.saturating_since(dl1) >= snd.rto / 2);
         snd.on_rto(dl2);
         assert_eq!(snd.backoffs(), 2);
         // RTO doubles (until the cap).
-        assert!(snd.rto() >= SimDuration::from_secs(2));
+        assert!(snd.rto >= SimDuration::from_secs(2));
     }
 
     #[test]
@@ -702,7 +680,7 @@ mod tests {
             snd.on_rto(dl);
             let _ = snd.emit(dl);
         }
-        assert_eq!(snd.rto(), SimDuration::from_secs(4));
+        assert_eq!(snd.rto, SimDuration::from_secs(4));
     }
 
     #[test]
@@ -754,7 +732,7 @@ mod tests {
         let mut rcv = TcpReceiver::new();
         rcv.on_segment(0, 100);
         rcv.on_segment(0, 100);
-        assert_eq!(rcv.duplicate_segments(), 1);
+        assert_eq!(rcv.duplicate_segments, 1);
         assert_eq!(rcv.contiguous(), 100);
     }
 

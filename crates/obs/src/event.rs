@@ -376,7 +376,7 @@ pub enum TraceEvent {
 impl TraceEvent {
     /// The simulated instant the event fired.
     #[must_use]
-    pub fn at(&self) -> SimTime {
+    pub(crate) fn at(&self) -> SimTime {
         match self {
             TraceEvent::Enqueued { at, .. }
             | TraceEvent::Expired { at, .. }
@@ -432,7 +432,8 @@ impl TraceEvent {
 
     /// The message key the event is directly about, when it names one.
     #[must_use]
-    pub fn key(&self) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn key(&self) -> Option<u64> {
         match self {
             TraceEvent::Enqueued { key, .. }
             | TraceEvent::Expired { key, .. }
@@ -444,7 +445,8 @@ impl TraceEvent {
 
     /// The batch id the event carries, when it has one.
     #[must_use]
-    pub fn batch(&self) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn batch(&self) -> Option<u64> {
         match self {
             TraceEvent::Expired { batch, .. } => *batch,
             TraceEvent::BatchFormed { batch, .. }

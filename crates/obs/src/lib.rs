@@ -68,10 +68,10 @@
 //! # Example
 //!
 //! ```
-//! use obs::{RingBufferSink, TimelineReport, TraceEvent, TraceSink};
+//! use obs::{parse_jsonl, JsonlSink, TimelineReport, TraceEvent, TraceSink};
 //! use desim::SimTime;
 //!
-//! let mut sink = RingBufferSink::new(1024);
+//! let mut sink = JsonlSink::new(Vec::new());
 //! if sink.enabled() {
 //!     sink.record(TraceEvent::Enqueued {
 //!         at: SimTime::ZERO,
@@ -80,24 +80,24 @@
 //!         deadline: SimTime::from_millis(500),
 //!     });
 //! }
-//! let events: Vec<_> = sink.events().cloned().collect();
-//! let report = TimelineReport::reconstruct(&events);
-//! assert_eq!(report.n_messages(), 1);
+//! let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
+//! let report = TimelineReport::reconstruct(&parse_jsonl(&text).unwrap());
+//! assert_eq!(report.n_duplicated(), 0);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
-pub mod metrics;
-pub mod profile;
-pub mod sink;
-pub mod timeline;
-pub mod window;
+pub(crate) mod event;
+pub(crate) mod metrics;
+pub(crate) mod profile;
+pub(crate) mod sink;
+pub(crate) mod timeline;
+pub(crate) mod window;
 
 pub use event::{LossCause, TraceEvent};
-pub use metrics::{HistogramSummary, MetricsRegistry, MetricsSink, MetricsSummary};
-pub use profile::{Profiler, SpanEvent, SpanGuard, SpanProfile, SpanStat};
+pub use metrics::{MetricsRegistry, MetricsSink, MetricsSummary};
+pub use profile::{Profiler, SpanEvent, SpanProfile};
 pub use sink::{parse_jsonl, JsonlSink, NoopSink, RingBufferSink, TraceSink};
-pub use timeline::{DupCause, MessageFate, MessageTimeline, TimelineReport};
-pub use window::{TenantSeries, TenantWindowRow, WindowRow, WindowSeries};
+pub use timeline::{MessageFate, TimelineReport};
+pub use window::{TenantSeries, TenantWindowRow, WindowSeries};

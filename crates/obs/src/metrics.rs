@@ -182,12 +182,6 @@ impl MetricsRegistry {
         &self.rtt_s
     }
 
-    /// Records per formed batch.
-    #[must_use]
-    pub fn batch_fill(&self) -> &Histogram {
-        &self.batch_fill
-    }
-
     /// Mean records per formed batch, when any batch formed.
     #[must_use]
     pub fn batch_fill_mean(&self) -> Option<f64> {
@@ -197,7 +191,7 @@ impl MetricsRegistry {
     /// Time-weighted average of messages outstanding in the pipeline
     /// (enqueued but not yet persisted or dropped), up to the last event.
     #[must_use]
-    pub fn outstanding_avg(&self) -> f64 {
+    pub(crate) fn outstanding_avg(&self) -> f64 {
         self.outstanding.average(self.last_at)
     }
 
@@ -275,7 +269,8 @@ impl MetricsSink {
 
     /// The accumulated registry.
     #[must_use]
-    pub fn registry(&self) -> &MetricsRegistry {
+    #[cfg(test)]
+    pub(crate) fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
 }

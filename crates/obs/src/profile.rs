@@ -149,12 +149,6 @@ impl Profiler {
         }
     }
 
-    /// Whether spans are being recorded.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Opens a span named `name` under the currently open span (if any).
     ///
     /// The span closes — and its wall-clock duration is charged — when
@@ -428,7 +422,7 @@ mod tests {
     #[test]
     fn disabled_profiler_records_nothing() {
         let prof = Profiler::disabled();
-        assert!(!prof.is_enabled());
+        assert!(prof.inner.is_none());
         {
             let _a = prof.span("a");
             let _b = prof.span("b");

@@ -73,25 +73,29 @@ impl RingBufferSink {
     }
 
     /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
+    #[cfg(test)]
+    pub(crate) fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.buf.iter()
     }
 
     /// Events evicted (or refused) because the buffer was full.
     #[must_use]
-    pub fn dropped(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Retained event count.
     #[must_use]
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
     /// `true` when nothing is retained.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 }
@@ -135,7 +139,8 @@ impl<W: Write> JsonlSink<W> {
 
     /// Lines successfully written.
     #[must_use]
-    pub fn lines(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn lines(&self) -> u64 {
         self.lines
     }
 

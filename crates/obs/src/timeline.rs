@@ -170,7 +170,8 @@ impl TimelineReport {
 
     /// The timeline of one key, when the trace mentions it.
     #[must_use]
-    pub fn timeline(&self, key: u64) -> Option<&MessageTimeline> {
+    #[cfg(test)]
+    pub(crate) fn timeline(&self, key: u64) -> Option<&MessageTimeline> {
         self.timelines.get(&key)
     }
 
@@ -181,14 +182,9 @@ impl TimelineReport {
 
     /// Messages the trace mentions.
     #[must_use]
-    pub fn n_messages(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn n_messages(&self) -> u64 {
         self.timelines.len() as u64
-    }
-
-    /// Messages reconstructed as delivered exactly once.
-    #[must_use]
-    pub fn n_delivered_once(&self) -> u64 {
-        self.count(|f| matches!(f, MessageFate::DeliveredOnce))
     }
 
     /// Messages reconstructed as lost.
@@ -253,7 +249,8 @@ impl TimelineReport {
     /// `true` when every lost and every duplicated message has a traced
     /// cause.
     #[must_use]
-    pub fn fully_attributed(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn fully_attributed(&self) -> bool {
         self.unattributed_lost().is_empty() && self.unattributed_duplicates().is_empty()
     }
 }
@@ -404,7 +401,7 @@ mod tests {
         assert_eq!(report.n_messages(), 3);
         assert_eq!(report.n_lost(), 1);
         assert_eq!(report.n_duplicated(), 2);
-        assert_eq!(report.n_delivered_once(), 0);
+        assert_eq!(report.count(|f| matches!(f, MessageFate::DeliveredOnce)), 0);
         assert_eq!(
             report.timeline(1).unwrap().fate,
             MessageFate::Lost {

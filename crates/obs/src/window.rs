@@ -335,7 +335,6 @@ pub struct TenantWindowRow {
 ///     group_members: 8,
 /// });
 /// assert_eq!(series.rows.len(), 1);
-/// assert!(series.to_csv().contains("game-traffic"));
 /// assert_eq!(series.max_moved_partitions(), 0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -368,7 +367,8 @@ impl TenantSeries {
     /// Renders the series as CSV with a header row. Floats use six
     /// decimal places, so equal series render byte-identically.
     #[must_use]
-    pub fn to_csv(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn to_csv(&self) -> String {
         let mut out = String::from(
             "window,start_s,cohort,producers,produced,delivered,lost,\
              duplicated,backlog,moved_partitions,group_members\n",

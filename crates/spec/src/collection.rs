@@ -62,7 +62,7 @@ impl NormalCaseGrid {
     /// at a sensible default), mirroring the paper's one-factor studies,
     /// rather than as a full cross product.
     #[must_use]
-    pub fn points(&self) -> Vec<ExperimentPoint> {
+    pub(crate) fn points(&self) -> Vec<ExperimentPoint> {
         let mut points = Vec::new();
         let default_timeout = SimDuration::from_millis(2_000);
         let default_poll = SimDuration::ZERO;
@@ -106,7 +106,7 @@ impl NormalCaseGrid {
     /// # Errors
     ///
     /// Returns a [`SpecError`] anchored beneath `path`.
-    pub fn validate(&self, path: &str) -> Result<(), SpecError> {
+    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
         if self.message_sizes.is_empty() {
             return Err(SpecError::new(
                 format!("{path}.message_sizes"),
@@ -174,7 +174,7 @@ impl AbnormalCaseGrid {
     /// (with the other held at its default) — the paper's Fig. 4 varies `M`
     /// with `B = 1`, and Figs. 7–8 vary `B` at a fixed size.
     #[must_use]
-    pub fn points(&self) -> Vec<ExperimentPoint> {
+    pub(crate) fn points(&self) -> Vec<ExperimentPoint> {
         let mut points = Vec::new();
         let default_size = 200;
         let batch_sizes = self.batch_sizes.values_usize();
@@ -227,7 +227,7 @@ impl AbnormalCaseGrid {
     /// # Errors
     ///
     /// Returns a [`SpecError`] anchored beneath `path`.
-    pub fn validate(&self, path: &str) -> Result<(), SpecError> {
+    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
         if self.message_sizes.is_empty() {
             return Err(SpecError::new(
                 format!("{path}.message_sizes"),
@@ -313,7 +313,7 @@ impl Default for BrokerFaultGrid {
 impl BrokerFaultGrid {
     /// Materialises the grid into experiment points.
     #[must_use]
-    pub fn points(&self) -> Vec<ExperimentPoint> {
+    pub(crate) fn points(&self) -> Vec<ExperimentPoint> {
         let mut points = Vec::new();
         for &semantics in &self.semantics {
             for &rf in &self.replication_factors {
@@ -345,7 +345,7 @@ impl BrokerFaultGrid {
     /// # Errors
     ///
     /// Returns a [`SpecError`] anchored beneath `path`.
-    pub fn validate(&self, path: &str) -> Result<(), SpecError> {
+    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
         if self.replication_factors.contains(&0) {
             return Err(SpecError::new(
                 format!("{path}.replication_factors"),
@@ -407,7 +407,7 @@ impl CollectionDesign {
     /// # Errors
     ///
     /// Returns a [`SpecError`] anchored beneath `path`.
-    pub fn validate(&self, path: &str) -> Result<(), SpecError> {
+    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
         self.normal.validate(&format!("{path}.normal"))?;
         self.abnormal.validate(&format!("{path}.abnormal"))?;
         self.broker_faults

@@ -91,7 +91,7 @@ impl ReportSpec {
     /// # Errors
     ///
     /// Returns a [`SpecError`] whose `path` names the offending field.
-    pub fn validate(&self, path: &str) -> Result<(), SpecError> {
+    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
         if self.window_ms == 0 {
             return Err(SpecError::new(
                 format!("{path}.window_ms"),
@@ -144,7 +144,7 @@ impl ExperimentSpec {
     /// # Errors
     ///
     /// Returns a [`SpecError`] whose `path` names the offending field.
-    pub fn validate(&self) -> Result<(), SpecError> {
+    pub(crate) fn validate(&self) -> Result<(), SpecError> {
         match self {
             ExperimentSpec::Table1(s) => s.validate("experiment.Table1"),
             ExperimentSpec::Collection(s) => s.validate("experiment.Collection"),
@@ -298,7 +298,8 @@ impl SeriesSpec {
     /// A series that only overrides the delivery semantics, labelled with
     /// the semantics' display name.
     #[must_use]
-    pub fn semantics_only(semantics: DeliverySemantics) -> Self {
+    #[cfg(test)]
+    pub(crate) fn semantics_only(semantics: DeliverySemantics) -> Self {
         SeriesSpec {
             label: semantics.to_string(),
             semantics: Some(semantics),

@@ -22,7 +22,7 @@ pub struct SpecError {
 
 impl SpecError {
     /// Creates an error at `path`.
-    pub fn new(path: impl Into<String>, message: impl Into<String>) -> Self {
+    pub(crate) fn new(path: impl Into<String>, message: impl Into<String>) -> Self {
         SpecError {
             path: path.into(),
             message: message.into(),
@@ -35,18 +35,8 @@ impl SpecError {
     /// # Errors
     ///
     /// Propagates `r`'s message, anchored at `path`.
-    pub fn wrap(path: &str, r: Result<(), String>) -> Result<(), SpecError> {
+    pub(crate) fn wrap(path: &str, r: Result<(), String>) -> Result<(), SpecError> {
         r.map_err(|message| SpecError::new(path, message))
-    }
-
-    /// Wraps a [`kafkasim::ConfigError`] with a path prefix, keeping the
-    /// producer-config message intact.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the config error's message, anchored at `path`.
-    pub fn wrap_config(path: &str, r: Result<(), kafkasim::ConfigError>) -> Result<(), SpecError> {
-        r.map_err(|e| SpecError::new(format!("{path}.{}", e.field()), e.to_string()))
     }
 }
 
@@ -112,17 +102,6 @@ mod tests {
         let r: Result<(), String> = Err("weights must sum to 1".into());
         let e = SpecError::wrap("experiment.KpiGrid.weights", r).unwrap_err();
         assert_eq!(e.path, "experiment.KpiGrid.weights");
-    }
-
-    #[test]
-    fn wrap_config_appends_the_offending_field() {
-        let bad = kafkasim::config::ProducerConfig {
-            batch_size: 0,
-            ..kafkasim::config::ProducerConfig::default()
-        };
-        let e = SpecError::wrap_config("experiment.Sweep.base", bad.validate()).unwrap_err();
-        assert_eq!(e.path, "experiment.Sweep.base.batch_size");
-        assert!(e.message.contains("batch_size"));
     }
 
     #[test]

@@ -31,13 +31,13 @@ pub enum GridAxis {
 impl GridAxis {
     /// Convenience constructor from integer values.
     #[must_use]
-    pub fn values_from_u64(values: &[u64]) -> Self {
+    pub(crate) fn values_from_u64(values: &[u64]) -> Self {
         GridAxis::Values(values.iter().map(|&v| v as f64).collect())
     }
 
     /// Materialises the axis into its value list.
     #[must_use]
-    pub fn values(&self) -> Vec<f64> {
+    pub(crate) fn values(&self) -> Vec<f64> {
         match self {
             GridAxis::Range { min, max, step } => {
                 let mut out = Vec::new();
@@ -60,13 +60,13 @@ impl GridAxis {
     /// The axis values rounded to `u64` (for integer-valued axes such as
     /// sizes or millisecond timeouts).
     #[must_use]
-    pub fn values_u64(&self) -> Vec<u64> {
+    pub(crate) fn values_u64(&self) -> Vec<u64> {
         self.values().iter().map(|v| v.round() as u64).collect()
     }
 
     /// The axis values rounded to `usize` (batch sizes).
     #[must_use]
-    pub fn values_usize(&self) -> Vec<usize> {
+    pub(crate) fn values_usize(&self) -> Vec<usize> {
         self.values().iter().map(|v| v.round() as usize).collect()
     }
 
@@ -85,7 +85,7 @@ impl GridAxis {
     ///
     /// Returns a [`SpecError`] at `path` for empty/non-finite values or a
     /// degenerate range.
-    pub fn validate(&self, path: &str) -> Result<(), SpecError> {
+    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
         match self {
             GridAxis::Range { min, max, step } => {
                 if !min.is_finite() || !max.is_finite() || !step.is_finite() {
@@ -160,7 +160,7 @@ impl ConfigGrid {
     ///
     /// Returns a [`SpecError`] anchored beneath `path` for the first
     /// invalid axis or bound.
-    pub fn validate(&self, path: &str) -> Result<(), SpecError> {
+    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
         self.batch.validate(&format!("{path}.batch"))?;
         self.timeout_ms.validate(&format!("{path}.timeout_ms"))?;
         self.poll_ms.validate(&format!("{path}.poll_ms"))?;

@@ -7,7 +7,7 @@
 //! the producer-configuration grid ([`ConfigGrid`], the single source of
 //! the §V search space), KPI weights, seeds and sweep axes — and loads
 //! from TOML or JSON with **field-path validation errors**
-//! ([`SpecError`]: `experiment.Sweep.base.loss_rate: loss rate must be
+//! (`SpecError`: `experiment.Sweep.base.loss_rate: loss rate must be
 //! within [0, 1]`).
 //!
 //! The pipeline, end to end:
@@ -19,13 +19,13 @@
 //! ```
 //!
 //! * [`document`] — the [`Spec`] / [`ExperimentSpec`] types;
-//! * [`point`] — the serializable operating point ([`PointSpec`]);
+//! * `point` — the serializable operating point ([`PointSpec`]);
 //! * [`grid`] — [`GridAxis`] and [`ConfigGrid`] (every parameter grid in
 //!   the repository derives from these);
 //! * [`collection`] — the Fig. 3 training-data collection design;
 //! * [`builtin`] — the committed corpus, embedded: one spec per `repro` target;
-//! * [`io`] — TOML/JSON load + save ([`LoadError`]);
-//! * [`toml`] — the self-contained TOML subset parser/writer.
+//! * [`io`] — TOML/JSON load + save (`LoadError`);
+//! * `toml` — the self-contained TOML subset parser/writer.
 //!
 //! # Example
 //!
@@ -49,17 +49,16 @@ pub mod document;
 pub mod error;
 pub mod grid;
 pub mod io;
-pub mod point;
-pub mod toml;
+pub(crate) mod point;
+pub(crate) mod toml;
 
-pub use collection::{AbnormalCaseGrid, BrokerFaultGrid, CollectionDesign, NormalCaseGrid};
+pub use collection::CollectionDesign;
 pub use document::{
-    AcksLevelSpec, AdaptivePolicySpec, BanditPolicySpec, BrokerFaultMatrixSpec, DeliveryCaseSpec,
-    ExperimentSpec, FaultScenarioSpec, FaultSpec, FleetPopulationEntry, FleetSpec, GroupChurnSpec,
-    KpiGridSpec, NetworkTraceSpec, OnlineCompareSpec, OutageSite, OverlaySpec, PolicyKind,
-    PolicySpec, RegimeShiftSpec, ReportSpec, SensitivitySpec, SeriesSpec, Spec, SweepAxis,
-    SweepMode, SweepSpec, Table1Spec, Table2Spec, TraceDemoSpec, TraceScenarioSpec, TrainSpec,
+    AdaptivePolicySpec, BanditPolicySpec, BrokerFaultMatrixSpec, ExperimentSpec,
+    FleetPopulationEntry, FleetSpec, GroupChurnSpec, KpiGridSpec, NetworkTraceSpec,
+    OnlineCompareSpec, OverlaySpec, PolicyKind, PolicySpec, RegimeShiftSpec, ReportSpec,
+    SensitivitySpec, SeriesSpec, Spec, SweepAxis, SweepMode, SweepSpec, Table1Spec, Table2Spec,
+    TraceDemoSpec, TraceScenarioSpec,
 };
-pub use error::{LoadError, SpecError};
 pub use grid::{ConfigGrid, GridAxis};
 pub use point::PointSpec;

@@ -51,7 +51,7 @@ impl PointSpec {
     /// truncated to whole milliseconds — exact for every point this
     /// repository uses.
     #[must_use]
-    pub fn from_point(point: &ExperimentPoint) -> Self {
+    pub(crate) fn from_point(point: &ExperimentPoint) -> Self {
         PointSpec {
             message_size: point.message_size,
             timeliness_ms: point.timeliness.map(|t| t.as_millis()),
@@ -91,7 +91,7 @@ impl PointSpec {
     ///
     /// Returns a [`SpecError`] anchored beneath `path` for the first
     /// out-of-range field.
-    pub fn validate(&self, path: &str) -> Result<(), SpecError> {
+    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
         if self.message_size == 0 {
             return Err(SpecError::new(
                 format!("{path}.message_size"),

@@ -27,7 +27,7 @@ use std::fmt;
 
 /// A TOML syntax error with a 1-based line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TomlError {
+pub(crate) struct TomlError {
     /// Line the error was detected on.
     pub line: usize,
     /// Description of the problem.
@@ -52,7 +52,7 @@ impl std::error::Error for TomlError {}
 ///
 /// Returns a [`TomlError`] with the offending line on any syntax error,
 /// duplicate key, or unsupported construct.
-pub fn parse_toml(src: &str) -> Result<Value, TomlError> {
+pub(crate) fn parse_toml(src: &str) -> Result<Value, TomlError> {
     let mut p = Parser {
         chars: src.chars().collect(),
         i: 0,
@@ -496,7 +496,7 @@ impl Parser {
 ///
 /// Returns an error when the root is not a map or a `Null` appears
 /// inside an array (TOML cannot represent either).
-pub fn to_toml(value: &Value) -> Result<String, TomlError> {
+pub(crate) fn to_toml(value: &Value) -> Result<String, TomlError> {
     let map = match value {
         Value::Map(m) => m,
         _ => {

@@ -80,7 +80,7 @@ impl From<serde_json::Error> for LoadError {
 
 impl ResultSet {
     /// Current schema version.
-    pub const VERSION: u32 = 1;
+    pub(crate) const VERSION: u32 = 1;
 
     /// Wraps results with their provenance.
     #[must_use]
@@ -104,7 +104,7 @@ impl ResultSet {
     /// # Errors
     ///
     /// Propagates serializer errors (effectively unreachable).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
+    pub(crate) fn to_json(&self) -> Result<String, serde_json::Error> {
         serde_json::to_string_pretty(self)
     }
 
@@ -113,7 +113,7 @@ impl ResultSet {
     /// # Errors
     ///
     /// [`LoadError::Parse`] or [`LoadError::VersionMismatch`].
-    pub fn from_json(json: &str) -> Result<Self, LoadError> {
+    pub(crate) fn from_json(json: &str) -> Result<Self, LoadError> {
         let set: ResultSet = serde_json::from_str(json)?;
         if set.version != ResultSet::VERSION {
             return Err(LoadError::VersionMismatch {
@@ -139,7 +139,7 @@ impl ResultSet {
     /// # Errors
     ///
     /// See [`LoadError`].
-    pub fn load(path: &Path) -> Result<Self, LoadError> {
+    pub(crate) fn load(path: &Path) -> Result<Self, LoadError> {
         ResultSet::from_json(&fs::read_to_string(path)?)
     }
 

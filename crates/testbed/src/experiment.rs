@@ -3,7 +3,7 @@
 //! The prediction model's inputs (Eq. 1) are
 //! `{M, S, D, L, Confs = (semantics, B, δ, T_o)}`; an
 //! [`ExperimentPoint`] carries exactly those eight features. Running a
-//! point builds a fresh [`kafkasim::RunSpec`] from the shared
+//! point builds a fresh `kafkasim::RunSpec` from the shared
 //! [`Calibration`], executes it, and records `P_l` and `P_d`.
 
 use desim::{SimDuration, SimTime};
@@ -42,8 +42,8 @@ pub struct ExperimentPoint {
     pub replication_factor: u32,
     /// (j) Duration of an injected broker crash; `ZERO` injects no fault.
     /// When set, the leader of partition 0 crashes at
-    /// [`ExperimentPoint::FAULT_AT`] and failover detection runs after
-    /// [`ExperimentPoint::FAILOVER_DETECT`] — size the run so it spans the
+    /// `ExperimentPoint::FAULT_AT` and failover detection runs after
+    /// `ExperimentPoint::FAILOVER_DETECT` — size the run so it spans the
     /// fault window.
     pub fault_downtime: SimDuration,
     /// (k) Whether unclean leader election is permitted during the fault.
@@ -70,10 +70,10 @@ impl Default for ExperimentPoint {
 
 impl ExperimentPoint {
     /// When the injected broker fault (if any) begins.
-    pub const FAULT_AT: SimTime = SimTime::from_millis(1_500);
+    pub(crate) const FAULT_AT: SimTime = SimTime::from_millis(1_500);
 
     /// How long after the crash the controller elects a new leader.
-    pub const FAILOVER_DETECT: SimDuration = SimDuration::from_millis(500);
+    pub(crate) const FAILOVER_DETECT: SimDuration = SimDuration::from_millis(500);
 
     /// Whether this point is a "normal case" in the paper's Fig. 3 sense
     /// (`D < 200 ms` and `L = 0`).
@@ -180,7 +180,7 @@ pub struct ExperimentResult {
 impl ExperimentResult {
     /// What a sweep keeps of `point`'s run on `seed`.
     #[must_use]
-    pub fn new(point: &ExperimentPoint, outcome: RunOutcome, seed: u64) -> Self {
+    pub(crate) fn new(point: &ExperimentPoint, outcome: RunOutcome, seed: u64) -> Self {
         ExperimentResult {
             point: point.clone(),
             p_loss: outcome.report.p_loss(),

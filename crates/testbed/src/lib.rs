@@ -51,5 +51,4 @@ pub mod sensitivity;
 pub mod sweep;
 
 pub use calibration::Calibration;
-pub use experiment::{ExperimentPoint, ExperimentResult};
-pub use scenarios::ApplicationScenario;
+pub use experiment::ExperimentResult;

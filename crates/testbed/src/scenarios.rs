@@ -147,16 +147,8 @@ impl ApplicationScenario {
     /// The scenario's stable kebab-case identifier, used by fleet
     /// population specs (`scenarios/fleet.toml`) to reference Table II
     /// classes by name.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use testbed::scenarios::ApplicationScenario;
-    ///
-    /// assert_eq!(ApplicationScenario::social_media().slug(), "social-media");
-    /// ```
     #[must_use]
-    pub fn slug(&self) -> &'static str {
+    pub(crate) fn slug(&self) -> &'static str {
         // Matched on the human-readable name so the three constructors
         // stay the single source of truth.
         match self.name.as_str() {
@@ -167,7 +159,7 @@ impl ApplicationScenario {
         }
     }
 
-    /// Looks a Table II scenario up by its [`slug`](Self::slug).
+    /// Looks a Table II scenario up by its `slug`.
     ///
     /// # Example
     ///
@@ -214,7 +206,7 @@ impl ApplicationScenario {
 
     /// The source spec feeding `n_messages` through this workload.
     #[must_use]
-    pub fn source(&self, n_messages: u64) -> SourceSpec {
+    pub(crate) fn source(&self, n_messages: u64) -> SourceSpec {
         SourceSpec {
             n_messages,
             size: self.size,
@@ -303,6 +295,7 @@ mod tests {
             assert_eq!(found, s);
         }
         assert!(ApplicationScenario::by_slug("unknown").is_none());
+        assert_eq!(ApplicationScenario::social_media().slug(), "social-media");
         let class = ApplicationScenario::web_access_records().stream_class(0.5);
         assert_eq!(class.name, "web-access-records");
         assert_eq!(class.size, ApplicationScenario::web_access_records().size);

@@ -38,7 +38,7 @@ pub enum Feature {
 impl Feature {
     /// All perturbable features.
     #[must_use]
-    pub fn all() -> [Feature; 6] {
+    pub(crate) fn all() -> [Feature; 6] {
         [
             Feature::MessageSize,
             Feature::Delay,
@@ -68,7 +68,7 @@ impl Feature {
     /// perturbation always changes the value (e.g. `B = 1` → 2 upward and
     /// stays 1 downward, which the report marks as unperturbable).
     #[must_use]
-    pub fn scaled(self, base: &ExperimentPoint, factor: f64) -> ExperimentPoint {
+    pub(crate) fn scaled(self, base: &ExperimentPoint, factor: f64) -> ExperimentPoint {
         let mut p = base.clone();
         match self {
             Feature::MessageSize => {
@@ -141,7 +141,7 @@ impl SensitivityRow {
 
 /// Runs the ±50 % sensitivity analysis around `base`.
 ///
-/// Rows come back in [`Feature::all`] order, most useful alongside
+/// Rows come back in `Feature::all` order, most useful alongside
 /// [`SensitivityRow::impact`] for ranking.
 #[must_use]
 pub fn analyze(
