@@ -162,6 +162,27 @@ pub(crate) struct ElectionOutcome {
 ///
 /// Partition `p` is led by broker `p % brokers`, mirroring Kafka's
 /// round-robin leader spread for a fresh topic.
+///
+/// # Example
+///
+/// The cluster is internal to a run; a [`KafkaRun`](crate::runtime::KafkaRun)
+/// shows its leader spread as one producer connection per broker, each
+/// carrying traffic.
+///
+/// ```
+/// use kafkasim::cluster::ClusterSpec;
+/// use kafkasim::runtime::{KafkaRun, RunSpec};
+/// use kafkasim::source::SourceSpec;
+///
+/// let spec = RunSpec {
+///     cluster: ClusterSpec { brokers: 3, partitions: 6, ..ClusterSpec::default() },
+///     source: SourceSpec::fixed_rate(60, 200, 500.0),
+///     ..RunSpec::default()
+/// };
+/// let outcome = KafkaRun::new(spec, 1).execute();
+/// assert_eq!(outcome.links.len(), 3);
+/// assert!(outcome.links.iter().all(|l| l.delivered > 0));
+/// ```
 #[derive(Debug, Clone)]
 pub(crate) struct Cluster {
     spec: ClusterSpec,

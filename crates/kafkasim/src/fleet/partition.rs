@@ -20,6 +20,21 @@ use super::population::Population;
 /// Implementations must be deterministic functions of their own state and
 /// the `(tenant, class)` key — the fleet engine relies on that for
 /// bit-identical replays.
+///
+/// # Example
+///
+/// Routers are built inside a fleet run from its
+/// [`PartitionStrategy`]; round-robin deals the messages evenly, so no
+/// partition gets more than one append above another.
+///
+/// ```
+/// use kafkasim::fleet::{FleetConfig, FleetRun, PartitionStrategy};
+///
+/// let cfg = FleetConfig { strategy: PartitionStrategy::RoundRobin, ..FleetConfig::default() };
+/// let appends = FleetRun::new(cfg, 7).execute().partition_appends;
+/// let (min, max) = (appends.iter().min().unwrap(), appends.iter().max().unwrap());
+/// assert!(max - min <= 1, "{appends:?}");
+/// ```
 pub(crate) trait Partitioner {
     /// Picks the partition (`0..n_partitions`) for one message of
     /// `tenant` belonging to stream-class index `class`.

@@ -81,6 +81,27 @@ struct OpenBatch {
 
 /// The record accumulator: per-partition open batches plus a FIFO of ready
 /// batches awaiting the sender.
+///
+/// # Example
+///
+/// The accumulator is internal to a run; a [`KafkaRun`](crate::runtime::KafkaRun)
+/// shows its batches filling by count as one produce request per
+/// `batch_size` messages.
+///
+/// ```
+/// use kafkasim::config::ProducerConfig;
+/// use kafkasim::runtime::{KafkaRun, RunSpec};
+/// use kafkasim::source::SourceSpec;
+///
+/// let spec = RunSpec {
+///     producer: ProducerConfig::builder().batch_size(2).build().unwrap(),
+///     source: SourceSpec::fixed_rate(10, 100, 500.0),
+///     ..RunSpec::default()
+/// };
+/// let outcome = KafkaRun::new(spec, 1).execute();
+/// assert_eq!(outcome.report.delivered_once, 10);
+/// assert_eq!(outcome.producer.requests_sent, 5);
+/// ```
 #[derive(Debug, Clone)]
 pub(crate) struct Accumulator {
     batch_size: usize,

@@ -69,10 +69,31 @@ pub struct LinkStats {
     pub bytes_delivered: u64,
 }
 
-impl LinkStats {}
-
 /// A unidirectional link with finite rate, drop-tail queueing, loss and
 /// propagation delay.
+///
+/// # Example
+///
+/// A link is one direction of a [`DuplexChannel`](crate::DuplexChannel);
+/// a record sent on a quiet channel arrives after a positive delay.
+///
+/// ```
+/// use desim::{SimRng, SimTime};
+/// use netsim::{ChannelConfig, ChannelEvent, DuplexChannel, Endpoint};
+///
+/// let mut channel = DuplexChannel::new(ChannelConfig::default(), SimRng::seed_from_u64(1));
+/// channel.send_record(Endpoint::A, 7, 1500, SimTime::ZERO).unwrap();
+/// let mut arrived = None;
+/// while let (None, Some(t)) = (arrived, channel.next_wakeup()) {
+///     for event in channel.advance(t) {
+///         if let ChannelEvent::RecordDelivered { id: 7, at, .. } = event {
+///             arrived = Some(at);
+///         }
+///     }
+/// }
+/// assert!(arrived.expect("delivered") > SimTime::ZERO);
+/// assert_eq!(channel.link_stats(Endpoint::A).lost, 0);
+/// ```
 #[derive(Debug, Clone)]
 pub(crate) struct Link {
     config: LinkConfig,

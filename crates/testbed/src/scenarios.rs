@@ -147,6 +147,16 @@ impl ApplicationScenario {
     /// The scenario's stable kebab-case identifier, used by fleet
     /// population specs (`scenarios/fleet.toml`) to reference Table II
     /// classes by name.
+    ///
+    /// # Example
+    ///
+    /// The slug names the scenario's fleet stream class.
+    ///
+    /// ```
+    /// use testbed::scenarios::ApplicationScenario;
+    ///
+    /// assert_eq!(ApplicationScenario::social_media().stream_class(1.0).name, "social-media");
+    /// ```
     #[must_use]
     pub(crate) fn slug(&self) -> &'static str {
         // Matched on the human-readable name so the three constructors
