@@ -27,8 +27,8 @@ use kafka_predict::model::{ReliabilityModel, Topology};
 use kafka_predict::online::{CachedPredictor, OnlineModelController, PredictionCache};
 use kafka_predict::recommend::{Recommendation, Recommender, SearchSpace};
 use kafka_predict::{
-    AdaptiveConfig, BanditConfig, BanditPolicy, Features, FrozenPolicy, OnlineAdaptivePolicy,
-    Policy, Prediction, Predictor,
+    train_model, AdaptiveConfig, BanditConfig, BanditPolicy, Features, FrozenPolicy,
+    OnlineAdaptivePolicy, Policy, Prediction, Predictor, TrainOptions, TrainedModel,
 };
 use kafkasim::config::{DeliverySemantics, ProducerConfig};
 use kafkasim::runtime::WindowStats;
@@ -124,6 +124,59 @@ fn trained_weights_are_pinned() {
     net.train(&data, &config, &mut rng);
     let json = net.to_json().expect("serialisable network");
     assert_eq!(hex_digest(json.as_bytes()), "7ca78f69a03c7cd7");
+}
+
+/// The trained model's weights JSON followed by the `Debug` of its three
+/// head evaluations, as one digest.
+fn trained_model_digest(trained: &TrainedModel) -> String {
+    let mut bytes = trained
+        .model
+        .to_json()
+        .expect("serialisable model")
+        .into_bytes();
+    let evals = format!("{:?}{:?}{:?}", trained.amo, trained.alo, trained.all);
+    bytes.extend_from_slice(evals.as_bytes());
+    hex_digest(&bytes)
+}
+
+/// Recorded on the sequential trainer, before the heads trained
+/// concurrently. `grid()` has no `acks=all` point, so the third head stays
+/// untrained.
+#[test]
+fn train_model_without_acks_all_rows_is_pinned() {
+    let results = run_sweep(&grid(), &Calibration::paper(), 600, 7, 2);
+    let trained = train_model(&results, &TrainOptions::fast(), 3).expect("both heads train");
+    assert!(trained.all.is_none());
+    assert_eq!(trained_model_digest(&trained), "e18ee4a68aacfed4");
+}
+
+/// Recorded on the sequential trainer, before the heads trained
+/// concurrently: the paper topology, with twelve `acks=all` points beside
+/// `grid()`, so all three heads train.
+#[test]
+fn train_model_with_acks_all_rows_is_pinned() {
+    let mut points = grid();
+    for &loss in &[0.0, 0.12, 0.25] {
+        for &batch in &[1usize, 6] {
+            for &m in &[100u64, 400] {
+                points.push(ExperimentPoint {
+                    message_size: m,
+                    delay: SimDuration::from_millis(50),
+                    loss_rate: loss,
+                    semantics: DeliverySemantics::All,
+                    batch_size: batch,
+                    message_timeout: SimDuration::from_millis(2_000),
+                    ..ExperimentPoint::default()
+                });
+            }
+        }
+    }
+    let results = run_sweep(&points, &Calibration::paper(), 600, 7, 2);
+    let mut options = TrainOptions::paper();
+    options.sgd.epochs = 20;
+    let trained = train_model(&results, &options, 3).expect("all three heads train");
+    assert!(trained.all.expect("the acks=all head trains").train_samples >= 8);
+    assert_eq!(trained_model_digest(&trained), "d27c7474d9ab1f3b");
 }
 
 /// Deterministic feature rows shaped like planner candidates: every axis
