@@ -483,7 +483,6 @@ impl TcpSender {
 pub struct TcpReceiver {
     rcv_nxt: u64,
     out_of_order: BTreeMap<u64, u64>,
-    duplicate_segments: u64,
 }
 
 impl TcpReceiver {
@@ -503,7 +502,6 @@ impl TcpReceiver {
     pub(crate) fn reset(&mut self) {
         self.rcv_nxt = 0;
         self.out_of_order.clear();
-        self.duplicate_segments = 0;
     }
 
     /// Processes an arriving segment `[seq, seq+len)`.
@@ -512,7 +510,6 @@ impl TcpReceiver {
     pub fn on_segment(&mut self, seq: u64, len: u64) -> u64 {
         let end = seq + len;
         if end <= self.rcv_nxt {
-            self.duplicate_segments += 1;
             return self.rcv_nxt;
         }
         if seq <= self.rcv_nxt {
@@ -728,11 +725,11 @@ mod tests {
     }
 
     #[test]
-    fn receiver_counts_duplicates() {
+    fn receiver_acks_a_duplicate_with_its_cumulative_ack() {
         let mut rcv = TcpReceiver::new();
-        rcv.on_segment(0, 100);
-        rcv.on_segment(0, 100);
-        assert_eq!(rcv.duplicate_segments, 1);
+        assert_eq!(rcv.on_segment(0, 100), 100);
+        assert_eq!(rcv.on_segment(0, 100), 100);
+        assert_eq!(rcv.on_segment(40, 20), 100);
         assert_eq!(rcv.contiguous(), 100);
     }
 
