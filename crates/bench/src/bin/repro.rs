@@ -804,7 +804,7 @@ fn trace_demo(doc: &Spec, demo: &spec::TraceDemoSpec, args: &Args) {
     for (tag, label, spec, seed) in exec::trace_runs(demo) {
         let (outcome, mut sink) =
             KafkaRun::new(spec, seed).execute_traced(Box::new(RingBufferSink::new(1 << 22)));
-        let events = sink.drain();
+        let events = exec::drain_trace(sink.as_mut(), format_args!("trace, {label}"));
         let timeline = TimelineReport::reconstruct(&events);
         let audit = kafkasim::crosscheck(&outcome.report, &timeline);
 

@@ -16,7 +16,7 @@ use kafkasim::source::SourceSpec;
 use kafkasim::LossReason;
 use netsim::trace::{generate_regime_shift, generate_trace, NetworkTrace};
 use netsim::{ConditionTimeline, NetCondition};
-use obs::{NoopSink, Profiler, RingBufferSink, TraceEvent};
+use obs::{NoopSink, Profiler, RingBufferSink, TraceEvent, TraceSink};
 use spec::{
     BrokerFaultMatrixSpec, CollectionDesign, FleetSpec, KpiGridSpec, NetworkTraceSpec,
     OnlineCompareSpec, OverlaySpec, PolicyKind, RegimeShiftSpec, SensitivitySpec, SweepMode,
@@ -569,6 +569,20 @@ pub(crate) fn trace_run_spec(scenario: &TraceScenarioSpec) -> RunSpec {
     run
 }
 
+/// Takes a traced run's events out of its sink. When a ring was too small
+/// for the run, says on stderr how many of the oldest events it dropped,
+/// since whatever is built from the rest covers only the end of `run`.
+pub fn drain_trace(sink: &mut dyn TraceSink, run: impl std::fmt::Display) -> Vec<TraceEvent> {
+    let dropped = sink.dropped();
+    if dropped > 0 {
+        eprintln!(
+            "warning: {run}: the trace ring was full and dropped its {dropped} oldest \
+             events; what is built from the trace covers only the rest of the run"
+        );
+    }
+    sink.drain()
+}
+
 /// Accessor so callers holding only a [`TraceDemoSpec`] can iterate its
 /// runs in declaration order.
 #[must_use]
@@ -645,7 +659,7 @@ pub fn fleet(spec: &FleetSpec, effort: Effort) -> Vec<FleetStrategyRow> {
             let ring = (steps + 1) * (spec.consumers as usize + steps + 1);
             let (outcome, mut sink) =
                 FleetRun::new(cfg, effort.seed).execute_traced(Box::new(RingBufferSink::new(ring)));
-            let events = sink.drain();
+            let events = drain_trace(sink.as_mut(), format_args!("fleet, {}", strategy.name()));
             let group_trace_events = events
                 .iter()
                 .filter(|e| {

@@ -33,6 +33,7 @@ use spec::{ExperimentSpec, ReportSpec, Spec};
 use testbed::dynamic::{default_static_config, run_scenario_online};
 use testbed::scenarios::ApplicationScenario;
 
+use crate::exec::drain_trace;
 use crate::figures::Effort;
 
 /// Messages cap for a representative report run: enough to populate
@@ -91,7 +92,7 @@ pub fn generate(doc: &Spec, effort: Effort) -> Result<RunReport, String> {
     };
     let (outcome, mut sink) = KafkaRun::new(run, seed)
         .execute_profiled(Box::new(RingBufferSink::new(1 << 22)), prof.clone());
-    let events = sink.drain();
+    let events = drain_trace(sink.as_mut(), format_args!("report, {}", doc.name));
     let windows = WindowSeries::from_events(&events, SimDuration::from_millis(settings.window_ms));
     let metrics = summarize(&events);
     let timeline = settings
@@ -225,7 +226,7 @@ pub fn profile_smoke(effort: Effort) -> ProfileSmoke {
         Box::new(RingBufferSink::new(1 << 22)),
         prof.clone(),
     );
-    let events = sink.drain();
+    let events = drain_trace(sink.as_mut(), "profile smoke");
     let windows = WindowSeries::from_events(&events, SimDuration::from_secs(1));
     train_smoke(&prof, effort.seed);
     ProfileSmoke {

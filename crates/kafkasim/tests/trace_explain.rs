@@ -52,8 +52,22 @@ fn duplicating_alo_spec(n: u64) -> RunSpec {
 fn trace(spec: RunSpec, seed: u64) -> (kafkasim::RunOutcome, Vec<TraceEvent>) {
     let (outcome, mut sink) =
         KafkaRun::new(spec, seed).execute_traced(Box::new(RingBufferSink::new(1 << 22)));
+    assert_eq!(sink.dropped(), 0, "the ring holds the whole run");
     let events = sink.drain();
     (outcome, events)
+}
+
+/// A ring too small for its run keeps the newest events, and the boxed
+/// sink every caller holds says how many of the oldest it dropped.
+#[test]
+fn a_ring_too_small_for_its_run_counts_what_it_dropped() {
+    let (_, all) = trace(lossy_amo_spec(300), 3);
+    let ring = 64;
+    assert!(all.len() > ring, "the run must outgrow the ring");
+    let (_, mut sink) =
+        KafkaRun::new(lossy_amo_spec(300), 3).execute_traced(Box::new(RingBufferSink::new(ring)));
+    assert_eq!(sink.dropped(), (all.len() - ring) as u64);
+    assert_eq!(sink.drain(), all[all.len() - ring..]);
 }
 
 #[test]

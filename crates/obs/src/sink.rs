@@ -37,6 +37,14 @@ pub trait TraceSink {
     fn drain(&mut self) -> Vec<TraceEvent> {
         Vec::new()
     }
+
+    /// Events the sink recorded but no longer holds because it was full.
+    /// Sinks that never drop (the default) return 0; a caller that builds
+    /// timelines or counts from [`TraceSink::drain`] reads this to know
+    /// whether they cover the whole run.
+    fn dropped(&self) -> u64 {
+        0
+    }
 }
 
 /// The zero-overhead default: reports itself disabled and discards
@@ -78,13 +86,6 @@ impl RingBufferSink {
         self.buf.iter()
     }
 
-    /// Events evicted (or refused) because the buffer was full.
-    #[must_use]
-    #[cfg(test)]
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Retained event count.
     #[must_use]
     #[cfg(test)]
@@ -115,6 +116,11 @@ impl TraceSink for RingBufferSink {
 
     fn drain(&mut self) -> Vec<TraceEvent> {
         std::mem::take(&mut self.buf).into()
+    }
+
+    /// Events evicted (or refused) because the buffer was full.
+    fn dropped(&self) -> u64 {
+        self.dropped
     }
 }
 
@@ -217,6 +223,7 @@ mod tests {
         assert!(!sink.enabled());
         sink.record(ev(1));
         assert!(sink.metrics().is_none());
+        assert_eq!(sink.dropped(), 0, "it keeps nothing, so drops nothing");
     }
 
     #[test]

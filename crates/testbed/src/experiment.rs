@@ -245,6 +245,7 @@ mod tests {
             "tracing must not perturb the simulation"
         );
         assert_eq!(plain.producer, traced.producer);
+        assert_eq!(sink.dropped(), 0, "the ring holds the whole run");
         let events = sink.drain();
         let enqueued = events
             .iter()
