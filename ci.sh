@@ -85,6 +85,22 @@ echo "== one trainer (the TrainOptions::with_threads shim has no caller) =="
 [ "$(grep -rn 'with_threads' crates tests examples | wc -l)" -eq 1 ] \
     || { echo "with_threads regrew a caller" >&2; exit 1; }
 
+echo "== one training path (train_model takes no thread count; one epoch loop) =="
+# train_model trains the at-least-once head on one scoped worker beside the
+# calling thread, bit-identical to training the heads in turn: there is no
+# thread count to pass and no sequential fork beside it. Network::train and
+# train_profiled are train_scratch, then train_in, then the closing mse, so
+# outside tests annet/src/network.rs loops over epochs in one place.
+train_sig="$(tr -s ' \n' ' ' < crates/core/src/train.rs | grep -oE 'pub fn train_model\([^)]*\)')"
+grep -qxE 'pub fn train_model\( ?results: &\[ExperimentResult\], options: &TrainOptions, seed: u64,? ?\)' <<<"$train_sig" \
+    && ! awk '/^pub struct TrainOptions \{/ { on = 1; next } on && /^\}/ { exit } on' crates/core/src/train.rs \
+        | grep -q thread \
+    || { echo "train_model or TrainOptions takes a thread count:" >&2; echo "$train_sig" >&2; exit 1; }
+epoch_loops="$(awk '/^#\[cfg\(test\)\]/ { exit } /for .* in 0\.\.[a-z_.]*epochs/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/annet/src/network.rs)"
+[ "$(grep -c . <<<"$epoch_loops")" -eq 1 ] \
+    || { echo "annet/src/network.rs loops over epochs in more than one place:" >&2; echo "$epoch_loops" >&2; exit 1; }
+
 echo "== one entry point per run engine =="
 # KafkaRun and FleetRun each run through execute_profiled; execute and
 # execute_traced are one-call wrappers over it, and those two suffixed names

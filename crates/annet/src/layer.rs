@@ -52,13 +52,14 @@ pub(crate) struct BackwardScratch {
     input_t: Matrix,
 }
 
-impl Default for BackwardScratch {
-    /// An empty scratch; buffers grow on first use.
-    fn default() -> Self {
+impl BackwardScratch {
+    /// A scratch with room for `rows`-row batches through layers at most
+    /// `width` wide, so no backward pass within that grows a buffer.
+    pub(crate) fn with_room(rows: usize, width: usize) -> Self {
         BackwardScratch {
-            delta: Matrix::zeros(1, 1),
-            delta_t: Matrix::zeros(1, 1),
-            input_t: Matrix::zeros(1, 1),
+            delta: Matrix::zeros(rows, width),
+            delta_t: Matrix::zeros(width, rows),
+            input_t: Matrix::zeros(width, rows),
         }
     }
 }
@@ -245,13 +246,14 @@ impl Dense {
     }
 
     /// A zeroed gradient buffer matching this layer's shape, for use as a
-    /// reusable [`Dense::backward_into`] target.
+    /// reusable [`Dense::backward_into`] target, its input gradient with
+    /// room for `rows × width`.
     #[must_use]
-    pub(crate) fn zero_gradients(&self) -> DenseGradients {
+    pub(crate) fn zero_gradients(&self, rows: usize, width: usize) -> DenseGradients {
         DenseGradients {
             weights: Matrix::zeros(self.input_dim(), self.output_dim()),
             bias: vec![0.0; self.output_dim()],
-            input: Matrix::zeros(1, self.input_dim()),
+            input: Matrix::zeros(rows, width),
         }
     }
 }
@@ -319,8 +321,8 @@ mod tests {
         }
 
         fn backward(&self, input: &Matrix, output: &Matrix, grad: &Matrix) -> DenseGradients {
-            let mut grads = self.zero_gradients();
-            let mut scratch = BackwardScratch::default();
+            let mut grads = self.zero_gradients(1, 1);
+            let mut scratch = BackwardScratch::with_room(1, 1);
             self.backward_into(input, output, grad, true, &mut scratch, &mut grads);
             grads
         }
@@ -615,8 +617,8 @@ mod tests {
                 weights: v.weights.transpose(),
                 bias: v.bias.clone(),
             };
-            let mut scratch = BackwardScratch::default();
-            let mut grads = layer.zero_gradients();
+            let mut scratch = BackwardScratch::with_room(1, 1);
+            let mut grads = layer.zero_gradients(1, 1);
             for _ in 0..2 {
                 let x = sparse_matrix(n, input_dim, scale, &mut rng);
                 let grad_out = sparse_matrix(n, output_dim, 1.0, &mut rng);
@@ -629,7 +631,7 @@ mod tests {
                 proptest::prop_assert_eq!(bits(&grads.bias), bits(&want.bias));
                 proptest::prop_assert_eq!(bits(grads.input.as_slice()), bits(want.input.as_slice()));
                 // Skipping the input gradient changes nothing else.
-                let mut skipped = layer.zero_gradients();
+                let mut skipped = layer.zero_gradients(1, 1);
                 layer.backward_into(&x, &y, &grad_out, false, &mut scratch, &mut skipped);
                 proptest::prop_assert_eq!(bits(skipped.weights.as_slice()), bits(grads.weights.as_slice()));
                 proptest::prop_assert_eq!(bits(&skipped.bias), bits(&grads.bias));

@@ -66,5 +66,5 @@ pub mod prelude {
 pub use activation::Activation;
 pub use dataset::Dataset;
 pub use matrix::Matrix;
-pub use network::{IncrementalTrainer, Network, NetworkBuilder, TrainConfig};
+pub use network::{IncrementalTrainer, Network, NetworkBuilder, TrainConfig, TrainScratch};
 pub use scaler::MinMaxScaler;

@@ -122,12 +122,16 @@ pub struct Network {
     layers: Vec<Dense>,
 }
 
-/// Reusable forward/backward buffers for one training worker.
+/// Every buffer one training run uses: the row order, and the forward,
+/// backward and gradient buffers.
 ///
-/// Everything the hot loop needs lives here, so a whole training run
-/// performs no per-batch heap allocation once the buffers have grown to
-/// their steady-state sizes.
-struct TrainScratch {
+/// [`Network::train_scratch`] makes one sized for the whole run, so the
+/// epoch loop in [`Network::train_in`] allocates nothing: a thread that
+/// trains in a scratch its caller made takes no memory of its own from the
+/// allocator.
+pub struct TrainScratch {
+    /// The training rows' order, shuffled in place each epoch.
+    order: Vec<usize>,
     /// `activations[0]` holds the gathered batch inputs; `activations[i+1]`
     /// holds layer `i`'s post-activation output.
     activations: Vec<Matrix>,
@@ -139,20 +143,43 @@ struct TrainScratch {
     grad: Matrix,
     /// Per-layer gradient buffers.
     grads: Vec<DenseGradients>,
-    /// Per-layer momentum state: empty until the first step with
-    /// `momentum > 0`, so momentum-free training never holds a
-    /// weight-sized zero buffer per layer.
+    /// Per-layer momentum state, made only for `momentum > 0` (by
+    /// [`Network::train_scratch`], or at an [`IncrementalTrainer`]'s first
+    /// such step), so momentum-free training never holds a weight-sized
+    /// zero buffer per layer.
     velocities: Vec<Velocity>,
 }
 
+impl core::fmt::Debug for TrainScratch {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("TrainScratch")
+            .field("layers", &self.grads.len())
+            .finish_non_exhaustive()
+    }
+}
+
 impl TrainScratch {
-    fn new(net: &Network) -> Self {
+    /// Buffers for `net` with room for `rows`-row batches at its widest
+    /// layer. Batch buffers trade places during backprop, so each gets the
+    /// widest layer's room, and a batch of up to `rows` rows grows none.
+    fn new(net: &Network, rows: usize) -> Self {
+        let width = net
+            .layers
+            .iter()
+            .map(Dense::output_dim)
+            .fold(net.input_dim(), usize::max);
+        let room = || Matrix::zeros(rows, width);
         TrainScratch {
-            activations: vec![Matrix::zeros(1, 1); net.layers.len() + 1],
-            targets: Matrix::zeros(1, 1),
-            back: BackwardScratch::default(),
-            grad: Matrix::zeros(1, 1),
-            grads: net.layers.iter().map(Dense::zero_gradients).collect(),
+            order: Vec::new(),
+            activations: vec![room(); net.layers.len() + 1],
+            targets: room(),
+            back: BackwardScratch::with_room(rows, width),
+            grad: room(),
+            grads: net
+                .layers
+                .iter()
+                .map(|layer| layer.zero_gradients(rows, width))
+                .collect(),
             velocities: Vec::new(),
         }
     }
@@ -322,23 +349,66 @@ impl Network {
         rng: &mut SimRng,
         prof: &Profiler,
     ) -> TrainReport {
+        let mut scratch = self.train_scratch(data, config);
+        self.train_in(data, config, rng, &mut scratch, prof);
+        let _eval_guard = prof.span("annet.eval");
+        TrainReport {
+            final_loss: self.mse(data),
+        }
+    }
+
+    /// The first half of [`Network::train`]: allocates every buffer its
+    /// epoch loop uses on `data` under `config`, at full size.
+    ///
+    /// # Panics
+    ///
+    /// As [`Network::train`].
+    #[must_use]
+    pub fn train_scratch(&self, data: &Dataset, config: &TrainConfig) -> TrainScratch {
         self.check_train_args(data, config);
-        let n = data.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut scratch = TrainScratch::new(self);
+        let mut scratch = TrainScratch::new(self, config.batch_size.min(data.len()));
+        scratch.order.reserve_exact(data.len());
+        if config.momentum > 0.0 {
+            scratch.velocities = self.layers.iter().map(Dense::zero_velocity).collect();
+        }
+        scratch
+    }
+
+    /// The second half of [`Network::train`]: the epoch loop of mini-batch
+    /// SGD, run in `scratch`, without the closing loss evaluation. In a
+    /// scratch [`Network::train_scratch`] made for the same network, data
+    /// and config, it allocates nothing, and the weights it leaves are
+    /// bit-identical to [`Network::train`]'s from the same `rng` state.
+    ///
+    /// The rng draws are `epochs` shuffles of a `data.len()`-element slice
+    /// when `config.shuffle` is set, and none otherwise.
+    ///
+    /// # Panics
+    ///
+    /// As [`Network::train`].
+    pub fn train_in(
+        &mut self,
+        data: &Dataset,
+        config: &TrainConfig,
+        rng: &mut SimRng,
+        scratch: &mut TrainScratch,
+        prof: &Profiler,
+    ) {
+        self.check_train_args(data, config);
+        // Out of the scratch while its chunks are borrowed; no allocation.
+        let mut order = std::mem::take(&mut scratch.order);
+        order.clear();
+        order.extend(0..data.len());
         for _ in 0..config.epochs {
             let _epoch_guard = prof.span("annet.epoch");
             if config.shuffle {
                 rng.shuffle(&mut order);
             }
             for chunk in order.chunks(config.batch_size) {
-                self.train_batch(data, chunk, config, &mut scratch, prof);
+                self.train_batch(data, chunk, config, scratch, prof);
             }
         }
-        let _eval_guard = prof.span("annet.eval");
-        TrainReport {
-            final_loss: self.mse(data),
-        }
+        scratch.order = order;
     }
 
     fn check_train_args(&self, data: &Dataset, config: &TrainConfig) {
@@ -448,7 +518,7 @@ impl Network {
 
 /// Persistent state for *online* (incremental) SGD.
 ///
-/// [`Network::train`] owns its scratch (momentum state included) for the
+/// [`Network::train`] makes its scratch (momentum state included) for the
 /// duration of one call; a long-lived controller that refits a model
 /// mini-batch by mini-batch as live observations arrive needs those
 /// buffers to survive between steps instead. An `IncrementalTrainer`
@@ -461,16 +531,9 @@ impl Network {
 /// trainer stepped over the chunks of one unshuffled epoch produces
 /// weights **bit-identical** to `train` with `shuffle = false,
 /// epochs = 1` — the pin test holds this equivalence.
+#[derive(Debug)]
 pub struct IncrementalTrainer {
     scratch: TrainScratch,
-}
-
-impl core::fmt::Debug for IncrementalTrainer {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("IncrementalTrainer")
-            .field("layers", &self.scratch.grads.len())
-            .finish_non_exhaustive()
-    }
 }
 
 impl IncrementalTrainer {
@@ -478,7 +541,7 @@ impl IncrementalTrainer {
     #[must_use]
     pub fn new(net: &Network) -> Self {
         IncrementalTrainer {
-            scratch: TrainScratch::new(net),
+            scratch: TrainScratch::new(net, 1),
         }
     }
 

@@ -148,6 +148,18 @@ impl ReliabilityModel {
         })
     }
 
+    /// Exclusive access to all three heads at once, in the order
+    /// at-most-once, at-least-once, `acks=all`, so each can train on its
+    /// own thread. Shared heads are copied first, as in
+    /// [`ReliabilityModel::head_mut`].
+    pub(crate) fn heads_mut(&mut self) -> [&mut Network; 3] {
+        [
+            Arc::make_mut(&mut self.amo_head),
+            Arc::make_mut(&mut self.alo_head),
+            Arc::make_mut(&mut self.all_head),
+        ]
+    }
+
     /// Read access to one head's network.
     #[must_use]
     pub fn head(&self, semantics: DeliverySemantics) -> &Network {

@@ -7,9 +7,10 @@
 //! 0.02).
 
 use annet::metrics::mae;
-use annet::{Dataset, Matrix, TrainConfig};
+use annet::{Dataset, Matrix, Network, TrainConfig, TrainScratch};
 use desim::{SimDuration, SimRng};
 use kafkasim::config::DeliverySemantics;
+use obs::Profiler;
 use serde::{Deserialize, Serialize};
 use testbed::experiment::{ExperimentPoint, ExperimentResult};
 use testbed::sweep::run_sweep;
@@ -63,8 +64,10 @@ impl TrainOptions {
         }
     }
 
-    /// Returns `self` unchanged: training runs on one thread. `benchmark/`
-    /// still calls this name; it goes when the benchmark re-points.
+    /// Returns `self` unchanged: [`train_model`] takes no thread count,
+    /// since it always trains the at-least-once head on one worker thread
+    /// beside the calling thread. `benchmark/` still calls this name; it
+    /// goes when the benchmark re-points.
     #[doc(hidden)]
     #[must_use]
     pub fn with_threads(self, _threads: usize) -> Self {
@@ -159,82 +162,119 @@ fn head_dataset(
     (x, y)
 }
 
-fn train_head(
-    model: &mut ReliabilityModel,
-    semantics: DeliverySemantics,
-    results: &[ExperimentResult],
-    options: &TrainOptions,
-    rng: &mut SimRng,
-) -> Result<HeadEvaluation, TrainError> {
-    let (x, y) = head_dataset(results, semantics);
-    if x.len() < 8 {
-        return Err(TrainError::TooFewSamples {
-            semantics,
-            available: x.len(),
-        });
+/// One head, split and planned on the calling thread: its rows, the rng
+/// state its training starts from, and every buffer its training uses.
+struct HeadPlan {
+    train: Dataset,
+    test: Dataset,
+    rng: SimRng,
+    scratch: TrainScratch,
+}
+
+impl HeadPlan {
+    /// Builds the head's rows and draws its split from `rng`, then moves
+    /// `rng` past the head's training as if it had run: `epochs` shuffles
+    /// of a slice as long as the training set. A Fisher–Yates shuffle's
+    /// draws depend only on the length it shuffles, so the next head plans
+    /// from exactly the state sequential training would leave it.
+    fn new(
+        head: &Network,
+        semantics: DeliverySemantics,
+        results: &[ExperimentResult],
+        options: &TrainOptions,
+        rng: &mut SimRng,
+    ) -> Result<Self, TrainError> {
+        let (x, y) = head_dataset(results, semantics);
+        if x.len() < 8 {
+            return Err(TrainError::TooFewSamples {
+                semantics,
+                available: x.len(),
+            });
+        }
+        let data = Dataset::from_rows(x, y).expect("aligned rows");
+        let (train, test) = data
+            .train_test_split(options.test_fraction, rng)
+            .map_err(|_| TrainError::TooFewSamples {
+                semantics,
+                available: data.len(),
+            })?;
+        let start = rng.clone();
+        if options.sgd.shuffle {
+            let mut order: Vec<usize> = (0..train.len()).collect();
+            for _ in 0..options.sgd.epochs {
+                rng.shuffle(&mut order);
+            }
+        }
+        let scratch = head.train_scratch(&train, &options.sgd);
+        Ok(HeadPlan {
+            train,
+            test,
+            rng: start,
+            scratch,
+        })
     }
-    let data = Dataset::from_rows(x, y).expect("aligned rows");
-    let (train, test) = data
-        .train_test_split(options.test_fraction, rng)
-        .map_err(|_| TrainError::TooFewSamples {
-            semantics,
-            available: data.len(),
-        })?;
-    let head = model.head_mut(semantics);
-    let report = head.train(&train, &options.sgd, rng);
-    let predictions = head.predict_batch(test.x());
-    Ok(HeadEvaluation {
-        train_samples: train.len(),
-        test_samples: test.len(),
-        test_mae: mae(&predictions, test.y()),
-        final_train_mse: report.final_loss,
-    })
+
+    /// Runs the head's epoch loop in its own buffers: no allocation, so a
+    /// worker thread running it takes no memory of its own.
+    fn fit(&mut self, head: &mut Network, sgd: &TrainConfig) {
+        let prof = Profiler::disabled();
+        head.train_in(&self.train, sgd, &mut self.rng, &mut self.scratch, &prof);
+    }
+
+    /// The trained head's held-out MAE and closing training MSE.
+    fn evaluate(&self, head: &Network) -> HeadEvaluation {
+        let predictions = head.predict_batch(self.test.x());
+        HeadEvaluation {
+            train_samples: self.train.len(),
+            test_samples: self.test.len(),
+            test_mae: mae(&predictions, self.test.y()),
+            final_train_mse: head.mse(&self.train),
+        }
+    }
 }
 
 /// Trains both heads from testbed results and evaluates them on held-out
 /// splits.
 ///
+/// The heads share no weights and no rows, only the seeded rng, so every
+/// head is split and planned first (see `HeadPlan::new`); then the
+/// at-least-once head trains on a scoped worker thread while the
+/// at-most-once and `acks=all` heads train on the calling thread. The
+/// weights are bit-identical to training the heads one after another.
+///
 /// # Errors
 ///
 /// [`TrainError::TooFewSamples`] when either semantics class cannot fill a
-/// train/test split.
+/// train/test split; it is found before any head trains.
 pub fn train_model(
     results: &[ExperimentResult],
     options: &TrainOptions,
     seed: u64,
 ) -> Result<TrainedModel, TrainError> {
+    use DeliverySemantics::{All, AtLeastOnce, AtMostOnce};
     let mut rng = SimRng::seed_from_u64(seed);
     let mut model = ReliabilityModel::new(options.topology, &mut rng);
-    let amo = train_head(
-        &mut model,
-        DeliverySemantics::AtMostOnce,
-        results,
-        options,
-        &mut rng,
-    )?;
-    let alo = train_head(
-        &mut model,
-        DeliverySemantics::AtLeastOnce,
-        results,
-        options,
-        &mut rng,
-    )?;
+    let mut plan =
+        |semantics| HeadPlan::new(model.head(semantics), semantics, results, options, &mut rng);
+    let mut amo = plan(AtMostOnce)?;
+    let mut alo = plan(AtLeastOnce)?;
     // The acks=all head is beyond the paper: train it when the sweep
     // covered it, leave it untrained (evaluation `None`) otherwise so
     // paper-only datasets keep working.
-    let all = train_head(
-        &mut model,
-        DeliverySemantics::All,
-        results,
-        options,
-        &mut rng,
-    )
-    .ok();
+    let mut all = plan(All).ok();
+    let [amo_head, alo_head, all_head] = model.heads_mut();
+    std::thread::scope(|s| {
+        s.spawn(|| alo.fit(alo_head, &options.sgd));
+        amo.fit(amo_head, &options.sgd);
+        if let Some(all) = &mut all {
+            all.fit(all_head, &options.sgd);
+        }
+    });
     Ok(TrainedModel {
+        amo: amo.evaluate(model.head(AtMostOnce)),
+        alo: alo.evaluate(model.head(AtLeastOnce)),
+        all: all.map(|all| all.evaluate(model.head(All))),
         model,
-        amo,
-        alo,
-        all,
     })
 }
 
@@ -302,6 +342,135 @@ mod tests {
     fn tiny_results() -> Vec<ExperimentResult> {
         let cal = Calibration::paper();
         quick_grid(&cal, 150, 4)
+    }
+
+    /// The trainer as it was before the heads trained concurrently: each
+    /// head split, trained and evaluated in turn on the one rng.
+    fn train_model_sequentially(
+        results: &[ExperimentResult],
+        options: &TrainOptions,
+        seed: u64,
+    ) -> Result<TrainedModel, TrainError> {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut model = ReliabilityModel::new(options.topology, &mut rng);
+        let mut head = |semantics| {
+            let (x, y) = head_dataset(results, semantics);
+            if x.len() < 8 {
+                return Err(TrainError::TooFewSamples {
+                    semantics,
+                    available: x.len(),
+                });
+            }
+            let data = Dataset::from_rows(x, y).expect("aligned rows");
+            let (train, test) = data
+                .train_test_split(options.test_fraction, &mut rng)
+                .map_err(|_| TrainError::TooFewSamples {
+                    semantics,
+                    available: data.len(),
+                })?;
+            let head = model.head_mut(semantics);
+            let report = head.train(&train, &options.sgd, &mut rng);
+            let predictions = head.predict_batch(test.x());
+            Ok(HeadEvaluation {
+                train_samples: train.len(),
+                test_samples: test.len(),
+                test_mae: mae(&predictions, test.y()),
+                final_train_mse: report.final_loss,
+            })
+        };
+        let amo = head(DeliverySemantics::AtMostOnce)?;
+        let alo = head(DeliverySemantics::AtLeastOnce)?;
+        let all = head(DeliverySemantics::All).ok();
+        Ok(TrainedModel {
+            model,
+            amo,
+            alo,
+            all,
+        })
+    }
+
+    /// The weights JSON and the evaluations' `Debug`, so `-0.0` and `0.0`
+    /// differ; or the error.
+    fn bits(trained: &Result<TrainedModel, TrainError>) -> String {
+        match trained {
+            Ok(t) => {
+                let json = t.model.to_json().expect("finite weights");
+                format!("{json}{:?}{:?}{:?}", t.amo, t.alo, t.all)
+            }
+            Err(e) => format!("{e:?}"),
+        }
+    }
+
+    /// `results` with its first `n` at-least-once rows relabelled as
+    /// `acks=all` rows, so the third head has data.
+    fn with_acks_all_rows(mut results: Vec<ExperimentResult>, n: usize) -> Vec<ExperimentResult> {
+        let alo = results
+            .iter_mut()
+            .filter(|r| r.point.semantics == DeliverySemantics::AtLeastOnce);
+        for r in alo.take(n) {
+            r.point.semantics = DeliverySemantics::All;
+        }
+        results
+    }
+
+    #[test]
+    fn concurrent_heads_equal_sequential_training() {
+        let base = tiny_results();
+        let fast = TrainOptions::fast();
+        let mut unshuffled = fast;
+        unshuffled.sgd.shuffle = false;
+        let mut one_epoch = fast;
+        one_epoch.sgd.epochs = 1;
+        // 24 at-most-once, 8 at-least-once and 16 acks=all rows at a 7/8
+        // test fraction: the at-least-once head trains on one row, so its
+        // shuffles draw nothing, and the acks=all head after it trains on
+        // two.
+        let mut one_row = fast;
+        one_row.test_fraction = 0.875;
+        let too_few_alo: Vec<ExperimentResult> = base
+            .iter()
+            .filter(|r| r.point.semantics == DeliverySemantics::AtMostOnce)
+            .chain(
+                base.iter()
+                    .filter(|r| r.point.semantics == DeliverySemantics::AtLeastOnce)
+                    .take(7),
+            )
+            .cloned()
+            .collect();
+        let cases = [
+            ("two heads", base.clone(), fast),
+            ("three heads", with_acks_all_rows(base.clone(), 12), fast),
+            (
+                "shuffle off",
+                with_acks_all_rows(base.clone(), 12),
+                unshuffled,
+            ),
+            ("one epoch", with_acks_all_rows(base.clone(), 12), one_epoch),
+            (
+                "one-row split",
+                with_acks_all_rows(base.clone(), 16),
+                one_row,
+            ),
+            ("too few at-least-once rows", too_few_alo, fast),
+        ];
+        for (name, results, options) in &cases {
+            let want = train_model_sequentially(results, options, 9);
+            let got = train_model(results, options, 9);
+            assert!(
+                bits(&got) == bits(&want),
+                "{name}: differs from sequential training"
+            );
+        }
+        let trained = train_model(&cases[4].1, &one_row, 9).expect("all heads train");
+        assert_eq!(trained.alo.train_samples, 1);
+        assert_eq!(trained.all.map(|e| e.train_samples), Some(2));
+        assert!(matches!(
+            train_model(&cases[5].1, &fast, 9),
+            Err(TrainError::TooFewSamples {
+                semantics: DeliverySemantics::AtLeastOnce,
+                available: 7,
+            })
+        ));
     }
 
     #[test]
