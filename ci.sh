@@ -322,6 +322,29 @@ EOF
     || { echo "missing folded stacks" >&2; exit 1; }
 [ -s target/profile-smoke/windows.csv ] \
     || { echo "missing windowed KPIs" >&2; exit 1; }
+# The smoke is a run report like any other: its JSON loads and carries the
+# profile's summary, and the profile itself is written beside it.
+python3 - target/profile-smoke/report.json <<'EOF' \
+    || { echo "report.json validation failed" >&2; exit 1; }
+import json, sys
+report = json.load(open(sys.argv[1]))
+assert report["profile_summary"]["paths"] > 0, "report.json has no span profile"
+assert report["delivery"]["n_source"] > 0, "report.json has no delivery"
+EOF
+[ -s target/profile-smoke/profile.json ] \
+    || { echo "missing profile.json" >&2; exit 1; }
+
+echo "== one inspection path =="
+# repro report is the one way to look inside a run: the probe binary and
+# the profile smoke's own result type and writer folded into it, so repro
+# is the crate's only binary and write_report the one place bench makes a
+# directory.
+[ "$(ls crates/bench/src/bin)" = "repro.rs" ] \
+    || { echo "crates/bench/src/bin holds more than repro.rs:" >&2; ls crates/bench/src/bin >&2; exit 1; }
+[ "$(grep -rn 'create_dir_all' crates/bench/src | wc -l)" -eq 1 ] \
+    || { echo "crates/bench/src makes directories in more than one place" >&2; exit 1; }
+! grep -rn 'ProfileSmoke' crates tests examples \
+    || { echo "ProfileSmoke is back" >&2; exit 1; }
 
 echo "== repo benchmark (smoke: seed-42 digests) =="
 # All four workloads at smoke scale, untraced and traced. Every job's

@@ -21,6 +21,7 @@ use std::path::Path;
 use bench::exec;
 use bench::figures::{self, Effort};
 use bench::render;
+use bench::report::{RunReport, TracedRun};
 use kafka_predict::prelude::{train_model, TrainOptions, TrainedModel};
 use spec::{CollectionDesign, ExperimentSpec, Spec};
 
@@ -131,21 +132,18 @@ fn main() {
     match target.as_str() {
         "list-scenarios" => list_scenarios(operand.as_deref()),
         "validate-scenarios" => validate_scenarios(operand.as_deref().unwrap_or("scenarios")),
-        "profile" => profile(&args),
+        "profile" => publish(
+            &bench::report::profile_smoke(args.effort),
+            "target/profile",
+            &args,
+        ),
         "report" => report(operand.as_deref(), &args),
         "run-spec" => {
             let Some(file) = operand else {
                 eprintln!("run-spec needs a scenario file\n{}", usage());
                 std::process::exit(2);
             };
-            let doc = match spec::io::load(Path::new(&file)) {
-                Ok(doc) => doc,
-                Err(e) => {
-                    eprintln!("{file}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            run_document(&doc, &args, &mut model);
+            run_document(&load(Path::new(&file)), &args, &mut model);
         }
         "all" => {
             for doc in spec::builtin::all() {
@@ -166,101 +164,65 @@ fn main() {
 // Observability subcommands
 // ---------------------------------------------------------------------------
 
-/// `repro profile` — runs the full-stack profiled smoke scenario and
-/// writes the Chrome trace, folded stacks and windowed KPIs.
-fn profile(args: &Args) {
-    let dir = args.out.as_deref().unwrap_or("target/profile");
-    let smoke = bench::report::profile_smoke(args.effort);
-    let written = match bench::report::write_profile(&smoke, Path::new(dir)) {
-        Ok(written) => written,
-        Err(e) => {
-            eprintln!("cannot write profile to {dir}: {e}");
-            std::process::exit(1);
-        }
-    };
-    if args.json {
-        println!(
-            "{}",
-            serde_json::to_string(&serde_json::json!({
-                "events": smoke.events,
-                "windows": smoke.windows.rows.len(),
-                "span_paths": smoke.profile.spans.len(),
-                "span_events": smoke.profile.events.len(),
-                "root_total_ns": smoke.profile.root_total_ns(),
-                "files": written,
-            }))
-            .expect("serialisable")
-        );
-        return;
-    }
-    println!(
-        "profiled smoke run: {} trace events, {} windows, {} span paths, \
-         {:.1} ms profiled wall-clock (P_l {:.4})",
-        smoke.events,
-        smoke.windows.rows.len(),
-        smoke.profile.spans.len(),
-        smoke.profile.root_total_ns() as f64 / 1e6,
-        smoke.report.p_loss(),
-    );
-    for path in &written {
-        println!("  wrote {path}");
-    }
-    println!("open trace.json at https://ui.perfetto.dev (or chrome://tracing)");
-}
-
 /// `repro report` — generates the self-describing run report for one
 /// scenario (built-in name or document path; defaults to `fig4`, the
 /// scenario whose document carries a `[report]` block).
 fn report(operand: Option<&str>, args: &Args) {
     let target = operand.unwrap_or("fig4");
     let doc = if Path::new(target).is_file() {
-        match spec::io::load(Path::new(target)) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("{target}: {e}");
-                std::process::exit(1);
-            }
-        }
+        load(Path::new(target))
     } else {
-        match Spec::builtin(target) {
-            Some(doc) => doc,
-            None => {
-                eprintln!("unknown scenario {target}\n{}", usage());
-                std::process::exit(2);
-            }
-        }
+        Spec::builtin(target).unwrap_or_else(|| {
+            eprintln!("unknown scenario {target}\n{}", usage());
+            std::process::exit(2);
+        })
     };
-    let run_report = match bench::report::generate(&doc, args.effort) {
-        Ok(r) => r,
+    match bench::report::generate(&doc, args.effort) {
+        Ok(run_report) => publish(&run_report, "target/report", args),
         Err(e) => {
             eprintln!("{e}");
             std::process::exit(1);
         }
-    };
-    let dir = args.out.as_deref().unwrap_or("target/report");
-    let written = match bench::report::write_report(&run_report, Path::new(dir)) {
-        Ok(written) => written,
-        Err(e) => {
-            eprintln!("cannot write report to {dir}: {e}");
-            std::process::exit(1);
-        }
-    };
+    }
+}
+
+/// Writes `report` into `--out` (default `dir`), then prints its JSON
+/// under `--json`, else its markdown and the paths written.
+fn publish(report: &RunReport, dir: &str, args: &Args) {
+    let dir = args.out.as_deref().unwrap_or(dir);
+    let written = bench::report::write_report(report, Path::new(dir)).unwrap_or_else(|e| {
+        eprintln!("cannot write report to {dir}: {e}");
+        std::process::exit(1);
+    });
     if args.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&run_report.json).expect("report serialises")
-        );
+        print_json(&report.json());
         return;
     }
-    print!("{}", run_report.markdown);
+    print!("{}", report.markdown());
     for path in &written {
         println!("wrote {path}");
     }
 }
 
+/// Prints `value` as indented JSON: what every target prints under
+/// `--json`.
+fn print_json(value: &(impl serde::Serialize + ?Sized)) {
+    let text = serde_json::to_string_pretty(value).expect("serde_json's writer cannot fail");
+    println!("{text}");
+}
+
 // ---------------------------------------------------------------------------
 // Scenario-corpus subcommands
 // ---------------------------------------------------------------------------
+
+/// Loads one scenario document, or exits 1 naming the file and what is
+/// wrong with it.
+fn load(path: &Path) -> Spec {
+    spec::io::load(path).unwrap_or_else(|e| {
+        eprintln!("{}: {e}", path.display());
+        std::process::exit(1);
+    })
+}
 
 /// Loads every `*.toml` scenario in `dir`, sorted by file name. Exits
 /// with an error message naming the offending file on the first failure.
@@ -277,16 +239,7 @@ fn load_dir(dir: &str) -> Vec<Spec> {
         }
     };
     paths.sort();
-    paths
-        .iter()
-        .map(|path| match spec::io::load(path) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("{}: {e}", path.display());
-                std::process::exit(1);
-            }
-        })
-        .collect()
+    paths.iter().map(|path| load(path)).collect()
 }
 
 /// The control-plane policy kinds a scenario runs: the policy list for
@@ -374,10 +327,7 @@ fn run_document(doc: &Spec, args: &Args, model: &mut ModelMemo) {
 fn fleet_report(doc: &Spec, fleet: &spec::FleetSpec, args: &Args) {
     let rows = exec::fleet(fleet, args.effort);
     if args.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serialisable")
-        );
+        print_json(&rows);
         return;
     }
     println!("== {} ==", doc.title);
@@ -432,10 +382,7 @@ fn fleet_report(doc: &Spec, fleet: &spec::FleetSpec, args: &Args) {
 
 fn series(title: &str, x: &str, metric: &str, data: &[figures::Series], json: bool) {
     if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(data).expect("serialisable")
-        );
+        print_json(data);
     } else {
         println!("{}", render::render_series(title, x, metric, data));
     }
@@ -450,10 +397,7 @@ fn table1(doc: &Spec, cases: &spec::Table1Spec, json: bool) {
                 serde_json::json!({"case": case.to_string(), "path": path, "verified": ok})
             })
             .collect();
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serialisable")
-        );
+        print_json(&rows);
         return;
     }
     println!("== {} ==", doc.title);
@@ -469,15 +413,11 @@ fn table1(doc: &Spec, cases: &spec::Table1Spec, json: bool) {
 fn collection(doc: &Spec, design: &spec::CollectionDesign, json: bool) {
     let (normal, abnormal, broker_faults) = exec::collection_sizes(design);
     if json {
-        println!(
-            "{}",
-            serde_json::to_string(&serde_json::json!({
-                "normal_points": normal,
-                "abnormal_points": abnormal,
-                "broker_fault_points": broker_faults,
-            }))
-            .expect("serialisable")
-        );
+        print_json(&serde_json::json!({
+            "normal_points": normal,
+            "abnormal_points": abnormal,
+            "broker_fault_points": broker_faults,
+        }));
         return;
     }
     println!("== {} ==", doc.title);
@@ -490,10 +430,7 @@ fn collection(doc: &Spec, design: &spec::CollectionDesign, json: bool) {
 fn broker_faults(doc: &Spec, matrix: &spec::BrokerFaultMatrixSpec, args: &Args) {
     let rows = exec::broker_fault_matrix(matrix, args.effort);
     if args.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serialisable")
-        );
+        print_json(&rows);
         return;
     }
     println!("== {} ==", doc.title);
@@ -524,10 +461,7 @@ fn broker_faults(doc: &Spec, matrix: &spec::BrokerFaultMatrixSpec, args: &Args) 
 fn fig9(doc: &Spec, spec: &spec::NetworkTraceSpec, seed: u64, json: bool) {
     let trace = exec::network_trace(spec, seed);
     if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&trace).expect("serialisable")
-        );
+        print_json(&trace);
         return;
     }
     println!("== {} ==", doc.title);
@@ -598,23 +532,22 @@ fn model_for<'m>(
         } else {
             TrainOptions::paper()
         };
-        let trained = train_model(&results, &options, args.effort.seed)
-            .expect("collection grids are large enough");
+        let trained = train_model(&results, &options, args.effort.seed).unwrap_or_else(|e| {
+            let source = args.data.as_deref().unwrap_or("the collection sweep");
+            eprintln!("{source}: cannot train the model: {e}");
+            std::process::exit(1);
+        });
         *memo = Some((design.clone(), trained));
     }
-    &memo.as_ref().expect("trained above").1
+    &memo.as_ref().expect("the branch above filled the memo").1
 }
 
 fn ann(doc: &Spec, trained: &TrainedModel, args: &Args) {
     if args.json {
-        println!(
-            "{}",
-            serde_json::to_string(&serde_json::json!({
-                "amo": trained.amo, "alo": trained.alo, "all": trained.all,
-                "worst_mae": trained.worst_mae()
-            }))
-            .expect("serialisable")
-        );
+        print_json(&serde_json::json!({
+            "amo": trained.amo, "alo": trained.alo, "all": trained.all,
+            "worst_mae": trained.worst_mae()
+        }));
         return;
     }
     println!("== {} ==", doc.title);
@@ -642,10 +575,7 @@ fn kpi(doc: &Spec, grid: &spec::KpiGridSpec, json: bool) {
             .iter()
             .map(|(label, g)| serde_json::json!({"config": label, "gamma": g}))
             .collect();
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serialisable")
-        );
+        print_json(&rows);
         return;
     }
     println!("== {} ==", doc.title);
@@ -658,10 +588,7 @@ fn kpi(doc: &Spec, grid: &spec::KpiGridSpec, json: bool) {
 fn sensitivity(doc: &Spec, spec: &spec::SensitivitySpec, args: &Args) {
     let rows = exec::sensitivity(spec, args.effort);
     if args.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serialisable")
-        );
+        print_json(&rows);
         return;
     }
     println!("== {} ==", doc.title);
@@ -697,10 +624,7 @@ fn ext_online(doc: &Spec, spec: &spec::OnlineCompareSpec, args: &Args, model: &m
     );
     let rows = exec::online_compare(spec, trained.model.clone(), args.effort);
     if args.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serialisable")
-        );
+        print_json(&rows);
         return;
     }
     println!("== {} ==", doc.title);
@@ -753,10 +677,7 @@ fn regime_shift(doc: &Spec, spec: &spec::RegimeShiftSpec, args: &Args, model: &m
     );
     let rows = exec::regime_shift(spec, trained.model.clone(), args.effort);
     if args.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serialisable")
-        );
+        print_json(&rows);
         return;
     }
     println!("== {} ==", doc.title);
@@ -793,7 +714,7 @@ fn regime_shift(doc: &Spec, spec: &spec::RegimeShiftSpec, args: &Args, model: &m
 /// `base-<tag>.jsonl` and re-parsed to verify the round-trip.
 fn trace_demo(doc: &Spec, demo: &spec::TraceDemoSpec, args: &Args) {
     use kafkasim::runtime::KafkaRun;
-    use obs::{MessageFate, RingBufferSink, TimelineReport};
+    use obs::{MessageFate, Profiler};
 
     let json = args.json;
     let trace_out = args.trace_out.as_deref();
@@ -802,11 +723,13 @@ fn trace_demo(doc: &Spec, demo: &spec::TraceDemoSpec, args: &Args) {
     }
     let mut rows = Vec::new();
     for (tag, label, spec, seed) in exec::trace_runs(demo) {
-        let (outcome, mut sink) =
-            KafkaRun::new(spec, seed).execute_traced(Box::new(RingBufferSink::new(1 << 22)));
-        let events = exec::drain_trace(sink.as_mut(), format_args!("trace, {label}"));
-        let timeline = TimelineReport::reconstruct(&events);
-        let audit = kafkasim::crosscheck(&outcome.report, &timeline);
+        let run = KafkaRun::new(spec, seed);
+        let TracedRun {
+            outcome,
+            events,
+            timeline,
+            audit,
+        } = TracedRun::execute(run, Profiler::disabled(), format_args!("trace, {label}"));
 
         let written = trace_out.map(|base| {
             let path = derive_trace_path(base, &tag);
@@ -885,10 +808,7 @@ fn trace_demo(doc: &Spec, demo: &spec::TraceDemoSpec, args: &Args) {
         }
     }
     if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serialisable")
-        );
+        print_json(&rows);
     } else {
         println!();
     }
@@ -944,10 +864,7 @@ fn table2(doc: &Spec, spec: &spec::Table2Spec, args: &Args, model: &mut ModelMem
     );
     let rows = exec::table2(spec, &trained.model, args.effort);
     if args.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serialisable")
-        );
+        print_json(&rows);
         return;
     }
     println!("{}", render::render_table2(&rows));

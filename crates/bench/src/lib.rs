@@ -9,7 +9,9 @@
 //! target name to its document and prints the result; it trains one model
 //! per process, the paper's at full effort, and passes it to every
 //! executor that predicts or plans with it. The repo's `benchmark/`
-//! package times the same code paths.
+//! package times the same code paths. [`report`] is the one way to look
+//! inside a run: `repro report` (a sweep's first point or a trace demo)
+//! and `repro profile` (the profiled smoke run) write its run report.
 //!
 //! | Paper artefact | `repro` target | Executor |
 //! |---|---|---|

@@ -1,6 +1,7 @@
 //! The `repro` binary at its command line: named targets and `run-spec`
 //! are the same run, a sweep's point is the same run under either seed rule
-//! and in `repro report`, and bad operands fail with a message and exit 1.
+//! and in `repro report`, and bad operands or data fail with a message and
+//! exit 1.
 //!
 //! Most cases run no simulation (or fail before one matters) and take
 //! milliseconds in a debug build; the sweep cases run EXT-2 at no more
@@ -10,8 +11,12 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use bench::figures::Series;
+use kafkasim::runtime::KafkaRun;
 use serde_json::Value;
 use spec::{ExperimentSpec, Spec, SweepMode};
+use testbed::dataset::ResultSet;
+use testbed::experiment::ExperimentPoint;
+use testbed::Calibration;
 
 fn repro(args: &[&str]) -> Output {
     repro_in(Path::new("."), args)
@@ -93,7 +98,9 @@ fn a_parallel_sweep_honours_its_run_level_axis_and_overrides() {
 }
 
 /// `repro report` on a sweep describes the figure's first point: its
-/// `P_l` is the figure's cell at series 0, axis index 0.
+/// `P_l` is the figure's cell at series 0, axis index 0, and its producer,
+/// TCP sender and forward-link counters are those of the same run made
+/// in-process without a trace.
 #[test]
 fn a_sweep_report_describes_the_figures_first_point() {
     let dir = scratch("report-ext-retries");
@@ -119,6 +126,47 @@ fn a_sweep_report_describes_the_figures_first_point() {
         p_loss_rows(&figure)[0][0],
         "report vs figure cell"
     );
+    let ExperimentSpec::Sweep(sweep) = Spec::builtin("ext-retries").expect("built-in").experiment
+    else {
+        panic!("ext-retries is a sweep");
+    };
+    let untraced = KafkaRun::new(sweep.run_at(0, 0, 2_000), 42).execute();
+    for (field, want) in [
+        ("producer", serde_json::to_value(&untraced.producer)),
+        ("tcp", serde_json::to_value(&untraced.tcp)),
+        ("links", serde_json::to_value(&untraced.links)),
+    ] {
+        assert_eq!(
+            report.get(field),
+            Some(&want),
+            "report's {field} vs untraced run"
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A `--data` file too small to train on is named with the trainer's
+/// reason and exit 1, not a panic.
+#[test]
+fn too_few_rows_in_data_is_an_error_not_a_panic() {
+    let cal = Calibration::paper();
+    let results = (0..5)
+        .map(|seed| ExperimentPoint::default().run(&cal, 50, seed))
+        .collect();
+    let dir = scratch("few-rows");
+    let file = dir.join("five.json");
+    ResultSet::new(cal, 50, 42, results)
+        .save(&file)
+        .expect("write the result set");
+    let file = file.display().to_string();
+    let out = repro(&["ann", "--quick", "--data", &file]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains(&format!("{file}: cannot train the model: not enough")),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -187,7 +187,7 @@ pub fn run_scenario_online(
 
 /// The run both entry points execute: `source` over `network`, with the
 /// horizon at the trace's last change plus 600 s of drain time.
-fn scenario_run(
+pub fn scenario_run(
     network: &ConditionTimeline,
     cal: &Calibration,
     source: SourceSpec,

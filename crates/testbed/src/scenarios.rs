@@ -216,7 +216,7 @@ impl ApplicationScenario {
 
     /// The source spec feeding `n_messages` through this workload.
     #[must_use]
-    pub(crate) fn source(&self, n_messages: u64) -> SourceSpec {
+    pub fn source(&self, n_messages: u64) -> SourceSpec {
         SourceSpec {
             n_messages,
             size: self.size,
