@@ -40,6 +40,19 @@ echo "== fleet: one flush event per phase == one per tenant; producer expiry swe
 PROPTEST_CASES=20000 cargo test --release -q -p kafkasim --lib -- \
     phase_flushes_equal_the_per_tenant_loop expire_all_equals_a_full_scan
 
+echo "== known-answer skips: fleet bucket refill, TCP reassembly stash (proptest, release, raised case count) =="
+# The fleet's PartitionState::accept skips its refill when time has not
+# moved; over random buckets and instants (a third of them repeats, n = 0,
+# batches past what the bucket holds) it must leave the tokens, refill
+# instant and append count of a test-local copy of the always-refill form,
+# bit for bit. TcpReceiver's stash is a start-sorted deque; over shuffled,
+# duplicated and overlapping segments it must return every ack, and hold
+# every contiguous(), that a BTreeMap keyed by start offset gives.
+PROPTEST_CASES=20000 cargo test --release -q -p kafkasim --lib -- \
+    accept_equals_the_always_refill_form
+PROPTEST_CASES=20000 cargo test --release -q -p netsim --test tcp_properties -- \
+    receiver_equals_a_btreemap_reassembler
+
 echo "== matmul kernels: every instantiation == naive (proptest, release, raised case count) =="
 # Every product runs through the public entry pinned to each instantiation
 # the CPU runs (baseline, AVX2+FMA, AVX-512; the widest is what an unpinned

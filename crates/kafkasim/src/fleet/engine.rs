@@ -347,18 +347,26 @@ impl PartitionState {
     /// Refill the token bucket to `now`, then accept up to `n` appends in
     /// one step. Returns how many were accepted; the rest are overload.
     ///
+    /// The refill runs only when time moved: at `now == last_refill` it
+    /// would add exactly `0.0` tokens to a count that is never `-0.0` and
+    /// never above the cap, so skipping it changes no bit (pinned against
+    /// the always-refill form by `accept_equals_the_always_refill_form`).
+    /// Most appends land on an instant the bucket was already refilled to,
+    /// since every tenant of a flush phase appends at the phase's tick.
+    ///
     /// Bit-identical to `n` sequential single-message attempts at the same
-    /// instant: the refill at equal `now` adds exactly `0.0` tokens (an
-    /// exact no-op), and for token counts in the bucket's range,
-    /// `tokens - 1.0` repeated `k` times equals `tokens - k as f64`
-    /// exactly (1.0 is an integer multiple of the ulp of any f64 in
-    /// `[1, 2^52]`), pinned by `coalesced_accept_matches_sequential_singles`.
-    /// `n == 0` is *not* a no-op: the refill still moves `last_refill`, and
+    /// instant: for token counts in the bucket's range, `tokens - 1.0`
+    /// repeated `k` times equals `tokens - k as f64` exactly (1.0 is an
+    /// integer multiple of the ulp of any f64 in `[1, 2^52]`), pinned by
+    /// `coalesced_accept_matches_sequential_singles`. `n == 0` is *not* a
+    /// no-op: the refill still moves `last_refill`, and
     /// `t + c·e₁ + c·e₂` is not `t + c·(e₁ + e₂)` in floats.
     fn accept(&mut self, capacity_hz: f64, now: SimTime, n: u64) -> u64 {
-        let elapsed = (now - self.last_refill).as_secs_f64();
-        self.tokens = (self.tokens + capacity_hz * elapsed).min(capacity_hz * BURST_SECS);
-        self.last_refill = now;
+        if now != self.last_refill {
+            let elapsed = (now - self.last_refill).as_secs_f64();
+            self.tokens = (self.tokens + capacity_hz * elapsed).min(capacity_hz * BURST_SECS);
+            self.last_refill = now;
+        }
         let accepted = n.min(self.tokens as u64);
         self.tokens -= accepted as f64;
         self.appends += accepted;
@@ -444,6 +452,9 @@ struct FleetWorld {
     /// Fractional message carry of each (flush phase, class), at
     /// `phase * classes + class`.
     carry: Vec<f64>,
+    /// The messages each class flushes at the current tick; kept between
+    /// ticks so a flush allocates nothing.
+    due: Vec<u64>,
     class_producers: Vec<u64>,
     class_window: Vec<ClassWindowAcc>,
     window_idx: u64,
@@ -612,20 +623,21 @@ impl EventWorld for FleetWorld {
                 // class's count is computed once per tick (DESIGN §6).
                 let entries = self.cfg.population.entries();
                 let carry = &mut self.carry[phase as usize * entries.len()..][..entries.len()];
-                let due: Vec<u64> = (entries.iter().zip(carry))
-                    .map(|(entry, carry)| {
-                        let emitted = entry.class.rate_hz * elapsed + *carry;
-                        let n = emitted as u64;
-                        *carry = emitted - n as f64;
-                        n
-                    })
-                    .collect();
+                let mut due = std::mem::take(&mut self.due);
+                due.clear();
+                due.extend((entries.iter().zip(carry)).map(|(entry, carry)| {
+                    let emitted = entry.class.rate_hz * elapsed + *carry;
+                    let n = emitted as u64;
+                    *carry = emitted - n as f64;
+                    n
+                }));
                 for tenant in (phase..self.ledgers.len() as u32).step_by(PHASES) {
                     let n = due[self.classes_of[tenant as usize] as usize];
                     if n > 0 {
                         self.send(tenant, n, now);
                     }
                 }
+                self.due = due;
                 let next = now + FLUSH_INTERVAL;
                 if next < self.end {
                     ctx.schedule_at(next, FleetEvent::Flush(phase));
@@ -810,6 +822,7 @@ impl FleetRun {
             ],
             ledgers,
             carry: vec![0.0; PHASES * n_classes],
+            due: Vec::with_capacity(n_classes),
             class_producers,
             class_window: vec![ClassWindowAcc::default(); n_classes],
             window_idx: 0,
@@ -979,6 +992,58 @@ mod tests {
             assert_eq!(accepted, singles);
             assert_eq!(a.tokens.to_bits(), b.tokens.to_bits());
             assert_eq!(a.appends, b.appends);
+        }
+    }
+
+    /// `accept` as it was before it skipped the refill at an unmoved
+    /// instant: the reference `accept_equals_the_always_refill_form` holds
+    /// it to.
+    fn accept_always_refilling(
+        st: &mut PartitionState,
+        capacity_hz: f64,
+        now: SimTime,
+        n: u64,
+    ) -> u64 {
+        let elapsed = (now - st.last_refill).as_secs_f64();
+        st.tokens = (st.tokens + capacity_hz * elapsed).min(capacity_hz * BURST_SECS);
+        st.last_refill = now;
+        let accepted = n.min(st.tokens as u64);
+        st.tokens -= accepted as f64;
+        st.appends += accepted;
+        accepted
+    }
+
+    proptest! {
+        /// Skipping the refill when time has not moved changes no bit:
+        /// over random buckets (a fortieth of a token to a hundred) and
+        /// random non-decreasing instants, a third of them repeats of the
+        /// last, with `n = 0` and batches past what the bucket holds, both
+        /// forms accept the same counts and leave the same tokens, refill
+        /// instant and append count.
+        #[test]
+        fn accept_equals_the_always_refill_form(
+            capacity in 1u32..4001,
+            steps in proptest::collection::vec(
+                (0u64..3, prop_oneof![1u64..1_000, 1_000u64..400_000], 0u64..40),
+                1..200,
+            ),
+        ) {
+            let capacity_hz = f64::from(capacity) / 10.0;
+            let mut skipping = PartitionState::fresh(capacity_hz);
+            let mut refilling = skipping.clone();
+            let mut now = SimTime::ZERO;
+            for (repeat, gap_us, n) in steps {
+                if repeat != 0 {
+                    now += SimDuration::from_micros(gap_us);
+                }
+                prop_assert_eq!(
+                    skipping.accept(capacity_hz, now, n),
+                    accept_always_refilling(&mut refilling, capacity_hz, now, n)
+                );
+                prop_assert_eq!(skipping.tokens.to_bits(), refilling.tokens.to_bits());
+                prop_assert_eq!(skipping.last_refill, refilling.last_refill);
+                prop_assert_eq!(skipping.appends, refilling.appends);
+            }
         }
     }
 

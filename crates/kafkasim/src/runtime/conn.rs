@@ -319,11 +319,18 @@ pub(super) fn tear_down(w: &mut World, ctx: &mut Ctx, ci: usize) {
     }
     w.reset_report = report;
     w.conns[ci].resp_queue.clear();
-    let (acked, unacked): (Vec<_>, Vec<_>) = std::mem::take(&mut w.conns[ci].in_flight)
-        .into_iter()
-        .partition(|req| req.wants_ack);
+    // Settled in place, so the queue keeps its capacity across resets: one
+    // pass in send order loses the `acks=0` requests and rotates the acked
+    // ones to the back, leaving only those, still in send order.
     let mut lost_keys = Vec::new();
-    for req in unacked {
+    for _ in 0..w.conns[ci].in_flight.len() {
+        let Some(req) = w.conns[ci].in_flight.pop_front() else {
+            break;
+        };
+        if req.wants_ack {
+            w.conns[ci].in_flight.push_back(req);
+            continue;
+        }
         for m in &req.batch.messages {
             w.ledger.mark_lost(m.key, LossReason::ConnectionReset);
             if w.trace_on {
@@ -343,7 +350,7 @@ pub(super) fn tear_down(w: &mut World, ctx: &mut Ctx, ci: usize) {
     }
     // Requeue newest-first with push_front so the oldest batch (closest to
     // its deadline) ends up at the head of the retry queue.
-    for req in acked.into_iter().rev() {
+    while let Some(req) = w.conns[ci].in_flight.pop_back() {
         let mut batch = req.batch;
         // Retries spent: all of it goes; otherwise what passed its deadline.
         let spent = batch.attempts > w.cfg.max_retries;

@@ -37,7 +37,7 @@ mod sender;
 
 use desim::{EventContext, EventSim, EventWorld, SimDuration, SimRng, SimTime};
 use netsim::channel::ResetReport;
-use netsim::{ChannelConfig, ChannelEvent, ConditionTimeline, NetCondition};
+use netsim::{ChannelConfig, ChannelEvent, ConditionTimeline};
 use netsim::{DuplexChannel, Endpoint};
 use obs::{MetricsSummary, NoopSink, Profiler, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
@@ -291,8 +291,9 @@ enum Event {
     PollSource,
     /// Periodic expiry sweep and termination check.
     Housekeeping,
-    /// A NetEm breakpoint: apply a new network condition to every link.
-    SetCondition(NetCondition),
+    /// A NetEm breakpoint: apply the network's `i`-th condition to every
+    /// link.
+    SetCondition(u32),
     /// A scheduled (§V) producer reconfiguration.
     ApplyConfig(Box<ProducerConfig>),
     /// Broker `ci` crashes until `until`.
@@ -309,8 +310,10 @@ enum Event {
     SenderKick,
     /// An open batch lingered out.
     LingerWake,
-    /// Serialisation of `batch` finished; put it on the wire.
-    Dispatch(PendingBatch),
+    /// Serialisation of the sender's oldest batch finished; put it on the
+    /// wire (the batch waits in `Sender`, as an append's payload waits in
+    /// `BrokerSide`).
+    Dispatch,
     /// `req_id`, in flight on connection `ci`, passed its response deadline.
     RequestTimeout { ci: usize, req_id: u64 },
     /// Connection `ci` may accept blocked batches again.
@@ -326,6 +329,11 @@ enum Event {
         via_teardown: bool,
     },
 }
+
+// Every pending event is a queue entry of the event and a 16-byte key, and
+// the queue moves entries on every push and pop: a payload bigger than two
+// words waits in the world instead (`SetCondition`, `Dispatch`, `Append`).
+const _: () = assert!(std::mem::size_of::<Event>() <= 24);
 
 /// The profiler span each event kind's handler is charged to.
 ///
@@ -343,7 +351,7 @@ fn phase_name(event: &Event) -> &'static str {
         Event::ReplicationTick => "kafkasim.replication",
         Event::OnlineTick => "kafkasim.online-tick",
         Event::SenderKick | Event::LingerWake => "kafkasim.batch-form",
-        Event::Dispatch(_) => "kafkasim.dispatch",
+        Event::Dispatch => "kafkasim.dispatch",
         Event::RequestTimeout { .. } | Event::DrainBlocked { .. } | Event::ConnWake { .. } => {
             "kafkasim.request-pump"
         }
@@ -366,8 +374,8 @@ impl World {
         match event {
             Event::PollSource => sender::poll_source(self, ctx),
             Event::Housekeeping => sender::housekeeping(self, ctx),
-            Event::SetCondition(cond) => {
-                let now = ctx.now();
+            Event::SetCondition(i) => {
+                let (now, cond) = (ctx.now(), self.network.breakpoints()[i as usize].1);
                 for conn in &mut self.conns {
                     conn.channel.set_condition(cond, now);
                 }
@@ -380,7 +388,7 @@ impl World {
             Event::OnlineTick => online::online_tick(self, ctx),
             Event::SenderKick => sender::on_sender_kick(self, ctx),
             Event::LingerWake => sender::on_linger_wake(self, ctx),
-            Event::Dispatch(batch) => sender::dispatch_batch(self, ctx, batch),
+            Event::Dispatch => sender::dispatch_batch(self, ctx),
             Event::RequestTimeout { ci, req_id } => conn::on_request_timeout(self, ctx, ci, req_id),
             Event::DrainBlocked { ci } => conn::drain_blocked(self, ctx, ci),
             Event::ConnWake { ci } => conn::on_conn_wake(self, ctx, ci),
@@ -401,6 +409,8 @@ struct World {
     cfg: ProducerConfig,
     wire: WireFormat,
     source: SourceSpec,
+    /// The network's conditions over time; `SetCondition` names one.
+    network: ConditionTimeline,
     /// Brokers, partition leadership and broker liveness: the one copy.
     cluster: Cluster,
     sender: Sender,
@@ -587,6 +597,7 @@ impl KafkaRun {
             wire,
             ledger: Ledger::with_capacity(source.n_messages as usize),
             source,
+            network,
             cluster,
             sender: Sender::default(),
             conns,
@@ -609,8 +620,9 @@ impl KafkaRun {
         let mut sim = EventSim::new(world);
         sim.schedule_at(SimTime::ZERO, Event::PollSource);
         sim.schedule_in(HOUSEKEEP_INTERVAL, Event::Housekeeping);
-        for (t, cond) in network.breakpoints().iter().skip(1).copied() {
-            sim.schedule_at(t, Event::SetCondition(cond));
+        for i in 1..sim.world().network.breakpoints().len() {
+            let t = sim.world().network.breakpoints()[i].0;
+            sim.schedule_at(t, Event::SetCondition(i as u32));
         }
         for (t, cfg) in config_schedule {
             sim.schedule_at(t, Event::ApplyConfig(Box::new(cfg)));
@@ -691,6 +703,7 @@ impl KafkaRun {
 mod tests {
     use super::*;
     use crate::config::DeliverySemantics;
+    use netsim::NetCondition;
 
     fn quick_spec(n: u64) -> RunSpec {
         RunSpec {

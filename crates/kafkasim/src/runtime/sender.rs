@@ -2,6 +2,8 @@
 //! forms batches, the linger wake, handing a batch to its partition
 //! leader's connection, and housekeeping's expiry sweep.
 
+use std::collections::VecDeque;
+
 use desim::{SimDuration, SimTime};
 use obs::TraceEvent;
 
@@ -19,6 +21,12 @@ pub(super) struct Sender {
     next_partition: u32,
     sticky_count: usize,
     busy_until: SimTime,
+    /// Batches being serialised, oldest first: one `Dispatch` event is
+    /// pending for each, and each event takes the front one. Dispatch
+    /// instants never decrease in schedule order (a batch is picked only
+    /// once the CPU is free, at or after the previous one's `busy_until`)
+    /// and ties pop in schedule order, so the queue's order is the events'.
+    serialising: VecDeque<PendingBatch>,
     /// A `SenderKick` is pending at `busy_until`.
     kick_scheduled: bool,
     /// When the pending `LingerWake` fires, if one is.
@@ -155,7 +163,8 @@ pub(super) fn kick_sender(w: &mut World, ctx: &mut Ctx, now: SimTime) {
             });
         }
         w.sender.busy_until = now + service;
-        ctx.schedule_at(now + service, Event::Dispatch(batch));
+        w.sender.serialising.push_back(batch);
+        ctx.schedule_at(now + service, Event::Dispatch);
         return;
     }
 }
@@ -170,10 +179,12 @@ fn schedule_linger_wake(w: &mut World, ctx: &mut Ctx, now: SimTime) {
     }
 }
 
-/// Serialisation of `batch` finished: it goes to the connection of its
-/// partition's current leader, or waits in that connection's blocked
-/// queue, and the sender looks for its next batch.
-pub(super) fn dispatch_batch(w: &mut World, ctx: &mut Ctx, batch: PendingBatch) {
+/// Serialisation of the oldest batch in the sender finished: it goes to
+/// the connection of its partition's current leader, or waits in that
+/// connection's blocked queue, and the sender looks for its next batch.
+pub(super) fn dispatch_batch(w: &mut World, ctx: &mut Ctx) {
+    let batch = (w.sender.serialising.pop_front())
+        .expect("every Dispatch event has its batch in the queue");
     let ci = w.cluster.leader_of(batch.partition).0 as usize;
     if let Err(batch) = try_send(w, ctx, ci, batch) {
         w.stats.backpressured_batches += 1;

@@ -98,6 +98,10 @@ pub struct LinkStats {
 pub(crate) struct Link {
     config: LinkConfig,
     busy_until: SimTime,
+    /// The last packet size transmitted and its serialisation time: most
+    /// packets are full segments or equal-size acks, and the rate never
+    /// changes, so a repeat skips the divide and the rounding.
+    last_tx: (u64, SimDuration),
     stats: LinkStats,
 }
 
@@ -116,6 +120,8 @@ impl Link {
         Link {
             config,
             busy_until: SimTime::ZERO,
+            // Exact: zero bytes take zero time at any positive rate.
+            last_tx: (0, SimDuration::ZERO),
             stats: LinkStats::default(),
         }
     }
@@ -132,7 +138,11 @@ impl Link {
             self.stats.dropped += 1;
             return LinkOutcome::Dropped;
         }
-        let tx_time = SimDuration::from_secs_f64(bytes as f64 / self.config.rate_bytes_per_sec);
+        if bytes != self.last_tx.0 {
+            let secs = bytes as f64 / self.config.rate_bytes_per_sec;
+            self.last_tx = (bytes, SimDuration::from_secs_f64(secs));
+        }
+        let tx_time = self.last_tx.1;
         let serialized_at = start + tx_time;
         self.busy_until = serialized_at;
         if self.config.loss.sample(rng) {
@@ -271,6 +281,25 @@ mod tests {
                 assert!(at >= SimTime::from_secs(1) + SimDuration::from_millis(77));
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_repeated_size_serialises_as_a_fresh_one() {
+        // A rate whose divisions round, and sizes that repeat, alternate
+        // and include zero: every arrival is the one computed from scratch.
+        let rate = 3e6 / 7.0;
+        let mut link = quiet_link(rate);
+        let mut rng = SimRng::seed_from_u64(8);
+        let sizes = [0u64, 1460, 1460, 66, 1460, 66, 66, 0, 0, 999, 1460];
+        for (i, &bytes) in (0u64..).zip(&sizes) {
+            let now = SimTime::from_secs(i);
+            let fresh = SimDuration::from_secs_f64(bytes as f64 / rate);
+            let arrival = now + fresh + SimDuration::from_millis(10);
+            assert_eq!(
+                link.transmit(now, bytes, &mut rng),
+                LinkOutcome::Delivered(arrival)
+            );
         }
     }
 

@@ -20,7 +20,6 @@
 //! [`TcpReceiver::on_segment`]. The [`crate::channel`] module wires a pair of
 //! these into a full-duplex connection.
 
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 use desim::{SimDuration, SimTime};
@@ -482,7 +481,12 @@ impl TcpSender {
 #[derive(Debug, Clone, Default)]
 pub struct TcpReceiver {
     rcv_nxt: u64,
-    out_of_order: BTreeMap<u64, u64>,
+    /// Stashed future segments as `(start, end)`, sorted by start with one
+    /// entry per start. Segments mostly arrive in order, so a stash is
+    /// mostly a `push_back` and a drain a run of `pop_front`s; the deque
+    /// keeps its capacity across loss bursts where a map would allocate
+    /// nodes for each.
+    out_of_order: VecDeque<(u64, u64)>,
 }
 
 impl TcpReceiver {
@@ -494,7 +498,7 @@ impl TcpReceiver {
 
     /// The next in-order byte expected — also the cumulative ACK value.
     #[must_use]
-    pub(crate) fn contiguous(&self) -> u64 {
+    pub fn contiguous(&self) -> u64 {
         self.rcv_nxt
     }
 
@@ -515,17 +519,25 @@ impl TcpReceiver {
         if seq <= self.rcv_nxt {
             self.rcv_nxt = end;
             // Pull any newly-contiguous stashed segments.
-            while let Some((&start, &stash_end)) = self.out_of_order.iter().next() {
+            while let Some(&(start, stash_end)) = self.out_of_order.front() {
                 if start > self.rcv_nxt {
                     break;
                 }
-                self.out_of_order.remove(&start);
+                self.out_of_order.pop_front();
                 self.rcv_nxt = self.rcv_nxt.max(stash_end);
             }
+        } else if self.out_of_order.back().is_none_or(|&(last, _)| last < seq) {
+            // Future data past everything stashed: the common case.
+            self.out_of_order.push_back((seq, end));
         } else {
             // Future data: stash, merging by start offset.
-            let entry = self.out_of_order.entry(seq).or_insert(end);
-            *entry = (*entry).max(end);
+            match self
+                .out_of_order
+                .binary_search_by_key(&seq, |&(start, _)| start)
+            {
+                Ok(i) => self.out_of_order[i].1 = self.out_of_order[i].1.max(end),
+                Err(i) => self.out_of_order.insert(i, (seq, end)),
+            }
         }
         self.rcv_nxt
     }

@@ -1,6 +1,8 @@
 //! Property-based tests of the TCP substrate: reliability invariants that
 //! must hold for arbitrary loss patterns, segment orderings and workloads.
 
+use std::collections::BTreeMap;
+
 use desim::{SimDuration, SimRng, SimTime};
 use netsim::channel::{ChannelConfig, ChannelEvent, DuplexChannel, Endpoint};
 use netsim::tcp::{TcpConfig, TcpReceiver, TcpSender};
@@ -49,7 +51,69 @@ fn drive_with_losses(bytes: u64, loss_pattern: &[bool]) -> bool {
     snd.is_idle()
 }
 
+/// The receiver's reassembly as it was when its stash was a map from a
+/// stashed segment's start to the furthest end stashed there: the
+/// reference `receiver_equals_a_btreemap_reassembler` holds it to.
+#[derive(Default)]
+struct MapReceiver {
+    rcv_nxt: u64,
+    out_of_order: BTreeMap<u64, u64>,
+}
+
+impl MapReceiver {
+    fn on_segment(&mut self, seq: u64, len: u64) -> u64 {
+        let end = seq + len;
+        if end <= self.rcv_nxt {
+            return self.rcv_nxt;
+        }
+        if seq <= self.rcv_nxt {
+            self.rcv_nxt = end;
+            while let Some((&start, &stash_end)) = self.out_of_order.iter().next() {
+                if start > self.rcv_nxt {
+                    break;
+                }
+                self.out_of_order.remove(&start);
+                self.rcv_nxt = self.rcv_nxt.max(stash_end);
+            }
+        } else {
+            let entry = self.out_of_order.entry(seq).or_insert(end);
+            *entry = (*entry).max(end);
+        }
+        self.rcv_nxt
+    }
+}
+
 proptest! {
+    /// The receiver's sorted-deque stash acknowledges what a map keyed by
+    /// start offset acknowledged, arrival by arrival: over a segmented
+    /// stream plus extra segments that overlap, straddle or repeat its
+    /// segments (empty ones too), with duplicates, shuffled.
+    #[test]
+    fn receiver_equals_a_btreemap_reassembler(
+        seg_lens in proptest::collection::vec(1u64..2000, 1..40),
+        extra in proptest::collection::vec((0u64..u64::MAX, 0u64..3000), 0..40),
+        seed in 0u64..u64::MAX,
+        duplicate_every in 1usize..6,
+    ) {
+        let mut segments: Vec<(u64, u64)> = Vec::new();
+        let mut offset = 0;
+        for len in &seg_lens {
+            segments.push((offset, *len));
+            offset += len;
+        }
+        segments.extend(extra.iter().map(|&(start, len)| (start % (offset + 1), len)));
+        let dups: Vec<(u64, u64)> = segments.iter().step_by(duplicate_every).copied().collect();
+        segments.extend(dups);
+        SimRng::seed_from_u64(seed).shuffle(&mut segments);
+
+        let mut rcv = TcpReceiver::new();
+        let mut reference = MapReceiver::default();
+        for (seq, len) in segments {
+            prop_assert_eq!(rcv.on_segment(seq, len), reference.on_segment(seq, len));
+            prop_assert_eq!(rcv.contiguous(), reference.rcv_nxt);
+        }
+    }
+
     /// Whatever (finite) pattern of losses the network applies, every
     /// offered byte is eventually delivered and acknowledged: TCP is
     /// reliable as long as the loss is not permanent.
