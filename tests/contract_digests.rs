@@ -17,8 +17,11 @@
 
 #[path = "support/fnv1a.rs"]
 mod fnv1a;
+#[path = "support/leaves.rs"]
+mod leaves;
 
 use fnv1a::fnv1a;
+use leaves::assert_unmoved;
 
 use annet::{Dataset, NetworkBuilder, TrainConfig};
 use desim::{SimDuration, SimRng, SimTime};
@@ -73,13 +76,27 @@ fn grid() -> Vec<ExperimentPoint> {
 }
 
 /// Since PR 3. Half the grid is past the Fig. 7 knee (12–25 % loss), so
-/// retries, resets and duplicates are all in the digested results.
+/// retries, resets and duplicates are all in the digested results. Each
+/// result's own digest is a leaf, asserted before the pin, so a moved pin
+/// names the grid points that moved.
 #[test]
 fn sweep_results_are_pinned_at_one_and_four_threads() {
     let (points, cal) = (grid(), Calibration::paper());
     assert_eq!(points.len(), 48);
     for threads in [1, 4] {
         let results = run_sweep(&points, &cal, 4_000, 99, threads);
+        let leaves: Vec<u64> = results
+            .iter()
+            .map(|r| {
+                fnv1a(
+                    serde_json::to_string(r)
+                        .expect("result serialises")
+                        .as_bytes(),
+                )
+            })
+            .collect();
+        let indices: Vec<usize> = (0..points.len()).collect();
+        assert_unmoved(&indices, &leaves, &SWEEP_LEAVES, threads);
         let json = serde_json::to_string(&results).expect("results serialise");
         assert_eq!(
             hex_digest(json.as_bytes()),
@@ -88,6 +105,60 @@ fn sweep_results_are_pinned_at_one_and_four_threads() {
         );
     }
 }
+
+// One FNV-1a per `ExperimentResult` of the sweep above, in grid order,
+// written by the commit before the link's delay and loss became one value
+// each.
+const SWEEP_LEAVES: [u64; 48] = [
+    14731959310953739260,
+    13020401210733499024,
+    17194531275393862562,
+    13236355742697815182,
+    15068432208981437464,
+    3958827071022641193,
+    17908426795272528822,
+    15061294861971799081,
+    7598612436565970044,
+    7561762862633150126,
+    6244896089199278402,
+    9722243825735465472,
+    13207387561258325025,
+    13090723989371561740,
+    1100220213318723276,
+    2841294958698174207,
+    4344993249019970984,
+    1765233859420849670,
+    8091234609079922593,
+    10229458277873720061,
+    7080514245205048307,
+    5242804246685514879,
+    8176279410279302699,
+    16535426402248760490,
+    3997376577020936738,
+    6100773986016387265,
+    18393910922609845938,
+    6391715189897695438,
+    10493085068315039961,
+    11512536364690462058,
+    6326743371621510753,
+    84345445779586646,
+    8706024602039605925,
+    1510031754580860388,
+    18108075939524158864,
+    1860606857883647880,
+    2982935919242244440,
+    8798718407158853867,
+    10796748240405762776,
+    10986369090761896118,
+    10345090804647896759,
+    1575197417464639633,
+    1447243863067256132,
+    11788663581128569871,
+    12915912555355402210,
+    5727891951920849793,
+    5869584714387181265,
+    6799374418552458041,
+];
 
 /// A deterministic synthetic regression dataset shaped like the paper's
 /// training data: `dims` scaled features in `[0, 1]`, two smooth targets.
