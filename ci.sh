@@ -93,6 +93,15 @@ echo "== one fleet engine (the execute_sharded shim has no caller) =="
 [ "$(grep -rn 'execute_sharded' crates tests examples | wc -l)" -eq 1 ] \
     || { echo "execute_sharded regrew a caller" >&2; exit 1; }
 
+echo "== one link model (a constant delay and an i.i.d. loss rate; one crash per BrokerFault) =="
+# No run reaches a per-packet delay or loss process, NetEm jitter or a
+# flapping fault shape, so none is modelled: a link's delay and loss rate are
+# set by the NetEm condition in force, Pareto delay and Gilbert-Elliott loss
+# are sampled once per interval in the Fig. 9 generator only, and a flapping
+# broker is a list of crashes.
+! grep -rnwE 'DelayModel|LossModel|with_jitter|flaps|up_for' crates/*/src \
+    || { echo "a deleted network or fault model is back" >&2; exit 1; }
+
 echo "== one trainer (the TrainOptions::with_threads shim has no caller) =="
 # Same arrangement: benchmark/ passes its thread count through the name.
 [ "$(grep -rn 'with_threads' crates tests examples | wc -l)" -eq 1 ] \

@@ -483,15 +483,7 @@ pub fn regime_shift(
                     scenario.gamma_requirement,
                     scenario.mean_size(),
                     timeliness_ms,
-                    entry
-                        .adaptive
-                        .map_or_else(AdaptiveConfig::default, |a| AdaptiveConfig {
-                            drift_window: a.drift_window,
-                            drift_threshold: a.drift_threshold,
-                            refit_steps: a.refit_steps,
-                            learning_rate: a.learning_rate,
-                            replay_capacity: a.replay_capacity,
-                        }),
+                    entry.adaptive.unwrap_or_default(),
                 )),
                 PolicyKind::Bandit => Arc::new(BanditPolicy::new(
                     &cal,
@@ -499,11 +491,7 @@ pub fn regime_shift(
                     scenario.weights,
                     scenario.mean_size(),
                     timeliness_ms,
-                    entry
-                        .bandit
-                        .map_or_else(BanditConfig::default, |b| BanditConfig {
-                            exploration: b.exploration,
-                        }),
+                    entry.bandit.unwrap_or_default(),
                 )),
             };
             let (report, _, metrics) = run_scenario_online(

@@ -38,6 +38,7 @@ use kafkasim::config::{DeliverySemantics, ProducerConfig};
 use kafkasim::runtime::{OnlineController, WindowStats};
 use obs::{MetricsRegistry, TraceEvent};
 use serde::{Deserialize, Serialize};
+pub use spec::{AdaptiveConfig, BanditConfig};
 use testbed::scenarios::KpiWeights;
 use testbed::Calibration;
 
@@ -333,59 +334,6 @@ impl<P: Predictor + Send + Sync> Policy for FrozenPolicy<P> {
     }
 }
 
-/// Hyper-parameters of [`OnlineAdaptivePolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AdaptiveConfig {
-    /// Drift-detector window, in observation windows.
-    pub drift_window: usize,
-    /// Absolute mean-error increase over baseline that counts as drift.
-    pub drift_threshold: f64,
-    /// Incremental-SGD mini-batch steps per refit.
-    pub refit_steps: usize,
-    /// Learning rate of the refit steps.
-    pub learning_rate: f64,
-    /// Replay-buffer capacity, in (features, observation) pairs.
-    pub replay_capacity: usize,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            drift_window: 5,
-            drift_threshold: 0.04,
-            refit_steps: 60,
-            learning_rate: 0.3,
-            replay_capacity: 256,
-        }
-    }
-}
-
-impl AdaptiveConfig {
-    /// Validates the hyper-parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first invalid field.
-    pub(crate) fn validate(&self) -> Result<(), String> {
-        if self.drift_window == 0 {
-            return Err("drift_window must be positive".into());
-        }
-        if self.drift_threshold <= 0.0 {
-            return Err("drift_threshold must be positive".into());
-        }
-        if self.refit_steps == 0 {
-            return Err("refit_steps must be positive".into());
-        }
-        if self.learning_rate <= 0.0 {
-            return Err("learning_rate must be positive".into());
-        }
-        if self.replay_capacity < 4 {
-            return Err("replay_capacity must be at least 4".into());
-        }
-        Ok(())
-    }
-}
-
 /// Mini-batch size of the refit steps (the replay buffer is chunked in
 /// insertion order, so refits are deterministic).
 const REFIT_BATCH: usize = 8;
@@ -625,33 +573,6 @@ impl Policy for OnlineAdaptivePolicy {
             .tracker
             .samples
             .clone()
-    }
-}
-
-/// Hyper-parameters of [`BanditPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BanditConfig {
-    /// UCB1 exploration constant `c` (bonus `c·√(ln N / n_i)`).
-    pub exploration: f64,
-}
-
-impl Default for BanditConfig {
-    fn default() -> Self {
-        BanditConfig { exploration: 0.5 }
-    }
-}
-
-impl BanditConfig {
-    /// Validates the hyper-parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the invalid field.
-    pub(crate) fn validate(&self) -> Result<(), String> {
-        if self.exploration <= 0.0 {
-            return Err("exploration must be positive".into());
-        }
-        Ok(())
     }
 }
 

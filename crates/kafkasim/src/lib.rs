@@ -25,7 +25,7 @@
 //!   producer, a [`netsim::DuplexChannel`] per broker and the cluster, one
 //!   module per seam (sender, connection, brokers, online control), with
 //!   NetEm-style faults from a [`netsim::ConditionTimeline`], broker
-//!   crash/restart/flapping ([`runtime::BrokerFault`]) and mid-run
+//!   crash/restart ([`runtime::BrokerFault`], one per crash) and mid-run
 //!   reconfiguration (the paper's §V dynamic configuration);
 //! * **observability** — the runtime is instrumented with [`obs`]
 //!   lifecycle trace events ([`runtime::KafkaRun::execute_traced`]), and

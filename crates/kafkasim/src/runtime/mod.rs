@@ -66,23 +66,18 @@ fn broker_of(ci: usize) -> BrokerId {
     BrokerId(ci as u32)
 }
 
-/// A broker fault pattern (the paper's future-work failure scenario): one
-/// crash with restart, or repeated flapping. Each crash/restart cycle is
-/// driven through the event engine and traced as
-/// [`TraceEvent::BrokerDown`]/[`TraceEvent::BrokerUp`].
+/// A broker fault (the paper's future-work failure scenario): one crash
+/// with restart, driven through the event engine and traced as
+/// [`TraceEvent::BrokerDown`]/[`TraceEvent::BrokerUp`]. A flapping broker is
+/// one entry per crash in [`RunSpec::faults`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BrokerFault {
     /// The faulty broker.
     pub broker: BrokerId,
-    /// First crash instant.
+    /// Crash instant.
     pub at: SimTime,
-    /// Outage length of each crash.
+    /// Outage length.
     pub down_for: SimDuration,
-    /// Number of crash/restart cycles (1 = a single crash).
-    pub flaps: u32,
-    /// Healthy time between a restart and the next crash (ignored when
-    /// `flaps == 1`).
-    pub up_for: SimDuration,
 }
 
 impl BrokerFault {
@@ -93,17 +88,7 @@ impl BrokerFault {
             broker,
             at,
             down_for,
-            flaps: 1,
-            up_for: SimDuration::ZERO,
         }
-    }
-
-    /// The `(crash, restart)` instants of each cycle, in time order.
-    fn cycles(self) -> impl Iterator<Item = (SimTime, SimTime)> {
-        (0..self.flaps).map(move |k| {
-            let from = self.at + (self.down_for + self.up_for) * u64::from(k);
-            (from, from + self.down_for)
-        })
     }
 }
 
@@ -127,7 +112,7 @@ pub struct RunSpec {
     pub config_schedule: Vec<(SimTime, ProducerConfig)>,
     /// Hard simulation horizon; anything unresolved by then counts lost.
     pub max_duration: SimDuration,
-    /// Broker faults (crash / restart / flapping).
+    /// Broker faults, one entry per crash (a flapping broker has several).
     pub faults: Vec<BrokerFault>,
     /// When set, partitions led by a downed broker fail over after this
     /// detection delay (Kafka's controller moving leadership): a new
@@ -184,12 +169,6 @@ impl RunSpec {
         for fault in &self.faults {
             if fault.down_for.is_zero() {
                 return Err("fault outage length must be positive".into());
-            }
-            if fault.flaps == 0 {
-                return Err("fault must have at least one crash cycle".into());
-            }
-            if fault.flaps > 1 && fault.up_for.is_zero() {
-                return Err("flapping fault needs a positive up time between crashes".into());
             }
             if fault.broker.0 >= self.cluster.brokers {
                 return Err("fault names an unknown broker".into());
@@ -629,13 +608,12 @@ impl KafkaRun {
         }
         for fault in faults {
             let ci = fault.broker.0 as usize;
-            for (from, until) in fault.cycles() {
-                sim.schedule_at(from, Event::OutageStart { ci, until });
-                if let Some(detect) = failover_after {
-                    sim.schedule_at(from + detect, Event::Failover { ci });
-                }
-                sim.schedule_at(until, Event::BrokerUp { ci });
+            let until = fault.at + fault.down_for;
+            sim.schedule_at(fault.at, Event::OutageStart { ci, until });
+            if let Some(detect) = failover_after {
+                sim.schedule_at(fault.at + detect, Event::Failover { ci });
             }
+            sim.schedule_at(until, Event::BrokerUp { ci });
         }
         if replication.factor > 1 {
             sim.schedule_in(replication.fetch_interval, Event::ReplicationTick);

@@ -159,14 +159,17 @@ fn unclean_election_loses_unreplicated_records_to_the_broker() {
 fn isr_shrinks_and_expands_under_a_flapping_follower() {
     let mut spec = replicated_spec(1_500, 3, DeliverySemantics::AtLeastOnce);
     spec.cluster.replication.lag_time_max = SimDuration::from_millis(150);
-    // Broker 1 leads nothing: it is purely a follower for partition 0.
-    spec.faults = vec![BrokerFault {
-        broker: BrokerId(1),
-        at: SimTime::from_secs(1),
-        down_for: SimDuration::from_millis(600),
-        flaps: 3,
-        up_for: SimDuration::from_millis(1_500),
-    }];
+    // Broker 1 leads nothing: it is purely a follower for partition 0. It
+    // crashes three times for 600 ms, 1.5 s apart.
+    spec.faults = [1_000, 3_100, 5_200]
+        .map(|ms| {
+            BrokerFault::crash(
+                BrokerId(1),
+                SimTime::from_millis(ms),
+                SimDuration::from_millis(600),
+            )
+        })
+        .to_vec();
     let (outcome, events) = trace(spec, 7);
 
     assert!(
@@ -380,13 +383,14 @@ proptest! {
                 then,
                 SimDuration::from_millis(down_ms / 2 + 100),
             )),
-            _ => spec.faults.push(BrokerFault {
-                broker: BrokerId(0),
-                at: then,
-                down_for: SimDuration::from_millis(200),
-                flaps: 3,
-                up_for: SimDuration::from_millis(300),
-            }),
+            // Flapping: three 200 ms crashes, 300 ms apart.
+            _ => spec.faults.extend([0, 500, 1_000].map(|ms| {
+                BrokerFault::crash(
+                    BrokerId(0),
+                    then + SimDuration::from_millis(ms),
+                    SimDuration::from_millis(200),
+                )
+            })),
         }
         spec.failover_after = match failover {
             0 => None,

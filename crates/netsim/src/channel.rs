@@ -371,9 +371,9 @@ impl DuplexChannel {
     /// producer's egress only — transport ACKs and broker responses return
     /// delayed but reliably.
     pub fn set_condition(&mut self, condition: NetCondition, _now: SimTime) {
-        self.links[0].set_delay(condition.delay_model());
-        self.links[0].set_loss(condition.loss_model());
-        self.links[1].set_delay(condition.delay_model());
+        self.links[0].set_delay(condition.delay);
+        self.links[0].set_loss_rate(condition.loss_rate);
+        self.links[1].set_delay(condition.delay);
     }
 
     /// Tears the connection down and starts a fresh one.
@@ -575,16 +575,14 @@ impl DuplexChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delay::DelayModel;
-    use crate::loss::LossModel;
 
     fn quiet_cfg() -> ChannelConfig {
         ChannelConfig {
             link: LinkConfig {
                 rate_bytes_per_sec: 12_500_000.0,
                 max_queue_delay: SimDuration::from_millis(500),
-                delay: DelayModel::constant(SimDuration::from_millis(5)),
-                loss: LossModel::None,
+                delay: SimDuration::from_millis(5),
+                loss_rate: 0.0,
             },
             ..ChannelConfig::default()
         }
@@ -658,7 +656,7 @@ mod tests {
     #[test]
     fn lossy_path_still_delivers_via_retransmission() {
         let mut cfg = quiet_cfg();
-        cfg.link.loss = LossModel::bernoulli(0.10);
+        cfg.link.loss_rate = 0.10;
         let mut ch = DuplexChannel::new(cfg, SimRng::seed_from_u64(5));
         let mut events = Vec::new();
         let mut sent = 0u64;
@@ -685,7 +683,7 @@ mod tests {
     #[test]
     fn heavy_loss_stalls_the_connection() {
         let mut cfg = quiet_cfg();
-        cfg.link.loss = LossModel::bernoulli(0.95);
+        cfg.link.loss_rate = 0.95;
         let mut ch = DuplexChannel::new(cfg, SimRng::seed_from_u64(6));
         ch.send_record(Endpoint::A, 0, 1000, SimTime::ZERO).unwrap();
         let _ = drive(&mut ch, SimTime::from_secs(30));
@@ -700,7 +698,7 @@ mod tests {
     #[test]
     fn reset_reports_undelivered_records() {
         let mut cfg = quiet_cfg();
-        cfg.link.loss = LossModel::bernoulli(1.0); // nothing gets through
+        cfg.link.loss_rate = 1.0; // nothing gets through
         let mut ch = DuplexChannel::new(cfg, SimRng::seed_from_u64(7));
         ch.send_record(Endpoint::A, 11, 800, SimTime::ZERO).unwrap();
         ch.send_record(Endpoint::A, 12, 800, SimTime::ZERO).unwrap();
@@ -731,7 +729,7 @@ mod tests {
     #[test]
     fn in_flight_records_deliver_during_teardown() {
         let mut cfg = quiet_cfg();
-        cfg.link.delay = DelayModel::constant(SimDuration::from_millis(100));
+        cfg.link.delay = SimDuration::from_millis(100);
         let mut ch = DuplexChannel::new(cfg, SimRng::seed_from_u64(9));
         ch.send_record(Endpoint::A, 0, 500, SimTime::ZERO).unwrap();
         // Reset while the segment is still in flight: the wire does not
@@ -747,7 +745,7 @@ mod tests {
     #[test]
     fn teardown_distinguishes_lost_and_arrived_records() {
         let mut cfg = quiet_cfg();
-        cfg.link.delay = DelayModel::constant(SimDuration::from_millis(50));
+        cfg.link.delay = SimDuration::from_millis(50);
         // First record's segments get through; then turn the link fully
         // lossy so the second record's segments vanish.
         let mut ch = DuplexChannel::new(cfg, SimRng::seed_from_u64(10));
@@ -762,21 +760,26 @@ mod tests {
         assert_eq!(report.delivered_to(Endpoint::B), [1], "record 2 is gone");
     }
 
-    /// A channel carrying records both ways over jittered (so reordering)
-    /// and possibly lossy links, driven to `until`: a reset there finds
+    /// A channel carrying records both ways over possibly lossy links whose
+    /// delay drops from 35 ms to 5 ms every 14 ms (so later segments
+    /// overtake earlier ones), driven to `until`: a reset there finds
     /// segments in flight out of order, with gaps, in both directions.
     fn busy_channel(seed: u64, loss: f64, records: u64, until: SimTime) -> DuplexChannel {
         let mut cfg = quiet_cfg();
-        cfg.link.delay = DelayModel::normal(
-            SimDuration::from_millis(20),
-            SimDuration::from_millis(15),
-            SimDuration::ZERO,
-        );
-        cfg.link.loss = LossModel::bernoulli(loss);
+        cfg.link.loss_rate = loss;
         let mut ch = DuplexChannel::new(cfg, SimRng::seed_from_u64(seed));
         let mut now = SimTime::ZERO;
         let mut id = 0;
         loop {
+            let delay_ms = if (now.as_micros() / 7_000).is_multiple_of(2) {
+                35
+            } else {
+                5
+            };
+            ch.set_condition(
+                NetCondition::new(SimDuration::from_millis(delay_ms), loss),
+                now,
+            );
             while id < records && ch.writable(Endpoint::A) >= 3_000 {
                 ch.send_record(Endpoint::A, id, 3_000, now).unwrap();
                 if id % 3 == 0 {
@@ -873,12 +876,8 @@ mod tests {
         // Goodput under 15% loss should be well below goodput under 0.1%.
         fn goodput(loss: f64, seed: u64) -> f64 {
             let mut cfg = quiet_cfg();
-            cfg.link.loss = if loss > 0.0 {
-                LossModel::bernoulli(loss)
-            } else {
-                LossModel::None
-            };
-            cfg.link.delay = DelayModel::constant(SimDuration::from_millis(20));
+            cfg.link.loss_rate = loss;
+            cfg.link.delay = SimDuration::from_millis(20);
             let mut ch = DuplexChannel::new(cfg, SimRng::seed_from_u64(seed));
             let horizon = SimTime::from_secs(20);
             let mut now = SimTime::ZERO;

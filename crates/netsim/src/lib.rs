@@ -8,14 +8,11 @@
 //! retransmission behaviour under loss. This crate provides faithful,
 //! deterministic stand-ins for both layers below Kafka:
 //!
-//! * [`loss`] — per-packet loss processes: i.i.d. Bernoulli and the
-//!   two-state **Gilbert–Elliott** Markov model the paper uses for its
-//!   dynamic-configuration experiment.
-//! * [`delay`] — propagation-delay processes, including the heavy-tailed
-//!   **Pareto** distribution the paper cites for end-to-end delay.
-//! * [`link`] — a fluid model of a finite-rate, drop-tail link.
-//! * `netem` — NetEm-style impairment configuration and time-varying
-//!   condition timelines (the Fig. 9 network).
+//! * [`link`] — a fluid model of a finite-rate, drop-tail link with a
+//!   constant propagation delay and an i.i.d. packet loss rate.
+//! * `netem` — NetEm-style conditions, one delay `D` and one loss rate `L`,
+//!   which set the links' two values, and piecewise-constant timelines of
+//!   them (the Fig. 9 network).
 //! * [`tcp`] — a sans-IO TCP sender/receiver pair: cumulative ACKs, RTT
 //!   estimation, RTO with exponential backoff, fast retransmit, slow start
 //!   and AIMD congestion avoidance.
@@ -23,8 +20,10 @@
 //!   streams together, exposing record-oriented delivery with an internal
 //!   event queue (`next_wakeup`/`advance`) so a discrete-event simulation
 //!   can drive it deterministically.
-//! * [`trace`] — generators for time-varying network conditions
-//!   (Pareto-delay + Gilbert–Elliott-loss processes).
+//! * [`trace`] — the Fig. 9 generator: once per interval it samples a
+//!   heavy-tailed **Pareto** delay and a loss level from a two-state
+//!   **Gilbert–Elliott** chain. These processes live only here; no packet
+//!   draws from them.
 //!
 //! # Example
 //!
@@ -51,14 +50,10 @@
 #![warn(missing_docs)]
 
 pub mod channel;
-pub mod delay;
 pub mod link;
-pub mod loss;
 pub(crate) mod netem;
 pub mod tcp;
 pub mod trace;
 
 pub use channel::{ChannelConfig, ChannelEvent, DuplexChannel, Endpoint};
-pub use delay::DelayModel;
-pub use loss::LossModel;
 pub use netem::{ConditionTimeline, NetCondition};

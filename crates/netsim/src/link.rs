@@ -2,9 +2,10 @@
 //!
 //! Packets offered to the link are serialised one after another at the
 //! configured rate; a packet whose queueing delay would exceed the buffer
-//! bound is dropped at the tail. After serialisation the packet either is
-//! lost (per the link's [`LossModel`]) or arrives after a sampled
-//! propagation delay ([`DelayModel`]).
+//! bound is dropped at the tail. After serialisation the packet is lost
+//! with the link's i.i.d. loss rate, or arrives after its constant
+//! propagation delay. Both are set by the NetEm condition in force
+//! ([`crate::NetCondition`]).
 //!
 //! Because the link is driven entirely at `transmit` time it needs no
 //! internal events: the caller learns the arrival instant immediately and
@@ -14,9 +15,6 @@
 use desim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::delay::DelayModel;
-use crate::loss::LossModel;
-
 /// Static configuration of a `Link`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LinkConfig {
@@ -25,10 +23,11 @@ pub struct LinkConfig {
     /// Maximum tolerated queueing (serialisation backlog) delay; packets
     /// that would wait longer are dropped at the tail.
     pub max_queue_delay: SimDuration,
-    /// Propagation-delay process.
-    pub delay: DelayModel,
-    /// Packet-loss process.
-    pub loss: LossModel,
+    /// One-way propagation delay of every packet.
+    pub delay: SimDuration,
+    /// Probability, in `[0, 1]`, that a packet is lost in flight,
+    /// independently of every other packet.
+    pub loss_rate: f64,
 }
 
 impl Default for LinkConfig {
@@ -37,8 +36,8 @@ impl Default for LinkConfig {
             // 100 Mbit/s — a fast LAN, like the paper's Docker bridge.
             rate_bytes_per_sec: 12_500_000.0,
             max_queue_delay: SimDuration::from_millis(200),
-            delay: DelayModel::constant(SimDuration::from_micros(100)),
-            loss: LossModel::None,
+            delay: SimDuration::from_micros(100),
+            loss_rate: 0.0,
         }
     }
 }
@@ -110,13 +109,15 @@ impl Link {
     ///
     /// # Panics
     ///
-    /// Panics if the configured rate is not strictly positive.
+    /// Panics if the configured rate is not strictly positive, or the loss
+    /// rate is not in `[0, 1]`.
     #[must_use]
     pub(crate) fn new(config: LinkConfig) -> Self {
         assert!(
             config.rate_bytes_per_sec > 0.0,
             "link rate must be positive"
         );
+        assert_loss_rate(config.loss_rate);
         Link {
             config,
             busy_until: SimTime::ZERO,
@@ -145,23 +146,29 @@ impl Link {
         let tx_time = self.last_tx.1;
         let serialized_at = start + tx_time;
         self.busy_until = serialized_at;
-        if self.config.loss.sample(rng) {
+        // At a loss rate of 0 (or 1) this draws nothing.
+        if rng.bernoulli(self.config.loss_rate) {
             self.stats.lost += 1;
             return LinkOutcome::Lost;
         }
-        let arrival = serialized_at + self.config.delay.sample(rng);
+        let arrival = serialized_at + self.config.delay;
         self.stats.delivered += 1;
         self.stats.bytes_delivered += bytes;
         LinkOutcome::Delivered(arrival)
     }
 
-    /// Replaces the loss process (e.g. a NetEm reconfiguration).
-    pub(crate) fn set_loss(&mut self, loss: LossModel) {
-        self.config.loss = loss;
+    /// Replaces the loss rate (e.g. a NetEm reconfiguration).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loss_rate` is not in `[0, 1]`.
+    pub(crate) fn set_loss_rate(&mut self, loss_rate: f64) {
+        assert_loss_rate(loss_rate);
+        self.config.loss_rate = loss_rate;
     }
 
-    /// Replaces the propagation-delay process.
-    pub(crate) fn set_delay(&mut self, delay: DelayModel) {
+    /// Replaces the propagation delay.
+    pub(crate) fn set_delay(&mut self, delay: SimDuration) {
         self.config.delay = delay;
     }
 
@@ -179,6 +186,13 @@ impl Link {
     }
 }
 
+fn assert_loss_rate(p: f64) {
+    assert!(
+        p.is_finite() && (0.0..=1.0).contains(&p),
+        "loss rate must be in [0,1]"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,8 +201,8 @@ mod tests {
         Link::new(LinkConfig {
             rate_bytes_per_sec: rate,
             max_queue_delay: SimDuration::from_millis(100),
-            delay: DelayModel::constant(SimDuration::from_millis(10)),
-            loss: LossModel::None,
+            delay: SimDuration::from_millis(10),
+            loss_rate: 0.0,
         })
     }
 
@@ -247,8 +261,8 @@ mod tests {
         let mut link = Link::new(LinkConfig {
             rate_bytes_per_sec: 1e9,
             max_queue_delay: SimDuration::from_secs(10),
-            delay: DelayModel::constant(SimDuration::ZERO),
-            loss: LossModel::bernoulli(0.19),
+            delay: SimDuration::ZERO,
+            loss_rate: 0.19,
         });
         let mut rng = SimRng::seed_from_u64(5);
         let mut lost = 0u32;
@@ -266,16 +280,25 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "loss rate must be in [0,1]")]
+    fn rejects_a_loss_rate_outside_the_unit_interval() {
+        let _ = Link::new(LinkConfig {
+            loss_rate: 1.5,
+            ..LinkConfig::default()
+        });
+    }
+
+    #[test]
     fn netem_reconfiguration_applies() {
         let mut link = quiet_link(1e9);
         let mut rng = SimRng::seed_from_u64(6);
-        link.set_loss(LossModel::bernoulli(1.0));
+        link.set_loss_rate(1.0);
         assert_eq!(
             link.transmit(SimTime::ZERO, 100, &mut rng),
             LinkOutcome::Lost
         );
-        link.set_loss(LossModel::none());
-        link.set_delay(DelayModel::constant(SimDuration::from_millis(77)));
+        link.set_loss_rate(0.0);
+        link.set_delay(SimDuration::from_millis(77));
         match link.transmit(SimTime::from_secs(1), 100, &mut rng) {
             LinkOutcome::Delivered(at) => {
                 assert!(at >= SimTime::from_secs(1) + SimDuration::from_millis(77));

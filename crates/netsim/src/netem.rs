@@ -2,17 +2,15 @@
 //! time-varying condition timelines.
 //!
 //! The paper's testbed injects faults with the Linux NetEm emulator
-//! (Jurgelionis et al., ICCCN 2011): a fixed one-way delay `D` and packet
-//! loss rate `L` during each experiment, and a *time-varying* combination of
-//! a Pareto delay process and a Gilbert–Elliott loss process in the
-//! dynamic-configuration experiment (Fig. 9). [`NetCondition`] is the former;
-//! [`ConditionTimeline`] is the latter.
+//! (Jurgelionis et al., ICCCN 2011): a fixed one-way delay `D` and i.i.d.
+//! packet loss rate `L` during each experiment ([`NetCondition`], which sets
+//! both on the links), and in the dynamic-configuration experiment (Fig. 9)
+//! a Pareto delay and a Gilbert–Elliott loss level sampled once per
+//! interval ([`ConditionTimeline`], a piecewise-constant schedule of
+//! conditions that [`crate::trace`] generates).
 
 use desim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-
-use crate::delay::DelayModel;
-use crate::loss::LossModel;
 
 /// A snapshot of the network condition between producer and cluster: the
 /// paper's feature pair `(D, L)`.
@@ -20,9 +18,6 @@ use crate::loss::LossModel;
 pub struct NetCondition {
     /// One-way network delay `D`.
     pub delay: SimDuration,
-    /// Delay jitter (standard deviation), NetEm's `delay <D> <jitter>`
-    /// form; zero for a constant delay.
-    pub jitter: SimDuration,
     /// Packet loss rate `L` in `[0, 1]`.
     pub loss_rate: f64,
 }
@@ -39,45 +34,13 @@ impl NetCondition {
             loss_rate.is_finite() && (0.0..=1.0).contains(&loss_rate),
             "loss_rate must be in [0,1]"
         );
-        NetCondition {
-            delay,
-            jitter: SimDuration::ZERO,
-            loss_rate,
-        }
-    }
-
-    /// The same condition with NetEm-style jitter around the delay.
-    #[must_use]
-    pub fn with_jitter(mut self, jitter: SimDuration) -> Self {
-        self.jitter = jitter;
-        self
+        NetCondition { delay, loss_rate }
     }
 
     /// The paper's "normal case" boundary: `D < 200 ms` and `L = 0`.
     #[must_use]
     pub fn is_normal(&self) -> bool {
         self.delay < SimDuration::from_millis(200) && self.loss_rate == 0.0
-    }
-
-    /// The delay model to install on a link under this condition: constant
-    /// without jitter, NetEm's truncated normal with it.
-    #[must_use]
-    pub(crate) fn delay_model(&self) -> DelayModel {
-        if self.jitter.is_zero() {
-            DelayModel::constant(self.delay)
-        } else {
-            DelayModel::normal(self.delay, self.jitter, SimDuration::ZERO)
-        }
-    }
-
-    /// The loss model to install on a link under this condition.
-    #[must_use]
-    pub(crate) fn loss_model(&self) -> LossModel {
-        if self.loss_rate == 0.0 {
-            LossModel::None
-        } else {
-            LossModel::bernoulli(self.loss_rate)
-        }
     }
 }
 
@@ -286,49 +249,6 @@ mod tests {
         .unwrap();
         let mean = tl.mean_loss(SimTime::ZERO, SimTime::from_secs(20));
         assert!((mean - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn condition_models() {
-        let c = cond(100, 0.0);
-        assert_eq!(c.loss_model(), LossModel::None);
-        assert_eq!(
-            c.delay_model(),
-            DelayModel::constant(SimDuration::from_millis(100))
-        );
-        let lossy = cond(100, 0.19);
-        assert_eq!(lossy.loss_model(), LossModel::bernoulli(0.19));
-    }
-
-    #[test]
-    fn jitter_switches_to_a_normal_delay() {
-        let c = cond(100, 0.0).with_jitter(SimDuration::from_millis(20));
-        assert_eq!(
-            c.delay_model(),
-            DelayModel::normal(
-                SimDuration::from_millis(100),
-                SimDuration::from_millis(20),
-                SimDuration::ZERO
-            )
-        );
-        // Jitter does not change the "normal case" boundary.
-        assert!(c.is_normal());
-    }
-
-    #[test]
-    fn jittered_delays_vary_but_average_out() {
-        use desim::SimRng;
-        let c = cond(100, 0.0).with_jitter(SimDuration::from_millis(20));
-        let model = c.delay_model();
-        let mut rng = SimRng::seed_from_u64(5);
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n)
-            .map(|_| model.sample(&mut rng).as_secs_f64())
-            .collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        assert!((mean - 0.100).abs() < 0.002, "mean {mean}");
-        let distinct = samples.windows(2).filter(|w| w[0] != w[1]).count();
-        assert!(distinct > n / 2, "samples must actually vary");
     }
 
     #[test]

@@ -11,8 +11,16 @@
 use desim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::loss::{GeState, LossModel};
 use crate::netem::{ConditionTimeline, NetCondition};
+
+/// Hidden state of the Gilbert–Elliott chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum GeState {
+    /// The low-loss state.
+    Good,
+    /// The high-loss (burst) state.
+    Bad,
+}
 
 /// Parameters of the Fig. 9 network generator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -152,15 +160,17 @@ fn duration_of(timeline: &ConditionTimeline) -> SimDuration {
 pub fn generate_trace(config: &TraceConfig, rng: &mut SimRng) -> Result<NetworkTrace, String> {
     config.validate()?;
     let intervals = (config.duration.as_micros() / config.interval.as_micros()).max(1) as usize;
-    let mut loss_chain =
-        LossModel::gilbert_elliott(config.p_good_to_bad, config.p_bad_to_good, 0.0, 1.0);
+    let mut state = GeState::Good;
     let mut breakpoints = Vec::with_capacity(intervals);
     let mut states = Vec::with_capacity(intervals);
     for i in 0..intervals {
         let start = SimTime::ZERO + config.interval * i as u64;
-        // Advance the hidden chain once per interval; we only use its state.
-        let _ = loss_chain.sample(rng);
-        let state = loss_chain.ge_state().expect("GE model");
+        // Advance the hidden chain once per interval, from Good.
+        state = match state {
+            GeState::Good if rng.bernoulli(config.p_good_to_bad) => GeState::Bad,
+            GeState::Bad if rng.bernoulli(config.p_bad_to_good) => GeState::Good,
+            s => s,
+        };
         let (lo, hi) = match state {
             GeState::Good => config.loss_good,
             GeState::Bad => config.loss_bad,

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use desim::{SimDuration, SimRng, SimTime};
 use netsim::channel::{ChannelConfig, ChannelEvent, DuplexChannel, Endpoint};
 use netsim::tcp::{TcpConfig, TcpReceiver, TcpSender};
-use netsim::{DelayModel, LossModel};
+use netsim::NetCondition;
 use proptest::prelude::*;
 
 /// Drives sender → receiver with a scripted per-segment loss pattern and a
@@ -184,16 +184,27 @@ proptest! {
 
 #[test]
 fn channel_delivers_records_in_order_under_bursty_loss() {
-    // Gilbert–Elliott loss on the data path: delivery order must still be
-    // exactly the send order (TCP is a stream).
-    let mut cfg = ChannelConfig::default();
-    cfg.link.loss = LossModel::gilbert_elliott(0.05, 0.3, 0.0, 0.9);
-    cfg.link.delay = DelayModel::constant(SimDuration::from_millis(10));
-    let mut ch = DuplexChannel::new(cfg, SimRng::seed_from_u64(5));
+    // Loss bursts on the data path: NetEm switches the channel between 0 %
+    // and 90 % loss in 100 ms slots, a slot's state following a two-state
+    // chain. Delivery order must still be exactly the send order (TCP is a
+    // stream).
+    let mut ch = DuplexChannel::new(ChannelConfig::default(), SimRng::seed_from_u64(5));
+    let mut bursts = SimRng::seed_from_u64(6);
+    let (mut slot, mut bad) = (0, false);
     let mut delivered = Vec::new();
     let mut sent = 0u64;
     let mut now = SimTime::ZERO;
     loop {
+        while slot <= now.as_millis() / 100 {
+            bad = if bad {
+                !bursts.bernoulli(0.5)
+            } else {
+                bursts.bernoulli(0.2)
+            };
+            let loss = if bad { 0.9 } else { 0.0 };
+            ch.set_condition(NetCondition::new(SimDuration::from_millis(10), loss), now);
+            slot += 1;
+        }
         while sent < 300 && ch.writable(Endpoint::A) >= 500 {
             ch.send_record(Endpoint::A, sent, 500, now).unwrap();
             sent += 1;
@@ -221,8 +232,8 @@ fn reset_conserves_records() {
     // still in flight at the reset and gone — none vanish, none
     // double-count, and what arrives is a prefix of what was sent.
     let mut cfg = ChannelConfig::default();
-    cfg.link.loss = LossModel::bernoulli(0.5);
-    cfg.link.delay = DelayModel::constant(SimDuration::from_millis(30));
+    cfg.link.loss_rate = 0.5;
+    cfg.link.delay = SimDuration::from_millis(30);
     let mut ch = DuplexChannel::new(cfg, SimRng::seed_from_u64(9));
     let mut now = SimTime::ZERO;
     let mut sent = Vec::new();

@@ -677,27 +677,86 @@ impl PolicyKind {
     }
 }
 
-/// Hyper-parameters of the online-adaptive policy. Absent fields take the
-/// executor's defaults.
+/// Hyper-parameters of the online-adaptive policy
+/// (`kafka_predict::OnlineAdaptivePolicy`, which re-exports this type).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AdaptivePolicySpec {
+pub struct AdaptiveConfig {
     /// Drift-detector window, in observation windows.
     pub drift_window: usize,
-    /// Mean-error increase over baseline that counts as drift.
+    /// Absolute mean-error increase over baseline that counts as drift.
     pub drift_threshold: f64,
     /// Incremental-SGD mini-batch steps per refit.
     pub refit_steps: usize,
-    /// Refit learning rate.
+    /// Learning rate of the refit steps.
     pub learning_rate: f64,
-    /// Replay-buffer capacity in observation windows.
+    /// Replay-buffer capacity, in (features, observation) pairs.
     pub replay_capacity: usize,
 }
 
-/// Hyper-parameters of the bandit baseline.
+impl Default for AdaptiveConfig {
+    fn default() -> Self {
+        AdaptiveConfig {
+            drift_window: 5,
+            drift_threshold: 0.04,
+            refit_steps: 60,
+            learning_rate: 0.3,
+            replay_capacity: 256,
+        }
+    }
+}
+
+impl AdaptiveConfig {
+    /// Validates the hyper-parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first invalid field.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.drift_window == 0 {
+            return Err("drift_window must be positive".into());
+        }
+        if !self.drift_threshold.is_finite() || self.drift_threshold <= 0.0 {
+            return Err("drift_threshold must be finite and positive".into());
+        }
+        if self.refit_steps == 0 {
+            return Err("refit_steps must be positive".into());
+        }
+        if !self.learning_rate.is_finite() || self.learning_rate <= 0.0 {
+            return Err("learning_rate must be finite and positive".into());
+        }
+        if self.replay_capacity < 4 {
+            return Err("replay_capacity must be at least 4".into());
+        }
+        Ok(())
+    }
+}
+
+/// Hyper-parameters of the bandit baseline (`kafka_predict::BanditPolicy`,
+/// which re-exports this type).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BanditPolicySpec {
-    /// UCB1 exploration constant.
+pub struct BanditConfig {
+    /// UCB1 exploration constant `c` (bonus `c·√(ln N / n_i)`).
     pub exploration: f64,
+}
+
+impl Default for BanditConfig {
+    fn default() -> Self {
+        BanditConfig { exploration: 0.5 }
+    }
+}
+
+impl BanditConfig {
+    /// Validates the hyper-parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the invalid field.
+    pub fn validate(&self) -> Result<(), String> {
+        if !self.exploration.is_finite() || self.exploration <= 0.0 {
+            return Err("exploration must be finite and positive".into());
+        }
+        Ok(())
+    }
 }
 
 /// One policy entry in a regime-shift comparison.
@@ -706,9 +765,11 @@ pub struct PolicySpec {
     /// The policy family.
     pub kind: PolicyKind,
     /// Adaptive hyper-parameters; only valid with `kind = OnlineAdaptive`.
-    pub adaptive: Option<AdaptivePolicySpec>,
-    /// Bandit hyper-parameters; only valid with `kind = Bandit`.
-    pub bandit: Option<BanditPolicySpec>,
+    /// Absent, the policy runs [`AdaptiveConfig::default`].
+    pub adaptive: Option<AdaptiveConfig>,
+    /// Bandit hyper-parameters; only valid with `kind = Bandit`. Absent, the
+    /// policy runs [`BanditConfig::default`].
+    pub bandit: Option<BanditConfig>,
 }
 
 impl PolicySpec {
@@ -736,34 +797,10 @@ impl PolicySpec {
             ));
         }
         if let Some(a) = &self.adaptive {
-            let p = format!("{path}.adaptive");
-            if a.drift_window == 0 || a.refit_steps == 0 || a.replay_capacity < 4 {
-                return Err(SpecError::new(
-                    p,
-                    "drift_window and refit_steps must be positive, \
-                     replay_capacity at least 4",
-                ));
-            }
-            if !a.drift_threshold.is_finite() || a.drift_threshold <= 0.0 {
-                return Err(SpecError::new(
-                    format!("{p}.drift_threshold"),
-                    "drift threshold must be finite and positive",
-                ));
-            }
-            if !a.learning_rate.is_finite() || a.learning_rate <= 0.0 {
-                return Err(SpecError::new(
-                    format!("{p}.learning_rate"),
-                    "learning rate must be finite and positive",
-                ));
-            }
+            SpecError::wrap(&format!("{path}.adaptive"), a.validate())?;
         }
         if let Some(b) = &self.bandit {
-            if !b.exploration.is_finite() || b.exploration <= 0.0 {
-                return Err(SpecError::new(
-                    format!("{path}.bandit.exploration"),
-                    "exploration constant must be finite and positive",
-                ));
-            }
+            SpecError::wrap(&format!("{path}.bandit"), b.validate())?;
         }
         Ok(())
     }
@@ -1389,5 +1426,36 @@ mod tests {
         let err = validate_weights(&w, "experiment.KpiGrid.weights").unwrap_err();
         assert_eq!(err.path, "experiment.KpiGrid.weights");
         assert!(err.message.contains("sum to 1"));
+    }
+
+    #[test]
+    fn policy_configs_reject_non_finite_values() {
+        assert!(AdaptiveConfig::default().validate().is_ok());
+        assert!(BanditConfig::default().validate().is_ok());
+        for bad in [f64::NAN, f64::INFINITY, 0.0] {
+            let threshold = AdaptiveConfig {
+                drift_threshold: bad,
+                ..AdaptiveConfig::default()
+            };
+            let rate = AdaptiveConfig {
+                learning_rate: bad,
+                ..AdaptiveConfig::default()
+            };
+            let bandit = BanditConfig { exploration: bad };
+            assert!(threshold.validate().is_err(), "{bad}");
+            assert!(rate.validate().is_err(), "{bad}");
+            assert!(bandit.validate().is_err(), "{bad}");
+        }
+        let entry = PolicySpec {
+            adaptive: Some(AdaptiveConfig {
+                drift_threshold: f64::NAN,
+                ..AdaptiveConfig::default()
+            }),
+            ..PolicySpec::of_kind(PolicyKind::OnlineAdaptive)
+        };
+        let err = entry
+            .validate("experiment.RegimeShift.policies[1]")
+            .unwrap_err();
+        assert_eq!(err.path, "experiment.RegimeShift.policies[1].adaptive");
     }
 }

@@ -54,11 +54,10 @@ pub(crate) mod toml;
 
 pub use collection::CollectionDesign;
 pub use document::{
-    AdaptivePolicySpec, BanditPolicySpec, BrokerFaultMatrixSpec, ExperimentSpec,
-    FleetPopulationEntry, FleetSpec, GroupChurnSpec, KpiGridSpec, NetworkTraceSpec,
-    OnlineCompareSpec, OverlaySpec, PolicyKind, PolicySpec, RegimeShiftSpec, ReportSpec,
-    SensitivitySpec, SeriesSpec, Spec, SweepAxis, SweepMode, SweepSpec, Table1Spec, Table2Spec,
-    TraceDemoSpec, TraceScenarioSpec,
+    AdaptiveConfig, BanditConfig, BrokerFaultMatrixSpec, ExperimentSpec, FleetPopulationEntry,
+    FleetSpec, GroupChurnSpec, KpiGridSpec, NetworkTraceSpec, OnlineCompareSpec, OverlaySpec,
+    PolicyKind, PolicySpec, RegimeShiftSpec, ReportSpec, SensitivitySpec, SeriesSpec, Spec,
+    SweepAxis, SweepMode, SweepSpec, Table1Spec, Table2Spec, TraceDemoSpec, TraceScenarioSpec,
 };
 pub use grid::{ConfigGrid, GridAxis};
 pub use point::PointSpec;

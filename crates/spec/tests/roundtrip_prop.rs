@@ -7,9 +7,8 @@
 
 use proptest::prelude::*;
 use spec::{
-    AdaptivePolicySpec, BanditPolicySpec, ConfigGrid, ExperimentSpec, PointSpec, PolicyKind,
-    PolicySpec, RegimeShiftSpec, SensitivitySpec, SeriesSpec, Spec, SweepAxis, SweepMode,
-    SweepSpec,
+    AdaptiveConfig, BanditConfig, ConfigGrid, ExperimentSpec, PointSpec, PolicyKind, PolicySpec,
+    RegimeShiftSpec, SensitivitySpec, SeriesSpec, Spec, SweepAxis, SweepMode, SweepSpec,
 };
 
 use kafkasim::config::DeliverySemantics;
@@ -184,7 +183,7 @@ fn adaptive_policy() -> impl Strategy<Value = PolicySpec> {
         kind: PolicyKind::OnlineAdaptive,
         adaptive: params.map(
             |(drift_window, drift_threshold, refit_steps, learning_rate, replay_capacity)| {
-                AdaptivePolicySpec {
+                AdaptiveConfig {
                     drift_window,
                     drift_threshold,
                     refit_steps,
@@ -204,7 +203,7 @@ fn policy() -> impl Strategy<Value = PolicySpec> {
         opt(0.01f64..10.0).prop_map(|exploration| PolicySpec {
             kind: PolicyKind::Bandit,
             adaptive: None,
-            bandit: exploration.map(|e| BanditPolicySpec { exploration: e }),
+            bandit: exploration.map(|e| BanditConfig { exploration: e }),
         }),
     ]
 }

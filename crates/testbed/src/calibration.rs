@@ -23,7 +23,6 @@ use kafkasim::wire::WireFormat;
 use netsim::link::LinkConfig;
 use netsim::tcp::TcpConfig;
 use netsim::ChannelConfig;
-use netsim::{DelayModel, LossModel};
 use serde::{Deserialize, Serialize};
 
 /// The complete fixed environment of the testbed.
@@ -88,8 +87,8 @@ impl Calibration {
                     // The Docker bridge is fast; loss/delay come from NetEm.
                     rate_bytes_per_sec: 12_500_000.0,
                     max_queue_delay: SimDuration::from_millis(500),
-                    delay: DelayModel::constant(SimDuration::from_micros(500)),
-                    loss: LossModel::None,
+                    delay: SimDuration::from_micros(500),
+                    loss_rate: 0.0,
                 },
                 reconnect_delay: SimDuration::from_millis(20),
             },
