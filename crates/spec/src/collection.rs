@@ -21,9 +21,11 @@ use desim::SimDuration;
 use kafkasim::config::DeliverySemantics;
 use serde::{Deserialize, Serialize};
 use testbed::experiment::ExperimentPoint;
+use testbed::Calibration;
 
 use crate::error::SpecError;
 use crate::grid::GridAxis;
+use crate::point::validate_replication;
 
 /// Grid over the effective features of the paper's *normal* cases.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -346,11 +348,9 @@ impl BrokerFaultGrid {
     ///
     /// Returns a [`SpecError`] anchored beneath `path`.
     pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
-        if self.replication_factors.contains(&0) {
-            return Err(SpecError::new(
-                format!("{path}.replication_factors"),
-                "replication factors start at 1",
-            ));
+        let brokers = Calibration::paper().cluster.brokers;
+        for (i, &factor) in self.replication_factors.iter().enumerate() {
+            validate_replication(factor, brokers, format!("{path}.replication_factors[{i}]"))?;
         }
         if self.downtimes_ms.is_empty() || self.downtimes_ms.contains(&0) {
             return Err(SpecError::new(

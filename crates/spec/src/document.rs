@@ -12,7 +12,7 @@ use kafkasim::broker::BrokerId;
 use kafkasim::config::DeliverySemantics;
 use kafkasim::fleet::{Assignor, ChurnAction, PartitionStrategy};
 use kafkasim::runtime::{BrokerFault, RunSpec};
-use kafkasim::state::{DeliveryCase, Transition};
+use kafkasim::state::{DeliveryCase, StateMachine, Transition};
 use netsim::trace::TraceConfig;
 use serde::{Deserialize, Serialize};
 use testbed::scenarios::{ApplicationScenario, KpiWeights};
@@ -21,7 +21,7 @@ use testbed::Calibration;
 use crate::collection::CollectionDesign;
 use crate::error::SpecError;
 use crate::grid::ConfigGrid;
-use crate::point::PointSpec;
+use crate::point::{validate_replication, PointSpec};
 
 /// A complete scenario document.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -196,11 +196,18 @@ impl Table1Spec {
             ));
         }
         for (i, case) in self.cases.iter().enumerate() {
+            let at = format!("{path}.cases[{i}].transitions");
             if case.transitions.is_empty() {
                 return Err(SpecError::new(
-                    format!("{path}.cases[{i}].transitions"),
+                    at,
                     "a scripted path needs at least one transition",
                 ));
+            }
+            let mut machine = StateMachine::new();
+            for &t in &case.transitions {
+                machine
+                    .apply(t)
+                    .map_err(|e| SpecError::new(at.clone(), e.to_string()))?;
             }
         }
         Ok(())
@@ -458,6 +465,12 @@ impl SweepSpec {
                     "batch sizes start at 1",
                 ));
             }
+            if s.request_timeout_ms == Some(0) {
+                return Err(SpecError::new(
+                    format!("{path}.series[{i}].request_timeout_ms"),
+                    "request timeout must be positive",
+                ));
+            }
             if s.failover_s.is_some() && !outage_axis {
                 return Err(SpecError::new(
                     format!("{path}.series[{i}].failover_s"),
@@ -473,6 +486,16 @@ impl SweepSpec {
                 } else {
                     "an outage site takes effect only on an OutageSecs axis"
                 },
+            ));
+        }
+        let brokers = Calibration::paper().cluster.brokers;
+        if let Some(site) = self.outage.filter(|site| site.broker >= brokers) {
+            return Err(SpecError::new(
+                format!("{path}.outage.broker"),
+                format!(
+                    "the cluster's brokers are 0..{brokers}, got {}",
+                    site.broker
+                ),
             ));
         }
         if self.max_messages == Some(0) {
@@ -1025,6 +1048,18 @@ impl BrokerFaultMatrixSpec {
                 "message timeout must be positive",
             ));
         }
+        if self.max_in_flight == 0 {
+            return Err(SpecError::new(
+                format!("{path}.max_in_flight"),
+                "max_in_flight must be at least 1",
+            ));
+        }
+        if self.partitions == 0 {
+            return Err(SpecError::new(
+                format!("{path}.partitions"),
+                "topic needs at least one partition",
+            ));
+        }
         if self.acks.is_empty() {
             return Err(SpecError::new(
                 format!("{path}.acks"),
@@ -1037,17 +1072,35 @@ impl BrokerFaultMatrixSpec {
                 "need at least one failure scenario",
             ));
         }
+        // Every cell runs on the default cluster, so its broker count
+        // bounds the replication factor and the brokers a fault names.
+        let brokers = RunSpec::default().cluster.brokers;
         for (i, s) in self.scenarios.iter().enumerate() {
-            if s.replication_factor == 0 {
+            let at = format!("{path}.scenarios[{i}]");
+            let factor_at = format!("{at}.replication_factor");
+            validate_replication(s.replication_factor, brokers, factor_at)?;
+            if s.lag_time_max_ms == Some(0) {
                 return Err(SpecError::new(
-                    format!("{path}.scenarios[{i}].replication_factor"),
-                    "replication factor starts at 1",
+                    format!("{at}.lag_time_max_ms"),
+                    "replica.lag.time.max must be positive",
+                ));
+            }
+            if s.max_fetch_records == Some(0) {
+                return Err(SpecError::new(
+                    format!("{at}.max_fetch_records"),
+                    "replica fetch size must be at least 1 record",
                 ));
             }
             for (j, f) in s.faults.iter().enumerate() {
+                if f.broker >= brokers {
+                    return Err(SpecError::new(
+                        format!("{at}.faults[{j}].broker"),
+                        format!("the cluster's brokers are 0..{brokers}, got {}", f.broker),
+                    ));
+                }
                 if f.down_ms == 0 {
                     return Err(SpecError::new(
-                        format!("{path}.scenarios[{i}].faults[{j}].down_ms"),
+                        format!("{at}.faults[{j}].down_ms"),
                         "crash downtime must be positive",
                     ));
                 }
@@ -1131,6 +1184,12 @@ impl TraceDemoSpec {
                 return Err(SpecError::new(
                     format!("{p}.message_timeout_ms"),
                     "message timeout must be positive",
+                ));
+            }
+            if s.request_timeout_ms == Some(0) {
+                return Err(SpecError::new(
+                    format!("{p}.request_timeout_ms"),
+                    "request timeout must be positive",
                 ));
             }
         }
@@ -1417,6 +1476,88 @@ mod tests {
         let down = sw.run_at(0, 1, 1_000);
         assert_eq!(down.faults.len(), 1);
         assert_eq!(down.failover_after, Some(SimDuration::from_secs(1)));
+    }
+
+    /// The committed `broker-faults` document after `edit`, validated.
+    fn broker_faults_with(edit: impl FnOnce(&mut BrokerFaultMatrixSpec)) -> SpecError {
+        let mut doc = Spec::builtin("broker-faults").expect("built-in");
+        let ExperimentSpec::BrokerFaultMatrix(matrix) = &mut doc.experiment else {
+            panic!("broker-faults is a broker-fault matrix");
+        };
+        edit(matrix);
+        doc.validate().unwrap_err()
+    }
+
+    #[test]
+    fn an_illegal_table1_path_is_refused_where_it_is_scripted() {
+        let mut doc = Spec::builtin("table1").expect("built-in");
+        let ExperimentSpec::Table1(table) = &mut doc.experiment else {
+            panic!("table1 is a Table I scenario");
+        };
+        table.cases[0].transitions = vec![Transition::III];
+        let err = doc.validate().unwrap_err();
+        assert_eq!(err.path, "experiment.Table1.cases[0].transitions");
+        assert!(err.message.contains("III"), "{err}");
+    }
+
+    #[test]
+    fn a_zero_in_flight_limit_is_refused() {
+        let err = broker_faults_with(|m| m.max_in_flight = 0);
+        assert_eq!(err.path, "experiment.BrokerFaultMatrix.max_in_flight");
+    }
+
+    #[test]
+    fn a_replication_factor_above_the_broker_count_is_refused() {
+        let err = broker_faults_with(|m| m.scenarios[1].replication_factor = 7);
+        assert_eq!(
+            err.path,
+            "experiment.BrokerFaultMatrix.scenarios[1].replication_factor"
+        );
+    }
+
+    #[test]
+    fn a_fault_on_an_unknown_broker_is_refused() {
+        let err = broker_faults_with(|m| m.scenarios[1].faults[0].broker = 9);
+        assert_eq!(
+            err.path,
+            "experiment.BrokerFaultMatrix.scenarios[1].faults[0].broker"
+        );
+    }
+
+    #[test]
+    fn a_zero_request_timeout_is_refused_in_a_sweep_and_a_trace_demo() {
+        let mut sw = sweep();
+        sw.series[0].request_timeout_ms = Some(0);
+        let err = spec(ExperimentSpec::Sweep(sw)).validate().unwrap_err();
+        assert_eq!(err.path, "experiment.Sweep.series[0].request_timeout_ms");
+
+        let mut doc = Spec::builtin("trace").expect("built-in");
+        let ExperimentSpec::TraceDemo(demo) = &mut doc.experiment else {
+            panic!("trace is a trace demo");
+        };
+        demo.scenarios[1].request_timeout_ms = Some(0);
+        let err = doc.validate().unwrap_err();
+        assert_eq!(
+            err.path,
+            "experiment.TraceDemo.scenarios[1].request_timeout_ms"
+        );
+    }
+
+    #[test]
+    fn a_replication_factor_or_outage_site_beyond_the_cluster_is_refused() {
+        let mut sw = sweep();
+        sw.base.replication_factor = 5;
+        let err = spec(ExperimentSpec::Sweep(sw)).validate().unwrap_err();
+        assert_eq!(err.path, "experiment.Sweep.base.replication_factor");
+
+        let mut sw = sweep();
+        sw.axis = SweepAxis::OutageSecs(vec![0, 5]);
+        sw.outage = Some(OutageSite {
+            broker: 5,
+            start_s: 2,
+        });
+        let err = spec(ExperimentSpec::Sweep(sw)).validate().unwrap_err();
+        assert_eq!(err.path, "experiment.Sweep.outage.broker");
     }
 
     #[test]

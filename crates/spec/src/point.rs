@@ -9,6 +9,7 @@ use desim::SimDuration;
 use kafkasim::config::DeliverySemantics;
 use serde::{Deserialize, Serialize};
 use testbed::experiment::ExperimentPoint;
+use testbed::Calibration;
 
 use crate::error::SpecError;
 
@@ -116,14 +117,32 @@ impl PointSpec {
                 "message timeout must be positive",
             ));
         }
-        if self.replication_factor == 0 {
-            return Err(SpecError::new(
-                format!("{path}.replication_factor"),
-                "replication factor starts at 1",
-            ));
-        }
-        Ok(())
+        validate_replication(
+            self.replication_factor,
+            Calibration::paper().cluster.brokers,
+            format!("{path}.replication_factor"),
+        )
     }
+}
+
+/// Refuses a replication factor outside `1..=brokers`, the brokers of the
+/// cluster the run is placed on.
+///
+/// # Errors
+///
+/// Returns a [`SpecError`] at `path`.
+pub(crate) fn validate_replication(
+    factor: u32,
+    brokers: u32,
+    path: String,
+) -> Result<(), SpecError> {
+    if (1..=brokers).contains(&factor) {
+        return Ok(());
+    }
+    Err(SpecError::new(
+        path,
+        format!("replication factor must be within 1..={brokers}, the cluster's brokers"),
+    ))
 }
 
 #[cfg(test)]

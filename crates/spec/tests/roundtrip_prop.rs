@@ -54,7 +54,7 @@ fn point() -> impl Strategy<Value = PointSpec> {
         (
             0u64..5_000,
             1u64..60_000,
-            1u32..5,
+            1u32..4,
             0u64..10_000,
             proptest::bool::ANY,
         ),
