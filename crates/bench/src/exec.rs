@@ -1,10 +1,12 @@
-//! The spec executor: materialises a declarative [`spec::Spec`] into the
-//! figure/table data the `repro` binary prints.
+//! The spec executor: [`run_document`] runs one declarative
+//! [`spec::Spec`] and renders its target, the one run path of every
+//! `repro` target and of `repro check-results`.
 //!
-//! Every function here consumes one [`spec::ExperimentSpec`] variant and
-//! produces the same plain-data output type the legacy hand-wired
-//! builders returned, so spec-driven runs are bit-identical to the
-//! pre-spec code paths (the equivalence tests pin this).
+//! Every other public function here consumes one [`spec::ExperimentSpec`]
+//! variant and returns the plain rows its figure or table is rendered
+//! from ([`crate::render`]); the `benchmark/` package times several of
+//! them directly. [`ModelMemo`] trains the one model of a process and
+//! hands it to every document that predicts or plans with it.
 
 use desim::{SimDuration, SimRng, SimTime};
 use kafka_predict::prelude::*;
@@ -14,13 +16,14 @@ use kafkasim::fleet::{ChurnEvent, FleetConfig, FleetRun, Population, PopulationE
 use kafkasim::runtime::{BrokerFault, RunSpec};
 use kafkasim::source::SourceSpec;
 use kafkasim::LossReason;
-use netsim::trace::{generate_regime_shift, generate_trace, NetworkTrace};
+use netsim::trace::{generate_regime_shift, generate_trace, NetworkTrace, TraceConfig};
 use netsim::{ConditionTimeline, NetCondition};
 use obs::{NoopSink, Profiler, RingBufferSink, TraceEvent, TraceSink};
+use serde_json::{json, to_value, Value};
 use spec::{
-    BrokerFaultMatrixSpec, CollectionDesign, FleetSpec, KpiGridSpec, NetworkTraceSpec,
-    OnlineCompareSpec, OverlaySpec, PolicyKind, RegimeShiftSpec, SensitivitySpec, SweepMode,
-    SweepSpec, Table1Spec, Table2Spec, TraceDemoSpec, TraceScenarioSpec,
+    BrokerFaultMatrixSpec, CollectionDesign, ExperimentSpec, FleetSpec, KpiGridSpec,
+    NetworkTraceSpec, OnlineCompareSpec, OverlaySpec, PolicyKind, RegimeShiftSpec, SensitivitySpec,
+    Spec, SweepMode, SweepSpec, Table1Spec, Table2Spec, TraceScenarioSpec,
 };
 use testbed::dynamic::{default_static_config, run_scenario, run_scenario_online, StaticPlanner};
 use testbed::scenarios::ApplicationScenario;
@@ -29,9 +32,11 @@ use testbed::sweep::{derive_seed, run_grid, run_sweep};
 use testbed::ExperimentResult;
 
 use crate::figures::{
-    BrokerFaultRow, Effort, ExtOnlineRow, FleetClassRow, FleetStrategyRow, RegimeShiftRow, Series,
-    SeriesPoint, Table2Row,
+    self, BrokerFaultRow, Effort, ExtOnlineRow, FleetClassRow, FleetStrategyRow, RegimeShiftRow,
+    Series, SeriesPoint, Table2Row,
 };
+use crate::render;
+use crate::report::TracedRun;
 
 /// Table I — replays every scripted transition path through the
 /// executable state machine and reports whether it lands in its declared
@@ -39,7 +44,7 @@ use crate::figures::{
 ///
 /// # Panics
 ///
-/// Panics when a scripted path contains an illegal transition.
+/// Panics on an illegal transition, which [`Spec::validate`] refuses.
 #[must_use]
 pub fn table1(spec: &Table1Spec) -> Vec<(kafkasim::state::DeliveryCase, String, bool)> {
     use kafkasim::state::StateMachine;
@@ -48,17 +53,12 @@ pub fn table1(spec: &Table1Spec) -> Vec<(kafkasim::state::DeliveryCase, String, 
         .map(|case| {
             let mut sm = StateMachine::new();
             for &t in &case.transitions {
-                sm.apply(t).expect("scripted path is legal");
+                sm.apply(t)
+                    .expect("Spec::validate replays every scripted path");
             }
             (case.case, case.path.clone(), sm.case() == Some(case.case))
         })
         .collect()
-}
-
-/// Fig. 3 — grid sizes per case family of the collection design.
-#[must_use]
-pub fn collection_sizes(design: &CollectionDesign) -> (usize, usize, usize) {
-    design.sizes()
 }
 
 /// Runs the full collection design, producing the training set.
@@ -74,11 +74,11 @@ pub fn collect_training(design: &CollectionDesign, effort: Effort) -> Vec<Experi
 ///
 /// # Panics
 ///
-/// Panics when the generator configuration is invalid (validated specs
-/// never are).
+/// Panics on a generator configuration [`Spec::validate`] refuses.
 #[must_use]
 pub fn network_trace(spec: &NetworkTraceSpec, seed: u64) -> NetworkTrace {
-    generate_trace(&spec.trace, &mut SimRng::seed_from_u64(seed)).expect("trace config is valid")
+    generate_trace(&spec.trace, &mut SimRng::seed_from_u64(seed))
+        .expect("Spec::validate checks the generator configuration")
 }
 
 /// Figs. 4–8, EXT-1/2, ABL-1/2 — runs a swept reliability figure.
@@ -126,24 +126,12 @@ pub fn sweep(spec: &SweepSpec, effort: Effort) -> Vec<Series> {
 pub fn kpi_grid(spec: &KpiGridSpec, predictor: &dyn Predictor) -> Vec<(String, f64)> {
     let cal = Calibration::paper();
     let kpi = KpiModel::from_calibration(&cal);
-    let base = &spec.base;
+    let mut point = spec.base.to_point();
     let mut rows = Vec::new();
     for &semantics in &spec.semantics {
         for &b in &spec.batch_sizes {
-            let f = Features {
-                message_size: base.message_size,
-                timeliness_ms: base.timeliness_ms.map_or(0.0, |t| t as f64),
-                delay_ms: base.delay_ms as f64,
-                loss_rate: base.loss_rate,
-                semantics,
-                batch_size: b,
-                poll_interval_ms: base.poll_interval_ms as f64,
-                message_timeout_ms: base.message_timeout_ms as f64,
-                replication_factor: base.replication_factor,
-                fault_downtime_ms: base.fault_downtime_ms as f64,
-                allow_unclean: base.allow_unclean,
-            };
-            let gamma = kpi.gamma(predictor, &f, &spec.weights);
+            (point.semantics, point.batch_size) = (semantics, b);
+            let gamma = kpi.gamma(predictor, &Features::from(&point), &spec.weights);
             rows.push((format!("{semantics}, B={b}"), gamma));
         }
     }
@@ -158,8 +146,35 @@ fn messages_for(scenario: &ApplicationScenario, trace: &ConditionTimeline) -> u6
     ((horizon.as_secs_f64() * mean_rate) as u64).max(100)
 }
 
+/// The network a planned experiment runs over, generated on `seed`.
+pub(crate) fn generated_network(trace: &TraceConfig, seed: u64) -> ConditionTimeline {
+    generate_trace(trace, &mut SimRng::seed_from_u64(seed))
+        .expect("Spec::validate checks the generator configuration")
+        .timeline
+}
+
+/// The online controller that plans `scenario` with `model` over `space`.
+pub(crate) fn controller(
+    model: ReliabilityModel,
+    cal: &Calibration,
+    space: SearchSpace,
+    scenario: &ApplicationScenario,
+) -> OnlineModelController<ReliabilityModel> {
+    let timeliness_ms = scenario.timeliness.as_secs_f64() * 1e3;
+    let (weights, requirement) = (scenario.weights, scenario.gamma_requirement);
+    OnlineModelController::new(
+        model,
+        cal,
+        space,
+        weights,
+        requirement,
+        scenario.mean_size(),
+        timeliness_ms,
+    )
+}
+
 fn search_space(grid: &spec::ConfigGrid) -> SearchSpace {
-    SearchSpace::try_from(grid).expect("validated specs carry a usable planner grid")
+    SearchSpace::try_from(grid).expect("Spec::validate checks the planner grid")
 }
 
 /// Table II — static default vs model-planned dynamic configuration per
@@ -167,13 +182,7 @@ fn search_space(grid: &spec::ConfigGrid) -> SearchSpace {
 #[must_use]
 pub fn table2(spec: &Table2Spec, predictor: &dyn Predictor, effort: Effort) -> Vec<Table2Row> {
     let cal = Calibration::paper();
-    let trace = network_trace(
-        &NetworkTraceSpec {
-            trace: spec.trace.clone(),
-        },
-        effort.seed,
-    )
-    .timeline;
+    let trace = generated_network(&spec.trace, effort.seed);
     let interval = SimDuration::from_secs(spec.plan_interval_s);
     spec.scenarios
         .iter()
@@ -283,8 +292,8 @@ pub fn sensitivity(spec: &SensitivitySpec, effort: Effort) -> Vec<SensitivityRow
 ///
 /// # Panics
 ///
-/// Panics when a spec's producer settings do not form a valid
-/// configuration (validated specs always do).
+/// Panics on producer, replication or fault settings [`Spec::validate`]
+/// refuses.
 #[must_use]
 pub fn broker_fault_matrix(spec: &BrokerFaultMatrixSpec, effort: Effort) -> Vec<BrokerFaultRow> {
     let n = effort.messages.min(spec.max_messages);
@@ -313,7 +322,7 @@ pub fn broker_fault_matrix(spec: &BrokerFaultMatrixSpec, effort: Effort) -> Vec<
                 .message_timeout(SimDuration::from_millis(spec.message_timeout_ms))
                 .max_in_flight(spec.max_in_flight)
                 .build()
-                .expect("valid producer config");
+                .expect("Spec::validate refuses a zero message timeout or in-flight limit");
             for fault in &scenario.faults {
                 run.faults.push(BrokerFault::crash(
                     BrokerId(fault.broker),
@@ -357,13 +366,7 @@ pub fn online_compare(
     use std::sync::Arc;
 
     let cal = Calibration::paper();
-    let trace = network_trace(
-        &NetworkTraceSpec {
-            trace: spec.trace.clone(),
-        },
-        effort.seed,
-    )
-    .timeline;
+    let trace = generated_network(&spec.trace, effort.seed);
     let scenario = &spec.scenario;
     let n = messages_for(scenario, &trace);
     let interval = SimDuration::from_secs(spec.plan_interval_s);
@@ -395,15 +398,7 @@ pub fn online_compare(
     // The online controller sees only the producer's own statistics; it
     // owns its copy of the model (the runtime may consult it from a shared
     // handle).
-    let controller = OnlineModelController::new(
-        model.clone(),
-        &cal,
-        search_space(&spec.grid),
-        scenario.weights,
-        scenario.gamma_requirement,
-        scenario.mean_size(),
-        scenario.timeliness.as_secs_f64() * 1e3,
-    );
+    let controller = controller(model, &cal, search_space(&spec.grid), scenario);
     let (report, _, metrics) = run_scenario_online(
         scenario,
         &trace,
@@ -433,8 +428,7 @@ pub fn online_compare(
 ///
 /// # Panics
 ///
-/// Panics when the spec's generator configurations cannot be spliced
-/// (validated specs always can).
+/// Panics on generator configurations [`Spec::validate`] refuses.
 #[must_use]
 pub fn regime_shift(
     spec: &RegimeShiftSpec,
@@ -451,7 +445,7 @@ pub fn regime_shift(
         SimDuration::from_secs(spec.shift_at_s),
         &mut SimRng::seed_from_u64(effort.seed),
     )
-    .expect("validated specs splice")
+    .expect("Spec::validate splices the two generator configurations")
     .timeline;
     let scenario = &spec.scenario;
     let n = messages_for(scenario, &trace);
@@ -463,15 +457,7 @@ pub fn regime_shift(
         .map(|entry| {
             let policy: Arc<dyn Policy> = match entry.kind {
                 PolicyKind::Frozen => Arc::new(FrozenPolicy::new(
-                    OnlineModelController::new(
-                        model.clone(),
-                        &cal,
-                        search_space(&spec.grid),
-                        scenario.weights,
-                        scenario.gamma_requirement,
-                        scenario.mean_size(),
-                        timeliness_ms,
-                    ),
+                    controller(model.clone(), &cal, search_space(&spec.grid), scenario),
                     &cal,
                     scenario.weights,
                 )),
@@ -534,10 +520,9 @@ pub fn regime_shift(
 ///
 /// # Panics
 ///
-/// Panics when the scenario's producer settings do not form a valid
-/// configuration (validated specs always do).
+/// Panics on producer settings [`Spec::validate`] refuses.
 #[must_use]
-pub(crate) fn trace_run_spec(scenario: &TraceScenarioSpec) -> RunSpec {
+pub fn trace_run_spec(scenario: &TraceScenarioSpec) -> RunSpec {
     let mut run = RunSpec {
         source: SourceSpec::fixed_rate(scenario.messages, scenario.message_size, scenario.rate_hz),
         ..RunSpec::default()
@@ -549,7 +534,7 @@ pub(crate) fn trace_run_spec(scenario: &TraceScenarioSpec) -> RunSpec {
     run.producer = producer
         .message_timeout(SimDuration::from_millis(scenario.message_timeout_ms))
         .build()
-        .expect("valid producer config");
+        .expect("Spec::validate refuses a zero message or request timeout");
     run.network = ConditionTimeline::constant(NetCondition::new(
         SimDuration::from_millis(scenario.delay_ms),
         scenario.loss_rate,
@@ -571,16 +556,6 @@ pub fn drain_trace(sink: &mut dyn TraceSink, run: impl std::fmt::Display) -> Vec
     sink.drain()
 }
 
-/// Accessor so callers holding only a [`TraceDemoSpec`] can iterate its
-/// runs in declaration order.
-#[must_use]
-pub fn trace_runs(spec: &TraceDemoSpec) -> Vec<(String, String, RunSpec, u64)> {
-    spec.scenarios
-        .iter()
-        .map(|s| (s.tag.clone(), s.label.clone(), trace_run_spec(s), s.seed))
-        .collect()
-}
-
 /// Fleet figure — runs the same producer population and consumer group
 /// under every requested partitioning strategy, recording partition
 /// skew, rebalance storms, and per-class reliability.
@@ -595,8 +570,7 @@ pub fn trace_runs(spec: &TraceDemoSpec) -> Vec<(String, String, RunSpec, u64)> {
 ///
 /// # Panics
 ///
-/// Panics when the spec fails its own validation invariants (validated
-/// specs never do).
+/// Panics on a population [`Spec::validate`] refuses.
 #[must_use]
 pub fn fleet(spec: &FleetSpec, effort: Effort) -> Vec<FleetStrategyRow> {
     let entries: Vec<PopulationEntry> = spec
@@ -604,14 +578,14 @@ pub fn fleet(spec: &FleetSpec, effort: Effort) -> Vec<FleetStrategyRow> {
         .iter()
         .map(|e| {
             let scenario =
-                ApplicationScenario::by_slug(&e.class).expect("validated stream-class slug");
+                ApplicationScenario::by_slug(&e.class).expect("Spec::validate checks each slug");
             PopulationEntry {
                 class: scenario.stream_class(e.rate_hz),
                 weight: e.weight,
             }
         })
         .collect();
-    let population = Population::new(entries).expect("validated population mix");
+    let population = Population::new(entries).expect("Spec::validate checks the population mix");
     let duration = SimDuration::from_secs(spec.duration_s);
     let churn: Vec<ChurnEvent> = spec
         .churn
@@ -670,7 +644,10 @@ pub fn fleet(spec: &FleetSpec, effort: Effort) -> Vec<FleetStrategyRow> {
                 .iter()
                 .zip(&gammas)
                 .map(|(c, g)| {
-                    debug_assert_eq!(c.class, g.class);
+                    debug_assert_eq!(c.class, g.class, "fleet_gammas keeps the class order");
+                    // Nothing produced loses nothing, and nothing appended
+                    // duplicates nothing: an empty class reads 0.
+                    let lost = c.lost_network + c.lost_overload;
                     let appended = c.delivered + c.duplicated;
                     FleetClassRow {
                         class: c.class.clone(),
@@ -680,16 +657,8 @@ pub fn fleet(spec: &FleetSpec, effort: Effort) -> Vec<FleetStrategyRow> {
                         lost_network: c.lost_network,
                         lost_overload: c.lost_overload,
                         duplicated: c.duplicated,
-                        p_loss: if c.produced == 0 {
-                            0.0
-                        } else {
-                            (c.lost_network + c.lost_overload) as f64 / c.produced as f64
-                        },
-                        p_dup: if appended == 0 {
-                            0.0
-                        } else {
-                            c.duplicated as f64 / appended as f64
-                        },
+                        p_loss: lost as f64 / c.produced.max(1) as f64,
+                        p_dup: c.duplicated as f64 / appended.max(1) as f64,
                         gamma: g.gamma,
                         gamma_requirement: g.requirement,
                         gamma_met: g.met(),
@@ -716,4 +685,255 @@ pub fn fleet(spec: &FleetSpec, effort: Effort) -> Vec<FleetStrategyRow> {
             }
         })
         .collect()
+}
+
+// ---------------------------------------------------------------------------
+// Running one document
+// ---------------------------------------------------------------------------
+
+/// What one scenario document renders to: the text `repro` prints, the
+/// value it prints under `--json`, and, for a trace demo given a trace-out
+/// base, each run's events with the JSONL file they go to.
+#[derive(Debug)]
+pub struct Rendered {
+    /// The target's text: header, body, closing blank line.
+    pub text: String,
+    /// The target's machine-readable output.
+    pub json: Value,
+    /// `(path, events)` per traced run to write, in run order. The text
+    /// already says each was written and read back, so a caller that
+    /// cannot do both must not print it.
+    pub traces: Vec<(String, Vec<TraceEvent>)>,
+}
+
+/// The one trained model of a process, with the collection design it was
+/// trained on: the first document that needs a model trains it, and a
+/// later one on the same design reuses it, so `repro all` collects and
+/// trains once.
+#[derive(Debug)]
+pub struct ModelMemo {
+    options: TrainOptions,
+    /// Results loaded from the named file, trained on in place of a
+    /// collection sweep.
+    data: Option<(String, Vec<ExperimentResult>)>,
+    trained: Option<(CollectionDesign, TrainedModel)>,
+    /// The last collection sweep's results, until taken.
+    collected: Option<Vec<ExperimentResult>>,
+}
+
+impl ModelMemo {
+    /// An empty memo that trains the paper's [`TrainOptions::paper`], or
+    /// [`figures::quick_train_options`] when `quick`, on `data` (results
+    /// and the file they came from) when given, else on a collection sweep.
+    #[must_use]
+    pub fn new(quick: bool, data: Option<(String, Vec<ExperimentResult>)>) -> Self {
+        let options = if quick {
+            figures::quick_train_options()
+        } else {
+            TrainOptions::paper()
+        };
+        ModelMemo {
+            options,
+            data,
+            trained: None,
+            collected: None,
+        }
+    }
+
+    /// The results of the last collection sweep this memo ran, once.
+    pub fn take_collected(&mut self) -> Option<Vec<ExperimentResult>> {
+        self.collected.take()
+    }
+
+    /// The loaded results, or a collection sweep over `design`.
+    fn training_results(&self, design: &CollectionDesign, effort: Effort) -> Vec<ExperimentResult> {
+        self.data.as_ref().map_or_else(
+            || collect_training(design, effort),
+            |(_, results)| results.clone(),
+        )
+    }
+
+    /// The model trained on `design`, trained now unless the memo holds it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the trainer's reason, prefixed with where the results came
+    /// from, when they cannot train a model.
+    pub fn model_for(
+        &mut self,
+        design: &CollectionDesign,
+        effort: Effort,
+    ) -> Result<&TrainedModel, String> {
+        if !matches!(&self.trained, Some((trained_on, _)) if trained_on == design) {
+            let results = self.training_results(design, effort);
+            let source = self
+                .data
+                .as_ref()
+                .map_or("the collection sweep", |(path, _)| path);
+            let trained = train_model(&results, &self.options, effort.seed)
+                .map_err(|e| format!("{source}: cannot train the model: {e}"))?;
+            if self.data.is_none() {
+                self.collected = Some(results);
+            }
+            self.trained = Some((design.clone(), trained));
+        }
+        Ok(&self
+            .trained
+            .as_ref()
+            .expect("trained above unless it held the design")
+            .1)
+    }
+
+    /// [`ModelMemo::model_for`] on [`figures::training_design`] for a
+    /// document that plans with the model, saying on stderr when training
+    /// starts and what follows it.
+    fn planning_model(
+        &mut self,
+        doc: &Spec,
+        effort: Effort,
+        then: &str,
+    ) -> Result<&TrainedModel, String> {
+        eprintln!("{}: training the prediction model first...", doc.name);
+        let trained = self.model_for(&figures::training_design(), effort)?;
+        eprintln!(
+            "{}: model trained (worst-head MAE {:.4}); {then}...",
+            doc.name,
+            trained.worst_mae()
+        );
+        Ok(trained)
+    }
+}
+
+/// Runs one scenario document at `effort` and renders its target, the one
+/// run path of every `repro` target: the text in [`crate::render`], the
+/// JSON beside it. A document that predicts or plans takes its model from
+/// `memo`. A trace demo given `trace_out` (`base.jsonl`) keeps each run's
+/// events for `base-<tag>.jsonl`.
+///
+/// # Errors
+///
+/// Returns a message naming the document when it fails validation, or
+/// naming the training data when they cannot train a model.
+pub fn run_document(
+    doc: &Spec,
+    effort: Effort,
+    memo: &mut ModelMemo,
+    trace_out: Option<&str>,
+) -> Result<Rendered, String> {
+    doc.validate().map_err(|e| format!("{}: {e}", doc.name))?;
+    let mut traces = Vec::new();
+    let (body, json) = match &doc.experiment {
+        ExperimentSpec::Table1(spec) => {
+            let rows = table1(spec);
+            let json = rows.iter().map(
+                |(case, path, ok)| json!({"case": case.to_string(), "path": path, "verified": ok}),
+            );
+            (render::table1(&rows), Value::Seq(json.collect()))
+        }
+        ExperimentSpec::Collection(design) => {
+            let sizes @ (normal, abnormal, faults) = design.sizes();
+            let json = json!({"normal_points": normal, "abnormal_points": abnormal, "broker_fault_points": faults});
+            (render::collection(sizes), json)
+        }
+        ExperimentSpec::Sweep(spec) => {
+            let series = sweep(spec, effort);
+            let body = render::series_body(&spec.x_label, &spec.metric, &series);
+            (body, to_value(&series))
+        }
+        ExperimentSpec::NetworkTrace(spec) => {
+            let trace = network_trace(spec, effort.seed);
+            (render::fig9(&trace), to_value(&trace))
+        }
+        ExperimentSpec::Train(spec) => {
+            let trained = memo.model_for(&spec.collection, effort)?;
+            let (amo, alo, all, worst_mae) =
+                (trained.amo, trained.alo, trained.all, trained.worst_mae());
+            let json = json!({"amo": amo, "alo": alo, "all": all, "worst_mae": worst_mae});
+            (render::ann(trained), json)
+        }
+        ExperimentSpec::KpiGrid(spec) => {
+            let rows = kpi_grid(spec, &figures::heuristic_predictor());
+            let json = rows
+                .iter()
+                .map(|(label, g)| json!({"config": label, "gamma": g}));
+            (render::kpi(&rows), Value::Seq(json.collect()))
+        }
+        ExperimentSpec::Table2(spec) => {
+            let trained = memo.planning_model(doc, effort, "running scenarios")?;
+            let rows = table2(spec, &trained.model, effort);
+            (render::table2_body(&rows), to_value(&rows))
+        }
+        ExperimentSpec::Overlay(spec) => {
+            let trained = memo.model_for(&spec.collection, effort)?;
+            let (series, mae) = overlay(spec, &trained.model, effort);
+            (render::overlay(&series, mae), to_value(&series))
+        }
+        ExperimentSpec::Sensitivity(spec) => {
+            let rows = sensitivity(spec, effort);
+            (render::sensitivity(&rows, spec.threshold), to_value(&rows))
+        }
+        ExperimentSpec::BrokerFaultMatrix(spec) => {
+            let rows = broker_fault_matrix(spec, effort);
+            (render::broker_faults(&rows), to_value(&rows))
+        }
+        ExperimentSpec::Online(spec) => {
+            let trained = memo.planning_model(doc, effort, "running control modes")?;
+            let rows = online_compare(spec, trained.model.clone(), effort);
+            (render::ext_online(&rows), to_value(&rows))
+        }
+        ExperimentSpec::TraceDemo(spec) => {
+            let mut body = String::new();
+            let mut json = Vec::new();
+            for scenario in &spec.scenarios {
+                let traced = TracedRun::demo(scenario);
+                let written = trace_out.map(|base| trace_path(base, &scenario.tag));
+                body +=
+                    &render::trace_run(&scenario.label, scenario.seed, &traced, written.as_deref());
+                json.push(json!({
+                    "scenario": scenario.label,
+                    "seed": scenario.seed,
+                    "events": traced.events.len(),
+                    "report": traced.outcome.report,
+                    "lost_by_cause": traced.lost_by_cause(),
+                    "fully_explained": traced.audit.fully_explains(),
+                    "trace_file": written,
+                }));
+                if let Some(path) = written {
+                    traces.push((path, traced.events));
+                }
+            }
+            (body, to_value(&json))
+        }
+        ExperimentSpec::Fleet(spec) => {
+            let rows = fleet(spec, effort);
+            (render::fleet(spec, &rows), to_value(&rows))
+        }
+        ExperimentSpec::RegimeShift(spec) => {
+            let then = format!(
+                "running {} policies over the regime shift",
+                spec.policies.len()
+            );
+            let trained = memo.planning_model(doc, effort, &then)?;
+            let rows = regime_shift(spec, trained.model.clone(), effort);
+            let body = render::regime_shift(&doc.title, spec.shift_at_s, &rows);
+            (body, to_value(&rows))
+        }
+    };
+    let title = match doc.experiment {
+        ExperimentSpec::Table2(_) => render::TABLE2_CAPTION,
+        _ => &doc.title,
+    };
+    Ok(Rendered {
+        text: render::document(title, &body),
+        json,
+        traces,
+    })
+}
+
+/// `base.jsonl` + `amo` → `base-amo.jsonl`.
+fn trace_path(base: &str, tag: &str) -> String {
+    match base.rsplit_once('.') {
+        Some((stem, ext)) if !stem.is_empty() => format!("{stem}-{tag}.{ext}"),
+        _ => format!("{base}-{tag}.jsonl"),
+    }
 }

@@ -96,18 +96,15 @@ pub struct Series {
     pub points: Vec<SeriesPoint>,
 }
 
-/// Looks up a built-in scenario, panicking on a corpus/name mismatch —
-/// the callers below only name scenarios the corpus defines.
-fn builtin(name: &str) -> Spec {
-    Spec::builtin(name).unwrap_or_else(|| panic!("{name} is a built-in scenario"))
-}
-
 /// The collection design the model-planned experiments (`table2`,
 /// `ext-online`, `regime-shift`) train on: the `ann` scenario's grids,
 /// which `overlay` declares too.
 #[must_use]
 pub fn training_design() -> spec::CollectionDesign {
-    match builtin("ann").experiment {
+    match Spec::builtin("ann")
+        .expect("ann is a built-in scenario")
+        .experiment
+    {
         ExperimentSpec::Train(train) => train.collection,
         _ => unreachable!("ann is a training scenario"),
     }
@@ -289,7 +286,7 @@ mod tests {
 
     #[test]
     fn table1_paths_all_verify() {
-        let ExperimentSpec::Table1(cases) = builtin("table1").experiment else {
+        let ExperimentSpec::Table1(cases) = Spec::builtin("table1").unwrap().experiment else {
             panic!("table1 is a Table I scenario");
         };
         let rows = exec::table1(&cases);
@@ -299,10 +296,11 @@ mod tests {
 
     #[test]
     fn collection_sizes_are_reported() {
-        let ExperimentSpec::Collection(design) = builtin("collection").experiment else {
+        let ExperimentSpec::Collection(design) = Spec::builtin("collection").unwrap().experiment
+        else {
             panic!("collection is a collection scenario");
         };
-        let (normal, abnormal, faults) = exec::collection_sizes(&design);
+        let (normal, abnormal, faults) = design.sizes();
         assert!(normal > 50);
         assert!(abnormal > 100);
         assert!(faults > 10);
@@ -310,7 +308,7 @@ mod tests {
 
     #[test]
     fn fig9_trace_is_deterministic() {
-        let ExperimentSpec::NetworkTrace(trace) = builtin("fig9").experiment else {
+        let ExperimentSpec::NetworkTrace(trace) = Spec::builtin("fig9").unwrap().experiment else {
             panic!("fig9 is a network-trace scenario");
         };
         let fig9 = |seed| exec::network_trace(&trace, seed);
@@ -320,7 +318,7 @@ mod tests {
 
     #[test]
     fn kpi_sweep_produces_unit_gammas() {
-        let ExperimentSpec::KpiGrid(grid) = builtin("kpi").experiment else {
+        let ExperimentSpec::KpiGrid(grid) = Spec::builtin("kpi").unwrap().experiment else {
             panic!("kpi is a KPI-grid scenario");
         };
         let rows = exec::kpi_grid(&grid, &heuristic_predictor());
@@ -330,7 +328,7 @@ mod tests {
 
     #[test]
     fn fig6_overload_floor_appears() {
-        let ExperimentSpec::Sweep(sweep) = builtin("fig6").experiment else {
+        let ExperimentSpec::Sweep(sweep) = Spec::builtin("fig6").unwrap().experiment else {
             panic!("fig6 is a sweep scenario");
         };
         let mut effort = Effort::quick();

@@ -22,8 +22,9 @@
 //! How a scenario wants to be reported lives in the scenario document
 //! itself: the optional `[report]` block ([`spec::ReportSpec`]) sets the
 //! window length and whether profiling/timeline attribution run.
-//! Scenarios without the block fall back to `default_report_spec`.
+//! Scenarios without the block fall back to `DEFAULT_REPORT`.
 
+use std::collections::BTreeMap;
 use std::fmt::{Display, Write as _};
 use std::path::Path;
 use std::sync::Arc;
@@ -39,7 +40,7 @@ use obs::{
     MetricsRegistry, MetricsSummary, Profiler, RingBufferSink, SpanProfile, TimelineReport,
     TraceEvent, WindowSeries,
 };
-use spec::{ExperimentSpec, ReportSpec, Spec};
+use spec::{ExperimentSpec, ReportSpec, Spec, TraceScenarioSpec};
 use testbed::dynamic::{default_static_config, scenario_run};
 use testbed::scenarios::ApplicationScenario;
 
@@ -56,14 +57,11 @@ const TRACE_RING: usize = 1 << 22;
 
 /// The `[report]` defaults for scenarios whose document omits the block:
 /// one-second windows, timeline attribution on, span profiling off.
-#[must_use]
-pub(crate) fn default_report_spec() -> ReportSpec {
-    ReportSpec {
-        window_ms: 1_000,
-        profile: false,
-        timeline: true,
-    }
-}
+pub(crate) const DEFAULT_REPORT: ReportSpec = ReportSpec {
+    window_ms: 1_000,
+    profile: false,
+    timeline: true,
+};
 
 /// One traced run, read back: its outcome, its trace events, the
 /// per-message timeline rebuilt from them, and that timeline checked
@@ -97,6 +95,21 @@ impl TracedRun {
             timeline,
             audit,
         }
+    }
+
+    /// Messages lost per cause, keyed by the cause's name.
+    #[must_use]
+    pub fn lost_by_cause(&self) -> BTreeMap<String, u64> {
+        let causes = self.timeline.lost_by_cause().into_iter();
+        causes.map(|(cause, n)| (cause.to_string(), n)).collect()
+    }
+
+    /// The untimed traced run of one trace-demo scenario, on its own seed.
+    #[must_use]
+    pub fn demo(scenario: &TraceScenarioSpec) -> Self {
+        let run = KafkaRun::new(crate::exec::trace_run_spec(scenario), scenario.seed);
+        let label = format_args!("trace, {}", scenario.label);
+        Self::execute(run, Profiler::disabled(), label)
     }
 }
 
@@ -172,7 +185,7 @@ impl RunReport {
 ///
 /// Returns a message when the experiment kind is not reportable.
 pub fn generate(doc: &Spec, effort: Effort) -> Result<RunReport, String> {
-    let settings = doc.report.unwrap_or_else(default_report_spec);
+    let settings = doc.report.unwrap_or(DEFAULT_REPORT);
     let (run, seed) = representative_run(doc, effort)?;
     let prof = if settings.profile {
         Profiler::enabled()
@@ -218,16 +231,8 @@ pub fn profile_smoke(effort: Effort) -> RunReport {
         Topology::Compact,
         &mut SimRng::seed_from_u64(effort.seed ^ 0x5eed),
     );
-    let controller = OnlineModelController::new(
-        model,
-        &cal,
-        SearchSpace::default(),
-        scenario.weights,
-        scenario.gamma_requirement,
-        scenario.mean_size(),
-        scenario.timeliness.as_secs_f64() * 1e3,
-    )
-    .with_profiler(prof.clone());
+    let controller = crate::exec::controller(model, &cal, SearchSpace::default(), &scenario)
+        .with_profiler(prof.clone());
     let online = OnlineSpec {
         interval: SimDuration::from_secs(10),
         controller: Arc::new(controller),
@@ -246,7 +251,7 @@ pub fn profile_smoke(effort: Effort) -> RunReport {
     train_smoke(&prof, effort.seed);
     let settings = ReportSpec {
         profile: true,
-        ..default_report_spec()
+        ..DEFAULT_REPORT
     };
     RunReport::new(
         "profile",
@@ -349,20 +354,20 @@ impl RunReport {
         let (settings, outcome) = (self.settings, &self.run.outcome);
         let delivery = &outcome.report;
         let mut md = String::new();
-        let _ = writeln!(md, "# Run report: {}", self.scenario);
-        let _ = writeln!(md, "\n> {}\n\n{}\n", self.title, self.description);
+        let (scenario, title, description) = (&self.scenario, &self.title, &self.description);
         let _ = writeln!(
             md,
-            "Representative run: seed {}, {} ms windows, profiling {}, timeline {}.\n",
-            self.seed,
-            settings.window_ms,
-            on_off(settings.profile),
-            on_off(settings.timeline),
+            "# Run report: {scenario}\n\n> {title}\n\n{description}\n"
+        );
+        let (seed, window_ms) = (self.seed, settings.window_ms);
+        let (profile, timeline) = (on_off(settings.profile), on_off(settings.timeline));
+        let _ = writeln!(
+            md,
+            "Representative run: seed {seed}, {window_ms} ms windows, profiling {profile}, \
+             timeline {timeline}.\n"
         );
 
-        let _ = writeln!(md, "## Delivery\n");
-        let _ = writeln!(md, "| metric | value |");
-        let _ = writeln!(md, "|---|---|");
+        let _ = writeln!(md, "## Delivery\n\n| metric | value |\n|---|---|");
         let _ = writeln!(md, "| messages (N) | {} |", delivery.n_source);
         let _ = writeln!(md, "| delivered once | {} |", delivery.delivered_once);
         let _ = writeln!(md, "| lost | {} |", delivery.lost);
@@ -371,22 +376,11 @@ impl RunReport {
         let _ = writeln!(md, "| P_d | {:.4} |", delivery.p_dup());
         let _ = writeln!(md, "| stale deliveries | {} |", delivery.stale);
         let _ = writeln!(md, "| throughput | {:.1} msg/s |", delivery.throughput());
-        let latency = &delivery.latency;
-        let _ = writeln!(
-            md,
-            "| first-copy latency, mean | {:.0} ms |",
-            latency.mean_s * 1e3
-        );
-        let _ = writeln!(
-            md,
-            "| first-copy latency, max | {:.0} ms |",
-            latency.max_s * 1e3
-        );
-        let _ = writeln!(
-            md,
-            "| simulated duration | {:.1} s |\n",
-            delivery.duration.as_secs_f64()
-        );
+        let (mean_ms, max_ms) = (delivery.latency.mean_s * 1e3, delivery.latency.max_s * 1e3);
+        let _ = writeln!(md, "| first-copy latency, mean | {mean_ms:.0} ms |");
+        let _ = writeln!(md, "| first-copy latency, max | {max_ms:.0} ms |");
+        let duration_s = delivery.duration.as_secs_f64();
+        let _ = writeln!(md, "| simulated duration | {duration_s:.1} s |\n");
         let cases = (1..)
             .zip(delivery.case_counts)
             .map(|(i, n)| (format!("Case{i}"), n));
@@ -394,8 +388,8 @@ impl RunReport {
         let reasons = listing(&delivery.loss_reasons);
         let _ = writeln!(md, "Loss reasons in the audit ledger: {reasons}.\n");
 
-        let _ = writeln!(md, "## Producer and connections\n");
-        let _ = writeln!(md, "Producer: {}.\n", counters(&outcome.producer));
+        let producer = counters(&outcome.producer);
+        let _ = writeln!(md, "## Producer and connections\n\nProducer: {producer}.\n");
         for (i, (tcp, link)) in outcome.tcp.iter().zip(&outcome.links).enumerate() {
             let (tcp, link) = (counters(tcp), counters(link));
             let _ = writeln!(md, "- conn {i}: TCP sender {tcp}; forward link {link}");
@@ -408,75 +402,62 @@ impl RunReport {
             if causes.is_empty() {
                 let _ = writeln!(md, "No messages were lost.\n");
             } else {
-                let _ = writeln!(md, "| cause | messages |");
-                let _ = writeln!(md, "|---|---|");
+                let _ = writeln!(md, "| cause | messages |\n|---|---|");
                 for (cause, count) in &causes {
                     let _ = writeln!(md, "| {cause} | {count} |");
                 }
                 let _ = writeln!(md);
             }
             let audit = &self.run.audit;
-            let _ = writeln!(
-                md,
-                "Trace vs audit: {}.\n",
-                if audit.fully_explains() {
-                    "every lost and duplicated message is attributed".to_string()
-                } else {
-                    format!("DISCREPANCIES {:?}", audit.discrepancies)
-                }
-            );
+            let verdict = if audit.fully_explains() {
+                "every lost and duplicated message is attributed".to_string()
+            } else {
+                format!("DISCREPANCIES {:?}", audit.discrepancies)
+            };
+            let _ = writeln!(md, "Trace vs audit: {verdict}.\n");
         }
 
-        let metrics = &self.metrics;
-        let _ = writeln!(md, "## Trace metrics\n");
+        let (metrics, e2e) = (&self.metrics, &self.metrics.e2e_latency_s);
+        let p99 = e2e
+            .p99
+            .map_or_else(|| "n/a".to_string(), |v| format!("{v:.4} s"));
         let _ = writeln!(
             md,
-            "End-to-end latency: mean {:.4} s, p99 {} over {} deliveries; \
+            "## Trace metrics\n\nEnd-to-end latency: mean {:.4} s, p99 {p99} over {} deliveries; \
              mean outstanding {:.1} messages.\n",
-            metrics.e2e_latency_s.mean,
-            metrics
-                .e2e_latency_s
-                .p99
-                .map_or_else(|| "n/a".to_string(), |v| format!("{v:.4} s")),
-            metrics.e2e_latency_s.count,
-            metrics.outstanding_avg,
+            e2e.mean, e2e.count, metrics.outstanding_avg,
         );
-        let _ = writeln!(md, "| counter | value |");
-        let _ = writeln!(md, "|---|---|");
+        let _ = writeln!(md, "| counter | value |\n|---|---|");
         for (name, value) in &metrics.counters {
             let _ = writeln!(md, "| {name} | {value} |");
         }
         let _ = writeln!(md);
 
         let windows = &self.windows;
+        let (n, appends) = (windows.rows.len(), windows.total_appends());
+        let peak = windows
+            .rows
+            .iter()
+            .map(|r| r.throughput_per_s)
+            .fold(0.0, f64::max);
         let _ = writeln!(
             md,
-            "## Windows ({} ms each)\n\nSee `windows.csv` for the full series.\n",
-            settings.window_ms
-        );
-        let _ = writeln!(
-            md,
-            "{} windows, {} appends total; peak throughput {:.1} msg/s.\n",
-            windows.rows.len(),
-            windows.total_appends(),
-            windows
-                .rows
-                .iter()
-                .map(|r| r.throughput_per_s)
-                .fold(0.0, f64::max),
+            "## Windows ({window_ms} ms each)\n\nSee `windows.csv` for the full series.\n\n\
+             {n} windows, {appends} appends total; peak throughput {peak:.1} msg/s.\n"
         );
 
         if let Some(p) = &self.profile {
-            let _ = writeln!(md, "## Span profile\n");
             let _ = writeln!(
                 md,
-                "{:.1} ms of profiled wall-clock across {} span paths \
+                "## Span profile\n\n{:.1} ms of profiled wall-clock across {} span paths \
                  (`trace.json` loads in Perfetto; `profile.folded` feeds flamegraph tools).\n",
                 p.root_total_ns() as f64 / 1e6,
                 p.spans.len()
             );
-            let _ = writeln!(md, "| span path | calls | total ms | self ms |");
-            let _ = writeln!(md, "|---|---|---|---|");
+            let _ = writeln!(
+                md,
+                "| span path | calls | total ms | self ms |\n|---|---|---|---|"
+            );
             let mut spans: Vec<_> = p.spans.iter().filter(|s| s.calls > 0).collect();
             spans.sort_by_key(|s| std::cmp::Reverse(s.total_ns));
             for s in spans.iter().take(20) {
@@ -501,11 +482,7 @@ impl RunReport {
         let delivery = &outcome.report;
         let attribution = settings.timeline.then(|| {
             serde_json::json!({
-                "lost_by_cause": self.run.timeline
-                    .lost_by_cause()
-                    .into_iter()
-                    .map(|(c, n)| (c.to_string(), n))
-                    .collect::<std::collections::BTreeMap<_, _>>(),
+                "lost_by_cause": self.run.lost_by_cause(),
                 "fully_explained": self.run.audit.fully_explains(),
             })
         });

@@ -17,7 +17,6 @@ use fnv1a::fnv1a;
 
 use bench::figures::Effort;
 use bench::{exec, figures};
-use kafka_predict::prelude::train_model;
 use spec::ExperimentSpec;
 
 #[test]
@@ -27,8 +26,8 @@ fn online_adaptive_beats_frozen_after_the_shift() {
         panic!("regime-shift must carry a RegimeShift experiment");
     };
     let effort = Effort::quick();
-    let results = exec::collect_training(&figures::training_design(), effort);
-    let trained = train_model(&results, &figures::quick_train_options(), effort.seed)
+    let mut memo = exec::ModelMemo::new(true, None);
+    let trained = (memo.model_for(&figures::training_design(), effort))
         .expect("collection grids are large enough");
     let rows = exec::regime_shift(shift, trained.model.clone(), effort);
     assert_eq!(rows.len(), 3, "frozen, online-adaptive, bandit");

@@ -180,8 +180,6 @@ fn trace_demo_run_specs_match_legacy_wiring() {
         ExperimentSpec::TraceDemo(d) => d,
         other => panic!("trace is not a demo: {other:?}"),
     };
-    let via_spec = exec::trace_runs(&demo);
-
     let lossy = {
         let mut spec = RunSpec {
             source: SourceSpec::fixed_rate(1_000, 200, 500.0),
@@ -221,11 +219,13 @@ fn trace_demo_run_specs_match_legacy_wiring() {
         ),
     ];
 
-    assert_eq!(via_spec.len(), legacy.len());
-    for ((tag, label, run, seed), (etag, elabel, erun, eseed)) in via_spec.iter().zip(&legacy) {
-        assert_eq!(tag, etag);
-        assert_eq!(label, elabel);
-        assert_eq!(seed, eseed);
+    assert_eq!(demo.scenarios.len(), legacy.len());
+    for (s, (etag, elabel, erun, eseed)) in demo.scenarios.iter().zip(&legacy) {
+        let (tag, run) = (&s.tag, exec::trace_run_spec(s));
+        assert_eq!(
+            (tag, &s.label, s.seed),
+            (&etag.to_string(), &elabel.to_string(), *eseed)
+        );
         assert_eq!(
             format!("{run:?}"),
             format!("{erun:?}"),

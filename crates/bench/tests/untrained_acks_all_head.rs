@@ -25,8 +25,8 @@ fn table2_plans_no_acks_all_while_that_head_is_untrained() {
         panic!("table2 is a Table2 experiment");
     };
     let effort = Effort::quick();
-    let results = exec::collect_training(&figures::training_design(), effort);
-    let trained = train_model(&results, &figures::quick_train_options(), effort.seed)
+    let mut memo = exec::ModelMemo::new(true, None);
+    let trained = (memo.model_for(&figures::training_design(), effort))
         .expect("collection grids are large enough");
     assert!(
         trained.all.is_none(),
