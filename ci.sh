@@ -321,6 +321,15 @@ done)"
 [ -z "$libm_tanh" ] \
     || { echo "annet calls libm's tanh outside its tests:" >&2; echo "$libm_tanh" >&2; exit 1; }
 
+echo "== committed results: every results/*.txt regenerated in one process, at two thread counts =="
+# repro check-results runs every built-in document through
+# bench::exec::run_document at default effort, training once, and names the
+# first line of each text that differs from results/. The second pass at one
+# thread makes thread invariance a gate on every target.
+cargo build --release -q -p bench --bin repro
+target/release/repro check-results
+target/release/repro check-results --threads 1
+
 echo "== span profiler (smoke) =="
 # The profiled smoke run must keep emitting a loadable Chrome trace:
 # valid JSON, balanced and well-nested B/E events, monotone timestamps.
