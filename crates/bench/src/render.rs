@@ -1,6 +1,6 @@
 //! Plain-text rendering of every target `repro` prints: each text is the
 //! target's `== title ==` header, its body, and a closing blank line
-//! ([`document`]), the body rendered here from the rows [`crate::exec`]
+//! (`document`), the body rendered here from the rows [`crate::exec`]
 //! returns.
 
 use std::collections::BTreeMap;
